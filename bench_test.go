@@ -290,49 +290,22 @@ func BenchmarkAblationControlDeps(b *testing.B) {
 		b.Fatal(err)
 	}
 	deps := cdg.Compute(f)
+	src, pix := slicer.TraceSource(br.M.Tr), []slicer.Criteria{slicer.PixelCriteria{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, err := slicer.Slice(br.M.Tr, deps, slicer.PixelCriteria{}, slicer.Options{})
+		full, err := slicer.Slice(src, deps, pix, slicer.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dataOnly, err := slicer.Slice(br.M.Tr, nil, slicer.PixelCriteria{}, slicer.Options{NoControlDeps: true})
+		dataOnly, err := slicer.Slice(src, nil, pix, slicer.Options{NoControlDeps: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(full.Percent(), "full_%")
-			b.ReportMetric(dataOnly.Percent(), "data_only_%")
+			b.ReportMetric(full[0].Percent(), "full_%")
+			b.ReportMetric(dataOnly[0].Percent(), "data_only_%")
 		}
 	}
-}
-
-// BenchmarkAblationLiveMem compares the two live-memory-set implementations'
-// slicer throughput.
-func BenchmarkAblationLiveMem(b *testing.B) {
-	bench := sites.Bing(sites.Options{Scale: benchScale(), Browse: true})
-	br := browser.New(bench.Site, bench.Profile)
-	br.RunSession()
-	f, err := cfg.Build(br.M.Tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	deps := cdg.Compute(f)
-	b.Run("WordSet", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := slicer.Slice(br.M.Tr, deps, slicer.PixelCriteria{}, slicer.Options{Live: slicer.NewWordSet()}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(br.M.Tr.Len())/1e6, "Minstr")
-	})
-	b.Run("PageSet", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := slicer.Slice(br.M.Tr, deps, slicer.PixelCriteria{}, slicer.Options{Live: slicer.NewPageSet()}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationForwardReuse measures re-running the forward pass vs
@@ -354,7 +327,7 @@ func BenchmarkAblationForwardReuse(b *testing.B) {
 	deps := cdg.Compute(f)
 	b.Run("SliceOnly", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := slicer.Slice(br.M.Tr, deps, slicer.PixelCriteria{}, slicer.Options{}); err != nil {
+			if _, err := slicer.Slice(slicer.TraceSource(br.M.Tr), deps, []slicer.Criteria{slicer.PixelCriteria{}}, slicer.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

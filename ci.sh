@@ -15,6 +15,11 @@ go build ./examples/...
 go vet ./...
 go test -race ./...
 
+# The end-to-end benchmark is its own module, so the root ./... skips it; it
+# calls internal entry points (Profiler.Slice, slicer.Options, store keys),
+# and renaming one must fail here rather than when the benchmark runs.
+(cd e2ebench && go vet ./... && go test ./...)
+
 # Coverage ratchet on the correctness-critical packages: the slicing engine,
 # the control dependence graph, and the replay/invariant oracles. Floors only
 # go up — raise them when coverage improves, never lower them to merge.

@@ -11,6 +11,7 @@ import (
 	"webslice/internal/browser"
 	"webslice/internal/content"
 	"webslice/internal/core"
+	"webslice/internal/slicer"
 )
 
 func main() {
@@ -40,15 +41,13 @@ var sent = reportTransaction();`)})
 		log.Fatal(b.Errors[0])
 	}
 
+	// One forward pass, then one fused backward walk for both criteria.
 	p := core.NewProfiler(b.M.Tr)
-	pix, err := p.PixelSlice()
+	rs, _, err := p.SliceAll([]slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := p.SyscallSlice()
-	if err != nil {
-		log.Fatal(err)
-	}
+	pix, sys := rs[0], rs[1]
 
 	fmt.Printf("trace: %d instructions\n", pix.Total)
 	fmt.Printf("pixel-based slice:   %6.1f%% (%d instructions)\n", pix.Percent(), pix.SliceCount)

@@ -12,6 +12,7 @@ import (
 	"webslice/internal/browser"
 	"webslice/internal/core"
 	"webslice/internal/sites"
+	"webslice/internal/slicer"
 )
 
 func main() {
@@ -22,7 +23,7 @@ func main() {
 		log.Fatal(b.Errors[0])
 	}
 	p := core.NewProfiler(b.M.Tr)
-	res, err := p.PixelSlice()
+	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"webslice/internal/core"
+	"webslice/internal/slicer"
 	"webslice/internal/vm"
 	"webslice/internal/vmem"
 )
@@ -45,7 +46,7 @@ func main() {
 	m.MarkPixels(vmem.Range{Addr: framebuffer, Size: 64})
 
 	p := core.NewProfiler(m.Tr)
-	res, err := p.PixelSlice()
+	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		log.Fatal(err)
 	}

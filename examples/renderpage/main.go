@@ -10,6 +10,7 @@ import (
 	"webslice/internal/browser"
 	"webslice/internal/content"
 	"webslice/internal/core"
+	"webslice/internal/slicer"
 )
 
 func main() {
@@ -57,7 +58,7 @@ var ok = decorate();`)})
 		site.Name, b.DOM.Count(), sum.Total, sum.Markers)
 
 	p := core.NewProfiler(b.M.Tr)
-	res, err := p.PixelSlice()
+	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func traceWithWaste(t *testing.T) (*vm.Machine, *slicer.Result) {
 	})
 	m.MarkPixels(vmem.Range{Addr: tile, Size: 4})
 	p := core.NewProfiler(m.Tr)
-	res, err := p.PixelSlice()
+	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		t.Fatal(err)
 	}

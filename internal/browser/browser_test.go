@@ -6,6 +6,7 @@ import (
 	"webslice/internal/content"
 	"webslice/internal/core"
 	"webslice/internal/isa"
+	"webslice/internal/slicer"
 )
 
 // tinySite builds a small but complete site: HTML with styles, a used and an
@@ -184,7 +185,7 @@ func TestUnusedCSSDetected(t *testing.T) {
 func TestPixelSliceOnTinySite(t *testing.T) {
 	b := loadTiny(t, true)
 	p := core.NewProfiler(b.M.Tr)
-	res, err := p.PixelSlice()
+	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +216,11 @@ func TestPixelSliceOnTinySite(t *testing.T) {
 func TestSyscallSliceSuperset(t *testing.T) {
 	b := loadTiny(t, false)
 	p := core.NewProfiler(b.M.Tr)
-	pix, err := p.PixelSlice()
+	rs, _, err := p.SliceAll([]slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := p.SyscallSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pix, sys := rs[0], rs[1]
 	missing := 0
 	for i := 0; i < pix.Total; i++ {
 		if pix.InSlice.Get(i) && !sys.InSlice.Get(i) {

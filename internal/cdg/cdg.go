@@ -6,14 +6,11 @@
 // The result — a map from program counter to the branch PCs it depends on —
 // is the second half of the profiler's forward pass. As in the paper, it can
 // be stored to stable storage and re-used by backward passes with different
-// slicing criteria (see Save/Load).
+// slicing criteria: the artifact store persists it with its deterministic
+// codec (store.EncodeDeps/DecodeDeps).
 package cdg
 
 import (
-	"bufio"
-	"encoding/gob"
-	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -152,25 +149,4 @@ func hasDep(deps []uint32, b uint32) bool {
 		}
 	}
 	return false
-}
-
-// Save writes the dependence map to stable storage.
-func (d *Deps) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(d.ByPC); err != nil {
-		return fmt.Errorf("cdg: encode: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load reads a dependence map written by Save.
-func Load(r io.Reader) (*Deps, error) {
-	d := &Deps{}
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&d.ByPC); err != nil {
-		return nil, fmt.Errorf("cdg: decode: %w", err)
-	}
-	if d.ByPC == nil {
-		d.ByPC = make(map[uint32][]uint32)
-	}
-	return d, nil
 }

@@ -1,7 +1,6 @@
 package cdg
 
 import (
-	"bytes"
 	"testing"
 
 	"webslice/internal/cfg"
@@ -142,35 +141,6 @@ func TestNestedBranches(t *testing.T) {
 	}
 	if depends(d, innerBodyPC, outerPC) {
 		t.Error("direct dependence should be on the nearest branch only (transitive via pending list)")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr, branchPC, thenPC, _, _ := diamondTrace(t)
-	f, err := cfg.Build(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Compute(f)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Len() != d.Len() {
-		t.Fatalf("Len %d != %d", d2.Len(), d.Len())
-	}
-	if !depends(d2, thenPC, branchPC) {
-		t.Error("loaded deps lost the diamond dependence")
-	}
-}
-
-func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("expected decode error")
 	}
 }
 

@@ -35,7 +35,7 @@ func pixelSlice(t *testing.T, tr *trace.Trace) *slicer.Result {
 	t.Helper()
 	p := core.NewProfiler(tr)
 	p.Opts.ProgressPoints = 160
-	res, err := p.PixelSlice()
+	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,12 @@ func TestForwardPassServedFromStore(t *testing.T) {
 	if err := p1.UseStore(st); err != nil {
 		t.Fatal(err)
 	}
-	r1, hit, err := p1.SliceCached(slicer.PixelCriteria{}, p1.Opts)
+	pix := []slicer.Criteria{slicer.PixelCriteria{}}
+	r1, hits, err := p1.SliceAll(pix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if hits[0] {
 		t.Fatal("first slice reported a cache hit on an empty store")
 	}
 	if p1.Forest() == nil {
@@ -147,11 +148,11 @@ func TestForwardPassServedFromStore(t *testing.T) {
 		t.Fatalf("identical traces got different keys: %s vs %s", p1.Key(), p2.Key())
 	}
 	before := st.Stats().Hits
-	r2, hit, err := p2.SliceCached(slicer.PixelCriteria{}, p2.Opts)
+	r2, hits, err := p2.SliceAll(pix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if !hits[0] {
 		t.Fatal("second slice of an identical trace was not a cache hit")
 	}
 	if st.Stats().Hits <= before {
@@ -160,7 +161,7 @@ func TestForwardPassServedFromStore(t *testing.T) {
 	if p2.Forest() != nil || p2.Deps() != nil {
 		t.Fatal("cache hit should have skipped the forward pass entirely")
 	}
-	if !bytes.Equal(store.EncodeResult(r1), store.EncodeResult(r2)) {
+	if !bytes.Equal(store.EncodeResult(r1[0]), store.EncodeResult(r2[0])) {
 		t.Fatal("cached slice result is not byte-identical to the computed one")
 	}
 
@@ -171,8 +172,8 @@ func TestForwardPassServedFromStore(t *testing.T) {
 	if err := p3.UseStore(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := p3.SliceCached(slicer.SyscallCriteria{}, p3.Opts); err != nil || hit {
-		t.Fatalf("syscall slice: hit=%v err=%v, want fresh computation", hit, err)
+	if _, hits, err := p3.SliceAll([]slicer.Criteria{slicer.SyscallCriteria{}}); err != nil || hits[0] {
+		t.Fatalf("syscall slice: hits=%v err=%v, want fresh computation", hits, err)
 	}
 	if p3.Forest() != nil {
 		t.Fatal("forward pass should have been loaded from the store, not rebuilt")

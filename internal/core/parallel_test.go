@@ -36,12 +36,12 @@ func TestFusedSliceBytesIdenticalToIndependentRuns(t *testing.T) {
 	p := core.NewProfiler(tr)
 	p.Opts.ProgressPoints = 160
 	cs := []slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}}
-	fused, err := p.SliceMultiOpts(cs, p.Opts)
+	fused, _, err := p.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, c := range cs {
-		solo, err := p.SliceOpts(c, p.Opts)
+		solo, err := p.Slice(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestFusedSliceBytesIdenticalToIndependentRuns(t *testing.T) {
 	}
 }
 
-func TestSliceMultiCachedFillsPerVariantKeys(t *testing.T) {
+func TestSliceAllFillsPerVariantKeys(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestSliceMultiCachedFillsPerVariantKeys(t *testing.T) {
 	if err := p1.UseStore(st); err != nil {
 		t.Fatal(err)
 	}
-	r1, hits, err := p1.SliceMultiCached(cs, p1.Opts)
+	r1, hits, err := p1.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSliceMultiCachedFillsPerVariantKeys(t *testing.T) {
 	if err := p2.UseStore(st); err != nil {
 		t.Fatal(err)
 	}
-	r2, hits2, err := p2.SliceMultiCached(cs, p2.Opts)
+	r2, hits2, err := p2.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSliceMultiCachedFillsPerVariantKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := []slicer.Criteria{slicer.PixelCriteria{}, slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}}}
-	r3, hits3, err := p3.SliceMultiCached(mixed, p3.Opts)
+	r3, hits3, err := p3.SliceAll(mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSliceMultiCachedFillsPerVariantKeys(t *testing.T) {
 	}
 	p4 := core.NewProfiler(renderAmazon(t))
 	p4.Opts.ProgressPoints = 160
-	solo, err := p4.SliceOpts(mixed[1], p4.Opts)
+	solo, err := p4.Slice(mixed[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,17 @@
 // Typical use:
 //
 //	p := core.NewProfiler(tr)
-//	if err := p.Forward(); err != nil { ... }
-//	res, err := p.PixelSlice()
+//	res, err := p.Slice(slicer.PixelCriteria{})
 //
-// The forward pass result can be saved to stable storage and re-used for
-// multiple backward passes with different criteria, as the paper notes.
+// One forward pass serves every backward pass over the same trace, as the
+// paper notes: the profiler keeps it across calls, SliceAll evaluates several
+// criteria in one fused reverse walk, and an attached artifact store (see
+// UseStore) persists both the forward pass and whole slice results.
 package core
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"webslice/internal/cdg"
@@ -44,14 +45,13 @@ type Profiler struct {
 	forest *cfg.Forest
 	deps   *cdg.Deps
 
-	// Opts are the default options applied to every slicing run.
+	// Opts are the options of every slicing run.
 	Opts slicer.Options
 
-	// VerifyInvariants makes every freshly computed slice pass the
-	// structural invariant oracles (replay.CheckInvariants) before it is
-	// returned or published to the store — cached results were already
-	// verified when computed, so hits pay nothing. An invariant violation is
-	// an error and the result is not cached.
+	// VerifyInvariants makes every slice the profiler returns — freshly
+	// computed or served from the store — pass the structural invariant
+	// oracles (replay.CheckInvariants) first. An invariant violation is an
+	// error, and a fresh result that fails is not cached.
 	VerifyInvariants bool
 
 	// Obs, when non-nil, is the parent span the profiler records its work
@@ -62,7 +62,7 @@ type Profiler struct {
 	Obs *obs.Span
 
 	// store, when set, is consulted before computing: the forward pass
-	// loads a cached control dependence graph, and SliceCached loads whole
+	// loads a cached control dependence graph, and SliceAll loads whole
 	// slice results. key is the trace's content address in the store.
 	store *store.Store
 	key   string
@@ -104,7 +104,7 @@ func (p *Profiler) materialize() (*trace.Trace, error) {
 }
 
 // UseStore attaches a content-addressed artifact store. The trace is
-// hashed once (its content address); from then on Forward and SliceCached
+// hashed once (its content address); from then on Forward and SliceAll
 // consult the store before computing and publish what they compute.
 func (p *Profiler) UseStore(s *store.Store) error {
 	var (
@@ -205,130 +205,89 @@ func (p *Profiler) Forest() *cfg.Forest { return p.forest }
 // Deps returns the control dependence graph (nil before Forward).
 func (p *Profiler) Deps() *cdg.Deps { return p.deps }
 
-// SaveForward writes the control dependence graph to stable storage so later
-// sessions can slice with different criteria without re-running the forward
-// pass.
-func (p *Profiler) SaveForward(w io.Writer) error {
-	if err := p.Forward(); err != nil {
-		return err
-	}
-	return p.deps.Save(w)
-}
-
-// LoadForward installs a previously saved control dependence graph.
-func (p *Profiler) LoadForward(r io.Reader) error {
-	d, err := cdg.Load(r)
-	if err != nil {
-		return err
-	}
-	p.deps = d
-	return nil
-}
-
-// Slice runs the backward pass with arbitrary criteria.
+// Slice runs the backward pass for one criterion (see SliceAll).
 func (p *Profiler) Slice(c slicer.Criteria) (*slicer.Result, error) {
-	return p.SliceOpts(c, p.Opts)
-}
-
-// SliceOpts runs the backward pass with explicit options.
-func (p *Profiler) SliceOpts(c slicer.Criteria, opts slicer.Options) (*slicer.Result, error) {
-	if !opts.NoControlDeps {
-		if err := p.Forward(); err != nil {
-			return nil, err
-		}
-	}
-	rs, err := slicer.SliceMultiSource(p.src, p.deps, []slicer.Criteria{c}, opts)
+	rs, _, err := p.SliceAll([]slicer.Criteria{c})
 	if err != nil {
 		return nil, err
 	}
 	return rs[0], nil
 }
 
-// SliceMulti runs one fused backward pass that evaluates several criteria
-// in a single reverse walk of the trace, returning one result per
-// criterion in order (see slicer.SliceMulti).
-func (p *Profiler) SliceMulti(cs []slicer.Criteria) ([]*slicer.Result, error) {
-	return p.SliceMultiOpts(cs, p.Opts)
-}
-
-// SliceMultiOpts is SliceMulti with explicit options.
-func (p *Profiler) SliceMultiOpts(cs []slicer.Criteria, opts slicer.Options) ([]*slicer.Result, error) {
-	if !opts.NoControlDeps {
-		if err := p.Forward(); err != nil {
-			return nil, err
-		}
-	}
-	return slicer.SliceMultiSource(p.src, p.deps, cs, opts)
-}
-
-// SliceMultiCached is SliceMulti through the artifact store: criteria whose
-// results are already cached under their variant key are served from the
-// store, the rest are computed in one fused backward pass and published.
-// hits[k] reports whether result k came from the cache. Without a store it
-// degrades to a plain SliceMultiOpts.
-func (p *Profiler) SliceMultiCached(cs []slicer.Criteria, opts slicer.Options) ([]*slicer.Result, []bool, error) {
-	hits := make([]bool, len(cs))
-	if p.store == nil {
-		rs, err := p.SliceMultiOpts(cs, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rs, hits, p.verify(rs)
-	}
+// SliceAll runs the backward pass for several criteria with p.Opts,
+// returning one result per criterion in order; hits[k] reports whether
+// result k came from the store. With a store attached, criteria already
+// cached under their variant key are served from it; the rest are computed
+// in one fused reverse walk of the trace (running the forward pass on
+// demand) and published. Under VerifyInvariants every returned result,
+// cached or fresh, passes the invariant oracles first.
+func (p *Profiler) SliceAll(cs []slicer.Criteria) ([]*slicer.Result, []bool, error) {
 	out := make([]*slicer.Result, len(cs))
+	hits := make([]bool, len(cs))
 	var missing []slicer.Criteria
 	var missingIdx []int
 	for k, c := range cs {
 		if c == nil {
-			return nil, nil, fmt.Errorf("core: nil criteria")
+			return nil, nil, errors.New("core: nil criteria")
 		}
-		gs := p.storeSpan("store.get", "slice").Set("criteria", c.Name())
-		r, ok, _ := p.store.GetSlice(p.key, store.SliceVariant(c.Name(), opts))
-		gs.Set("hit", strconv.FormatBool(ok))
-		gs.End()
-		if ok {
+		if r, ok := p.cachedSlice(c); ok {
 			out[k], hits[k] = r, true
 			continue
 		}
 		missing = append(missing, c)
 		missingIdx = append(missingIdx, k)
 	}
-	if len(missing) == 0 {
-		return out, hits, nil
+	// Verification checks closure under the dependence graph, so it needs
+	// the forward pass even when every result is a hit.
+	if (len(missing) > 0 || p.VerifyInvariants) && !p.Opts.NoControlDeps {
+		if err := p.Forward(); err != nil {
+			return nil, nil, err
+		}
 	}
-	rs, err := p.SliceMultiOpts(missing, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := p.verify(rs); err != nil {
-		return nil, nil, err
-	}
-	for j, r := range rs {
-		k := missingIdx[j]
-		out[k] = r
-		ps := p.storeSpan("store.put", "slice").Set("criteria", cs[k].Name())
-		err := p.store.PutSlice(p.key, store.SliceVariant(cs[k].Name(), opts), r)
-		ps.EndErr(err)
+	if len(missing) > 0 {
+		rs, err := slicer.Slice(p.src, p.deps, missing, p.Opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: caching slice: %w", err)
+			return nil, nil, err
+		}
+		for j, r := range rs {
+			out[missingIdx[j]] = r
+		}
+	}
+	if p.VerifyInvariants {
+		if err := p.verify(out); err != nil {
+			return nil, nil, err
+		}
+	}
+	if p.store != nil {
+		for j, c := range missing {
+			k := missingIdx[j]
+			ps := p.storeSpan("store.put", "slice").Set("criteria", c.Name())
+			err := p.store.PutSlice(p.key, store.SliceVariant(c.Name(), p.Opts), out[k])
+			ps.EndErr(err)
+			if err != nil {
+				return nil, nil, fmt.Errorf("core: caching slice: %w", err)
+			}
 		}
 	}
 	return out, hits, nil
 }
 
-// verify runs the structural invariant oracles over freshly computed results
-// when VerifyInvariants is set.
-func (p *Profiler) verify(rs []*slicer.Result) error {
-	if !p.VerifyInvariants {
-		return nil
+// cachedSlice looks criterion c up in the store's slice cache; without a
+// store every lookup misses. A decode/corruption error is a miss too.
+func (p *Profiler) cachedSlice(c slicer.Criteria) (*slicer.Result, bool) {
+	if p.store == nil {
+		return nil, false
 	}
-	return p.VerifyResults(rs...)
+	gs := p.storeSpan("store.get", "slice").Set("criteria", c.Name())
+	r, ok, _ := p.store.GetSlice(p.key, store.SliceVariant(c.Name(), p.Opts))
+	gs.Set("hit", strconv.FormatBool(ok))
+	gs.End()
+	return r, ok
 }
 
-// VerifyResults runs the structural invariant oracles over results
-// unconditionally — the service uses it to re-check cached slices. On a
-// streaming profiler the trace is decoded transiently for the replay.
-func (p *Profiler) VerifyResults(rs ...*slicer.Result) error {
+// verify runs the structural invariant oracles over results. On a
+// streaming profiler the trace is decoded transiently for the check.
+func (p *Profiler) verify(rs []*slicer.Result) error {
 	vs := p.Obs.Child("verify").Set("slices", strconv.Itoa(len(rs)))
 	full, err := p.materialize()
 	if err != nil {
@@ -343,44 +302,4 @@ func (p *Profiler) VerifyResults(rs ...*slicer.Result) error {
 	}
 	vs.End()
 	return nil
-}
-
-// SliceCached runs the backward pass through the artifact store: if this
-// trace was already sliced with the same criteria and options, the stored
-// result is returned and both passes are skipped entirely. The bool
-// reports whether the result came from the cache. Without a store attached
-// it degrades to a plain SliceOpts.
-func (p *Profiler) SliceCached(c slicer.Criteria, opts slicer.Options) (*slicer.Result, bool, error) {
-	if p.store == nil {
-		r, err := p.SliceOpts(c, opts)
-		if err != nil {
-			return nil, false, err
-		}
-		return r, false, p.verify([]*slicer.Result{r})
-	}
-	variant := store.SliceVariant(c.Name(), opts)
-	if r, ok, _ := p.store.GetSlice(p.key, variant); ok {
-		return r, true, nil
-	}
-	r, err := p.SliceOpts(c, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := p.verify([]*slicer.Result{r}); err != nil {
-		return nil, false, err
-	}
-	if err := p.store.PutSlice(p.key, variant, r); err != nil {
-		return nil, false, fmt.Errorf("core: caching slice: %w", err)
-	}
-	return r, false, nil
-}
-
-// PixelSlice runs the backward pass with the pixel-buffer criteria.
-func (p *Profiler) PixelSlice() (*slicer.Result, error) {
-	return p.Slice(slicer.PixelCriteria{})
-}
-
-// SyscallSlice runs the backward pass with the syscall criteria.
-func (p *Profiler) SyscallSlice() (*slicer.Result, error) {
-	return p.Slice(slicer.SyscallCriteria{})
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"webslice/internal/isa"
+	"webslice/internal/obs"
+	"webslice/internal/slicer"
 	"webslice/internal/vm"
 	"webslice/internal/vmem"
 )
@@ -36,11 +37,11 @@ func TestProfilerEndToEnd(t *testing.T) {
 	if p.Forest() == nil || p.Deps() == nil {
 		t.Fatal("forward products missing")
 	}
-	pix, err := p.PixelSlice()
+	pix, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := p.SyscallSlice()
+	sys, err := p.Slice(slicer.SyscallCriteria{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,36 +62,34 @@ func TestProfilerEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSaveLoadForward(t *testing.T) {
-	m := demoMachine()
-	p := NewProfiler(m.Tr)
-	var buf bytes.Buffer
-	if err := p.SaveForward(&buf); err != nil {
-		t.Fatal(err)
-	}
-	res1, err := p.PixelSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p2 := NewProfiler(m.Tr)
-	if err := p2.LoadForward(&buf); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := p2.PixelSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.SliceCount != res2.SliceCount {
-		t.Errorf("reloaded forward pass changed the slice: %d vs %d", res1.SliceCount, res2.SliceCount)
-	}
-}
-
 func TestSliceOnDemandForward(t *testing.T) {
 	m := demoMachine()
 	p := NewProfiler(m.Tr)
 	// No explicit Forward call: Slice must run it on demand.
-	if _, err := p.PixelSlice(); err != nil {
+	if _, err := p.Slice(slicer.PixelCriteria{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSliceVerifiesInvariants: VerifyInvariants applies to every slice the
+// profiler returns, not only to results that pass through a store.
+func TestSliceVerifiesInvariants(t *testing.T) {
+	tr := obs.New(64, nil)
+	root := tr.Root("test")
+	p := NewProfiler(demoMachine().Tr)
+	p.VerifyInvariants = true
+	p.Obs = root
+	if _, err := p.Slice(slicer.PixelCriteria{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	for _, s := range tr.Snapshot() {
+		if s.Name == "verify" {
+			if s.Parent != root.Context().Span {
+				t.Errorf("verify span parent = %q, want %q", s.Parent, root.Context().Span)
+			}
+			return
+		}
+	}
+	t.Fatal("Slice with VerifyInvariants recorded no verify span")
 }

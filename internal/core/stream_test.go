@@ -39,11 +39,11 @@ func TestStreamingProfilerMatchesMaterialized(t *testing.T) {
 		t.Fatal("streaming profiler materialized the record slice up front")
 	}
 	cs := []slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}}
-	wantRes, err := want.SliceMulti(cs)
+	wantRes, _, err := want.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, err := got.SliceMulti(cs)
+	gotRes, _, err := got.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,15 @@ func TestStreamingProfilerMatchesMaterialized(t *testing.T) {
 	}
 	// And because the keys agree, a slice computed through one profiler is
 	// a cache hit for the other.
-	if _, hit, err := want.SliceCached(slicer.PixelCriteria{}, want.Opts); err != nil || hit {
-		t.Fatalf("first cached slice: hit=%v err=%v", hit, err)
+	pix := []slicer.Criteria{slicer.PixelCriteria{}}
+	if _, hits, err := want.SliceAll(pix); err != nil || hits[0] {
+		t.Fatalf("first cached slice: hits=%v err=%v", hits, err)
 	}
-	r, hit, err := got.SliceCached(slicer.PixelCriteria{}, got.Opts)
-	if err != nil || !hit {
-		t.Fatalf("cross-format cached slice: hit=%v err=%v", hit, err)
+	rs, hits, err := got.SliceAll(pix)
+	if err != nil || !hits[0] {
+		t.Fatalf("cross-format cached slice: hits=%v err=%v", hits, err)
 	}
-	if !bytes.Equal(store.EncodeResult(r), store.EncodeResult(wantRes[0])) {
+	if !bytes.Equal(store.EncodeResult(rs[0]), store.EncodeResult(wantRes[0])) {
 		t.Fatal("cross-format cache hit returned a different result")
 	}
 }

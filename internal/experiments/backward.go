@@ -121,8 +121,9 @@ func timeSlice(p *core.Profiler, crits []slicer.Criteria, opts slicer.Options) (
 	for rep := 0; rep < backwardReps; rep++ {
 		var stats slicer.PassStats
 		opts.Stats = &stats
+		p.Opts = opts
 		start := time.Now()
-		out, err := p.SliceMultiOpts(crits, opts)
+		out, _, err := p.SliceAll(crits)
 		if err != nil {
 			return nil, 0, best, err
 		}

@@ -95,7 +95,7 @@ func ExecuteCriteria(b sites.Benchmark, withSyscalls bool) (*Run, error) {
 	}
 	var stats slicer.PassStats
 	p.Opts.Stats = &stats
-	rs, err := p.SliceMulti(crits)
+	rs, _, err := p.SliceAll(crits)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 	}
@@ -412,7 +412,7 @@ func ExecuteCriteriaComparison(r *Run) (CriteriaComparisonResult, error) {
 	sys := r.Syscall
 	if sys == nil {
 		var err error
-		sys, err = r.Prof.SyscallSlice()
+		sys, err = r.Prof.Slice(slicer.SyscallCriteria{})
 		if err != nil {
 			return CriteriaComparisonResult{}, err
 		}

@@ -30,7 +30,7 @@ func TestSegmentedDigestsMatchSequential(t *testing.T) {
 			opts.Workers = 4
 			var stats slicer.PassStats
 			opts.Stats = &stats
-			rs, err := slicer.SliceMulti(v.tr, v.deps, []slicer.Criteria{
+			rs, err := slicer.Slice(slicer.TraceSource(v.tr), v.deps, []slicer.Criteria{
 				slicer.PixelCriteria{},
 				slicer.SyscallCriteria{},
 				slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},

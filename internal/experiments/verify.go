@@ -16,7 +16,8 @@ package experiments
 //                   out-of-slice instructions elided, asserting criterion
 //                   bytes reproduce;
 //   - differential: run the deliberately naive reference slicer against
-//                   slicer.Slice/SliceMulti on property-generated sites;
+//                   slicer.Slice, solo and fused, on property-generated
+//                   sites;
 //   - invariants:   structural oracles (closure, subset, union
 //                   monotonicity) on property-generated sites;
 //   - all:          everything above.
@@ -105,7 +106,7 @@ func runVerified(b sites.Benchmark) (*verifiedRun, error) {
 	if err := p.Forward(); err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", b.Name, err)
 	}
-	rs, err := p.SliceMulti([]slicer.Criteria{
+	rs, _, err := p.SliceAll([]slicer.Criteria{
 		slicer.PixelCriteria{},
 		slicer.SyscallCriteria{},
 		slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
@@ -138,10 +139,10 @@ func (v *verifiedRun) replayAll() error {
 }
 
 // diffAll runs the naive reference slicer per criterion and demands exact
-// agreement with the optimized results — against the fused SliceMulti
-// output for both criteria, and against a solo Slice run for pixels (one
-// naive walk oracles both optimized APIs; the union criterion is covered by
-// the monotonicity invariant and the union replay).
+// agreement with the optimized results — against the fused three-criteria
+// pass for both criteria, and against a solo one-criterion pass for pixels
+// (one naive walk oracles both the fused and the solo walk; the union
+// criterion is covered by the monotonicity invariant and the union replay).
 func (v *verifiedRun) diffAll() error {
 	refPix, err := refslicer.Slice(v.tr, v.deps, slicer.PixelCriteria{}, false)
 	if err != nil {
@@ -150,11 +151,11 @@ func (v *verifiedRun) diffAll() error {
 	if err := refslicer.Equal(refPix, v.pix); err != nil {
 		return fmt.Errorf("verify: %s: criterion \"pixels\" (fused): %w", v.bench.Name, err)
 	}
-	solo, err := slicer.Slice(v.tr, v.deps, slicer.PixelCriteria{}, verifyOpts)
+	solo, err := slicer.Slice(slicer.TraceSource(v.tr), v.deps, []slicer.Criteria{slicer.PixelCriteria{}}, verifyOpts)
 	if err != nil {
 		return fmt.Errorf("verify: %s: %w", v.bench.Name, err)
 	}
-	if err := refslicer.Equal(refPix, solo); err != nil {
+	if err := refslicer.Equal(refPix, solo[0]); err != nil {
 		return fmt.Errorf("verify: %s: criterion \"pixels\" (solo): %w", v.bench.Name, err)
 	}
 	refSys, err := refslicer.Slice(v.tr, v.deps, slicer.SyscallCriteria{}, false)
@@ -364,7 +365,7 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		}
 		p := core.NewProfilerStream(br)
 		p.Opts = verifyOpts
-		rs, err := p.SliceMulti([]slicer.Criteria{
+		rs, _, err := p.SliceAll([]slicer.Criteria{
 			slicer.PixelCriteria{},
 			slicer.SyscallCriteria{},
 			slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},

@@ -13,7 +13,7 @@ import (
 // This file holds the invariant oracles: structural properties every correct
 // slice must satisfy regardless of criteria. They are cheaper than a full
 // replay or differential run, so the profiler can afford to check them on
-// every cache miss in production (core.Options.VerifyInvariants).
+// every slice it returns in production (core.Profiler.VerifyInvariants).
 
 // CheckInvariants verifies the structural slice invariants:
 //

@@ -928,8 +928,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
 	}
-	p.Obs = s // store lookups, the forward pass, and verification parent here
-	t := p.T  // the shell for a streaming (v3) submission: tables only
+	t := p.T // the shell for a streaming (v3) submission: tables only
 	p.Opts.ProgressPoints = 160
 	p.Opts.MainThread = browser.MainThread
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
@@ -950,8 +949,8 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		crit = slicer.SyscallCriteria{}
 	}
 	ss := s.Child("slice").Set("criteria", spec.Criteria)
-	res, hit, err := p.SliceCached(crit, p.Opts)
-	ss.Set("hit", strconv.FormatBool(hit))
+	p.Obs = ss // store lookups, the forward pass, and verification parent here
+	rs, hits, err := p.SliceAll([]slicer.Criteria{crit})
 	if err != nil {
 		ss.EndErr(err)
 		if errors.Is(err, slicer.ErrCanceled) {
@@ -959,6 +958,8 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		return nil, err
 	}
+	res, hit := rs[0], hits[0]
+	ss.Set("hit", strconv.FormatBool(hit))
 	sliceEnd := m.clock.Now()
 	ss.End()
 	if !hit {
@@ -988,17 +989,6 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 				ss.ChildAt(ph.name, start, phaseEnd)
 			}
 			phaseEnd = start
-		}
-	}
-	if verify && hit {
-		// Fresh computations were verified inside SliceCached; a cached
-		// result is re-checked here (the dependence graph is itself usually a
-		// cache hit, so this costs one forward walk of the trace).
-		if err := p.Forward(); err != nil {
-			return nil, err
-		}
-		if err := p.VerifyResults(res); err != nil {
-			return nil, fmt.Errorf("service: cached slice failed verification: %w", err)
 		}
 	}
 	if ctx.Err() != nil {

@@ -37,8 +37,9 @@ func (s *syncBuffer) String() string {
 // TestSpansSmoke is the end-to-end tracing smoke (ci.sh runs it by name):
 // one golden job through the full pipeline must yield a single trace whose
 // tree includes the queue wait, the attempt, the render, the store
-// lookups, and the backward pass's scan/stitch/tally phases — all with
-// correct parent links — retrievable over GET /jobs/{id}/trace.
+// lookups, the forward pass, and the backward pass's scan/stitch/tally
+// phases — all with correct parent links — retrievable over
+// GET /jobs/{id}/trace. A repeat of the job must show its slice-cache hit.
 func TestSpansSmoke(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -56,36 +57,7 @@ func TestSpansSmoke(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/jobs", "application/json",
-		strings.NewReader(`{"site":"amazon-desktop","scale":0.04}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	waitStatus(t, m, acc.ID, StatusDone)
-
-	resp, err = http.Get(srv.URL + "/jobs/" + acc.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /jobs/%s/trace = %d", acc.ID, resp.StatusCode)
-	}
-	var spans []obs.SpanData
-	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) == 0 {
-		t.Fatal("no spans recorded")
-	}
-
+	spans := jobSpans(t, m, srv.URL, `{"site":"amazon-desktop","scale":0.04}`)
 	byName := map[string]obs.SpanData{}
 	for _, s := range spans {
 		if s.Trace != spans[0].Trace {
@@ -106,14 +78,16 @@ func TestSpansSmoke(t *testing.T) {
 		t.FailNow()
 	}
 	// Parent links: the causal chain job -> attempt -> {render, slice} and
-	// slice -> phases must hold exactly.
+	// slice -> {store lookups, forward pass, phases} must hold exactly.
 	jobID := byName["job"].ID
 	for child, parent := range map[string]string{
 		"queue.wait":   jobID,
 		"attempt":      jobID,
 		"render":       byName["attempt"].ID,
 		"slice":        byName["attempt"].ID,
-		"store.get":    byName["attempt"].ID,
+		"store.get":    byName["slice"].ID,
+		"forward":      byName["slice"].ID,
+		"store.put":    byName["slice"].ID,
 		"slice.scan":   byName["slice"].ID,
 		"slice.stitch": byName["slice"].ID,
 		"slice.tally":  byName["slice"].ID,
@@ -133,7 +107,7 @@ func TestSpansSmoke(t *testing.T) {
 
 	// The latency histograms expose the trace as an exemplar, linking
 	// /metrics to /jobs/{id}/trace.
-	resp, err = http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +130,73 @@ func TestSpansSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(db.String(), `"name":"job"`) {
 		t.Errorf("/debug/spans = %d, body %.200s", resp.StatusCode, db.String())
 	}
+
+	// An identical second job is a slice-cache hit, and the lookup that
+	// served it is a span of its own under the slice span.
+	again := jobSpans(t, m, srv.URL, `{"site":"amazon-desktop","scale":0.04}`)
+	var sliceID string
+	for _, s := range again {
+		if s.Name == "slice" {
+			sliceID = s.ID
+		}
+	}
+	found := false
+	for _, s := range again {
+		if s.Name == "store.get" && attr(s, "kind") == "slice" && attr(s, "hit") == "true" {
+			found = true
+			if s.Parent != sliceID {
+				t.Errorf("slice-cache store.get.parent = %q, want slice %q", s.Parent, sliceID)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("repeat job's trace has no store.get kind=slice hit=true span (have %v)", names(again))
+	}
+}
+
+// jobSpans submits one job, waits for it to finish, and returns its trace
+// from GET /jobs/{id}/trace.
+func jobSpans(t *testing.T, m *Manager, url, body string) []obs.SpanData {
+	t.Helper()
+	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitStatus(t, m, acc.ID, StatusDone)
+
+	resp, err = http.Get(url + "/jobs/" + acc.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs/%s/trace = %d", acc.ID, resp.StatusCode)
+	}
+	var spans []obs.SpanData
+	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) == 0 {
+		t.Fatal("no spans recorded")
+	}
+	return spans
+}
+
+// attr returns the value of a span attribute ("" when absent).
+func attr(s obs.SpanData, k string) string {
+	for _, a := range s.Attrs {
+		if a.K == k {
+			return a.V
+		}
+	}
+	return ""
 }
 
 func names(spans []obs.SpanData) []string {

@@ -74,7 +74,7 @@ func BenchmarkSliceSingle(b *testing.B) {
 	b.SetBytes(int64(len(m.Tr.Recs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Slice(m.Tr, deps, PixelCriteria{}, Options{}); err != nil {
+		if _, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,14 +91,14 @@ func BenchmarkTwoCriteria(b *testing.B) {
 			b.SetBytes(int64(len(m.Tr.Recs)))
 			for i := 0; i < b.N; i++ {
 				if mode == "sequential" {
-					if _, err := Slice(m.Tr, deps, PixelCriteria{}, Options{}); err != nil {
+					if _, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{}); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := Slice(m.Tr, deps, SyscallCriteria{}, Options{}); err != nil {
+					if _, err := sliceOne(m.Tr, deps, SyscallCriteria{}, Options{}); err != nil {
 						b.Fatal(err)
 					}
 				} else {
-					if _, err := SliceMulti(m.Tr, deps,
+					if _, err := Slice(TraceSource(m.Tr), deps,
 						[]Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{}); err != nil {
 						b.Fatal(err)
 					}
@@ -121,7 +121,7 @@ func BenchmarkSliceSequential(b *testing.B) {
 	b.SetBytes(int64(len(m.Tr.Recs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SliceMulti(m.Tr, deps, cs, Options{Segments: 1}); err != nil {
+		if _, err := Slice(TraceSource(m.Tr), deps, cs, Options{Segments: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,46 +135,8 @@ func BenchmarkSliceSegmented(b *testing.B) {
 	b.SetBytes(int64(len(m.Tr.Recs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SliceMulti(m.Tr, deps, cs, Options{Segments: defaultWorkers() * segmentsPerWorker}); err != nil {
+		if _, err := Slice(TraceSource(m.Tr), deps, cs, Options{Segments: defaultWorkers() * segmentsPerWorker}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkOverlaps measures the splitRange early-exit in the Overlaps
-// probes: a query over a large pixel buffer whose very first word is live
-// should cost O(1), not a full walk of the range.
-func BenchmarkOverlaps(b *testing.B) {
-	const bufSize = 1 << 20 // a 1 MiB framebuffer
-	full := vmem.Range{Addr: 0, Size: bufSize}
-	b.Run("wordset/hit-first", func(b *testing.B) {
-		s := NewWordSet()
-		s.Add(vmem.Range{Addr: 0, Size: 8})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !s.Overlaps(full) {
-				b.Fatal("expected overlap")
-			}
-		}
-	})
-	b.Run("wordset/miss", func(b *testing.B) {
-		s := NewWordSet()
-		s.Add(vmem.Range{Addr: bufSize + 64, Size: 8})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if s.Overlaps(full) {
-				b.Fatal("unexpected overlap")
-			}
-		}
-	})
-	b.Run("pageset/hit-first", func(b *testing.B) {
-		s := NewPageSet()
-		s.Add(vmem.Range{Addr: 0, Size: 8})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !s.Overlaps(full) {
-				b.Fatal("expected overlap")
-			}
-		}
-	})
 }

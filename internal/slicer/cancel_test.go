@@ -26,20 +26,20 @@ func TestCanceledHookAbortsWalk(t *testing.T) {
 
 	polled := false
 	opts := Options{Canceled: func() bool { polled = true; return true }}
-	if _, err := Slice(m.Tr, deps, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
+	if _, err := sliceOne(m.Tr, deps, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Slice with firing Canceled hook: err = %v, want ErrCanceled", err)
 	}
 	if !polled {
 		t.Fatal("Canceled hook was never polled")
 	}
-	if _, err := SliceMulti(m.Tr, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, opts); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("SliceMulti with firing Canceled hook: err = %v, want ErrCanceled", err)
+	if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, opts); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("fused Slice with firing Canceled hook: err = %v, want ErrCanceled", err)
 	}
 
 	// A hook that never fires must not perturb the result.
 	calls := 0
 	opts = Options{Canceled: func() bool { calls++; return false }}
-	res, err := Slice(m.Tr, deps, PixelCriteria{}, opts)
+	res, err := sliceOne(m.Tr, deps, PixelCriteria{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,10 +91,10 @@ func FuzzSliceNeverPanics(f *testing.F) {
 		default:
 			c = Union{PixelCriteria{}, SyscallCriteria{}}
 		}
-		if res, err := Slice(tr, deps, c, opts); err == nil && res.SliceCount > res.Total {
+		if res, err := sliceOne(tr, deps, c, opts); err == nil && res.SliceCount > res.Total {
 			t.Fatalf("slice of %d records from a trace of %d", res.SliceCount, res.Total)
 		}
-		if rs, err := SliceMulti(tr, deps, []Criteria{PixelCriteria{}, c}, opts); err == nil {
+		if rs, err := Slice(TraceSource(tr), deps, []Criteria{PixelCriteria{}, c}, opts); err == nil {
 			for _, r := range rs {
 				if r.SliceCount > r.Total {
 					t.Fatalf("fused slice of %d records from a trace of %d", r.SliceCount, r.Total)
@@ -106,7 +106,7 @@ func FuzzSliceNeverPanics(f *testing.F) {
 
 // FuzzSegmentedAgreesWithSlice is the differential fuzz target for the
 // segmented backward pass: for any decodable trace, a forced-segmented
-// SliceMulti must produce exactly the sequential result — same error, same
+// Slice must produce exactly the sequential result — same error, same
 // bytes in every Result field.
 func FuzzSegmentedAgreesWithSlice(f *testing.F) {
 	m := multiWorkload()
@@ -134,11 +134,11 @@ func FuzzSegmentedAgreesWithSlice(f *testing.F) {
 		cs := []Criteria{PixelCriteria{}, Union{PixelCriteria{}, SyscallCriteria{}}}
 		seqOpts := opts
 		seqOpts.Segments = 1
-		want, seqErr := SliceMulti(tr, deps, cs, seqOpts)
+		want, seqErr := Slice(TraceSource(tr), deps, cs, seqOpts)
 		segOpts := opts
 		segOpts.Segments = 2 + int(sel%7)
 		segOpts.Workers = 1 + int(sel%4)
-		got, segErr := SliceMulti(tr, deps, cs, segOpts)
+		got, segErr := Slice(TraceSource(tr), deps, cs, segOpts)
 		if (seqErr == nil) != (segErr == nil) {
 			t.Fatalf("error mismatch: sequential %v, segmented %v", seqErr, segErr)
 		}

@@ -1,45 +1,20 @@
 package slicer
 
-import (
-	"math/bits"
+import "webslice/internal/vmem"
 
-	"webslice/internal/vmem"
-)
-
-// LiveMem is the live-memory set of the backward liveness analysis: the set
-// of byte addresses whose values are currently needed. One set is shared by
-// all threads (threads share the address space; the paper makes the same
-// argument), while registers get per-thread treatment.
-type LiveMem interface {
-	// Add marks every byte of r live.
-	Add(r vmem.Range)
-	// Kill clears any live bytes inside r (a write defines them) and
-	// reports whether any were live.
-	Kill(r vmem.Range) bool
-	// Overlaps reports whether any byte of r is live, without modifying.
-	Overlaps(r vmem.Range) bool
-	// Count returns the number of live bytes.
-	Count() int
-}
-
-// WordSet is the default LiveMem: a hash map from 64-byte-aligned word
-// index to a 64-bit occupancy mask. It is memory-proportional to the live
-// footprint and fast for the scattered access patterns of real traces.
-type WordSet struct {
+// wordSet is the live-memory set of the backward liveness analysis: the set
+// of byte addresses whose values are currently needed, kept as a hash map
+// from 64-byte-aligned word index to a 64-bit occupancy mask. It is
+// memory-proportional to the live footprint and fast for the scattered
+// access patterns of real traces. One set is shared by all threads (threads
+// share the address space; the paper makes the same argument), while
+// registers get per-thread treatment.
+type wordSet struct {
 	words map[uint32]uint64
-	count int
-}
-
-// NewWordSet returns an empty word-granular live set.
-func NewWordSet() *WordSet {
-	return &WordSet{words: make(map[uint32]uint64)}
 }
 
 // splitRange decomposes a byte range into 64-byte-aligned words and masks.
-// The callback reports whether to keep going: returning false stops the
-// walk immediately, so probes like Overlaps can bail at the first live word
-// instead of visiting every word of a multi-kilobyte pixel-buffer range.
-func splitRange(r vmem.Range, f func(word uint32, mask uint64) bool) {
+func splitRange(r vmem.Range, f func(word uint32, mask uint64)) {
 	if r.Size == 0 {
 		return
 	}
@@ -56,169 +31,47 @@ func splitRange(r vmem.Range, f func(word uint32, mask uint64) bool) {
 		if hi-lo < 64 {
 			mask = ((uint64(1) << (hi - lo)) - 1) << lo
 		}
-		if !f(word, mask) {
-			return
-		}
+		f(word, mask)
 		a = word<<6 + 64
 	}
 }
 
-// Add implements LiveMem.
-func (s *WordSet) Add(r vmem.Range) {
-	splitRange(r, func(w uint32, mask uint64) bool {
-		old := s.words[w]
-		nw := old | mask
-		if nw != old {
-			s.count += popcount(nw) - popcount(old)
-			s.words[w] = nw
+// Add marks every byte of r live.
+func (s *wordSet) Add(r vmem.Range) {
+	splitRange(r, func(w uint32, mask uint64) {
+		if old := s.words[w]; old|mask != old {
+			s.words[w] = old | mask
 		}
-		return true
 	})
 }
 
-// Kill implements LiveMem.
-func (s *WordSet) Kill(r vmem.Range) bool {
+// Kill clears any live bytes inside r (a write defines them) and reports
+// whether any were live.
+func (s *wordSet) Kill(r vmem.Range) bool {
 	hit := false
-	splitRange(r, func(w uint32, mask uint64) bool {
+	splitRange(r, func(w uint32, mask uint64) {
 		old, ok := s.words[w]
-		if !ok {
-			return true
+		if !ok || old&mask == 0 {
+			return
 		}
-		if old&mask != 0 {
-			hit = true
+		hit = true
+		if nw := old &^ mask; nw == 0 {
+			delete(s.words, w)
+		} else {
+			s.words[w] = nw
 		}
-		nw := old &^ mask
-		if nw != old {
-			s.count -= popcount(old) - popcount(nw)
-			if nw == 0 {
-				delete(s.words, w)
-			} else {
-				s.words[w] = nw
-			}
-		}
-		return true
 	})
 	return hit
 }
 
-// Overlaps implements LiveMem.
-func (s *WordSet) Overlaps(r vmem.Range) bool {
-	found := false
-	splitRange(r, func(w uint32, mask uint64) bool {
-		if s.words[w]&mask != 0 {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// Count implements LiveMem.
-func (s *WordSet) Count() int { return s.count }
-
-// mergeFrom unions another WordSet into s. The stitch of the segmented
-// backward pass uses it to fold each segment's locally generated liveness
-// into the delta state flowing toward earlier segments.
-func (s *WordSet) mergeFrom(src *WordSet) {
+// mergeFrom unions another set into s. The stitch of the segmented backward
+// pass uses it to fold each segment's locally generated liveness into the
+// delta state flowing toward earlier segments.
+func (s *wordSet) mergeFrom(src *wordSet) {
 	for w, m := range src.words {
-		old := s.words[w]
-		nw := old | m
-		if nw != old {
-			s.count += popcount(nw) - popcount(old)
-			s.words[w] = nw
-		}
+		s.words[w] |= m
 	}
 }
 
 // reset empties the set for reuse, keeping the map's allocated buckets.
-func (s *WordSet) reset() {
-	clear(s.words)
-	s.count = 0
-}
-
-// PageSet is an alternative LiveMem keeping one bitmap per 4 KiB page. It
-// trades memory for fewer map probes on dense footprints (pixel buffers);
-// the ablation benchmark compares the two.
-type PageSet struct {
-	pages map[uint32]*pageBits
-	count int
-}
-
-type pageBits struct {
-	bits [vmem.PageSize / 64]uint64
-	live int
-}
-
-// NewPageSet returns an empty page-granular live set.
-func NewPageSet() *PageSet {
-	return &PageSet{pages: make(map[uint32]*pageBits)}
-}
-
-// Add implements LiveMem.
-func (s *PageSet) Add(r vmem.Range) {
-	splitRange(r, func(w uint32, mask uint64) bool {
-		page := w >> 6 // 64 words of 64 bytes = 4096 bytes
-		pb := s.pages[page]
-		if pb == nil {
-			pb = &pageBits{}
-			s.pages[page] = pb
-		}
-		slot := w & 63
-		old := pb.bits[slot]
-		nw := old | mask
-		if nw != old {
-			d := popcount(nw) - popcount(old)
-			pb.bits[slot] = nw
-			pb.live += d
-			s.count += d
-		}
-		return true
-	})
-}
-
-// Kill implements LiveMem.
-func (s *PageSet) Kill(r vmem.Range) bool {
-	hit := false
-	splitRange(r, func(w uint32, mask uint64) bool {
-		pb := s.pages[w>>6]
-		if pb == nil {
-			return true
-		}
-		slot := w & 63
-		old := pb.bits[slot]
-		if old&mask != 0 {
-			hit = true
-		}
-		nw := old &^ mask
-		if nw != old {
-			d := popcount(old) - popcount(nw)
-			pb.bits[slot] = nw
-			pb.live -= d
-			s.count -= d
-			if pb.live == 0 {
-				delete(s.pages, w>>6)
-			}
-		}
-		return true
-	})
-	return hit
-}
-
-// Overlaps implements LiveMem.
-func (s *PageSet) Overlaps(r vmem.Range) bool {
-	found := false
-	splitRange(r, func(w uint32, mask uint64) bool {
-		if pb := s.pages[w>>6]; pb != nil && pb.bits[w&63]&mask != 0 {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// Count implements LiveMem.
-func (s *PageSet) Count() int { return s.count }
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }
+func (s *wordSet) reset() { clear(s.words) }

@@ -1,6 +1,6 @@
 package slicer
 
-// SliceMulti equivalence: the fused multi-criteria backward pass must
+// Fused-criteria equivalence: the fused multi-criteria backward pass must
 // produce results identical — every statistic, bitset word, and progress
 // sample — to independent Slice runs per criterion. The repro pipeline and
 // the artifact store both rely on this (cached per-variant results must not
@@ -65,15 +65,15 @@ func TestSliceMultiMatchesIndependentRuns(t *testing.T) {
 		{NoControlDeps: true},
 	} {
 		cs := []Criteria{PixelCriteria{}, SyscallCriteria{}, Union{PixelCriteria{}, SyscallCriteria{}}}
-		fused, err := SliceMulti(m.Tr, deps, cs, opts)
+		fused, err := Slice(TraceSource(m.Tr), deps, cs, opts)
 		if err != nil {
-			t.Fatalf("SliceMulti(%+v): %v", opts, err)
+			t.Fatalf("Slice(%+v): %v", opts, err)
 		}
 		if len(fused) != len(cs) {
-			t.Fatalf("SliceMulti returned %d results for %d criteria", len(fused), len(cs))
+			t.Fatalf("Slice returned %d results for %d criteria", len(fused), len(cs))
 		}
 		for k, c := range cs {
-			solo, err := Slice(m.Tr, deps, c, opts)
+			solo, err := sliceOne(m.Tr, deps, c, opts)
 			if err != nil {
 				t.Fatalf("Slice(%s, %+v): %v", c.Name(), opts, err)
 			}
@@ -88,7 +88,7 @@ func TestSliceMultiMatchesIndependentRuns(t *testing.T) {
 func TestSliceMultiSharesTheWalkNotTheState(t *testing.T) {
 	m := multiWorkload()
 	deps := forward(t, m.Tr)
-	rs, err := SliceMulti(m.Tr, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{})
+	rs, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,20 +111,13 @@ func TestSliceMultiSharesTheWalkNotTheState(t *testing.T) {
 func TestSliceMultiErrors(t *testing.T) {
 	m := multiWorkload()
 	deps := forward(t, m.Tr)
-	if _, err := SliceMulti(m.Tr, deps, nil, Options{}); err == nil {
+	if _, err := Slice(TraceSource(m.Tr), deps, nil, Options{}); err == nil {
 		t.Error("no criteria should be rejected")
 	}
-	if _, err := SliceMulti(m.Tr, deps, []Criteria{PixelCriteria{}, nil}, Options{}); err == nil {
+	if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}, nil}, Options{}); err == nil {
 		t.Error("nil criteria entry should be rejected")
 	}
-	if _, err := SliceMulti(m.Tr, nil, []Criteria{PixelCriteria{}}, Options{}); err == nil {
+	if _, err := Slice(TraceSource(m.Tr), nil, []Criteria{PixelCriteria{}}, Options{}); err == nil {
 		t.Error("nil deps without NoControlDeps should be rejected")
-	}
-	if _, err := SliceMulti(m.Tr, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}},
-		Options{Live: NewWordSet()}); err == nil {
-		t.Error("a shared Options.Live instance across fused criteria should be rejected")
-	}
-	if _, err := SliceMulti(m.Tr, deps, []Criteria{PixelCriteria{}}, Options{Live: NewPageSet()}); err != nil {
-		t.Errorf("single-criterion run with explicit Live should work: %v", err)
 	}
 }

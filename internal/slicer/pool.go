@@ -40,17 +40,17 @@ func putRegSet(b *regSet) {
 	}
 }
 
-var wordSetPool = sync.Pool{New: func() any { return NewWordSet() }}
+var wordSetPool = sync.Pool{New: func() any { return &wordSet{words: make(map[uint32]uint64)} }}
 
 // getWordSet returns an empty live-memory set, reusing map buckets from a
 // previous pass when the pool has one.
-func getWordSet() *WordSet {
-	s := wordSetPool.Get().(*WordSet)
+func getWordSet() *wordSet {
+	s := wordSetPool.Get().(*wordSet)
 	s.reset()
 	return s
 }
 
-func putWordSet(s *WordSet) {
+func putWordSet(s *wordSet) {
 	if s != nil {
 		wordSetPool.Put(s)
 	}

@@ -104,7 +104,7 @@ func (a *anchorRecorder) At(i int, r *trace.Rec, t *trace.Trace) ([]vmem.Range, 
 	return mem, anchor
 }
 
-// sliceSegmented is the segmented parallel engine behind SliceMulti. Its
+// sliceSegmented is the segmented parallel engine behind Slice. Its
 // output is byte-identical to sliceSequential in every Result field.
 func sliceSegmented(src Source, deps *cdg.Deps, cs []Criteria, opts Options, bounds []int) ([]*Result, error) {
 	t := src.Shell()
@@ -160,7 +160,7 @@ func sliceSegmented(src Source, deps *cdg.Deps, cs []Criteria, opts Options, bou
 	wg.Wait()
 	scanMs := msSince(start)
 	if canceled.Load() {
-		releaseStates(states, opts)
+		releaseStates(states)
 		// A decode failure also trips the cancellation flag; report the
 		// lowest-index segment's error over the generic cancellation.
 		for _, e := range segErrs {
@@ -203,7 +203,7 @@ func sliceSegmented(src Source, deps *cdg.Deps, cs []Criteria, opts Options, bou
 		err = ErrCanceled
 	}
 	if err != nil {
-		releaseStates(states, opts)
+		releaseStates(states)
 		releaseStitches(stitches)
 		return nil, err
 	}
@@ -217,11 +217,11 @@ func sliceSegmented(src Source, deps *cdg.Deps, cs []Criteria, opts Options, bou
 		out[k] = assembleResult(t, n, c, states, stitches[k], inSlice[k], k)
 	}
 	if err := fillProgress(src, opts, bounds, inSlice, out, workers, &canceled); err != nil {
-		releaseStates(states, opts)
+		releaseStates(states)
 		releaseStitches(stitches)
 		return nil, err
 	}
-	releaseStates(states, opts)
+	releaseStates(states)
 	releaseStitches(stitches)
 	if opts.Stats != nil {
 		*opts.Stats = PassStats{
@@ -291,16 +291,14 @@ func scanSegment(src Source, deps *cdg.Deps, anchors []*anchorRecorder, inSlice 
 // after the last read of any state — the stitch adopts the last segment's
 // thread states, so this is only called once stitching and assembly are
 // fully done (or abandoned).
-func releaseStates(states [][]*sliceState, opts Options) {
+func releaseStates(states [][]*sliceState) {
 	for _, segStates := range states {
 		for _, s := range segStates {
 			if s == nil {
 				continue
 			}
 			putRegSet(s.regs)
-			if ws, ok := s.live.(*WordSet); ok {
-				putWordSet(ws)
-			}
+			putWordSet(s.live)
 			for _, th := range s.threads {
 				putThreadState(th)
 			}
@@ -331,7 +329,7 @@ type stitchCrit struct {
 	anchors Bitset
 
 	dregs   *regSet
-	dlive   *WordSet
+	dlive   *wordSet
 	threads [256]*threadState
 
 	// Fix-ups for verdict-dependent tallies the scan undercounted.
@@ -364,9 +362,7 @@ func newStitchCrit(t *trace.Trace, deps *cdg.Deps, opts Options, inSlice, anchor
 // scan becomes incoming liveness for the records before it.
 func (sc *stitchCrit) mergeBottom(s *sliceState) {
 	sc.dregs.orFrom(s.regs)
-	if ws, ok := s.live.(*WordSet); ok {
-		sc.dlive.mergeFrom(ws)
-	}
+	sc.dlive.mergeFrom(s.live)
 }
 
 func (sc *stitchCrit) thread(tid uint8) *threadState {

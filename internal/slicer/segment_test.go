@@ -98,7 +98,7 @@ func TestSegmentedMatchesSequential(t *testing.T) {
 		} {
 			seqOpts := opts
 			seqOpts.Segments = 1
-			want, err := SliceMulti(tc.m.Tr, deps, tc.cs, seqOpts)
+			want, err := Slice(TraceSource(tc.m.Tr), deps, tc.cs, seqOpts)
 			if err != nil {
 				t.Fatalf("%s sequential: %v", tc.name, err)
 			}
@@ -109,7 +109,7 @@ func TestSegmentedMatchesSequential(t *testing.T) {
 					segOpts.Workers = workers
 					var stats PassStats
 					segOpts.Stats = &stats
-					got, err := SliceMulti(tc.m.Tr, deps, tc.cs, segOpts)
+					got, err := Slice(TraceSource(tc.m.Tr), deps, tc.cs, segOpts)
 					if err != nil {
 						t.Fatalf("%s segmented(k=%d,w=%d): %v", tc.name, segs, workers, err)
 					}
@@ -137,7 +137,7 @@ func TestSegmentedEveryBoundary(t *testing.T) {
 		deps := forward(t, tc.m.Tr)
 		n := len(tc.m.Tr.Recs)
 		opts := Options{ProgressPoints: 11, Segments: 1}
-		want, err := SliceMulti(tc.m.Tr, deps, tc.cs, opts)
+		want, err := Slice(TraceSource(tc.m.Tr), deps, tc.cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestSegmentedCancel(t *testing.T) {
 				return polls.Add(1) > fireAfter
 			},
 		}
-		if _, err := SliceMulti(m.Tr, deps, []Criteria{PixelCriteria{}}, opts); err != ErrCanceled {
+		if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}}, opts); err != ErrCanceled {
 			t.Fatalf("fireAfter=%d: err = %v, want ErrCanceled", fireAfter, err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestSliceScratchPooled(t *testing.T) {
 	deps := forward(t, m.Tr)
 	opts := Options{Segments: 1}
 	run := func() {
-		if _, err := SliceMulti(m.Tr, deps, []Criteria{PixelCriteria{}}, opts); err != nil {
+		if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}}, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +276,7 @@ func TestSegmentedBackwardPerfGate(t *testing.T) {
 		d := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := SliceMulti(m.Tr, deps, cs, opts); err != nil {
+			if _, err := Slice(TraceSource(m.Tr), deps, cs, opts); err != nil {
 				t.Fatal(err)
 			}
 			if e := time.Since(start); e < d {
@@ -304,9 +304,8 @@ func TestResolveSegments(t *testing.T) {
 		{Options{Segments: 1}, big, 1},
 		{Options{Segments: -3}, big, 1},
 		{Options{Segments: 6}, 100, 6},
-		{Options{Live: NewPageSet()}, big, 1}, // custom LiveMem pins sequential
-		{Options{Workers: 1}, big, 1},         // one worker: nothing to parallelize
-		{Options{Workers: 4}, big - 1, 1},     // too small to amortize the stitch
+		{Options{Workers: 1}, big, 1},     // one worker: nothing to parallelize
+		{Options{Workers: 4}, big - 1, 1}, // too small to amortize the stitch
 		{Options{Workers: 4}, big, 4 * segmentsPerWorker},
 	} {
 		if got := resolveSegments(tt.opts, tt.n); got != tt.want {

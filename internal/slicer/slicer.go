@@ -127,11 +127,6 @@ func (w Window) At(i int, r *trace.Rec, t *trace.Trace) ([]vmem.Range, bool) {
 
 // Options tune a slicing run.
 type Options struct {
-	// Live selects the live-memory implementation; nil means NewWordSet().
-	// A non-nil Live pins the run to the sequential path (the segmented
-	// engine needs one independent live set per segment and cannot clone an
-	// arbitrary implementation).
-	Live LiveMem
 	// NoControlDeps disables the pending-branch mechanism (data-dependence-
 	// only slicing) for the ablation study.
 	NoControlDeps bool
@@ -323,7 +318,7 @@ type threadState struct {
 }
 
 // sliceState is the complete working state of the backward pass for one
-// criterion. SliceMulti keeps one per criterion and steps them all per
+// criterion. Slice keeps one per criterion and steps them all per
 // record, so N criteria cost one trace walk instead of N. Thread and
 // function tallies accumulate in dense slices indexed by TID/FuncID and are
 // converted to the Result maps once at the end — two map operations per
@@ -335,7 +330,7 @@ type sliceState struct {
 	opts Options
 
 	res     *Result
-	live    LiveMem
+	live    *wordSet
 	regs    *regSet
 	threads [256]*threadState
 
@@ -353,7 +348,7 @@ type sliceState struct {
 	curMarked bool
 }
 
-func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options, live LiveMem, maxReg uint32, n int) *sliceState {
+func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options, maxReg uint32, n int) *sliceState {
 	s := &sliceState{
 		t:    t,
 		deps: deps,
@@ -364,7 +359,7 @@ func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options, liv
 			Total:    n,
 			InSlice:  NewBitset(n),
 		},
-		live:        live,
+		live:        getWordSet(),
 		regs:        getRegSet(maxReg, n),
 		byFunc:      make([]int, len(t.Funcs)),
 		sliceByFunc: make([]int, len(t.Funcs)),
@@ -569,38 +564,24 @@ func (s *sliceState) finish() *Result {
 	return res
 }
 
-// Slice runs the backward pass over t with the given criteria, control
-// dependences (from the forward pass; may be nil only when
-// opts.NoControlDeps is set), and options.
-func Slice(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) (*Result, error) {
-	rs, err := SliceMulti(t, deps, []Criteria{c}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
-// SliceMulti runs the backward pass once for several criteria: the trace is
-// walked in reverse a single time, with one live-register set, live-memory
-// set, and pending-branch state maintained per criterion. Results come back
-// in criteria order and are identical to what len(cs) independent Slice
-// calls would produce — one stored forward pass serves many backward
-// passes, and now those backward passes share the trace walk too.
+// Slice runs the backward pass once for one or more criteria over a record
+// source — TraceSource for a materialized trace, StreamSource for a v3
+// block reader — with control dependences from the forward pass (deps may
+// be nil only when opts.NoControlDeps is set). The trace is walked in
+// reverse a single time, with one live-register set, live-memory set, and
+// pending-branch state maintained per criterion; results come back in
+// criteria order and are identical to what len(cs) one-criterion calls
+// would produce. One stored forward pass serves many backward passes, and
+// those backward passes share the trace walk too.
 //
 // On large traces with more than one worker available the reverse walk
 // itself runs segmented and parallel (see Options.Segments and segment.go);
-// the output is byte-identical to the sequential walk in every field.
-func SliceMulti(t *trace.Trace, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
-	return SliceMultiSource(TraceSource(t), deps, cs, opts)
-}
-
-// SliceMultiSource is SliceMulti over an abstract record source. With a
-// StreamSource over a v3 block reader the walks decode one block per walker
-// at a time — peak record memory is O(workers × blockRecs) instead of the
-// whole trace — and segment boundaries are planned on block bounds so no
-// block is decoded by two scan workers. The output is byte-identical to
-// slicing the materialized trace.
-func SliceMultiSource(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
+// the output is byte-identical to the sequential walk in every field. A
+// streaming source decodes one block per walker at a time — peak record
+// memory is O(workers × blockRecs) instead of the whole trace — and segment
+// boundaries are planned on block bounds so no block is decoded by two scan
+// workers.
+func Slice(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("slicer: no criteria")
 	}
@@ -611,9 +592,6 @@ func SliceMultiSource(src Source, deps *cdg.Deps, cs []Criteria, opts Options) (
 	}
 	if deps == nil && !opts.NoControlDeps {
 		return nil, fmt.Errorf("slicer: control dependences required (or set NoControlDeps)")
-	}
-	if opts.Live != nil && len(cs) > 1 {
-		return nil, fmt.Errorf("slicer: Options.Live is a single instance and cannot be shared across %d fused criteria", len(cs))
 	}
 	start := time.Now()
 	n := src.NumRecs()
@@ -649,7 +627,7 @@ func segmentAlign(src Source) int {
 
 // resolveSegments turns Options.Segments into an effective segment count.
 func resolveSegments(opts Options, n int) int {
-	if opts.Live != nil || opts.Segments == 1 || opts.Segments < 0 {
+	if opts.Segments == 1 || opts.Segments < 0 {
 		return 1
 	}
 	if opts.Segments > 1 {
@@ -680,20 +658,12 @@ func sliceSequential(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([
 	}
 	states := make([]*sliceState, len(cs))
 	for k, c := range cs {
-		live := opts.Live
-		if live == nil {
-			live = getWordSet()
-		}
-		states[k] = newSliceState(t, deps, c, opts, live, maxReg, n)
+		states[k] = newSliceState(t, deps, c, opts, maxReg, n)
 	}
 	defer func() {
 		for _, s := range states {
 			putRegSet(s.regs)
-			if opts.Live == nil {
-				if ws, ok := s.live.(*WordSet); ok {
-					putWordSet(ws)
-				}
-			}
+			putWordSet(s.live)
 			for _, th := range s.threads {
 				putThreadState(th)
 			}

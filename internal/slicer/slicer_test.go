@@ -21,9 +21,18 @@ func forward(t *testing.T, tr *trace.Trace) *cdg.Deps {
 	return cdg.Compute(f)
 }
 
+// sliceOne slices a materialized trace for a single criterion.
+func sliceOne(tr *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) (*Result, error) {
+	rs, err := Slice(TraceSource(tr), deps, []Criteria{c}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
 func pixelSlice(t *testing.T, m *vm.Machine, opts Options) *Result {
 	t.Helper()
-	res, err := Slice(m.Tr, forward(t, m.Tr), PixelCriteria{}, opts)
+	res, err := sliceOne(m.Tr, forward(t, m.Tr), PixelCriteria{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +153,7 @@ func TestControlDependence(t *testing.T) {
 	}
 
 	// Ablation: with control dependences disabled the branch drops out.
-	res2, err := Slice(m.Tr, nil, PixelCriteria{}, Options{NoControlDeps: true})
+	res2, err := sliceOne(m.Tr, nil, PixelCriteria{}, Options{NoControlDeps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +297,11 @@ func TestSyscallCriteriaSuperset(t *testing.T) {
 		[]vmem.Range{{Addr: net, Size: 4}}, nil, nil)
 
 	deps := forward(t, m.Tr)
-	pix, err := Slice(m.Tr, deps, PixelCriteria{}, Options{})
+	pix, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Slice(m.Tr, deps, SyscallCriteria{}, Options{})
+	sys, err := sliceOne(m.Tr, deps, SyscallCriteria{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +339,7 @@ func TestWindowCriteria(t *testing.T) {
 	m.MarkPixels(vmem.Range{Addr: tileB, Size: 4})
 
 	deps := forward(t, m.Tr)
-	res, err := Slice(m.Tr, deps, Window{Inner: PixelCriteria{}, Limit: cut}, Options{})
+	res, err := sliceOne(m.Tr, deps, Window{Inner: PixelCriteria{}, Limit: cut}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,12 +371,12 @@ func TestUnionCriteria(t *testing.T) {
 	if u.Name() != "union(pixels+syscalls)" {
 		t.Errorf("Name = %q", u.Name())
 	}
-	res, err := Slice(m.Tr, forward(t, m.Tr), u, Options{})
+	res, err := sliceOne(m.Tr, forward(t, m.Tr), u, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pix, _ := Slice(m.Tr, forward(t, m.Tr), PixelCriteria{}, Options{})
-	sys, _ := Slice(m.Tr, forward(t, m.Tr), SyscallCriteria{}, Options{})
+	pix, _ := sliceOne(m.Tr, forward(t, m.Tr), PixelCriteria{}, Options{})
+	sys, _ := sliceOne(m.Tr, forward(t, m.Tr), SyscallCriteria{}, Options{})
 	if res.SliceCount < pix.SliceCount || res.SliceCount < sys.SliceCount {
 		t.Error("union slice must contain both member slices")
 	}
@@ -407,37 +416,6 @@ func TestProgressSeries(t *testing.T) {
 	}
 	if last.Sliced != res.SliceCount {
 		t.Errorf("final sliced %d != count %d", last.Sliced, res.SliceCount)
-	}
-}
-
-// TestLiveMemImplsAgree: WordSet and PageSet produce identical slices.
-func TestLiveMemImplsAgree(t *testing.T) {
-	m := vm.New()
-	m.Thread(0, "main")
-	tile := m.Tile.Alloc(256)
-	for i := 0; i < 64; i++ {
-		v := m.Const(uint64(i * 3))
-		m.Store(tile+vmem.Addr(i*4), 4, v)
-		j := m.Const(uint64(i))
-		m.StoreU32(m.Heap.Alloc(16), j)
-	}
-	m.MarkPixels(vmem.Range{Addr: tile, Size: 256})
-	deps := forward(t, m.Tr)
-	a, err := Slice(m.Tr, deps, PixelCriteria{}, Options{Live: NewWordSet()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Slice(m.Tr, deps, PixelCriteria{}, Options{Live: NewPageSet()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SliceCount != b.SliceCount {
-		t.Fatalf("WordSet slice %d != PageSet slice %d", a.SliceCount, b.SliceCount)
-	}
-	for i := 0; i < a.Total; i++ {
-		if a.InSlice.Get(i) != b.InSlice.Get(i) {
-			t.Fatalf("disagreement at record %d", i)
-		}
 	}
 }
 
@@ -570,7 +548,7 @@ func TestSliceClosureProperty(t *testing.T) {
 		}
 		m.MarkPixels(vmem.Range{Addr: tile, Size: 64})
 		deps := forward(t, m.Tr)
-		res, err := Slice(m.Tr, deps, PixelCriteria{}, Options{})
+		res, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{})
 		if err != nil {
 			return false
 		}
@@ -584,13 +562,13 @@ func TestSliceClosureProperty(t *testing.T) {
 
 func TestSliceErrors(t *testing.T) {
 	tr := trace.New()
-	if _, err := Slice(tr, nil, nil, Options{}); err == nil {
+	if _, err := sliceOne(tr, nil, nil, Options{}); err == nil {
 		t.Error("nil criteria should error")
 	}
-	if _, err := Slice(tr, nil, PixelCriteria{}, Options{}); err == nil {
+	if _, err := sliceOne(tr, nil, PixelCriteria{}, Options{}); err == nil {
 		t.Error("nil deps without NoControlDeps should error")
 	}
-	if _, err := Slice(tr, nil, PixelCriteria{}, Options{NoControlDeps: true}); err != nil {
+	if _, err := sliceOne(tr, nil, PixelCriteria{}, Options{NoControlDeps: true}); err != nil {
 		t.Errorf("empty trace should slice fine: %v", err)
 	}
 }

@@ -42,13 +42,13 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			{Segments: 7, Workers: 2},
 			{NoControlDeps: true},
 		} {
-			want, err := SliceMulti(tc.m.Tr, deps, tc.cs, opts)
+			want, err := Slice(TraceSource(tc.m.Tr), deps, tc.cs, opts)
 			if err != nil {
 				t.Fatalf("%s materialized: %v", tc.name, err)
 			}
 			for _, blockRecs := range []int{64, 192, 1024} {
 				src := streamOf(t, tc.m.Tr, blockRecs)
-				got, err := SliceMultiSource(src, deps, tc.cs, opts)
+				got, err := Slice(src, deps, tc.cs, opts)
 				if err != nil {
 					t.Fatalf("%s streaming(block=%d) opts %+v: %v", tc.name, blockRecs, opts, err)
 				}
@@ -144,7 +144,7 @@ func TestStreamCanceledMidBlock(t *testing.T) {
 	if cancelStride%192 == 0 {
 		t.Fatal("test premise broken: poll index is block-aligned")
 	}
-	_, err := SliceMultiSource(src, nil, []Criteria{PixelCriteria{}}, Options{
+	_, err := Slice(src, nil, []Criteria{PixelCriteria{}}, Options{
 		NoControlDeps: true,
 		Segments:      1,
 		Canceled:      func() bool { return true },
@@ -178,7 +178,7 @@ func TestStreamDecodeErrorPropagates(t *testing.T) {
 	}
 	enc[200] ^= 0xFF
 	for _, opts := range []Options{{NoControlDeps: true, Segments: 1}, {NoControlDeps: true, Segments: 4, Workers: 2}} {
-		_, err = SliceMultiSource(StreamSource(br), nil, []Criteria{PixelCriteria{}}, opts)
+		_, err = Slice(StreamSource(br), nil, []Criteria{PixelCriteria{}}, opts)
 		var de *trace.DecodeError
 		if !errors.As(err, &de) {
 			t.Fatalf("opts %+v: err = %v, want *trace.DecodeError", opts, err)
@@ -200,7 +200,7 @@ func TestStreamSliceBoundedAllocBytes(t *testing.T) {
 	cs := []Criteria{PixelCriteria{}}
 	opts := Options{NoControlDeps: true, Segments: 1}
 	run := func() {
-		if _, err := SliceMultiSource(src, nil, cs, opts); err != nil {
+		if _, err := Slice(src, nil, cs, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -203,12 +203,10 @@ func BenchmarkReproRunner(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeV2 / BenchmarkEncodeV3 measure trace serialization in the
-// flat v2 format vs the block-compressed v3 format; the decode pair below
-// measures the reverse direction. Throughput (MB/s) is reported against the
-// v2 byte size in all four so the numbers compare like-for-like, and the
-// encode benchmarks report the achieved compression ratio.
-func codecTrace(b *testing.B) (*trace.Trace, []byte, []byte) {
+// BenchmarkEncodeV3 / BenchmarkDecodeV3 measure trace serialization and
+// its reverse. Throughput (MB/s) is over the encoded bytes, and the encode
+// benchmark also reports the encoding's size per record.
+func codecTrace(b *testing.B) (*trace.Trace, []byte) {
 	b.Helper()
 	bench := sites.AmazonDesktop(sites.Options{Scale: benchScale()})
 	br := browser.New(bench.Site, bench.Profile)
@@ -216,57 +214,30 @@ func codecTrace(b *testing.B) (*trace.Trace, []byte, []byte) {
 	if len(br.Errors) > 0 {
 		b.Fatal(br.Errors[0])
 	}
-	var v2, v3 bytes.Buffer
-	if err := br.M.Tr.Write(&v2); err != nil {
+	var v3 bytes.Buffer
+	if err := br.M.Tr.WriteV3(&v3); err != nil {
 		b.Fatal(err)
 	}
-	if err := br.M.Tr.WriteV3Blocks(&v3, trace.DefaultBlockRecs); err != nil {
-		b.Fatal(err)
-	}
-	return br.M.Tr, v2.Bytes(), v3.Bytes()
-}
-
-func BenchmarkEncodeV2(b *testing.B) {
-	tr, v2, _ := codecTrace(b)
-	b.SetBytes(int64(len(v2)))
-	b.ResetTimer()
-	var buf bytes.Buffer
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := tr.Write(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return br.M.Tr, v3.Bytes()
 }
 
 func BenchmarkEncodeV3(b *testing.B) {
-	tr, v2, v3 := codecTrace(b)
-	b.SetBytes(int64(len(v2)))
+	tr, v3 := codecTrace(b)
+	b.SetBytes(int64(len(v3)))
 	b.ResetTimer()
 	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := tr.WriteV3Blocks(&buf, trace.DefaultBlockRecs); err != nil {
+		if err := tr.WriteV3(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(v2))/float64(len(v3)), "ratio")
-}
-
-func BenchmarkDecodeV2(b *testing.B) {
-	_, v2, _ := codecTrace(b)
-	b.SetBytes(int64(len(v2)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.Read(bytes.NewReader(v2)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportMetric(float64(len(v3))/float64(len(tr.Recs)), "B/rec")
 }
 
 func BenchmarkDecodeV3(b *testing.B) {
-	_, v2, v3 := codecTrace(b)
-	b.SetBytes(int64(len(v2)))
+	_, v3 := codecTrace(b)
+	b.SetBytes(int64(len(v3)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br, err := trace.OpenV3(v3)

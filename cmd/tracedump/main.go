@@ -1,9 +1,7 @@
-// Command tracedump inspects binary traces written by `webslice trace -o`
-// (flat v2 or block-compressed v3) and converts between the two formats.
+// Command tracedump inspects binary traces written by `webslice trace -o`.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -16,11 +14,9 @@ import (
 func main() {
 	n := flag.Int("n", 40, "how many records to print")
 	offset := flag.Int("off", 0, "first record to print")
-	convert := flag.String("convert", "", "instead of dumping, rewrite the trace to this path (see -format)")
-	format := flag.String("format", "v3", "output format for -convert: v2 (flat) or v3 (block-compressed)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracedump [-n N] [-off K] [-convert out.wslt [-format v2|v3]] trace.wslt")
+		fmt.Fprintln(os.Stderr, "usage: tracedump [-n N] [-off K] trace.wslt")
 		os.Exit(2)
 	}
 	data, err := os.ReadFile(flag.Arg(0))
@@ -28,14 +24,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracedump:", err)
 		os.Exit(1)
 	}
-	if *convert != "" {
-		if err := convertTrace(data, *convert, *format); err != nil {
-			fmt.Fprintln(os.Stderr, "tracedump:", err)
-			os.Exit(1)
-		}
-		return
+	br, err := trace.OpenV3(data)
+	var t *trace.Trace
+	if err == nil {
+		t, err = br.ReadAll()
 	}
-	t, err := trace.Read(bytes.NewReader(data))
 	if err != nil {
 		var de *trace.DecodeError
 		if errors.As(err, &de) {
@@ -74,42 +67,4 @@ func main() {
 			fmt.Printf("           marker %s buf=%v\n", mk.Kind, mk.Buf)
 		}
 	}
-}
-
-// convertTrace rewrites an encoded trace into the requested format. A
-// v3 input headed to v2 goes through the streaming transcoder, which
-// reproduces the canonical v2 bytes without materializing the records.
-func convertTrace(data []byte, out, format string) error {
-	var buf bytes.Buffer
-	switch format {
-	case "v2":
-		if trace.FormatVersion(data) == 3 {
-			br, err := trace.OpenV3(data)
-			if err != nil {
-				return err
-			}
-			if err := br.WriteV2(&buf); err != nil {
-				return err
-			}
-			break
-		}
-		t, err := trace.Read(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		if err := t.Write(&buf); err != nil {
-			return err
-		}
-	case "v3":
-		t, err := trace.Read(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		if err := t.WriteV3Blocks(&buf, trace.DefaultBlockRecs); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown -format %q (want v2 or v3)", format)
-	}
-	return os.WriteFile(out, buf.Bytes(), 0o644)
 }

@@ -25,10 +25,9 @@ const BenchFile = "BENCH_repro.json"
 // render+slice rows: slice_scan_ms, slice_stitch_ms, slice_tally_ms,
 // slice_segments.
 //
-// Schema 3 added the "compression" experiment: per-site v2 vs v3 trace
-// encoding sizes (v2_bytes, v3_bytes, ratio) and codec wall times
-// (encode_v2_ms, encode_v3_ms, decode_v2_ms, decode_v3_ms), each row
-// gated on the v3→v2 transcode being byte-identical.
+// Schema 3 added a "compression" experiment comparing the flat v2 trace
+// encoding with v3. Schema 4 removed it along with the v2 encoding; v3 is
+// the only trace format.
 type BenchDoc struct {
 	Schema      int               `json:"schema"`
 	Scale       float64           `json:"scale"`
@@ -63,7 +62,7 @@ type benchRecorder struct {
 
 func newBenchRecorder(scale float64, workers int) *benchRecorder {
 	return &benchRecorder{
-		doc:   BenchDoc{Schema: 3, Scale: scale, Workers: workers, GoMaxProcs: runtime.GOMAXPROCS(0)},
+		doc:   BenchDoc{Schema: 4, Scale: scale, Workers: workers, GoMaxProcs: runtime.GOMAXPROCS(0)},
 		start: time.Now(),
 	}
 }

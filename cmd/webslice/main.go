@@ -17,7 +17,6 @@ import (
 	"webslice/internal/experiments"
 	"webslice/internal/report"
 	"webslice/internal/sites"
-	"webslice/internal/trace"
 )
 
 func main() {
@@ -28,11 +27,10 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	scale := fs.Float64("scale", 1.0, "workload scale (1.0 = calibrated benchmark size)")
-	exp := fs.String("exp", "all", "experiment: table1|table2|fig2|fig4|fig5|bingload|criteria|faults|backward|compression|all")
+	exp := fs.String("exp", "all", "experiment: table1|table2|fig2|fig4|fig5|bingload|criteria|faults|backward|all")
 	faultSeed := fs.Uint64("faultseed", 7, "fault-plan seed for -exp faults")
 	site := fs.String("site", "amazon-desktop", "site: amazon-desktop|amazon-mobile|maps|bing")
 	tracePath := fs.String("o", "", "write the binary trace to this path (trace command)")
-	traceFormat := fs.String("format", "v3", "trace command: output format, v3 (block-compressed, default) or v2 (flat)")
 	in := fs.String("i", "", "read a binary trace from this path (submit command)")
 	topN := fs.Int("top", 20, "how many functions to list (categorize command)")
 	jsonOut := fs.Bool("json", false, "repro: also write machine-readable rows to "+BenchFile)
@@ -80,7 +78,7 @@ func main() {
 			GoldenPath: *golden, Update: *update,
 		})
 	case "trace":
-		err = doTrace(*scale, *site, *tracePath, *traceFormat)
+		err = doTrace(*scale, *site, *tracePath)
 	case "slice":
 		err = doSlice(*scale, *site)
 	case "categorize":
@@ -161,8 +159,7 @@ func usage() {
 commands:
   repro      regenerate the paper's tables and figures (-exp selects one; -json
              also writes machine-readable rows to BENCH_repro.json)
-  trace      render a site and write its binary instruction trace (-site, -o,
-             -format v3 block-compressed (default) or v2 flat)
+  trace      render a site and write its binary instruction trace (-site, -o)
   slice      render a site and print pixel/syscall slice statistics (-site)
   categorize render+slice a site and list the most-wasteful functions (-site)
   unused     Table I only (unused JS/CSS bytes)
@@ -196,9 +193,9 @@ func benchByName(name string, scale float64, browse bool) (sites.Benchmark, erro
 
 func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchRecorder) error {
 	switch exp {
-	case "all", "table1", "table2", "fig2", "fig4", "fig5", "bingload", "criteria", "faults", "backward", "compression":
+	case "all", "table1", "table2", "fig2", "fig4", "fig5", "bingload", "criteria", "faults", "backward":
 	default:
-		return fmt.Errorf("unknown experiment %q (want table1|table2|fig2|fig4|fig5|bingload|criteria|faults|backward|compression|all)", exp)
+		return fmt.Errorf("unknown experiment %q (want table1|table2|fig2|fig4|fig5|bingload|criteria|faults|backward|all)", exp)
 	}
 	all := exp == "all"
 	var runs []*experiments.Run
@@ -347,42 +344,13 @@ func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchR
 		}
 		fmt.Println(t.String())
 	}
-	if all || exp == "compression" {
-		fmt.Printf("Measuring v2 vs v3 trace encodings at scale %.2f...\n\n", scale)
-		rec.begin("compression")
-		results, err := experiments.ExecuteCompression(experiments.Config{Scale: scale, Workers: workers})
-		if err != nil {
-			return err
-		}
-		t := &report.Table{
-			Title:   "Trace compression: flat v2 vs block-compressed v3",
-			Headers: []string{"Benchmark", "Records", "v2 bytes", "v3 bytes", "Ratio", "Enc v3", "Dec v3"},
-		}
-		for _, r := range results {
-			t.AddRow(r.Site, fmt.Sprint(r.Records), fmt.Sprint(r.V2Bytes), fmt.Sprint(r.V3Bytes),
-				fmt.Sprintf("%.2fx", r.Ratio),
-				fmt.Sprintf("%.1f ms", r.EncodeV3Ms), fmt.Sprintf("%.1f ms", r.DecodeV3Ms))
-			rec.row(r.Site, map[string]float64{
-				"records":      float64(r.Records),
-				"blocks":       float64(r.Blocks),
-				"v2_bytes":     float64(r.V2Bytes),
-				"v3_bytes":     float64(r.V3Bytes),
-				"ratio":        r.Ratio,
-				"encode_v2_ms": r.EncodeV2Ms,
-				"encode_v3_ms": r.EncodeV3Ms,
-				"decode_v2_ms": r.DecodeV2Ms,
-				"decode_v3_ms": r.DecodeV3Ms,
-			})
-		}
-		fmt.Println(t.String())
-	}
 	return nil
 }
 
 // doVerify runs the slice-validation harness: golden corpus digests,
-// cross-format (v3) digest equality, replay, differential (naive reference
-// slicer), and invariant oracles. phase is the -exp flag reinterpreted:
-// golden|crossformat|replay|differential|invariants|all.
+// streaming-vs-materialized digest equality, replay, differential (naive
+// reference slicer), and invariant oracles. phase is the -exp flag
+// reinterpreted: golden|crossformat|replay|differential|invariants|all.
 func doVerify(phase string, cfg experiments.VerifyConfig) error {
 	if phase == "all" && cfg.GoldenPath != "" {
 		if _, err := os.Stat(cfg.GoldenPath); err != nil && !cfg.Update {
@@ -399,7 +367,7 @@ func doVerify(phase string, cfg experiments.VerifyConfig) error {
 			map[bool]string{true: fmt.Sprintf("regenerated (%d changed)", st.Updated), false: "matched"}[cfg.Update])
 	}
 	if st.CrossFormat > 0 {
-		fmt.Printf("  cross-format:   %d sites sliced identically from v3 streams\n", st.CrossFormat)
+		fmt.Printf("  cross-format:   %d sites sliced identically by the streaming profiler\n", st.CrossFormat)
 	}
 	if st.PropertySites > 0 {
 		fmt.Printf("  property sites: %d (seeds %d..%d)\n", st.PropertySites, cfg.Seed, cfg.Seed+uint64(st.PropertySites)-1)
@@ -459,7 +427,7 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-func doTrace(scale float64, site, out, format string) error {
+func doTrace(scale float64, site, out string) error {
 	b, err := benchByName(site, scale, false)
 	if err != nil {
 		return err
@@ -478,18 +446,10 @@ func doTrace(scale float64, site, out, format string) error {
 			return err
 		}
 		defer f.Close()
-		switch format {
-		case "v3":
-			err = br.M.Tr.WriteV3Blocks(f, trace.DefaultBlockRecs)
-		case "v2":
-			err = br.M.Tr.Write(f)
-		default:
-			return fmt.Errorf("unknown -format %q (want v2 or v3)", format)
-		}
-		if err != nil {
+		if err := br.M.Tr.WriteV3(f); err != nil {
 			return err
 		}
-		fmt.Printf("trace written to %s (%s)\n", out, format)
+		fmt.Printf("trace written to %s\n", out)
 	}
 	return nil
 }

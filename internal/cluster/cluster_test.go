@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"webslice/internal/browser"
 	"webslice/internal/experiments"
 	"webslice/internal/obs"
 	"webslice/internal/service"
+	"webslice/internal/sites"
 	"webslice/internal/store"
 )
 
@@ -310,6 +313,69 @@ func TestClusterBackpressurePropagates(t *testing.T) {
 	}
 }
 
+// uploadBytes renders property site seed and returns its v3 encoding, as a
+// client would upload it.
+func uploadBytes(t *testing.T, seed uint64) []byte {
+	t.Helper()
+	b := sites.Random(seed)
+	br := browser.New(b.Site, b.Profile)
+	if b.Faults != nil {
+		br.Loader.SetFaults(b.Faults)
+	}
+	br.RunSession()
+	if len(br.Errors) > 0 {
+		t.Fatal(br.Errors[0])
+	}
+	var buf bytes.Buffer
+	if err := br.M.Tr.WriteV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The same upload submitted through two coordinators over the same workers
+// lands on the same owner, and the second submission is an artifact-store
+// hit there: the ring key and the worker's store key are one byte hash.
+func TestUploadSameOwnerAcrossCoordinators(t *testing.T) {
+	a := startCluster(t, 2, Config{FailThreshold: 2})
+	st, err := store.Open("", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := service.New(service.Config{Workers: 1, QueueDepth: 8, Store: st, Node: "http://coordinator-b.test"})
+	t.Cleanup(func() { local.Kill() })
+	b := New(Config{
+		Self:          "http://coordinator-b.test",
+		Local:         local,
+		Peers:         []string{a.workers[0].srv.URL, a.workers[1].srv.URL},
+		FailThreshold: 2,
+	})
+	t.Cleanup(func() { b.Stop() })
+
+	spec := service.Spec{Trace: uploadBytes(t, 5), Criteria: "pixels"}
+	var infos [2]service.Info
+	var results [2]*service.Result
+	for i, co := range []*Coordinator{a.co, b} {
+		id, err := co.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if infos[i] = await(t, co, id); infos[i].Status != service.StatusDone {
+			t.Fatalf("submission %d: %s (%s)", i, infos[i].Status, infos[i].Error)
+		}
+		results[i] = mustResult(t, co, id)
+	}
+	if infos[0].Node == "" || infos[0].Node != infos[1].Node {
+		t.Fatalf("the same upload routed to different owners: %q vs %q", infos[0].Node, infos[1].Node)
+	}
+	if results[0].CacheHit || !results[1].CacheHit {
+		t.Fatalf("cache hits = %v, %v; want a miss, then a hit", results[0].CacheHit, results[1].CacheHit)
+	}
+	if key := JobKey(spec); results[1].TraceKey != key {
+		t.Fatalf("worker store key %s, ring key %s", results[1].TraceKey, key)
+	}
+}
+
 // JobKey is the distribution identity: traces key by content digest,
 // criteria are excluded (both criteria share forward-pass artifacts), and
 // site/seed/scale each produce distinct keys.
@@ -320,8 +386,8 @@ func TestJobKey(t *testing.T) {
 	if k1 != k2 {
 		t.Fatal("criteria changed a trace job's key")
 	}
-	if len(k1) != 64 {
-		t.Fatalf("trace key %q is not a hex sha256", k1)
+	if k1 != store.KeyBytes(trace) {
+		t.Fatalf("trace key %q is not the store's hash of the bytes", k1)
 	}
 	keys := map[string]string{
 		"site-default-scale": JobKey(service.Spec{Site: "maps"}),

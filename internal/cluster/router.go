@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,37 +17,20 @@ import (
 	"webslice/internal/metrics"
 	"webslice/internal/obs"
 	"webslice/internal/service"
-	"webslice/internal/trace"
+	"webslice/internal/store"
 )
 
 // JobKey is the distribution identity of a job — the value the ring
-// hashes to pick an owner. Submitted traces use the hex SHA-256 of the
-// trace bytes, which is exactly the content address the artifact store
-// keys its CDG/slice blobs under; site and seed jobs use a canonical
-// rendering identity, which maps to the same trace digest on every node
-// because rendering is deterministic. Criteria are deliberately excluded:
-// both criteria of one trace share the forward-pass artifacts, so they
-// belong on the same node.
+// hashes to pick an owner. A submitted trace uses store.KeyBytes of the
+// submitted bytes, the very function the owning worker's store keys its
+// CDG/slice blobs with, so ring and store agree by construction; site and
+// seed jobs use a canonical rendering identity, which maps to the same
+// trace on every node because rendering is deterministic. Criteria are
+// deliberately excluded: both criteria of one trace share the forward-pass
+// artifacts, so they belong on the same node.
 func JobKey(spec service.Spec) string {
 	if len(spec.Trace) > 0 {
-		// The content address is defined over the canonical v2 bytes, so a
-		// block-compressed (v3) submission is transcoded through the
-		// streaming writer before hashing — the same trace gets the same
-		// owner whichever format carried it, and the key still matches the
-		// store's TraceKey. The compressed bytes themselves are what the
-		// coordinator forwards; only the hash looks at the v2 form.
-		if trace.FormatVersion(spec.Trace) == 3 {
-			if br, err := trace.OpenV3(spec.Trace); err == nil {
-				h := sha256.New()
-				if err := br.WriteV2(h); err == nil {
-					return hex.EncodeToString(h.Sum(nil))
-				}
-			}
-			// A malformed v3 body falls through to raw-byte hashing; the
-			// owning worker rejects it with the real decode error.
-		}
-		sum := sha256.Sum256(spec.Trace)
-		return hex.EncodeToString(sum[:])
+		return store.KeyBytes(spec.Trace)
 	}
 	if spec.Site == "" && spec.Seed != 0 {
 		return "seed\x00" + strconv.FormatUint(spec.Seed, 10)

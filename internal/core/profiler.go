@@ -105,15 +105,15 @@ func (p *Profiler) materialize() (*trace.Trace, error) {
 
 // UseStore attaches a content-addressed artifact store. The trace is
 // hashed once (its content address); from then on Forward and SliceAll
-// consult the store before computing and publish what they compute.
+// consult the store before computing and publish what they compute. A
+// streaming profiler is keyed by the bytes it was opened on, a materialized
+// one by its trace's digest (see store.TraceKey and store.TraceKeyV3).
 func (p *Profiler) UseStore(s *store.Store) error {
 	var (
 		k   string
 		err error
 	)
 	if p.br != nil {
-		// Hash the canonical v2 bytes via the streaming transcoder — same
-		// address as hashing the materialized trace, no materialization.
 		k, err = store.TraceKeyV3(p.br)
 	} else {
 		k, err = store.TraceKey(p.T)

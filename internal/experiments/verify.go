@@ -7,11 +7,11 @@ package experiments
 //   - golden:       re-run the committed golden corpus (examples/golden/)
 //                   and compare slice digests byte-for-byte, then replay
 //                   and invariant-check every corpus slice;
-//   - crossformat:  re-run the golden corpus through the block-compressed
-//                   (v3) trace format: encode each trace to v3, slice it
-//                   with the streaming profiler, and demand the same pinned
+//   - crossformat:  re-run the golden corpus through the streaming
+//                   profiler: encode each trace, slice it block by block
+//                   out of the encoded bytes, and demand the same pinned
 //                   digests, the same Table II numbers, and the same
-//                   replay-oracle verdicts as the flat (v2) pipeline;
+//                   replay-oracle verdicts as the materialized pipeline;
 //   - replay:       re-execute property-generated sites' slices with all
 //                   out-of-slice instructions elided, asserting criterion
 //                   bytes reproduce;
@@ -72,8 +72,8 @@ type VerifyStats struct {
 	Differentials int
 	Invariants    int
 	Updated       int
-	// CrossFormat counts golden sites whose v3 (streaming) slices were
-	// checked against the pinned v2 digests and replay verdicts.
+	// CrossFormat counts golden sites whose streaming slices were checked
+	// against the pinned digests and replay verdicts.
 	CrossFormat int
 }
 
@@ -330,9 +330,9 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 	return nil
 }
 
-// verifyCrossFormat re-runs the golden corpus through the block-compressed
-// pipeline: each site's trace is transcoded to v3 and sliced by the
-// streaming profiler (shell trace, block-at-a-time backward pass). Every
+// verifyCrossFormat re-runs the golden corpus through the streaming
+// pipeline: each site's trace is encoded and sliced by the streaming
+// profiler (shell trace, block-at-a-time backward pass). Every
 // pinned digest must reproduce, every slice must still satisfy the replay
 // oracle against the original tape, and the derived paper numbers — the
 // Table II slice percentages and the Figure 5 category distribution — must
@@ -374,27 +374,27 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
 		if d := SliceDigest(rs[0]); d != e.Pixels {
-			return fmt.Errorf("verify: crossformat %s: v3 pixel slice digest %s, pinned v2 digest %s", e.Label(), d, e.Pixels)
+			return fmt.Errorf("verify: crossformat %s: streaming pixel slice digest %s, pinned digest %s", e.Label(), d, e.Pixels)
 		}
 		if d := SliceDigest(rs[1]); d != e.Syscalls {
-			return fmt.Errorf("verify: crossformat %s: v3 syscall slice digest %s, pinned v2 digest %s", e.Label(), d, e.Syscalls)
+			return fmt.Errorf("verify: crossformat %s: streaming syscall slice digest %s, pinned digest %s", e.Label(), d, e.Syscalls)
 		}
 		// Table II: the slice percentages must agree exactly.
-		for k, pair := range []struct{ v2, v3 *slicer.Result }{{v.pix, rs[0]}, {v.sys, rs[1]}, {v.uni, rs[2]}} {
-			if pair.v2.Percent() != pair.v3.Percent() || pair.v2.Total != pair.v3.Total {
-				return fmt.Errorf("verify: crossformat %s: slice %d percentage diverges: v2 %.4f%% (%d recs), v3 %.4f%% (%d recs)",
-					e.Label(), k, pair.v2.Percent(), pair.v2.Total, pair.v3.Percent(), pair.v3.Total)
+		for k, pair := range []struct{ mat, str *slicer.Result }{{v.pix, rs[0]}, {v.sys, rs[1]}, {v.uni, rs[2]}} {
+			if pair.mat.Percent() != pair.str.Percent() || pair.mat.Total != pair.str.Total {
+				return fmt.Errorf("verify: crossformat %s: slice %d percentage diverges: materialized %.4f%% (%d recs), streaming %.4f%% (%d recs)",
+					e.Label(), k, pair.mat.Percent(), pair.mat.Total, pair.str.Percent(), pair.str.Total)
 			}
 		}
-		// Figure 5: the category distribution computed from the v3 shell
-		// trace must match the one from the materialized trace.
-		d2, d3 := analysis.Categorize(v.tr, v.pix), analysis.Categorize(p.T, rs[0])
-		if d2.UnnecessaryTotal != d3.UnnecessaryTotal || d2.CoveragePct != d3.CoveragePct || len(d2.Share) != len(d3.Share) {
-			return fmt.Errorf("verify: crossformat %s: category distribution diverges: v2 %+v, v3 %+v", e.Label(), d2, d3)
+		// Figure 5: the category distribution computed from the streaming
+		// shell trace must match the one from the materialized trace.
+		dm, ds := analysis.Categorize(v.tr, v.pix), analysis.Categorize(p.T, rs[0])
+		if dm.UnnecessaryTotal != ds.UnnecessaryTotal || dm.CoveragePct != ds.CoveragePct || len(dm.Share) != len(ds.Share) {
+			return fmt.Errorf("verify: crossformat %s: category distribution diverges: materialized %+v, streaming %+v", e.Label(), dm, ds)
 		}
-		for cat, share := range d2.Share {
-			if d3.Share[cat] != share {
-				return fmt.Errorf("verify: crossformat %s: category %q share diverges: v2 %v, v3 %v", e.Label(), cat, share, d3.Share[cat])
+		for cat, share := range dm.Share {
+			if ds.Share[cat] != share {
+				return fmt.Errorf("verify: crossformat %s: category %q share diverges: materialized %v, streaming %v", e.Label(), cat, share, ds.Share[cat])
 			}
 		}
 		// Replay-oracle verdicts: slices computed by the streaming pass must

@@ -29,11 +29,11 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestGoldenCorpusCrossFormat re-encodes every golden site as block-compressed
-// v3 and demands the streaming profiler reproduce the exact pinned digests,
-// Table II percentages, and Figure 5 category distribution that the
-// materialized v2 pipeline produces. This is the migration safety gate for
-// the v3 trace format: if it fails, v3 slicing diverged from v2.
+// TestGoldenCorpusCrossFormat encodes every golden site and demands the
+// streaming profiler, slicing block by block out of the encoded bytes,
+// reproduce the exact pinned digests, Table II percentages, and Figure 5
+// category distribution that the materialized pipeline produces. If it
+// fails, streaming slicing diverged from slicing a trace held in memory.
 func TestGoldenCorpusCrossFormat(t *testing.T) {
 	st, err := ExecuteVerify("crossformat", VerifyConfig{GoldenPath: goldenPath})
 	if err != nil {

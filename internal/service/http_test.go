@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -259,6 +260,51 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 	select {
 	case <-ran:
 		t.Fatal("a rejected submission reached the runner")
+	default:
+	}
+}
+
+// TestHTTPRefusesV2Trace: a trace in the retired flat v2 format gets a 400
+// naming its version, and is never enqueued, journaled, or run.
+func TestHTTPRefusesV2Trace(t *testing.T) {
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	ran := make(chan struct{}, 1)
+	srv, m := testServer(t, Config{
+		Workers: 1,
+		Journal: j,
+		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
+			ran <- struct{}{}
+			return &Result{}, nil
+		},
+	})
+	v2 := append([]byte("WSLT\x02"), bytes.Repeat([]byte{0}, 64)...)
+	resp, err := http.Post(srv.URL+"/jobs/trace", "application/octet-stream", bytes.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status = %d, want 400", resp.StatusCode)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	readJSON(t, resp, &e)
+	if !strings.Contains(e.Error, "format version 2") {
+		t.Errorf("error body %q does not name format version 2", e.Error)
+	}
+	if n := m.Metrics().Counter("jobs_submitted").Value(); n != 0 {
+		t.Errorf("jobs_submitted = %d, want 0", n)
+	}
+	if j.Pending() != 0 || j.MaxID() != 0 {
+		t.Errorf("journal holds %d pending entries (max id %d), want none", j.Pending(), j.MaxID())
+	}
+	select {
+	case <-ran:
+		t.Fatal("the refused submission reached the runner")
 	default:
 	}
 }

@@ -21,7 +21,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -525,13 +524,18 @@ func (m *Manager) validate(spec *Spec) error {
 		return fmt.Errorf("service: unknown criteria %q (want pixels or syscalls)", spec.Criteria)
 	}
 	if len(spec.Trace) > 0 {
-		// Reject obvious garbage at submission time: a body that doesn't even
-		// start with the trace magic would only fail later inside a worker,
-		// burning a queue slot and reporting the error asynchronously.
-		if !trace.HasMagic(spec.Trace) {
+		// Reject what no worker could decode at submission time: bytes that
+		// are not a trace, or a trace in a format other than v3, would only
+		// fail later inside a worker, burning a queue slot and reporting the
+		// error asynchronously.
+		switch v := trace.FormatVersion(spec.Trace); v {
+		case 3:
+			return nil
+		case 0:
 			return fmt.Errorf("service: submitted body is not a WSLT trace")
+		default:
+			return fmt.Errorf("service: submitted trace is format version %d; only version 3 is accepted", v)
 		}
-		return nil
 	}
 	if spec.Site == "" && spec.Seed != 0 {
 		// Property-generated mini-site: fixed-size, so Scale is ignored.
@@ -1034,21 +1038,14 @@ func sliceDigest(r *slicer.Result) string {
 
 func obtainTrace(spec Spec) (*core.Profiler, error) {
 	if len(spec.Trace) > 0 {
-		// A v3 (block-compressed) submission is profiled in place: the
-		// backward pass streams blocks out of the submitted bytes and the
-		// records are never materialized as one slice.
-		if trace.FormatVersion(spec.Trace) == 3 {
-			br, err := trace.OpenV3(spec.Trace)
-			if err != nil {
-				return nil, fmt.Errorf("service: decoding submitted trace: %w", err)
-			}
-			return core.NewProfilerStream(br), nil
-		}
-		t, err := trace.Read(bytes.NewReader(spec.Trace))
+		// A submission is profiled in place: the backward pass streams
+		// blocks out of the submitted bytes and the records are never
+		// materialized as one slice.
+		br, err := trace.OpenV3(spec.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("service: decoding submitted trace: %w", err)
 		}
-		return core.NewProfiler(t), nil
+		return core.NewProfilerStream(br), nil
 	}
 	var b sites.Benchmark
 	if spec.Site == "" && spec.Seed != 0 {

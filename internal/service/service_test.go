@@ -318,7 +318,7 @@ func TestTraceJobRoundTrip(t *testing.T) {
 		t.Fatal(br.Errors[0])
 	}
 	var buf bytes.Buffer
-	if err := br.M.Tr.Write(&buf); err != nil {
+	if err := br.M.Tr.WriteV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,20 +2,19 @@ package service
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"webslice/internal/browser"
 	"webslice/internal/sites"
 	"webslice/internal/store"
-	"webslice/internal/trace"
 )
 
-// TestV3TraceSubmissionMatchesV2: the same trace submitted flat (v2) and
-// block-compressed (v3) must produce the same content address, the same
-// slice digest, and the same category breakdown — and because the keys
-// agree, the v3 job is a cache hit on the artifacts the v2 job computed.
-// The v3 job runs the streaming profiler: its backward pass reads blocks
-// straight out of the submitted bytes.
+// TestV3TraceSubmissionMatchesV2: an uploaded trace, profiled by the
+// streaming profiler straight out of the submitted bytes, must produce the
+// same slice digest, tallies, and category breakdown as the site job that
+// renders the same trace and profiles it materialized. A trace in the
+// retired flat v2 format is refused at submission, naming its version.
 func TestV3TraceSubmissionMatchesV2(t *testing.T) {
 	b, err := sites.ByName("amazon-desktop", sites.Options{Scale: 0.04})
 	if err != nil {
@@ -26,27 +25,21 @@ func TestV3TraceSubmissionMatchesV2(t *testing.T) {
 	if len(br.Errors) > 0 {
 		t.Fatal(br.Errors[0])
 	}
-	var v2, v3 bytes.Buffer
-	if err := br.M.Tr.Write(&v2); err != nil {
+	var v3 bytes.Buffer
+	if err := br.M.Tr.WriteV3(&v3); err != nil {
 		t.Fatal(err)
-	}
-	if err := br.M.Tr.WriteV3Blocks(&v3, trace.DefaultBlockRecs); err != nil {
-		t.Fatal(err)
-	}
-	if v3.Len() >= v2.Len() {
-		t.Fatalf("v3 encoding (%d bytes) is not smaller than v2 (%d bytes)", v3.Len(), v2.Len())
 	}
 
 	st, _ := store.Open(t.TempDir(), 0)
 	m := New(Config{Workers: 2, Store: st})
 	defer m.Close()
 
-	idV2, err := m.Submit(Spec{Trace: v2.Bytes(), Verify: true})
+	idSite, err := m.Submit(Spec{Site: "amazon-desktop", Scale: 0.04, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, m, idV2, StatusDone)
-	resV2, _ := m.Result(idV2)
+	waitStatus(t, m, idSite, StatusDone)
+	resSite, _ := m.Result(idSite)
 
 	idV3, err := m.Submit(Spec{Trace: v3.Bytes(), Verify: true})
 	if err != nil {
@@ -55,26 +48,26 @@ func TestV3TraceSubmissionMatchesV2(t *testing.T) {
 	waitStatus(t, m, idV3, StatusDone)
 	resV3, _ := m.Result(idV3)
 
-	if resV3.TraceKey != resV2.TraceKey {
-		t.Fatalf("trace keys differ across formats: %q vs %q", resV3.TraceKey, resV2.TraceKey)
+	if resV3.SliceDigest != resSite.SliceDigest {
+		t.Fatalf("slice digests differ: %q (upload) vs %q (site job)", resV3.SliceDigest, resSite.SliceDigest)
 	}
-	if resV3.SliceDigest != resV2.SliceDigest {
-		t.Fatalf("slice digests differ across formats: %q vs %q", resV3.SliceDigest, resV2.SliceDigest)
+	if resV3.Total != resSite.Total || resV3.SliceCount != resSite.SliceCount {
+		t.Fatalf("tallies differ: %d/%d (upload) vs %d/%d (site job)",
+			resV3.SliceCount, resV3.Total, resSite.SliceCount, resSite.Total)
 	}
-	if resV3.Total != resV2.Total || resV3.SliceCount != resV2.SliceCount {
-		t.Fatalf("tallies differ: %d/%d (v3) vs %d/%d (v2)",
-			resV3.SliceCount, resV3.Total, resV2.SliceCount, resV2.Total)
-	}
-	if !resV3.CacheHit {
-		t.Fatal("v3 job missed the cache entries the v2 job stored — content addresses must agree")
-	}
-	for cat, share := range resV2.Categories {
+	for cat, share := range resSite.Categories {
 		if resV3.Categories[cat] != share {
-			t.Fatalf("category %q differs: %v (v3) vs %v (v2)", cat, resV3.Categories[cat], share)
+			t.Fatalf("category %q differs: %v (upload) vs %v (site job)", cat, resV3.Categories[cat], share)
 		}
 	}
 
-	// A corrupted v3 body passes the magic sniff but fails in the worker
+	// The same bytes under a version-2 header.
+	v2 := append([]byte("WSLT\x02"), v3.Bytes()[5:]...)
+	if _, err := m.Submit(Spec{Trace: v2}); err == nil || !strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("v2 submit = %v, want a refusal naming format version 2", err)
+	}
+
+	// A corrupted v3 body passes the version sniff but fails in the worker
 	// with a decode error, like any other bad trace.
 	corrupt := append([]byte(nil), v3.Bytes()...)
 	corrupt[v3.Len()/2] ^= 0x01

@@ -54,21 +54,35 @@ func sliceable(t *trace.Trace) bool {
 	return true
 }
 
+// encodeWorkload returns the v3 encoding of the multi-kind workload that
+// seeds both fuzz targets.
+func encodeWorkload(f *testing.F) []byte {
+	var buf bytes.Buffer
+	if err := multiWorkload().Tr.WriteV3(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readTrace decodes a fuzz input as a v3 trace.
+func readTrace(data []byte) (*trace.Trace, error) {
+	br, err := trace.OpenV3(data)
+	if err != nil {
+		return nil, err
+	}
+	return br.ReadAll()
+}
+
 func FuzzSliceNeverPanics(f *testing.F) {
 	// Seed with a real workload covering every record kind, a truncation of
 	// it, and bytes that are not a trace at all.
-	m := multiWorkload()
-	var buf bytes.Buffer
-	if err := m.Tr.Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := encodeWorkload(f)
 	f.Add(enc, byte(0))
 	f.Add(enc[:len(enc)*2/3], byte(1))
 	f.Add([]byte("WSLT not really"), byte(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
-		tr, err := trace.Read(bytes.NewReader(data))
+		tr, err := readTrace(data)
 		if err != nil {
 			return // corrupt input is the decoder's concern
 		}
@@ -109,18 +123,13 @@ func FuzzSliceNeverPanics(f *testing.F) {
 // Slice must produce exactly the sequential result — same error, same
 // bytes in every Result field.
 func FuzzSegmentedAgreesWithSlice(f *testing.F) {
-	m := multiWorkload()
-	var buf bytes.Buffer
-	if err := m.Tr.Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := encodeWorkload(f)
 	f.Add(enc, byte(0))
 	f.Add(enc[:len(enc)*2/3], byte(7))
 	f.Add([]byte("WSLT not really"), byte(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
-		tr, err := trace.Read(bytes.NewReader(data))
+		tr, err := readTrace(data)
 		if err != nil || !sliceable(tr) {
 			return
 		}

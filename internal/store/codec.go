@@ -25,32 +25,25 @@ const (
 	KindSlice = "slice"
 )
 
-// TraceKey returns the content address of a trace: the hex SHA-256 of its
-// canonical serialization (trace.Write). Decoding and re-encoding a trace
-// reproduces the same bytes, so the key survives a round trip through the
-// wire format — the invariant the determinism tests pin down.
+// TraceKey returns the content address of a trace held in memory (a site
+// or seed job's render): the hex of trace.Digest, the SHA-256 of its
+// uncompressed v3 columns and footer. Nothing is compressed or re-encoded,
+// and a trace decoded from any v3 encoding gets the same key as the one
+// that was encoded. The error is always nil.
 func TraceKey(t *trace.Trace) (string, error) {
-	h := sha256.New()
-	if err := t.Write(h); err != nil {
-		return "", fmt.Errorf("store: hashing trace: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := t.Digest()
+	return hex.EncodeToString(sum[:]), nil
 }
 
-// TraceKeyV3 returns the content address of a block-compressed (v3) trace
-// WITHOUT materializing its records: the key is defined over the canonical
-// v2 serialization, which BlockReader.WriteV2 reproduces byte-for-byte, so
-// the same trace gets the same address whichever format carried it.
+// TraceKeyV3 returns the content address of an uploaded trace: KeyBytes of
+// the bytes the reader was opened on, which is also the key the cluster
+// routes the upload by. No block is decoded. The error is always nil.
 func TraceKeyV3(br *trace.BlockReader) (string, error) {
-	h := sha256.New()
-	if err := br.WriteV2(h); err != nil {
-		return "", fmt.Errorf("store: hashing trace: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return KeyBytes(br.Bytes()), nil
 }
 
-// KeyBytes returns the hex SHA-256 of raw bytes (for hashing an already-
-// encoded trace without decoding it).
+// KeyBytes returns the hex SHA-256 of raw bytes: the content address of an
+// uploaded trace, the same value `sha256sum` prints for the file.
 func KeyBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

@@ -55,45 +55,6 @@ func TestBlobCompressedAtRest(t *testing.T) {
 	}
 }
 
-// sealV1 reproduces the legacy uncompressed envelope so the back-compat
-// test doesn't depend on the current seal.
-func sealV1(payload []byte) []byte {
-	out := make([]byte, 0, headerSize+len(payload)+trailerSize)
-	out = append(out, blobMagic[:]...)
-	out = append(out, blobVersionRaw)
-	out = append(out, payload...)
-	crc := crc32.ChecksumIEEE(out)
-	out = append(out, trailerMagic[:]...)
-	return binary.LittleEndian.AppendUint32(out, crc)
-}
-
-func TestLegacyV1BlobStillReadable(t *testing.T) {
-	dir := t.TempDir()
-	payload := []byte("artifact written before compression-at-rest")
-	if err := os.WriteFile(filepath.Join(dir, "cdg-old.wsab"), sealV1(payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := Open(dir, 0)
-	got, ok, err := s.Get("cdg", "old")
-	if err != nil || !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("v1 Get = %q ok=%v err=%v", got, ok, err)
-	}
-	// The promoted copy (still in its v1 envelope) serves from memory too.
-	got, ok, err = s.Get("cdg", "old")
-	if err != nil || !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("promoted v1 Get = %q ok=%v err=%v", got, ok, err)
-	}
-	if st := s.Stats(); st.MemHits != 1 || st.DiskHits != 1 {
-		t.Fatalf("stats = %+v, want 1 disk hit then 1 mem hit", st)
-	}
-	// A corrupted v1 blob is still caught by the trailer CRC.
-	blob := sealV1(payload)
-	blob[headerSize+3] ^= 0x40
-	if _, err := unseal(blob); err == nil {
-		t.Fatal("unseal accepted a corrupted v1 blob")
-	}
-}
-
 // TestEvictionUsesCompressedSizes is the regression test for the byte
 // gauge: when compressed and logical sizes diverge, both the budget check
 // and the eviction accounting must use the sealed sizes. A 32KB-logical

@@ -40,22 +40,20 @@ import (
 	"sync/atomic"
 )
 
-// Blob envelope: magic, one version byte, body, then the same trailer
-// shape as the trace format ("WSCK" + little-endian CRC32 of everything
-// before it). Version 2 bodies are uvarint(logical length) followed by the
-// deflate stream of the payload; version 1 bodies are the raw payload and
-// remain readable so a store directory written before compression-at-rest
-// keeps serving.
+// Blob envelope: magic, one version byte, body, then a trailer ("WSCK" +
+// little-endian CRC32 of everything before it). The body is
+// uvarint(logical length) followed by the deflate stream of the payload.
+// Version 2 is the only version; the uncompressed version 1 is refused like
+// any other unknown version.
 var (
 	blobMagic    = [4]byte{'W', 'S', 'A', 'B'}
 	trailerMagic = [4]byte{'W', 'S', 'C', 'K'}
 )
 
 const (
-	blobVersion    = 2 // compressed body
-	blobVersionRaw = 1 // legacy uncompressed body
-	headerSize     = 5 // magic + version
-	trailerSize    = 8 // trailer magic + CRC32
+	blobVersion = 2 // compressed body
+	headerSize  = 5 // magic + version
+	trailerSize = 8 // trailer magic + CRC32
 
 	// maxLogicalBytes caps the declared decompressed size of a blob, so a
 	// damaged or hostile length field can't become an allocation bomb.
@@ -361,7 +359,7 @@ func (s *Store) dropCorrupt(kind, key string) {
 	}
 }
 
-// seal wraps payload in the v2 blob envelope: header, logical length,
+// seal wraps payload in the blob envelope: header, logical length,
 // deflated payload, CRC trailer.
 func seal(payload []byte) []byte {
 	var buf bytes.Buffer
@@ -387,7 +385,7 @@ func unseal(blob []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	ver := blob[4]
-	if ver != blobVersion && ver != blobVersionRaw {
+	if ver != blobVersion {
 		return nil, fmt.Errorf("%w: unsupported blob version %d", ErrCorrupt, ver)
 	}
 	body, tr := blob[:len(blob)-trailerSize], blob[len(blob)-trailerSize:]
@@ -397,9 +395,6 @@ func unseal(blob []byte) ([]byte, error) {
 	want := binary.LittleEndian.Uint32(tr[4:])
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (file says %08x, contents hash to %08x)", ErrCorrupt, want, got)
-	}
-	if ver == blobVersionRaw {
-		return body[headerSize:], nil
 	}
 	rest := body[headerSize:]
 	logical, k := binary.Uvarint(rest)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
@@ -133,10 +134,10 @@ func TestCycleAtInterpolation(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := sampleTrace(t)
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := tr.WriteV3(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readV3(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,54 +159,74 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Clock, tr.Clock) {
 		t.Errorf("clock differs")
 	}
+	// The content address of a rendered trace survives the round trip.
+	if got.Digest() != tr.Digest() {
+		t.Error("decoding changed the trace's digest")
+	}
+}
+
+func TestDigestSeesEveryField(t *testing.T) {
+	base := multiBlockTrace(t, DefaultBlockRecs+5).Digest()
+	for name, mutate := range map[string]func(*Trace){
+		"record":       func(tr *Trace) { tr.Recs[DefaultBlockRecs+3].Aux++ },
+		"record count": func(tr *Trace) { tr.Recs = tr.Recs[:len(tr.Recs)-1] },
+		"symbol":       func(tr *Trace) { tr.Funcs[1].Name += "x" },
+		"thread":       func(tr *Trace) { tr.Threads[0].Name += "x" },
+		"clock":        func(tr *Trace) { tr.Clock[1].Cycle++ },
+		"syscall": func(tr *Trace) {
+			for _, e := range tr.Sys {
+				e.Num++
+			}
+		},
+		"marker": func(tr *Trace) {
+			for _, m := range tr.Marks {
+				m.Buf.Size++
+			}
+		},
+	} {
+		tr := multiBlockTrace(t, DefaultBlockRecs+5)
+		mutate(tr)
+		if tr.Digest() == base {
+			t.Errorf("changing the %s left the digest unchanged", name)
+		}
+	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace file"))); err == nil {
+	if _, err := readV3([]byte("not a trace file")); err == nil {
 		t.Error("expected magic error")
 	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
+	if _, err := readV3(nil); err == nil {
 		t.Error("expected EOF error")
 	}
 }
 
 func TestDecodeErrorCarriesSectionAndOffset(t *testing.T) {
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate mid-payload (before the trailer) and strip the version down to
-	// 1 so the missing checksum isn't what trips first.
-	enc := buf.Bytes()
-	v1 := append([]byte(nil), enc[:len(enc)/2]...)
-	v1[4] = 1
-	_, err := Read(bytes.NewReader(v1))
+	enc := encodeSampleV3(t)
+	// Truncate mid-file: the tail is gone, and the error must say where the
+	// decoder looked for it.
+	half := append([]byte(nil), enc[:len(enc)/2]...)
+	_, err := readV3(half)
 	if err == nil {
-		t.Fatal("truncated v1 trace decoded")
+		t.Fatal("truncated v3 trace decoded")
 	}
 	var de *DecodeError
 	if !errors.As(err, &de) {
 		t.Fatalf("error is %T, want *DecodeError: %v", err, err)
 	}
-	if de.Section == "" || de.Offset <= 0 || de.Offset > len(v1) {
-		t.Errorf("decode error names section %q offset %d (payload %d bytes)", de.Section, de.Offset, len(v1))
+	if de.Section == "" || de.Offset <= 0 || de.Offset > len(half) {
+		t.Errorf("decode error names section %q offset %d (input %d bytes)", de.Section, de.Offset, len(half))
 	}
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Append junk as version 1 (no checksum to catch it): the decoder itself
-	// must notice the leftover bytes rather than silently ignoring them.
-	enc := buf.Bytes()
-	v1 := append([]byte(nil), enc[:len(enc)-trailerSize]...)
-	v1[4] = 1
-	v1 = append(v1, 0xde, 0xad, 0xbe, 0xef)
-	_, err := Read(bytes.NewReader(v1))
+	// Junk after the last index entry, under a valid index checksum: the
+	// decoder itself must notice the leftover bytes rather than silently
+	// ignoring them.
+	enc := encodeSampleV3(t)
+	indexOff := binary.LittleEndian.Uint64(enc[len(enc)-v3TailSize:])
+	idx := append([]byte(nil), enc[indexOff:len(enc)-v3TailSize-4]...)
+	_, err := readV3(withIndex(enc, append(idx, 0xde, 0xad, 0xbe, 0xef)))
 	if err == nil {
 		t.Fatal("trace with trailing garbage decoded")
 	}
@@ -235,10 +256,10 @@ func TestEncodeDecodePropertyRecs(t *testing.T) {
 		// Side tables must match record kinds for Validate, but encoding
 		// does not require validity; skip side tables here.
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := tr.WriteV3(&buf); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := readV3(buf.Bytes())
 		if err != nil {
 			return false
 		}

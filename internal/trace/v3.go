@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -14,10 +15,10 @@ import (
 )
 
 // Trace format version 3: a block-based, column-oriented encoding built for
-// traces too large to hold in memory. Where v2 is one flat record stream
-// (decode-all-or-nothing), v3 splits the record stream into fixed-size blocks
-// that compress and decode independently, so the slicer's segmented backward
-// pass can walk a trace one block at a time with bounded peak RSS.
+// traces too large to hold in memory. The record stream is split into
+// fixed-size blocks that compress and decode independently, so the slicer's
+// segmented backward pass can walk a trace one block at a time with bounded
+// peak RSS.
 //
 // Layout:
 //
@@ -40,9 +41,10 @@ import (
 // streaming BlockWriter needs no up-front knowledge of them; they are only
 // complete once the last record has been observed.
 //
-// v2 remains the canonical byte stream: content addresses (store.TraceKey)
-// are defined over the v2 encoding, and BlockReader.WriteV2 transcodes a v3
-// file back to byte-identical v2 without materializing the record slice.
+// Content addresses (store.TraceKey, store.TraceKeyV3) never re-encode a
+// trace: an uploaded trace is addressed by the SHA-256 of its bytes, and a
+// trace rendered in memory by Digest, the SHA-256 of its uncompressed
+// columns and footer.
 
 const (
 	v3Version = 3
@@ -59,20 +61,6 @@ const (
 )
 
 var v3TailMagic = [4]byte{'W', 'S', '3', 'K'}
-
-// FormatVersion sniffs the trace format version of an encoded buffer without
-// decoding it: 0 if b is not a WSLT trace at all, otherwise the version
-// claimed by the header (1, 2, or 3 for well-formed traces).
-func FormatVersion(b []byte) int {
-	if !HasMagic(b) {
-		return 0
-	}
-	v, n := binary.Uvarint(b[4:])
-	if n <= 0 || v > 1<<20 {
-		return 0
-	}
-	return int(v)
-}
 
 // BlockWriter streams a trace out in format v3 one record at a time. Records
 // are buffered until a block fills, then compressed and flushed; Finish
@@ -227,6 +215,26 @@ func (t *Trace) WriteV3Blocks(w io.Writer, blockRecs int) error {
 	return bw.Finish(t.Funcs, t.Threads, t.Sys, t.Marks, t.Clock)
 }
 
+// Digest returns the SHA-256 of the trace's uncompressed v3 content: the
+// record count, the column stream of every DefaultBlockRecs-record block,
+// then the footer tables. It is the content address of a trace that was
+// rendered rather than uploaded, and costs a fraction of an encode because
+// nothing is compressed. Digest depends only on the trace's contents, so a
+// decoded trace digests like the one that was encoded.
+func (t *Trace) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	buf := binary.AppendUvarint(nil, uint64(len(t.Recs)))
+	h.Write(buf)
+	for lo := 0; lo < len(t.Recs); lo += DefaultBlockRecs {
+		buf = appendColumns(buf[:0], t.Recs[lo:min(lo+DefaultBlockRecs, len(t.Recs))])
+		h.Write(buf)
+	}
+	h.Write(appendFooter(buf[:0], t.Funcs, t.Threads, t.Sys, t.Marks, t.Clock))
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
 // appendColumns transposes one block of records into the v3 column layout.
 func appendColumns(b []byte, recs []Rec) []byte {
 	n := len(recs)
@@ -291,8 +299,7 @@ func appendColumns(b []byte, recs []Rec) []byte {
 	return b
 }
 
-// appendFooter encodes the symbol/thread/syscall/marker/clock tables with the
-// same per-field encodings as v2.
+// appendFooter encodes the symbol/thread/syscall/marker/clock tables.
 func appendFooter(b []byte, funcs []FuncInfo, threads []ThreadInfo, sys map[int]*SysEffect, marks map[int]*Mark, clock []ClockPoint) []byte {
 	b = binary.AppendUvarint(b, uint64(len(funcs)))
 	for _, f := range funcs {
@@ -349,6 +356,7 @@ func appendRanges(b []byte, rs []vmem.Range) []byte {
 // block payload checksums are verified lazily by DecodeBlock so opening a
 // multi-gigabyte trace stays O(index).
 type BlockReader struct {
+	data      []byte // the encoded trace the reader was opened on
 	blockRecs int
 	n         int
 	shell     *Trace // side tables populated, Recs nil
@@ -433,7 +441,7 @@ func OpenV3(data []byte) (*BlockReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := &BlockReader{blockRecs: blockRecs, blocks: make([]v3BlockMeta, nBlocks)}
+	br := &BlockReader{data: data, blockRecs: blockRecs, blocks: make([]v3BlockMeta, nBlocks)}
 	prevOff := int64(0)
 	for i := range br.blocks {
 		delta, err := d.uvarint()
@@ -552,6 +560,10 @@ func OpenV3(data []byte) (*BlockReader, error) {
 	br.shell = shell
 	return br, nil
 }
+
+// Bytes returns the encoded trace the reader was opened on. It is shared
+// with the reader and must not be mutated.
+func (br *BlockReader) Bytes() []byte { return br.data }
 
 // NumRecs returns the total record count.
 func (br *BlockReader) NumRecs() int { return br.n }
@@ -768,6 +780,11 @@ func decodeColumns(raw []byte, want int, dst []Rec) ([]Rec, error) {
 
 // ReadAll materializes the whole trace. The side tables are shared with the
 // reader's shell.
+//
+// The record slice is pre-sized from the index, but to at most one record
+// per input byte: real traces take several bytes per record and still fit
+// exactly, while an index that declares millions of records in a few bytes
+// gets memory only for the blocks that actually decode.
 func (br *BlockReader) ReadAll() (*Trace, error) {
 	t := &Trace{
 		Funcs:   br.shell.Funcs,
@@ -777,52 +794,21 @@ func (br *BlockReader) ReadAll() (*Trace, error) {
 		Clock:   br.shell.Clock,
 	}
 	if br.n > 0 {
-		t.Recs = make([]Rec, 0, br.n)
+		t.Recs = make([]Rec, 0, min(br.n, len(br.data)))
 	}
 	for i := range br.blocks {
-		recs, err := br.DecodeBlock(i, t.Recs[len(t.Recs):cap(t.Recs)])
+		free := t.Recs[len(t.Recs):cap(t.Recs)]
+		recs, err := br.DecodeBlock(i, free)
 		if err != nil {
 			return nil, err
 		}
-		t.Recs = t.Recs[:len(t.Recs)+len(recs)]
+		if len(recs) <= len(free) {
+			t.Recs = t.Recs[:len(t.Recs)+len(recs)] // decoded in place
+		} else {
+			t.Recs = append(t.Recs, recs...)
+		}
 	}
 	return t, nil
-}
-
-// WriteV2 transcodes the v3 stream into the canonical v2 encoding, one block
-// at a time, producing bytes identical to Trace.Write on the materialized
-// trace. Content addresses are defined over this encoding, so a v3 trace can
-// be keyed without materializing it.
-func (br *BlockReader) WriteV2(w io.Writer) error {
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	bw := bufio.NewWriterSize(cw, 1<<20)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	putUvarint(bw, formatVersion)
-	writeV2Tables(bw, br.shell.Funcs, br.shell.Threads)
-	putUvarint(bw, uint64(br.n))
-	var lastPC [256]uint32
-	buf := make([]Rec, 0, br.blockRecs)
-	for i := range br.blocks {
-		recs, err := br.DecodeBlock(i, buf)
-		if err != nil {
-			return err
-		}
-		buf = recs
-		for j := range recs {
-			writeV2Rec(bw, &recs[j], &lastPC)
-		}
-	}
-	writeV2SideTables(bw, br.shell.Sys, br.shell.Marks, br.shell.Clock)
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var tr [trailerSize]byte
-	copy(tr[:4], trailerMagic[:])
-	binary.LittleEndian.PutUint32(tr[4:], cw.crc.Sum32())
-	_, err := w.Write(tr[:])
-	return err
 }
 
 // itoa is a minimal strconv.Itoa for non-negative ints, avoiding an import

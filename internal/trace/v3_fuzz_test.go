@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"webslice/internal/isa"
 	"webslice/internal/vmem"
@@ -36,8 +37,7 @@ func recsFromSeed(seed []byte) []Rec {
 
 // FuzzV3RoundTrip: arbitrary record streams survive a v3 encode/decode
 // round trip exactly, across block sizes including ones that leave partial
-// final blocks, and the v3→v2 transcode matches the direct v2 encoding
-// byte for byte.
+// final blocks.
 func FuzzV3RoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(64))
 	f.Add([]byte{1, 2, 3}, uint16(64))
@@ -78,23 +78,22 @@ func FuzzV3RoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got.Sys, tr.Sys) || !reflect.DeepEqual(got.Marks, tr.Marks) {
 			t.Fatal("side tables did not survive the v3 round trip")
 		}
-
-		var direct, transcoded bytes.Buffer
-		if err := tr.Write(&direct); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		if err := br.WriteV2(&transcoded); err != nil {
-			t.Fatalf("WriteV2 transcode: %v", err)
-		}
-		if !bytes.Equal(direct.Bytes(), transcoded.Bytes()) {
-			t.Fatal("v3→v2 transcode differs from the direct v2 encoding")
-		}
 	})
+}
+
+// decodeBudget is the most OpenV3 plus ReadAll may allocate for an n-byte
+// input with blockRecs records per block: a fixed multiple of n (tables,
+// block metadata, and a record slice pre-sized to at most one record per
+// input byte), one decoded block with its inflated columns, and 1 MiB of
+// fixed overhead such as a pooled decompressor. Declared record counts do
+// not appear: they must not drive allocation before blocks decode.
+func decodeBudget(n, blockRecs int) uint64 {
+	return 1<<20 + 128*uint64(n) + 2*uint64(blockRecs)*uint64(unsafe.Sizeof(Rec{}))
 }
 
 // FuzzV3DecodeNeverPanics: arbitrary bytes — including mutated valid
 // encodings reached by the fuzzer — must decode to a typed error or a valid
-// trace, never a panic or unbounded allocation.
+// trace, never a panic, and allocate no more than decodeBudget.
 func FuzzV3DecodeNeverPanics(f *testing.F) {
 	var empty, small bytes.Buffer
 	_ = New().WriteV3(&empty)
@@ -107,28 +106,29 @@ func FuzzV3DecodeNeverPanics(f *testing.F) {
 	f.Add([]byte("WSLT"))
 	f.Add(empty.Bytes())
 	f.Add(small.Bytes())
+	f.Add(hugeIndexV3())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br, err := OpenV3(data)
-		if err != nil {
-			var de *DecodeError
-			if !errors.As(err, &de) {
-				t.Fatalf("OpenV3 error is %T, want *DecodeError: %v", err, err)
+		var (
+			br         *BlockReader
+			oerr, rerr error
+		)
+		alloc := allocBytes(func() {
+			if br, oerr = OpenV3(data); oerr == nil {
+				_, rerr = br.ReadAll()
 			}
-			return
+		})
+		for _, err := range []error{oerr, rerr} {
+			var de *DecodeError
+			if err != nil && !errors.As(err, &de) {
+				t.Fatalf("decode error is %T, want *DecodeError: %v", err, err)
+			}
 		}
-		if _, err := br.ReadAll(); err != nil {
-			var de *DecodeError
-			if !errors.As(err, &de) {
-				t.Fatalf("ReadAll error is %T, want *DecodeError: %v", err, err)
-			}
+		blockRecs := 0
+		if br != nil {
+			blockRecs = br.BlockRecs()
 		}
-		// The generic sniffing path must agree on accept/reject modulo the
-		// already-verified open.
-		if _, err := Read(bytes.NewReader(data)); err != nil {
-			var de *DecodeError
-			if !errors.As(err, &de) {
-				t.Fatalf("Read error is %T, want *DecodeError: %v", err, err)
-			}
+		if budget := decodeBudget(len(data), blockRecs); alloc > budget {
+			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), alloc, budget)
 		}
 	})
 }

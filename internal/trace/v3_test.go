@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"webslice/internal/isa"
@@ -93,7 +94,7 @@ func tracesEqual(t *testing.T, got, want *Trace) {
 
 func TestV3RoundTrip(t *testing.T) {
 	tr := sampleTrace(t)
-	got, err := Read(bytes.NewReader(encodeSampleV3(t)))
+	got, err := readV3(encodeSampleV3(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,53 +211,12 @@ func TestV3DecodeBlockReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestV3TranscodeToV2ByteIdentical(t *testing.T) {
-	for _, n := range []int{0, 5, 64, 64*4 + 31} {
-		tr := multiBlockTrace(t, n)
-		var v2 bytes.Buffer
-		if err := tr.Write(&v2); err != nil {
-			t.Fatal(err)
-		}
-		var v3 bytes.Buffer
-		if err := tr.WriteV3Blocks(&v3, 64); err != nil {
-			t.Fatal(err)
-		}
-		br, err := OpenV3(v3.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back bytes.Buffer
-		if err := br.WriteV2(&back); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back.Bytes(), v2.Bytes()) {
-			t.Fatalf("n=%d: v2→v3→v2 transcode is not byte-identical (%d vs %d bytes)", n, back.Len(), v2.Len())
-		}
-	}
-}
-
-func TestV3ReadMatchesV2Read(t *testing.T) {
-	tr := multiBlockTrace(t, 64*2+7)
-	var v2, v3 bytes.Buffer
-	if err := tr.Write(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteV3Blocks(&v3, 128); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := Read(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV3, err := Read(bytes.NewReader(v3.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracesEqual(t, fromV3, fromV2)
-}
+// v2Header is the start of a version-2 trace, the flat encoding this
+// package no longer reads or writes.
+var v2Header = []byte("WSLT\x02\x03\x00")
 
 func TestFormatVersionSniff(t *testing.T) {
-	if v := FormatVersion(encodeSample(t)); v != 2 {
+	if v := FormatVersion(v2Header); v != 2 {
 		t.Errorf("v2 sniffed as %d", v)
 	}
 	if v := FormatVersion(encodeSampleV3(t)); v != 3 {
@@ -267,9 +227,6 @@ func TestFormatVersionSniff(t *testing.T) {
 	}
 	if v := FormatVersion(nil); v != 0 {
 		t.Errorf("nil sniffed as %d", v)
-	}
-	if !HasMagic(encodeSampleV3(t)) {
-		t.Error("v3 traces must keep the WSLT magic for service admission")
 	}
 }
 
@@ -301,11 +258,7 @@ func openV3NeverPanics(t *testing.T, data []byte, label string) error {
 			t.Fatalf("%s: v3 decode panicked: %v", label, r)
 		}
 	}()
-	br, err := OpenV3(data)
-	if err != nil {
-		return err
-	}
-	_, err = br.ReadAll()
+	_, err := readV3(data)
 	return err
 }
 
@@ -372,17 +325,25 @@ func TestV3EveryBitFlipErrorsMultiBlock(t *testing.T) {
 }
 
 func TestV3ReadViaSniffRejectsCorruption(t *testing.T) {
-	// The generic Read path must reject corrupt v3 the same way.
+	// A corrupt body that still sniffs as v3 fails to decode.
 	enc := encodeSampleV3(t)
 	mut := bytes.Clone(enc)
 	mut[len(mut)/2] ^= 0x10
-	if err := readNeverPanics(t, mut, "sniffed-corrupt"); err == nil {
-		t.Fatal("corrupt v3 decoded through trace.Read")
+	if FormatVersion(mut) != 3 {
+		t.Fatal("mid-file corruption changed the sniffed version")
+	}
+	if err := openV3NeverPanics(t, mut, "sniffed-corrupt"); err == nil {
+		t.Fatal("corrupt v3 decoded")
 	}
 }
 
 func TestV3OpenRejectsV2(t *testing.T) {
-	if _, err := OpenV3(encodeSample(t)); err == nil {
-		t.Fatal("OpenV3 accepted a v2 file")
+	// A v2 file, padded past the minimal v3 frame so the version check is
+	// what refuses it.
+	v2 := append(bytes.Clone(v2Header), make([]byte, 32)...)
+	_, err := OpenV3(v2)
+	var de *DecodeError
+	if !errors.As(err, &de) || !strings.Contains(de.Msg, "format version 2") {
+		t.Fatalf("OpenV3 of a v2 file = %v, want a decode error naming version 2", err)
 	}
 }

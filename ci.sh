@@ -53,18 +53,8 @@ go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s ./internal/ser
 # fails to replay is caught in CI, not only by long offline fuzzing runs.
 go test -run '^$' -fuzz FuzzSliceNeverPanics -fuzztime 5s ./internal/slicer
 go test -run '^$' -fuzz FuzzReplayAgreesWithSlice -fuzztime 5s ./internal/replay
-go test -run '^$' -fuzz FuzzSegmentedAgreesWithSlice -fuzztime 5s ./internal/slicer
 go test -run '^$' -fuzz FuzzV3RoundTrip -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s ./internal/trace
-
-# Segmented backward pass: the equivalence sweep (handcrafted boundaries in
-# the slicer, rendered property sites in experiments) must hold under the
-# race detector with real parallelism, and on a multi-core machine the
-# segmented pass must not regress >20% vs the sequential walk. The perf
-# gate skips itself when GOMAXPROCS < 2: without a second core the
-# segmented schedule pays its stitch overhead with no scan parallelism.
-GOMAXPROCS=4 go test -race -count=1 -run 'TestSegmented|TestPlanSegments|TestResolveSegments|TestExecuteBackward' ./internal/slicer ./internal/experiments
-WEBSLICE_BENCH_GATE=1 go test -count=1 -run TestSegmentedBackwardPerfGate ./internal/slicer
 
 # Observability smoke: a job through the HTTP API must produce one
 # causally-linked span tree (correct names and parent links), with its

@@ -21,13 +21,14 @@ const BenchFile = "BENCH_repro.json"
 // machines and pool sizes.
 //
 // Schema 2 added the "backward" experiment (sequential vs segmented
-// backward-pass wall time) and per-pass slice timing fields on the
-// render+slice rows: slice_scan_ms, slice_stitch_ms, slice_tally_ms,
-// slice_segments.
+// backward-pass wall time) and the backward pass's phase timings and
+// segment count on the render+slice rows.
 //
 // Schema 3 added a "compression" experiment comparing the flat v2 trace
 // encoding with v3. Schema 4 removed it along with the v2 encoding; v3 is
-// the only trace format.
+// the only trace format. Schema 5 removed the "backward" experiment and the
+// phase fields along with the segmented backward pass; the backward pass is
+// one sequential walk, timed as slice_wall_ms.
 type BenchDoc struct {
 	Schema      int               `json:"schema"`
 	Scale       float64           `json:"scale"`
@@ -62,7 +63,7 @@ type benchRecorder struct {
 
 func newBenchRecorder(scale float64, workers int) *benchRecorder {
 	return &benchRecorder{
-		doc:   BenchDoc{Schema: 4, Scale: scale, Workers: workers, GoMaxProcs: runtime.GOMAXPROCS(0)},
+		doc:   BenchDoc{Schema: 5, Scale: scale, Workers: workers, GoMaxProcs: runtime.GOMAXPROCS(0)},
 		start: time.Now(),
 	}
 }

@@ -27,7 +27,7 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	scale := fs.Float64("scale", 1.0, "workload scale (1.0 = calibrated benchmark size)")
-	exp := fs.String("exp", "all", "experiment: table1|table2|fig2|fig4|fig5|bingload|criteria|faults|backward|all")
+	exp := fs.String("exp", "all", "experiment: table1|table2|fig2|fig4|fig5|bingload|criteria|faults|all")
 	faultSeed := fs.Uint64("faultseed", 7, "fault-plan seed for -exp faults")
 	site := fs.String("site", "amazon-desktop", "site: amazon-desktop|amazon-mobile|maps|bing")
 	tracePath := fs.String("o", "", "write the binary trace to this path (trace command)")
@@ -193,9 +193,9 @@ func benchByName(name string, scale float64, browse bool) (sites.Benchmark, erro
 
 func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchRecorder) error {
 	switch exp {
-	case "all", "table1", "table2", "fig2", "fig4", "fig5", "bingload", "criteria", "faults", "backward":
+	case "all", "table1", "table2", "fig2", "fig4", "fig5", "bingload", "criteria", "faults":
 	default:
-		return fmt.Errorf("unknown experiment %q (want table1|table2|fig2|fig4|fig5|bingload|criteria|faults|backward|all)", exp)
+		return fmt.Errorf("unknown experiment %q (want table1|table2|fig2|fig4|fig5|bingload|criteria|faults|all)", exp)
 	}
 	all := exp == "all"
 	var runs []*experiments.Run
@@ -221,10 +221,6 @@ func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchR
 				"render_wall_ms":     r.Timing.RenderMs,
 				"forward_wall_ms":    r.Timing.ForwardMs,
 				"slice_wall_ms":      r.Timing.SliceMs,
-				"slice_scan_ms":      r.Timing.SliceScanMs,
-				"slice_stitch_ms":    r.Timing.SliceStitchMs,
-				"slice_tally_ms":     r.Timing.SliceTallyMs,
-				"slice_segments":     float64(r.Timing.SliceSegments),
 			})
 		}
 	}
@@ -297,31 +293,6 @@ func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchR
 			})
 		}
 		fmt.Println()
-	}
-	if all || exp == "backward" {
-		fmt.Printf("Measuring sequential vs segmented backward pass at scale %.2f...\n\n", scale)
-		rec.begin("backward")
-		res, err := experiments.ExecuteBackward(experiments.Config{Scale: scale, Workers: workers})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Parallel backward pass (%s, %s instructions, %d workers, %d segments):\n",
-			res.Site, report.MInstr(res.Records), workers, res.Segments)
-		fmt.Printf("  sequential walk:   %8.1f ms\n", res.SequentialMs)
-		fmt.Printf("  segmented pass:    %8.1f ms  (scan %.1f + stitch %.1f + tally %.1f)\n",
-			res.SegmentedMs, res.ScanMs, res.StitchMs, res.TallyMs)
-		fmt.Printf("  speedup:           %8.2fx  (results byte-identical: %v)\n\n", res.Speedup, res.Match)
-		rec.row(res.Site, map[string]float64{
-			"instructions":  float64(res.Records),
-			"workers":       float64(res.Workers),
-			"segments":      float64(res.Segments),
-			"sequential_ms": res.SequentialMs,
-			"segmented_ms":  res.SegmentedMs,
-			"speedup":       res.Speedup,
-			"scan_ms":       res.ScanMs,
-			"stitch_ms":     res.StitchMs,
-			"tally_ms":      res.TallyMs,
-		})
 	}
 	if all || exp == "criteria" {
 		rec.begin("criteria")

@@ -48,7 +48,6 @@ func main() {
 	dir := flag.String("store", ".websliced-store", "artifact store directory (empty = in-memory only)")
 	memMB := flag.Int64("mem", 256, "artifact store in-memory LRU budget in MiB")
 	workers := flag.Int("workers", 4, "parallel slicing workers")
-	sliceWorkers := flag.Int("slice-workers", 0, "segmented backward-pass workers per job (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "bounded job-queue depth (full queue returns 429)")
 	verify := flag.Bool("verify", false, "run the structural slice oracles on every job's result")
 	journal := flag.String("journal", "", "write-ahead job journal path (empty = no crash durability)")
@@ -70,7 +69,6 @@ func main() {
 	}
 	cfg := service.Config{
 		Workers:       *workers,
-		SliceWorkers:  *sliceWorkers,
 		QueueDepth:    *queue,
 		Verify:        *verify,
 		JobTimeout:    *jobTimeout,

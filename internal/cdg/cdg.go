@@ -11,10 +11,7 @@
 package cdg
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"webslice/internal/cfg"
 	"webslice/internal/postdom"
@@ -32,76 +29,22 @@ func (d *Deps) Of(pc uint32) []uint32 { return d.ByPC[pc] }
 // Len returns how many PCs have at least one control dependence.
 func (d *Deps) Len() int { return len(d.ByPC) }
 
-// Compute builds control dependences for every function in the forest,
-// fanning the per-function work (postdominator tree + FOW walk) across
-// GOMAXPROCS workers — each function's CFG is independent, making the
-// forward pass embarrassingly parallel, as the paper notes.
-func Compute(f *cfg.Forest) *Deps { return ComputeParallel(f, 0) }
-
-// ComputeParallel is Compute with an explicit worker count (<= 0 means
-// GOMAXPROCS). PCs embed their FuncID, so per-function results touch
-// disjoint keys and merge without conflict: the merged Deps — and hence its
-// serialized bytes and store content address — is identical to a sequential
-// computation regardless of scheduling.
-func ComputeParallel(f *cfg.Forest, workers int) *Deps {
-	return compute(f, nil, workers)
-}
+// Compute builds control dependences for every function in the forest:
+// each function's postdominator tree and FOW walk. PCs embed their FuncID,
+// so per-function results touch disjoint keys.
+func Compute(f *cfg.Forest) *Deps { return ComputeWithTrees(f, nil) }
 
 // ComputeWithTrees is Compute with caller-supplied postdominator trees
 // (keyed by function), so the trees can be shared with other analyses.
 // Functions missing from trees get theirs computed on the fly.
 func ComputeWithTrees(f *cfg.Forest, trees map[uint32]*postdom.Tree) *Deps {
-	return compute(f, trees, 0)
-}
-
-func compute(f *cfg.Forest, trees map[uint32]*postdom.Tree, workers int) *Deps {
-	graphs := make([]*cfg.Graph, 0, len(f.Graphs))
-	for _, g := range f.Graphs {
-		graphs = append(graphs, g)
-	}
-	treeFor := func(g *cfg.Graph) *postdom.Tree {
-		if t := trees[uint32(g.Fn)]; t != nil {
-			return t
-		}
-		return postdom.Compute(g)
-	}
 	d := &Deps{ByPC: make(map[uint32][]uint32)}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(graphs) {
-		workers = len(graphs)
-	}
-	if workers <= 1 {
-		for _, g := range graphs {
-			computeGraph(g, treeFor(g), d.ByPC)
+	for _, g := range f.Graphs {
+		t := trees[uint32(g.Fn)]
+		if t == nil {
+			t = postdom.Compute(g)
 		}
-		return d
-	}
-	parts := make([]map[uint32][]uint32, workers)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make(map[uint32][]uint32)
-			for {
-				i := int(next.Add(1))
-				if i >= len(graphs) {
-					break
-				}
-				computeGraph(graphs[i], treeFor(graphs[i]), local)
-			}
-			parts[w] = local
-		}(w)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		for pc, deps := range part {
-			d.ByPC[pc] = deps
-		}
+		computeGraph(g, t, d.ByPC)
 	}
 	return d
 }

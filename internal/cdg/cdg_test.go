@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"fmt"
 	"testing"
 
 	"webslice/internal/cfg"
@@ -176,4 +177,43 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
+}
+
+// manyFuncsTrace traces nFuncs distinct functions, each with data-dependent
+// branching (both arms exercised) so every function contributes control
+// dependences.
+func manyFuncsTrace(tb testing.TB, nFuncs int) *trace.Trace {
+	tb.Helper()
+	m := vm.New()
+	m.Thread(0, "main")
+	for f := 0; f < nFuncs; f++ {
+		fn := m.Func(fmt.Sprintf("f%03d", f), "test")
+		m.Call(fn, func() {
+			m.Loop(fmt.Sprintf("l%d", f), 4, func(i int) {
+				c := m.Const(uint64((i + f) % 2))
+				if m.Branch(c) {
+					m.At("then")
+					m.Const(1)
+				} else {
+					m.At("else")
+					m.Const(2)
+				}
+				m.At("tail")
+				m.Const(3)
+			})
+		})
+	}
+	return m.Tr
+}
+
+func BenchmarkCompute(b *testing.B) {
+	f, err := cfg.Build(manyFuncsTrace(b, 120))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Compute(f)
+	}
 }

@@ -55,9 +55,9 @@ type Profiler struct {
 	VerifyInvariants bool
 
 	// Obs, when non-nil, is the parent span the profiler records its work
-	// under: the forward pass, every store lookup/publish (with hit/miss
-	// and the disk breaker's state), and invariant verification each
-	// become child spans. Nil disables tracing at zero cost — every
+	// under: the forward pass, the backward pass (slice.scan), every store
+	// lookup/publish (with hit/miss and the disk breaker's state), and
+	// invariant verification each become child spans. Nil disables tracing at zero cost — every
 	// obs.Span method is nil-safe.
 	Obs *obs.Span
 
@@ -79,11 +79,11 @@ func NewProfiler(t *trace.Trace) *Profiler {
 }
 
 // NewProfilerStream wraps a block-compressed (v3) trace without decoding
-// it: the backward pass streams one block per walker, so peak record
-// memory stays O(workers × block size) instead of the whole trace. The
-// passes that genuinely need every record at once — CFG construction on a
-// forward-pass cache miss, invariant replay under VerifyInvariants —
-// decode the trace transiently and release it.
+// it: the backward pass streams one block at a time, so peak record memory
+// is O(block size) instead of the whole trace. The passes that genuinely
+// need every record at once — CFG construction on a forward-pass cache
+// miss, invariant replay under VerifyInvariants — decode the trace
+// transiently and release it.
 func NewProfilerStream(br *trace.BlockReader) *Profiler {
 	return &Profiler{
 		T:    br.Shell(),
@@ -245,7 +245,9 @@ func (p *Profiler) SliceAll(cs []slicer.Criteria) ([]*slicer.Result, []bool, err
 		}
 	}
 	if len(missing) > 0 {
+		sp := p.Obs.Child("slice.scan")
 		rs, err := slicer.Slice(p.src, p.deps, missing, p.Opts)
+		sp.EndErr(err)
 		if err != nil {
 			return nil, nil, err
 		}

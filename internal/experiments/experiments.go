@@ -36,19 +36,11 @@ type Config struct {
 	Syscalls bool
 }
 
-// Timing is the per-stage wall clock of one executed benchmark. The slice
-// stage is further broken into the backward pass's phases (parallel
-// segment scan, sequential stitch, parallel tally); on the sequential path
-// the whole walk is reported as scan and SliceSegments is 1.
+// Timing is the per-stage wall clock of one executed benchmark.
 type Timing struct {
 	RenderMs  float64 `json:"render_ms"`
 	ForwardMs float64 `json:"forward_ms"`
 	SliceMs   float64 `json:"slice_ms"`
-
-	SliceScanMs   float64 `json:"slice_scan_ms"`
-	SliceStitchMs float64 `json:"slice_stitch_ms"`
-	SliceTallyMs  float64 `json:"slice_tally_ms"`
-	SliceSegments int     `json:"slice_segments"`
 }
 
 // Run is one executed benchmark: the browser after its session, the trace,
@@ -93,8 +85,6 @@ func ExecuteCriteria(b sites.Benchmark, withSyscalls bool) (*Run, error) {
 	if withSyscalls {
 		crits = append(crits, slicer.SyscallCriteria{})
 	}
-	var stats slicer.PassStats
-	p.Opts.Stats = &stats
 	rs, _, err := p.SliceAll(crits)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
@@ -106,11 +96,6 @@ func ExecuteCriteria(b sites.Benchmark, withSyscalls bool) (*Run, error) {
 			RenderMs:  ms(renderDone.Sub(start)),
 			ForwardMs: ms(forwardDone.Sub(renderDone)),
 			SliceMs:   ms(end.Sub(forwardDone)),
-
-			SliceScanMs:   stats.ScanMs,
-			SliceStitchMs: stats.StitchMs,
-			SliceTallyMs:  stats.TallyMs,
-			SliceSegments: stats.Segments,
 		},
 	}
 	if withSyscalls {

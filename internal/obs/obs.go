@@ -2,8 +2,8 @@
 // hierarchical spans with W3C-traceparent-style context propagation, so a
 // coordinator-routed job yields one causally-linked trace spanning the
 // router, the owner's queue, the worker, the profiler's store lookups,
-// and the backward pass's scan/stitch/tally phases — a per-request
-// "Table II" for the service itself.
+// and its forward and backward passes — a per-request "Table II" for the
+// service itself.
 //
 // The design goals mirror the paper's instrumentation discipline: cheap
 // (a handful of allocations per span, zero when tracing is disabled),
@@ -257,9 +257,9 @@ func (s *Span) Child(name string) *Span {
 }
 
 // ChildAt records an already-elapsed sub-span with explicit bounds and
-// publishes it immediately. The slicer's scan/stitch/tally phases are
-// synthesized this way from PassStats after the pass finishes, so the
-// hot loop itself carries no tracing code.
+// publishes it immediately, for intervals measured before a span could be
+// opened — the service's queue wait, which ends when a worker picks the
+// job up.
 func (s *Span) ChildAt(name string, start, end time.Time, attrs ...Attr) {
 	if s == nil {
 		return

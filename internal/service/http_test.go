@@ -410,9 +410,7 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	r.Body.Close()
 	text := string(body)
 	for _, want := range []string{"jobs_submitted 1", "jobs_done 1", "queue_wait_ms_count 1",
-		"# TYPE jobs_submitted counter", "# TYPE slice_ms histogram", `slice_ms_bucket{le="+Inf"} 1`,
-		"# TYPE slice_scan_ms histogram", "# TYPE slice_stitch_ms histogram",
-		"# TYPE slice_tally_ms histogram", "# TYPE slice_segments gauge"} {
+		"# TYPE jobs_submitted counter", "# TYPE slice_ms histogram", `slice_ms_bucket{le="+Inf"} 1`} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, text)
 		}

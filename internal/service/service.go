@@ -234,11 +234,6 @@ type Config struct {
 	// standalone daemon.
 	Node string
 
-	// SliceWorkers bounds the segmented backward pass's parallelism per
-	// job (slicer.Options.Workers); <= 0 means GOMAXPROCS. Distinct from
-	// Workers, which bounds how many jobs run at once.
-	SliceWorkers int
-
 	// Journal, when set, is the write-ahead log making submissions durable.
 	// Pass the entries OpenJournal replayed via Resume to re-enqueue the
 	// previous process's unfinished work.
@@ -256,7 +251,7 @@ type Config struct {
 	// Clock abstracts time for tests; nil uses the real clock.
 	Clock Clock
 	// Tracer, when set, records a hierarchical span tree per job (queue
-	// wait, attempts, render, store lookups, slice phases — see
+	// wait, attempts, render, store lookups, forward and backward pass — see
 	// internal/obs). Nil disables tracing; every span call site is
 	// nil-safe, so the disabled path costs one pointer test per phase.
 	Tracer *obs.Tracer
@@ -327,12 +322,6 @@ type Manager struct {
 	mRetried, mPanicked, mQuarantined                *metrics.Counter
 	gRunning, gPeak, gQueueDepth                     *metrics.Gauge
 	hQueueWait, hRun                                 *metrics.Histogram
-
-	// Backward-pass phase timings and segment counts of fresh (non-cached)
-	// slice computations; sequential passes observe their whole walk as
-	// scan with slice_segments = 1.
-	hScan, hStitch, hTally *metrics.Histogram
-	gSegments              *metrics.Gauge
 }
 
 // New starts a manager and its workers. Journal entries passed via
@@ -384,10 +373,6 @@ func New(cfg Config) *Manager {
 		gQueueDepth:  reg.Gauge("queue_depth"),
 		hQueueWait:   reg.Histogram("queue_wait_ms", metrics.LatencyBuckets),
 		hRun:         reg.Histogram("slice_ms", metrics.LatencyBuckets),
-		hScan:        reg.Histogram("slice_scan_ms", metrics.LatencyBuckets),
-		hStitch:      reg.Histogram("slice_stitch_ms", metrics.LatencyBuckets),
-		hTally:       reg.Histogram("slice_tally_ms", metrics.LatencyBuckets),
-		gSegments:    reg.Gauge("slice_segments"),
 	}
 	if cfg.Runner == nil {
 		m.cfg.Runner = m.run
@@ -936,9 +921,6 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	p.Opts.ProgressPoints = 160
 	p.Opts.MainThread = browser.MainThread
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
-	p.Opts.Workers = m.cfg.SliceWorkers
-	var passStats slicer.PassStats
-	p.Opts.Stats = &passStats
 	key := ""
 	if m.cfg.Store != nil {
 		if err := p.UseStore(m.cfg.Store); err != nil {
@@ -953,7 +935,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		crit = slicer.SyscallCriteria{}
 	}
 	ss := s.Child("slice").Set("criteria", spec.Criteria)
-	p.Obs = ss // store lookups, the forward pass, and verification parent here
+	p.Obs = ss // store lookups, both passes, and verification parent here
 	rs, hits, err := p.SliceAll([]slicer.Criteria{crit})
 	if err != nil {
 		ss.EndErr(err)
@@ -964,37 +946,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	res, hit := rs[0], hits[0]
 	ss.Set("hit", strconv.FormatBool(hit))
-	sliceEnd := m.clock.Now()
 	ss.End()
-	if !hit {
-		// Phase timings exist only when the backward pass actually ran;
-		// cache hits would observe zeros and skew the histograms.
-		m.hScan.ObserveExemplar(passStats.ScanMs, s.TraceID())
-		m.hStitch.ObserveExemplar(passStats.StitchMs, s.TraceID())
-		m.hTally.ObserveExemplar(passStats.TallyMs, s.TraceID())
-		m.gSegments.Set(int64(passStats.Segments))
-		// Synthesize the backward pass's phase spans from PassStats — the
-		// hot loop carries no tracing code; the phases are reconstructed
-		// back-to-front from the slice span's end.
-		phaseEnd := sliceEnd
-		for _, ph := range []struct {
-			name string
-			ms   float64
-		}{
-			{"slice.tally", passStats.TallyMs},
-			{"slice.stitch", passStats.StitchMs},
-			{"slice.scan", passStats.ScanMs},
-		} {
-			start := phaseEnd.Add(-time.Duration(ph.ms * float64(time.Millisecond)))
-			if ph.name == "slice.scan" {
-				ss.ChildAt(ph.name, start, phaseEnd,
-					obs.Attr{K: "segments", V: strconv.Itoa(passStats.Segments)})
-			} else {
-				ss.ChildAt(ph.name, start, phaseEnd)
-			}
-			phaseEnd = start
-		}
-	}
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"webslice/internal/obs"
 	"webslice/internal/store"
@@ -37,9 +39,10 @@ func (s *syncBuffer) String() string {
 // TestSpansSmoke is the end-to-end tracing smoke (ci.sh runs it by name):
 // one golden job through the full pipeline must yield a single trace whose
 // tree includes the queue wait, the attempt, the render, the store
-// lookups, the forward pass, and the backward pass's scan/stitch/tally
-// phases — all with correct parent links — retrievable over
-// GET /jobs/{id}/trace. A repeat of the job must show its slice-cache hit.
+// lookups, the forward pass, and the backward pass — all with correct
+// parent links — retrievable over GET /jobs/{id}/trace. The backward pass
+// is a real span that ends before its result is published to the store. A
+// repeat of the job must show its slice-cache hit and no backward pass.
 func TestSpansSmoke(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -68,7 +71,7 @@ func TestSpansSmoke(t *testing.T) {
 	for _, want := range []string{
 		"job", "queue.wait", "attempt", "render",
 		"store.get", "forward", "store.put",
-		"slice", "slice.scan", "slice.stitch", "slice.tally",
+		"slice", "slice.scan",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("trace missing span %q (have %v)", want, names(spans))
@@ -78,19 +81,17 @@ func TestSpansSmoke(t *testing.T) {
 		t.FailNow()
 	}
 	// Parent links: the causal chain job -> attempt -> {render, slice} and
-	// slice -> {store lookups, forward pass, phases} must hold exactly.
+	// slice -> {store lookups, forward pass, backward pass} must hold exactly.
 	jobID := byName["job"].ID
 	for child, parent := range map[string]string{
-		"queue.wait":   jobID,
-		"attempt":      jobID,
-		"render":       byName["attempt"].ID,
-		"slice":        byName["attempt"].ID,
-		"store.get":    byName["slice"].ID,
-		"forward":      byName["slice"].ID,
-		"store.put":    byName["slice"].ID,
-		"slice.scan":   byName["slice"].ID,
-		"slice.stitch": byName["slice"].ID,
-		"slice.tally":  byName["slice"].ID,
+		"queue.wait": jobID,
+		"attempt":    jobID,
+		"render":     byName["attempt"].ID,
+		"slice":      byName["attempt"].ID,
+		"store.get":  byName["slice"].ID,
+		"forward":    byName["slice"].ID,
+		"store.put":  byName["slice"].ID,
+		"slice.scan": byName["slice"].ID,
 	} {
 		if got := byName[child].Parent; got != parent {
 			t.Errorf("%s.parent = %q, want %q", child, got, parent)
@@ -98,6 +99,33 @@ func TestSpansSmoke(t *testing.T) {
 	}
 	if byName["job"].Parent != "" {
 		t.Errorf("job span has parent %q, want root", byName["job"].Parent)
+	}
+	// The backward pass is one span, timed where it runs: slice.scan is
+	// the slice span's only child besides the store and forward-pass
+	// spans, and it is over before the result it produced is published.
+	for _, s := range spans {
+		if s.Parent != byName["slice"].ID {
+			continue
+		}
+		switch s.Name {
+		case "store.get", "store.put", "forward", "slice.scan":
+		default:
+			t.Errorf("unexpected span %q under slice", s.Name)
+		}
+	}
+	scan := byName["slice.scan"]
+	scanEndNs := scan.StartNs + int64(math.Round(scan.DurMs*float64(time.Millisecond)))
+	published := false
+	for _, s := range spans {
+		if s.Name == "store.put" && attr(s, "kind") == "slice" {
+			published = true
+			if scanEndNs > s.StartNs {
+				t.Errorf("slice.scan ends at %d ns, after the slice store.put starts at %d ns", scanEndNs, s.StartNs)
+			}
+		}
+	}
+	if !published {
+		t.Errorf("trace has no store.put kind=slice span (have %v)", names(spans))
 	}
 
 	// The structured log carries the trace ID, linking log lines to spans.
@@ -151,6 +179,11 @@ func TestSpansSmoke(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("repeat job's trace has no store.get kind=slice hit=true span (have %v)", names(again))
+	}
+	for _, s := range again {
+		if s.Name == "slice.scan" {
+			t.Errorf("repeat job is a cache hit but its trace has a slice.scan span")
+		}
 	}
 }
 

@@ -107,36 +107,3 @@ func BenchmarkTwoCriteria(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSliceSequential / BenchmarkSliceSegmented are the benchstat
-// pair for the parallel backward pass: identical workload and criteria,
-// scheduling forced sequential vs forced segmented. Compare with
-//
-//	go test -bench 'SliceSe(quential|gmented)' -count 10 | benchstat -
-func BenchmarkSliceSequential(b *testing.B) {
-	m := benchWorkload(4096)
-	deps := benchDeps(b, m)
-	cs := []Criteria{PixelCriteria{}, SyscallCriteria{}}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(m.Tr.Recs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Slice(TraceSource(m.Tr), deps, cs, Options{Segments: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSliceSegmented(b *testing.B) {
-	m := benchWorkload(4096)
-	deps := benchDeps(b, m)
-	cs := []Criteria{PixelCriteria{}, SyscallCriteria{}}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(m.Tr.Recs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Slice(TraceSource(m.Tr), deps, cs, Options{Segments: defaultWorkers() * segmentsPerWorker}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

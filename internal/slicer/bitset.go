@@ -12,78 +12,58 @@ func (b Bitset) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 // Get reports bit i.
 func (b Bitset) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// regSet is the live-register set of the liveness analysis: a dense bitset
-// keyed by register ID with destructive test-and-clear. Registers are SSA
-// (written once), so Kill at the defining instruction both answers "was this
-// value needed?" and retires the register.
+// regSet is the live-register set of the liveness analysis, with
+// destructive test-and-clear. Registers are SSA (written once), so Kill at
+// the defining instruction both answers "was this value needed?" and
+// retires the register.
 //
-// The set is presized to the trace's maximum register ID before the walk
-// (see maxRegOf), so the hot loop never grows it; Set still grows on demand
-// as a safety net for presize caps on adversarial traces. Instances are
-// pooled across segments and across service jobs — the parallel segment
-// pass multiplies the number of live sets by the segment count, and
-// re-zeroing a pooled array is far cheaper than allocating it.
+// VM registers are numbered in creation order, one record each, so a real
+// trace never names a register above its record count. The dense bitset is
+// sized from the record count before the walk (see getRegSet) and never
+// grows; the rare ID beyond it — only a malformed trace names one — lives
+// in the far map, so memory stays bounded by the trace's records whatever
+// IDs its operands claim.
 type regSet struct {
 	words []uint64
+	far   map[uint32]struct{}
 }
 
 // Set marks register id live.
 func (b *regSet) Set(id uint32) {
-	w := int(id >> 6)
-	if w >= len(b.words) {
-		grown := make([]uint64, w+w/2+1)
-		copy(grown, b.words)
-		b.words = grown
+	if w := int(id >> 6); w < len(b.words) {
+		b.words[w] |= 1 << (id & 63)
+		return
 	}
-	b.words[w] |= 1 << (id & 63)
-}
-
-// Get reports whether register id is live.
-func (b *regSet) Get(id uint32) bool {
-	w := int(id >> 6)
-	return w < len(b.words) && b.words[w]&(1<<(id&63)) != 0
+	if b.far == nil {
+		b.far = make(map[uint32]struct{})
+	}
+	b.far[id] = struct{}{}
 }
 
 // Kill clears register id and reports whether it was live.
 func (b *regSet) Kill(id uint32) bool {
-	w := int(id >> 6)
-	if w >= len(b.words) {
-		return false
+	if w := int(id >> 6); w < len(b.words) {
+		mask := uint64(1) << (id & 63)
+		was := b.words[w]&mask != 0
+		b.words[w] &^= mask
+		return was
 	}
-	mask := uint64(1) << (id & 63)
-	was := b.words[w]&mask != 0
-	b.words[w] &^= mask
-	return was
+	if _, ok := b.far[id]; ok {
+		delete(b.far, id)
+		return true
+	}
+	return false
 }
 
-// orFrom unions src into b, growing b if src is larger.
-func (b *regSet) orFrom(src *regSet) {
-	if len(src.words) > len(b.words) {
-		grown := make([]uint64, len(src.words))
-		copy(grown, b.words)
-		b.words = grown
-	}
-	for i, w := range src.words {
-		b.words[i] |= w
-	}
-}
-
-// presize ensures capacity for register IDs up to maxID without hot-loop
-// growth, capped at capBits so a hostile trace naming astronomical register
-// IDs cannot force a giant upfront allocation (Set still grows lazily past
-// the cap, exactly as an unsized set would).
-func (b *regSet) presize(maxID uint32, capBits int) {
-	bits := int(maxID) + 1
-	if bits > capBits {
-		bits = capBits
-	}
+// reset empties the set and sizes its dense part for IDs below bits,
+// reusing the backing array when it is large enough.
+func (b *regSet) reset(bits int) {
 	w := (bits + 63) / 64
-	if w > len(b.words) {
+	if w > cap(b.words) {
 		b.words = make([]uint64, w)
+	} else {
+		b.words = b.words[:w]
+		clear(b.words)
 	}
-}
-
-// reset zeroes the set for reuse, keeping its capacity.
-func (b *regSet) reset() {
-	clear(b.words)
+	clear(b.far)
 }

@@ -3,13 +3,13 @@ package slicer
 // FuzzSliceNeverPanics feeds arbitrary decoded traces through the full
 // backward pass (solo and fused, with and without control dependences).
 // The slicer must return a result or be rejected upstream — never panic.
-// Inputs that would merely allocate absurdly (register indices in the
-// millions, gigabyte memory ranges) are skipped: those are resource limits
-// for the service layer, not slicer correctness.
+// Inputs that would merely allocate absurdly (gigabyte memory ranges) are
+// skipped: those are resource limits for the service layer, not slicer
+// correctness. Register IDs are not limited: the live-register set stays
+// bounded by the record count whatever IDs a trace names.
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"webslice/internal/cdg"
@@ -18,7 +18,6 @@ import (
 )
 
 const (
-	fuzzMaxReg     = 1 << 22
 	fuzzMaxRecs    = 1 << 16
 	fuzzMaxMemSize = 1 << 20
 )
@@ -27,12 +26,6 @@ const (
 func sliceable(t *trace.Trace) bool {
 	if len(t.Recs) > fuzzMaxRecs {
 		return false
-	}
-	for i := range t.Recs {
-		r := &t.Recs[i]
-		if uint32(r.Dst) > fuzzMaxReg || uint32(r.Src1) > fuzzMaxReg || uint32(r.Src2) > fuzzMaxReg {
-			return false
-		}
 	}
 	for _, e := range t.Sys {
 		for _, rg := range e.Reads {
@@ -55,7 +48,7 @@ func sliceable(t *trace.Trace) bool {
 }
 
 // encodeWorkload returns the v3 encoding of the multi-kind workload that
-// seeds both fuzz targets.
+// seeds the fuzz target.
 func encodeWorkload(f *testing.F) []byte {
 	var buf bytes.Buffer
 	if err := multiWorkload().Tr.WriteV3(&buf); err != nil {
@@ -113,51 +106,6 @@ func FuzzSliceNeverPanics(f *testing.F) {
 				if r.SliceCount > r.Total {
 					t.Fatalf("fused slice of %d records from a trace of %d", r.SliceCount, r.Total)
 				}
-			}
-		}
-	})
-}
-
-// FuzzSegmentedAgreesWithSlice is the differential fuzz target for the
-// segmented backward pass: for any decodable trace, a forced-segmented
-// Slice must produce exactly the sequential result — same error, same
-// bytes in every Result field.
-func FuzzSegmentedAgreesWithSlice(f *testing.F) {
-	enc := encodeWorkload(f)
-	f.Add(enc, byte(0))
-	f.Add(enc[:len(enc)*2/3], byte(7))
-	f.Add([]byte("WSLT not really"), byte(2))
-
-	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
-		tr, err := readTrace(data)
-		if err != nil || !sliceable(tr) {
-			return
-		}
-		var deps *cdg.Deps
-		opts := Options{MainThread: sel >> 4, ProgressPoints: int(sel % 5 * 3)}
-		if forest, err := cfg.Build(tr); err == nil {
-			deps = cdg.Compute(forest)
-		} else {
-			opts.NoControlDeps = true
-		}
-		cs := []Criteria{PixelCriteria{}, Union{PixelCriteria{}, SyscallCriteria{}}}
-		seqOpts := opts
-		seqOpts.Segments = 1
-		want, seqErr := Slice(TraceSource(tr), deps, cs, seqOpts)
-		segOpts := opts
-		segOpts.Segments = 2 + int(sel%7)
-		segOpts.Workers = 1 + int(sel%4)
-		got, segErr := Slice(TraceSource(tr), deps, cs, segOpts)
-		if (seqErr == nil) != (segErr == nil) {
-			t.Fatalf("error mismatch: sequential %v, segmented %v", seqErr, segErr)
-		}
-		if seqErr != nil {
-			return
-		}
-		for k := range cs {
-			if !reflect.DeepEqual(want[k], got[k]) {
-				t.Fatalf("criterion %s (k=%d w=%d): segmented result differs\nseq: %+v\nseg: %+v",
-					cs[k].Name(), segOpts.Segments, segOpts.Workers, want[k], got[k])
 			}
 		}
 	})

@@ -64,14 +64,5 @@ func (s *wordSet) Kill(r vmem.Range) bool {
 	return hit
 }
 
-// mergeFrom unions another set into s. The stitch of the segmented backward
-// pass uses it to fold each segment's locally generated liveness into the
-// delta state flowing toward earlier segments.
-func (s *wordSet) mergeFrom(src *wordSet) {
-	for w, m := range src.words {
-		s.words[w] |= m
-	}
-}
-
 // reset empties the set for reuse, keeping the map's allocated buckets.
 func (s *wordSet) reset() { clear(s.words) }

@@ -1,36 +1,28 @@
 package slicer
 
 import (
-	"runtime"
 	"sync"
 
 	"webslice/internal/trace"
 )
 
-// The segmented backward pass multiplies the number of live-register sets,
-// live-memory sets, and call-frame stacks by the segment count, and the
-// slicing service runs many passes over a process lifetime — all three kinds
-// of scratch are pooled here. Pooled objects are reset on Get, never on Put,
-// so a stale object can never leak state into a pass.
+// The slicing service runs many backward passes over a process lifetime,
+// each needing a live-register set, a live-memory set, and call-frame
+// stacks per criterion — all three kinds of scratch are pooled here. Pooled
+// objects are reset on Get, never on Put, so a stale object can never leak
+// state into a pass.
 
 var regSetPool = sync.Pool{New: func() any { return new(regSet) }}
 
-// regSetPresizeFloor is the smallest presized register set: below this a
-// dense allocation is cheap enough to never bother growing lazily.
+// regSetPresizeFloor is the smallest dense register set: below this a
+// dense allocation is too cheap to size more tightly.
 const regSetPresizeFloor = 1 << 16
 
-// getRegSet returns a cleared register set presized for a trace of n
-// records whose largest register operand is maxReg. The presize is capped
-// proportional to the trace (a hostile trace naming astronomical register
-// IDs falls back to lazy growth in Set, same as an unsized set).
-func getRegSet(maxReg uint32, n int) *regSet {
+// getRegSet returns a cleared register set whose dense part covers every
+// register ID a trace of n records can define (IDs 0..n).
+func getRegSet(n int) *regSet {
 	b := regSetPool.Get().(*regSet)
-	b.reset()
-	capBits := 4 * n
-	if capBits < regSetPresizeFloor {
-		capBits = regSetPresizeFloor
-	}
-	b.presize(maxReg, capBits)
+	b.reset(max(n+1, regSetPresizeFloor))
 	return b
 }
 
@@ -98,6 +90,3 @@ func (s *frameStack) resetAll() {
 		s.neg[i].reset()
 	}
 }
-
-// defaultWorkers is the worker count when Options.Workers is unset.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }

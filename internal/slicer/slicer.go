@@ -11,7 +11,6 @@ package slicer
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"webslice/internal/cdg"
 	"webslice/internal/isa"
@@ -141,35 +140,11 @@ type Options struct {
 	// slicing service uses it to enforce per-job deadlines and cancellation
 	// mid-pass instead of only at phase boundaries. It does not change the
 	// result and is deliberately excluded from store variant fingerprints.
-	// The segmented backward pass polls it from several goroutines at once,
-	// so the hook must be safe for concurrent use (ctx.Err-style hooks are).
 	Canceled func() bool
-	// Segments controls backward-pass segmentation: 0 picks automatically
-	// (4 segments per worker on large traces, sequential otherwise), 1
-	// forces the sequential walk, and >1 forces a segmented parallel walk
-	// with that many segments. The result is byte-identical either way, so
-	// Segments is excluded from store variant fingerprints.
+	// Deprecated: has no effect; the backward pass is one sequential walk.
+	// Kept only because e2ebench/workloads.go, which changes only together
+	// with BENCHMARK.json, sets it.
 	Segments int
-	// Workers bounds the worker pool of the segmented pass's parallel
-	// phases; <= 0 means GOMAXPROCS. Like Segments it never changes the
-	// result, only the schedule.
-	Workers int
-	// Stats, when non-nil, receives the per-phase wall times and segment
-	// count of the backward pass. Purely observational.
-	Stats *PassStats
-}
-
-// PassStats reports how one backward pass spent its time: the parallel
-// per-segment liveness scan, the sequential stitch that threads true live
-// state across segment boundaries, and the parallel tally/progress pass.
-// A sequential run reports everything under ScanMs with Sequential set.
-type PassStats struct {
-	Segments   int     `json:"segments"`
-	Sequential bool    `json:"sequential"`
-	ScanMs     float64 `json:"scan_ms"`
-	StitchMs   float64 `json:"stitch_ms"`
-	TallyMs    float64 `json:"tally_ms"`
-	TotalMs    float64 `json:"total_ms"`
 }
 
 // Result is the computed slice plus the statistics the paper reports.
@@ -348,7 +323,7 @@ type sliceState struct {
 	curMarked bool
 }
 
-func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options, maxReg uint32, n int) *sliceState {
+func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options, n int) *sliceState {
 	s := &sliceState{
 		t:    t,
 		deps: deps,
@@ -360,7 +335,7 @@ func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options, max
 			InSlice:  NewBitset(n),
 		},
 		live:        getWordSet(),
-		regs:        getRegSet(maxReg, n),
+		regs:        getRegSet(n),
 		byFunc:      make([]int, len(t.Funcs)),
 		sliceByFunc: make([]int, len(t.Funcs)),
 	}
@@ -572,15 +547,8 @@ func (s *sliceState) finish() *Result {
 // pending-branch state maintained per criterion; results come back in
 // criteria order and are identical to what len(cs) one-criterion calls
 // would produce. One stored forward pass serves many backward passes, and
-// those backward passes share the trace walk too.
-//
-// On large traces with more than one worker available the reverse walk
-// itself runs segmented and parallel (see Options.Segments and segment.go);
-// the output is byte-identical to the sequential walk in every field. A
-// streaming source decodes one block per walker at a time — peak record
-// memory is O(workers × blockRecs) instead of the whole trace — and segment
-// boundaries are planned on block bounds so no block is decoded by two scan
-// workers.
+// those backward passes share the trace walk too. A streaming source
+// decodes each block once, so peak record memory is one block.
 func Slice(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("slicer: no criteria")
@@ -593,72 +561,11 @@ func Slice(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, 
 	if deps == nil && !opts.NoControlDeps {
 		return nil, fmt.Errorf("slicer: control dependences required (or set NoControlDeps)")
 	}
-	start := time.Now()
-	n := src.NumRecs()
-	bounds := planSegmentsAligned(n, resolveSegments(opts, n), segmentAlign(src))
-	var (
-		out []*Result
-		err error
-	)
-	if len(bounds) > 2 {
-		out, err = sliceSegmented(src, deps, cs, opts, bounds)
-	} else {
-		out, err = sliceSequential(src, deps, cs, opts)
-		if err == nil && opts.Stats != nil {
-			*opts.Stats = PassStats{Segments: 1, Sequential: true, ScanMs: msSince(start)}
-		}
-	}
-	if err == nil && opts.Stats != nil {
-		opts.Stats.TotalMs = msSince(start)
-	}
-	return out, err
-}
-
-// segmentAlign is the alignment for interior segment boundaries: block
-// bounds for streaming sources (so a block is only ever decoded by one scan
-// worker), plain bitset-word alignment otherwise. Block sizes are multiples
-// of 64, so block alignment implies word disjointness.
-func segmentAlign(src Source) int {
-	if b := src.BlockRecs(); b > 0 {
-		return b
-	}
-	return minSegmentRecs
-}
-
-// resolveSegments turns Options.Segments into an effective segment count.
-func resolveSegments(opts Options, n int) int {
-	if opts.Segments == 1 || opts.Segments < 0 {
-		return 1
-	}
-	if opts.Segments > 1 {
-		return opts.Segments
-	}
-	// Automatic: segment only when the trace is big enough to amortize the
-	// stitch and more than one worker can actually run.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers <= 1 || n < autoSegmentMinRecs {
-		return 1
-	}
-	return workers * segmentsPerWorker
-}
-
-// sliceSequential is the single-goroutine reverse walk: the reference
-// semantics every other engine must reproduce bit for bit.
-func sliceSequential(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
 	t := src.Shell()
 	n := src.NumRecs()
-	buf := getRecBuf()
-	defer putRecBuf(buf)
-	maxReg, err := maxRegOfSource(src, 0, n, buf)
-	if err != nil {
-		return nil, err
-	}
 	states := make([]*sliceState, len(cs))
 	for k, c := range cs {
-		states[k] = newSliceState(t, deps, c, opts, maxReg, n)
+		states[k] = newSliceState(t, deps, c, opts, n)
 	}
 	defer func() {
 		for _, s := range states {
@@ -669,8 +576,10 @@ func sliceSequential(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([
 			}
 		}
 	}()
+	buf := getRecBuf()
+	defer putRecBuf(buf)
 	canceled := false
-	err = reverseWindows(src, 0, n, buf, func(wlo int, recs []trace.Rec) bool {
+	err := reverseWindows(src, 0, n, buf, func(wlo int, recs []trace.Rec) bool {
 		for i := wlo + len(recs) - 1; i >= wlo; i-- {
 			if opts.Canceled != nil && i&(cancelStride-1) == 0 && opts.Canceled() {
 				canceled = true
@@ -700,24 +609,3 @@ func sliceSequential(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([
 // in the hot loop, frequent enough that a deadline or a cancellation lands
 // within a few million instructions of being raised.
 const cancelStride = 1 << 15
-
-// maxRegOf scans records [lo, hi) for the largest register operand, so the
-// live-register bitsets can be presized once instead of grown mid-walk.
-func maxRegOf(recs []trace.Rec, lo, hi int) uint32 {
-	var max uint32
-	for i := lo; i < hi; i++ {
-		r := &recs[i]
-		if uint32(r.Dst) > max {
-			max = uint32(r.Dst)
-		}
-		if uint32(r.Src1) > max {
-			max = uint32(r.Src1)
-		}
-		if uint32(r.Src2) > max {
-			max = uint32(r.Src2)
-		}
-	}
-	return max
-}
-
-func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }

@@ -572,3 +572,30 @@ func TestSliceErrors(t *testing.T) {
 		t.Errorf("empty trace should slice fine: %v", err)
 	}
 }
+
+// TestSliceScratchPooled is the allocation-count regression gate on the
+// pooled scratch path: once the pools are warm, a backward pass must not
+// re-allocate its big per-pass scratch (live-register words, live-memory
+// buckets, frame stacks) — only the Result itself and its tallies.
+func TestSliceScratchPooled(t *testing.T) {
+	m := benchWorkload(256)
+	deps := forward(t, m.Tr)
+	opts := Options{}
+	run := func() {
+		if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}}, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run() // warm the pools
+	}
+	// An unpooled pass allocates the register bitset, the live-memory map,
+	// and a frame stack per thread on every run — several hundred
+	// allocations on this workload before pooling. The budget leaves room
+	// for the Result, its maps, and pool-miss noise, while failing loudly
+	// if the scratch stops being reused.
+	const budget = 120
+	if got := testing.AllocsPerRun(20, run); got > budget {
+		t.Errorf("backward pass allocates %.0f objects/run, budget %d — pooled scratch regressed", got, budget)
+	}
+}

@@ -8,7 +8,7 @@ import (
 // exist: TraceSource wraps a fully materialized *trace.Trace (the walks read
 // its record slice zero-copy, exactly as before), and StreamSource wraps a
 // *trace.BlockReader over a v3 block-compressed trace, decoding one block at
-// a time so the pass never holds more than one window per walker in memory.
+// a time so the pass never holds more than one window in memory.
 type Source interface {
 	// Shell returns the trace's symbol and side tables. For a streaming
 	// source the record slice is nil; criteria evaluation, tallies, and
@@ -19,9 +19,8 @@ type Source interface {
 	// Materialized returns the whole record slice when the source is fully
 	// in memory, else nil.
 	Materialized() []trace.Rec
-	// BlockRecs returns the streaming window granularity — a multiple of 64
-	// so segment planning on block boundaries preserves the bitset-word
-	// disjointness of the parallel scan — or 0 for materialized sources.
+	// BlockRecs returns the streaming window granularity, or 0 for
+	// materialized sources.
 	BlockRecs() int
 	// LoadRange loads records [lo, hi), which must lie within a single
 	// block for streaming sources, reusing buf's backing array when it has
@@ -47,8 +46,8 @@ func (s traceSource) LoadRange(lo, hi int, _ []trace.Rec) ([]trace.Rec, error) {
 // streamSource adapts a v3 block reader.
 type streamSource struct{ br *trace.BlockReader }
 
-// StreamSource wraps a v3 block reader as a streaming Source. Concurrent
-// walkers may call LoadRange with distinct buffers.
+// StreamSource wraps a v3 block reader as a streaming Source. Like the
+// reader, it is not safe for concurrent use.
 func StreamSource(br *trace.BlockReader) Source { return streamSource{br: br} }
 
 func (s streamSource) Shell() *trace.Trace       { return s.br.Shell() }
@@ -97,17 +96,4 @@ func reverseWindows(src Source, lo, hi int, buf *[]trace.Rec, fn func(wlo int, r
 		whi = wlo
 	}
 	return nil
-}
-
-// maxRegOfSource scans records [lo, hi) of src for the largest register
-// operand, window by window.
-func maxRegOfSource(src Source, lo, hi int, buf *[]trace.Rec) (uint32, error) {
-	var max uint32
-	err := reverseWindows(src, lo, hi, buf, func(_ int, recs []trace.Rec) bool {
-		if m := maxRegOf(recs, 0, len(recs)); m > max {
-			max = m
-		}
-		return true
-	})
-	return max, err
 }

@@ -11,6 +11,7 @@ import (
 
 	"webslice/internal/isa"
 	"webslice/internal/trace"
+	"webslice/internal/vm"
 	"webslice/internal/vmem"
 )
 
@@ -29,17 +30,72 @@ func streamOf(t *testing.T, tr *trace.Trace, blockRecs int) Source {
 	return StreamSource(br)
 }
 
+// spanWorkload builds a trace whose calls and pending branches span long
+// record ranges, so block boundaries land mid-call and usually
+// mid-pending-branch: one outer call covers almost the whole trace, and
+// each branch guards a store hundreds of records later.
+func spanWorkload(n int) *vm.Machine {
+	m := vm.New()
+	m.Thread(0, "main")
+	m.Thread(1, "helper")
+	tile := m.Tile.Alloc(4096)
+	stats := m.Heap.Alloc(64)
+	outer := m.Func("frame", "gfx")
+	inner := m.Func("row", "gfx")
+	m.Call(outer, func() {
+		m.At("head")
+		for i := 0; i < n; i++ {
+			c := m.Const(uint64(i % 3))
+			if m.Branch(c) {
+				m.At("taken")
+				m.Call(inner, func() {
+					m.At("body")
+					v := m.Const(uint64(i))
+					// Dead bookkeeping between def and use stretches the
+					// liveness interval across block boundaries.
+					m.Bookkeep(stats, 5)
+					v2 := m.AddImm(v, 7)
+					m.StoreU32(tile+vmem.Addr(4*(i%1024)), v2)
+				})
+			} else {
+				m.At("skipped")
+				m.Bookkeep(stats, 3)
+			}
+			if i%17 == 0 {
+				// Cross-thread dataflow through shared memory.
+				m.Switch(1)
+				w := m.Const(uint64(i))
+				m.StoreU32(tile+vmem.Addr(4*((i+13)%1024)), w)
+				m.Switch(0)
+			}
+			if i%29 == 0 {
+				// A mid-trace criterion record: markers can land on (or
+				// next to) a block boundary.
+				m.MarkPixels(vmem.Range{Addr: tile, Size: 256})
+			}
+		}
+	})
+	m.MarkPixels(vmem.Range{Addr: tile, Size: 4096})
+	return m
+}
+
 // TestStreamMatchesMaterialized: slicing through a streaming v3 source must
 // produce byte-identical Results to slicing the materialized trace — across
-// criteria, sequential and segmented engines, and block sizes that do and do
-// not divide the trace length (non-aligned final blocks).
+// criteria, options, and block sizes that do and do not divide the trace
+// length (non-aligned final blocks).
 func TestStreamMatchesMaterialized(t *testing.T) {
-	for _, tc := range segCases() {
+	for _, tc := range []struct {
+		name string
+		m    *vm.Machine
+		cs   []Criteria
+	}{
+		{"multi", multiWorkload(), []Criteria{PixelCriteria{}, SyscallCriteria{}, Union{PixelCriteria{}, SyscallCriteria{}}}},
+		{"bench", benchWorkload(256), []Criteria{PixelCriteria{}, SyscallCriteria{}}},
+		{"span", spanWorkload(160), []Criteria{PixelCriteria{}}},
+	} {
 		deps := forward(t, tc.m.Tr)
 		for _, opts := range []Options{
 			{ProgressPoints: 16, MainThread: 1},
-			{Segments: 4, Workers: 4, ProgressPoints: 7},
-			{Segments: 7, Workers: 2},
 			{NoControlDeps: true},
 		} {
 			want, err := Slice(TraceSource(tc.m.Tr), deps, tc.cs, opts)
@@ -60,44 +116,6 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPlanSegmentsAligned(t *testing.T) {
-	for _, tc := range []struct{ n, k, align int }{
-		{1000, 4, 128},   // n not a multiple of the block size
-		{1000, 16, 192},  // non-power-of-two block size, k clamped
-		{65536, 7, 4096}, // default v3 block size
-		{383, 5, 64},     // tiny trace, k clamped to n/align
-		{64, 8, 64},      // degenerate: one segment
-		{1 << 20, 32, 256},
-	} {
-		b := planSegmentsAligned(tc.n, tc.k, tc.align)
-		if b[0] != 0 || b[len(b)-1] != tc.n {
-			t.Fatalf("n=%d k=%d align=%d: bounds %v do not cover [0,n]", tc.n, tc.k, tc.align, b)
-		}
-		if len(b)-1 > tc.k {
-			t.Fatalf("n=%d k=%d align=%d: %d segments exceed k", tc.n, tc.k, tc.align, len(b)-1)
-		}
-		for s := 1; s < len(b); s++ {
-			if b[s] <= b[s-1] {
-				t.Fatalf("n=%d k=%d align=%d: bounds %v not strictly increasing", tc.n, tc.k, tc.align, b)
-			}
-			if s < len(b)-1 && b[s]%tc.align != 0 {
-				t.Fatalf("n=%d k=%d align=%d: interior boundary %d not block-aligned", tc.n, tc.k, tc.align, b[s])
-			}
-			if s < len(b)-1 && b[s]%minSegmentRecs != 0 {
-				t.Fatalf("n=%d k=%d align=%d: boundary %d breaks bitset-word disjointness", tc.n, tc.k, tc.align, b[s])
-			}
-		}
-	}
-	// A streaming source's plan must land on its block bounds.
-	src := streamOf(t, constTrace(t, 1000), 128)
-	if got := segmentAlign(src); got != 128 {
-		t.Fatalf("segmentAlign(stream) = %d, want 128", got)
-	}
-	if got := segmentAlign(TraceSource(constTrace(t, 100))); got != minSegmentRecs {
-		t.Fatalf("segmentAlign(materialized) = %d, want %d", got, minSegmentRecs)
 	}
 }
 
@@ -146,18 +164,68 @@ func TestStreamCanceledMidBlock(t *testing.T) {
 	}
 	_, err := Slice(src, nil, []Criteria{PixelCriteria{}}, Options{
 		NoControlDeps: true,
-		Segments:      1,
 		Canceled:      func() bool { return true },
 	})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	// The maxReg prescan reads every block once; the walk itself must stop
-	// within a couple of blocks of the first mid-block poll instead of
-	// decoding the whole trace again.
-	walkLoads := loads.Load() - int64(totalBlocks)
-	if walkLoads < 1 || walkLoads > 4 {
+	// The walk must stop within a couple of blocks of the first mid-block
+	// poll instead of decoding the whole trace.
+	if walkLoads := loads.Load(); walkLoads < 1 || walkLoads > 4 {
 		t.Fatalf("walk decoded %d blocks before honoring cancellation (total %d)", walkLoads, totalBlocks)
+	}
+}
+
+// TestStreamDecodesEachBlockOnce: a streaming backward pass — several
+// criteria fused — decodes every block exactly once, in one reverse walk.
+func TestStreamDecodesEachBlockOnce(t *testing.T) {
+	m := benchWorkload(256)
+	deps := forward(t, m.Tr)
+	var loads atomic.Int64
+	src := countingSource{Source: streamOf(t, m.Tr, 192), loads: &loads}
+	if _, err := Slice(src, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{ProgressPoints: 16}); err != nil {
+		t.Fatal(err)
+	}
+	blocks := (len(m.Tr.Recs) + 191) / 192
+	if blocks < 2 {
+		t.Fatal("test premise broken: workload fits in one block")
+	}
+	if got := loads.Load(); got != int64(blocks) {
+		t.Fatalf("streaming slice decoded %d blocks, want each of the %d blocks once", got, blocks)
+	}
+}
+
+// TestStreamRegisterBombBounded: a two-record trace whose operands name a
+// register near 2^32 must slice correctly without the live-register set
+// growing toward that ID. Real traces never name a register above their
+// record count; a hostile upload costs memory bounded by its records.
+func TestStreamRegisterBombBounded(t *testing.T) {
+	const bomb = isa.Reg(0xFFFFFFF0)
+	tr := trace.New()
+	fn, err := tr.AddFunc("f", "net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Threads = append(tr.Threads, trace.ThreadInfo{ID: 0, Name: "main"})
+	tr.Recs = []trace.Rec{
+		{PC: trace.MakePC(fn, 0), Kind: isa.KindConst, Dst: bomb},
+		{PC: trace.MakePC(fn, 1), Kind: isa.KindSyscall, Src1: bomb},
+	}
+	src := streamOf(t, tr, trace.DefaultBlockRecs)
+	cs := []Criteria{SyscallCriteria{}}
+	opts := Options{NoControlDeps: true}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rs, err := Slice(src, nil, cs, opts)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs[0].InSlice.Get(0) || !rs[0].InSlice.Get(1) || rs[0].SliceCount != 2 {
+		t.Fatalf("slice = %d records (bits %b), want both the const and the syscall", rs[0].SliceCount, rs[0].InSlice)
+	}
+	if delta := m1.TotalAlloc - m0.TotalAlloc; delta > 1<<20 {
+		t.Fatalf("slicing a two-record trace allocated %d bytes, want under 1 MiB", delta)
 	}
 }
 
@@ -177,17 +245,15 @@ func TestStreamDecodeErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc[200] ^= 0xFF
-	for _, opts := range []Options{{NoControlDeps: true, Segments: 1}, {NoControlDeps: true, Segments: 4, Workers: 2}} {
-		_, err = Slice(StreamSource(br), nil, []Criteria{PixelCriteria{}}, opts)
-		var de *trace.DecodeError
-		if !errors.As(err, &de) {
-			t.Fatalf("opts %+v: err = %v, want *trace.DecodeError", opts, err)
-		}
+	_, err = Slice(StreamSource(br), nil, []Criteria{PixelCriteria{}}, Options{NoControlDeps: true})
+	var de *trace.DecodeError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want *trace.DecodeError", err)
 	}
 }
 
 // TestStreamSliceBoundedAllocBytes is the peak-memory regression gate: a
-// sequential streaming slice of a 64Ki-record trace must allocate a small
+// streaming slice of a 64Ki-record trace must allocate a small
 // fraction of what materializing the record slice would cost, proving the
 // walk decodes one block window at a time instead of the whole trace.
 func TestStreamSliceBoundedAllocBytes(t *testing.T) {
@@ -198,7 +264,7 @@ func TestStreamSliceBoundedAllocBytes(t *testing.T) {
 	tr := constTrace(t, n)
 	src := streamOf(t, tr, 256)
 	cs := []Criteria{PixelCriteria{}}
-	opts := Options{NoControlDeps: true, Segments: 1}
+	opts := Options{NoControlDeps: true}
 	run := func() {
 		if _, err := Slice(src, nil, cs, opts); err != nil {
 			t.Fatal(err)
@@ -218,7 +284,8 @@ func TestStreamSliceBoundedAllocBytes(t *testing.T) {
 }
 
 // TestStreamWindowAllocsSteadyState: after warm-up, the per-window load path
-// itself stays allocation-light (pooled inflater, pooled window buffer).
+// itself stays allocation-light (the reader's own inflater, pooled window
+// buffer).
 func TestStreamWindowAllocsSteadyState(t *testing.T) {
 	tr := constTrace(t, 4096)
 	src := streamOf(t, tr, 256)

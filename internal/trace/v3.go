@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"webslice/internal/isa"
 	"webslice/internal/vmem"
@@ -48,9 +47,7 @@ import (
 
 const (
 	v3Version = 3
-	// DefaultBlockRecs is the records-per-block used by Trace.WriteV3. It is
-	// a multiple of 64 so slicer segment boundaries planned on block bounds
-	// keep the bitset-word disjointness the parallel scan relies on.
+	// DefaultBlockRecs is the records-per-block used by Trace.WriteV3.
 	DefaultBlockRecs = 4096
 	// maxBlockRecs bounds attacker-controlled block sizes at open time.
 	maxBlockRecs = 1 << 20
@@ -354,13 +351,15 @@ func appendRanges(b []byte, rs []vmem.Range) []byte {
 // materializing the record slice. Open verifies the header, index, and
 // footer checksums and the structural accounting of every byte in the file;
 // block payload checksums are verified lazily by DecodeBlock so opening a
-// multi-gigabyte trace stays O(index).
+// multi-gigabyte trace stays O(index). A BlockReader is not safe for
+// concurrent use: DecodeBlock reuses one decompressor owned by the reader.
 type BlockReader struct {
 	data      []byte // the encoded trace the reader was opened on
 	blockRecs int
 	n         int
 	shell     *Trace // side tables populated, Recs nil
 	blocks    []v3BlockMeta
+	in        *inflater // created by the first DecodeBlock
 }
 
 type v3BlockMeta struct {
@@ -589,17 +588,13 @@ func (br *BlockReader) BlockOf(i int) int { return i / br.blockRecs }
 // trace is shared with the reader and must not be mutated.
 func (br *BlockReader) Shell() *Trace { return br.shell }
 
-// inflater pools a flate reader plus scratch output buffer so concurrent
-// per-block decodes do not allocate a decompressor each.
+// inflater is a flate reader plus scratch output buffer, reused across a
+// reader's block decodes so each block does not allocate a decompressor.
 type inflater struct {
 	fr  io.ReadCloser
 	src bytes.Reader
 	buf []byte
 }
-
-var inflaterPool = sync.Pool{New: func() any {
-	return &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
-}}
 
 func (in *inflater) inflate(comp []byte) ([]byte, error) {
 	in.src.Reset(comp)
@@ -633,18 +628,14 @@ func (br *BlockReader) DecodeBlock(i int, dst []Rec) ([]Rec, error) {
 	if got := crc32.ChecksumIEEE(m.body); got != m.crc {
 		return nil, d.errf("block %d checksum mismatch: file says %08x, contents hash to %08x", i, m.crc, got)
 	}
-	in := inflaterPool.Get().(*inflater)
-	raw, err := in.inflate(m.body)
+	if br.in == nil {
+		br.in = &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
+	}
+	raw, err := br.in.inflate(m.body)
 	if err != nil {
-		inflaterPool.Put(in)
 		return nil, &DecodeError{Section: "v3 block payload", Offset: 0, Msg: "block " + itoa(i) + ": " + err.Error()}
 	}
-	dst, derr := decodeColumns(raw, m.count, dst)
-	inflaterPool.Put(in)
-	if derr != nil {
-		return nil, derr
-	}
-	return dst, nil
+	return decodeColumns(raw, m.count, dst)
 }
 
 // decodeColumns parses one block's decompressed column payload into records.

@@ -47,6 +47,11 @@ check_cover ./internal/replay 82
 # kill/restart/IO-fault/panic schedules must lose no acknowledged job —
 # and a fuzz smoke of the journal's replay path.
 go test -race -count=1 -run 'TestChaos' ./internal/service/chaostest
+# A quarantined job must be listed and counted before its status is
+# published. The test reads both the moment the status is terminal; with
+# the order reversed it failed about 1 to 3 runs in 100, so 300 runs
+# (about 5 s) catch that regression with high probability.
+go test -race -count=300 -run 'TestPanicIsolationAndQuarantine$' ./internal/service
 go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s ./internal/service
 
 # Fuzz smoke: a few seconds per target so a crashing input or a slice that
@@ -70,7 +75,8 @@ go run ./cmd/webslice verify -exp all
 
 # Cluster smoke with real processes: a coordinator fronting two workers on
 # loopback ports runs the golden corpus, one worker is SIGKILLed mid-batch,
-# and every acked job must still finish with its pinned slice digest.
+# and every acked job must still finish with its pinned slice digest; a
+# second pass must then be served whole from the survivor's result cache.
 WEBSLICE_CLUSTER_SMOKE=1 go test -count=1 -run TestMultiNodeSmoke ./cmd/websliced
 
 # Bench smoke: every benchmark must still run (one iteration at a small

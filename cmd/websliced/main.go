@@ -2,19 +2,23 @@
 // a named benchmark site or a binary trace, a bounded queue feeds a pool
 // of parallel workers, and a content-addressed artifact store makes a
 // repeat slice of an identical trace a cache hit that skips the forward
-// pass entirely. With -journal, every acknowledged submission is written
-// to a write-ahead log before the ID is returned, so a crash (or a drain
-// that runs out of time) loses no accepted work — the next boot replays
-// and finishes it.
+// pass entirely. A repeat site or seed job (same site and scale or seed,
+// same criteria, same browser.RenderVersion) is a result hit that skips
+// the render as well; verified jobs (-verify, or a spec's "verify") still
+// render, because the invariant oracles need the trace. With -journal,
+// every acknowledged submission is written to a write-ahead log before the
+// ID is returned, so a crash (or a drain that runs out of time) loses no
+// accepted work — the next boot replays and finishes it.
 //
 // With -coordinator -peers=..., the daemon fronts a cluster instead of
 // (only) slicing itself: a consistent-hash ring over the peers assigns
-// every job an owner keyed by its trace digest, submissions are routed to
-// the owner over the same HTTP API the workers already serve, and
-// status/result polls are proxied transparently. Dead workers are probed
-// out of the ring and their pending jobs re-routed; the coordinator's own
-// manager executes whatever the ring cannot place. See README "Cluster
-// mode" and `webslice submit|status|result|scatter` for the client side.
+// every job an owner keyed by its upload's digest or its rendering
+// identity, submissions are routed to the owner over the same HTTP API the
+// workers already serve, and status/result polls are proxied
+// transparently. Dead workers are probed out of the ring and their pending
+// jobs re-routed; the coordinator's own manager executes whatever the ring
+// cannot place. See README "Cluster mode" and `webslice
+// submit|status|result|scatter` for the client side.
 //
 // With -trace-spans N, every job records a causally-linked span tree —
 // routing, queue wait, attempts, store lookups, render, slice phases —

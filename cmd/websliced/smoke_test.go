@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webslice/internal/experiments"
+	"webslice/internal/obs"
 	"webslice/internal/service"
 )
 
@@ -20,8 +21,12 @@ import (
 // workers on loopback ports, scatters the golden corpus through the
 // coordinator, SIGKILLs one worker mid-run, and asserts that every acked
 // job still reaches a terminal state with its slice digest matching the
-// corpus's pinned value. It needs `go build` and a couple of minutes, so
-// it only runs when ci.sh (or a developer) opts in:
+// corpus's pinned value. A second pass over the corpus then repeats every
+// job: the coordinator routes each by rendering identity to the surviving
+// worker, which finished all of them in the first pass, so each must be a
+// result-cache hit with its pinned digest and no render in its merged span
+// tree. It needs `go build` and a couple of minutes, so it only runs when
+// ci.sh (or a developer) opts in:
 //
 //	WEBSLICE_CLUSTER_SMOKE=1 go test -run TestMultiNodeSmoke ./cmd/websliced
 func TestMultiNodeSmoke(t *testing.T) {
@@ -35,10 +40,10 @@ func TestMultiNodeSmoke(t *testing.T) {
 	}
 
 	addrs := freeAddrs(t, 3)
-	w1 := startDaemon(t, bin, "-addr", addrs[0], "-store", "", "-workers", "2")
-	startDaemon(t, bin, "-addr", addrs[1], "-store", "", "-workers", "2")
+	w1 := startDaemon(t, bin, "-addr", addrs[0], "-store", "", "-workers", "2", "-trace-spans", "4096")
+	startDaemon(t, bin, "-addr", addrs[1], "-store", "", "-workers", "2", "-trace-spans", "4096")
 	peers := "http://" + addrs[0] + ",http://" + addrs[1]
-	startDaemon(t, bin, "-addr", addrs[2], "-store", "", "-workers", "2",
+	startDaemon(t, bin, "-addr", addrs[2], "-store", "", "-workers", "2", "-trace-spans", "4096",
 		"-coordinator", "-peers", peers, "-probe-interval", "50ms", "-probe-fails", "2")
 	base := "http://" + addrs[2]
 	for _, a := range addrs {
@@ -51,20 +56,7 @@ func TestMultiNodeSmoke(t *testing.T) {
 	}
 	var ids []string
 	for _, e := range corpus.Sites {
-		spec, _ := json.Marshal(service.Spec{Site: e.Name, Scale: e.Scale, Seed: e.Seed, Criteria: "pixels"})
-		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(spec))
-		if err != nil {
-			t.Fatalf("submit %s: %v", e.Label(), err)
-		}
-		var out struct {
-			ID string `json:"id"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusAccepted || out.ID == "" {
-			t.Fatalf("submit %s: HTTP %d (%v)", e.Label(), resp.StatusCode, err)
-		}
-		ids = append(ids, out.ID)
+		ids = append(ids, submitGolden(t, base, e))
 	}
 
 	// Kill a worker while the batch is in flight. Any job it owned — even
@@ -75,16 +67,81 @@ func TestMultiNodeSmoke(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Minute)
 	for i, e := range corpus.Sites {
-		digest := awaitDigest(t, base, ids[i], e.Label(), deadline)
-		if digest != e.Pixels {
-			t.Errorf("%s: digest %s, want pinned %s", e.Label(), digest, e.Pixels)
+		res := awaitResult(t, base, ids[i], e.Label(), deadline)
+		if res.SliceDigest != e.Pixels {
+			t.Errorf("%s: digest %s, want pinned %s", e.Label(), res.SliceDigest, e.Pixels)
+		}
+	}
+
+	for _, e := range corpus.Sites {
+		id := submitGolden(t, base, e)
+		res := awaitResult(t, base, id, e.Label(), deadline)
+		if !res.CacheHit || res.SliceDigest != e.Pixels {
+			t.Errorf("%s repeat: cache_hit %t, digest %s; want a hit with pinned %s", e.Label(), res.CacheHit, res.SliceDigest, e.Pixels)
+		}
+		hits := 0
+		for _, s := range jobTrace(t, base, id) {
+			if s.Name == "render" {
+				t.Errorf("%s repeat: rendered, want a result-cache hit", e.Label())
+			}
+			if s.Name == "store.get" && spanAttr(s, "kind") == "result" && spanAttr(s, "hit") == "true" {
+				hits++
+			}
+		}
+		if hits != 1 {
+			t.Errorf("%s repeat: %d store.get kind=result hit=true spans, want 1", e.Label(), hits)
 		}
 	}
 }
 
-// awaitDigest polls one coordinator job to completion and returns its
-// slice digest.
-func awaitDigest(t *testing.T, base, id, label string, deadline time.Time) string {
+// jobTrace fetches a coordinator job's merged span tree.
+func jobTrace(t *testing.T, base, id string) []obs.SpanData {
+	t.Helper()
+	resp, err := http.Get(base + "/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatalf("trace of %s: %v", id, err)
+	}
+	defer resp.Body.Close()
+	var spans []obs.SpanData
+	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of %s: HTTP %d (%v)", id, resp.StatusCode, err)
+	}
+	return spans
+}
+
+// spanAttr returns the value of a span attribute ("" when absent).
+func spanAttr(s obs.SpanData, k string) string {
+	for _, a := range s.Attrs {
+		if a.K == k {
+			return a.V
+		}
+	}
+	return ""
+}
+
+// submitGolden submits one golden corpus entry's pixel job to the
+// coordinator and returns its job id.
+func submitGolden(t *testing.T, base string, e experiments.GoldenEntry) string {
+	t.Helper()
+	spec, _ := json.Marshal(service.Spec{Site: e.Name, Scale: e.Scale, Seed: e.Seed, Criteria: "pixels"})
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatalf("submit %s: %v", e.Label(), err)
+	}
+	var out struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted || out.ID == "" {
+		t.Fatalf("submit %s: HTTP %d (%v)", e.Label(), resp.StatusCode, err)
+	}
+	return out.ID
+}
+
+// awaitResult polls one coordinator job to completion and returns its
+// result.
+func awaitResult(t *testing.T, base, id, label string, deadline time.Time) *service.Result {
 	t.Helper()
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(base + "/jobs/" + id)
@@ -111,12 +168,12 @@ func awaitDigest(t *testing.T, base, id, label string, deadline time.Time) strin
 			if err != nil || resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: result: HTTP %d (%v)", label, resp.StatusCode, err)
 			}
-			return res.SliceDigest
+			return &res
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("%s: job %s not terminal before deadline", label, id)
-	return ""
+	return nil
 }
 
 // freeAddrs reserves n distinct loopback addresses by binding and

@@ -24,22 +24,16 @@ import (
 // hashes to pick an owner. A submitted trace uses store.KeyBytes of the
 // submitted bytes, the very function the owning worker's store keys its
 // CDG/slice blobs with, so ring and store agree by construction; site and
-// seed jobs use a canonical rendering identity, which maps to the same
-// trace on every node because rendering is deterministic. Criteria are
+// seed jobs use service.RenderIdentity, which maps to the same trace on
+// every node because rendering is deterministic, and which the owner's
+// result cache is keyed by as well. Criteria are
 // deliberately excluded: both criteria of one trace share the forward-pass
 // artifacts, so they belong on the same node.
 func JobKey(spec service.Spec) string {
 	if len(spec.Trace) > 0 {
 		return store.KeyBytes(spec.Trace)
 	}
-	if spec.Site == "" && spec.Seed != 0 {
-		return "seed\x00" + strconv.FormatUint(spec.Seed, 10)
-	}
-	scale := spec.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	return "site\x00" + spec.Site + "\x00" + strconv.FormatFloat(scale, 'g', -1, 64)
+	return service.RenderIdentity(spec)
 }
 
 // ErrUnknownJob is returned for ids the coordinator never issued.

@@ -5,8 +5,9 @@ package experiments
 // `webslice verify`. Phases:
 //
 //   - golden:       re-run the committed golden corpus (examples/golden/)
-//                   and compare slice digests byte-for-byte, then replay
-//                   and invariant-check every corpus slice;
+//                   and compare trace and slice digests byte-for-byte
+//                   (a trace change demands a browser.RenderVersion bump),
+//                   then replay and invariant-check every corpus slice;
 //   - crossformat:  re-run the golden corpus through the streaming
 //                   profiler: encode each trace, slice it block by block
 //                   out of the encoded bytes, and demand the same pinned
@@ -189,20 +190,27 @@ func SliceDigest(r *slicer.Result) string {
 }
 
 // GoldenEntry pins one golden-corpus site: a named benchmark at a scale, or
-// a property seed, with the expected slice digests.
+// a property seed, with its rendered trace's digest and the expected slice
+// digests.
 type GoldenEntry struct {
-	Name     string  `json:"name,omitempty"`
-	Scale    float64 `json:"scale,omitempty"`
-	Seed     uint64  `json:"seed,omitempty"`
-	Pixels   string  `json:"pixels"`
-	Syscalls string  `json:"syscalls"`
+	Name  string  `json:"name,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
+	Seed  uint64  `json:"seed,omitempty"`
+	// Trace is the hex trace.Digest of the site's render, valid for the
+	// corpus's RenderVersion.
+	Trace    string `json:"trace"`
+	Pixels   string `json:"pixels"`
+	Syscalls string `json:"syscalls"`
 }
 
 // GoldenCorpus is the committed golden-corpus file format
 // (examples/golden/corpus.json).
 type GoldenCorpus struct {
-	Comment string        `json:"comment,omitempty"`
-	Sites   []GoldenEntry `json:"sites"`
+	Comment string `json:"comment,omitempty"`
+	// RenderVersion is the browser.RenderVersion the trace pins were
+	// rendered under.
+	RenderVersion int           `json:"render_version"`
+	Sites         []GoldenEntry `json:"sites"`
 }
 
 // Bench materializes the entry's benchmark.
@@ -268,8 +276,16 @@ func ExecuteVerify(phase string, cfg VerifyConfig) (*VerifyStats, error) {
 }
 
 // verifyGolden checks (or, with cfg.Update, regenerates) the golden corpus:
-// slice digests must match byte-for-byte, and every corpus slice must
-// replay and satisfy the invariants.
+// trace and slice digests must match byte-for-byte, and every corpus slice
+// must replay and satisfy the invariants.
+//
+// The trace pins guard browser.RenderVersion, which keys the service's
+// cache of finished results: a rendered trace that differs from its pin
+// while the corpus's RenderVersion still equals browser.RenderVersion is
+// an error in both modes, so a renderer change cannot be re-pinned, nor a
+// persistent store serve results of the old render, without a bump. After
+// a bump, -update re-pins every trace and records the new version; until
+// then TestGoldenCorpusDigestsPinned fails on the version mismatch.
 func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 	if cfg.GoldenPath == "" {
 		return nil
@@ -278,6 +294,13 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 	if err != nil {
 		return err
 	}
+	// Lowering the version could re-address results of an older render.
+	if corpus.RenderVersion > browser.RenderVersion {
+		return fmt.Errorf("verify: golden corpus pins render version %d, newer than browser.RenderVersion %d",
+			corpus.RenderVersion, browser.RenderVersion)
+	}
+	// Trace pins bind only under the version they were rendered with.
+	pinned := corpus.RenderVersion == browser.RenderVersion
 	var updated atomic.Int64
 	err = forEach(cfg.Workers, len(corpus.Sites), func(i int) error {
 		e := &corpus.Sites[i]
@@ -289,12 +312,20 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 		if err != nil {
 			return err
 		}
+		sum := v.tr.Digest()
+		traceD := hex.EncodeToString(sum[:])
+		// Under -update, an unpinned entry (one just added) takes its
+		// first pin without a bump.
+		if pinned && e.Trace != traceD && !(cfg.Update && e.Trace == "") {
+			return fmt.Errorf("verify: golden %s: rendered trace digest %s, pinned %q, under the same browser.RenderVersion %d: a change to the renderer's output must bump browser.RenderVersion, then re-pin with `webslice verify -exp golden -update`",
+				e.Label(), traceD, e.Trace, browser.RenderVersion)
+		}
 		pixD, sysD := SliceDigest(v.pix), SliceDigest(v.sys)
 		if cfg.Update {
-			if e.Pixels != pixD || e.Syscalls != sysD {
+			if e.Trace != traceD || e.Pixels != pixD || e.Syscalls != sysD {
 				updated.Add(1)
 			}
-			e.Pixels, e.Syscalls = pixD, sysD
+			e.Trace, e.Pixels, e.Syscalls = traceD, pixD, sysD
 		} else {
 			if e.Pixels != pixD {
 				return fmt.Errorf("verify: golden %s: pixel slice digest %s, expected %s (slice behavior changed — run `webslice verify -update` if intended)",
@@ -318,6 +349,7 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 	stats.Invariants += len(corpus.Sites)
 	stats.Updated = int(updated.Load())
 	if cfg.Update {
+		corpus.RenderVersion = browser.RenderVersion
 		out, err := json.MarshalIndent(corpus, "", "  ")
 		if err != nil {
 			return err

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"webslice/internal/browser"
 	"webslice/internal/sites"
 )
 
@@ -49,15 +52,24 @@ func TestGoldenCorpusCrossFormat(t *testing.T) {
 
 // TestGoldenCorpusDigestsPinned guards the corpus file itself: every entry
 // must carry non-empty digests (an empty digest would make the golden phase
-// vacuously "pass" after a careless regeneration).
+// vacuously "pass" after a careless regeneration), including a trace pin,
+// and the pins must be for the current browser.RenderVersion (a bump
+// without a re-pin leaves the trace pins unchecked).
 func TestGoldenCorpusDigestsPinned(t *testing.T) {
 	c, err := LoadGolden(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.RenderVersion != browser.RenderVersion {
+		t.Errorf("golden corpus pins render_version %d, browser.RenderVersion is %d: re-pin with `webslice verify -exp golden -update`",
+			c.RenderVersion, browser.RenderVersion)
+	}
 	for _, e := range c.Sites {
 		if len(e.Pixels) != 64 || len(e.Syscalls) != 64 {
 			t.Errorf("golden %s: digests not pinned (pixels %q, syscalls %q)", e.Label(), e.Pixels, e.Syscalls)
+		}
+		if b, err := hex.DecodeString(e.Trace); err != nil || len(b) != 32 {
+			t.Errorf("golden %s: trace digest not pinned (%q)", e.Label(), e.Trace)
 		}
 	}
 }
@@ -89,6 +101,63 @@ func TestVerifyDetectsDigestDrift(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), entry.Label()) {
 		t.Errorf("error does not name the drifted site: %v", err)
+	}
+}
+
+// TestVerifyDetectsTraceDriftWithoutBump: a rendered trace that differs
+// from its pin under an unchanged RenderVersion fails the golden phase,
+// naming the site and the version, and -update refuses to re-pin it and
+// leaves the file alone. With the corpus one version behind (a bump),
+// -update re-pins the trace and records the current version.
+func TestVerifyDetectsTraceDriftWithoutBump(t *testing.T) {
+	c, err := LoadGolden(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry GoldenEntry
+	for _, e := range c.Sites {
+		if e.Seed != 0 {
+			entry = e
+			break
+		}
+	}
+	if entry.Seed == 0 {
+		t.Fatal("no seed entry in corpus")
+	}
+	pin := entry.Trace
+	entry.Trace = strings.Repeat("0", 64)
+	bad := filepath.Join(t.TempDir(), "corpus.json")
+	writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion, Sites: []GoldenEntry{entry}})
+	before, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = ExecuteVerify("golden", VerifyConfig{GoldenPath: bad})
+	if err == nil {
+		t.Fatal("golden phase accepted a changed trace without a RenderVersion bump")
+	}
+	if !strings.Contains(err.Error(), entry.Label()) || !strings.Contains(err.Error(), "RenderVersion") {
+		t.Errorf("error does not name the site and RenderVersion: %v", err)
+	}
+	if _, err := ExecuteVerify("golden", VerifyConfig{GoldenPath: bad, Update: true}); err == nil {
+		t.Fatal("-update re-pinned a changed trace without a RenderVersion bump")
+	}
+	if after, _ := os.ReadFile(bad); !bytes.Equal(after, before) {
+		t.Fatalf("refused -update rewrote the corpus:\n%s", after)
+	}
+
+	writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion - 1, Sites: []GoldenEntry{entry}})
+	if _, err := ExecuteVerify("golden", VerifyConfig{GoldenPath: bad, Update: true}); err != nil {
+		t.Fatalf("-update after a bump: %v", err)
+	}
+	got, err := LoadGolden(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RenderVersion != browser.RenderVersion || got.Sites[0].Trace != pin {
+		t.Errorf("-update after a bump wrote render_version %d, trace %s; want %d, %s",
+			got.RenderVersion, got.Sites[0].Trace, browser.RenderVersion, pin)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -59,7 +60,9 @@ type Spec struct {
 	Criteria string `json:"criteria,omitempty"`
 	// Verify runs the structural slice oracles (replay.CheckInvariants) on
 	// this job's result, failing the job on a violation. Fresh computations
-	// are checked before caching; cache hits are re-checked.
+	// are checked before caching; slice-cache hits are re-checked. A
+	// verified site or seed job neither reads nor writes the result cache
+	// and always renders, because the oracles need its trace.
 	Verify bool `json:"verify,omitempty"`
 	// Trace is a binary WSLT trace to slice instead of rendering a site.
 	Trace []byte `json:"-"`
@@ -108,15 +111,19 @@ type Result struct {
 	// `webslice verify -exp golden` pins in examples/golden/corpus.json.
 	// The cluster harness uses it to prove single-node and multi-node runs
 	// produce byte-identical slices.
-	SliceDigest string             `json:"slice_digest,omitempty"`
-	Criteria    string             `json:"criteria"`
-	Total       int                `json:"total_instructions"`
-	SliceCount  int                `json:"slice_instructions"`
-	SlicePct    float64            `json:"slice_pct"`
-	CacheHit    bool               `json:"cache_hit"`
-	Verified    bool               `json:"verified,omitempty"`
-	Threads     []ThreadStat       `json:"threads,omitempty"`
-	Categories  map[string]float64 `json:"categories,omitempty"`
+	SliceDigest string  `json:"slice_digest,omitempty"`
+	Criteria    string  `json:"criteria"`
+	Total       int     `json:"total_instructions"`
+	SliceCount  int     `json:"slice_instructions"`
+	SlicePct    float64 `json:"slice_pct"`
+	// CacheHit reports that the store served this job's slice: a
+	// slice-cache hit under the trace's key, or a result-cache hit that
+	// served a repeat site or seed job whole, with no render. A result held
+	// in the result cache reads false; the hit that returns it reads true.
+	CacheHit   bool               `json:"cache_hit"`
+	Verified   bool               `json:"verified,omitempty"`
+	Threads    []ThreadStat       `json:"threads,omitempty"`
+	Categories map[string]float64 `json:"categories,omitempty"`
 }
 
 // Info is a point-in-time snapshot of a job.
@@ -219,7 +226,10 @@ type Config struct {
 	// (default 64). A full queue rejects with ErrQueueFull.
 	QueueDepth int
 	// Store, when set, caches forward-pass artifacts and slice results so
-	// repeat jobs over identical traces skip both passes.
+	// repeat jobs over identical traces skip both passes. It also caches
+	// the finished Result of every unverified site or seed job under its
+	// rendering identity, criteria and browser.RenderVersion, so a repeat
+	// of such a job skips the render as well.
 	Store *store.Store
 	// Verify applies Spec.Verify to every job regardless of what the
 	// submission asked for (websliced -verify).
@@ -843,6 +853,22 @@ func (m *Manager) finish(j *job, st Status, res *Result, err error) {
 		m.cfg.Journal.LogTerminal(j.id, st)
 		ts.End()
 	}
+	// Count the job, and list it if quarantined, before publishing its
+	// status: an observer that sees the terminal status must also find the
+	// job in Quarantined() and in the counters.
+	switch st {
+	case StatusDone:
+		m.mDone.Inc()
+	case StatusFailed:
+		m.mFailed.Inc()
+	case StatusCanceled:
+		m.mCanceled.Inc()
+	case StatusQuarantined:
+		m.mQuarantined.Inc()
+		m.mu.Lock()
+		m.quarantine = append(m.quarantine, j.id)
+		m.mu.Unlock()
+	}
 	end := m.clock.Now()
 	j.mu.Lock()
 	j.finished = end
@@ -865,19 +891,6 @@ func (m *Manager) finish(j *job, st Status, res *Result, err error) {
 	j.span.EndErr(err)
 	m.log.Info("job finished", "job", j.id, "trace", j.span.TraceID(),
 		"status", string(st), "run_ms", runMs, "error", err)
-	switch st {
-	case StatusDone:
-		m.mDone.Inc()
-	case StatusFailed:
-		m.mFailed.Inc()
-	case StatusCanceled:
-		m.mCanceled.Inc()
-	case StatusQuarantined:
-		m.mQuarantined.Inc()
-		m.mu.Lock()
-		m.quarantine = append(m.quarantine, j.id)
-		m.mu.Unlock()
-	}
 }
 
 // drop abandons a job during a killed shutdown: the in-memory table shows
@@ -898,12 +911,33 @@ func (m *Manager) drop(j *job) {
 	}
 }
 
+// jobOpts are the slicing options of every job run executes. The result
+// cache's key is built from this same value (resultKey), so the options a
+// result was sliced under and the key it is stored under cannot drift.
+var jobOpts = slicer.Options{ProgressPoints: 160, MainThread: browser.MainThread}
+
 // run is the default pipeline: obtain the trace (decode or render), attach
-// the store, slice through the cache, and package the statistics. The
-// context's deadline/cancellation is polled at phase boundaries and,
-// through slicer.Options.Canceled, inside the backward walk itself.
+// the store, slice through the cache, and package the statistics. An
+// unverified site or seed job first looks its whole result up by rendering
+// identity, and a hit skips all of that. The context's deadline/cancellation
+// is polled at phase boundaries and, through slicer.Options.Canceled,
+// inside the backward walk itself.
 func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	s := obs.FromContext(ctx) // the attempt's span; nil (inert) with tracing off
+	var crit slicer.Criteria = slicer.PixelCriteria{}
+	if spec.Criteria == "syscalls" {
+		crit = slicer.SyscallCriteria{}
+	}
+	verify := spec.Verify || m.cfg.Verify
+	// Verified jobs bypass the result cache: the invariant oracles need the
+	// rendered trace. Uploads have no rendering identity.
+	rkey := ""
+	if m.cfg.Store != nil && len(spec.Trace) == 0 && !verify {
+		rkey = resultKey(spec, crit)
+		if res, ok := m.cachedResult(s, rkey); ok {
+			return res, nil
+		}
+	}
 	obtainName := "render"
 	if len(spec.Trace) > 0 {
 		obtainName = "trace.open"
@@ -918,8 +952,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, ErrCanceled
 	}
 	t := p.T // the shell for a streaming (v3) submission: tables only
-	p.Opts.ProgressPoints = 160
-	p.Opts.MainThread = browser.MainThread
+	p.Opts = jobOpts
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
 	key := ""
 	if m.cfg.Store != nil {
@@ -928,12 +961,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		key = p.Key()
 	}
-	verify := spec.Verify || m.cfg.Verify
 	p.VerifyInvariants = verify
-	var crit slicer.Criteria = slicer.PixelCriteria{}
-	if spec.Criteria == "syscalls" {
-		crit = slicer.SyscallCriteria{}
-	}
 	ss := s.Child("slice").Set("criteria", spec.Criteria)
 	p.Obs = ss // store lookups, both passes, and verification parent here
 	rs, hits, err := p.SliceAll([]slicer.Criteria{crit})
@@ -973,7 +1001,87 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	for _, c := range analysis.Categories {
 		out.Categories[c] = dist.Share[c]
 	}
+	if rkey != "" {
+		if err := m.putResult(s, rkey, out); err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
+}
+
+// RenderIdentity names what a site or seed job renders:
+// "site\x00<name>\x00<scale>", with scale 0 read as 1, or "seed\x00<N>".
+// Rendering is deterministic, so under one browser.RenderVersion an
+// identity denotes one trace on every node. The cluster routes site and
+// seed jobs by it, and the owner's result cache is keyed by it. An upload
+// has no rendering identity; it is addressed by its bytes.
+func RenderIdentity(spec Spec) string {
+	if spec.Site == "" && spec.Seed != 0 {
+		return "seed\x00" + strconv.FormatUint(spec.Seed, 10)
+	}
+	scale := spec.Scale
+	if scale == 0 {
+		scale = 1.0
+	}
+	return "site\x00" + spec.Site + "\x00" + strconv.FormatFloat(scale, 'g', -1, 64)
+}
+
+// resultKey addresses the finished result of a site or seed job: the hex
+// SHA-256 of its rendering identity, the renderer's version, and the slice
+// variant it computes under jobOpts. A RenderVersion bump orphans every
+// older entry, and the store's LRU evicts them.
+func resultKey(spec Spec, crit slicer.Criteria) string {
+	id := RenderIdentity(spec) + "\x00" + strconv.Itoa(browser.RenderVersion) +
+		"\x00" + store.SliceVariant(crit.Name(), jobOpts)
+	return store.KeyBytes([]byte(id))
+}
+
+// cachedResult looks a finished result up in the store and marks it a
+// cache hit. A failed Get (a corrupt blob, which the store evicts, or a
+// failing disk) and a blob that does not decode are misses, not job
+// failures; the recomputed result then overwrites the entry.
+func (m *Manager) cachedResult(s *obs.Span, key string) (*Result, bool) {
+	gs := m.resultSpan(s, "store.get")
+	b, ok, _ := m.cfg.Store.Get(store.KindResult, key)
+	var res Result
+	ok = ok && json.Unmarshal(b, &res) == nil
+	gs.Set("hit", strconv.FormatBool(ok))
+	gs.End()
+	if !ok {
+		return nil, false
+	}
+	res.CacheHit = true
+	return &res, true
+}
+
+// putResult stores a finished result for later repeats of its job, with
+// CacheHit cleared: whether this run hit the slice cache says nothing
+// about a later run.
+func (m *Manager) putResult(s *obs.Span, key string, res *Result) error {
+	ps := m.resultSpan(s, "store.put")
+	stored := *res
+	stored.CacheHit = false
+	b, err := json.Marshal(&stored)
+	if err == nil {
+		err = m.cfg.Store.Put(store.KindResult, key, b)
+	}
+	ps.EndErr(err)
+	if err != nil {
+		return fmt.Errorf("service: caching result: %w", err)
+	}
+	return nil
+}
+
+// resultSpan starts a child span for one result-cache operation, annotated
+// like the profiler's store spans with the artifact kind and the disk
+// breaker's state. Nil-safe: with tracing off it returns nil.
+func (m *Manager) resultSpan(parent *obs.Span, op string) *obs.Span {
+	if parent == nil {
+		return nil
+	}
+	return parent.Child(op).
+		Set("kind", store.KindResult).
+		Set("breaker", m.cfg.Store.BreakerState().String())
 }
 
 // sliceDigest is the canonical content digest of a slice: hex SHA-256 over

@@ -42,7 +42,10 @@ func (s *syncBuffer) String() string {
 // lookups, the forward pass, and the backward pass — all with correct
 // parent links — retrievable over GET /jobs/{id}/trace. The backward pass
 // is a real span that ends before its result is published to the store. A
-// repeat of the job must show its slice-cache hit and no backward pass.
+// repeat of the job must be served whole by its result-cache lookup under
+// the attempt, with no render and no slicing; a verified repeat, which
+// bypasses the result cache, must render and show its slice-cache hit and
+// no backward pass.
 func TestSpansSmoke(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -65,6 +68,9 @@ func TestSpansSmoke(t *testing.T) {
 	for _, s := range spans {
 		if s.Trace != spans[0].Trace {
 			t.Fatalf("span %s is on trace %s, want single trace %s", s.Name, s.Trace, spans[0].Trace)
+		}
+		if attr(s, "kind") == store.KindResult {
+			continue // the result-cache spans sit under attempt; checked below
 		}
 		byName[s.Name] = s
 	}
@@ -127,6 +133,14 @@ func TestSpansSmoke(t *testing.T) {
 	if !published {
 		t.Errorf("trace has no store.put kind=slice span (have %v)", names(spans))
 	}
+	// The first sighting misses the result cache and publishes its result,
+	// both under the attempt.
+	if g := storeSpans(spans, "store.get", store.KindResult, "attempt"); len(g) != 1 || attr(g[0], "hit") != "false" {
+		t.Errorf("first job's result-cache lookups under attempt = %+v, want one miss", g)
+	}
+	if p := storeSpans(spans, "store.put", store.KindResult, "attempt"); len(p) != 1 {
+		t.Errorf("first job has %d store.put kind=result spans under attempt, want 1", len(p))
+	}
 
 	// The structured log carries the trace ID, linking log lines to spans.
 	if !strings.Contains(logBuf.String(), spans[0].Trace) {
@@ -159,32 +173,50 @@ func TestSpansSmoke(t *testing.T) {
 		t.Errorf("/debug/spans = %d, body %.200s", resp.StatusCode, db.String())
 	}
 
-	// An identical second job is a slice-cache hit, and the lookup that
-	// served it is a span of its own under the slice span.
+	// An identical second job is a result-cache hit: one lookup under the
+	// attempt serves it, and nothing renders or slices.
 	again := jobSpans(t, m, srv.URL, `{"site":"amazon-desktop","scale":0.04}`)
-	var sliceID string
+	if g := storeSpans(again, "store.get", store.KindResult, "attempt"); len(g) != 1 || attr(g[0], "hit") != "true" {
+		t.Errorf("repeat job's result-cache lookups under attempt = %+v, want one hit (have %v)", g, names(again))
+	}
 	for _, s := range again {
-		if s.Name == "slice" {
-			sliceID = s.ID
+		switch s.Name {
+		case "render", "slice", "slice.scan":
+			t.Errorf("repeat job is a result-cache hit but its trace has a %s span", s.Name)
 		}
 	}
-	found := false
-	for _, s := range again {
-		if s.Name == "store.get" && attr(s, "kind") == "slice" && attr(s, "hit") == "true" {
-			found = true
-			if s.Parent != sliceID {
-				t.Errorf("slice-cache store.get.parent = %q, want slice %q", s.Parent, sliceID)
-			}
-		}
+
+	// A verified repeat bypasses the result cache and renders, and its
+	// slice is a slice-cache hit: the lookup that served it is a span of
+	// its own under the slice span, and there is no backward pass.
+	verified := jobSpans(t, m, srv.URL, `{"site":"amazon-desktop","scale":0.04,"verify":true}`)
+	if g := storeSpans(verified, "store.get", store.KindSlice, "slice"); len(g) != 1 || attr(g[0], "hit") != "true" {
+		t.Errorf("verified repeat's slice-cache lookups under slice = %+v, want one hit (have %v)", g, names(verified))
 	}
-	if !found {
-		t.Errorf("repeat job's trace has no store.get kind=slice hit=true span (have %v)", names(again))
-	}
-	for _, s := range again {
+	for _, s := range verified {
 		if s.Name == "slice.scan" {
-			t.Errorf("repeat job is a cache hit but its trace has a slice.scan span")
+			t.Errorf("verified repeat is a slice-cache hit but its trace has a slice.scan span")
 		}
 	}
+}
+
+// storeSpans returns the spans of store operation op on artifact kind
+// whose parent is the (first) span named parent.
+func storeSpans(spans []obs.SpanData, op, kind, parent string) []obs.SpanData {
+	var parentID string
+	for _, s := range spans {
+		if s.Name == parent {
+			parentID = s.ID
+			break
+		}
+	}
+	var out []obs.SpanData
+	for _, s := range spans {
+		if s.Name == op && attr(s, "kind") == kind && s.Parent == parentID {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // jobSpans submits one job, waits for it to finish, and returns its trace

@@ -19,10 +19,12 @@ import (
 )
 
 // Artifact kinds. Slice artifacts append a variant (criteria + options
-// fingerprint) via SliceVariant.
+// fingerprint) via SliceVariant. A result artifact is a site or seed job's
+// finished service result, encoded and keyed by the service.
 const (
-	KindDeps  = "cdg"
-	KindSlice = "slice"
+	KindDeps   = "cdg"
+	KindSlice  = "slice"
+	KindResult = "result"
 )
 
 // TraceKey returns the content address of a trace held in memory (a site

@@ -60,6 +60,7 @@ go test -run '^$' -fuzz FuzzSliceNeverPanics -fuzztime 5s ./internal/slicer
 go test -run '^$' -fuzz FuzzReplayAgreesWithSlice -fuzztime 5s ./internal/replay
 go test -run '^$' -fuzz FuzzV3RoundTrip -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s ./internal/trace
+go test -run '^$' -fuzz FuzzBuildMatchesReference -fuzztime 5s ./internal/cfg
 
 # Observability smoke: a job through the HTTP API must produce one
 # causally-linked span tree (correct names and parent links), with its

@@ -93,7 +93,7 @@ type Forest struct {
 // requires.
 func Build(t *trace.Trace) (*Forest, error) {
 	f := &Forest{Graphs: make(map[trace.FuncID]*Graph)}
-	stacks := make(map[uint8][]*frame)
+	var stacks [256][]frame // open instances per thread, innermost last
 
 	graphFor := func(fn trace.FuncID) *Graph {
 		g := f.Graphs[fn]
@@ -108,27 +108,40 @@ func Build(t *trace.Trace) (*Forest, error) {
 		r := &t.Recs[i]
 		st := stacks[r.TID]
 		if len(st) == 0 {
-			st = append(st, &frame{g: graphFor(r.Func()), last: Entry})
+			st = append(st, frame{g: graphFor(r.Func()), last: Entry})
 		}
-		top := st[len(st)-1]
-		if top.g.Fn != r.Func() {
+		top := &st[len(st)-1]
+		g := top.g
+		if g.Fn != r.Func() {
 			// A record from a different function without an intervening
 			// call: the trace is malformed.
 			return nil, fmt.Errorf("cfg: rec %d in %s but open frame is %s (unbalanced call/return)",
-				i, t.FuncName(r.Func()), t.FuncName(top.g.Fn))
+				i, t.FuncName(r.Func()), t.FuncName(g.Fn))
 		}
-		n := top.g.node(r.PC)
-		top.g.addEdge(top.last, n)
+		// Loops retrace edges they already recorded: a successor of the
+		// last node with this PC is the node itself, and the edge exists.
+		// Entry and Exit carry placeholder PC 0, so they never match.
+		n := int32(-1)
+		for _, s := range g.Succs[top.last] {
+			if s > Exit && g.PCs[s] == r.PC {
+				n = s
+				break
+			}
+		}
+		if n < 0 {
+			n = g.node(r.PC)
+			g.addEdge(top.last, n)
+		}
 		top.last = n
 
 		switch r.Kind {
 		case isa.KindBranch:
-			top.g.IsBranch[n] = true
+			g.IsBranch[n] = true
 		case isa.KindCall:
 			callee := trace.FuncID(r.Aux)
-			st = append(st, &frame{g: graphFor(callee), last: Entry})
+			st = append(st, frame{g: graphFor(callee), last: Entry})
 		case isa.KindRet:
-			top.g.addEdge(n, Exit)
+			g.addEdge(n, Exit)
 			if len(st) > 1 {
 				st = st[:len(st)-1]
 			} else {

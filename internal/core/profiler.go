@@ -37,10 +37,12 @@ type Profiler struct {
 	T *trace.Trace
 
 	// src feeds records to the backward pass: zero-copy for a materialized
-	// trace, block-at-a-time for a v3 stream.
+	// trace, block-at-a-time for a v3 stream until materialize decodes it.
 	src slicer.Source
 	// br is the block reader behind a streaming profiler, nil otherwise.
 	br *trace.BlockReader
+	// full is the trace materialize decoded from br (nil until then).
+	full *trace.Trace
 
 	forest *cfg.Forest
 	deps   *cdg.Deps
@@ -79,11 +81,13 @@ func NewProfiler(t *trace.Trace) *Profiler {
 }
 
 // NewProfilerStream wraps a block-compressed (v3) trace without decoding
-// it: the backward pass streams one block at a time, so peak record memory
-// is O(block size) instead of the whole trace. The passes that genuinely
-// need every record at once — CFG construction on a forward-pass cache
-// miss, invariant replay under VerifyInvariants — decode the trace
-// transiently and release it.
+// it. When the forward pass comes from the store, the backward pass streams
+// one block at a time, so peak record memory is O(block size) instead of
+// the whole trace. The passes that need every record at once — CFG
+// construction on a forward-pass cache miss, invariant replay under
+// VerifyInvariants — decode the trace once and keep it; a backward pass
+// that runs after that decode slices those records instead of decoding
+// every block a second time.
 func NewProfilerStream(br *trace.BlockReader) *Profiler {
 	return &Profiler{
 		T:    br.Shell(),
@@ -94,13 +98,21 @@ func NewProfilerStream(br *trace.BlockReader) *Profiler {
 }
 
 // materialize returns a fully decoded trace for the whole-trace passes.
-// For a materialized profiler it is T itself; for a streaming profiler it
-// decodes every block into a fresh trace the caller must not retain.
+// For a materialized profiler it is T itself. A streaming profiler decodes
+// every block on the first call, keeps the records, and from then on feeds
+// them to the backward pass too.
 func (p *Profiler) materialize() (*trace.Trace, error) {
 	if p.br == nil {
 		return p.T, nil
 	}
-	return p.br.ReadAll()
+	if p.full == nil {
+		full, err := p.br.ReadAll()
+		if err != nil {
+			return nil, err
+		}
+		p.full, p.src = full, slicer.TraceSource(full)
+	}
+	return p.full, nil
 }
 
 // UseStore attaches a content-addressed artifact store. The trace is
@@ -287,8 +299,8 @@ func (p *Profiler) cachedSlice(c slicer.Criteria) (*slicer.Result, bool) {
 	return r, ok
 }
 
-// verify runs the structural invariant oracles over results. On a
-// streaming profiler the trace is decoded transiently for the check.
+// verify runs the structural invariant oracles over results, against the
+// trace materialize decoded.
 func (p *Profiler) verify(rs []*slicer.Result) error {
 	vs := p.Obs.Child("verify").Set("slices", strconv.Itoa(len(rs)))
 	full, err := p.materialize()

@@ -9,10 +9,12 @@ package experiments
 //                   (a trace change demands a browser.RenderVersion bump),
 //                   then replay and invariant-check every corpus slice;
 //   - crossformat:  re-run the golden corpus through the streaming
-//                   profiler: encode each trace, slice it block by block
-//                   out of the encoded bytes, and demand the same pinned
-//                   digests, the same Table II numbers, and the same
-//                   replay-oracle verdicts as the materialized pipeline;
+//                   profiler: encode each trace, slice it out of the
+//                   encoded bytes (once after a forward-pass miss, once
+//                   block by block after a forward-pass store hit), and
+//                   demand the same pinned digests, the same Table II
+//                   numbers, and the same replay-oracle verdicts as the
+//                   materialized pipeline;
 //   - replay:       re-execute property-generated sites' slices with all
 //                   out-of-slice instructions elided, asserting criterion
 //                   bytes reproduce;
@@ -363,12 +365,15 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 }
 
 // verifyCrossFormat re-runs the golden corpus through the streaming
-// pipeline: each site's trace is encoded and sliced by the streaming
-// profiler (shell trace, block-at-a-time backward pass). Every
-// pinned digest must reproduce, every slice must still satisfy the replay
-// oracle against the original tape, and the derived paper numbers — the
-// Table II slice percentages and the Figure 5 category distribution — must
-// be identical to the materialized run's.
+// pipeline: each site's trace is encoded and sliced by two streaming
+// profilers over the same bytes. The first has no store, so its forward
+// pass misses and its backward pass slices the records that pass decoded.
+// The second finds the first one's forward pass in a store, so its backward
+// pass streams block by block. For both, every pinned digest must
+// reproduce and the Table II slice percentages must be identical to the
+// materialized run's. The first one's slices must also satisfy the replay
+// oracle against the original tape, and its Figure 5 category distribution
+// must match the materialized run's.
 func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 	if cfg.GoldenPath == "" {
 		return nil
@@ -395,27 +400,49 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: open: %w", e.Label(), err)
 		}
-		p := core.NewProfilerStream(br)
-		p.Opts = verifyOpts
-		rs, _, err := p.SliceAll([]slicer.Criteria{
+		cs := []slicer.Criteria{
 			slicer.PixelCriteria{},
 			slicer.SyscallCriteria{},
 			slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
-		})
+		}
+		p := core.NewProfilerStream(br)
+		p.Opts = verifyOpts
+		rs, _, err := p.SliceAll(cs)
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
-		if d := SliceDigest(rs[0]); d != e.Pixels {
-			return fmt.Errorf("verify: crossformat %s: streaming pixel slice digest %s, pinned digest %s", e.Label(), d, e.Pixels)
+		st, err := store.Open("", 0)
+		if err != nil {
+			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
-		if d := SliceDigest(rs[1]); d != e.Syscalls {
-			return fmt.Errorf("verify: crossformat %s: streaming syscall slice digest %s, pinned digest %s", e.Label(), d, e.Syscalls)
+		hit := core.NewProfilerStream(br)
+		hit.Opts = verifyOpts
+		if err := hit.UseStore(st); err != nil {
+			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
-		// Table II: the slice percentages must agree exactly.
-		for k, pair := range []struct{ mat, str *slicer.Result }{{v.pix, rs[0]}, {v.sys, rs[1]}, {v.uni, rs[2]}} {
-			if pair.mat.Percent() != pair.str.Percent() || pair.mat.Total != pair.str.Total {
-				return fmt.Errorf("verify: crossformat %s: slice %d percentage diverges: materialized %.4f%% (%d recs), streaming %.4f%% (%d recs)",
-					e.Label(), k, pair.mat.Percent(), pair.mat.Total, pair.str.Percent(), pair.str.Total)
+		if err := st.PutDeps(hit.Key(), p.Deps()); err != nil {
+			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
+		}
+		hrs, _, err := hit.SliceAll(cs)
+		if err != nil {
+			return fmt.Errorf("verify: crossformat %s: forward-pass hit: %w", e.Label(), err)
+		}
+		for _, run := range []struct {
+			name string
+			rs   []*slicer.Result
+		}{{"forward-pass miss", rs}, {"forward-pass hit", hrs}} {
+			if d := SliceDigest(run.rs[0]); d != e.Pixels {
+				return fmt.Errorf("verify: crossformat %s: streaming pixel slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Pixels)
+			}
+			if d := SliceDigest(run.rs[1]); d != e.Syscalls {
+				return fmt.Errorf("verify: crossformat %s: streaming syscall slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Syscalls)
+			}
+			// Table II: the slice percentages must agree exactly.
+			for k, pair := range []struct{ mat, str *slicer.Result }{{v.pix, run.rs[0]}, {v.sys, run.rs[1]}, {v.uni, run.rs[2]}} {
+				if pair.mat.Percent() != pair.str.Percent() || pair.mat.Total != pair.str.Total {
+					return fmt.Errorf("verify: crossformat %s: slice %d percentage after a %s diverges: materialized %.4f%% (%d recs), streaming %.4f%% (%d recs)",
+						e.Label(), k, run.name, pair.mat.Percent(), pair.mat.Total, pair.str.Percent(), pair.str.Total)
+				}
 			}
 		}
 		// Figure 5: the category distribution computed from the streaming

@@ -279,7 +279,7 @@ type job struct {
 	status   Status
 	err      string
 	result   *Result
-	enqueued time.Time
+	enqueued time.Time // once journaled, just before the queue send
 	started  time.Time
 	finished time.Time
 
@@ -481,10 +481,9 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	}
 	m.nextID++
 	j := &job{
-		id:       fmt.Sprintf("j%06d", m.nextID),
-		spec:     spec,
-		status:   StatusQueued,
-		enqueued: m.clock.Now(),
+		id:     fmt.Sprintf("j%06d", m.nextID),
+		spec:   spec,
+		status: StatusQueued,
 	}
 	m.startJobSpan(j)
 	if m.cfg.Journal != nil {
@@ -498,6 +497,9 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 			return "", err
 		}
 	}
+	// Queue wait starts here, not before the journal's fsync, which the
+	// journal.submit span already reports.
+	j.enqueued = m.clock.Now()
 	m.queue <- j
 	m.jobs[j.id] = j
 	m.mSubmitted.Inc()
@@ -1098,9 +1100,10 @@ func sliceDigest(r *slicer.Result) string {
 
 func obtainTrace(spec Spec) (*core.Profiler, error) {
 	if len(spec.Trace) > 0 {
-		// A submission is profiled in place: the backward pass streams
-		// blocks out of the submitted bytes and the records are never
-		// materialized as one slice.
+		// A submission is profiled in place, out of the submitted bytes.
+		// When its forward pass is cached, the backward pass streams
+		// block by block; on a miss it slices the records the forward
+		// pass decoded.
 		br, err := trace.OpenV3(spec.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("service: decoding submitted trace: %w", err)

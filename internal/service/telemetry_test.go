@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -270,6 +271,38 @@ func names(spans []obs.SpanData) []string {
 		out[i] = s.Name
 	}
 	return out
+}
+
+// The queue.wait span starts once the submission is journaled: the
+// journal's fsync is journal.submit's time, not queue wait.
+func TestQueueWaitExcludesJournalSubmit(t *testing.T) {
+	jl, _, err := OpenJournal(filepath.Join(t.TempDir(), "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Workers: 1, Journal: jl, Tracer: obs.New(64, nil)})
+	defer m.Close()
+	id, err := m.Submit(Spec{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, id, StatusDone)
+	spans, _ := m.JobTrace(id)
+	var js, qw *obs.SpanData
+	for i := range spans {
+		switch spans[i].Name {
+		case "journal.submit":
+			js = &spans[i]
+		case "queue.wait":
+			qw = &spans[i]
+		}
+	}
+	if js == nil || qw == nil {
+		t.Fatalf("want journal.submit and queue.wait spans, got %v", names(spans))
+	}
+	if end := js.StartNs + int64(math.Round(js.DurMs*float64(time.Millisecond))); qw.StartNs < end {
+		t.Fatalf("queue.wait starts %d ns before journal.submit ends", end-qw.StartNs)
+	}
 }
 
 // A submission carrying a traceparent header must join the caller's trace

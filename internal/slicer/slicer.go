@@ -548,7 +548,9 @@ func (s *sliceState) finish() *Result {
 // criteria order and are identical to what len(cs) one-criterion calls
 // would produce. One stored forward pass serves many backward passes, and
 // those backward passes share the trace walk too. A streaming source
-// decodes each block once, so peak record memory is one block.
+// decodes each block once and holds one block of records at a time; the
+// profiler streams only when its forward pass came from the store, and
+// otherwise passes the records that pass decoded as a TraceSource.
 func Slice(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("slicer: no criteria")

@@ -2,12 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"webslice/internal/isa"
+	"webslice/internal/vmem"
 )
 
 // readV3 decodes a whole v3 encoding, as cmd/tracedump does.
@@ -37,15 +43,39 @@ func withIndex(enc, idx []byte) []byte {
 // block payloads are verified only when decoded; block 0 then fails to
 // inflate.
 func hugeIndexV3() []byte {
+	return handBuiltV3(maxBlockRecs, make([][]byte, 8)...)
+}
+
+// deflateBombV3 hand-builds a v3 file of 64-record blocks whose one block
+// holds 64 MiB of zeros, deflated to about 64 KB. A legal 64-record block
+// inflates to at most maxColumnBytes(64) bytes.
+func deflateBombV3() []byte {
+	var comp bytes.Buffer
+	fw, _ := flate.NewWriter(&comp, flate.BestCompression)
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 64; i++ {
+		fw.Write(zeros)
+	}
+	fw.Close()
+	return handBuiltV3(64, comp.Bytes())
+}
+
+// handBuiltV3 frames payloads as the blocks of a v3 file with blockRecs
+// records per block, each block declaring blockRecs records, followed by
+// an empty footer, the index and the tail. Every checksum is valid, so
+// OpenV3 accepts the file; the payloads are inflated only by DecodeBlock.
+func handBuiltV3(blockRecs uint64, payloads ...[]byte) []byte {
 	out := append([]byte(nil), magic[:]...)
 	out = binary.AppendUvarint(out, v3Version)
-	out = binary.AppendUvarint(out, maxBlockRecs)
+	out = binary.AppendUvarint(out, blockRecs)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 	var offs []int
-	for i := 0; i < 8; i++ {
+	for _, p := range payloads {
 		offs = append(offs, len(out))
-		out = append(out, v3TagBlock, 0)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(nil))
+		out = append(out, v3TagBlock)
+		out = binary.AppendUvarint(out, uint64(len(p)))
+		out = append(out, p...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
 	}
 	footOff := len(out)
 	foot := appendFooter(nil, nil, nil, nil, nil, nil)
@@ -58,7 +88,7 @@ func hugeIndexV3() []byte {
 	prev := 0
 	for _, off := range offs {
 		idx = binary.AppendUvarint(idx, uint64(off-prev))
-		idx = binary.AppendUvarint(idx, maxBlockRecs)
+		idx = binary.AppendUvarint(idx, blockRecs)
 		prev = off
 	}
 	out = append(out, idx...)
@@ -100,6 +130,56 @@ func TestReadAllAllocatesOnlyForDecodedBlocks(t *testing.T) {
 	}
 	if alloc >= 4<<20 {
 		t.Fatalf("ReadAll of a %d-byte body allocated %d bytes before failing", len(data), alloc)
+	}
+}
+
+// TestInflateCapIsTheWorstCase: the inflate cap is exactly what the
+// widest legal block encodes to, so every trace the writer produces still
+// decodes, while a block that inflates past its cap fails with a typed
+// error. In the widest block every run has length 1 and every varint is
+// at its widest.
+func TestInflateCapIsTheWorstCase(t *testing.T) {
+	const n = 1 << 14 // the smallest record count whose uvarint takes 3 bytes
+	recs := make([]Rec, n)
+	for i := range recs {
+		// Each thread's PCs and addresses swing between 0 and 2^32-1, so
+		// every per-thread delta is a 5-byte zigzag varint.
+		var wide uint32
+		if i/2%2 == 0 {
+			wide = math.MaxUint32
+		}
+		recs[i] = Rec{
+			PC:   wide,
+			Dst:  math.MaxUint32,
+			Src1: math.MaxUint32,
+			Src2: math.MaxUint32,
+			Addr: vmem.Addr(wide),
+			Aux:  math.MaxUint32,
+			Size: math.MaxUint16 - uint16(i%2),
+			Kind: isa.Kind(i % 2),
+			TID:  uint8(i % 2),
+		}
+	}
+	if got, want := len(appendColumns(nil, recs)), maxColumnBytes(n); got != want {
+		t.Fatalf("widest %d-record block encodes to %d bytes, cap is %d", n, got, want)
+	}
+	tr := New()
+	tr.Recs = recs
+	var enc bytes.Buffer
+	if err := tr.WriteV3Blocks(&enc, n); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readV3(enc.Bytes())
+	if err != nil {
+		t.Fatalf("widest block fails to decode under its cap: %v", err)
+	}
+	if !reflect.DeepEqual(got.Recs, recs) {
+		t.Fatal("widest block did not survive the round trip")
+	}
+
+	var de *DecodeError
+	if _, err := readV3(deflateBombV3()); !errors.As(err, &de) || !strings.Contains(de.Msg, "inflates past") {
+		t.Fatalf("deflate bomb: got %v, want a DecodeError for inflating past the cap", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 
@@ -16,8 +17,7 @@ import (
 // Trace format version 3: a block-based, column-oriented encoding built for
 // traces too large to hold in memory. The record stream is split into
 // fixed-size blocks that compress and decode independently, so the slicer's
-// segmented backward pass can walk a trace one block at a time with bounded
-// peak RSS.
+// backward pass can walk a trace one block at a time with bounded peak RSS.
 //
 // Layout:
 //
@@ -231,6 +231,13 @@ func (t *Trace) Digest() [sha256.Size]byte {
 	h.Sum(sum[:0])
 	return sum
 }
+
+// maxColumnBytes is the most appendColumns emits for a block of n records:
+// 3 bytes for the count (n ≤ maxBlockRecs), then per record at worst a
+// 2-byte kind run, a 2-byte thread run, six 5-byte varints (PC, Dst, Src1,
+// Src2, Addr, Aux) and a 4-byte size run. Longer runs only take fewer
+// bytes per record. DecodeBlock caps a block's inflated payload here.
+func maxColumnBytes(n int) int { return 3 + 38*n }
 
 // appendColumns transposes one block of records into the v3 column layout.
 func appendColumns(b []byte, recs []Rec) []byte {
@@ -596,18 +603,35 @@ type inflater struct {
 	buf []byte
 }
 
-func (in *inflater) inflate(comp []byte) ([]byte, error) {
+// inflate decompresses comp, which may inflate to at most limit bytes. The
+// scratch buffer never grows past limit, and a stream that goes on beyond
+// it fails, so a few compressed bytes cannot make the reader allocate more
+// than the block's record count can legally need.
+func (in *inflater) inflate(comp []byte, limit int) ([]byte, error) {
 	in.src.Reset(comp)
 	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
 		return nil, err
 	}
 	out := in.buf[:0]
 	for {
-		if len(out) == cap(out) {
-			out = append(out, 0)[:len(out)]
+		end := min(cap(out), limit)
+		if len(out) == end && end < limit {
+			grown := make([]byte, len(out), min(max(2*cap(out), 4096), limit))
+			copy(grown, out)
+			out, end = grown, cap(grown)
 		}
-		n, err := in.fr.Read(out[len(out):cap(out)])
-		out = out[:len(out)+n]
+		var n int
+		var err error
+		if len(out) < end {
+			n, err = in.fr.Read(out[len(out):end])
+			out = out[:len(out)+n]
+		} else {
+			// At the limit: the stream must end without another byte.
+			var probe [1]byte
+			if n, err = in.fr.Read(probe[:]); n > 0 {
+				err = errors.New("inflates past " + itoa(limit) + " bytes, the most its record count encodes to")
+			}
+		}
 		if err == io.EOF {
 			in.buf = out
 			return out, nil
@@ -621,7 +645,8 @@ func (in *inflater) inflate(comp []byte) ([]byte, error) {
 
 // DecodeBlock verifies and decompresses block i into dst, reusing dst's
 // backing array when it has capacity. The returned slice holds exactly the
-// block's records.
+// block's records. A payload that inflates past maxColumnBytes of the
+// record count the index declares fails with a DecodeError.
 func (br *BlockReader) DecodeBlock(i int, dst []Rec) ([]Rec, error) {
 	m := &br.blocks[i]
 	d := &decoder{buf: m.body, section: "v3 block payload"}
@@ -631,7 +656,7 @@ func (br *BlockReader) DecodeBlock(i int, dst []Rec) ([]Rec, error) {
 	if br.in == nil {
 		br.in = &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
 	}
-	raw, err := br.in.inflate(m.body)
+	raw, err := br.in.inflate(m.body, maxColumnBytes(m.count))
 	if err != nil {
 		return nil, &DecodeError{Section: "v3 block payload", Offset: 0, Msg: "block " + itoa(i) + ": " + err.Error()}
 	}

@@ -107,6 +107,7 @@ func FuzzV3DecodeNeverPanics(f *testing.F) {
 	f.Add(empty.Bytes())
 	f.Add(small.Bytes())
 	f.Add(hugeIndexV3())
+	f.Add(deflateBombV3())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			br         *BlockReader

@@ -5,7 +5,7 @@
 # the code -race exists to check.
 set -eux
 cd "$(dirname "$0")"
-unformatted=$(gofmt -l cmd internal examples bench_test.go)
+unformatted=$(gofmt -l cmd internal examples e2ebench bench_test.go)
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on:" "$unformatted" >&2
 	exit 1

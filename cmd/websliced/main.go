@@ -1,11 +1,13 @@
 // Command websliced serves the slicing profiler over HTTP: clients submit
 // a named benchmark site or a binary trace, a bounded queue feeds a pool
 // of parallel workers, and a content-addressed artifact store makes a
-// repeat slice of an identical trace a cache hit that skips the forward
-// pass entirely. A repeat site or seed job (same site and scale or seed,
-// same criteria, same browser.RenderVersion) is a result hit that skips
-// the render as well; verified jobs (-verify, or a spec's "verify") still
-// render, because the invariant oracles need the trace. With -journal,
+// repeat job (same upload bytes, or same site and scale or seed; same
+// criteria; same browser.RenderVersion) a result hit that skips the
+// render, decode and both passes. A job over a known trace with the other
+// criteria loads the forward pass from the store and runs only the
+// backward pass. Verified jobs (-verify, or a spec's "verify") never use
+// the result cache, so the invariant oracles always check a freshly
+// computed slice. With -journal,
 // every acknowledged submission is written to a write-ahead log before the
 // ID is returned, so a crash (or a drain that runs out of time) loses no
 // accepted work — the next boot replays and finishes it.

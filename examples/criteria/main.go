@@ -43,7 +43,7 @@ var sent = reportTransaction();`)})
 
 	// One forward pass, then one fused backward walk for both criteria.
 	p := core.NewProfiler(b.M.Tr)
-	rs, _, err := p.SliceAll([]slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
+	rs, err := p.SliceAll([]slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestPixelSliceOnTinySite(t *testing.T) {
 func TestSyscallSliceSuperset(t *testing.T) {
 	b := loadTiny(t, false)
 	p := core.NewProfiler(b.M.Tr)
-	rs, _, err := p.SliceAll([]slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
+	rs, err := p.SliceAll([]slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -400,9 +400,9 @@ func TestJobKey(t *testing.T) {
 	if keys["site-default-scale"] != keys["site-scale-1"] {
 		t.Fatal("scale 0 and scale 1.0 keyed differently")
 	}
-	// The ring hashes these exact bytes, and service.RenderIdentity also
-	// keys the owners' result caches: a change here moves every site and
-	// seed job to a new, cold owner.
+	// The ring hashes these exact bytes, and service.JobKey also keys the
+	// owners' result caches: a change here moves every site and seed job
+	// to a new, cold owner.
 	if keys["site-scale-half"] != "site\x00maps\x000.5" || keys["seed"] != "seed\x007" {
 		t.Fatalf("rendering identities changed: %q, %q", keys["site-scale-half"], keys["seed"])
 	}

@@ -17,24 +17,13 @@ import (
 	"webslice/internal/metrics"
 	"webslice/internal/obs"
 	"webslice/internal/service"
-	"webslice/internal/store"
 )
 
-// JobKey is the distribution identity of a job — the value the ring
-// hashes to pick an owner. A submitted trace uses store.KeyBytes of the
-// submitted bytes, the very function the owning worker's store keys its
-// CDG/slice blobs with, so ring and store agree by construction; site and
-// seed jobs use service.RenderIdentity, which maps to the same trace on
-// every node because rendering is deterministic, and which the owner's
-// result cache is keyed by as well. Criteria are
-// deliberately excluded: both criteria of one trace share the forward-pass
-// artifacts, so they belong on the same node.
-func JobKey(spec service.Spec) string {
-	if len(spec.Trace) > 0 {
-		return store.KeyBytes(spec.Trace)
-	}
-	return service.RenderIdentity(spec)
-}
+// JobKey is service.JobKey, the distribution identity the ring hashes to
+// pick an owner. It remains here for e2ebench's layer timer.
+//
+// Deprecated: call service.JobKey.
+func JobKey(spec service.Spec) string { return service.JobKey(spec) }
 
 // ErrUnknownJob is returned for ids the coordinator never issued.
 var ErrUnknownJob = errors.New("cluster: unknown job")
@@ -218,7 +207,7 @@ func (c *Coordinator) peerCounter(kind, peer string) *metrics.Counter {
 // owner is backpressure, not failure: it propagates to the caller rather
 // than stampeding a colder node.
 func (c *Coordinator) Submit(spec service.Spec) (string, error) {
-	key := JobKey(spec)
+	key := service.JobKey(spec)
 	c.mu.Lock()
 	c.nextID++
 	id := fmt.Sprintf("c%06d", c.nextID)

@@ -126,72 +126,44 @@ func TestTraceRoundTripKeepsKeyAndSlice(t *testing.T) {
 	}
 }
 
+// TestForwardPassServedFromStore: a profiler whose trace's forward pass is
+// already in the store loads it instead of rebuilding it, as the service's
+// other-criteria repeat of a trace does.
 func TestForwardPassServedFromStore(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr1 := renderAmazon(t)
-	p1 := core.NewProfiler(tr1)
-	p1.Opts.ProgressPoints = 160
-	if err := p1.UseStore(st); err != nil {
-		t.Fatal(err)
+	storeProfiler := func() *core.Profiler {
+		tr := renderAmazon(t)
+		key, _ := store.TraceKey(tr)
+		p := core.NewProfiler(tr)
+		p.Opts.ProgressPoints = 160
+		p.UseStore(st, key)
+		return p
 	}
-	pix := []slicer.Criteria{slicer.PixelCriteria{}}
-	r1, hits, err := p1.SliceAll(pix)
-	if err != nil {
+	p1 := storeProfiler()
+	if _, err := p1.Slice(slicer.PixelCriteria{}); err != nil {
 		t.Fatal(err)
-	}
-	if hits[0] {
-		t.Fatal("first slice reported a cache hit on an empty store")
 	}
 	if p1.Forest() == nil {
 		t.Fatal("first profiler should have computed the forward pass")
 	}
 
-	// A second profiler over an identical trace: the whole slice comes out
-	// of the store, byte-identical, with no forward pass run.
-	tr2 := renderAmazon(t)
-	p2 := core.NewProfiler(tr2)
-	p2.Opts.ProgressPoints = 160
-	if err := p2.UseStore(st); err != nil {
-		t.Fatal(err)
-	}
-	if p1.Key() != p2.Key() {
-		t.Fatalf("identical traces got different keys: %s vs %s", p1.Key(), p2.Key())
-	}
+	// A second profiler over an identical trace, slicing the other
+	// criteria, loads the forward pass from the store.
+	p2 := storeProfiler()
 	before := st.Stats().Hits
-	r2, hits, err := p2.SliceAll(pix)
-	if err != nil {
+	if _, err := p2.Slice(slicer.SyscallCriteria{}); err != nil {
 		t.Fatal(err)
-	}
-	if !hits[0] {
-		t.Fatal("second slice of an identical trace was not a cache hit")
 	}
 	if st.Stats().Hits <= before {
 		t.Fatal("store hit counter did not increment")
 	}
-	if p2.Forest() != nil || p2.Deps() != nil {
-		t.Fatal("cache hit should have skipped the forward pass entirely")
-	}
-	if !bytes.Equal(store.EncodeResult(r1[0]), store.EncodeResult(r2[0])) {
-		t.Fatal("cached slice result is not byte-identical to the computed one")
-	}
-
-	// A third profiler asking for a *different* variant misses the slice
-	// cache but still loads the forward pass from the store.
-	p3 := core.NewProfiler(renderAmazon(t))
-	p3.Opts.ProgressPoints = 160
-	if err := p3.UseStore(st); err != nil {
-		t.Fatal(err)
-	}
-	if _, hits, err := p3.SliceAll([]slicer.Criteria{slicer.SyscallCriteria{}}); err != nil || hits[0] {
-		t.Fatalf("syscall slice: hits=%v err=%v, want fresh computation", hits, err)
-	}
-	if p3.Forest() != nil {
+	if p2.Forest() != nil {
 		t.Fatal("forward pass should have been loaded from the store, not rebuilt")
 	}
-	if p3.Deps() == nil {
+	if p2.Deps() == nil {
 		t.Fatal("forward pass missing after store load")
 	}
 }

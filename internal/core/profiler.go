@@ -12,11 +12,12 @@
 // One forward pass serves every backward pass over the same trace, as the
 // paper notes: the profiler keeps it across calls, SliceAll evaluates several
 // criteria in one fused reverse walk, and an attached artifact store (see
-// UseStore) persists both the forward pass and whole slice results.
+// UseStore) persists the forward pass. The backward pass always runs; a
+// caller that wants to skip it caches its own answer (the service keeps a
+// job's finished result).
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -50,22 +51,21 @@ type Profiler struct {
 	// Opts are the options of every slicing run.
 	Opts slicer.Options
 
-	// VerifyInvariants makes every slice the profiler returns — freshly
-	// computed or served from the store — pass the structural invariant
-	// oracles (replay.CheckInvariants) first. An invariant violation is an
-	// error, and a fresh result that fails is not cached.
+	// VerifyInvariants makes every slice the profiler returns pass the
+	// structural invariant oracles (replay.CheckInvariants) first. An
+	// invariant violation is an error.
 	VerifyInvariants bool
 
 	// Obs, when non-nil, is the parent span the profiler records its work
-	// under: the forward pass, the backward pass (slice.scan), every store
-	// lookup/publish (with hit/miss and the disk breaker's state), and
-	// invariant verification each become child spans. Nil disables tracing at zero cost — every
-	// obs.Span method is nil-safe.
+	// under: the forward pass, the backward pass (slice.scan), every
+	// forward-pass store lookup/publish (with hit/miss and the disk
+	// breaker's state), and invariant verification each become child spans.
+	// Nil disables tracing at zero cost — every obs.Span method is nil-safe.
 	Obs *obs.Span
 
-	// store, when set, is consulted before computing: the forward pass
-	// loads a cached control dependence graph, and SliceAll loads whole
-	// slice results. key is the trace's content address in the store.
+	// store, when set, is consulted before the forward pass, which loads a
+	// cached control dependence graph instead of computing one. key is the
+	// trace's content address in the store.
 	store *store.Store
 	key   string
 }
@@ -115,30 +115,14 @@ func (p *Profiler) materialize() (*trace.Trace, error) {
 	return p.full, nil
 }
 
-// UseStore attaches a content-addressed artifact store. The trace is
-// hashed once (its content address); from then on Forward and SliceAll
-// consult the store before computing and publish what they compute. A
-// streaming profiler is keyed by the bytes it was opened on, a materialized
-// one by its trace's digest (see store.TraceKey and store.TraceKeyV3).
-func (p *Profiler) UseStore(s *store.Store) error {
-	var (
-		k   string
-		err error
-	)
-	if p.br != nil {
-		k, err = store.TraceKeyV3(p.br)
-	} else {
-		k, err = store.TraceKey(p.T)
-	}
-	if err != nil {
-		return err
-	}
-	p.store, p.key = s, k
-	return nil
+// UseStore attaches a content-addressed artifact store under key, the
+// trace's content address: KeyBytes of an upload's bytes, or TraceKey of a
+// rendered trace (see store.KeyBytes and store.TraceKey). The caller has
+// already computed it, so the trace is not hashed here. From then on Forward
+// consults the store before computing and publishes what it computes.
+func (p *Profiler) UseStore(s *store.Store, key string) {
+	p.store, p.key = s, key
 }
-
-// Key returns the trace's content address (empty before UseStore).
-func (p *Profiler) Key() string { return p.key }
 
 // Forward runs the forward pass: per-function CFGs from the dynamic trace,
 // postdominator trees, and the control dependence graph. With a store
@@ -155,7 +139,7 @@ func (p *Profiler) Forward() error {
 	}
 	if p.store != nil {
 		// A decode/corruption error is a cache miss, not a failure.
-		gs := p.storeSpan("store.get", "deps")
+		gs := p.storeSpan("store.get")
 		d, ok, _ := p.store.GetDeps(p.key)
 		gs.Set("hit", strconv.FormatBool(ok))
 		gs.End()
@@ -183,7 +167,7 @@ func (p *Profiler) Forward() error {
 	p.deps = cdg.Compute(f)
 	fs.End()
 	if p.store != nil {
-		ps := p.storeSpan("store.put", "deps")
+		ps := p.storeSpan("store.put")
 		err := p.store.PutDeps(p.key, p.deps)
 		ps.EndErr(err)
 		if err != nil {
@@ -193,16 +177,16 @@ func (p *Profiler) Forward() error {
 	return nil
 }
 
-// storeSpan starts a child span for one artifact-store operation,
-// annotated with the artifact kind and the disk breaker's current state
-// (closed / half-open / open), so degraded-store jobs are visible in
-// traces. Nil-safe: with tracing off it returns nil.
-func (p *Profiler) storeSpan(op, kind string) *obs.Span {
+// storeSpan starts a child span for one forward-pass store operation,
+// annotated kind=deps and with the disk breaker's current state (closed /
+// half-open / open), so degraded-store jobs are visible in traces.
+// Nil-safe: with tracing off it returns nil.
+func (p *Profiler) storeSpan(op string) *obs.Span {
 	if p.Obs == nil {
 		return nil
 	}
 	return p.Obs.Child(op).
-		Set("kind", kind).
+		Set("kind", "deps").
 		Set("breaker", p.store.BreakerState().String())
 }
 
@@ -219,84 +203,36 @@ func (p *Profiler) Deps() *cdg.Deps { return p.deps }
 
 // Slice runs the backward pass for one criterion (see SliceAll).
 func (p *Profiler) Slice(c slicer.Criteria) (*slicer.Result, error) {
-	rs, _, err := p.SliceAll([]slicer.Criteria{c})
+	rs, err := p.SliceAll([]slicer.Criteria{c})
 	if err != nil {
 		return nil, err
 	}
 	return rs[0], nil
 }
 
-// SliceAll runs the backward pass for several criteria with p.Opts,
-// returning one result per criterion in order; hits[k] reports whether
-// result k came from the store. With a store attached, criteria already
-// cached under their variant key are served from it; the rest are computed
-// in one fused reverse walk of the trace (running the forward pass on
-// demand) and published. Under VerifyInvariants every returned result,
-// cached or fresh, passes the invariant oracles first.
-func (p *Profiler) SliceAll(cs []slicer.Criteria) ([]*slicer.Result, []bool, error) {
-	out := make([]*slicer.Result, len(cs))
-	hits := make([]bool, len(cs))
-	var missing []slicer.Criteria
-	var missingIdx []int
-	for k, c := range cs {
-		if c == nil {
-			return nil, nil, errors.New("core: nil criteria")
-		}
-		if r, ok := p.cachedSlice(c); ok {
-			out[k], hits[k] = r, true
-			continue
-		}
-		missing = append(missing, c)
-		missingIdx = append(missingIdx, k)
-	}
-	// Verification checks closure under the dependence graph, so it needs
-	// the forward pass even when every result is a hit.
-	if (len(missing) > 0 || p.VerifyInvariants) && !p.Opts.NoControlDeps {
+// SliceAll runs the backward pass for several criteria with p.Opts in one
+// fused reverse walk of the trace, returning one result per criterion in
+// order. The forward pass runs on demand (from the store, if one is
+// attached and holds it). Under VerifyInvariants every result passes the
+// invariant oracles first.
+func (p *Profiler) SliceAll(cs []slicer.Criteria) ([]*slicer.Result, error) {
+	if !p.Opts.NoControlDeps {
 		if err := p.Forward(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	if len(missing) > 0 {
-		sp := p.Obs.Child("slice.scan")
-		rs, err := slicer.Slice(p.src, p.deps, missing, p.Opts)
-		sp.EndErr(err)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, r := range rs {
-			out[missingIdx[j]] = r
-		}
+	sp := p.Obs.Child("slice.scan")
+	rs, err := slicer.Slice(p.src, p.deps, cs, p.Opts)
+	sp.EndErr(err)
+	if err != nil {
+		return nil, err
 	}
 	if p.VerifyInvariants {
-		if err := p.verify(out); err != nil {
-			return nil, nil, err
+		if err := p.verify(rs); err != nil {
+			return nil, err
 		}
 	}
-	if p.store != nil {
-		for j, c := range missing {
-			k := missingIdx[j]
-			ps := p.storeSpan("store.put", "slice").Set("criteria", c.Name())
-			err := p.store.PutSlice(p.key, store.SliceVariant(c.Name(), p.Opts), out[k])
-			ps.EndErr(err)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: caching slice: %w", err)
-			}
-		}
-	}
-	return out, hits, nil
-}
-
-// cachedSlice looks criterion c up in the store's slice cache; without a
-// store every lookup misses. A decode/corruption error is a miss too.
-func (p *Profiler) cachedSlice(c slicer.Criteria) (*slicer.Result, bool) {
-	if p.store == nil {
-		return nil, false
-	}
-	gs := p.storeSpan("store.get", "slice").Set("criteria", c.Name())
-	r, ok, _ := p.store.GetSlice(p.key, store.SliceVariant(c.Name(), p.Opts))
-	gs.Set("hit", strconv.FormatBool(ok))
-	gs.End()
-	return r, ok
+	return rs, nil
 }
 
 // verify runs the structural invariant oracles over results, against the

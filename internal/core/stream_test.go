@@ -41,11 +41,11 @@ func TestStreamingProfilerMatchesMaterialized(t *testing.T) {
 		t.Fatal("streaming profiler materialized the record slice up front")
 	}
 	cs := []slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}}
-	wantRes, _, err := want.SliceAll(cs)
+	wantRes, err := want.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, _, err := got.SliceAll(cs)
+	gotRes, err := got.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +54,11 @@ func TestStreamingProfilerMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	hit := NewProfilerStream(got.br)
-	if err := hit.UseStore(st); err != nil {
+	hit.UseStore(st, "trace")
+	if err := st.PutDeps("trace", got.Deps()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutDeps(hit.Key(), got.Deps()); err != nil {
-		t.Fatal(err)
-	}
-	hitRes, _, err := hit.SliceAll(cs)
+	hitRes, err := hit.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +86,7 @@ func TestStreamingProfilerDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	miss := streamProfiler(t, m.Tr, 64)
-	if err := miss.UseStore(st); err != nil {
-		t.Fatal(err)
-	}
+	miss.UseStore(st, "trace")
 	if _, err := miss.Slice(slicer.PixelCriteria{}); err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func ExecuteCriteria(b sites.Benchmark, withSyscalls bool) (*Run, error) {
 	if withSyscalls {
 		crits = append(crits, slicer.SyscallCriteria{})
 	}
-	rs, _, err := p.SliceAll(crits)
+	rs, err := p.SliceAll(crits)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 	}

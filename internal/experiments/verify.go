@@ -109,7 +109,7 @@ func runVerified(b sites.Benchmark) (*verifiedRun, error) {
 	if err := p.Forward(); err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", b.Name, err)
 	}
-	rs, _, err := p.SliceAll([]slicer.Criteria{
+	rs, err := p.SliceAll([]slicer.Criteria{
 		slicer.PixelCriteria{},
 		slicer.SyscallCriteria{},
 		slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
@@ -407,7 +407,7 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		}
 		p := core.NewProfilerStream(br)
 		p.Opts = verifyOpts
-		rs, _, err := p.SliceAll(cs)
+		rs, err := p.SliceAll(cs)
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
@@ -417,13 +417,12 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		}
 		hit := core.NewProfilerStream(br)
 		hit.Opts = verifyOpts
-		if err := hit.UseStore(st); err != nil {
+		key := store.KeyBytes(enc.Bytes())
+		hit.UseStore(st, key)
+		if err := st.PutDeps(key, p.Deps()); err != nil {
 			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
-		if err := st.PutDeps(hit.Key(), p.Deps()); err != nil {
-			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
-		}
-		hrs, _, err := hit.SliceAll(cs)
+		hrs, err := hit.SliceAll(cs)
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: forward-pass hit: %w", e.Label(), err)
 		}

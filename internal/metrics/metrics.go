@@ -1,6 +1,7 @@
 // Package metrics is the lightweight instrumentation layer of the slicing
-// service: atomic counters and gauges plus fixed-bucket histograms with
-// percentile estimation, collected in a named registry that renders a
+// service: atomic counters and gauges plus fixed-bucket histograms
+// (a scraper estimates percentiles from the buckets), collected in a named
+// registry that renders a
 // deterministic Prometheus text exposition (format version 0.0.4) for the
 // /metrics endpoint. It is
 // dependency-free on purpose — the service, the store, and the daemon all
@@ -58,8 +59,8 @@ func (g *Gauge) SetMax(n int64) {
 // latencies, exponential from 1ms to 10s.
 var LatencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
-// Histogram counts observations in fixed buckets and estimates quantiles by
-// linear interpolation within the bucket that crosses the target rank.
+// Histogram counts observations in fixed buckets. WriteText exposes the
+// cumulative bucket counts, from which a scraper estimates quantiles.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
@@ -88,7 +89,7 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one sample. NaN samples are dropped: a NaN would land
 // in the overflow bucket by accident of comparison order and poison the
-// sum (and every later quantile) forever.
+// sum forever.
 func (h *Histogram) Observe(v float64) {
 	h.ObserveExemplar(v, "")
 }
@@ -116,20 +117,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.mu.Unlock()
 }
 
-// Count returns how many samples were observed.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot returns the bucket bounds with their *cumulative* counts (the
 // Prometheus _bucket convention: each count includes every bucket below
 // it), plus the sum and total count, all under one lock acquisition.
@@ -145,53 +132,6 @@ func (h *Histogram) snapshot() (bounds []float64, cum []int64, sum float64, n in
 	}
 	ex = append([]Exemplar(nil), h.exemplars...)
 	return bounds, cum, h.sum, h.n, ex
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1). With no samples — or
-// no buckets at all — it returns 0 instead of dividing by zero or indexing
-// an empty bounds slice; ranks landing in the overflow bucket report the
-// largest bound. A NaN q returns 0, and q is clamped into (0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	// n == 0 guards the rank math; len(bounds) == 0 guards the
-	// h.bounds[len(h.bounds)-1] fallbacks (a bucketless histogram used to
-	// panic here on its first Quantile call).
-	if h.n == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if math.IsNaN(q) {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	if q <= 0 {
-		// Smallest defined rank: the first sample.
-		q = math.SmallestNonzeroFloat64
-	}
-	target := q * float64(h.n)
-	var cum int64
-	for i, c := range h.counts {
-		if float64(cum+c) < target {
-			cum += c
-			continue
-		}
-		if i >= len(h.bounds) { // overflow bucket: no upper bound to interpolate to
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (target - float64(cum)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // Registry is a named collection of metrics. All lookup methods are

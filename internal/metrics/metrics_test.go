@@ -49,30 +49,6 @@ func TestGaugeSetMax(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{10, 100, 1000})
-	for i := 0; i < 90; i++ {
-		h.Observe(5) // first bucket
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(500) // third bucket
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d, want 100", h.Count())
-	}
-	if q := h.Quantile(0.5); q <= 0 || q > 10 {
-		t.Fatalf("p50 = %v, want within (0, 10]", q)
-	}
-	if q := h.Quantile(0.99); q <= 100 || q > 1000 {
-		t.Fatalf("p99 = %v, want within (100, 1000]", q)
-	}
-	// Overflow bucket reports the top bound.
-	h.Observe(1e9)
-	if q := h.Quantile(1.0); q != 1000 {
-		t.Fatalf("overflow quantile = %v, want 1000", q)
-	}
-}
-
 func TestWriteTextDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_counter").Add(2)
@@ -156,55 +132,26 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-// The empty-histogram audit (PR 10 satellite): Quantile must never panic
-// or divide by zero, whatever the bucket layout or sample count.
-func TestQuantileEmptyAndDegenerateHistograms(t *testing.T) {
-	// No samples: every quantile is 0.
-	h := newHistogram(LatencyBuckets)
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Fatalf("empty histogram Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-	// No buckets at all: used to index bounds[-1] and panic once samples
-	// arrived. Pinned: always 0.
-	nb := newHistogram(nil)
-	if got := nb.Quantile(0.5); got != 0 {
-		t.Fatalf("bucketless empty Quantile = %v, want 0", got)
-	}
-	nb.Observe(7) // lands in the lone overflow bucket
-	for _, q := range []float64{0.01, 0.5, 1} {
-		if got := nb.Quantile(q); got != 0 {
-			t.Fatalf("bucketless Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-	// Out-of-range and NaN q values are defined, not garbage.
-	h.Observe(3)
-	if got := h.Quantile(math.NaN()); got != 0 {
-		t.Fatalf("Quantile(NaN) = %v, want 0", got)
-	}
-	if got := h.Quantile(17); got != h.Quantile(1) {
-		t.Fatalf("Quantile(17) = %v, want clamp to Quantile(1) = %v", got, h.Quantile(1))
-	}
-	if got := h.Quantile(-2); got <= 0 {
-		t.Fatalf("Quantile(-2) = %v, want the first sample's bucket bound", got)
-	}
-}
-
 // NaN observations are dropped instead of poisoning the sum and the
 // overflow bucket.
 func TestObserveNaNIgnored(t *testing.T) {
-	h := newHistogram([]float64{10})
+	r := NewRegistry()
+	h := r.Histogram("h", []float64{10})
+	exposition := func() string {
+		var sb strings.Builder
+		if err := r.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
 	h.Observe(math.NaN())
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("NaN observation recorded: count=%d sum=%v", h.Count(), h.Sum())
+	if out := exposition(); !strings.Contains(out, "h_count 0\n") || !strings.Contains(out, "h_sum 0.000\n") ||
+		!strings.Contains(out, `h_bucket{le="+Inf"} 0`) {
+		t.Fatalf("NaN observation recorded:\n%s", out)
 	}
 	h.Observe(5)
-	if h.Count() != 1 || math.IsNaN(h.Sum()) {
-		t.Fatalf("histogram poisoned after NaN: count=%d sum=%v", h.Count(), h.Sum())
-	}
-	if q := h.Quantile(0.5); math.IsNaN(q) {
-		t.Fatal("quantile went NaN")
+	if out := exposition(); !strings.Contains(out, "h_count 1\n") || !strings.Contains(out, "h_sum 5.000\n") {
+		t.Fatalf("histogram poisoned after NaN:\n%s", out)
 	}
 }
 

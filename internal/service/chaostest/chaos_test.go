@@ -43,7 +43,7 @@ type harness struct {
 }
 
 // tagSpec encodes a tag into a Spec the service validates happily: the tag
-// rides in Scale (scale is only required to be a positive finite number).
+// rides in Scale (scale only has to lie in (0, 2]).
 func tagSpec(tag int) service.Spec {
 	return service.Spec{Site: "maps", Scale: float64(tag+1) / 1000}
 }

@@ -232,6 +232,7 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 	}{
 		{"negative scale", "/jobs", "application/json", `{"site":"maps","scale":-1}`, 400, "invalid scale"},
 		{"tiny negative scale", "/jobs", "application/json", `{"site":"maps","scale":-0.001}`, 400, "invalid scale"},
+		{"scale over the cap", "/jobs", "application/json", `{"site":"amazon-desktop","scale":64}`, 400, "invalid scale"},
 		{"unknown site", "/jobs", "application/json", `{"site":"no-such-site"}`, 400, "unknown site"},
 		{"unknown criteria", "/jobs", "application/json", `{"site":"maps","criteria":"wishes"}`, 400, "unknown criteria"},
 		{"malformed json", "/jobs", "application/json", `{"site":`, 400, "bad job spec"},

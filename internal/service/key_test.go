@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"webslice/internal/browser"
-	"webslice/internal/cluster"
 	"webslice/internal/service"
 	"webslice/internal/sites"
 	"webslice/internal/store"
@@ -17,7 +16,7 @@ import (
 // TestUploadKeyIsByteHash: one address from ring to store. An uploaded
 // trace's TraceKey is the hex SHA-256 of the uploaded bytes (what sha256sum
 // prints for the file) and equals the key the cluster routes the upload
-// by, and a repeat of the upload is a cache hit under that key.
+// by (service.JobKey), and a repeat of the upload is a cache hit.
 func TestUploadKeyIsByteHash(t *testing.T) {
 	b := sites.Random(3)
 	br := browser.New(b.Site, b.Profile)
@@ -36,8 +35,8 @@ func TestUploadKeyIsByteHash(t *testing.T) {
 	want := hex.EncodeToString(sum[:])
 
 	spec := service.Spec{Trace: buf.Bytes()}
-	if k := cluster.JobKey(spec); k != want {
-		t.Fatalf("cluster.JobKey = %s, sha256 of the upload = %s", k, want)
+	if k := service.JobKey(spec); k != want {
+		t.Fatalf("JobKey = %s, sha256 of the upload = %s", k, want)
 	}
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,10 +58,11 @@ type Spec struct {
 	// "syscalls".
 	Criteria string `json:"criteria,omitempty"`
 	// Verify runs the structural slice oracles (replay.CheckInvariants) on
-	// this job's result, failing the job on a violation. Fresh computations
-	// are checked before caching; slice-cache hits are re-checked. A
-	// verified site or seed job neither reads nor writes the result cache
-	// and always renders, because the oracles need its trace.
+	// this job's result, failing the job on a violation. A verified job
+	// neither reads nor writes the result cache, so the oracles always check
+	// a freshly computed slice: it renders or opens its trace and runs the
+	// backward pass every time (the forward pass may still come from the
+	// store).
 	Verify bool `json:"verify,omitempty"`
 	// Trace is a binary WSLT trace to slice instead of rendering a site.
 	Trace []byte `json:"-"`
@@ -116,10 +116,10 @@ type Result struct {
 	Total       int     `json:"total_instructions"`
 	SliceCount  int     `json:"slice_instructions"`
 	SlicePct    float64 `json:"slice_pct"`
-	// CacheHit reports that the store served this job's slice: a
-	// slice-cache hit under the trace's key, or a result-cache hit that
-	// served a repeat site or seed job whole, with no render. A result held
-	// in the result cache reads false; the hit that returns it reads true.
+	// CacheHit reports that the result cache served this job whole: a
+	// repeat of an earlier unverified job with the same JobKey and criteria,
+	// with no render, trace decode or slicing. A result held in the result
+	// cache reads false; the hit that returns it reads true.
 	CacheHit   bool               `json:"cache_hit"`
 	Verified   bool               `json:"verified,omitempty"`
 	Threads    []ThreadStat       `json:"threads,omitempty"`
@@ -225,11 +225,12 @@ type Config struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (default 64). A full queue rejects with ErrQueueFull.
 	QueueDepth int
-	// Store, when set, caches forward-pass artifacts and slice results so
-	// repeat jobs over identical traces skip both passes. It also caches
-	// the finished Result of every unverified site or seed job under its
-	// rendering identity, criteria and browser.RenderVersion, so a repeat
-	// of such a job skips the render as well.
+	// Store, when set, caches the finished Result of every unverified job
+	// under its JobKey, criteria and browser.RenderVersion, so a repeat job
+	// is one lookup: no render, decode or slicing. It also caches each
+	// trace's forward pass under the trace's content address, so a job over
+	// a known trace with other criteria (or verified) skips the forward pass
+	// and runs only the backward pass.
 	Store *store.Store
 	// Verify applies Spec.Verify to every job regardless of what the
 	// submission asked for (websliced -verify).
@@ -509,6 +510,13 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	return j.id, nil
 }
 
+// maxScale is the largest site scale a job may ask for. Every caller in
+// the repository uses at most 1. One `webslice slice -site bing -scale 2`
+// (render plus both passes) peaked at 823 MiB of RSS on a 2-core Intel
+// Xeon with go1.24.0, so the default 4 workers rendering at the cap fit in
+// a few GiB; at scale 64 a single render was OOM-killed at 7.9 GB.
+const maxScale = 2
+
 func (m *Manager) validate(spec *Spec) error {
 	if m.cfg.MaxTraceBytes > 0 && int64(len(spec.Trace)) > m.cfg.MaxTraceBytes {
 		return fmt.Errorf("%w: %d bytes (limit %d)", ErrTraceTooLarge, len(spec.Trace), m.cfg.MaxTraceBytes)
@@ -541,9 +549,10 @@ func (m *Manager) validate(spec *Spec) error {
 	switch {
 	case spec.Scale == 0:
 		spec.Scale = 1.0
-	case !(spec.Scale > 0) || math.IsInf(spec.Scale, 1):
-		// Catches negatives, NaN (fails every comparison), and +Inf.
-		return fmt.Errorf("service: invalid scale %v (must be a finite number > 0)", spec.Scale)
+	case !(spec.Scale > 0) || spec.Scale > maxScale:
+		// Catches negatives, NaN (fails every comparison), +Inf, and
+		// renders too large to admit.
+		return fmt.Errorf("service: invalid scale %v (must be a number > 0 and at most %v)", spec.Scale, maxScale)
 	}
 	_, err := sites.ByName(spec.Site, sites.Options{})
 	return err
@@ -919,11 +928,10 @@ func (m *Manager) drop(j *job) {
 var jobOpts = slicer.Options{ProgressPoints: 160, MainThread: browser.MainThread}
 
 // run is the default pipeline: obtain the trace (decode or render), attach
-// the store, slice through the cache, and package the statistics. An
-// unverified site or seed job first looks its whole result up by rendering
-// identity, and a hit skips all of that. The context's deadline/cancellation
-// is polled at phase boundaries and, through slicer.Options.Canceled,
-// inside the backward walk itself.
+// the store, slice, and package the statistics. An unverified job first
+// looks its whole result up by JobKey, and a hit skips all of that. The
+// context's deadline/cancellation is polled at phase boundaries and, through
+// slicer.Options.Canceled, inside the backward walk itself.
 func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	s := obs.FromContext(ctx) // the attempt's span; nil (inert) with tracing off
 	var crit slicer.Criteria = slicer.PixelCriteria{}
@@ -931,13 +939,23 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		crit = slicer.SyscallCriteria{}
 	}
 	verify := spec.Verify || m.cfg.Verify
-	// Verified jobs bypass the result cache: the invariant oracles need the
-	// rendered trace. Uploads have no rendering identity.
-	rkey := ""
-	if m.cfg.Store != nil && len(spec.Trace) == 0 && !verify {
-		rkey = resultKey(spec, crit)
-		if res, ok := m.cachedResult(s, rkey); ok {
-			return res, nil
+	// rkey is the job's result-cache key, "" when there is no lookup. key is
+	// the trace's content address in the store: an upload's is its JobKey,
+	// so its bytes are hashed once per job; a render's is its digest, known
+	// only after the render.
+	rkey, key := "", ""
+	if m.cfg.Store != nil {
+		jk := JobKey(spec)
+		if len(spec.Trace) > 0 {
+			key = jk
+		}
+		// Verified jobs bypass the result cache, so the invariant oracles
+		// always check a freshly computed slice.
+		if !verify {
+			rkey = resultKey(jk, crit)
+			if res, ok := m.cachedResult(s, rkey); ok {
+				return res, nil
+			}
 		}
 	}
 	obtainName := "render"
@@ -956,27 +974,23 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	t := p.T // the shell for a streaming (v3) submission: tables only
 	p.Opts = jobOpts
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
-	key := ""
 	if m.cfg.Store != nil {
-		if err := p.UseStore(m.cfg.Store); err != nil {
-			return nil, err
+		if key == "" {
+			key, _ = store.TraceKey(t)
 		}
-		key = p.Key()
+		p.UseStore(m.cfg.Store, key)
 	}
 	p.VerifyInvariants = verify
 	ss := s.Child("slice").Set("criteria", spec.Criteria)
-	p.Obs = ss // store lookups, both passes, and verification parent here
-	rs, hits, err := p.SliceAll([]slicer.Criteria{crit})
+	p.Obs = ss // forward-pass store lookups, both passes, and verification parent here
+	res, err := p.Slice(crit)
+	ss.EndErr(err)
 	if err != nil {
-		ss.EndErr(err)
 		if errors.Is(err, slicer.ErrCanceled) {
 			return nil, ErrCanceled
 		}
 		return nil, err
 	}
-	res, hit := rs[0], hits[0]
-	ss.Set("hit", strconv.FormatBool(hit))
-	ss.End()
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
 	}
@@ -987,7 +1001,6 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		Total:       res.Total,
 		SliceCount:  res.SliceCount,
 		SlicePct:    res.Percent(),
-		CacheHit:    hit,
 		Verified:    verify,
 		Categories:  make(map[string]float64, len(analysis.Categories)),
 	}
@@ -1011,13 +1024,19 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	return out, nil
 }
 
-// RenderIdentity names what a site or seed job renders:
-// "site\x00<name>\x00<scale>", with scale 0 read as 1, or "seed\x00<N>".
-// Rendering is deterministic, so under one browser.RenderVersion an
-// identity denotes one trace on every node. The cluster routes site and
-// seed jobs by it, and the owner's result cache is keyed by it. An upload
-// has no rendering identity; it is addressed by its bytes.
-func RenderIdentity(spec Spec) string {
+// JobKey names the trace a job slices, independent of its criteria. An
+// upload's key is store.KeyBytes of its bytes, the hex SHA-256 that is also
+// the trace's address in the store. A site or seed job's key is its
+// rendering identity: "site\x00<name>\x00<scale>", with scale 0 read as 1,
+// or "seed\x00<N>". Rendering is deterministic, so under one
+// browser.RenderVersion an identity denotes one trace on every node. The
+// cluster routes every job by its JobKey, so both criteria of one trace
+// share an owner and its forward pass, and the owner's result cache is
+// keyed by it (see resultKey).
+func JobKey(spec Spec) string {
+	if len(spec.Trace) > 0 {
+		return store.KeyBytes(spec.Trace)
+	}
 	if spec.Site == "" && spec.Seed != 0 {
 		return "seed\x00" + strconv.FormatUint(spec.Seed, 10)
 	}
@@ -1028,12 +1047,12 @@ func RenderIdentity(spec Spec) string {
 	return "site\x00" + spec.Site + "\x00" + strconv.FormatFloat(scale, 'g', -1, 64)
 }
 
-// resultKey addresses the finished result of a site or seed job: the hex
-// SHA-256 of its rendering identity, the renderer's version, and the slice
-// variant it computes under jobOpts. A RenderVersion bump orphans every
-// older entry, and the store's LRU evicts them.
-func resultKey(spec Spec, crit slicer.Criteria) string {
-	id := RenderIdentity(spec) + "\x00" + strconv.Itoa(browser.RenderVersion) +
+// resultKey addresses a job's finished result: the hex SHA-256 of its
+// JobKey, the renderer's version, and the slice variant it computes under
+// jobOpts. A RenderVersion bump orphans every older entry, and the store's
+// LRU evicts them.
+func resultKey(jobKey string, crit slicer.Criteria) string {
+	id := jobKey + "\x00" + strconv.Itoa(browser.RenderVersion) +
 		"\x00" + store.SliceVariant(crit.Name(), jobOpts)
 	return store.KeyBytes([]byte(id))
 }
@@ -1056,14 +1075,10 @@ func (m *Manager) cachedResult(s *obs.Span, key string) (*Result, bool) {
 	return &res, true
 }
 
-// putResult stores a finished result for later repeats of its job, with
-// CacheHit cleared: whether this run hit the slice cache says nothing
-// about a later run.
+// putResult stores a finished result for later repeats of its job.
 func (m *Manager) putResult(s *obs.Span, key string, res *Result) error {
 	ps := m.resultSpan(s, "store.put")
-	stored := *res
-	stored.CacheHit = false
-	b, err := json.Marshal(&stored)
+	b, err := json.Marshal(res)
 	if err == nil {
 		err = m.cfg.Store.Put(store.KindResult, key, b)
 	}

@@ -42,11 +42,11 @@ func (s *syncBuffer) String() string {
 // tree includes the queue wait, the attempt, the render, the store
 // lookups, the forward pass, and the backward pass — all with correct
 // parent links — retrievable over GET /jobs/{id}/trace. The backward pass
-// is a real span that ends before its result is published to the store. A
-// repeat of the job must be served whole by its result-cache lookup under
-// the attempt, with no render and no slicing; a verified repeat, which
-// bypasses the result cache, must render and show its slice-cache hit and
-// no backward pass.
+// is a real span that ends before the job's result is published to the
+// result cache. A repeat of the job must be served whole by its
+// result-cache lookup under the attempt, with no render and no slicing; a
+// verified repeat, which bypasses the result cache, must render, load the
+// forward pass from the store, and run the backward pass.
 func TestSpansSmoke(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -120,27 +120,20 @@ func TestSpansSmoke(t *testing.T) {
 			t.Errorf("unexpected span %q under slice", s.Name)
 		}
 	}
-	scan := byName["slice.scan"]
-	scanEndNs := scan.StartNs + int64(math.Round(scan.DurMs*float64(time.Millisecond)))
-	published := false
-	for _, s := range spans {
-		if s.Name == "store.put" && attr(s, "kind") == "slice" {
-			published = true
-			if scanEndNs > s.StartNs {
-				t.Errorf("slice.scan ends at %d ns, after the slice store.put starts at %d ns", scanEndNs, s.StartNs)
-			}
-		}
-	}
-	if !published {
-		t.Errorf("trace has no store.put kind=slice span (have %v)", names(spans))
-	}
 	// The first sighting misses the result cache and publishes its result,
-	// both under the attempt.
+	// both under the attempt, and the publish starts after the backward
+	// pass ends.
 	if g := storeSpans(spans, "store.get", store.KindResult, "attempt"); len(g) != 1 || attr(g[0], "hit") != "false" {
 		t.Errorf("first job's result-cache lookups under attempt = %+v, want one miss", g)
 	}
 	if p := storeSpans(spans, "store.put", store.KindResult, "attempt"); len(p) != 1 {
-		t.Errorf("first job has %d store.put kind=result spans under attempt, want 1", len(p))
+		t.Errorf("first job has %d store.put kind=result spans under attempt, want 1 (have %v)", len(p), names(spans))
+	} else {
+		scan := byName["slice.scan"]
+		scanEndNs := scan.StartNs + int64(math.Round(scan.DurMs*float64(time.Millisecond)))
+		if scanEndNs > p[0].StartNs {
+			t.Errorf("slice.scan ends at %d ns, after the result store.put starts at %d ns", scanEndNs, p[0].StartNs)
+		}
 	}
 
 	// The structured log carries the trace ID, linking log lines to spans.
@@ -187,17 +180,24 @@ func TestSpansSmoke(t *testing.T) {
 		}
 	}
 
-	// A verified repeat bypasses the result cache and renders, and its
-	// slice is a slice-cache hit: the lookup that served it is a span of
-	// its own under the slice span, and there is no backward pass.
+	// A verified repeat bypasses the result cache and renders. Its forward
+	// pass is a store hit under the slice span, and it runs the backward
+	// pass.
 	verified := jobSpans(t, m, srv.URL, `{"site":"amazon-desktop","scale":0.04,"verify":true}`)
-	if g := storeSpans(verified, "store.get", store.KindSlice, "slice"); len(g) != 1 || attr(g[0], "hit") != "true" {
-		t.Errorf("verified repeat's slice-cache lookups under slice = %+v, want one hit (have %v)", g, names(verified))
+	if g := storeSpans(verified, "store.get", "deps", "slice"); len(g) != 1 || attr(g[0], "hit") != "true" {
+		t.Errorf("verified repeat's forward-pass lookups under slice = %+v, want one hit (have %v)", g, names(verified))
 	}
+	scans := 0
 	for _, s := range verified {
-		if s.Name == "slice.scan" {
-			t.Errorf("verified repeat is a slice-cache hit but its trace has a slice.scan span")
+		switch {
+		case s.Name == "slice.scan":
+			scans++
+		case attr(s, "kind") == store.KindResult:
+			t.Errorf("verified repeat has a %s kind=result span", s.Name)
 		}
+	}
+	if scans != 1 {
+		t.Errorf("verified repeat has %d slice.scan spans, want 1 (have %v)", scans, names(verified))
 	}
 }
 

@@ -41,7 +41,8 @@ func (f *flakyFS) CreateTemp(dir, pattern string) (File, error) {
 
 func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	fsys := &flakyFS{}
-	s, err := OpenFS(t.TempDir(), 0, fsys)
+	dir := t.TempDir()
+	s, err := OpenFS(dir, 0, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	if st := s.Stats(); st.BreakerState != int64(BreakerClosed) {
 		t.Fatalf("stats after successful probe = %+v, want closed", st)
 	}
-	cold, _ := Open(s.Dir(), 0)
+	cold, _ := Open(dir, 0)
 	if got, ok, _ := cold.Get("cdg", "probe2"); !ok || string(got) != "back" {
 		t.Fatalf("post-recovery artifact not on disk: %q %v", got, ok)
 	}
@@ -183,7 +184,7 @@ func TestConcurrentGetPutEvictStress(t *testing.T) {
 				default:
 				}
 				k := keys[(g+i)%len(keys)]
-				switch i % 3 {
+				switch i % 2 {
 				case 0:
 					if err := s.Put("slice", k, payload(k, i)); err != nil {
 						t.Error(err)
@@ -197,8 +198,6 @@ func TestConcurrentGetPutEvictStress(t *testing.T) {
 						t.Errorf("Get %s returned empty data", k)
 						return
 					}
-				case 2:
-					s.Has("slice", k)
 				}
 			}
 		}(g)

@@ -1,15 +1,15 @@
-// Deterministic codecs for the artifacts the store holds. Both codecs sort
-// every map before writing so that encoding the same logical artifact
-// always yields the same bytes — the property that makes content-addressed
-// caching and the determinism tests meaningful (gob, by contrast, walks
-// maps in random order).
+// Deterministic codecs: the forward-pass artifact the store holds, and the
+// canonical encoding of a slice result that slice digests hash. Both sort
+// every map before writing so that encoding the same logical value always
+// yields the same bytes — the property that makes content-addressed caching,
+// slice digests and the determinism tests meaningful (gob, by contrast,
+// walks maps in random order).
 package store
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -18,12 +18,11 @@ import (
 	"webslice/internal/trace"
 )
 
-// Artifact kinds. Slice artifacts append a variant (criteria + options
-// fingerprint) via SliceVariant. A result artifact is a site or seed job's
-// finished service result, encoded and keyed by the service.
+// Artifact kinds: a trace's forward pass (its control dependence graph),
+// keyed by the trace's content address, and a job's finished service
+// result, encoded and keyed by the service.
 const (
 	KindDeps   = "cdg"
-	KindSlice  = "slice"
 	KindResult = "result"
 )
 
@@ -39,7 +38,9 @@ func TraceKey(t *trace.Trace) (string, error) {
 
 // TraceKeyV3 returns the content address of an uploaded trace: KeyBytes of
 // the bytes the reader was opened on, which is also the key the cluster
-// routes the upload by. No block is decoded. The error is always nil.
+// routes the upload by. No block is decoded. The error is always nil. The
+// service hashes an upload once, in service.JobKey; only e2ebench's layer
+// timer still calls this.
 func TraceKeyV3(br *trace.BlockReader) (string, error) {
 	return KeyBytes(br.Bytes()), nil
 }
@@ -53,9 +54,9 @@ func KeyBytes(b []byte) string {
 
 // SliceVariant fingerprints a slice computation: criteria name plus every
 // option that changes the result. Two calls agree iff the slice bytes
-// would agree.
+// would agree. The service's result keys include it.
 func SliceVariant(criteria string, opts slicer.Options) string {
-	v := fmt.Sprintf("%s-%s-pp%d-mt%d", KindSlice, criteria, opts.ProgressPoints, opts.MainThread)
+	v := fmt.Sprintf("slice-%s-pp%d-mt%d", criteria, opts.ProgressPoints, opts.MainThread)
 	if opts.NoControlDeps {
 		v += "-nocdg"
 	}
@@ -155,7 +156,8 @@ func DecodeDeps(b []byte) (*cdg.Deps, error) {
 
 // EncodeResult serializes a slice result with every statistic the service
 // reports: the bitset, per-thread and per-function counts (sorted by key),
-// the progress curve, and the pending-branch residue.
+// the progress curve, and the pending-branch residue. Nothing decodes it:
+// it is the canonical form slice digests and byte-identity checks compare.
 func EncodeResult(r *slicer.Result) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(r.Criteria)))
 	out = append(out, r.Criteria...)
@@ -211,126 +213,6 @@ func appendFuncMap(out []byte, m map[trace.FuncID]int) []byte {
 	return out
 }
 
-// DecodeResult reverses EncodeResult.
-func DecodeResult(b []byte) (*slicer.Result, error) {
-	r := &byteReader{buf: b}
-	nameLen, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if r.pos+nameLen > len(b) {
-		return nil, errors.New("store: criteria name overruns the artifact")
-	}
-	res := &slicer.Result{Criteria: string(b[r.pos : r.pos+nameLen])}
-	r.pos += nameLen
-
-	total, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	res.Total = int(total)
-	sc, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	res.SliceCount = int(sc)
-	pl, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	res.PendingLeft = int(pl)
-
-	nw, err := r.count(8)
-	if err != nil {
-		return nil, err
-	}
-	res.InSlice = make(slicer.Bitset, nw)
-	for i := range res.InSlice {
-		if r.pos+8 > len(b) {
-			return nil, errors.New("store: bitset truncated")
-		}
-		res.InSlice[i] = binary.LittleEndian.Uint64(b[r.pos:])
-		r.pos += 8
-	}
-
-	if res.ByThread, err = readThreadMap(r); err != nil {
-		return nil, err
-	}
-	if res.SliceByThread, err = readThreadMap(r); err != nil {
-		return nil, err
-	}
-	if res.ByFunc, err = readFuncMap(r); err != nil {
-		return nil, err
-	}
-	if res.SliceByFunc, err = readFuncMap(r); err != nil {
-		return nil, err
-	}
-
-	np, err := r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	if np > 0 {
-		res.Progress = make([]slicer.ProgressPoint, np)
-	}
-	for i := range res.Progress {
-		vals := [4]uint64{}
-		for j := range vals {
-			if vals[j], err = r.uvarint(); err != nil {
-				return nil, err
-			}
-		}
-		res.Progress[i] = slicer.ProgressPoint{
-			Processed: int(vals[0]), Sliced: int(vals[1]),
-			MainProcessed: int(vals[2]), MainSliced: int(vals[3]),
-		}
-	}
-	return res, nil
-}
-
-func readThreadMap(r *byteReader) (map[uint8]int, error) {
-	n, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[uint8]int, n)
-	for i := 0; i < n; i++ {
-		k, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if k > 255 {
-			return nil, fmt.Errorf("store: thread id %d out of range", k)
-		}
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m[uint8(k)] = int(v)
-	}
-	return m, nil
-}
-
-func readFuncMap(r *byteReader) (map[trace.FuncID]int, error) {
-	n, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[trace.FuncID]int, n)
-	for i := 0; i < n; i++ {
-		k, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m[trace.FuncID(k)] = int(v)
-	}
-	return m, nil
-}
-
 // --- typed store helpers ---
 
 // PutDeps stores a control dependence graph under the trace key.
@@ -352,24 +234,4 @@ func (s *Store) GetDeps(traceKey string) (*cdg.Deps, bool, error) {
 		return nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return d, true, nil
-}
-
-// PutSlice stores a slice result under (variant, trace key). Use
-// SliceVariant to build the variant string.
-func (s *Store) PutSlice(traceKey, variant string, r *slicer.Result) error {
-	return s.Put(variant, traceKey, EncodeResult(r))
-}
-
-// GetSlice fetches a cached slice result.
-func (s *Store) GetSlice(traceKey, variant string) (*slicer.Result, bool, error) {
-	b, ok, err := s.Get(variant, traceKey)
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	r, err := DecodeResult(b)
-	if err != nil {
-		s.dropCorrupt(variant, traceKey)
-		return nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return r, true, nil
 }

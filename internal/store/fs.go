@@ -25,7 +25,6 @@ type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	Stat(name string) (os.FileInfo, error)
 }
 
 // OSFS is the real filesystem.
@@ -35,7 +34,6 @@ func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(p
 func (OSFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OSFS) Remove(name string) error                     { return os.Remove(name) }
-func (OSFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 
 func (OSFS) CreateTemp(dir, pattern string) (File, error) {
 	f, err := os.CreateTemp(dir, pattern)

@@ -1,9 +1,10 @@
 // Package store is the content-addressed artifact store behind the slicing
-// service. Artifacts — forward-pass products (control dependence graphs)
-// and finished slice results — are keyed by the SHA-256 of the encoded
-// trace they derive from, so a repeat analysis of an identical trace is a
-// lookup instead of a recomputation (the paper stores its forward pass "in
-// stable storage" for exactly this reuse; see DESIGN.md).
+// service. It holds two kinds of artifact. A forward pass (control
+// dependence graph) is keyed by the content address of the trace it derives
+// from, so every backward pass over an identical trace skips it (the paper
+// stores its forward pass "in stable storage" for exactly this reuse; see
+// DESIGN.md). A finished job result is keyed by the service (see
+// KindResult), so a repeat job is a lookup instead of a recomputation.
 //
 // Blobs live in a byte-bounded in-memory LRU layer over optional disk
 // persistence. Blobs are compressed at rest: the envelope deflates the
@@ -134,9 +135,6 @@ func OpenFS(dir string, maxMem int64, fsys FS) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the disk root ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
-
 // name builds the artifact identity from a kind and a content key. Both
 // must stay within [a-zA-Z0-9._-]; anything else is replaced so the name
 // is always a safe single path component.
@@ -248,21 +246,6 @@ func (s *Store) Get(kind, key string) ([]byte, bool, error) {
 	s.diskHits.Add(1)
 	s.hits.Add(1)
 	return data, true, nil
-}
-
-// Has reports whether the artifact exists without promoting it in the LRU
-// or counting a hit/miss.
-func (s *Store) Has(kind, key string) bool {
-	n := name(kind, key)
-	s.mu.Lock()
-	_, ok := s.mem[n]
-	s.mu.Unlock()
-	if ok || s.dir == "" || !s.br.allow() {
-		return ok
-	}
-	_, err := s.fsys.Stat(s.path(n))
-	s.br.record(err == nil || errors.Is(err, fs.ErrNotExist))
-	return err == nil
 }
 
 // Stats returns a snapshot of the activity counters.

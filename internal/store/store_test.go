@@ -125,17 +125,6 @@ func TestCorruptPayloadEvictionDecrementsMemBytes(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "cdg-poisoned.wsab")); !os.IsNotExist(err) {
 		t.Fatalf("disk blob still present after corrupt eviction (stat err = %v)", err)
 	}
-
-	// Same accounting for slice artifacts.
-	if err := s.Put(SliceVariant("pixels", slicer.Options{}), "poisoned", junk); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.GetSlice("poisoned", SliceVariant("pixels", slicer.Options{})); ok || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("GetSlice of junk = ok=%v err=%v, want ErrCorrupt", ok, err)
-	}
-	if s.MemBytes() != 0 {
-		t.Fatalf("MemBytes = %d after slice eviction, want 0", s.MemBytes())
-	}
 }
 
 func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
@@ -202,7 +191,8 @@ func TestMemoryOnlyStore(t *testing.T) {
 }
 
 func TestNameSanitization(t *testing.T) {
-	s, _ := Open(t.TempDir(), 0)
+	dir := t.TempDir()
+	s, _ := Open(dir, 0)
 	// Criteria-derived kinds contain characters that must not escape the
 	// store directory or break file names.
 	kind := "slice-union(pixels+syscalls)[<42]"
@@ -212,7 +202,7 @@ func TestNameSanitization(t *testing.T) {
 	if _, ok, err := s.Get(kind, "k/../../evil"); !ok || err != nil {
 		t.Fatalf("sanitized Get = %v, %v", ok, err)
 	}
-	entries, _ := os.ReadDir(s.Dir())
+	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 || strings.ContainsAny(entries[0].Name(), "/()[]<>+") {
 		t.Fatalf("unexpected store contents: %v", entries)
 	}
@@ -255,6 +245,8 @@ func TestDepsCodecDeterministicRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultCodecRoundTrip: EncodeResult has no decoder (slice digests
+// hash its bytes), so what it must be is deterministic.
 func TestResultCodecRoundTrip(t *testing.T) {
 	in := &slicer.Result{
 		Criteria:      "pixels",
@@ -271,31 +263,8 @@ func TestResultCodecRoundTrip(t *testing.T) {
 			{Processed: 130, Sliced: 57, MainProcessed: 100, MainSliced: 50},
 		},
 	}
-	b1 := EncodeResult(in)
-	if !bytes.Equal(b1, EncodeResult(in)) {
+	if !bytes.Equal(EncodeResult(in), EncodeResult(in)) {
 		t.Fatal("EncodeResult is not deterministic")
-	}
-	out, err := DecodeResult(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(EncodeResult(out), b1) {
-		t.Fatal("round trip changed the encoded bytes")
-	}
-	if out.Criteria != in.Criteria || out.Total != in.Total || out.SliceCount != in.SliceCount ||
-		out.PendingLeft != in.PendingLeft || len(out.Progress) != len(in.Progress) {
-		t.Fatalf("decoded result %+v differs from input", out)
-	}
-	for i := 0; i < in.Total; i++ {
-		if in.InSlice.Get(i) != out.InSlice.Get(i) {
-			t.Fatalf("bitset differs at %d", i)
-		}
-	}
-	if out.ByThread[3] != 30 || out.SliceByFunc[9] != 37 {
-		t.Fatal("decoded maps differ")
-	}
-	if _, err := DecodeResult(b1[:10]); err == nil {
-		t.Fatal("decoding a truncated result artifact succeeded")
 	}
 }
 

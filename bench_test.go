@@ -261,14 +261,14 @@ func BenchmarkAblationControlDeps(b *testing.B) {
 		b.Fatal(err)
 	}
 	deps := cdg.Compute(f)
-	src, pix := slicer.TraceSource(br.M.Tr), []slicer.Criteria{slicer.PixelCriteria{}}
+	pix := []slicer.Criteria{slicer.PixelCriteria{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, err := slicer.Slice(src, deps, pix, slicer.Options{})
+		full, err := slicer.Slice(br.M.Tr, deps, pix, slicer.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dataOnly, err := slicer.Slice(src, nil, pix, slicer.Options{NoControlDeps: true})
+		dataOnly, err := slicer.Slice(br.M.Tr, nil, pix, slicer.Options{NoControlDeps: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func BenchmarkAblationForwardReuse(b *testing.B) {
 	deps := cdg.Compute(f)
 	b.Run("SliceOnly", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := slicer.Slice(slicer.TraceSource(br.M.Tr), deps, []slicer.Criteria{slicer.PixelCriteria{}}, slicer.Options{}); err != nil {
+			if _, err := slicer.Slice(br.M.Tr, deps, []slicer.Criteria{slicer.PixelCriteria{}}, slicer.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

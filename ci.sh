@@ -21,8 +21,9 @@ go test -race ./...
 (cd e2ebench && go vet ./... && go test ./...)
 
 # Coverage ratchet on the correctness-critical packages: the slicing engine,
-# the control dependence graph, and the replay/invariant oracles. Floors only
-# go up — raise them when coverage improves, never lower them to merge.
+# the control dependence graph, the replay/invariant oracles, and the trace
+# decoder, which parses every upload. Floors only go up — raise them when
+# coverage improves, never lower them to merge.
 check_cover() {
 	pkg=$1
 	floor=$2
@@ -40,6 +41,7 @@ check_cover() {
 check_cover ./internal/slicer 85
 check_cover ./internal/cdg 85
 check_cover ./internal/replay 82
+check_cover ./internal/trace 85
 
 # Robustness gate: vet + race over the durability-critical service package
 # (journal, retry, quarantine) is already covered by the full -race run

@@ -319,7 +319,7 @@ func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchR
 }
 
 // doVerify runs the slice-validation harness: golden corpus digests,
-// streaming-vs-materialized digest equality, replay, differential (naive
+// encoded-and-decoded-vs-rendered digest equality, replay, differential (naive
 // reference slicer), and invariant oracles. phase is the -exp flag
 // reinterpreted: golden|crossformat|replay|differential|invariants|all.
 func doVerify(phase string, cfg experiments.VerifyConfig) error {
@@ -338,7 +338,7 @@ func doVerify(phase string, cfg experiments.VerifyConfig) error {
 			map[bool]string{true: fmt.Sprintf("regenerated (%d changed)", st.Updated), false: "matched"}[cfg.Update])
 	}
 	if st.CrossFormat > 0 {
-		fmt.Printf("  cross-format:   %d sites sliced identically by the streaming profiler\n", st.CrossFormat)
+		fmt.Printf("  cross-format:   %d sites sliced identically after an encode and decode\n", st.CrossFormat)
 	}
 	if st.PropertySites > 0 {
 		fmt.Printf("  property sites: %d (seeds %d..%d)\n", st.PropertySites, cfg.Seed, cfg.Seed+uint64(st.PropertySites)-1)

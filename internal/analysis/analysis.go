@@ -62,8 +62,7 @@ type CategoryDist struct {
 // works from the result's per-function tallies rather than a record walk —
 // a record's category is a function of its FuncID alone, so summing
 // ByFunc−SliceByFunc per function is arithmetically identical to visiting
-// every non-slice record, and it keeps working against the shell trace of a
-// streaming (v3) slice, where no record slice is materialized.
+// every non-slice record, and it reads only the trace's symbol table.
 func Categorize(t *trace.Trace, res *slicer.Result) CategoryDist {
 	counts := make(map[string]int)
 	total, categorized := 0, 0

@@ -32,18 +32,8 @@ import (
 
 // Profiler couples a trace with its forward-pass products and runs slices.
 type Profiler struct {
-	// T is the trace being profiled. For a streaming profiler (see
-	// NewProfilerStream) it is the v3 shell: symbol and side tables only,
-	// Recs nil — tallies, criteria, and categorization read nothing else.
+	// T is the trace being profiled.
 	T *trace.Trace
-
-	// src feeds records to the backward pass: zero-copy for a materialized
-	// trace, block-at-a-time for a v3 stream until materialize decodes it.
-	src slicer.Source
-	// br is the block reader behind a streaming profiler, nil otherwise.
-	br *trace.BlockReader
-	// full is the trace materialize decoded from br (nil until then).
-	full *trace.Trace
 
 	forest *cfg.Forest
 	deps   *cdg.Deps
@@ -73,46 +63,7 @@ type Profiler struct {
 // NewProfiler wraps a trace. Run Forward before slicing (Slice does it on
 // demand if you forget).
 func NewProfiler(t *trace.Trace) *Profiler {
-	return &Profiler{
-		T:    t,
-		src:  slicer.TraceSource(t),
-		Opts: slicer.Options{ProgressPoints: 100},
-	}
-}
-
-// NewProfilerStream wraps a block-compressed (v3) trace without decoding
-// it. When the forward pass comes from the store, the backward pass streams
-// one block at a time, so peak record memory is O(block size) instead of
-// the whole trace. The passes that need every record at once — CFG
-// construction on a forward-pass cache miss, invariant replay under
-// VerifyInvariants — decode the trace once and keep it; a backward pass
-// that runs after that decode slices those records instead of decoding
-// every block a second time.
-func NewProfilerStream(br *trace.BlockReader) *Profiler {
-	return &Profiler{
-		T:    br.Shell(),
-		src:  slicer.StreamSource(br),
-		br:   br,
-		Opts: slicer.Options{ProgressPoints: 100},
-	}
-}
-
-// materialize returns a fully decoded trace for the whole-trace passes.
-// For a materialized profiler it is T itself. A streaming profiler decodes
-// every block on the first call, keeps the records, and from then on feeds
-// them to the backward pass too.
-func (p *Profiler) materialize() (*trace.Trace, error) {
-	if p.br == nil {
-		return p.T, nil
-	}
-	if p.full == nil {
-		full, err := p.br.ReadAll()
-		if err != nil {
-			return nil, err
-		}
-		p.full, p.src = full, slicer.TraceSource(full)
-	}
-	return p.full, nil
+	return &Profiler{T: t, Opts: slicer.Options{ProgressPoints: 100}}
 }
 
 // UseStore attaches a content-addressed artifact store under key, the
@@ -149,12 +100,7 @@ func (p *Profiler) Forward() error {
 		}
 	}
 	fs := p.Obs.Child("forward")
-	full, err := p.materialize()
-	if err != nil {
-		fs.EndErr(err)
-		return fmt.Errorf("core: forward pass: %w", err)
-	}
-	f, err := cfg.Build(full)
+	f, err := cfg.Build(p.T)
 	if err != nil {
 		fs.EndErr(err)
 		return fmt.Errorf("core: forward pass: %w", err)
@@ -222,7 +168,7 @@ func (p *Profiler) SliceAll(cs []slicer.Criteria) ([]*slicer.Result, error) {
 		}
 	}
 	sp := p.Obs.Child("slice.scan")
-	rs, err := slicer.Slice(p.src, p.deps, cs, p.Opts)
+	rs, err := slicer.Slice(p.T, p.deps, cs, p.Opts)
 	sp.EndErr(err)
 	if err != nil {
 		return nil, err
@@ -235,17 +181,11 @@ func (p *Profiler) SliceAll(cs []slicer.Criteria) ([]*slicer.Result, error) {
 	return rs, nil
 }
 
-// verify runs the structural invariant oracles over results, against the
-// trace materialize decoded.
+// verify runs the structural invariant oracles over results.
 func (p *Profiler) verify(rs []*slicer.Result) error {
 	vs := p.Obs.Child("verify").Set("slices", strconv.Itoa(len(rs)))
-	full, err := p.materialize()
-	if err != nil {
-		vs.EndErr(err)
-		return fmt.Errorf("core: verification: %w", err)
-	}
 	for _, r := range rs {
-		if err := replay.CheckInvariants(full, p.deps, r); err != nil {
+		if err := replay.CheckInvariants(p.T, p.deps, r); err != nil {
 			vs.EndErr(err)
 			return fmt.Errorf("core: slice %q failed verification: %w", r.Criteria, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"webslice/internal/analysis"
 	"webslice/internal/sites"
 )
 
@@ -45,6 +46,38 @@ func TestExecuteAndTableII(t *testing.T) {
 	if !strings.Contains(f5, "JavaScript") || !strings.Contains(f5, "Compositing") {
 		t.Errorf("Figure 5 missing categories:\n%s", f5)
 	}
+
+	// Shape claims (EXPERIMENTS.md, Table II and Figure 5), measured at
+	// testScale. Only Amazon desktop runs three rasterizer threads.
+	for _, r := range runs {
+		raster := 0
+		for _, th := range r.Trace.Threads {
+			if strings.HasPrefix(th.Name, "CompositorTileWorker") && r.Pixel.ByThread[th.ID] > 0 {
+				raster++
+			}
+		}
+		if desktop := strings.HasPrefix(r.Bench.Name, "Amazon (desktop"); (raster == 3) != desktop {
+			t.Errorf("%s: %d rasterizer threads ran; only Amazon desktop runs three", r.Bench.Name, raster)
+		}
+	}
+	// The load+browse benchmark (Bing) wastes a smaller share on
+	// JavaScript than every load-only one: load is the most JS-heavy phase.
+	var browse *Run
+	for _, r := range runs {
+		if strings.Contains(r.Bench.Name, "Browse") {
+			browse = r
+		}
+	}
+	if browse == nil {
+		t.Fatal("no load+browse benchmark among the Table II runs")
+	}
+	jsShare := func(r *Run) float64 { return analysis.Categorize(r.Trace, r.Pixel).Share["JavaScript"] }
+	for _, r := range runs {
+		if r != browse && jsShare(browse) >= jsShare(r) {
+			t.Errorf("%s JavaScript share %.1f%% is not below load-only %s's %.1f%%",
+				browse.Bench.Name, 100*jsShare(browse), r.Bench.Name, 100*jsShare(r))
+		}
+	}
 }
 
 func TestTableIExperiment(t *testing.T) {
@@ -66,6 +99,25 @@ func TestTableIExperiment(t *testing.T) {
 			t.Errorf("%s: browsing should not increase unused%% (load %.0f%%, browse %.0f%%)",
 				r.Name, r.Load.Percent(), r.LoadAndBrowse.Percent())
 		}
+	}
+	// Shape claims (EXPERIMENTS.md, Table I), measured at testScale: at
+	// least 40% of every site's JS+CSS bytes go unused at load, and Maps'
+	// absolute unused bytes grow while browsing even as its share falls.
+	var maps *TableIRow
+	for i, r := range rows {
+		if p := r.Load.Percent(); p < 40 {
+			t.Errorf("%s: %.1f%% of JS+CSS bytes unused at load, want at least 40%%", r.Name, p)
+		}
+		if r.Name == "Google Maps" {
+			maps = &rows[i]
+		}
+	}
+	if maps == nil {
+		t.Fatal("no Google Maps row in Table I")
+	}
+	if maps.LoadAndBrowse.UnusedBytes <= maps.Load.UnusedBytes {
+		t.Errorf("Google Maps: unused bytes %d at load, %d after browsing; want them to grow",
+			maps.Load.UnusedBytes, maps.LoadAndBrowse.UnusedBytes)
 	}
 	out := TableI(rows).String()
 	if !strings.Contains(out, "Only Load") || !strings.Contains(out, "Load and Browse") {

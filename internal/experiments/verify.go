@@ -8,13 +8,13 @@ package experiments
 //                   and compare trace and slice digests byte-for-byte
 //                   (a trace change demands a browser.RenderVersion bump),
 //                   then replay and invariant-check every corpus slice;
-//   - crossformat:  re-run the golden corpus through the streaming
-//                   profiler: encode each trace, slice it out of the
-//                   encoded bytes (once after a forward-pass miss, once
-//                   block by block after a forward-pass store hit), and
-//                   demand the same pinned digests, the same Table II
+//   - crossformat:  re-run the golden corpus the way the service runs an
+//                   upload: encode each trace, decode the bytes, slice the
+//                   decoded trace (once after a forward-pass miss, once
+//                   after a forward-pass store hit), and demand the same
+//                   pinned digests, the same Table II and Figure 5
 //                   numbers, and the same replay-oracle verdicts as the
-//                   materialized pipeline;
+//                   rendered trace;
 //   - replay:       re-execute property-generated sites' slices with all
 //                   out-of-slice instructions elided, asserting criterion
 //                   bytes reproduce;
@@ -75,8 +75,9 @@ type VerifyStats struct {
 	Differentials int
 	Invariants    int
 	Updated       int
-	// CrossFormat counts golden sites whose streaming slices were checked
-	// against the pinned digests and replay verdicts.
+	// CrossFormat counts golden sites whose slices of the encoded and
+	// decoded trace were checked against the pinned digests and replay
+	// verdicts.
 	CrossFormat int
 }
 
@@ -154,7 +155,7 @@ func (v *verifiedRun) diffAll() error {
 	if err := refslicer.Equal(refPix, v.pix); err != nil {
 		return fmt.Errorf("verify: %s: criterion \"pixels\" (fused): %w", v.bench.Name, err)
 	}
-	solo, err := slicer.Slice(slicer.TraceSource(v.tr), v.deps, []slicer.Criteria{slicer.PixelCriteria{}}, verifyOpts)
+	solo, err := slicer.Slice(v.tr, v.deps, []slicer.Criteria{slicer.PixelCriteria{}}, verifyOpts)
 	if err != nil {
 		return fmt.Errorf("verify: %s: %w", v.bench.Name, err)
 	}
@@ -364,16 +365,15 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 	return nil
 }
 
-// verifyCrossFormat re-runs the golden corpus through the streaming
-// pipeline: each site's trace is encoded and sliced by two streaming
-// profilers over the same bytes. The first has no store, so its forward
-// pass misses and its backward pass slices the records that pass decoded.
-// The second finds the first one's forward pass in a store, so its backward
-// pass streams block by block. For both, every pinned digest must
-// reproduce and the Table II slice percentages must be identical to the
-// materialized run's. The first one's slices must also satisfy the replay
-// oracle against the original tape, and its Figure 5 category distribution
-// must match the materialized run's.
+// verifyCrossFormat re-runs the golden corpus through the upload path:
+// each site's trace is encoded, decoded with OpenV3 and ReadAll, and sliced
+// by two profilers over the decoded trace. The first has no store, so its
+// forward pass misses. The second finds the first one's forward pass in a
+// memory-only store. For both, every pinned digest must reproduce and the
+// Table II slice percentages must be identical to the rendered run's. The
+// first one's slices must also satisfy the replay oracle against the
+// original tape, and its Figure 5 category distribution must match the
+// rendered run's.
 func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 	if cfg.GoldenPath == "" {
 		return nil
@@ -400,12 +400,16 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: open: %w", e.Label(), err)
 		}
+		dec, err := br.ReadAll()
+		if err != nil {
+			return fmt.Errorf("verify: crossformat %s: decode: %w", e.Label(), err)
+		}
 		cs := []slicer.Criteria{
 			slicer.PixelCriteria{},
 			slicer.SyscallCriteria{},
 			slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
 		}
-		p := core.NewProfilerStream(br)
+		p := core.NewProfiler(dec)
 		p.Opts = verifyOpts
 		rs, err := p.SliceAll(cs)
 		if err != nil {
@@ -415,7 +419,7 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
-		hit := core.NewProfilerStream(br)
+		hit := core.NewProfiler(dec)
 		hit.Opts = verifyOpts
 		key := store.KeyBytes(enc.Bytes())
 		hit.UseStore(st, key)
@@ -431,31 +435,31 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 			rs   []*slicer.Result
 		}{{"forward-pass miss", rs}, {"forward-pass hit", hrs}} {
 			if d := SliceDigest(run.rs[0]); d != e.Pixels {
-				return fmt.Errorf("verify: crossformat %s: streaming pixel slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Pixels)
+				return fmt.Errorf("verify: crossformat %s: decoded pixel slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Pixels)
 			}
 			if d := SliceDigest(run.rs[1]); d != e.Syscalls {
-				return fmt.Errorf("verify: crossformat %s: streaming syscall slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Syscalls)
+				return fmt.Errorf("verify: crossformat %s: decoded syscall slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Syscalls)
 			}
 			// Table II: the slice percentages must agree exactly.
-			for k, pair := range []struct{ mat, str *slicer.Result }{{v.pix, run.rs[0]}, {v.sys, run.rs[1]}, {v.uni, run.rs[2]}} {
-				if pair.mat.Percent() != pair.str.Percent() || pair.mat.Total != pair.str.Total {
-					return fmt.Errorf("verify: crossformat %s: slice %d percentage after a %s diverges: materialized %.4f%% (%d recs), streaming %.4f%% (%d recs)",
-						e.Label(), k, run.name, pair.mat.Percent(), pair.mat.Total, pair.str.Percent(), pair.str.Total)
+			for k, pair := range []struct{ ren, dec *slicer.Result }{{v.pix, run.rs[0]}, {v.sys, run.rs[1]}, {v.uni, run.rs[2]}} {
+				if pair.ren.Percent() != pair.dec.Percent() || pair.ren.Total != pair.dec.Total {
+					return fmt.Errorf("verify: crossformat %s: slice %d percentage after a %s diverges: rendered %.4f%% (%d recs), decoded %.4f%% (%d recs)",
+						e.Label(), k, run.name, pair.ren.Percent(), pair.ren.Total, pair.dec.Percent(), pair.dec.Total)
 				}
 			}
 		}
-		// Figure 5: the category distribution computed from the streaming
-		// shell trace must match the one from the materialized trace.
-		dm, ds := analysis.Categorize(v.tr, v.pix), analysis.Categorize(p.T, rs[0])
-		if dm.UnnecessaryTotal != ds.UnnecessaryTotal || dm.CoveragePct != ds.CoveragePct || len(dm.Share) != len(ds.Share) {
-			return fmt.Errorf("verify: crossformat %s: category distribution diverges: materialized %+v, streaming %+v", e.Label(), dm, ds)
+		// Figure 5: the category distribution computed from the decoded
+		// trace must match the one from the rendered trace.
+		dr, dd := analysis.Categorize(v.tr, v.pix), analysis.Categorize(dec, rs[0])
+		if dr.UnnecessaryTotal != dd.UnnecessaryTotal || dr.CoveragePct != dd.CoveragePct || len(dr.Share) != len(dd.Share) {
+			return fmt.Errorf("verify: crossformat %s: category distribution diverges: rendered %+v, decoded %+v", e.Label(), dr, dd)
 		}
-		for cat, share := range dm.Share {
-			if ds.Share[cat] != share {
-				return fmt.Errorf("verify: crossformat %s: category %q share diverges: materialized %v, streaming %v", e.Label(), cat, share, ds.Share[cat])
+		for cat, share := range dr.Share {
+			if dd.Share[cat] != share {
+				return fmt.Errorf("verify: crossformat %s: category %q share diverges: rendered %v, decoded %v", e.Label(), cat, share, dd.Share[cat])
 			}
 		}
-		// Replay-oracle verdicts: slices computed by the streaming pass must
+		// Replay-oracle verdicts: slices of the decoded trace must
 		// reproduce the criterion bytes on the original tape.
 		w := &verifiedRun{bench: v.bench, tr: v.tr, tape: v.tape, deps: p.Deps(), pix: rs[0], sys: rs[1], uni: rs[2]}
 		if err := w.replayAll(); err != nil {

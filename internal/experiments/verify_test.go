@@ -32,11 +32,12 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestGoldenCorpusCrossFormat encodes every golden site and demands the
-// streaming profiler, slicing block by block out of the encoded bytes,
-// reproduce the exact pinned digests, Table II percentages, and Figure 5
-// category distribution that the materialized pipeline produces. If it
-// fails, streaming slicing diverged from slicing a trace held in memory.
+// TestGoldenCorpusCrossFormat encodes and decodes every golden site, as the
+// service does an upload, and demands that slicing the decoded trace, after
+// a forward-pass miss and after a store hit, reproduce the exact pinned
+// digests, Table II percentages, and Figure 5 category distribution of the
+// rendered trace. If it fails, the v3 round trip lost something a slice
+// depends on.
 func TestGoldenCorpusCrossFormat(t *testing.T) {
 	st, err := ExecuteVerify("crossformat", VerifyConfig{GoldenPath: goldenPath})
 	if err != nil {

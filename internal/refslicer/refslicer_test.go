@@ -73,7 +73,7 @@ func TestNaiveAgreesWithOptimized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("refslicer %s noCDG=%v: %v", c.Name(), noCDG, err)
 			}
-			got, err := slicer.Slice(slicer.TraceSource(m.Tr), deps, []slicer.Criteria{c}, slicer.Options{NoControlDeps: noCDG})
+			got, err := slicer.Slice(m.Tr, deps, []slicer.Criteria{c}, slicer.Options{NoControlDeps: noCDG})
 			if err != nil {
 				t.Fatalf("slicer %s noCDG=%v: %v", c.Name(), noCDG, err)
 			}
@@ -94,7 +94,7 @@ func TestEqualNamesFirstDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := slicer.Slice(slicer.TraceSource(m.Tr), deps, []slicer.Criteria{slicer.PixelCriteria{}}, slicer.Options{})
+	rs, err := slicer.Slice(m.Tr, deps, []slicer.Criteria{slicer.PixelCriteria{}}, slicer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

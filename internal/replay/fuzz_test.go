@@ -37,7 +37,7 @@ func FuzzReplayAgreesWithSlice(f *testing.F) {
 			t.Fatalf("seed %d: forward pass: %v", seed, err)
 		}
 		deps := cdg.Compute(forest)
-		rs, err := slicer.Slice(slicer.TraceSource(tr), deps, []slicer.Criteria{
+		rs, err := slicer.Slice(tr, deps, []slicer.Criteria{
 			slicer.PixelCriteria{},
 			slicer.SyscallCriteria{},
 			slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},

@@ -70,7 +70,7 @@ func record() (*vm.Machine, *vm.Tape) {
 func sliceAll(t *testing.T, m *vm.Machine) (deps *cdg.Deps, pix, sys, uni *slicer.Result) {
 	t.Helper()
 	deps = forward(t, m.Tr)
-	rs, err := slicer.Slice(slicer.TraceSource(m.Tr), deps, []slicer.Criteria{
+	rs, err := slicer.Slice(m.Tr, deps, []slicer.Criteria{
 		slicer.PixelCriteria{},
 		slicer.SyscallCriteria{},
 		slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -258,6 +263,71 @@ func TestTraceAdmissionLimit(t *testing.T) {
 	}
 	if n := m.Metrics().Counter("jobs_submitted").Value(); n != 0 {
 		t.Fatalf("jobs_submitted = %d after rejected submit", n)
+	}
+}
+
+// declaredRecsUpload hand-builds a v3 upload, framed block by block as
+// the trace package's own tests do, whose index declares blocks blocks of
+// 2^20 records each. The payloads are empty, so the upload takes about 14
+// bytes a block, but every checksum is valid and OpenV3 accepts it.
+func declaredRecsUpload(blocks int) []byte {
+	const blockRecs = 1 << 20
+	out := binary.AppendUvarint([]byte("WSLT"), 3)
+	out = binary.AppendUvarint(out, blockRecs)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	var offs []int
+	for i := 0; i < blocks; i++ {
+		offs = append(offs, len(out))
+		out = append(out, 0x01, 0) // block tag, empty payload
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(nil))
+	}
+	footOff := len(out)
+	foot := make([]byte, 5) // no functions, threads, syscalls, markers or clock points
+	out = append(out, 0x02, byte(len(foot)))
+	out = append(out, foot...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(foot))
+	indexOff := len(out)
+	idx := binary.AppendUvarint(nil, uint64(footOff))
+	idx = binary.AppendUvarint(idx, uint64(blocks))
+	prev := 0
+	for _, off := range offs {
+		idx = binary.AppendUvarint(idx, uint64(off-prev))
+		idx = binary.AppendUvarint(idx, blockRecs)
+		prev = off
+	}
+	out = append(out, idx...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(idx))
+	tail := binary.LittleEndian.AppendUint64(nil, uint64(indexOff))
+	tail = binary.LittleEndian.AppendUint32(tail, crc32.ChecksumIEEE(tail))
+	out = append(out, tail...)
+	return append(out, "WS3K"...)
+}
+
+// TestUploadAdmittedOnDecodedSize: an upload whose index declares more than
+// maxUploadRecs records is refused at submission, however few bytes it
+// takes, with ErrTraceTooLarge and a 413, before it consumes a queue slot.
+// One declaring exactly maxUploadRecs is admitted.
+func TestUploadAdmittedOnDecodedSize(t *testing.T) {
+	srv, m := testServer(t, Config{Workers: 1})
+	atLimit := maxUploadRecs >> 20 // blocks of 2^20 records
+	over := declaredRecsUpload(atLimit + 1)
+	if _, err := m.Submit(Spec{Trace: over}); !errors.Is(err, ErrTraceTooLarge) {
+		t.Fatalf("submit of a %d-byte upload declaring %d records = %v, want ErrTraceTooLarge", len(over), (atLimit+1)<<20, err)
+	}
+	resp, err := http.Post(srv.URL+"/jobs/trace", "application/octet-stream", bytes.NewReader(over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST of a %d-byte upload declaring %d records = %d, want 413", len(over), (atLimit+1)<<20, resp.StatusCode)
+	}
+	if n := m.Metrics().Counter("jobs_submitted").Value(); n != 0 {
+		t.Fatalf("jobs_submitted = %d after rejected submits", n)
+	}
+	if _, err := m.Submit(Spec{Trace: declaredRecsUpload(atLimit)}); err != nil {
+		t.Fatalf("submit of an upload declaring exactly maxUploadRecs records: %v", err)
 	}
 }
 

@@ -166,7 +166,8 @@ var (
 	// per-job wall-clock deadline (Config.JobTimeout). Not retried.
 	ErrJobTimeout = errors.New("service: job deadline exceeded")
 	// ErrTraceTooLarge rejects a submitted trace over the admission limit
-	// (Config.MaxTraceBytes) before it consumes a queue slot (HTTP 413).
+	// (Config.MaxTraceBytes), or one whose index declares more than
+	// maxUploadRecs records, before it consumes a queue slot (HTTP 413).
 	ErrTraceTooLarge = errors.New("service: trace exceeds admission limit")
 )
 
@@ -180,8 +181,9 @@ const quarantineAfter = 2
 // tests and alternative backends may substitute their own.
 type Runner func(ctx context.Context, spec Spec) (*Result, error)
 
-// RetryPolicy shapes worker-level retries of failed (non-panicking,
-// non-timeout) jobs.
+// RetryPolicy shapes worker-level retries of failed jobs. A panicking job
+// counts toward quarantine instead; a job that timed out or whose upload
+// does not decode fails on its first attempt.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per job (default 3).
 	// 1 disables retries.
@@ -517,6 +519,13 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 // a few GiB; at scale 64 a single render was OOM-killed at 7.9 GB.
 const maxScale = 2
 
+// maxUploadRecs is the most records an upload may declare. A decoded
+// upload holds 28 bytes a record while it is sliced, and nothing else
+// bounds what a hostile upload makes a worker hold. It is the power of two
+// above the largest render the service admits: Bing at maxScale is
+// 7,782,104 records.
+const maxUploadRecs = 1 << 23
+
 func (m *Manager) validate(spec *Spec) error {
 	if m.cfg.MaxTraceBytes > 0 && int64(len(spec.Trace)) > m.cfg.MaxTraceBytes {
 		return fmt.Errorf("%w: %d bytes (limit %d)", ErrTraceTooLarge, len(spec.Trace), m.cfg.MaxTraceBytes)
@@ -530,17 +539,26 @@ func (m *Manager) validate(spec *Spec) error {
 	}
 	if len(spec.Trace) > 0 {
 		// Reject what no worker could decode at submission time: bytes that
-		// are not a trace, or a trace in a format other than v3, would only
-		// fail later inside a worker, burning a queue slot and reporting the
-		// error asynchronously.
+		// are not a trace, a trace in a format other than v3, or a v3 index
+		// or footer that does not parse would only fail later inside a
+		// worker, burning a queue slot and reporting the error
+		// asynchronously. Opening decodes no block, so the record count
+		// the index declares is checked before any memory is spent on it.
 		switch v := trace.FormatVersion(spec.Trace); v {
 		case 3:
-			return nil
 		case 0:
 			return fmt.Errorf("service: submitted body is not a WSLT trace")
 		default:
 			return fmt.Errorf("service: submitted trace is format version %d; only version 3 is accepted", v)
 		}
+		br, err := trace.OpenV3(spec.Trace)
+		if err != nil {
+			return fmt.Errorf("service: submitted trace: %w", err)
+		}
+		if n := br.NumRecs(); n > maxUploadRecs {
+			return fmt.Errorf("%w: %d records (limit %d)", ErrTraceTooLarge, n, maxUploadRecs)
+		}
+		return nil
 	}
 	if spec.Site == "" && spec.Seed != 0 {
 		// Property-generated mini-site: fixed-size, so Scale is ignored.
@@ -770,6 +788,7 @@ func (m *Manager) worker() {
 // panickers, and no terminal at all when shutdown abandons the job (the
 // journal then re-runs it next boot).
 func (m *Manager) execute(j *job) {
+	var de *trace.DecodeError
 	for {
 		j.mu.Lock()
 		j.attempts++
@@ -786,7 +805,8 @@ func (m *Manager) execute(j *job) {
 		case j.canceled():
 			m.finish(j, StatusCanceled, nil, ErrCanceled)
 			return
-		case errors.Is(err, ErrJobTimeout):
+		case errors.Is(err, ErrJobTimeout), errors.As(err, &de):
+			// Neither a deadline nor a corrupt upload goes away on retry.
 			m.finish(j, StatusFailed, nil, err)
 			return
 		case errors.Is(err, ErrJobPanicked):
@@ -971,7 +991,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
 	}
-	t := p.T // the shell for a streaming (v3) submission: tables only
+	t := p.T
 	p.Opts = jobOpts
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
 	if m.cfg.Store != nil {
@@ -1115,15 +1135,16 @@ func sliceDigest(r *slicer.Result) string {
 
 func obtainTrace(spec Spec) (*core.Profiler, error) {
 	if len(spec.Trace) > 0 {
-		// A submission is profiled in place, out of the submitted bytes.
-		// When its forward pass is cached, the backward pass streams
-		// block by block; on a miss it slices the records the forward
-		// pass decoded.
+		// A submission is decoded once, here; both passes walk the records.
 		br, err := trace.OpenV3(spec.Trace)
+		var t *trace.Trace
+		if err == nil {
+			t, err = br.ReadAll()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("service: decoding submitted trace: %w", err)
 		}
-		return core.NewProfilerStream(br), nil
+		return core.NewProfiler(t), nil
 	}
 	var b sites.Benchmark
 	if spec.Site == "" && spec.Seed != 0 {

@@ -334,8 +334,10 @@ func TestTraceJobRoundTrip(t *testing.T) {
 	if _, err := m.Submit(Spec{Trace: []byte("not a trace")}); err == nil {
 		t.Fatal("submit of non-WSLT bytes accepted")
 	}
-	// A body with a valid magic but a corrupt payload passes the eager sniff
-	// and fails asynchronously in the worker.
+	// A body whose index and footer are intact but whose block payload is
+	// corrupt passes admission (which decodes no block) and fails
+	// asynchronously in the worker. A decode error is not retried: the
+	// same bytes would fail the same way.
 	corrupt := append([]byte(nil), buf.Bytes()...)
 	corrupt[len(corrupt)/2] ^= 0x01
 	id2, err := m.Submit(Spec{Trace: corrupt})
@@ -348,6 +350,9 @@ func TestTraceJobRoundTrip(t *testing.T) {
 		if info.Status.Terminal() {
 			if info.Status != StatusFailed {
 				t.Fatalf("corrupt trace job = %s, want failed", info.Status)
+			}
+			if info.Attempts != 1 {
+				t.Fatalf("corrupt trace job ran %d attempts, want 1 (a decode error is not retried)", info.Attempts)
 			}
 			break
 		}

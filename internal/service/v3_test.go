@@ -10,10 +10,9 @@ import (
 	"webslice/internal/store"
 )
 
-// TestV3TraceSubmissionMatchesV2: an uploaded trace, profiled by the
-// streaming profiler straight out of the submitted bytes, must produce the
-// same slice digest, tallies, and category breakdown as the site job that
-// renders the same trace and profiles it materialized. A trace in the
+// TestV3TraceSubmissionMatchesV2: an uploaded trace, decoded from the
+// submitted bytes, must produce the same slice digest, tallies, and
+// category breakdown as the site job that renders the same trace. A trace in the
 // retired flat v2 format is refused at submission, naming its version.
 func TestV3TraceSubmissionMatchesV2(t *testing.T) {
 	b, err := sites.ByName("amazon-desktop", sites.Options{Scale: 0.04})

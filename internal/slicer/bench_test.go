@@ -98,7 +98,7 @@ func BenchmarkTwoCriteria(b *testing.B) {
 						b.Fatal(err)
 					}
 				} else {
-					if _, err := Slice(TraceSource(m.Tr), deps,
+					if _, err := Slice(m.Tr, deps,
 						[]Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{}); err != nil {
 						b.Fatal(err)
 					}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"webslice/internal/isa"
+	"webslice/internal/trace"
 	"webslice/internal/vm"
 	"webslice/internal/vmem"
 )
@@ -32,7 +33,7 @@ func TestCanceledHookAbortsWalk(t *testing.T) {
 	if !polled {
 		t.Fatal("Canceled hook was never polled")
 	}
-	if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, opts); !errors.Is(err, ErrCanceled) {
+	if _, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, opts); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("fused Slice with firing Canceled hook: err = %v, want ErrCanceled", err)
 	}
 
@@ -50,4 +51,36 @@ func TestCanceledHookAbortsWalk(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("non-firing Canceled hook was never polled")
 	}
+
+	// The walk stops at the first poll that fires. The hook is polled at
+	// record indices that are multiples of cancelStride, so on a trace
+	// longer than cancelStride it fires at index cancelStride and must not
+	// be asked again at index 0.
+	polls := 0
+	opts = Options{NoControlDeps: true, Canceled: func() bool { polls++; return true }}
+	if _, err := sliceOne(constTrace(t, cancelStride+232), nil, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("long walk with firing Canceled hook: err = %v, want ErrCanceled", err)
+	}
+	if polls != 1 {
+		t.Fatalf("Canceled hook polled %d times, want 1: the walk went on past the poll that fired", polls)
+	}
+}
+
+// constTrace builds an n-record single-function trace of consts with one
+// pixel marker at the end.
+func constTrace(t *testing.T, n int) *trace.Trace {
+	t.Helper()
+	tr := trace.New()
+	fn, err := tr.AddFunc("f", "gfx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Threads = append(tr.Threads, trace.ThreadInfo{ID: 0, Name: "main"})
+	tr.Recs = make([]trace.Rec, n)
+	for i := range tr.Recs {
+		tr.Recs[i] = trace.Rec{PC: trace.MakePC(fn, uint16(i%100)), Kind: isa.KindConst, Dst: isa.Reg(1 + i%8)}
+	}
+	tr.Recs[n-1] = trace.Rec{PC: trace.MakePC(fn, 0), Kind: isa.KindMarker, Aux: 1}
+	tr.Marks[n-1] = &trace.Mark{ID: 1, Kind: isa.MarkPixels, Buf: vmem.Range{Addr: 0x100, Size: 64}}
+	return tr
 }

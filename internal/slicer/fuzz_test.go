@@ -101,7 +101,7 @@ func FuzzSliceNeverPanics(f *testing.F) {
 		if res, err := sliceOne(tr, deps, c, opts); err == nil && res.SliceCount > res.Total {
 			t.Fatalf("slice of %d records from a trace of %d", res.SliceCount, res.Total)
 		}
-		if rs, err := Slice(TraceSource(tr), deps, []Criteria{PixelCriteria{}, c}, opts); err == nil {
+		if rs, err := Slice(tr, deps, []Criteria{PixelCriteria{}, c}, opts); err == nil {
 			for _, r := range rs {
 				if r.SliceCount > r.Total {
 					t.Fatalf("fused slice of %d records from a trace of %d", r.SliceCount, r.Total)

@@ -65,7 +65,7 @@ func TestSliceMultiMatchesIndependentRuns(t *testing.T) {
 		{NoControlDeps: true},
 	} {
 		cs := []Criteria{PixelCriteria{}, SyscallCriteria{}, Union{PixelCriteria{}, SyscallCriteria{}}}
-		fused, err := Slice(TraceSource(m.Tr), deps, cs, opts)
+		fused, err := Slice(m.Tr, deps, cs, opts)
 		if err != nil {
 			t.Fatalf("Slice(%+v): %v", opts, err)
 		}
@@ -88,7 +88,7 @@ func TestSliceMultiMatchesIndependentRuns(t *testing.T) {
 func TestSliceMultiSharesTheWalkNotTheState(t *testing.T) {
 	m := multiWorkload()
 	deps := forward(t, m.Tr)
-	rs, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{})
+	rs, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,13 @@ func TestSliceMultiSharesTheWalkNotTheState(t *testing.T) {
 func TestSliceMultiErrors(t *testing.T) {
 	m := multiWorkload()
 	deps := forward(t, m.Tr)
-	if _, err := Slice(TraceSource(m.Tr), deps, nil, Options{}); err == nil {
+	if _, err := Slice(m.Tr, deps, nil, Options{}); err == nil {
 		t.Error("no criteria should be rejected")
 	}
-	if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}, nil}, Options{}); err == nil {
+	if _, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}, nil}, Options{}); err == nil {
 		t.Error("nil criteria entry should be rejected")
 	}
-	if _, err := Slice(TraceSource(m.Tr), nil, []Criteria{PixelCriteria{}}, Options{}); err == nil {
+	if _, err := Slice(m.Tr, nil, []Criteria{PixelCriteria{}}, Options{}); err == nil {
 		t.Error("nil deps without NoControlDeps should be rejected")
 	}
 }

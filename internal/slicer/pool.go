@@ -1,10 +1,6 @@
 package slicer
 
-import (
-	"sync"
-
-	"webslice/internal/trace"
-)
+import "sync"
 
 // The slicing service runs many backward passes over a process lifetime,
 // each needing a live-register set, a live-memory set, and call-frame
@@ -45,21 +41,6 @@ func getWordSet() *wordSet {
 func putWordSet(s *wordSet) {
 	if s != nil {
 		wordSetPool.Put(s)
-	}
-}
-
-var recBufPool = sync.Pool{New: func() any { return new([]trace.Rec) }}
-
-// getRecBuf returns a record window buffer for streaming walks; its capacity
-// grows to the source's block size on first use and is kept across passes.
-func getRecBuf() *[]trace.Rec {
-	return recBufPool.Get().(*[]trace.Rec)
-}
-
-func putRecBuf(b *[]trace.Rec) {
-	if b != nil {
-		*b = (*b)[:0]
-		recBufPool.Put(b)
 	}
 }
 

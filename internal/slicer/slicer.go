@@ -539,19 +539,15 @@ func (s *sliceState) finish() *Result {
 	return res
 }
 
-// Slice runs the backward pass once for one or more criteria over a record
-// source — TraceSource for a materialized trace, StreamSource for a v3
-// block reader — with control dependences from the forward pass (deps may
-// be nil only when opts.NoControlDeps is set). The trace is walked in
-// reverse a single time, with one live-register set, live-memory set, and
-// pending-branch state maintained per criterion; results come back in
-// criteria order and are identical to what len(cs) one-criterion calls
-// would produce. One stored forward pass serves many backward passes, and
-// those backward passes share the trace walk too. A streaming source
-// decodes each block once and holds one block of records at a time; the
-// profiler streams only when its forward pass came from the store, and
-// otherwise passes the records that pass decoded as a TraceSource.
-func Slice(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
+// Slice runs the backward pass once for one or more criteria over t, with
+// control dependences from the forward pass (deps may be nil only when
+// opts.NoControlDeps is set). The trace is walked in reverse a single time,
+// with one live-register set, live-memory set, and pending-branch state
+// maintained per criterion; results come back in criteria order and are
+// identical to what len(cs) one-criterion calls would produce. One stored
+// forward pass serves many backward passes, and those backward passes share
+// the trace walk too.
+func Slice(t *trace.Trace, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("slicer: no criteria")
 	}
@@ -563,11 +559,10 @@ func Slice(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, 
 	if deps == nil && !opts.NoControlDeps {
 		return nil, fmt.Errorf("slicer: control dependences required (or set NoControlDeps)")
 	}
-	t := src.Shell()
-	n := src.NumRecs()
+	recs := t.Recs
 	states := make([]*sliceState, len(cs))
 	for k, c := range cs {
-		states[k] = newSliceState(t, deps, c, opts, n)
+		states[k] = newSliceState(t, deps, c, opts, len(recs))
 	}
 	defer func() {
 		for _, s := range states {
@@ -578,27 +573,14 @@ func Slice(src Source, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, 
 			}
 		}
 	}()
-	buf := getRecBuf()
-	defer putRecBuf(buf)
-	canceled := false
-	err := reverseWindows(src, 0, n, buf, func(wlo int, recs []trace.Rec) bool {
-		for i := wlo + len(recs) - 1; i >= wlo; i-- {
-			if opts.Canceled != nil && i&(cancelStride-1) == 0 && opts.Canceled() {
-				canceled = true
-				return false
-			}
-			r := &recs[i-wlo]
-			for _, s := range states {
-				s.step(i, r)
-			}
+	for i := len(recs) - 1; i >= 0; i-- {
+		if opts.Canceled != nil && i&(cancelStride-1) == 0 && opts.Canceled() {
+			return nil, ErrCanceled
 		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if canceled {
-		return nil, ErrCanceled
+		r := &recs[i]
+		for _, s := range states {
+			s.step(i, r)
+		}
 	}
 	out := make([]*Result, len(states))
 	for k, s := range states {

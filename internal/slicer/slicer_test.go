@@ -1,6 +1,7 @@
 package slicer
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,7 @@ func forward(t *testing.T, tr *trace.Trace) *cdg.Deps {
 
 // sliceOne slices a materialized trace for a single criterion.
 func sliceOne(tr *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) (*Result, error) {
-	rs, err := Slice(TraceSource(tr), deps, []Criteria{c}, opts)
+	rs, err := Slice(tr, deps, []Criteria{c}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -582,7 +583,7 @@ func TestSliceScratchPooled(t *testing.T) {
 	deps := forward(t, m.Tr)
 	opts := Options{}
 	run := func() {
-		if _, err := Slice(TraceSource(m.Tr), deps, []Criteria{PixelCriteria{}}, opts); err != nil {
+		if _, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}}, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -597,5 +598,36 @@ func TestSliceScratchPooled(t *testing.T) {
 	const budget = 120
 	if got := testing.AllocsPerRun(20, run); got > budget {
 		t.Errorf("backward pass allocates %.0f objects/run, budget %d — pooled scratch regressed", got, budget)
+	}
+}
+
+// TestStreamRegisterBombBounded: a two-record trace whose operands name a
+// register near 2^32 must slice correctly without the live-register set
+// growing toward that ID. Real traces never name a register above their
+// record count; a hostile upload costs memory bounded by its records.
+func TestStreamRegisterBombBounded(t *testing.T) {
+	const bomb = isa.Reg(0xFFFFFFF0)
+	tr := trace.New()
+	fn, err := tr.AddFunc("f", "net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Threads = append(tr.Threads, trace.ThreadInfo{ID: 0, Name: "main"})
+	tr.Recs = []trace.Rec{
+		{PC: trace.MakePC(fn, 0), Kind: isa.KindConst, Dst: bomb},
+		{PC: trace.MakePC(fn, 1), Kind: isa.KindSyscall, Src1: bomb},
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := sliceOne(tr, nil, SyscallCriteria{}, Options{NoControlDeps: true})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.InSlice.Get(0) || !res.InSlice.Get(1) || res.SliceCount != 2 {
+		t.Fatalf("slice = %d records (bits %b), want both the const and the syscall", res.SliceCount, res.InSlice)
+	}
+	if delta := m1.TotalAlloc - m0.TotalAlloc; delta > 1<<20 {
+		t.Fatalf("slicing a two-record trace allocated %d bytes, want under 1 MiB", delta)
 	}
 }

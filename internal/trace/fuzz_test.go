@@ -63,7 +63,7 @@ func deflateBombV3() []byte {
 // handBuiltV3 frames payloads as the blocks of a v3 file with blockRecs
 // records per block, each block declaring blockRecs records, followed by
 // an empty footer, the index and the tail. Every checksum is valid, so
-// OpenV3 accepts the file; the payloads are inflated only by DecodeBlock.
+// OpenV3 accepts the file; the payloads are inflated only by ReadAll.
 func handBuiltV3(blockRecs uint64, payloads ...[]byte) []byte {
 	out := append([]byte(nil), magic[:]...)
 	out = binary.AppendUvarint(out, v3Version)

@@ -14,10 +14,11 @@ import (
 	"webslice/internal/vmem"
 )
 
-// Trace format version 3: a block-based, column-oriented encoding built for
-// traces too large to hold in memory. The record stream is split into
-// fixed-size blocks that compress and decode independently, so the slicer's
-// backward pass can walk a trace one block at a time with bounded peak RSS.
+// Trace format version 3: a block-based, column-oriented encoding. The
+// record stream is split into fixed-size blocks that compress and decode
+// independently, so a writer never holds more than one block, and a reader
+// can check the index and footer, and the record count they declare,
+// without inflating a block.
 //
 // Layout:
 //
@@ -354,25 +355,20 @@ func appendRanges(b []byte, rs []vmem.Range) []byte {
 	return b
 }
 
-// BlockReader gives random and streaming access to a v3 trace without
-// materializing the record slice. Open verifies the header, index, and
-// footer checksums and the structural accounting of every byte in the file;
-// block payload checksums are verified lazily by DecodeBlock so opening a
-// multi-gigabyte trace stays O(index). A BlockReader is not safe for
-// concurrent use: DecodeBlock reuses one decompressor owned by the reader.
+// BlockReader is an opened v3 trace. OpenV3 verifies the header, index, and
+// footer checksums and the structural accounting of every byte in the file
+// without inflating a block, so NumRecs is known before any record memory
+// is spent; ReadAll then verifies and decodes the blocks.
 type BlockReader struct {
-	data      []byte // the encoded trace the reader was opened on
-	blockRecs int
-	n         int
-	shell     *Trace // side tables populated, Recs nil
-	blocks    []v3BlockMeta
-	in        *inflater // created by the first DecodeBlock
+	data   []byte // the encoded trace the reader was opened on
+	n      int
+	tables *Trace // the footer's symbol and side tables, Recs nil
+	blocks []v3BlockMeta
 }
 
 type v3BlockMeta struct {
 	body  []byte // compressed column payload
 	crc   uint32
-	start int
 	count int
 }
 
@@ -447,7 +443,7 @@ func OpenV3(data []byte) (*BlockReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := &BlockReader{data: data, blockRecs: blockRecs, blocks: make([]v3BlockMeta, nBlocks)}
+	br := &BlockReader{data: data, blocks: make([]v3BlockMeta, nBlocks)}
 	prevOff := int64(0)
 	for i := range br.blocks {
 		delta, err := d.uvarint()
@@ -476,7 +472,7 @@ func OpenV3(data []byte) (*BlockReader, error) {
 		if i < nBlocks-1 && cnt != uint64(blockRecs) {
 			return nil, d.errf("non-final block %d holds %d records, want %d", i, cnt, blockRecs)
 		}
-		br.blocks[i] = v3BlockMeta{start: br.n, count: int(cnt)}
+		br.blocks[i] = v3BlockMeta{count: int(cnt)}
 		br.n += int(cnt)
 		prevOff = off
 		// Stash the offset in body temporarily; resolved below once the
@@ -552,18 +548,18 @@ func OpenV3(data []byte) (*BlockReader, error) {
 		return nil, d.errf("footer checksum mismatch: file says %08x, contents hash to %08x", want, got)
 	}
 	fd := &decoder{buf: foot, section: "v3 footer"}
-	shell := New()
-	if err := decodeTables(fd, shell); err != nil {
+	tables := New()
+	if err := decodeTables(fd, tables); err != nil {
 		return nil, err
 	}
-	if err := decodeSideTables(fd, shell, br.n); err != nil {
+	if err := decodeSideTables(fd, tables, br.n); err != nil {
 		return nil, err
 	}
 	if fd.remaining() != 0 {
 		fd.section = "v3 footer"
 		return nil, fd.errf("%d trailing bytes after the last footer table", fd.remaining())
 	}
-	br.shell = shell
+	br.tables = tables
 	return br, nil
 }
 
@@ -571,32 +567,11 @@ func OpenV3(data []byte) (*BlockReader, error) {
 // with the reader and must not be mutated.
 func (br *BlockReader) Bytes() []byte { return br.data }
 
-// NumRecs returns the total record count.
+// NumRecs returns the total record count the index declares.
 func (br *BlockReader) NumRecs() int { return br.n }
 
-// NumBlocks returns the number of blocks.
-func (br *BlockReader) NumBlocks() int { return len(br.blocks) }
-
-// BlockRecs returns the records-per-block the file was written with.
-func (br *BlockReader) BlockRecs() int { return br.blockRecs }
-
-// BlockBounds returns the half-open record-index range [start,end) held by
-// block i.
-func (br *BlockReader) BlockBounds(i int) (start, end int) {
-	m := &br.blocks[i]
-	return m.start, m.start + m.count
-}
-
-// BlockOf returns the block holding record index i.
-func (br *BlockReader) BlockOf(i int) int { return i / br.blockRecs }
-
-// Shell returns the trace's symbol and side tables with a nil record slice.
-// Criteria evaluation and categorization need only the shell. The returned
-// trace is shared with the reader and must not be mutated.
-func (br *BlockReader) Shell() *Trace { return br.shell }
-
-// inflater is a flate reader plus scratch output buffer, reused across a
-// reader's block decodes so each block does not allocate a decompressor.
+// inflater is a flate reader plus scratch output buffer, reused across the
+// blocks of one ReadAll so each block does not allocate a decompressor.
 type inflater struct {
 	fr  io.ReadCloser
 	src bytes.Reader
@@ -643,20 +618,17 @@ func (in *inflater) inflate(comp []byte, limit int) ([]byte, error) {
 	}
 }
 
-// DecodeBlock verifies and decompresses block i into dst, reusing dst's
+// decodeBlock verifies and decompresses block i into dst, reusing dst's
 // backing array when it has capacity. The returned slice holds exactly the
 // block's records. A payload that inflates past maxColumnBytes of the
 // record count the index declares fails with a DecodeError.
-func (br *BlockReader) DecodeBlock(i int, dst []Rec) ([]Rec, error) {
+func (br *BlockReader) decodeBlock(i int, in *inflater, dst []Rec) ([]Rec, error) {
 	m := &br.blocks[i]
 	d := &decoder{buf: m.body, section: "v3 block payload"}
 	if got := crc32.ChecksumIEEE(m.body); got != m.crc {
 		return nil, d.errf("block %d checksum mismatch: file says %08x, contents hash to %08x", i, m.crc, got)
 	}
-	if br.in == nil {
-		br.in = &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
-	}
-	raw, err := br.in.inflate(m.body, maxColumnBytes(m.count))
+	raw, err := in.inflate(m.body, maxColumnBytes(m.count))
 	if err != nil {
 		return nil, &DecodeError{Section: "v3 block payload", Offset: 0, Msg: "block " + itoa(i) + ": " + err.Error()}
 	}
@@ -794,8 +766,8 @@ func decodeColumns(raw []byte, want int, dst []Rec) ([]Rec, error) {
 	return dst, nil
 }
 
-// ReadAll materializes the whole trace. The side tables are shared with the
-// reader's shell.
+// ReadAll decodes the whole trace, verifying each block's checksum. The
+// side tables are shared with the reader.
 //
 // The record slice is pre-sized from the index, but to at most one record
 // per input byte: real traces take several bytes per record and still fit
@@ -803,18 +775,19 @@ func decodeColumns(raw []byte, want int, dst []Rec) ([]Rec, error) {
 // gets memory only for the blocks that actually decode.
 func (br *BlockReader) ReadAll() (*Trace, error) {
 	t := &Trace{
-		Funcs:   br.shell.Funcs,
-		Threads: br.shell.Threads,
-		Sys:     br.shell.Sys,
-		Marks:   br.shell.Marks,
-		Clock:   br.shell.Clock,
+		Funcs:   br.tables.Funcs,
+		Threads: br.tables.Threads,
+		Sys:     br.tables.Sys,
+		Marks:   br.tables.Marks,
+		Clock:   br.tables.Clock,
 	}
 	if br.n > 0 {
 		t.Recs = make([]Rec, 0, min(br.n, len(br.data)))
 	}
+	in := &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
 	for i := range br.blocks {
 		free := t.Recs[len(t.Recs):cap(t.Recs)]
-		recs, err := br.DecodeBlock(i, free)
+		recs, err := br.decodeBlock(i, in, free)
 		if err != nil {
 			return nil, err
 		}

@@ -82,10 +82,10 @@ func FuzzV3RoundTrip(f *testing.F) {
 }
 
 // decodeBudget is the most OpenV3 plus ReadAll may allocate for an n-byte
-// input with blockRecs records per block: a fixed multiple of n (tables,
-// block metadata, and a record slice pre-sized to at most one record per
-// input byte), one decoded block with its inflated columns, and 1 MiB of
-// fixed overhead such as a pooled decompressor. Declared record counts do
+// input whose largest block holds blockRecs records: a fixed multiple of n
+// (tables, block metadata, and a record slice pre-sized to at most one
+// record per input byte), one decoded block with its inflated columns, and
+// 1 MiB of fixed overhead such as the decompressor. Declared record counts do
 // not appear: they must not drive allocation before blocks decode.
 func decodeBudget(n, blockRecs int) uint64 {
 	return 1<<20 + 128*uint64(n) + 2*uint64(blockRecs)*uint64(unsafe.Sizeof(Rec{}))
@@ -126,7 +126,9 @@ func FuzzV3DecodeNeverPanics(f *testing.F) {
 		}
 		blockRecs := 0
 		if br != nil {
-			blockRecs = br.BlockRecs()
+			for _, b := range br.blocks {
+				blockRecs = max(blockRecs, b.count)
+			}
 		}
 		if budget := decodeBudget(len(data), blockRecs); alloc > budget {
 			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), alloc, budget)

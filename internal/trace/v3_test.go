@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
@@ -115,11 +117,8 @@ func TestV3RoundTripMultiBlock(t *testing.T) {
 	if br.NumRecs() != tr.Len() {
 		t.Fatalf("NumRecs = %d, want %d", br.NumRecs(), tr.Len())
 	}
-	if br.NumBlocks() != 6 {
-		t.Fatalf("NumBlocks = %d, want 6", br.NumBlocks())
-	}
-	if br.BlockRecs() != 64 {
-		t.Fatalf("BlockRecs = %d, want 64", br.BlockRecs())
+	if want := []int{64, 64, 64, 64, 64, 23}; !reflect.DeepEqual(blockCounts(br), want) {
+		t.Fatalf("block record counts = %v, want %v", blockCounts(br), want)
 	}
 	got, err := br.ReadAll()
 	if err != nil {
@@ -138,8 +137,8 @@ func TestV3EmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.NumRecs() != 0 || br.NumBlocks() != 0 {
-		t.Fatalf("empty trace has %d recs in %d blocks", br.NumRecs(), br.NumBlocks())
+	if br.NumRecs() != 0 || len(br.blocks) != 0 {
+		t.Fatalf("empty trace has %d recs in %d blocks", br.NumRecs(), len(br.blocks))
 	}
 	got, err := br.ReadAll()
 	if err != nil {
@@ -148,6 +147,15 @@ func TestV3EmptyTrace(t *testing.T) {
 	if len(got.Recs) != 0 || len(got.Funcs) != 1 {
 		t.Errorf("empty round trip: %d recs, %d funcs", len(got.Recs), len(got.Funcs))
 	}
+}
+
+// blockCounts lists the record count the index declares for each block.
+func blockCounts(br *BlockReader) []int {
+	var out []int
+	for _, b := range br.blocks {
+		out = append(out, b.count)
+	}
+	return out
 }
 
 func TestV3BlockBoundsAndShell(t *testing.T) {
@@ -160,26 +168,14 @@ func TestV3BlockBoundsAndShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBounds := [][2]int{{0, 64}, {64, 128}, {128, 138}}
-	for i, wb := range wantBounds {
-		lo, hi := br.BlockBounds(i)
-		if lo != wb[0] || hi != wb[1] {
-			t.Errorf("BlockBounds(%d) = [%d,%d), want [%d,%d)", i, lo, hi, wb[0], wb[1])
-		}
+	if want := []int{64, 64, 10}; !reflect.DeepEqual(blockCounts(br), want) {
+		t.Errorf("block record counts = %v, want %v", blockCounts(br), want)
 	}
-	for _, idx := range []int{0, 63, 64, 127, 137} {
-		b := br.BlockOf(idx)
-		lo, hi := br.BlockBounds(b)
-		if idx < lo || idx >= hi {
-			t.Errorf("BlockOf(%d) = %d with bounds [%d,%d)", idx, b, lo, hi)
-		}
+	if br.tables.Recs != nil {
+		t.Error("opening must not materialize records")
 	}
-	shell := br.Shell()
-	if shell.Recs != nil {
-		t.Error("shell must not materialize records")
-	}
-	if !reflect.DeepEqual(shell.Funcs, tr.Funcs) || !reflect.DeepEqual(shell.Sys, tr.Sys) || !reflect.DeepEqual(shell.Marks, tr.Marks) {
-		t.Error("shell side tables differ from the source trace")
+	if !reflect.DeepEqual(br.tables.Funcs, tr.Funcs) || !reflect.DeepEqual(br.tables.Sys, tr.Sys) || !reflect.DeepEqual(br.tables.Marks, tr.Marks) {
+		t.Error("opened side tables differ from the source trace")
 	}
 }
 
@@ -193,21 +189,22 @@ func TestV3DecodeBlockReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
 	dst := make([]Rec, 0, 64)
 	base := &dst[:1][0]
-	for i := 0; i < br.NumBlocks(); i++ {
-		out, err := br.DecodeBlock(i, dst)
+	for i, lo := 0, 0; i < len(br.blocks); i++ {
+		out, err := br.decodeBlock(i, in, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &out[0] != base {
-			t.Fatalf("block %d: DecodeBlock reallocated despite sufficient capacity", i)
+			t.Fatalf("block %d: decodeBlock reallocated despite sufficient capacity", i)
 		}
-		lo, hi := br.BlockBounds(i)
+		hi := lo + br.blocks[i].count
 		if !reflect.DeepEqual(out, tr.Recs[lo:hi]) {
 			t.Fatalf("block %d decodes wrong records", i)
 		}
-		dst = out[:0]
+		dst, lo = out[:0], hi
 	}
 }
 
@@ -241,11 +238,12 @@ func TestV3BlockRecsRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.BlockRecs() != 128 {
-		t.Errorf("BlockRecs = %d, want 128 (rounded up to a multiple of 64)", br.BlockRecs())
+	blockRecs, _ := binary.Uvarint(buf.Bytes()[len(magic)+1:]) // after the one-byte version
+	if blockRecs != 128 {
+		t.Errorf("header block size = %d, want 128 (rounded up to a multiple of 64)", blockRecs)
 	}
-	if br.BlockRecs()%64 != 0 {
-		t.Errorf("block size %d is not 64-aligned", br.BlockRecs())
+	if want := []int{100}; !reflect.DeepEqual(blockCounts(br), want) {
+		t.Errorf("block record counts = %v, want %v", blockCounts(br), want)
 	}
 }
 

@@ -64,6 +64,12 @@ go test -run '^$' -fuzz FuzzV3RoundTrip -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz FuzzBuildMatchesReference -fuzztime 5s ./internal/cfg
 
+# ReadAll splits a trace's blocks over up to GOMAXPROCS workers. Pin
+# GOMAXPROCS to 16 so that path, and its memory budget, are raced and
+# fuzzed with many workers even on a host with one or two cores.
+GOMAXPROCS=16 go test -race -count=1 ./internal/trace
+GOMAXPROCS=16 go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s -parallel 2 ./internal/trace
+
 # Observability smoke: a job through the HTTP API must produce one
 # causally-linked span tree (correct names and parent links), with its
 # trace ID joining the structured log, the /metrics exemplars, and

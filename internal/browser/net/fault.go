@@ -57,9 +57,6 @@ type Fault struct {
 	ExtraLatencyMs int
 }
 
-// Permanent reports whether the fault affects every attempt.
-func (f Fault) Permanent() bool { return f.Times < 0 }
-
 // active reports whether the fault applies to the given 1-based attempt.
 func (f Fault) active(attempt int) bool {
 	if f.Kind == FaultNone {

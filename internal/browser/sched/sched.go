@@ -281,28 +281,6 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// RunUntil drains tasks whose Ready time is at most deadline, leaving later
-// tasks queued (used to cut a load phase from a browse phase).
-func (s *Scheduler) RunUntil(deadline uint64) {
-	m := s.M
-	for s.tasks.Len() > 0 && s.tasks[0].Ready <= deadline {
-		t := heap.Pop(&s.tasks).(*Task)
-		if t.cancelled {
-			s.cancelled--
-			continue
-		}
-		if t.Ready > m.Cycle() {
-			s.IdleCycles += t.Ready - m.Cycle()
-			m.Idle(t.Ready - m.Cycle())
-		}
-		m.Switch(t.Thread)
-		s.Dispatched++
-		run := t.Run
-		t.Run = nil
-		m.Call(s.taskFn(t.Name), run)
-	}
-}
-
 // Pending reports how many live (non-cancelled) tasks are queued.
 func (s *Scheduler) Pending() int { return s.tasks.Len() - s.cancelled }
 

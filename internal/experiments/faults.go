@@ -17,18 +17,12 @@ type FaultPair struct {
 	FaultyWaste   analysis.FaultWasteResult
 }
 
-// ExecuteFaults runs the fault-injection experiment sequentially: for each
-// selected site, a clean load is the baseline, then the same site loads
-// through a fault plan derived from the seed. Both runs are pixel-sliced and
-// the error-path (net/error namespace) instruction counts are split by slice
-// membership.
-func ExecuteFaults(scale float64, seed uint64) ([]FaultPair, error) {
-	return ExecuteFaultsWith(Config{Scale: scale, Workers: 1}, seed)
-}
-
-// ExecuteFaultsWith is ExecuteFaults over cfg's worker pool: each site's
-// clean and faulty sessions are independent units, collected into pairs in
-// site-list order.
+// ExecuteFaultsWith runs the fault-injection experiment: for each selected
+// site, a clean load is the baseline, then the same site loads through a
+// fault plan derived from the seed. Both runs are pixel-sliced and the
+// error-path (net/error namespace) instruction counts are split by slice
+// membership. Each site's clean and faulty sessions are independent units
+// on cfg's worker pool, collected into pairs in site-list order.
 func ExecuteFaultsWith(cfg Config, seed uint64) ([]FaultPair, error) {
 	benches := []sites.Benchmark{
 		sites.AmazonDesktop(sites.Options{Scale: cfg.Scale}),

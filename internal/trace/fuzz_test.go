@@ -133,6 +133,43 @@ func TestReadAllAllocatesOnlyForDecodedBlocks(t *testing.T) {
 	}
 }
 
+// TestReadAllWorkersStayInBudget: every worker past the first costs an
+// inflater, so the worker count must be bounded by the input, not only by
+// GOMAXPROCS and the block count. The body here holds 200 blocks of 64
+// identical records in about 4.5 KB, so more records than bytes: at
+// GOMAXPROCS 16, one worker per block that fits the reservation would
+// allocate past decodeBudget.
+func TestReadAllWorkersStayInBudget(t *testing.T) {
+	tr := New()
+	tr.Recs = make([]Rec, 200*64)
+	var buf bytes.Buffer
+	if err := tr.WriteV3Blocks(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	atEachGOMAXPROCS([]int{16}, func(int) {
+		var (
+			got        *Trace
+			oerr, rerr error
+		)
+		alloc := allocBytes(func() {
+			var br *BlockReader
+			if br, oerr = OpenV3(data); oerr == nil {
+				got, rerr = br.ReadAll()
+			}
+		})
+		if oerr != nil || rerr != nil {
+			t.Fatalf("decoding: open %v, read %v", oerr, rerr)
+		}
+		if !reflect.DeepEqual(got.Recs, tr.Recs) {
+			t.Fatal("records did not survive the round trip")
+		}
+		if budget := decodeBudget(len(data), 64); alloc > budget {
+			t.Fatalf("decoding %d bytes at GOMAXPROCS 16 allocated %d bytes, budget %d", len(data), alloc, budget)
+		}
+	})
+}
+
 // TestInflateCapIsTheWorstCase: the inflate cap is exactly what the
 // widest legal block encodes to, so every trace the writer produces still
 // decodes, while a block that inflates past its cap fails with a typed

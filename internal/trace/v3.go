@@ -9,6 +9,9 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"webslice/internal/isa"
 	"webslice/internal/vmem"
@@ -360,10 +363,11 @@ func appendRanges(b []byte, rs []vmem.Range) []byte {
 // without inflating a block, so NumRecs is known before any record memory
 // is spent; ReadAll then verifies and decodes the blocks.
 type BlockReader struct {
-	data   []byte // the encoded trace the reader was opened on
-	n      int
-	tables *Trace // the footer's symbol and side tables, Recs nil
-	blocks []v3BlockMeta
+	data      []byte // the encoded trace the reader was opened on
+	n         int
+	blockRecs int    // records in every block but the last
+	tables    *Trace // the footer's symbol and side tables, Recs nil
+	blocks    []v3BlockMeta
 }
 
 type v3BlockMeta struct {
@@ -443,7 +447,7 @@ func OpenV3(data []byte) (*BlockReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := &BlockReader{data: data, blocks: make([]v3BlockMeta, nBlocks)}
+	br := &BlockReader{data: data, blockRecs: blockRecs, blocks: make([]v3BlockMeta, nBlocks)}
 	prevOff := int64(0)
 	for i := range br.blocks {
 		delta, err := d.uvarint()
@@ -571,12 +575,15 @@ func (br *BlockReader) Bytes() []byte { return br.data }
 func (br *BlockReader) NumRecs() int { return br.n }
 
 // inflater is a flate reader plus scratch output buffer, reused across the
-// blocks of one ReadAll so each block does not allocate a decompressor.
+// blocks one ReadAll worker decodes so each block does not allocate a
+// decompressor.
 type inflater struct {
 	fr  io.ReadCloser
 	src bytes.Reader
 	buf []byte
 }
+
+func newInflater() *inflater { return &inflater{fr: flate.NewReader(bytes.NewReader(nil))} }
 
 // inflate decompresses comp, which may inflate to at most limit bytes. The
 // scratch buffer never grows past limit, and a stream that goes on beyond
@@ -766,6 +773,20 @@ func decodeColumns(raw []byte, want int, dst []Rec) ([]Rec, error) {
 	return dst, nil
 }
 
+// workerInputBytes is how much input each ReadAll worker past the first
+// needs. A worker's inflater allocates about 40 KB whatever the block
+// size, so one worker per 4 KiB keeps the extra inflaters near 10 bytes
+// per input byte at any GOMAXPROCS, and a small trace decodes on the
+// calling goroutine alone.
+const workerInputBytes = 4 << 10
+
+// decodeWorkers is how many goroutines share the decode of blocks blocks
+// of an inputBytes-byte trace: one per GOMAXPROCS, but at most one per
+// block and one more per workerInputBytes of input.
+func decodeWorkers(blocks, inputBytes int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), blocks, 1+inputBytes/workerInputBytes))
+}
+
 // ReadAll decodes the whole trace, verifying each block's checksum. The
 // side tables are shared with the reader.
 //
@@ -773,6 +794,17 @@ func decodeColumns(raw []byte, want int, dst []Rec) ([]Rec, error) {
 // per input byte: real traces take several bytes per record and still fit
 // exactly, while an index that declares millions of records in a few bytes
 // gets memory only for the blocks that actually decode.
+//
+// The blocks that fit in that reservation decode in parallel, each straight
+// into its final place: blocks are independent, and every block but the
+// last holds exactly blockRecs records, so block i starts at record
+// i*blockRecs and nothing needs stitching. Decoding is the largest stage
+// of an upload that misses the result cache, and this is the one place a
+// job's work is split across cores. Blocks past the reservation, which
+// exist only when the index declares more records than the input has
+// bytes, then decode in order by appending. Neither the records nor, on
+// corrupt input, the error (that of the lowest failing block) depend on
+// the number of workers.
 func (br *BlockReader) ReadAll() (*Trace, error) {
 	t := &Trace{
 		Funcs:   br.tables.Funcs,
@@ -784,8 +816,16 @@ func (br *BlockReader) ReadAll() (*Trace, error) {
 	if br.n > 0 {
 		t.Recs = make([]Rec, 0, min(br.n, len(br.data)))
 	}
-	in := &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
-	for i := range br.blocks {
+	fit := len(br.blocks)
+	if br.n > cap(t.Recs) {
+		fit = cap(t.Recs) / br.blockRecs
+	}
+	t.Recs = t.Recs[:min(fit*br.blockRecs, br.n)]
+	in, err := br.decodeInPlace(t.Recs, fit)
+	if err != nil {
+		return nil, err
+	}
+	for i := fit; i < len(br.blocks); i++ {
 		free := t.Recs[len(t.Recs):cap(t.Recs)]
 		recs, err := br.decodeBlock(i, in, free)
 		if err != nil {
@@ -798,6 +838,67 @@ func (br *BlockReader) ReadAll() (*Trace, error) {
 		}
 	}
 	return t, nil
+}
+
+// decodeInPlace decodes blocks 0..fit-1, block i into recs from record
+// i*blockRecs, on the calling goroutine and decodeWorkers-1 more, each with
+// its own inflater. Workers take blocks in index order and stop taking
+// blocks above a known failure, so every block below the lowest failure
+// has been decoded and its error is the one a serial loop would return.
+// One worker is that serial loop and starts no goroutine. decodeInPlace
+// returns the calling goroutine's inflater for the blocks that follow.
+func (br *BlockReader) decodeInPlace(recs []Rec, fit int) (*inflater, error) {
+	var (
+		next     atomic.Int64 // the next block to take
+		mu       sync.Mutex
+		lowest   = fit // the lowest failing block so far
+		err      error // its error
+		panicked any
+	)
+	work := func(in *inflater) {
+		for {
+			i := int(next.Add(1) - 1)
+			mu.Lock()
+			stop := i >= lowest
+			mu.Unlock()
+			if stop {
+				return
+			}
+			lo := i * br.blockRecs
+			hi := lo + br.blocks[i].count
+			if _, berr := br.decodeBlock(i, in, recs[lo:hi:hi]); berr != nil {
+				mu.Lock()
+				if i < lowest {
+					lowest, err = i, berr
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := decodeWorkers(fit, len(br.data)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A panic here would end the process, out of reach of the
+			// caller's recover, so it is raised again on the caller.
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					panicked = r
+					mu.Unlock()
+				}
+			}()
+			work(newInflater())
+		}()
+	}
+	in := newInflater()
+	work(in)
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return in, err
 }
 
 // itoa is a minimal strconv.Itoa for non-negative ints, avoiding an import

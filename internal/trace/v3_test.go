@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,9 +104,21 @@ func TestV3RoundTrip(t *testing.T) {
 	tracesEqual(t, got, tr)
 }
 
+// atEachGOMAXPROCS calls f with runtime.GOMAXPROCS set to each of procs in
+// turn, and restores the old setting afterwards.
+func atEachGOMAXPROCS(procs []int, f func(procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		f(p)
+	}
+}
+
 func TestV3RoundTripMultiBlock(t *testing.T) {
-	// 64-record blocks, 5 full blocks plus a 23-record final block.
-	tr := multiBlockTrace(t, 64*5+23)
+	// 64-record blocks, 80 full blocks plus a 23-record final block: about
+	// 14 KB, so above one GOMAXPROCS the blocks decode on several workers.
+	const full = 80
+	tr := multiBlockTrace(t, 64*full+23)
 	var buf bytes.Buffer
 	if err := tr.WriteV3Blocks(&buf, 64); err != nil {
 		t.Fatal(err)
@@ -117,14 +130,24 @@ func TestV3RoundTripMultiBlock(t *testing.T) {
 	if br.NumRecs() != tr.Len() {
 		t.Fatalf("NumRecs = %d, want %d", br.NumRecs(), tr.Len())
 	}
-	if want := []int{64, 64, 64, 64, 64, 23}; !reflect.DeepEqual(blockCounts(br), want) {
+	want := make([]int, full+1)
+	for i := range want {
+		want[i] = 64
+	}
+	want[full] = 23
+	if !reflect.DeepEqual(blockCounts(br), want) {
 		t.Fatalf("block record counts = %v, want %v", blockCounts(br), want)
 	}
-	got, err := br.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracesEqual(t, got, tr)
+	atEachGOMAXPROCS([]int{1, 2, 16}, func(procs int) {
+		if w := decodeWorkers(len(br.blocks), buf.Len()); (w > 1) != (procs > 1) {
+			t.Fatalf("GOMAXPROCS %d decodes %d bytes on %d workers", procs, buf.Len(), w)
+		}
+		got, err := br.ReadAll()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		tracesEqual(t, got, tr)
+	})
 }
 
 func TestV3EmptyTrace(t *testing.T) {
@@ -189,7 +212,7 @@ func TestV3DecodeBlockReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
+	in := newInflater()
 	dst := make([]Rec, 0, 64)
 	base := &dst[:1][0]
 	for i, lo := 0, 0; i < len(br.blocks); i++ {
@@ -305,12 +328,7 @@ func TestV3EveryBitFlipErrorsMultiBlock(t *testing.T) {
 	// index, and inter-block framing all get exercised. Multi-block files
 	// are larger, so sample every 3rd byte to keep the sweep fast while
 	// still covering every section (offsets 0,3,6,... hit all regions).
-	tr := multiBlockTrace(t, 64*3+11)
-	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 64); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := encodeMultiBlock(t, 64*3+11)
 	for i := 0; i < len(enc); i += 3 {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(enc)
@@ -320,6 +338,86 @@ func TestV3EveryBitFlipErrorsMultiBlock(t *testing.T) {
 			}
 		}
 	}
+
+	// A file over 4 KiB, whose blocks two workers share at GOMAXPROCS 16.
+	// Every 3rd byte gets one flipped bit, cycling through the bit
+	// positions, and each flip must fail with the same error at 16 as at 1.
+	big := encodeMultiBlock(t, 64*22+11)
+	var serial []string // each flip's error at GOMAXPROCS 1, in sweep order
+	atEachGOMAXPROCS([]int{1, 16}, func(procs int) {
+		if w := decodeWorkers(23, len(big)); (w > 1) != (procs > 1) {
+			t.Fatalf("GOMAXPROCS %d decodes %d bytes on %d workers", procs, len(big), w)
+		}
+		for i := 0; i < len(big); i += 3 {
+			mut := bytes.Clone(big)
+			mut[i] ^= 1 << (i / 3 % 8)
+			err := openV3NeverPanics(t, mut, "bitflip-workers")
+			switch k := i / 3; {
+			case err == nil:
+				t.Fatalf("flipping byte %d (of %d bytes) decoded without error", i, len(big))
+			case procs == 1:
+				serial = append(serial, err.Error())
+			case err.Error() != serial[k]:
+				t.Fatalf("flipping byte %d: error at GOMAXPROCS %d is %q, at 1 %q", i, procs, err, serial[k])
+			}
+		}
+	})
+}
+
+// encodeMultiBlock returns the v3 encoding, in 64-record blocks, of
+// multiBlockTrace(t, n).
+func encodeMultiBlock(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := multiBlockTrace(t, n).WriteV3Blocks(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestV3ReadAllReportsLowestFailingBlock builds a trace whose blocks 1 and
+// 4 both fail at the very end of their decode: each passes its checksum,
+// inflates and fills its records, then has trailing bytes, one in block 1
+// and two in block 4. At GOMAXPROCS 16 both blocks are in flight at once,
+// so either can fail first; at every GOMAXPROCS the error must be block
+// 1's, the one a serial decode stops at.
+func TestV3ReadAllReportsLowestFailingBlock(t *testing.T) {
+	const blockRecs, blocks = 2048, 6
+	// Pseudo-random records, so the input holds more bytes than records
+	// and every block fits the record reservation.
+	recs := make([]Rec, blockRecs*blocks)
+	x := uint32(1)
+	for i := range recs {
+		x = x*1664525 + 1013904223
+		recs[i] = Rec{PC: x, Dst: isa.Reg(x % 97), Addr: vmem.Addr(x >> 3), Aux: x >> 7}
+	}
+	payloads := make([][]byte, blocks)
+	for i := range payloads {
+		cols := appendColumns(nil, recs[i*blockRecs:(i+1)*blockRecs])
+		switch i {
+		case 1:
+			cols = append(cols, 0)
+		case 4:
+			cols = append(cols, 0, 0)
+		}
+		var comp bytes.Buffer
+		fw, _ := flate.NewWriter(&comp, flate.DefaultCompression)
+		fw.Write(cols)
+		fw.Close()
+		payloads[i] = comp.Bytes()
+	}
+	data := handBuiltV3(blockRecs, payloads...)
+	const want = "1 trailing bytes after the size column"
+	atEachGOMAXPROCS([]int{1, 2, 4, 16}, func(procs int) {
+		if w := decodeWorkers(blocks, len(data)); w != min(procs, blocks) {
+			t.Fatalf("GOMAXPROCS %d decodes %d blocks on %d workers", procs, blocks, w)
+		}
+		for rep := 0; rep < 10; rep++ {
+			if _, err := readV3(data); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("GOMAXPROCS %d: blocks 1 and 4 corrupt, got %v, want block 1's error (%s)", procs, err, want)
+			}
+		}
+	})
 }
 
 func TestV3ReadViaSniffRejectsCorruption(t *testing.T) {

@@ -77,23 +77,11 @@ func (m *Machine) WriteData(a vmem.Addr, b []byte) {
 	}
 }
 
-// LoadU8 loads one byte.
-func (m *Machine) LoadU8(a vmem.Addr) isa.Reg { return m.Load(a, 1) }
-
-// LoadU16 loads two bytes.
-func (m *Machine) LoadU16(a vmem.Addr) isa.Reg { return m.Load(a, 2) }
-
 // LoadU32 loads four bytes.
 func (m *Machine) LoadU32(a vmem.Addr) isa.Reg { return m.Load(a, 4) }
 
 // LoadU64 loads eight bytes.
 func (m *Machine) LoadU64(a vmem.Addr) isa.Reg { return m.Load(a, 8) }
-
-// StoreU8 stores one byte of v.
-func (m *Machine) StoreU8(a vmem.Addr, v isa.Reg) { m.Store(a, 1, v) }
-
-// StoreU16 stores two bytes of v.
-func (m *Machine) StoreU16(a vmem.Addr, v isa.Reg) { m.Store(a, 2, v) }
 
 // StoreU32 stores four bytes of v.
 func (m *Machine) StoreU32(a vmem.Addr, v isa.Reg) { m.Store(a, 4, v) }
@@ -109,9 +97,6 @@ func (m *Machine) AddImm(a isa.Reg, imm uint64) isa.Reg { return m.OpImm(isa.OpA
 
 // Mov copies a register.
 func (m *Machine) Mov(a isa.Reg) isa.Reg { return m.Op(isa.OpMov, a, a) }
-
-// IfNZ branches on cond and returns taken; sugar for Branch.
-func (m *Machine) IfNZ(cond isa.Reg) bool { return m.Branch(cond) }
 
 // Scan runs a traced loop over [base, base+len) where len is the value of
 // lenReg, reading chunk bytes per iteration. Each iteration carries the real

@@ -54,6 +54,10 @@ go test -race -count=1 -run 'TestChaos' ./internal/service/chaostest
 # the order reversed it failed about 1 to 3 runs in 100, so 300 runs
 # (about 5 s) catch that regression with high probability.
 go test -race -count=300 -run 'TestPanicIsolationAndQuarantine$' ./internal/service
+# The store's flate writer and reader are pooled across Puts and Gets, so a
+# pooled compressor is handed from one goroutine to the next; race the
+# pools under concurrent Put, Get and eviction.
+go test -race -count=20 -run 'TestConcurrentGetPutEvictStress' ./internal/store
 go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s ./internal/service
 
 # Fuzz smoke: a few seconds per target so a crashing input or a slice that

@@ -156,6 +156,7 @@ func run(addr, dir string, memBytes int64, journalPath string, drainTimeout time
 		cfg.Journal, cfg.Resume = j, pending
 	}
 	mgr := service.New(cfg)
+	cfg.Resume = nil // queued; the log closure below keeps cfg alive
 
 	// The service API at /, plus net/http/pprof under /debug/pprof/ so a
 	// live daemon can be profiled (CPU, heap, goroutines) without a restart.

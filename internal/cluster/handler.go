@@ -12,9 +12,6 @@ import (
 	"webslice/internal/service"
 )
 
-// maxTraceBody mirrors the single-node handler's trace upload bound.
-const maxTraceBody = 256 << 20
-
 // NewHandler returns the coordinator's HTTP API. It is a superset of the
 // single-node websliced API with the same shapes, so the webslice client
 // talks to a coordinator exactly as it talks to a worker:
@@ -46,13 +43,9 @@ func NewHandler(c *Coordinator) http.Handler {
 	})
 
 	mux.HandleFunc("POST /jobs/trace", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBody))
+		body, err := service.ReadTraceBody(w, r)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("reading trace body: %w", err))
-			return
-		}
-		if len(body) == 0 {
-			httpError(w, http.StatusBadRequest, errors.New("empty trace body"))
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		spec := service.Spec{

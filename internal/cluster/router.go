@@ -66,7 +66,9 @@ type Config struct {
 
 // routedJob is the coordinator's record of one admitted job.
 type routedJob struct {
-	id   string
+	id string
+	// spec is what route submits. Its Trace is set to nil, under mu, once
+	// the job is no longer reroutable, so a finished upload is freed.
 	spec service.Spec
 	key  string
 	// traceCtx is the root "route" span's identity — the trace every later
@@ -86,6 +88,23 @@ type routedJob struct {
 	result          *service.Result
 	terminal        bool
 	affinityCounted bool
+}
+
+// reroutableLocked reports whether the job would have to run again if its
+// owner died: no result has reached the coordinator, and the owner has
+// reported no terminal status other than done (a done result that was
+// never fetched dies with its node). Only such a job still needs its
+// upload. j.mu must be held.
+func (j *routedJob) reroutableLocked() bool {
+	return j.result == nil && (!j.terminal || j.lastInfo.Status == service.StatusDone)
+}
+
+// releaseLocked frees the job's upload once no re-route can need it.
+// j.mu must be held.
+func (j *routedJob) releaseLocked() {
+	if !j.reroutableLocked() {
+		j.spec.Trace = nil
+	}
 }
 
 // Coordinator admits jobs, routes each to its ring owner over the
@@ -251,12 +270,21 @@ func shortKey(key string) string {
 // or refusing candidate becomes an event on it, so the trace shows *why*
 // the job landed where it did.
 func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
-	spec := j.spec
-	spec.Origin = c.cfg.Self
-	spec.TraceCtx = s.Context()
+	j.mu.Lock()
+	spec, reroutable := j.spec, j.reroutableLocked()
+	j.mu.Unlock()
+	if !reroutable {
+		// The result, or a failure, arrived while an eviction was setting
+		// up this re-route, and the upload may be freed already.
+		s.Event("route.settled")
+		return nil
+	}
+	fwd := spec
+	fwd.Origin = c.cfg.Self
+	fwd.TraceCtx = s.Context()
 	for _, peer := range c.ring.Owners(j.key, c.ring.Len()) {
 		if peer == c.cfg.Self {
-			return c.routeLocal(j, s)
+			return c.routeLocal(j, spec, s)
 		}
 		if !c.members.Alive(peer) {
 			s.Event("peer.dead", obs.Attr{K: "peer", V: peer})
@@ -265,7 +293,7 @@ func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
 		// "peer.submit", not "forward": the profiler's forward *pass* span
 		// already owns that name, and the two meet in one merged trace.
 		fs := s.Child("peer.submit").Set("peer", peer)
-		remoteID, err := c.forward(peer, spec)
+		remoteID, err := c.forward(peer, fwd)
 		fs.EndErr(err)
 		if err != nil {
 			var se *statusError
@@ -294,7 +322,7 @@ func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
 		}
 		j.mu.Lock()
 		j.peer, j.remoteID = peer, remoteID
-		j.lastInfo = service.Info{ID: j.id, Status: service.StatusQueued, Site: j.spec.Site, Criteria: j.spec.Criteria, Node: peer}
+		j.lastInfo = service.Info{ID: j.id, Status: service.StatusQueued, Site: spec.Site, Criteria: spec.Criteria, Node: peer}
 		j.mu.Unlock()
 		c.cRouted.Inc()
 		c.peerCounter("routed", peer).Inc()
@@ -303,11 +331,11 @@ func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
 	// No remote candidate took it: run it here.
 	c.cFallbacks.Inc()
 	s.Event("local.fallback")
-	return c.routeLocal(j, s)
+	return c.routeLocal(j, spec, s)
 }
 
-func (c *Coordinator) routeLocal(j *routedJob, s *obs.Span) error {
-	spec := j.spec
+// routeLocal submits spec, j's spec as route read it, to the local manager.
+func (c *Coordinator) routeLocal(j *routedJob, spec service.Spec, s *obs.Span) error {
 	spec.TraceCtx = s.Context()
 	localID, err := c.cfg.Local.Submit(spec)
 	if err != nil {
@@ -315,7 +343,7 @@ func (c *Coordinator) routeLocal(j *routedJob, s *obs.Span) error {
 	}
 	j.mu.Lock()
 	j.peer, j.remoteID = "", localID
-	j.lastInfo = service.Info{ID: j.id, Status: service.StatusQueued, Site: j.spec.Site, Criteria: j.spec.Criteria, Node: c.cfg.Self}
+	j.lastInfo = service.Info{ID: j.id, Status: service.StatusQueued, Site: spec.Site, Criteria: spec.Criteria, Node: c.cfg.Self}
 	j.mu.Unlock()
 	c.cLocal.Inc()
 	return nil
@@ -412,8 +440,7 @@ func (c *Coordinator) handleEvict(peer string) {
 		// result died with the node, so the job must run again. Jobs that
 		// terminally failed/canceled keep that outcome — re-running them
 		// would not change it.
-		stranded := j.result == nil && (!j.terminal || j.lastInfo.Status == service.StatusDone)
-		if j.peer == peer && stranded {
+		if j.peer == peer && j.reroutableLocked() {
 			pending = append(pending, j)
 		}
 		j.mu.Unlock()
@@ -421,6 +448,10 @@ func (c *Coordinator) handleEvict(peer string) {
 	c.mu.Unlock()
 	for _, j := range pending {
 		j.mu.Lock()
+		if !j.reroutableLocked() {
+			j.mu.Unlock() // its result arrived after the scan above
+			continue
+		}
 		j.reroutes++
 		reroutes := j.reroutes
 		j.terminal = false
@@ -443,6 +474,7 @@ func (c *Coordinator) handleEvict(peer string) {
 			j.lastInfo = service.Info{ID: j.id, Status: service.StatusFailed, Site: j.spec.Site,
 				Criteria: j.spec.Criteria, Error: fmt.Sprintf("re-route after %s died: %v", peer, err)}
 			j.terminal = true
+			j.releaseLocked()
 			j.mu.Unlock()
 		}
 	}
@@ -496,6 +528,7 @@ func (c *Coordinator) publishInfo(j *routedJob, info service.Info, node string) 
 	j.lastInfo = info
 	if info.Status.Terminal() {
 		j.terminal = true
+		j.releaseLocked()
 	}
 	j.mu.Unlock()
 	return info
@@ -556,6 +589,7 @@ func (c *Coordinator) Result(id string) (*service.Result, bool, error) {
 	j.mu.Lock()
 	j.result = res
 	j.terminal = true
+	j.releaseLocked()
 	count := res.CacheHit && !j.affinityCounted
 	j.affinityCounted = true
 	j.mu.Unlock()

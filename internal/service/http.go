@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,68 @@ import (
 
 // maxTraceBody bounds an uploaded binary trace (256 MB).
 const maxTraceBody = 256 << 20
+
+// bodyPrealloc is the most ReadTraceBody allocates before any byte
+// arrives: a Content-Length is only a claim, so past this the buffer
+// grows with the bytes actually received.
+const bodyPrealloc = 1 << 20
+
+// ReadTraceBody reads the body of a trace upload, at most maxTraceBody
+// bytes, for both the single-node and the coordinator's POST /jobs/trace.
+// A body that declares its Content-Length is read into one buffer of
+// exactly that size when it is at most bodyPrealloc; a larger or
+// undeclared body starts smaller and doubles as bytes arrive, never past
+// the declared size. A body that is empty, longer than maxTraceBody, or
+// not the length it declared is an error.
+func ReadTraceBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	declared := r.ContentLength // -1 when unknown (a chunked body)
+	if declared > maxTraceBody {
+		return nil, fmt.Errorf("reading trace body: %w", &http.MaxBytesError{Limit: maxTraceBody})
+	}
+	body := http.MaxBytesReader(w, r.Body, maxTraceBody)
+	size := int64(bytes.MinRead)
+	if declared > 0 {
+		size = min(declared, bodyPrealloc)
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			if int64(len(buf)) == declared {
+				// Full at the declared size: the body must end here.
+				var probe [1]byte
+				if _, err := io.ReadFull(body, probe[:]); err != io.EOF {
+					if err == nil {
+						err = errors.New("body longer than its Content-Length")
+					}
+					return nil, fmt.Errorf("reading trace body: %w", err)
+				}
+				break
+			}
+			grow := int64(cap(buf))
+			if declared > 0 {
+				grow = min(grow, declared-int64(len(buf)))
+			}
+			grown := make([]byte, len(buf), int64(len(buf))+grow)
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("reading trace body: %w", err)
+		}
+	}
+	if declared > 0 && int64(len(buf)) != declared {
+		return nil, fmt.Errorf("reading trace body: %d bytes, Content-Length declared %d", len(buf), declared)
+	}
+	if len(buf) == 0 {
+		return nil, errors.New("empty trace body")
+	}
+	return buf, nil
+}
 
 // NewHandler returns the websliced HTTP API over a manager:
 //
@@ -49,13 +112,9 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("POST /jobs/trace", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBody))
+		body, err := ReadTraceBody(w, r)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("reading trace body: %w", err))
-			return
-		}
-		if len(body) == 0 {
-			httpError(w, http.StatusBadRequest, errors.New("empty trace body"))
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		spec := Spec{

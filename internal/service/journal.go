@@ -8,14 +8,22 @@
 // kill -9 at any instant therefore loses no acknowledged job, and a job a
 // client ever observed as terminal is never re-executed.
 //
-// # File format (WSJL version 1)
+// # File format (WSJL version 2)
 //
-//	header:  "WSJL" | version byte (1)
+//	header:  "WSJL" | version byte (2)
 //	record:  uint32 payload length (LE) | payload | uint32 CRC32-IEEE of payload (LE)
-//	payload: one tag byte, then JSON
-//	  'S' submit   {"id": "j000001", "spec": {site/scale/criteria/verify, "trace": base64}}
+//	payload: one tag byte, then the record
+//	  'U' submit   uvarint(len(meta)) | meta | the upload's raw bytes (none for a site job)
+//	               meta: {"id": "j000001", "spec": {site/seed/scale/criteria/verify/origin}}
 //	  'T' terminal {"id": "j000001", "status": "done"}
 //	  'M' meta     {"max_id": 41}   (written by compaction so job IDs stay unique)
+//
+// Version 1 wrote each submission as an 'S' record, {"id": ..., "spec":
+// {..., "trace": base64}}, the trace as base64 inside the JSON. Replay
+// still reads version 1 files and 'S' records, and compaction rewrites
+// every pending job as a 'U' record under a version 2 header. A binary
+// that knows only version 1 refuses a version 2 file as corrupt rather than
+// salvaging it down to its first 'U' record.
 //
 // Records are framed independently so a torn tail — the bytes a crash cut
 // mid-append — is detected by the length/CRC check and discarded, while
@@ -25,29 +33,42 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-var journalMagic = [5]byte{'W', 'S', 'J', 'L', 1}
+// journalMagic is the header every journal is written with. Replay also
+// accepts version 1 (see the file format above).
+var journalMagic = [5]byte{'W', 'S', 'J', 'L', 2}
 
 const (
-	recSubmit   = 'S'
+	recUpload   = 'U'
+	recSubmit   = 'S' // version 1's submit record, read but never written
 	recTerminal = 'T'
 	recMeta     = 'M'
 
 	// journalFrameOverhead is the length prefix plus the CRC suffix.
 	journalFrameOverhead = 8
 
+	// maxSubmitMeta is the room a submit record leaves beside its trace
+	// for the tag, the id, the spec's other fields and their JSON.
+	maxSubmitMeta = 1 << 20
+
 	// maxJournalPayload rejects absurd frame lengths during replay before
-	// any allocation: no legitimate payload exceeds a trace body plus slack.
-	maxJournalPayload = maxTraceBody + (1 << 20)
+	// any allocation. The largest payload either submit record carries is
+	// a version 1 'S' record of a maxTraceBody upload, whose JSON holds the
+	// trace in base64, 4 bytes for every 3. LogSubmit refuses to write a
+	// record longer than this, so replay accepts every frame it wrote.
+	maxJournalPayload = (maxTraceBody+2)/3*4 + maxSubmitMeta
 
 	// compactEvery bounds journal growth: after this many terminal records
 	// the file is rewritten to hold only still-pending submissions.
@@ -65,8 +86,9 @@ type JournalEntry struct {
 	Spec Spec
 }
 
-// journalSpec is Spec's durable wire form; Spec.Trace is json:"-" so the
-// journal carries it explicitly (encoding/json renders []byte as base64).
+// journalSpec is Spec's durable wire form. A 'U' record leaves Trace out
+// of the JSON and carries the bytes raw after it; a version 1 'S' record
+// holds them here (encoding/json renders []byte as base64).
 type journalSpec struct {
 	Site     string  `json:"site,omitempty"`
 	Seed     uint64  `json:"seed,omitempty"`
@@ -91,6 +113,15 @@ type metaRecord struct {
 	MaxID int `json:"max_id"`
 }
 
+// pendingSubmit is a pending job's submit record, kept for compaction: its
+// payload is head followed by trace. A record LogSubmit wrote shares trace
+// with the job's Spec rather than copying it, so the journal frees the
+// upload when the job's terminal record drops it.
+type pendingSubmit struct {
+	head  []byte
+	trace []byte
+}
+
 // Journal is the append-only WAL. All methods are safe for concurrent use.
 type Journal struct {
 	mu       sync.Mutex
@@ -98,11 +129,11 @@ type Journal struct {
 	f        *os.File
 	disabled bool // Kill() flips this: simulated power loss, no more writes
 
-	pending   map[string][]byte // id -> raw submit payload (for compaction)
-	order     []string          // submission order of pending ids
-	maxID     int               // highest numeric job id ever journaled
-	terminals int               // terminal records since last compaction
-	salvaged  int               // records dropped by the last replay (corrupt tail)
+	pending   map[string]pendingSubmit // id -> submit record (for compaction)
+	order     []string                 // submission order of pending ids
+	maxID     int                      // highest numeric job id ever journaled
+	terminals int                      // terminal records since last compaction
+	salvaged  int                      // records dropped by the last replay (corrupt tail)
 }
 
 // OpenJournal replays the journal at path (creating it if absent), returns
@@ -112,7 +143,7 @@ type Journal struct {
 // overwritten; a journal with a corrupt or torn tail is salvaged up to the
 // last intact record.
 func OpenJournal(path string) (*Journal, []JournalEntry, error) {
-	j := &Journal{path: path, pending: make(map[string][]byte)}
+	j := &Journal{path: path, pending: make(map[string]pendingSubmit)}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("service: reading journal: %w", err)
@@ -124,20 +155,17 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 	}
 	entries := make([]JournalEntry, 0, len(j.order))
 	for _, id := range j.order {
-		var rec submitRecord
-		if err := json.Unmarshal(j.pending[id][1:], &rec); err != nil {
+		spec, err := j.pending[id].spec()
+		if err == nil {
+			// Re-encode as a 'U' record over the entry's own bytes, so the
+			// file's buffer is not kept alive and compaction writes 'U'.
+			j.pending[id], err = submitPayload(id, spec)
+		}
+		if err != nil {
 			// Impossible for frames replay accepted; fail loudly if not.
 			return nil, nil, fmt.Errorf("service: journal entry %s: %w", id, err)
 		}
-		entries = append(entries, JournalEntry{ID: id, Spec: Spec{
-			Site:     rec.Spec.Site,
-			Seed:     rec.Spec.Seed,
-			Scale:    rec.Spec.Scale,
-			Criteria: rec.Spec.Criteria,
-			Verify:   rec.Spec.Verify,
-			Trace:    rec.Spec.Trace,
-			Origin:   rec.Spec.Origin,
-		}})
+		entries = append(entries, JournalEntry{ID: id, Spec: spec})
 	}
 	// Compact on open: the rewritten file holds only the pending records
 	// (plus the max-id meta record), so completed history never accumulates
@@ -157,8 +185,11 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 // payload violation truncates the replay at the last intact record — the
 // corrupt or torn remainder is counted in salvaged and never trusted.
 func (j *Journal) replay(data []byte) error {
-	if len(data) < len(journalMagic) || [5]byte(data[:5]) != journalMagic {
+	if len(data) < len(journalMagic) || [4]byte(data[:4]) != [4]byte(journalMagic[:4]) {
 		return fmt.Errorf("%w: bad header", ErrJournalCorrupt)
+	}
+	if v := data[4]; v != 1 && v != journalMagic[4] {
+		return fmt.Errorf("%w: unsupported version %d", ErrJournalCorrupt, v)
 	}
 	pos := len(journalMagic)
 	for pos < len(data) {
@@ -180,13 +211,22 @@ func (j *Journal) apply(payload []byte) bool {
 		return false
 	}
 	switch payload[0] {
-	case recSubmit:
+	case recUpload, recSubmit:
+		p := pendingSubmit{head: payload}
+		if payload[0] == recUpload {
+			n, k := binary.Uvarint(payload[1:])
+			if k <= 0 || n > uint64(len(payload)-1-k) {
+				return false
+			}
+			end := 1 + k + int(n)
+			p = pendingSubmit{head: payload[:end], trace: payload[end:]}
+		}
 		var rec submitRecord
-		if err := json.Unmarshal(payload[1:], &rec); err != nil || rec.ID == "" {
+		if err := json.Unmarshal(p.meta(), &rec); err != nil || rec.ID == "" {
 			return false
 		}
 		if _, dup := j.pending[rec.ID]; !dup {
-			j.pending[rec.ID] = payload
+			j.pending[rec.ID] = p
 			j.order = append(j.order, rec.ID)
 		}
 		j.noteID(rec.ID)
@@ -228,11 +268,77 @@ func readFrame(data []byte, pos int) (payload []byte, next int, ok bool) {
 	return payload, pos + 4 + n + 4, true
 }
 
-func frame(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+journalFrameOverhead)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+// writeFrame writes one frame whose payload is head followed by body,
+// without copying body.
+func writeFrame(w io.Writer, head, body []byte) error {
+	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body)
+	buf := make([]byte, 0, len(head)+journalFrameOverhead)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(head)+len(body)))
+	buf = append(buf, head...)
+	if len(body) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		if _, err := w.Write(body); err != nil {
+			return err
+		}
+		buf = buf[:0]
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf, crc))
+	return err
+}
+
+// meta returns the record's JSON: after the tag, and for a 'U' record
+// after the length too.
+func (p pendingSubmit) meta() []byte {
+	if p.head[0] != recUpload {
+		return p.head[1:]
+	}
+	_, k := binary.Uvarint(p.head[1:])
+	return p.head[1+k:]
+}
+
+// spec decodes the record back into its job's Spec. The trace is a copy of
+// the record's bytes, never a view of the journal file.
+func (p pendingSubmit) spec() (Spec, error) {
+	var rec submitRecord
+	if err := json.Unmarshal(p.meta(), &rec); err != nil {
+		return Spec{}, err
+	}
+	s := rec.Spec
+	if p.head[0] == recUpload {
+		s.Trace = nil
+		if len(p.trace) > 0 {
+			s.Trace = bytes.Clone(p.trace)
+		}
+	}
+	return Spec{Site: s.Site, Seed: s.Seed, Scale: s.Scale, Criteria: s.Criteria,
+		Verify: s.Verify, Trace: s.Trace, Origin: s.Origin}, nil
+}
+
+// submitPayload builds the 'U' record of a submission. The record shares
+// spec.Trace rather than copying it. A record longer than replay accepts
+// is refused, so an acknowledged job is never one replay would drop.
+func submitPayload(id string, spec Spec) (pendingSubmit, error) {
+	meta, err := json.Marshal(submitRecord{ID: id, Spec: journalSpec{
+		Site:     spec.Site,
+		Seed:     spec.Seed,
+		Scale:    spec.Scale,
+		Criteria: spec.Criteria,
+		Verify:   spec.Verify,
+		Origin:   spec.Origin,
+	}})
+	if err != nil {
+		return pendingSubmit{}, err
+	}
+	head := make([]byte, 0, 1+binary.MaxVarintLen64+len(meta))
+	head = append(head, recUpload)
+	head = binary.AppendUvarint(head, uint64(len(meta)))
+	head = append(head, meta...)
+	if n := len(head) + len(spec.Trace); n > maxJournalPayload {
+		return pendingSubmit{}, fmt.Errorf("submit record of %d bytes exceeds the journal's %d-byte bound", n, maxJournalPayload)
+	}
+	return pendingSubmit{head: head, trace: spec.Trace}, nil
 }
 
 // noteID tracks the largest numeric job id ever seen so a restarted
@@ -260,26 +366,17 @@ func (j *Journal) dropPending(id string) {
 // LogSubmit appends a submit record and fsyncs. It must succeed before the
 // submission is acknowledged — that ordering is the durability contract.
 func (j *Journal) LogSubmit(id string, spec Spec) error {
-	payload, err := json.Marshal(submitRecord{ID: id, Spec: journalSpec{
-		Site:     spec.Site,
-		Seed:     spec.Seed,
-		Scale:    spec.Scale,
-		Criteria: spec.Criteria,
-		Verify:   spec.Verify,
-		Trace:    spec.Trace,
-		Origin:   spec.Origin,
-	}})
+	rec, err := submitPayload(id, spec)
 	if err != nil {
 		return fmt.Errorf("service: journaling submit: %w", err)
 	}
-	payload = append([]byte{recSubmit}, payload...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.appendLocked(payload); err != nil {
+	if err := j.appendLocked(rec.head, rec.trace); err != nil {
 		return err
 	}
 	if _, dup := j.pending[id]; !dup {
-		j.pending[id] = payload
+		j.pending[id] = rec
 		j.order = append(j.order, id)
 	}
 	j.noteID(id)
@@ -297,7 +394,7 @@ func (j *Journal) LogTerminal(id string, status Status) error {
 	payload = append([]byte{recTerminal}, payload...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.appendLocked(payload); err != nil {
+	if err := j.appendLocked(payload, nil); err != nil {
 		return err
 	}
 	j.dropPending(id)
@@ -308,11 +405,13 @@ func (j *Journal) LogTerminal(id string, status Status) error {
 	return nil
 }
 
-func (j *Journal) appendLocked(payload []byte) error {
+// appendLocked appends and fsyncs one frame whose payload is head
+// followed by body.
+func (j *Journal) appendLocked(head, body []byte) error {
 	if j.disabled || j.f == nil {
 		return nil
 	}
-	if _, err := j.f.Write(frame(payload)); err != nil {
+	if err := writeFrame(j.f, head, body); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -328,13 +427,19 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
 	}
-	out := append([]byte(nil), journalMagic[:]...)
+	w := bufio.NewWriter(tmp)
+	w.Write(journalMagic[:])
 	meta, _ := json.Marshal(metaRecord{MaxID: j.maxID})
-	out = append(out, frame(append([]byte{recMeta}, meta...))...)
+	werr := writeFrame(w, append([]byte{recMeta}, meta...), nil)
 	for _, id := range j.order {
-		out = append(out, frame(j.pending[id])...)
+		if werr == nil {
+			p := j.pending[id]
+			werr = writeFrame(w, p.head, p.trace)
+		}
 	}
-	_, werr := tmp.Write(out)
+	if werr == nil {
+		werr = w.Flush()
+	}
 	if werr == nil {
 		werr = tmp.Sync()
 	}
@@ -360,13 +465,6 @@ func (j *Journal) compactLocked() error {
 		j.f = f
 	}
 	return nil
-}
-
-// Pending reports how many journaled jobs have no terminal record.
-func (j *Journal) Pending() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.order)
 }
 
 // MaxID returns the highest numeric job id the journal has ever recorded.

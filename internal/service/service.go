@@ -408,6 +408,7 @@ func New(cfg Config) *Manager {
 		m.nextID = mx
 	}
 	m.resume(cfg.Resume)
+	m.cfg.Resume = nil // queued; keeping them would keep their uploads alive
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -908,6 +909,9 @@ func (m *Manager) finish(j *job, st Status, res *Result, err error) {
 	if err != nil {
 		j.err = err.Error()
 	}
+	// No attempt can run again, and the journal dropped its record above:
+	// free the upload now rather than with the job table.
+	j.spec.Trace = nil
 	started := j.started
 	j.mu.Unlock()
 	var runMs float64
@@ -983,11 +987,13 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		obtainName = "trace.open"
 	}
 	ts := s.Child(obtainName)
-	p, err := obtainTrace(spec)
+	p, recs, err := obtainTrace(spec)
 	ts.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
+	// Nothing reads the records once run returns: the Result holds none.
+	defer putRecs(recs)
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
 	}
@@ -1133,18 +1139,49 @@ func sliceDigest(r *slicer.Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func obtainTrace(spec Spec) (*core.Profiler, error) {
+// recArrays recycles the record arrays that upload decodes fill, so a
+// daemon slicing upload after upload does not allocate, zero and collect a
+// new array of 28 bytes a record for every job.
+var recArrays sync.Pool // of *[]trace.Rec
+
+// maxPooledRecs is the largest array recArrays keeps (28 MiB): a bigger
+// one, from a rare huge upload, is left to the collector instead of staying
+// pinned in the pool.
+const maxPooledRecs = 1 << 20
+
+func getRecs() []trace.Rec {
+	if p, ok := recArrays.Get().(*[]trace.Rec); ok {
+		return *p
+	}
+	return nil
+}
+
+func putRecs(recs []trace.Rec) {
+	if cap(recs) > 0 && cap(recs) <= maxPooledRecs {
+		recArrays.Put(&recs)
+	}
+}
+
+// obtainTrace decodes an upload or renders a site. For an upload it also
+// returns the record array to hand back to recArrays once the job is done
+// with the trace: the pooled one the decode filled, or the new one it had
+// to allocate.
+func obtainTrace(spec Spec) (*core.Profiler, []trace.Rec, error) {
 	if len(spec.Trace) > 0 {
 		// A submission is decoded once, here; both passes walk the records.
 		br, err := trace.OpenV3(spec.Trace)
-		var t *trace.Trace
-		if err == nil {
-			t, err = br.ReadAll()
-		}
 		if err != nil {
-			return nil, fmt.Errorf("service: decoding submitted trace: %w", err)
+			return nil, nil, fmt.Errorf("service: decoding submitted trace: %w", err)
 		}
-		return core.NewProfiler(t), nil
+		recs := getRecs()
+		t, err := br.ReadAllInto(recs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: decoding submitted trace: %w", err)
+		}
+		if cap(t.Recs) > cap(recs) {
+			recs = t.Recs
+		}
+		return core.NewProfiler(t), recs, nil
 	}
 	var b sites.Benchmark
 	if spec.Site == "" && spec.Seed != 0 {
@@ -1153,7 +1190,7 @@ func obtainTrace(spec Spec) (*core.Profiler, error) {
 		var err error
 		b, err = sites.ByName(spec.Site, sites.Options{Scale: spec.Scale})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	br := browser.New(b.Site, b.Profile)
@@ -1162,7 +1199,7 @@ func obtainTrace(spec Spec) (*core.Profiler, error) {
 	}
 	br.RunSession()
 	if len(br.Errors) > 0 {
-		return nil, fmt.Errorf("service: rendering %s: %w", b.Name, br.Errors[0])
+		return nil, nil, fmt.Errorf("service: rendering %s: %w", b.Name, br.Errors[0])
 	}
-	return core.NewProfiler(br.M.Tr), nil
+	return core.NewProfiler(br.M.Tr), nil, nil
 }

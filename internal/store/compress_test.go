@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -139,5 +140,42 @@ func TestUnsealRejectsLengthLies(t *testing.T) {
 	forged = binary.LittleEndian.AppendUint32(forged, crc)
 	if _, err := unseal(forged); err == nil {
 		t.Fatal("unseal accepted a blob whose declared length outruns its deflate stream")
+	}
+}
+
+// TestPooledSealIsByteIdentical: a recycled compressor must seal exactly
+// the blob a new one does, whatever it compressed before. Each payload is
+// sealed after payloads of other sizes and kinds, and compared with the
+// envelope built around a new flate.Writer.
+func TestPooledSealIsByteIdentical(t *testing.T) {
+	fresh := func(payload []byte) []byte {
+		var buf bytes.Buffer
+		buf.Write(blobMagic[:])
+		buf.WriteByte(blobVersion)
+		buf.Write(binary.AppendUvarint(nil, uint64(len(payload))))
+		zw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
+		zw.Write(payload)
+		zw.Close()
+		out := append(buf.Bytes(), trailerMagic[:]...)
+		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(buf.Bytes()))
+	}
+	payloads := [][]byte{
+		incompressible(300 << 10),
+		{},
+		bytes.Repeat([]byte("unnecessary computation "), 4096),
+		incompressible(17),
+		bytes.Repeat([]byte{0}, 1<<20),
+	}
+	for round := 0; round < 3; round++ {
+		for i, p := range payloads {
+			blob := seal(p)
+			if !bytes.Equal(blob, fresh(p)) {
+				t.Fatalf("round %d, payload %d (%d bytes): pooled seal differs from a new writer's", round, i, len(p))
+			}
+			got, err := unseal(blob)
+			if err != nil || !bytes.Equal(got, p) {
+				t.Fatalf("round %d, payload %d: unseal = %d bytes, %v", round, i, len(got), err)
+			}
+		}
 	}
 }

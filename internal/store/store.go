@@ -342,6 +342,23 @@ func (s *Store) dropCorrupt(kind, key string) {
 	}
 }
 
+// sealer is seal's pooled compressor: flate.NewWriter allocates 806,784
+// bytes (go1.24), and an upload miss seals two blobs. The writer writes
+// through out, which seal sets for one call and clears after it, so a
+// sealer waiting in the pool holds no blob.
+type sealer struct {
+	zw  *flate.Writer
+	out *bytes.Buffer
+}
+
+func (s *sealer) Write(p []byte) (int, error) { return s.out.Write(p) }
+
+var sealers = sync.Pool{New: func() any {
+	s := new(sealer)
+	s.zw, _ = flate.NewWriter(s, flate.DefaultCompression)
+	return s
+}}
+
 // seal wraps payload in the blob envelope: header, logical length,
 // deflated payload, CRC trailer.
 func seal(payload []byte) []byte {
@@ -351,9 +368,14 @@ func seal(payload []byte) []byte {
 	buf.WriteByte(blobVersion)
 	var lenBuf [binary.MaxVarintLen64]byte
 	buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(payload)))])
-	zw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
-	zw.Write(payload) // Buffer writes cannot fail
-	zw.Close()
+	// Reset makes a pooled writer emit exactly what a new one would.
+	s := sealers.Get().(*sealer)
+	s.out = &buf
+	s.zw.Reset(s)
+	s.zw.Write(payload) // Buffer writes cannot fail
+	s.zw.Close()
+	s.out = nil
+	sealers.Put(s)
 	crc := crc32.ChecksumIEEE(buf.Bytes())
 	out := append(buf.Bytes(), trailerMagic[:]...)
 	return binary.LittleEndian.AppendUint32(out, crc)
@@ -387,15 +409,37 @@ func unseal(blob []byte) ([]byte, error) {
 	if logical > maxLogicalBytes {
 		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds the %d cap", ErrCorrupt, logical, int64(maxLogicalBytes))
 	}
-	zr := flate.NewReader(bytes.NewReader(rest[k:]))
+	u := unsealers.Get().(*unsealer)
+	defer u.release()
+	u.src.Reset(rest[k:])
+	if err := u.zr.(flate.Resetter).Reset(&u.src, nil); err != nil {
+		return nil, fmt.Errorf("%w: payload inflate: %v", ErrCorrupt, err)
+	}
 	out := make([]byte, logical)
-	if _, err := io.ReadFull(zr, out); err != nil {
+	if _, err := io.ReadFull(u.zr, out); err != nil {
 		return nil, fmt.Errorf("%w: payload inflate: %v", ErrCorrupt, err)
 	}
 	var extra [1]byte
-	if n, _ := zr.Read(extra[:]); n != 0 {
+	if n, _ := u.zr.Read(extra[:]); n != 0 {
 		return nil, fmt.Errorf("%w: payload longer than its declared %d bytes", ErrCorrupt, logical)
 	}
-	zr.Close()
 	return out, nil
+}
+
+// unsealer is unseal's pooled decompressor, reading the blob through src.
+type unsealer struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+}
+
+var unsealers = sync.Pool{New: func() any {
+	u := new(unsealer)
+	u.zr = flate.NewReader(&u.src)
+	return u
+}}
+
+// release returns u to the pool without its reference to the blob.
+func (u *unsealer) release() {
+	u.src.Reset(nil)
+	unsealers.Put(u)
 }

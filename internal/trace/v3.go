@@ -585,6 +585,20 @@ type inflater struct {
 
 func newInflater() *inflater { return &inflater{fr: flate.NewReader(bytes.NewReader(nil))} }
 
+// inflaters recycles ReadAll's inflaters across decodes: a flate reader
+// alone allocates about 40 KB, and its scratch buffer grows to a block's
+// inflated size.
+var inflaters = sync.Pool{New: func() any { return newInflater() }}
+
+func getInflater() *inflater { return inflaters.Get().(*inflater) }
+
+// putInflater returns in to the pool. It first drops in's reference to the
+// compressed input, so a pooled inflater keeps no trace alive.
+func putInflater(in *inflater) {
+	in.src.Reset(nil)
+	inflaters.Put(in)
+}
+
 // inflate decompresses comp, which may inflate to at most limit bytes. The
 // scratch buffer never grows past limit, and a stream that goes on beyond
 // it fails, so a few compressed bytes cannot make the reader allocate more
@@ -787,13 +801,21 @@ func decodeWorkers(blocks, inputBytes int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), blocks, 1+inputBytes/workerInputBytes))
 }
 
-// ReadAll decodes the whole trace, verifying each block's checksum. The
-// side tables are shared with the reader.
+// ReadAll decodes the whole trace, verifying each block's checksum, into a
+// new record array. It is ReadAllInto(nil).
+func (br *BlockReader) ReadAll() (*Trace, error) { return br.ReadAllInto(nil) }
+
+// ReadAllInto decodes the whole trace, verifying each block's checksum. The
+// side tables are shared with the reader. The records go into recs' backing
+// array when its capacity covers the reservation below, whatever it holds,
+// so a caller that decodes trace after trace can recycle one array; the
+// returned Recs then alias recs. Otherwise they go into a new array.
 //
-// The record slice is pre-sized from the index, but to at most one record
+// The record slice is reserved from the index, but to at most one record
 // per input byte: real traces take several bytes per record and still fit
 // exactly, while an index that declares millions of records in a few bytes
-// gets memory only for the blocks that actually decode.
+// gets memory only for the blocks that actually decode. A recycled array is
+// cut to that same reservation, so it decodes exactly as a new one would.
 //
 // The blocks that fit in that reservation decode in parallel, each straight
 // into its final place: blocks are independent, and every block but the
@@ -805,7 +827,7 @@ func decodeWorkers(blocks, inputBytes int) int {
 // bytes, then decode in order by appending. Neither the records nor, on
 // corrupt input, the error (that of the lowest failing block) depend on
 // the number of workers.
-func (br *BlockReader) ReadAll() (*Trace, error) {
+func (br *BlockReader) ReadAllInto(recs []Rec) (*Trace, error) {
 	t := &Trace{
 		Funcs:   br.tables.Funcs,
 		Threads: br.tables.Threads,
@@ -814,7 +836,11 @@ func (br *BlockReader) ReadAll() (*Trace, error) {
 		Clock:   br.tables.Clock,
 	}
 	if br.n > 0 {
-		t.Recs = make([]Rec, 0, min(br.n, len(br.data)))
+		if reserve := min(br.n, len(br.data)); cap(recs) >= reserve {
+			t.Recs = recs[:0:reserve]
+		} else {
+			t.Recs = make([]Rec, 0, reserve)
+		}
 	}
 	fit := len(br.blocks)
 	if br.n > cap(t.Recs) {
@@ -822,19 +848,20 @@ func (br *BlockReader) ReadAll() (*Trace, error) {
 	}
 	t.Recs = t.Recs[:min(fit*br.blockRecs, br.n)]
 	in, err := br.decodeInPlace(t.Recs, fit)
+	defer putInflater(in)
 	if err != nil {
 		return nil, err
 	}
 	for i := fit; i < len(br.blocks); i++ {
 		free := t.Recs[len(t.Recs):cap(t.Recs)]
-		recs, err := br.decodeBlock(i, in, free)
+		got, err := br.decodeBlock(i, in, free)
 		if err != nil {
 			return nil, err
 		}
-		if len(recs) <= len(free) {
-			t.Recs = t.Recs[:len(t.Recs)+len(recs)] // decoded in place
+		if len(got) <= len(free) {
+			t.Recs = t.Recs[:len(t.Recs)+len(got)] // decoded in place
 		} else {
-			t.Recs = append(t.Recs, recs...)
+			t.Recs = append(t.Recs, got...)
 		}
 	}
 	return t, nil
@@ -842,11 +869,12 @@ func (br *BlockReader) ReadAll() (*Trace, error) {
 
 // decodeInPlace decodes blocks 0..fit-1, block i into recs from record
 // i*blockRecs, on the calling goroutine and decodeWorkers-1 more, each with
-// its own inflater. Workers take blocks in index order and stop taking
-// blocks above a known failure, so every block below the lowest failure
-// has been decoded and its error is the one a serial loop would return.
-// One worker is that serial loop and starts no goroutine. decodeInPlace
-// returns the calling goroutine's inflater for the blocks that follow.
+// its own pooled inflater. Workers take blocks in index order and stop
+// taking blocks above a known failure, so every block below the lowest
+// failure has been decoded and its error is the one a serial loop would
+// return. One worker is that serial loop and starts no goroutine.
+// decodeInPlace returns the calling goroutine's inflater for the blocks
+// that follow; the caller puts it back in the pool.
 func (br *BlockReader) decodeInPlace(recs []Rec, fit int) (*inflater, error) {
 	var (
 		next     atomic.Int64 // the next block to take
@@ -889,10 +917,12 @@ func (br *BlockReader) decodeInPlace(recs []Rec, fit int) (*inflater, error) {
 					mu.Unlock()
 				}
 			}()
-			work(newInflater())
+			in := getInflater()
+			work(in)
+			putInflater(in)
 		}()
 	}
-	in := newInflater()
+	in := getInflater()
 	work(in)
 	wg.Wait()
 	if panicked != nil {

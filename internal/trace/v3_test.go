@@ -348,6 +348,8 @@ func TestV3EveryBitFlipErrorsMultiBlock(t *testing.T) {
 		if w := decodeWorkers(23, len(big)); (w > 1) != (procs > 1) {
 			t.Fatalf("GOMAXPROCS %d decodes %d bytes on %d workers", procs, len(big), w)
 		}
+		dirty := dirtyRecs(len(big)) // every flip's decode leaves it dirtier
+
 		for i := 0; i < len(big); i += 3 {
 			mut := bytes.Clone(big)
 			mut[i] ^= 1 << (i / 3 % 8)
@@ -360,8 +362,83 @@ func TestV3EveryBitFlipErrorsMultiBlock(t *testing.T) {
 			case err.Error() != serial[k]:
 				t.Fatalf("flipping byte %d: error at GOMAXPROCS %d is %q, at 1 %q", i, procs, err, serial[k])
 			}
+			// A recycled array that holds another trace changes nothing.
+			if _, into := readV3Into(mut, dirty); into == nil || into.Error() != err.Error() {
+				t.Fatalf("flipping byte %d: ReadAllInto a dirty array at GOMAXPROCS %d gives %v, ReadAll %q", i, procs, into, err)
+			}
 		}
 	})
+}
+
+// readV3Into is readV3 decoding into recs.
+func readV3Into(data []byte, recs []Rec) (*Trace, error) {
+	br, err := OpenV3(data)
+	if err != nil {
+		return nil, err
+	}
+	return br.ReadAllInto(recs)
+}
+
+// dirtyRecs returns n records with every field set, standing in for a
+// recycled array that holds another trace's records.
+func dirtyRecs(n int) []Rec {
+	recs := make([]Rec, n)
+	for i := range recs {
+		recs[i] = Rec{PC: ^uint32(i), Dst: 0x7fffffff, Src1: 3, Src2: 5, Addr: 0xdeadbeef,
+			Aux: 0xffff, Size: 0xffff, Kind: 0xff, TID: 0xff}
+	}
+	return recs
+}
+
+// TestReadAllIntoRecyclesADirtyArray decodes into a larger array that holds
+// another trace's records. The records must be ReadAll's, in that array,
+// cut to the reservation a new array gets: the same capacity, so a trace
+// with more records than bytes still appends past it as ReadAll does.
+func TestReadAllIntoRecyclesADirtyArray(t *testing.T) {
+	var dense bytes.Buffer // 200 blocks of 64 identical records: more records than bytes
+	flat := New()
+	flat.Recs = make([]Rec, 200*64)
+	if err := flat.WriteV3Blocks(&dense, 64); err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string][]byte{
+		"sample":      encodeSampleV3(t),
+		"multi-block": encodeMultiBlock(t, 64*22+11),
+		"dense":       dense.Bytes(),
+	}
+	atEachGOMAXPROCS([]int{1, 16}, func(procs int) {
+		for name, data := range inputs {
+			want, err := readV3(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := dirtyRecs(2*len(want.Recs) + 100)
+			got, err := readV3Into(data, buf)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			if !reflect.DeepEqual(got.Recs, want.Recs) {
+				t.Fatalf("%s at GOMAXPROCS %d: records from a dirty array differ from ReadAll's", name, procs)
+			}
+			if cap(got.Recs) != cap(want.Recs) {
+				t.Fatalf("%s at GOMAXPROCS %d: capacity %d, ReadAll's %d", name, procs, cap(got.Recs), cap(want.Recs))
+			}
+			fits := len(want.Recs) <= len(data)
+			if aliased := &got.Recs[0] == &buf[0]; aliased != fits {
+				t.Fatalf("%s at GOMAXPROCS %d: decoded into the given array: %t, want %t", name, procs, aliased, fits)
+			}
+		}
+	})
+	// An array too small for the reservation is left alone.
+	data := inputs["multi-block"]
+	small := dirtyRecs(10)
+	got, err := readV3Into(data, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := readV3(data); !reflect.DeepEqual(got.Recs, want.Recs) || small[0] != dirtyRecs(1)[0] {
+		t.Fatal("decoding with an array below the reservation did not use a new one")
+	}
 }
 
 // encodeMultiBlock returns the v3 encoding, in 64-record blocks, of

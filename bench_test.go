@@ -203,6 +203,32 @@ func BenchmarkReproRunner(b *testing.B) {
 	}
 }
 
+// BenchmarkRender measures recording alone: one render of each named site,
+// built and rendered as a site job's first sighting does it, with no
+// slicing. records/op tells a change in the cost of recording apart from a
+// change in the trace recorded.
+func BenchmarkRender(b *testing.B) {
+	for _, name := range sites.Names() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var recs int
+			for i := 0; i < b.N; i++ {
+				bench, err := sites.ByName(name, sites.Options{Scale: benchScale()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				br := browser.New(bench.Site, bench.Profile)
+				br.RunSession()
+				if len(br.Errors) > 0 {
+					b.Fatal(br.Errors[0])
+				}
+				recs = len(br.M.Tr.Recs)
+			}
+			b.ReportMetric(float64(recs), "records/op")
+		})
+	}
+}
+
 // BenchmarkEncodeV3 / BenchmarkDecodeV3 measure trace serialization and
 // its reverse. Throughput (MB/s) is over the encoded bytes, and the encode
 // benchmark also reports the encoding's size per record.

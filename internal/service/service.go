@@ -515,9 +515,10 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 
 // maxScale is the largest site scale a job may ask for. Every caller in
 // the repository uses at most 1. One `webslice slice -site bing -scale 2`
-// (render plus both passes) peaked at 823 MiB of RSS on a 2-core Intel
-// Xeon with go1.24.0, so the default 4 workers rendering at the cap fit in
-// a few GiB; at scale 64 a single render was OOM-killed at 7.9 GB.
+// (render plus both passes) peaked at 539–542 MiB of RSS over 3 runs on a
+// 2-core Intel Xeon with go1.24.0, so the default 4 workers rendering at
+// the cap fit in a few GiB; at scale 64 a single render was OOM-killed at
+// 7.9 GB.
 const maxScale = 2
 
 // maxUploadRecs is the most records an upload may declare. A decoded
@@ -573,8 +574,7 @@ func (m *Manager) validate(spec *Spec) error {
 		// renders too large to admit.
 		return fmt.Errorf("service: invalid scale %v (must be a number > 0 and at most %v)", spec.Scale, maxScale)
 	}
-	_, err := sites.ByName(spec.Site, sites.Options{})
-	return err
+	return sites.CheckName(spec.Site)
 }
 
 // Info returns a snapshot of the job.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"runtime"
 	"testing"
 
 	"webslice/internal/isa"
@@ -310,5 +311,55 @@ func TestBookkeepTouchesCounter(t *testing.T) {
 	m.Bookkeep(c, 5)
 	if v := m.Mem.ReadU64(c, 4); v != 5 {
 		t.Errorf("counter = %d, want 5", v)
+	}
+}
+
+// TestRecordingGrowsByDoubling: the trace and the register file double
+// when full, so recording copies each record about once, and every record
+// and register survives the copies. Doubling allocates 91 to 147 bytes a
+// record, the most when the last record starts a new array (1<<20+1
+// records); append's 1.25x steps allocated 203 to 213 bytes a record at
+// every count tried from 3<<18 to 3<<19. The bound of 170 tells the two
+// apart wherever the count falls against a capacity step.
+func TestRecordingGrowsByDoubling(t *testing.T) {
+	m := newTestMachine(t)
+	const n = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		m.Const(uint64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 170 {
+		t.Errorf("recording allocated %.0f bytes a record, want at most 170", per)
+	}
+	if len(m.Tr.Recs) != n {
+		t.Fatalf("trace has %d records, want %d", len(m.Tr.Recs), n)
+	}
+	for i, r := range m.Tr.Recs {
+		if r.Kind != isa.KindConst || r.Dst != isa.Reg(i+1) || m.Val(r.Dst) != uint64(i) {
+			t.Fatalf("record %d = %+v holding %d after growth", i, r, m.Val(r.Dst))
+		}
+	}
+}
+
+// TestSplatStore: a scalar stored wider than 8 bytes repeats its 8 bytes
+// little-endian across the span, the last copy cut short, also across a
+// page boundary.
+func TestSplatStore(t *testing.T) {
+	m := newTestMachine(t)
+	v := m.Const(0x0807060504030201)
+	for _, size := range []int{13, 64} {
+		a := vmem.HeapBase + vmem.PageSize - 5
+		m.Store(a, size, v)
+		got := m.Mem.ReadBytes(a, size+1)
+		for i, b := range got[:size] {
+			if b != byte(i%8+1) {
+				t.Fatalf("size %d: byte %d = %d, want %d", size, i, b, i%8+1)
+			}
+		}
+		if got[size] != 0 {
+			t.Fatalf("size %d: store wrote past its span", size)
+		}
 	}
 }

@@ -10,6 +10,7 @@
 package vmem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -45,6 +46,8 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint32]*[PageSize]byte)}
 }
 
+// page returns the page holding a, or nil if it is unmapped and create is
+// false, and a's offset in it.
 func (m *Memory) page(a Addr, create bool) (*[PageSize]byte, int) {
 	idx := uint32(a) / PageSize
 	p := m.pages[idx]
@@ -68,20 +71,21 @@ func (m *Memory) WriteBytes(a Addr, b []byte) {
 // ReadBytes copies n bytes at a into a fresh slice. Unmapped bytes read as 0.
 func (m *Memory) ReadBytes(a Addr, n int) []byte {
 	out := make([]byte, n)
-	dst := out
+	m.read(a, out)
+	return out
+}
+
+// read fills dst, which must be zeroed, with the bytes at a.
+func (m *Memory) read(a Addr, dst []byte) {
 	for len(dst) > 0 {
 		p, off := m.page(a, false)
-		span := PageSize - off
-		if span > len(dst) {
-			span = len(dst)
-		}
+		n := min(PageSize-off, len(dst))
 		if p != nil {
-			copy(dst[:span], p[off:off+span])
+			copy(dst, p[off:off+n])
 		}
-		dst = dst[span:]
-		a += Addr(span)
+		dst = dst[n:]
+		a += Addr(n)
 	}
-	return out
 }
 
 // ReadU64 reads size (1..8) bytes little-endian at a, zero-extended.
@@ -89,14 +93,9 @@ func (m *Memory) ReadU64(a Addr, size int) uint64 {
 	if size < 1 || size > 8 {
 		panic(fmt.Sprintf("vmem: bad read size %d", size))
 	}
-	var v uint64
-	for i := 0; i < size; i++ {
-		p, off := m.page(a+Addr(i), false)
-		if p != nil {
-			v |= uint64(p[off]) << (8 * i)
-		}
-	}
-	return v
+	var b [8]byte
+	m.read(a, b[:size])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // WriteU64 writes the low size (1..8) bytes of v little-endian at a.
@@ -104,14 +103,10 @@ func (m *Memory) WriteU64(a Addr, size int, v uint64) {
 	if size < 1 || size > 8 {
 		panic(fmt.Sprintf("vmem: bad write size %d", size))
 	}
-	for i := 0; i < size; i++ {
-		p, off := m.page(a+Addr(i), true)
-		p[off] = byte(v >> (8 * i))
-	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	m.WriteBytes(a, b[:size])
 }
-
-// PageCount reports how many pages have been materialized.
-func (m *Memory) PageCount() int { return len(m.pages) }
 
 // Arena is a bump allocator carving a region of the address space.
 type Arena struct {
@@ -142,9 +137,6 @@ func (a *Arena) Alloc(n int) Addr {
 
 // Used reports how many bytes have been allocated.
 func (a *Arena) Used() int { return int(a.next - a.base) }
-
-// Base returns the arena's first address.
-func (a *Arena) Base() Addr { return a.base }
 
 // Range is a half-open address interval [Addr, Addr+Size).
 type Range struct {
@@ -213,9 +205,6 @@ func (s *RangeSet) Overlaps(r Range) bool {
 	i := sort.Search(len(s.rs), func(i int) bool { return s.rs[i].End() > r.Addr })
 	return i < len(s.rs) && s.rs[i].Overlaps(r)
 }
-
-// Ranges returns the normalized contents.
-func (s *RangeSet) Ranges() []Range { return s.rs }
 
 // Bytes returns the total byte count covered.
 func (s *RangeSet) Bytes() uint64 {

@@ -2,6 +2,7 @@ package vmem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -24,8 +25,8 @@ func TestMemoryCrossPageWrite(t *testing.T) {
 	if got := m.ReadBytes(a, 6); !bytes.Equal(got, data) {
 		t.Errorf("cross-page round trip = %v, want %v", got, data)
 	}
-	if m.PageCount() != 2 {
-		t.Errorf("PageCount = %d, want 2", m.PageCount())
+	if len(m.pages) != 2 {
+		t.Errorf("%d pages materialized, want 2", len(m.pages))
 	}
 }
 
@@ -97,8 +98,8 @@ func TestArenaAllocation(t *testing.T) {
 	if a.Used() != 24 {
 		t.Errorf("Used = %d, want 24", a.Used())
 	}
-	if a.Base() != HeapBase {
-		t.Errorf("Base = %#x", a.Base())
+	if a.base != HeapBase {
+		t.Errorf("base = %#x", a.base)
 	}
 }
 
@@ -149,7 +150,7 @@ func TestRangeSetMerging(t *testing.T) {
 	s.Add(Range{20, 5}) // [20,25)
 	s.Add(Range{15, 5}) // joins the two: [10,25)
 	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 merged range; got %v", s.Len(), s.Ranges())
+		t.Fatalf("Len = %d, want 1 merged range; got %v", s.Len(), s.rs)
 	}
 	if s.Bytes() != 15 {
 		t.Errorf("Bytes = %d, want 15", s.Bytes())
@@ -177,7 +178,7 @@ func TestRangeSetDisjointAndEmpty(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	rs := s.Ranges()
+	rs := s.rs
 	for i := 1; i < len(rs); i++ {
 		if rs[i-1].End() > rs[i].Addr {
 			t.Errorf("ranges not sorted/disjoint: %v", rs)
@@ -196,7 +197,7 @@ func TestRangeSetPropertyNormalized(t *testing.T) {
 			s.Add(r)
 			added = append(added, r)
 		}
-		rs := s.Ranges()
+		rs := s.rs
 		for i := range rs {
 			if rs[i].Size == 0 {
 				return false
@@ -214,5 +215,71 @@ func TestRangeSetPropertyNormalized(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemoryMatchesByteMap drives Memory with a seeded random mix of
+// accesses and checks every read against a plain map of bytes. Accesses
+// straddle page boundaries (the last page's wrap to page 0 too), jump
+// between distant pages, and read pages never written, so an access that
+// resolves a wrong page, or a page once for bytes on two, fails here.
+func TestMemoryMatchesByteMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pages := []uint32{0x10000, 0x10001, 0x10002, 0x10400, 0x40000, 0x7FFFF, 0xFFFFF, 0}
+	addr := func() Addr {
+		p := pages[rng.Intn(len(pages))]
+		off := uint32(rng.Intn(PageSize))
+		if rng.Intn(3) == 0 {
+			off = PageSize - 1 - uint32(rng.Intn(64)) // straddles into the next page
+		}
+		return Addr(p*PageSize + off)
+	}
+	m := NewMemory()
+	ref := map[Addr]byte{}
+	refRead := func(a Addr, n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = ref[a+Addr(i)]
+		}
+		return out
+	}
+	for step := 0; step < 20000; step++ {
+		a, op := addr(), rng.Intn(4)
+		if rng.Intn(5) == 0 {
+			// Read one of four pages no step writes: it must read as
+			// zeros.
+			a = Addr((0x20000+uint32(rng.Intn(4)))*PageSize + uint32(rng.Intn(PageSize-64)))
+			op = 2 + op%2
+		}
+		switch op {
+		case 0:
+			size := 1 + rng.Intn(8)
+			v := rng.Uint64()
+			m.WriteU64(a, size, v)
+			for i := 0; i < size; i++ {
+				ref[a+Addr(i)] = byte(v >> (8 * i))
+			}
+		case 1:
+			b := make([]byte, 1+rng.Intn(64))
+			rng.Read(b)
+			m.WriteBytes(a, b)
+			for i, c := range b {
+				ref[a+Addr(i)] = c
+			}
+		case 2:
+			size := 1 + rng.Intn(8)
+			var want uint64
+			for i, c := range refRead(a, size) {
+				want |= uint64(c) << (8 * i)
+			}
+			if got := m.ReadU64(a, size); got != want {
+				t.Fatalf("step %d: ReadU64(%#x, %d) = %#x, want %#x", step, uint32(a), size, got, want)
+			}
+		case 3:
+			n := 1 + rng.Intn(64)
+			if got, want := m.ReadBytes(a, n), refRead(a, n); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: ReadBytes(%#x, %d) = %v, want %v", step, uint32(a), n, got, want)
+			}
+		}
 	}
 }

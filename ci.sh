@@ -58,6 +58,11 @@ go test -race -count=300 -run 'TestPanicIsolationAndQuarantine$' ./internal/serv
 # pooled compressor is handed from one goroutine to the next; race the
 # pools under concurrent Put, Get and eviction.
 go test -race -count=20 -run 'TestConcurrentGetPutEvictStress' ./internal/store
+# The jobs of one JobKey in flight share one trace through a refcounted map
+# that workers hand to each other: one obtains while the rest wait, and a
+# wait can end by cancellation, an obtain error or the obtainer's panic.
+# Race every one of those hand-offs many times (about 2 s).
+go test -race -count=50 -run 'TestTraceShare' ./internal/service
 go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s ./internal/service
 
 # Fuzz smoke: a few seconds per target so a crashing input or a slice that

@@ -231,8 +231,9 @@ type Config struct {
 	// under its JobKey, criteria and browser.RenderVersion, so a repeat job
 	// is one lookup: no render, decode or slicing. It also caches each
 	// trace's forward pass under the trace's content address, so a job over
-	// a known trace with other criteria (or verified) skips the forward pass
-	// and runs only the backward pass.
+	// a known trace with other criteria (or verified) loads the forward pass
+	// instead of computing it. Such a job still renders or decodes its trace
+	// unless a job of its JobKey is in flight, whose trace it then shares.
 	Store *store.Store
 	// Verify applies Spec.Verify to every job regardless of what the
 	// submission asked for (websliced -verify).
@@ -331,6 +332,9 @@ type Manager struct {
 	closed     bool
 	quarantine []string // ids of quarantined jobs, oldest first
 
+	// shares holds the traces of the jobs in flight, one per JobKey.
+	shares *traceShares
+
 	mSubmitted, mDone, mFailed, mRejected, mCanceled *metrics.Counter
 	mRetried, mPanicked, mQuarantined                *metrics.Counter
 	gRunning, gPeak, gQueueDepth                     *metrics.Gauge
@@ -387,6 +391,7 @@ func New(cfg Config) *Manager {
 		hQueueWait:   reg.Histogram("queue_wait_ms", metrics.LatencyBuckets),
 		hRun:         reg.Histogram("slice_ms", metrics.LatencyBuckets),
 	}
+	m.shares = newTraceShares(m.obtainTrace)
 	if cfg.Runner == nil {
 		m.cfg.Runner = m.run
 	}
@@ -514,11 +519,15 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 }
 
 // maxScale is the largest site scale a job may ask for. Every caller in
-// the repository uses at most 1. One `webslice slice -site bing -scale 2`
-// (render plus both passes) peaked at 539–542 MiB of RSS over 3 runs on a
-// 2-core Intel Xeon with go1.24.0, so the default 4 workers rendering at
-// the cap fit in a few GiB; at scale 64 a single render was OOM-killed at
-// 7.9 GB.
+// the repository uses at most 1. Measured on a 2-core Intel Xeon with
+// go1.24.0: one `webslice slice -site bing -scale 2` (render plus both
+// passes) peaked at 539–542 MiB of RSS over 3 runs. websliced on the
+// default 4 workers, given the four named sites at the cap with both
+// criteria each (8 jobs, so two distinct traces in flight at a time),
+// peaked at 1,177–1,356 MiB of VmHWM over 3 runs. Rendering one trace per
+// job, so with four traces in flight, the same 8 jobs peaked at
+// 2,387–2,589 MiB; four distinct sites in flight at once still hold four.
+// At scale 64 a single render was OOM-killed at 7.9 GB.
 const maxScale = 2
 
 // maxUploadRecs is the most records an upload may declare. A decoded
@@ -953,9 +962,11 @@ var jobOpts = slicer.Options{ProgressPoints: 160, MainThread: browser.MainThread
 
 // run is the default pipeline: obtain the trace (decode or render), attach
 // the store, slice, and package the statistics. An unverified job first
-// looks its whole result up by JobKey, and a hit skips all of that. The
-// context's deadline/cancellation is polled at phase boundaries and, through
-// slicer.Options.Canceled, inside the backward walk itself.
+// looks its whole result up by JobKey, and a hit skips all of that. The jobs
+// of one JobKey in flight together share one trace (traceShares) and one
+// forward pass. The context's deadline/cancellation is polled at phase
+// boundaries and, through slicer.Options.Canceled, inside the backward walk
+// itself.
 func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	s := obs.FromContext(ctx) // the attempt's span; nil (inert) with tracing off
 	var crit slicer.Criteria = slicer.PixelCriteria{}
@@ -963,53 +974,49 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		crit = slicer.SyscallCriteria{}
 	}
 	verify := spec.Verify || m.cfg.Verify
-	// rkey is the job's result-cache key, "" when there is no lookup. key is
-	// the trace's content address in the store: an upload's is its JobKey,
-	// so its bytes are hashed once per job; a render's is its digest, known
-	// only after the render.
-	rkey, key := "", ""
-	if m.cfg.Store != nil {
-		jk := JobKey(spec)
-		if len(spec.Trace) > 0 {
-			key = jk
-		}
-		// Verified jobs bypass the result cache, so the invariant oracles
-		// always check a freshly computed slice.
-		if !verify {
-			rkey = resultKey(jk, crit)
-			if res, ok := m.cachedResult(s, rkey); ok {
-				return res, nil
-			}
+	jk := JobKey(spec)
+	// rkey is the job's result-cache key, "" when there is no lookup.
+	// Verified jobs bypass the result cache, so the invariant oracles always
+	// check a freshly computed slice.
+	rkey := ""
+	if m.cfg.Store != nil && !verify {
+		rkey = resultKey(jk, crit)
+		if res, ok := m.cachedResult(s, rkey); ok {
+			return res, nil
 		}
 	}
 	obtainName := "render"
 	if len(spec.Trace) > 0 {
 		obtainName = "trace.open"
 	}
-	ts := s.Child(obtainName)
-	p, recs, err := obtainTrace(spec)
-	ts.EndErr(err)
+	sh, err := m.shares.acquire(ctx, s, obtainName, jk, spec)
 	if err != nil {
 		return nil, err
 	}
-	// Nothing reads the records once run returns: the Result holds none.
-	defer putRecs(recs)
+	// Nothing reads the trace once run returns: the Result holds none of it.
+	defer m.shares.release(jk, sh)
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
 	}
-	t := p.T
+	t := sh.t
+	p := core.NewProfiler(t)
 	p.Opts = jobOpts
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
 	if m.cfg.Store != nil {
-		if key == "" {
-			key, _ = store.TraceKey(t)
-		}
-		p.UseStore(m.cfg.Store, key)
+		p.UseStore(m.cfg.Store, sh.addr)
 	}
 	p.VerifyInvariants = verify
 	ss := s.Child("slice").Set("criteria", spec.Criteria)
 	p.Obs = ss // forward-pass store lookups, both passes, and verification parent here
-	res, err := p.Slice(crit)
+	// One holder of the trace at a time runs the forward pass (see
+	// traceShare.fwd).
+	sh.fwd.Lock()
+	err = p.Forward()
+	sh.fwd.Unlock()
+	var res *slicer.Result
+	if err == nil {
+		res, err = p.Slice(crit)
+	}
 	ss.EndErr(err)
 	if err != nil {
 		if errors.Is(err, slicer.ErrCanceled) {
@@ -1021,7 +1028,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, ErrCanceled
 	}
 	out := &Result{
-		TraceKey:    key,
+		TraceKey:    sh.addr,
 		SliceDigest: sliceDigest(res),
 		Criteria:    res.Criteria,
 		Total:       res.Total,
@@ -1162,26 +1169,32 @@ func putRecs(recs []trace.Rec) {
 	}
 }
 
-// obtainTrace decodes an upload or renders a site. For an upload it also
-// returns the record array to hand back to recArrays once the job is done
-// with the trace: the pooled one the decode filled, or the new one it had
-// to allocate.
-func obtainTrace(spec Spec) (*core.Profiler, []trace.Rec, error) {
+// obtainTrace decodes an upload or renders a site: the obtain step of the
+// trace shared by the jobs whose JobKey is key. With a store attached it
+// also returns the trace's content address: an upload's is its JobKey, so
+// its bytes are hashed once per job; a render's is its digest. For an
+// upload, free hands the record array back to recArrays: the pooled one
+// the decode filled, or the new one it had to allocate.
+func (m *Manager) obtainTrace(key string, spec Spec) (*trace.Trace, string, func(), error) {
 	if len(spec.Trace) > 0 {
 		// A submission is decoded once, here; both passes walk the records.
 		br, err := trace.OpenV3(spec.Trace)
 		if err != nil {
-			return nil, nil, fmt.Errorf("service: decoding submitted trace: %w", err)
+			return nil, "", nil, fmt.Errorf("service: decoding submitted trace: %w", err)
 		}
 		recs := getRecs()
 		t, err := br.ReadAllInto(recs)
 		if err != nil {
-			return nil, nil, fmt.Errorf("service: decoding submitted trace: %w", err)
+			return nil, "", nil, fmt.Errorf("service: decoding submitted trace: %w", err)
 		}
 		if cap(t.Recs) > cap(recs) {
 			recs = t.Recs
 		}
-		return core.NewProfiler(t), recs, nil
+		addr := ""
+		if m.cfg.Store != nil {
+			addr = key
+		}
+		return t, addr, func() { putRecs(recs) }, nil
 	}
 	var b sites.Benchmark
 	if spec.Site == "" && spec.Seed != 0 {
@@ -1190,7 +1203,7 @@ func obtainTrace(spec Spec) (*core.Profiler, []trace.Rec, error) {
 		var err error
 		b, err = sites.ByName(spec.Site, sites.Options{Scale: spec.Scale})
 		if err != nil {
-			return nil, nil, err
+			return nil, "", nil, err
 		}
 	}
 	br := browser.New(b.Site, b.Profile)
@@ -1199,7 +1212,11 @@ func obtainTrace(spec Spec) (*core.Profiler, []trace.Rec, error) {
 	}
 	br.RunSession()
 	if len(br.Errors) > 0 {
-		return nil, nil, fmt.Errorf("service: rendering %s: %w", b.Name, br.Errors[0])
+		return nil, "", nil, fmt.Errorf("service: rendering %s: %w", b.Name, br.Errors[0])
 	}
-	return core.NewProfiler(br.M.Tr), nil, nil
+	addr := ""
+	if m.cfg.Store != nil {
+		addr, _ = store.TraceKey(br.M.Tr)
+	}
+	return br.M.Tr, addr, nil, nil
 }

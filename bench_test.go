@@ -39,7 +39,7 @@ func benchScale() float64 {
 // and Google Maps in load and load+browse sessions.
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ExecuteTableI(benchScale())
+		rows, err := experiments.ExecuteTableIWith(experiments.Config{Scale: benchScale(), Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkFigure2(b *testing.B) {
 // benchmarks, all-threads and main-thread series).
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := experiments.ExecuteTableII(benchScale())
+		runs, err := experiments.ExecuteTableIIWith(experiments.Config{Scale: benchScale(), Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkFigure4(b *testing.B) {
 // computations.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := experiments.ExecuteTableII(benchScale())
+		runs, err := experiments.ExecuteTableIIWith(experiments.Config{Scale: benchScale(), Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,19 +144,19 @@ func BenchmarkBingPartialSlice(b *testing.B) {
 	}
 }
 
-// BenchmarkCriteriaComparison is the pixel-vs-syscall criteria ablation.
-// Both slices come out of one fused backward pass (ExecuteCriteria with
-// syscalls enabled) instead of two independent trace walks.
+// BenchmarkCriteriaComparison is the pixel-vs-syscall criteria ablation:
+// one render and forward pass, then one backward walk per criterion.
 func BenchmarkCriteriaComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExecuteCriteria(sites.AmazonDesktop(sites.Options{Scale: benchScale()}), true)
+		r, err := experiments.Execute(sites.AmazonDesktop(sites.Options{Scale: benchScale()}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := experiments.ExecuteCriteriaComparison(r)
+		cs, err := experiments.ExecuteCriteriaComparison([]*experiments.Run{r}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
+		c := cs[0]
 		if c.PixelOnly != 0 {
 			b.Fatalf("syscall slice must contain the pixel slice; %d records missing", c.PixelOnly)
 		}
@@ -180,9 +180,8 @@ func BenchmarkReproRunner(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runs, err := experiments.ExecuteTableIIWith(experiments.Config{
-					Scale:    benchScale(),
-					Workers:  cfg.workers,
-					Syscalls: true,
+					Scale:   benchScale(),
+					Workers: cfg.workers,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -287,20 +286,19 @@ func BenchmarkAblationControlDeps(b *testing.B) {
 		b.Fatal(err)
 	}
 	deps := cdg.Compute(f)
-	pix := []slicer.Criteria{slicer.PixelCriteria{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, err := slicer.Slice(br.M.Tr, deps, pix, slicer.Options{})
+		full, err := slicer.Slice(br.M.Tr, deps, slicer.PixelCriteria{}, slicer.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dataOnly, err := slicer.Slice(br.M.Tr, nil, pix, slicer.Options{NoControlDeps: true})
+		dataOnly, err := slicer.Slice(br.M.Tr, nil, slicer.PixelCriteria{}, slicer.Options{NoControlDeps: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(full[0].Percent(), "full_%")
-			b.ReportMetric(dataOnly[0].Percent(), "data_only_%")
+			b.ReportMetric(full.Percent(), "full_%")
+			b.ReportMetric(dataOnly.Percent(), "data_only_%")
 		}
 	}
 }
@@ -324,7 +322,7 @@ func BenchmarkAblationForwardReuse(b *testing.B) {
 	deps := cdg.Compute(f)
 	b.Run("SliceOnly", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := slicer.Slice(br.M.Tr, deps, []slicer.Criteria{slicer.PixelCriteria{}}, slicer.Options{}); err != nil {
+			if _, err := slicer.Slice(br.M.Tr, deps, slicer.PixelCriteria{}, slicer.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

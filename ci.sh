@@ -91,6 +91,13 @@ go test -count=1 -run 'TestClusterTracePropagation' ./internal/cluster
 # differential, and invariant oracles over 50 property-generated sites.
 go run ./cmd/webslice verify -exp all
 
+# No test runs the repro and slice commands, which wire the experiments
+# together (repro's criteria comparison runs on its -j pool), so run each
+# once at a small scale. Without -json: that would overwrite
+# BENCH_repro.json.
+go run ./cmd/webslice repro -exp all -scale 0.06 -j 2 >/dev/null
+go run ./cmd/webslice slice -site amazon-mobile -scale 0.06 >/dev/null
+
 # Cluster smoke with real processes: a coordinator fronting two workers on
 # loopback ports runs the golden corpus, one worker is SIGKILLed mid-batch,
 # and every acked job must still finish with its pinned slice digest; a

@@ -165,9 +165,9 @@ commands:
   unused     Table I only (unused JS/CSS bytes)
   cpu        Figure 2 only (main-thread CPU utilization)
   calibrate  print per-thread statistics for tuning workload knobs
-  verify     run the slice-validation oracles (-exp golden|replay|differential|
-             invariants|all; -count/-seed property sites, -golden corpus path,
-             -update to regenerate digests)
+  verify     run the slice-validation oracles (-exp golden|crossformat|replay|
+             differential|invariants|all; -count/-seed property sites, -golden
+             corpus path, -update to regenerate digests)
   submit     send a job to a running websliced (-site or -i trace, -criteria,
              -wait to block for the result, -verify for server-side oracles)
   scatter    fan a batch of sites across a websliced cluster coordinator
@@ -180,8 +180,7 @@ commands:
              coordinator this is the merged cross-node trace
 
 flags: -scale 1.0 (workload size, must be > 0), -exp all, -site amazon-desktop,
-       -j 0 (concurrent experiment sessions and backward-pass workers,
-       0 = GOMAXPROCS), -o/-i trace path,
+       -j 0 (concurrent experiment sessions, 0 = GOMAXPROCS), -o/-i trace path,
        -faultseed 7 (fault-plan seed for -exp faults), -json (repro),
        -cpuprofile/-memprofile <file> (pprof output),
        -addr http://localhost:8077, -id <job>, -max-wait 0 (client commands)`)
@@ -204,11 +203,7 @@ func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchR
 		fmt.Printf("Running the four Table II benchmarks at scale %.2f...\n\n", scale)
 		rec.begin("render+slice")
 		var err error
-		// The syscall slice rides along in the same fused backward pass
-		// whenever the criteria comparison will need it.
-		runs, err = experiments.ExecuteTableIIWith(experiments.Config{
-			Scale: scale, Workers: workers, Syscalls: all || exp == "criteria",
-		})
+		runs, err = experiments.ExecuteTableIIWith(experiments.Config{Scale: scale, Workers: workers})
 		if err != nil {
 			return err
 		}
@@ -296,15 +291,18 @@ func repro(scale float64, exp string, faultSeed uint64, workers int, rec *benchR
 	}
 	if all || exp == "criteria" {
 		rec.begin("criteria")
+		// The syscall walks run on -j workers, like the renders, and each
+		// reuses its run's forward pass.
+		cs, err := experiments.ExecuteCriteriaComparison(runs, workers)
+		if err != nil {
+			return err
+		}
 		t := &report.Table{
 			Title:   "Criteria comparison: pixel-buffer vs system-call slicing (§IV-C)",
 			Headers: []string{"Benchmark", "Pixel slice", "Syscall slice", "Pixel-only recs", "Extra syscall recs"},
 		}
-		for _, r := range runs {
-			c, err := experiments.ExecuteCriteriaComparison(r)
-			if err != nil {
-				return err
-			}
+		for i, r := range runs {
+			c := cs[i]
 			t.AddRow(r.Bench.Name, report.Pct1(c.PixelPct), report.Pct1(c.SyscallPct),
 				fmt.Sprint(c.PixelOnly), fmt.Sprint(c.ExtraSyscall))
 			rec.row(r.Bench.Name, map[string]float64{
@@ -430,16 +428,16 @@ func doSlice(scale float64, site string) error {
 	if err != nil {
 		return err
 	}
-	// Both criteria in one fused backward pass: the comparison below then
-	// reads the precomputed syscall slice instead of re-walking the trace.
-	r, err := experiments.ExecuteCriteria(b, true)
+	r, err := experiments.Execute(b)
 	if err != nil {
 		return err
 	}
-	c, err := experiments.ExecuteCriteriaComparison(r)
+	// The syscall slice reuses the pixel run's forward pass.
+	cs, err := experiments.ExecuteCriteriaComparison([]*experiments.Run{r}, 1)
 	if err != nil {
 		return err
 	}
+	c := cs[0]
 	fmt.Printf("%s: %s instructions\n", b.Name, report.MInstr(r.Pixel.Total))
 	fmt.Printf("  pixel slice:   %s\n", report.Pct1(r.Pixel.Percent()))
 	fmt.Printf("  syscall slice: %s (extra records: %d)\n", report.Pct1(c.SyscallPct), c.ExtraSyscall)

@@ -41,13 +41,16 @@ var sent = reportTransaction();`)})
 		log.Fatal(b.Errors[0])
 	}
 
-	// One forward pass, then one fused backward walk for both criteria.
+	// One forward pass, then one backward walk per criterion.
 	p := core.NewProfiler(b.M.Tr)
-	rs, err := p.SliceAll([]slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
+	pix, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pix, sys := rs[0], rs[1]
+	sys, err := p.Slice(slicer.SyscallCriteria{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("trace: %d instructions\n", pix.Total)
 	fmt.Printf("pixel-based slice:   %6.1f%% (%d instructions)\n", pix.Percent(), pix.SliceCount)

@@ -14,7 +14,7 @@ func parseSheet(t *testing.T, sheet string) (*vm.Machine, *Engine, *Sheet) {
 	m.Thread(0, "main")
 	e := NewEngine(m)
 	buf := m.Heap.Alloc(len(sheet) + 1)
-	m.StaticData(buf, []byte(sheet))
+	m.Mem.WriteBytes(buf, []byte(sheet))
 	s := e.Parse(vmem.Range{Addr: buf, Size: uint32(len(sheet))}, sheet)
 	return m, e, s
 }
@@ -97,7 +97,7 @@ div { width: 10px; }
 .unrelated { width: 99px; }
 `
 	buf := m.Heap.Alloc(len(sheet))
-	m.StaticData(buf, []byte(sheet))
+	m.Mem.WriteBytes(buf, []byte(sheet))
 	s := e.Parse(vmem.Range{Addr: buf, Size: uint32(len(sheet))}, sheet)
 	style := resolveOne(t, sheet, el, tree, m, e)
 	if style == 0 {
@@ -131,7 +131,7 @@ func TestDefaultsAndLayerBit(t *testing.T) {
 	tree.Append(tree.Doc, fixed)
 	sheet := `#f { position: fixed; top: 0px; }`
 	buf := m.Heap.Alloc(len(sheet))
-	m.StaticData(buf, []byte(sheet))
+	m.Mem.WriteBytes(buf, []byte(sheet))
 	e.Parse(vmem.Range{Addr: buf, Size: uint32(len(sheet))}, sheet)
 	r := NewResolver(e)
 	r.Resolve(tree, tree.Elements())
@@ -165,7 +165,7 @@ func TestDescendantSelectorMatching(t *testing.T) {
 	tree.Append(tree.Doc, stray)
 	sheet := `.menu .entry { width: 77px; }`
 	buf := m.Heap.Alloc(len(sheet))
-	m.StaticData(buf, []byte(sheet))
+	m.Mem.WriteBytes(buf, []byte(sheet))
 	e.Parse(vmem.Range{Addr: buf, Size: uint32(len(sheet))}, sheet)
 	r := NewResolver(e)
 	r.Resolve(tree, tree.Elements())

@@ -70,7 +70,7 @@ func TestSetTextRaw(t *testing.T) {
 	n := tr.NewElement("span", "s", "")
 	tr.Append(tr.Doc, n)
 	src := m.Heap.Alloc(16)
-	m.StaticData(src, []byte("updated!"))
+	m.Mem.WriteBytes(src, []byte("updated!"))
 	tr.SetTextRaw(n, src, 8, "updated!")
 	addr := vmem.Addr(m.Mem.ReadU64(n.Addr+OffText, 4))
 	if got := string(m.Mem.ReadBytes(addr, 8)); got != "updated!" {

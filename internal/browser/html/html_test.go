@@ -15,7 +15,7 @@ func parse(t *testing.T, doc string) (*dom.Tree, *Result, *vm.Machine) {
 	tree := dom.NewTree(m)
 	p := NewParser(m)
 	buf := m.Heap.Alloc(len(doc) + 1)
-	m.StaticData(buf, []byte(doc))
+	m.Mem.WriteBytes(buf, []byte(doc))
 	res := p.Parse(tree, vmem.Range{Addr: buf, Size: uint32(len(doc))}, doc)
 	return tree, res, m
 }

@@ -178,14 +178,6 @@ func (e *Engine) globalSlot(name string) int {
 	return i
 }
 
-// FuncByName returns the function index for a name (-1 if absent).
-func (e *Engine) FuncByName(name string) int {
-	if i, ok := e.funcByName[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Compile parses the script and eagerly compiles every function plus the
 // top-level code, like a load-time full codegen. The compile work is traced
 // against the script's bytes at src, which is exactly the computation the

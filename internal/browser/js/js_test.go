@@ -23,7 +23,7 @@ func compileRun(t *testing.T, src string) (*vm.Machine, *Engine) {
 	t.Helper()
 	m, e := newEngine(t)
 	buf := m.Heap.Alloc(len(src) + 1)
-	m.StaticData(buf, []byte(src))
+	m.Mem.WriteBytes(buf, []byte(src))
 	top, err := e.Compile("test", vmem.Range{Addr: buf, Size: uint32(len(src))}, src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -155,7 +155,7 @@ func TestNativeCalls(t *testing.T) {
 	})
 	src := `var r = probe(7, 8);`
 	buf := m.Heap.Alloc(len(src))
-	m.StaticData(buf, []byte(src))
+	m.Mem.WriteBytes(buf, []byte(src))
 	top, err := e.Compile("t", vmem.Range{Addr: buf, Size: uint32(len(src))}, src)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestPropHandler(t *testing.T) {
 	}
 	src := `var o = obj(); var x = o.width; o.height = 7;`
 	buf := m.Heap.Alloc(len(src))
-	m.StaticData(buf, []byte(src))
+	m.Mem.WriteBytes(buf, []byte(src))
 	top, err := e.Compile("t", vmem.Range{Addr: buf, Size: uint32(len(src))}, src)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestCompileErrors(t *testing.T) {
 		"var s = 'unterminated",
 	} {
 		buf := m.Heap.Alloc(len(src) + 1)
-		m.StaticData(buf, []byte(src))
+		m.Mem.WriteBytes(buf, []byte(src))
 		if _, err := e.Compile("bad", vmem.Range{Addr: buf, Size: uint32(len(src))}, src); err == nil {
 			t.Errorf("expected compile error for %q", src)
 		}
@@ -224,7 +224,7 @@ func TestInfiniteLoopGuard(t *testing.T) {
 	m, e := newEngine(t)
 	src := `while (1) { var x = 1; }`
 	buf := m.Heap.Alloc(len(src))
-	m.StaticData(buf, []byte(src))
+	m.Mem.WriteBytes(buf, []byte(src))
 	top, err := e.Compile("loop", vmem.Range{Addr: buf, Size: uint32(len(src))}, src)
 	if err != nil {
 		t.Fatal(err)

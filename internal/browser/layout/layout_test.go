@@ -29,7 +29,7 @@ func buildPage(t *testing.T, sheet string) (*vm.Machine, *dom.Tree, *Engine) {
 
 	e := css.NewEngine(m)
 	buf := m.Heap.Alloc(len(sheet) + 1)
-	m.StaticData(buf, []byte(sheet))
+	m.Mem.WriteBytes(buf, []byte(sheet))
 	e.Parse(vmem.Range{Addr: buf, Size: uint32(len(sheet))}, sheet)
 	r := css.NewResolver(e)
 	r.Resolve(tree, tree.Elements())

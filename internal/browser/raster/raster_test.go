@@ -37,7 +37,7 @@ func pipeline(t *testing.T, sheet string) (*vm.Machine, *compositor.Compositor, 
 
 	e := css.NewEngine(m)
 	buf := m.Heap.Alloc(len(sheet) + 1)
-	m.StaticData(buf, []byte(sheet))
+	m.Mem.WriteBytes(buf, []byte(sheet))
 	e.Parse(vmem.Range{Addr: buf, Size: uint32(len(sheet))}, sheet)
 	r := css.NewResolver(e)
 	r.Resolve(tree, tree.Elements())
@@ -123,7 +123,7 @@ func TestDecodeProvenance(t *testing.T) {
 	m.Thread(0, "main")
 	rz := New(m)
 	src := vmem.Range{Addr: m.IOb.Alloc(128), Size: 128}
-	m.StaticData(src.Addr, make([]byte, 128))
+	m.Mem.WriteBytes(src.Addr, make([]byte, 128))
 	dec := rz.Decode(src, 32, 16)
 	if dec.Size != 32*16 {
 		t.Errorf("decoded size = %d", dec.Size)

@@ -10,11 +10,11 @@
 //	res, err := p.Slice(slicer.PixelCriteria{})
 //
 // One forward pass serves every backward pass over the same trace, as the
-// paper notes: the profiler keeps it across calls, SliceAll evaluates several
-// criteria in one fused reverse walk, and an attached artifact store (see
-// UseStore) persists the forward pass. The backward pass always runs; a
-// caller that wants to skip it caches its own answer (the service keeps a
-// job's finished result).
+// paper notes: the profiler keeps it across calls, each Slice is one reverse
+// walk for one criterion, and an attached artifact store (see UseStore)
+// persists the forward pass. The backward pass always runs; a caller that
+// wants to skip it caches its own answer (the service keeps a job's finished
+// result).
 package core
 
 import (
@@ -147,49 +147,29 @@ func (p *Profiler) Forest() *cfg.Forest { return p.forest }
 // Deps returns the control dependence graph (nil before Forward).
 func (p *Profiler) Deps() *cdg.Deps { return p.deps }
 
-// Slice runs the backward pass for one criterion (see SliceAll).
-func (p *Profiler) Slice(c slicer.Criteria) (*slicer.Result, error) {
-	rs, err := p.SliceAll([]slicer.Criteria{c})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
-// SliceAll runs the backward pass for several criteria with p.Opts in one
-// fused reverse walk of the trace, returning one result per criterion in
-// order. The forward pass runs on demand (from the store, if one is
-// attached and holds it). Under VerifyInvariants every result passes the
+// Slice runs the backward pass for one criterion with p.Opts: one reverse
+// walk of the trace. The forward pass runs on demand (from the store, if one
+// is attached and holds it). Under VerifyInvariants the result passes the
 // invariant oracles first.
-func (p *Profiler) SliceAll(cs []slicer.Criteria) ([]*slicer.Result, error) {
+func (p *Profiler) Slice(c slicer.Criteria) (*slicer.Result, error) {
 	if !p.Opts.NoControlDeps {
 		if err := p.Forward(); err != nil {
 			return nil, err
 		}
 	}
 	sp := p.Obs.Child("slice.scan")
-	rs, err := slicer.Slice(p.T, p.deps, cs, p.Opts)
+	r, err := slicer.Slice(p.T, p.deps, c, p.Opts)
 	sp.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
 	if p.VerifyInvariants {
-		if err := p.verify(rs); err != nil {
-			return nil, err
+		vs := p.Obs.Child("verify")
+		err := replay.CheckInvariants(p.T, p.deps, r)
+		vs.EndErr(err)
+		if err != nil {
+			return nil, fmt.Errorf("core: slice %q failed verification: %w", r.Criteria, err)
 		}
 	}
-	return rs, nil
-}
-
-// verify runs the structural invariant oracles over results.
-func (p *Profiler) verify(rs []*slicer.Result) error {
-	vs := p.Obs.Child("verify").Set("slices", strconv.Itoa(len(rs)))
-	for _, r := range rs {
-		if err := replay.CheckInvariants(p.T, p.deps, r); err != nil {
-			vs.EndErr(err)
-			return fmt.Errorf("core: slice %q failed verification: %w", r.Criteria, err)
-		}
-	}
-	vs.End()
-	return nil
+	return r, nil
 }

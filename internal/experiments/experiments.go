@@ -31,9 +31,6 @@ type Config struct {
 	// <= 0 means GOMAXPROCS. Sessions are independent, and results are
 	// collected in deterministic (site-list) order regardless of the value.
 	Workers int
-	// Syscalls additionally computes the syscall slice in the same fused
-	// backward pass as the pixel slice (for the criteria comparison).
-	Syscalls bool
 }
 
 // Timing is the per-stage wall clock of one executed benchmark.
@@ -44,27 +41,19 @@ type Timing struct {
 }
 
 // Run is one executed benchmark: the browser after its session, the trace,
-// and the pixel-based slice.
+// the pixel-based slice, and the profiler that holds the trace's forward
+// pass for further slices.
 type Run struct {
 	Bench   sites.Benchmark
 	Browser *browser.Browser
 	Trace   *trace.Trace
 	Pixel   *slicer.Result
-	// Syscall is the syscall-criteria slice, computed in the same fused
-	// backward pass as Pixel when Config.Syscalls (or ExecuteCriteria's
-	// withSyscalls) asked for it; nil otherwise.
-	Syscall *slicer.Result
 	Prof    *core.Profiler
 	Timing  Timing
 }
 
-// Execute runs a benchmark's session and computes its pixel slice.
-func Execute(b sites.Benchmark) (*Run, error) { return ExecuteCriteria(b, false) }
-
-// ExecuteCriteria runs a benchmark's session and computes its pixel slice;
-// withSyscalls also computes the syscall slice in the same fused backward
-// pass, so the criteria comparison costs one trace walk instead of two.
-func ExecuteCriteria(b sites.Benchmark, withSyscalls bool) (*Run, error) {
+// Execute runs a benchmark's session, its forward pass, and its pixel slice.
+func Execute(b sites.Benchmark) (*Run, error) {
 	start := time.Now()
 	br := browser.New(b.Site, b.Profile)
 	if b.Faults != nil {
@@ -81,27 +70,19 @@ func ExecuteCriteria(b sites.Benchmark, withSyscalls bool) (*Run, error) {
 		return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 	}
 	forwardDone := time.Now()
-	crits := []slicer.Criteria{slicer.PixelCriteria{}}
-	if withSyscalls {
-		crits = append(crits, slicer.SyscallCriteria{})
-	}
-	rs, err := p.SliceAll(crits)
+	pix, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 	}
 	end := time.Now()
-	run := &Run{
-		Bench: b, Browser: br, Trace: br.M.Tr, Pixel: rs[0], Prof: p,
+	return &Run{
+		Bench: b, Browser: br, Trace: br.M.Tr, Pixel: pix, Prof: p,
 		Timing: Timing{
 			RenderMs:  ms(renderDone.Sub(start)),
 			ForwardMs: ms(forwardDone.Sub(renderDone)),
 			SliceMs:   ms(end.Sub(forwardDone)),
 		},
-	}
-	if withSyscalls {
-		run.Syscall = rs[1]
-	}
-	return run, nil
+	}, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -150,18 +131,13 @@ func forEach(workers, n int, fn func(int) error) error {
 	return nil
 }
 
-// ExecuteTableII runs the four Table II benchmarks sequentially.
-func ExecuteTableII(scale float64) ([]*Run, error) {
-	return ExecuteTableIIWith(Config{Scale: scale, Workers: 1})
-}
-
 // ExecuteTableIIWith runs the Table II benchmarks over cfg's worker pool,
 // returning runs in the site-list order.
 func ExecuteTableIIWith(cfg Config) ([]*Run, error) {
 	benches := sites.TableII(cfg.Scale)
 	out := make([]*Run, len(benches))
 	err := forEach(cfg.Workers, len(benches), func(i int) error {
-		r, err := ExecuteCriteria(benches[i], cfg.Syscalls)
+		r, err := Execute(benches[i])
 		if err != nil {
 			return err
 		}
@@ -233,13 +209,8 @@ type TableIRow struct {
 	LoadAndBrowse analysis.ByteUsage
 }
 
-// ExecuteTableI runs the Table I site set (load and load+browse sessions)
-// sequentially and measures unused JS/CSS bytes.
-func ExecuteTableI(scale float64) ([]TableIRow, error) {
-	return ExecuteTableIWith(Config{Scale: scale, Workers: 1})
-}
-
-// ExecuteTableIWith runs the Table I sessions over cfg's worker pool. Each
+// ExecuteTableIWith runs the Table I site set (load and load+browse
+// sessions) over cfg's worker pool and measures unused JS/CSS bytes. Each
 // pair's load and load+browse sessions are independent units, so a pool of
 // W workers keeps W sessions rendering at once; rows come back in site-list
 // order.
@@ -389,31 +360,36 @@ type CriteriaComparisonResult struct {
 	ExtraSyscall         int // syscall-slice records beyond the pixel slice
 }
 
-// ExecuteCriteriaComparison computes both slices for a run. A run executed
-// with the fused syscall criterion (ExecuteCriteria withSyscalls, or
-// Config.Syscalls) already carries the syscall slice and pays no extra
-// trace walk here.
-func ExecuteCriteriaComparison(r *Run) (CriteriaComparisonResult, error) {
-	sys := r.Syscall
-	if sys == nil {
-		var err error
-		sys, err = r.Prof.Slice(slicer.SyscallCriteria{})
+// ExecuteCriteriaComparison compares each run's pixel slice with its
+// syscall slice. It takes each syscall slice through the run's profiler, so
+// the walk reuses the run's forward pass. The walks run on a pool of
+// workers (<= 0 means GOMAXPROCS); results come back in run order.
+func ExecuteCriteriaComparison(runs []*Run, workers int) ([]CriteriaComparisonResult, error) {
+	out := make([]CriteriaComparisonResult, len(runs))
+	err := forEach(workers, len(runs), func(k int) error {
+		r := runs[k]
+		sys, err := r.Prof.Slice(slicer.SyscallCriteria{})
 		if err != nil {
-			return CriteriaComparisonResult{}, err
+			return fmt.Errorf("experiments: %s: %w", r.Bench.Name, err)
 		}
-	}
-	out := CriteriaComparisonResult{
-		PixelPct:   r.Pixel.Percent(),
-		SyscallPct: sys.Percent(),
-	}
-	for i := 0; i < r.Pixel.Total; i++ {
-		inP, inS := r.Pixel.InSlice.Get(i), sys.InSlice.Get(i)
-		if inP && !inS {
-			out.PixelOnly++
+		c := CriteriaComparisonResult{
+			PixelPct:   r.Pixel.Percent(),
+			SyscallPct: sys.Percent(),
 		}
-		if inS && !inP {
-			out.ExtraSyscall++
+		for i := 0; i < r.Pixel.Total; i++ {
+			inP, inS := r.Pixel.InSlice.Get(i), sys.InSlice.Get(i)
+			if inP && !inS {
+				c.PixelOnly++
+			}
+			if inS && !inP {
+				c.ExtraSyscall++
+			}
 		}
+		out[k] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -11,7 +11,7 @@ import (
 const testScale = 0.06
 
 func TestExecuteAndTableII(t *testing.T) {
-	runs, err := ExecuteTableII(testScale)
+	runs, err := ExecuteTableIIWith(Config{Scale: testScale, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestExecuteAndTableII(t *testing.T) {
 }
 
 func TestTableIExperiment(t *testing.T) {
-	rows, err := ExecuteTableI(testScale)
+	rows, err := ExecuteTableIWith(Config{Scale: testScale, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +164,11 @@ func TestCriteriaComparisonExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ExecuteCriteriaComparison(r)
+	cs, err := ExecuteCriteriaComparison([]*Run{r}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := cs[0]
 	if c.PixelOnly != 0 {
 		t.Errorf("syscall slice must contain the pixel slice (missing %d records)", c.PixelOnly)
 	}

@@ -1,9 +1,10 @@
 package experiments
 
 // The parallel experiment runner must be a pure scheduling change: running
-// the Table II sites across a worker pool has to produce the same runs, in
-// the same order, with byte-identical slice artifacts, as the sequential
-// loop. Errors must also surface deterministically (lowest unit index wins).
+// the Table II sites and their criteria comparisons across a worker pool has
+// to produce the same runs and comparisons, in the same order, with
+// byte-identical slice artifacts, as the sequential loop. Errors must also
+// surface deterministically (lowest unit index wins).
 
 import (
 	"bytes"
@@ -15,11 +16,19 @@ import (
 )
 
 func TestParallelTableIIMatchesSequential(t *testing.T) {
-	seq, err := ExecuteTableIIWith(Config{Scale: 0.05, Workers: 1, Syscalls: true})
+	seq, err := ExecuteTableIIWith(Config{Scale: 0.05, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExecuteTableIIWith(Config{Scale: 0.05, Workers: 4, Syscalls: true})
+	par, err := ExecuteTableIIWith(Config{Scale: 0.05, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqCmp, err := ExecuteCriteriaComparison(seq, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parCmp, err := ExecuteCriteriaComparison(par, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +42,8 @@ func TestParallelTableIIMatchesSequential(t *testing.T) {
 		if !bytes.Equal(store.EncodeResult(seq[i].Pixel), store.EncodeResult(par[i].Pixel)) {
 			t.Errorf("%s: pixel slice bytes differ between sequential and parallel runs", seq[i].Bench.Site.Name)
 		}
-		if !bytes.Equal(store.EncodeResult(seq[i].Syscall), store.EncodeResult(par[i].Syscall)) {
-			t.Errorf("%s: syscall slice bytes differ between sequential and parallel runs", seq[i].Bench.Site.Name)
+		if seqCmp[i] != parCmp[i] {
+			t.Errorf("%s: criteria comparison differs between sequential (%+v) and parallel (%+v) runs", seq[i].Bench.Site.Name, seqCmp[i], parCmp[i])
 		}
 		if par[i].Timing.RenderMs < 0 || par[i].Timing.ForwardMs < 0 || par[i].Timing.SliceMs < 0 {
 			t.Errorf("%s: negative stage timing %+v", par[i].Bench.Site.Name, par[i].Timing)

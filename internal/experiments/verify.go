@@ -19,8 +19,7 @@ package experiments
 //                   out-of-slice instructions elided, asserting criterion
 //                   bytes reproduce;
 //   - differential: run the deliberately naive reference slicer against
-//                   slicer.Slice, solo and fused, on property-generated
-//                   sites;
+//                   slicer.Slice on property-generated sites;
 //   - invariants:   structural oracles (closure, subset, union
 //                   monotonicity) on property-generated sites;
 //   - all:          everything above.
@@ -85,6 +84,25 @@ type VerifyStats struct {
 // sampling: golden digests must not depend on a sampling knob.
 var verifyOpts = slicer.Options{MainThread: browser.MainThread}
 
+// sliceVerified takes the pixel, syscall, and union slices of p's trace, in
+// that order, one backward walk each.
+func sliceVerified(p *core.Profiler) ([]*slicer.Result, error) {
+	cs := []slicer.Criteria{
+		slicer.PixelCriteria{},
+		slicer.SyscallCriteria{},
+		slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
+	}
+	rs := make([]*slicer.Result, len(cs))
+	for k, c := range cs {
+		r, err := p.Slice(c)
+		if err != nil {
+			return nil, err
+		}
+		rs[k] = r
+	}
+	return rs, nil
+}
+
 // verifiedRun is one site rendered with a tape attached and sliced under
 // all three criteria.
 type verifiedRun struct {
@@ -96,7 +114,7 @@ type verifiedRun struct {
 }
 
 // runVerified renders a benchmark with capture enabled and computes the
-// pixel, syscall, and union slices in one fused pass.
+// pixel, syscall, and union slices.
 func runVerified(b sites.Benchmark) (*verifiedRun, error) {
 	br := browser.New(b.Site, b.Profile)
 	tape := br.M.Capture()
@@ -110,11 +128,7 @@ func runVerified(b sites.Benchmark) (*verifiedRun, error) {
 	if err := p.Forward(); err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", b.Name, err)
 	}
-	rs, err := p.SliceAll([]slicer.Criteria{
-		slicer.PixelCriteria{},
-		slicer.SyscallCriteria{},
-		slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
-	})
+	rs, err := sliceVerified(p)
 	if err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", b.Name, err)
 	}
@@ -143,31 +157,20 @@ func (v *verifiedRun) replayAll() error {
 }
 
 // diffAll runs the naive reference slicer per criterion and demands exact
-// agreement with the optimized results — against the fused three-criteria
-// pass for both criteria, and against a solo one-criterion pass for pixels
-// (one naive walk oracles both the fused and the solo walk; the union
+// agreement with the optimized pixel and syscall slices (the union
 // criterion is covered by the monotonicity invariant and the union replay).
 func (v *verifiedRun) diffAll() error {
-	refPix, err := refslicer.Slice(v.tr, v.deps, slicer.PixelCriteria{}, false)
-	if err != nil {
-		return fmt.Errorf("verify: %s: %w", v.bench.Name, err)
-	}
-	if err := refslicer.Equal(refPix, v.pix); err != nil {
-		return fmt.Errorf("verify: %s: criterion \"pixels\" (fused): %w", v.bench.Name, err)
-	}
-	solo, err := slicer.Slice(v.tr, v.deps, []slicer.Criteria{slicer.PixelCriteria{}}, verifyOpts)
-	if err != nil {
-		return fmt.Errorf("verify: %s: %w", v.bench.Name, err)
-	}
-	if err := refslicer.Equal(refPix, solo[0]); err != nil {
-		return fmt.Errorf("verify: %s: criterion \"pixels\" (solo): %w", v.bench.Name, err)
-	}
-	refSys, err := refslicer.Slice(v.tr, v.deps, slicer.SyscallCriteria{}, false)
-	if err != nil {
-		return fmt.Errorf("verify: %s: %w", v.bench.Name, err)
-	}
-	if err := refslicer.Equal(refSys, v.sys); err != nil {
-		return fmt.Errorf("verify: %s: criterion \"syscalls\" (fused): %w", v.bench.Name, err)
+	for _, pair := range []struct {
+		c   slicer.Criteria
+		res *slicer.Result
+	}{{slicer.PixelCriteria{}, v.pix}, {slicer.SyscallCriteria{}, v.sys}} {
+		ref, err := refslicer.Slice(v.tr, v.deps, pair.c, false)
+		if err != nil {
+			return fmt.Errorf("verify: %s: %w", v.bench.Name, err)
+		}
+		if err := refslicer.Equal(ref, pair.res); err != nil {
+			return fmt.Errorf("verify: %s: criterion %q: %w", v.bench.Name, pair.c.Name(), err)
+		}
 	}
 	return nil
 }
@@ -248,8 +251,8 @@ func LoadGolden(path string) (*GoldenCorpus, error) {
 	return &c, nil
 }
 
-// ExecuteVerify runs one verify phase ("golden", "replay", "differential",
-// "invariants") or "all".
+// ExecuteVerify runs one verify phase ("golden", "crossformat", "replay",
+// "differential", "invariants") or "all".
 func ExecuteVerify(phase string, cfg VerifyConfig) (*VerifyStats, error) {
 	if cfg.PropertyCount <= 0 {
 		cfg.PropertyCount = 50
@@ -404,14 +407,9 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: decode: %w", e.Label(), err)
 		}
-		cs := []slicer.Criteria{
-			slicer.PixelCriteria{},
-			slicer.SyscallCriteria{},
-			slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
-		}
 		p := core.NewProfiler(dec)
 		p.Opts = verifyOpts
-		rs, err := p.SliceAll(cs)
+		rs, err := sliceVerified(p)
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
@@ -426,7 +424,7 @@ func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
 		if err := st.PutDeps(key, p.Deps()); err != nil {
 			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 		}
-		hrs, err := hit.SliceAll(cs)
+		hrs, err := sliceVerified(hit)
 		if err != nil {
 			return fmt.Errorf("verify: crossformat %s: forward-pass hit: %w", e.Label(), err)
 		}
@@ -509,7 +507,7 @@ func verifyProperty(phase string, cfg VerifyConfig, stats *VerifyStats) error {
 		stats.Replays += 3 * cfg.PropertyCount
 	}
 	if phase == "differential" || phase == "all" {
-		stats.Differentials += 3 * cfg.PropertyCount
+		stats.Differentials += 2 * cfg.PropertyCount
 	}
 	if phase == "invariants" || phase == "all" {
 		stats.Invariants += cfg.PropertyCount

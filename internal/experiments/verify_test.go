@@ -186,7 +186,7 @@ func TestVerifyPropertySites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PropertySites != n || st.Replays != 3*n || st.Differentials != 3*n || st.Invariants != n {
+	if st.PropertySites != n || st.Replays != 3*n || st.Differentials != 2*n || st.Invariants != n {
 		t.Errorf("unexpected stats: %+v", st)
 	}
 }

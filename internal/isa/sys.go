@@ -69,15 +69,6 @@ func Spec(n Sys) (SysSpec, bool) {
 	return s, ok
 }
 
-// Specs returns all modeled syscall specs (order unspecified).
-func Specs() []SysSpec {
-	out := make([]SysSpec, 0, len(sysSpecs))
-	for _, s := range sysSpecs {
-		out = append(out, s)
-	}
-	return out
-}
-
 func (s Sys) String() string {
 	if sp, ok := sysSpecs[s]; ok {
 		return sp.Name

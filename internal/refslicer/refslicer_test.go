@@ -73,11 +73,11 @@ func TestNaiveAgreesWithOptimized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("refslicer %s noCDG=%v: %v", c.Name(), noCDG, err)
 			}
-			got, err := slicer.Slice(m.Tr, deps, []slicer.Criteria{c}, slicer.Options{NoControlDeps: noCDG})
+			got, err := slicer.Slice(m.Tr, deps, c, slicer.Options{NoControlDeps: noCDG})
 			if err != nil {
 				t.Fatalf("slicer %s noCDG=%v: %v", c.Name(), noCDG, err)
 			}
-			if err := Equal(ref, got[0]); err != nil {
+			if err := Equal(ref, got); err != nil {
 				t.Errorf("%s noCDG=%v: %v", c.Name(), noCDG, err)
 			}
 			if !noCDG && c.Name() == "pixels" && ref.SliceCount == 0 {
@@ -94,11 +94,10 @@ func TestEqualNamesFirstDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := slicer.Slice(m.Tr, deps, []slicer.Criteria{slicer.PixelCriteria{}}, slicer.Options{})
+	got, err := slicer.Slice(m.Tr, deps, slicer.PixelCriteria{}, slicer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rs[0]
 	// Flip one bit: Equal must report that exact index.
 	for i := range ref.InSlice {
 		if ref.InSlice[i] {

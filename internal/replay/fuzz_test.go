@@ -37,21 +37,22 @@ func FuzzReplayAgreesWithSlice(f *testing.F) {
 			t.Fatalf("seed %d: forward pass: %v", seed, err)
 		}
 		deps := cdg.Compute(forest)
-		rs, err := slicer.Slice(tr, deps, []slicer.Criteria{
-			slicer.PixelCriteria{},
-			slicer.SyscallCriteria{},
-			slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
-		}, slicer.Options{MainThread: browser.MainThread})
-		if err != nil {
-			t.Fatalf("seed %d: slice: %v", seed, err)
+		checks := []struct {
+			c   slicer.Criteria
+			cfg Config
+		}{
+			{slicer.PixelCriteria{}, Config{CheckPixels: true}},
+			{slicer.SyscallCriteria{}, Config{CheckSyscalls: true}},
+			{slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}}, Config{CheckPixels: true, CheckSyscalls: true}},
 		}
-		cfgs := []Config{
-			{CheckPixels: true},
-			{CheckSyscalls: true},
-			{CheckPixels: true, CheckSyscalls: true},
-		}
-		for k, res := range rs {
-			if d := Replay(tr, tape, res, cfgs[k]); d != nil {
+		rs := make([]*slicer.Result, len(checks))
+		for k, ck := range checks {
+			res, err := slicer.Slice(tr, deps, ck.c, slicer.Options{MainThread: browser.MainThread})
+			if err != nil {
+				t.Fatalf("seed %d: slice: %v", seed, err)
+			}
+			rs[k] = res
+			if d := Replay(tr, tape, res, ck.cfg); d != nil {
 				t.Errorf("seed %d: slice %q does not replay: %v", seed, res.Criteria, d)
 			}
 			if err := CheckInvariants(tr, deps, res); err != nil {

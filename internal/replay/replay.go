@@ -70,12 +70,7 @@ func Replay(t *trace.Trace, tape *vm.Tape, res *slicer.Result, cfg Config) *Dive
 		defined: make([]bool, len(tape.Regs)),
 		wide:    make(map[isa.Reg][]byte),
 	}
-	si := 0 // next static write to apply
 	for i := range t.Recs {
-		for si < len(tape.Statics) && tape.Statics[si].Pos <= i {
-			m.mem.WriteBytes(tape.Statics[si].Addr, tape.Statics[si].Data)
-			si++
-		}
 		r := &t.Recs[i]
 		// Markers are pseudo-instructions (never in the slice themselves) but
 		// carry the pixel criterion's ground truth; check them regardless.

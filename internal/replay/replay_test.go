@@ -23,9 +23,8 @@ func forward(t *testing.T, tr *trace.Trace) *cdg.Deps {
 }
 
 // record builds a workload exercising every record kind with a tape
-// attached: input syscall feeding a render loop, dead bookkeeping,
-// cross-thread beacon, static data, wide copies, pixel marker, output
-// syscall.
+// attached: input syscalls feeding a render loop and a wide copy, dead
+// bookkeeping, cross-thread beacon, pixel marker, output syscall.
 func record() (*vm.Machine, *vm.Tape) {
 	m := vm.New()
 	tape := m.Capture()
@@ -37,7 +36,8 @@ func record() (*vm.Machine, *vm.Tape) {
 	stats := m.Heap.Alloc(16)
 	font := m.Heap.Alloc(16)
 
-	m.StaticData(font, []byte("glyph-table-data"))
+	m.Syscall(isa.SysRecvfrom, isa.RegNone, isa.RegNone, nil,
+		[]vmem.Range{{Addr: font, Size: 16}}, []byte("glyph-table-data"))
 	m.Syscall(isa.SysRecvfrom, isa.RegNone, isa.RegNone, nil,
 		[]vmem.Range{{Addr: inbuf, Size: 8}}, []byte("RESPONSE"))
 
@@ -48,7 +48,7 @@ func record() (*vm.Machine, *vm.Tape) {
 			v := m.AddImm(seed, uint64(i))
 			m.StoreU32(tile+vmem.Addr(4*(i%16)), v)
 		})
-		// Wide vector copy from static data into the tile tail.
+		// Wide vector copy from input memory into the tile tail.
 		m.Copy(tile+32, font, 16)
 	})
 	m.Bookkeep(stats, 12)
@@ -70,15 +70,15 @@ func record() (*vm.Machine, *vm.Tape) {
 func sliceAll(t *testing.T, m *vm.Machine) (deps *cdg.Deps, pix, sys, uni *slicer.Result) {
 	t.Helper()
 	deps = forward(t, m.Tr)
-	rs, err := slicer.Slice(m.Tr, deps, []slicer.Criteria{
-		slicer.PixelCriteria{},
-		slicer.SyscallCriteria{},
-		slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}},
-	}, slicer.Options{})
-	if err != nil {
-		t.Fatal(err)
+	one := func(c slicer.Criteria) *slicer.Result {
+		res, err := slicer.Slice(m.Tr, deps, c, slicer.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	return deps, rs[0], rs[1], rs[2]
+	return deps, one(slicer.PixelCriteria{}), one(slicer.SyscallCriteria{}),
+		one(slicer.Union{slicer.PixelCriteria{}, slicer.SyscallCriteria{}})
 }
 
 func TestReplayReproducesCriterionBytes(t *testing.T) {

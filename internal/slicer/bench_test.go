@@ -1,10 +1,8 @@
 package slicer
 
-// Micro-benchmarks backing the fused backward pass and the hot-loop
-// allocation cuts: the two-criteria fused walk should approach the cost of
-// a single walk, and per-record work should be allocation-free (pending
-// branches live in reusable frame slices, per-thread/function tallies in
-// dense arrays).
+// Micro-benchmark backing the hot-loop allocation cuts: per-record work
+// should be allocation-free (pending branches live in reusable frame
+// slices, per-thread/function tallies in dense arrays).
 
 import (
 	"testing"
@@ -74,36 +72,8 @@ func BenchmarkSliceSingle(b *testing.B) {
 	b.SetBytes(int64(len(m.Tr.Recs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{}); err != nil {
+		if _, err := Slice(m.Tr, deps, PixelCriteria{}, Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkTwoCriteria compares two independent walks against one fused
-// walk over the same trace — the repro pipeline's pixel+syscall pattern.
-func BenchmarkTwoCriteria(b *testing.B) {
-	m := benchWorkload(4096)
-	deps := benchDeps(b, m)
-	for _, mode := range []string{"sequential", "fused"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(m.Tr.Recs)))
-			for i := 0; i < b.N; i++ {
-				if mode == "sequential" {
-					if _, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{}); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := sliceOne(m.Tr, deps, SyscallCriteria{}, Options{}); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					if _, err := Slice(m.Tr, deps,
-						[]Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }

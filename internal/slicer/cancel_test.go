@@ -11,8 +11,7 @@ import (
 )
 
 // TestCanceledHookAbortsWalk: a Canceled hook that fires aborts the
-// backward pass with ErrCanceled instead of returning a partial slice,
-// for both the single-criterion and fused entry points.
+// backward pass with ErrCanceled instead of returning a partial slice.
 func TestCanceledHookAbortsWalk(t *testing.T) {
 	m := vm.New()
 	m.Thread(0, "main")
@@ -27,20 +26,17 @@ func TestCanceledHookAbortsWalk(t *testing.T) {
 
 	polled := false
 	opts := Options{Canceled: func() bool { polled = true; return true }}
-	if _, err := sliceOne(m.Tr, deps, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
+	if _, err := Slice(m.Tr, deps, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Slice with firing Canceled hook: err = %v, want ErrCanceled", err)
 	}
 	if !polled {
 		t.Fatal("Canceled hook was never polled")
 	}
-	if _, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, opts); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("fused Slice with firing Canceled hook: err = %v, want ErrCanceled", err)
-	}
 
 	// A hook that never fires must not perturb the result.
 	calls := 0
 	opts = Options{Canceled: func() bool { calls++; return false }}
-	res, err := sliceOne(m.Tr, deps, PixelCriteria{}, opts)
+	res, err := Slice(m.Tr, deps, PixelCriteria{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +54,7 @@ func TestCanceledHookAbortsWalk(t *testing.T) {
 	// be asked again at index 0.
 	polls := 0
 	opts = Options{NoControlDeps: true, Canceled: func() bool { polls++; return true }}
-	if _, err := sliceOne(constTrace(t, cancelStride+232), nil, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
+	if _, err := Slice(constTrace(t, cancelStride+232), nil, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("long walk with firing Canceled hook: err = %v, want ErrCanceled", err)
 	}
 	if polls != 1 {

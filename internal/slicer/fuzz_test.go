@@ -1,7 +1,8 @@
 package slicer
 
 // FuzzSliceNeverPanics feeds arbitrary decoded traces through the full
-// backward pass (solo and fused, with and without control dependences).
+// backward pass (pixels and a selected criterion, one walk each, with and
+// without control dependences).
 // The slicer must return a result or be rejected upstream — never panic.
 // Inputs that would merely allocate absurdly (gigabyte memory ranges) are
 // skipped: those are resource limits for the service layer, not slicer
@@ -98,14 +99,9 @@ func FuzzSliceNeverPanics(f *testing.F) {
 		default:
 			c = Union{PixelCriteria{}, SyscallCriteria{}}
 		}
-		if res, err := sliceOne(tr, deps, c, opts); err == nil && res.SliceCount > res.Total {
-			t.Fatalf("slice of %d records from a trace of %d", res.SliceCount, res.Total)
-		}
-		if rs, err := Slice(tr, deps, []Criteria{PixelCriteria{}, c}, opts); err == nil {
-			for _, r := range rs {
-				if r.SliceCount > r.Total {
-					t.Fatalf("fused slice of %d records from a trace of %d", r.SliceCount, r.Total)
-				}
+		for _, crit := range []Criteria{PixelCriteria{}, c} {
+			if res, err := Slice(tr, deps, crit, opts); err == nil && res.SliceCount > res.Total {
+				t.Fatalf("%s slice of %d records from a trace of %d", crit.Name(), res.SliceCount, res.Total)
 			}
 		}
 	})

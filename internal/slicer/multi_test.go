@@ -1,13 +1,10 @@
 package slicer
 
-// Fused-criteria equivalence: the fused multi-criteria backward pass must
-// produce results identical — every statistic, bitset word, and progress
-// sample — to independent Slice runs per criterion. The repro pipeline and
-// the artifact store both rely on this (cached per-variant results must not
-// depend on whether they were computed solo or fused).
+// Two criteria, two walks: the pixel and syscall slices of one trace come
+// from independent backward passes that reuse each other's pooled scratch
+// but never its state.
 
 import (
-	"reflect"
 	"testing"
 
 	"webslice/internal/isa"
@@ -56,48 +53,23 @@ func multiWorkload() *vm.Machine {
 	return m
 }
 
-func TestSliceMultiMatchesIndependentRuns(t *testing.T) {
+func TestSlicesShareScratchNotState(t *testing.T) {
 	m := multiWorkload()
 	deps := forward(t, m.Tr)
-	for _, opts := range []Options{
-		{},
-		{ProgressPoints: 16, MainThread: 1},
-		{NoControlDeps: true},
-	} {
-		cs := []Criteria{PixelCriteria{}, SyscallCriteria{}, Union{PixelCriteria{}, SyscallCriteria{}}}
-		fused, err := Slice(m.Tr, deps, cs, opts)
-		if err != nil {
-			t.Fatalf("Slice(%+v): %v", opts, err)
-		}
-		if len(fused) != len(cs) {
-			t.Fatalf("Slice returned %d results for %d criteria", len(fused), len(cs))
-		}
-		for k, c := range cs {
-			solo, err := sliceOne(m.Tr, deps, c, opts)
-			if err != nil {
-				t.Fatalf("Slice(%s, %+v): %v", c.Name(), opts, err)
-			}
-			if !reflect.DeepEqual(solo, fused[k]) {
-				t.Errorf("opts %+v criterion %s: fused result differs from independent run\nsolo:  %+v\nfused: %+v",
-					opts, c.Name(), solo, fused[k])
-			}
-		}
-	}
-}
-
-func TestSliceMultiSharesTheWalkNotTheState(t *testing.T) {
-	m := multiWorkload()
-	deps := forward(t, m.Tr)
-	rs, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}, SyscallCriteria{}}, Options{})
+	// The syscall walk runs first, so the pixel walk gets its pooled
+	// scratch back: state left behind would pull the beacon flow into the
+	// pixel slice and collapse the two slices together.
+	sys, err := Slice(m.Tr, deps, SyscallCriteria{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pix, sys := rs[0], rs[1]
+	pix, err := Slice(m.Tr, deps, PixelCriteria{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pix.SliceCount == 0 || sys.SliceCount == 0 {
 		t.Fatalf("degenerate workload: pixel=%d syscall=%d slice records", pix.SliceCount, sys.SliceCount)
 	}
-	// The beacon flow makes the syscall slice strictly larger; if criterion
-	// states leaked into each other the sets would collapse together.
 	if sys.SliceCount <= pix.SliceCount {
 		t.Errorf("syscall slice (%d) should be strictly larger than pixel slice (%d)", sys.SliceCount, pix.SliceCount)
 	}
@@ -105,19 +77,5 @@ func TestSliceMultiSharesTheWalkNotTheState(t *testing.T) {
 		if pix.InSlice.Get(i) && !sys.InSlice.Get(i) && m.Tr.Recs[i].Kind != isa.KindMarker {
 			t.Errorf("record %d in pixel slice but missing from syscall slice", i)
 		}
-	}
-}
-
-func TestSliceMultiErrors(t *testing.T) {
-	m := multiWorkload()
-	deps := forward(t, m.Tr)
-	if _, err := Slice(m.Tr, deps, nil, Options{}); err == nil {
-		t.Error("no criteria should be rejected")
-	}
-	if _, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}, nil}, Options{}); err == nil {
-		t.Error("nil criteria entry should be rejected")
-	}
-	if _, err := Slice(m.Tr, nil, []Criteria{PixelCriteria{}}, Options{}); err == nil {
-		t.Error("nil deps without NoControlDeps should be rejected")
 	}
 }

@@ -4,7 +4,7 @@ import "sync"
 
 // The slicing service runs many backward passes over a process lifetime,
 // each needing a live-register set, a live-memory set, and call-frame
-// stacks per criterion — all three kinds of scratch are pooled here. Pooled
+// stacks — all three kinds of scratch are pooled here. Pooled
 // objects are reset on Get, never on Put, so a stale object can never leak
 // state into a pass.
 

@@ -292,9 +292,7 @@ type threadState struct {
 	frames frameStack
 }
 
-// sliceState is the complete working state of the backward pass for one
-// criterion. Slice keeps one per criterion and steps them all per
-// record, so N criteria cost one trace walk instead of N. Thread and
+// sliceState is the complete working state of one backward pass. Thread and
 // function tallies accumulate in dense slices indexed by TID/FuncID and are
 // converted to the Result maps once at the end — two map operations per
 // record used to dominate the hot-loop profile.
@@ -323,7 +321,8 @@ type sliceState struct {
 	curMarked bool
 }
 
-func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options, n int) *sliceState {
+func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) *sliceState {
+	n := len(t.Recs)
 	s := &sliceState{
 		t:    t,
 		deps: deps,
@@ -367,7 +366,7 @@ func bumpFunc(tally *[]int, fn trace.FuncID) {
 }
 
 // step processes record i; it is the whole per-record body of the backward
-// pass, identical in effect to the original single-criterion loop.
+// pass.
 func (s *sliceState) step(i int, r *trace.Rec) {
 	th := s.thread(r.TID)
 	s.byThread[r.TID]++
@@ -539,54 +538,34 @@ func (s *sliceState) finish() *Result {
 	return res
 }
 
-// Slice runs the backward pass once for one or more criteria over t, with
-// control dependences from the forward pass (deps may be nil only when
-// opts.NoControlDeps is set). The trace is walked in reverse a single time,
-// with one live-register set, live-memory set, and pending-branch state
-// maintained per criterion; results come back in criteria order and are
-// identical to what len(cs) one-criterion calls would produce. One stored
-// forward pass serves many backward passes, and those backward passes share
-// the trace walk too.
-func Slice(t *trace.Trace, deps *cdg.Deps, cs []Criteria, opts Options) ([]*Result, error) {
-	if len(cs) == 0 {
-		return nil, fmt.Errorf("slicer: no criteria")
-	}
-	for _, c := range cs {
-		if c == nil {
-			return nil, fmt.Errorf("slicer: nil criteria")
-		}
+// Slice runs the backward pass for criterion c over t: one reverse walk of
+// the trace with one live-register set, live-memory set, and pending-branch
+// state, using the control dependences of the forward pass (deps may be nil
+// only when opts.NoControlDeps is set). One stored forward pass serves many
+// backward passes.
+func Slice(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) (*Result, error) {
+	if c == nil {
+		return nil, fmt.Errorf("slicer: nil criteria")
 	}
 	if deps == nil && !opts.NoControlDeps {
 		return nil, fmt.Errorf("slicer: control dependences required (or set NoControlDeps)")
 	}
 	recs := t.Recs
-	states := make([]*sliceState, len(cs))
-	for k, c := range cs {
-		states[k] = newSliceState(t, deps, c, opts, len(recs))
-	}
+	s := newSliceState(t, deps, c, opts)
 	defer func() {
-		for _, s := range states {
-			putRegSet(s.regs)
-			putWordSet(s.live)
-			for _, th := range s.threads {
-				putThreadState(th)
-			}
+		putRegSet(s.regs)
+		putWordSet(s.live)
+		for _, th := range s.threads {
+			putThreadState(th)
 		}
 	}()
 	for i := len(recs) - 1; i >= 0; i-- {
 		if opts.Canceled != nil && i&(cancelStride-1) == 0 && opts.Canceled() {
 			return nil, ErrCanceled
 		}
-		r := &recs[i]
-		for _, s := range states {
-			s.step(i, r)
-		}
+		s.step(i, &recs[i])
 	}
-	out := make([]*Result, len(states))
-	for k, s := range states {
-		out[k] = s.finish()
-	}
-	return out, nil
+	return s.finish(), nil
 }
 
 // cancelStride spaces out the Canceled polls: cheap enough to be invisible

@@ -22,18 +22,9 @@ func forward(t *testing.T, tr *trace.Trace) *cdg.Deps {
 	return cdg.Compute(f)
 }
 
-// sliceOne slices a materialized trace for a single criterion.
-func sliceOne(tr *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) (*Result, error) {
-	rs, err := Slice(tr, deps, []Criteria{c}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 func pixelSlice(t *testing.T, m *vm.Machine, opts Options) *Result {
 	t.Helper()
-	res, err := sliceOne(m.Tr, forward(t, m.Tr), PixelCriteria{}, opts)
+	res, err := Slice(m.Tr, forward(t, m.Tr), PixelCriteria{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +145,7 @@ func TestControlDependence(t *testing.T) {
 	}
 
 	// Ablation: with control dependences disabled the branch drops out.
-	res2, err := sliceOne(m.Tr, nil, PixelCriteria{}, Options{NoControlDeps: true})
+	res2, err := Slice(m.Tr, nil, PixelCriteria{}, Options{NoControlDeps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +289,11 @@ func TestSyscallCriteriaSuperset(t *testing.T) {
 		[]vmem.Range{{Addr: net, Size: 4}}, nil, nil)
 
 	deps := forward(t, m.Tr)
-	pix, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{})
+	pix, err := Slice(m.Tr, deps, PixelCriteria{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := sliceOne(m.Tr, deps, SyscallCriteria{}, Options{})
+	sys, err := Slice(m.Tr, deps, SyscallCriteria{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +331,7 @@ func TestWindowCriteria(t *testing.T) {
 	m.MarkPixels(vmem.Range{Addr: tileB, Size: 4})
 
 	deps := forward(t, m.Tr)
-	res, err := sliceOne(m.Tr, deps, Window{Inner: PixelCriteria{}, Limit: cut}, Options{})
+	res, err := Slice(m.Tr, deps, Window{Inner: PixelCriteria{}, Limit: cut}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,12 +363,12 @@ func TestUnionCriteria(t *testing.T) {
 	if u.Name() != "union(pixels+syscalls)" {
 		t.Errorf("Name = %q", u.Name())
 	}
-	res, err := sliceOne(m.Tr, forward(t, m.Tr), u, Options{})
+	res, err := Slice(m.Tr, forward(t, m.Tr), u, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pix, _ := sliceOne(m.Tr, forward(t, m.Tr), PixelCriteria{}, Options{})
-	sys, _ := sliceOne(m.Tr, forward(t, m.Tr), SyscallCriteria{}, Options{})
+	pix, _ := Slice(m.Tr, forward(t, m.Tr), PixelCriteria{}, Options{})
+	sys, _ := Slice(m.Tr, forward(t, m.Tr), SyscallCriteria{}, Options{})
 	if res.SliceCount < pix.SliceCount || res.SliceCount < sys.SliceCount {
 		t.Error("union slice must contain both member slices")
 	}
@@ -549,7 +540,7 @@ func TestSliceClosureProperty(t *testing.T) {
 		}
 		m.MarkPixels(vmem.Range{Addr: tile, Size: 64})
 		deps := forward(t, m.Tr)
-		res, err := sliceOne(m.Tr, deps, PixelCriteria{}, Options{})
+		res, err := Slice(m.Tr, deps, PixelCriteria{}, Options{})
 		if err != nil {
 			return false
 		}
@@ -563,13 +554,13 @@ func TestSliceClosureProperty(t *testing.T) {
 
 func TestSliceErrors(t *testing.T) {
 	tr := trace.New()
-	if _, err := sliceOne(tr, nil, nil, Options{}); err == nil {
+	if _, err := Slice(tr, nil, nil, Options{}); err == nil {
 		t.Error("nil criteria should error")
 	}
-	if _, err := sliceOne(tr, nil, PixelCriteria{}, Options{}); err == nil {
+	if _, err := Slice(tr, nil, PixelCriteria{}, Options{}); err == nil {
 		t.Error("nil deps without NoControlDeps should error")
 	}
-	if _, err := sliceOne(tr, nil, PixelCriteria{}, Options{NoControlDeps: true}); err != nil {
+	if _, err := Slice(tr, nil, PixelCriteria{}, Options{NoControlDeps: true}); err != nil {
 		t.Errorf("empty trace should slice fine: %v", err)
 	}
 }
@@ -583,7 +574,7 @@ func TestSliceScratchPooled(t *testing.T) {
 	deps := forward(t, m.Tr)
 	opts := Options{}
 	run := func() {
-		if _, err := Slice(m.Tr, deps, []Criteria{PixelCriteria{}}, opts); err != nil {
+		if _, err := Slice(m.Tr, deps, PixelCriteria{}, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -619,7 +610,7 @@ func TestStreamRegisterBombBounded(t *testing.T) {
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	res, err := sliceOne(tr, nil, SyscallCriteria{}, Options{NoControlDeps: true})
+	res, err := Slice(tr, nil, SyscallCriteria{}, Options{NoControlDeps: true})
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)

@@ -153,16 +153,6 @@ func (t *Trace) Namespace(fn FuncID) string {
 	return ""
 }
 
-// ThreadName returns the name registered for a thread ID.
-func (t *Trace) ThreadName(tid uint8) string {
-	for _, th := range t.Threads {
-		if th.ID == tid {
-			return th.Name
-		}
-	}
-	return fmt.Sprintf("thread%d", tid)
-}
-
 // Len returns the number of dynamic instructions.
 func (t *Trace) Len() int { return len(t.Recs) }
 

@@ -105,11 +105,8 @@ func TestNames(t *testing.T) {
 	if tr.FuncName(999) == "" || tr.Namespace(999) != "" {
 		t.Error("out-of-range lookup should degrade gracefully")
 	}
-	if tr.ThreadName(0) != "CrRendererMain" {
-		t.Errorf("ThreadName(0) = %q", tr.ThreadName(0))
-	}
-	if tr.ThreadName(42) == "" {
-		t.Error("unknown thread should still print")
+	if th := tr.Threads[0]; th.ID != 0 || th.Name != "CrRendererMain" {
+		t.Errorf("Threads[0] = %+v", th)
 	}
 }
 

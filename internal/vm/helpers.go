@@ -9,21 +9,6 @@ import (
 // They keep engine code terse without changing the tracing discipline: every
 // helper bottoms out in traced Load/Op/Store/Branch instructions.
 
-// StaticData deposits bytes into memory without tracing. It models data that
-// exists before tracing begins — the binary's read-only segments (font
-// tables, opcode tables) that Pin would also not attribute to any executed
-// instruction.
-func (m *Machine) StaticData(a vmem.Addr, b []byte) {
-	m.Mem.WriteBytes(a, b)
-	if m.tape != nil {
-		m.tape.Statics = append(m.tape.Statics, StaticWrite{
-			Pos:  len(m.Tr.Recs),
-			Addr: a,
-			Data: append([]byte(nil), b...),
-		})
-	}
-}
-
 // Copy emits a traced memory copy of n bytes (vector loads and stores in
 // MaxAccess-sized chunks, like an unrolled memcpy).
 func (m *Machine) Copy(dst, src vmem.Addr, n int) {

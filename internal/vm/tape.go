@@ -1,18 +1,14 @@
 package vm
 
-import (
-	"webslice/internal/vmem"
-)
-
 // Tape is the execution record the replayer needs beyond the trace itself.
 // The trace stores instruction structure (kinds, registers, addresses) but
 // not values; the tape captures the value side: the SSA register file (each
 // register is written exactly once, so the final register file is a complete
-// value log), the bytes each input syscall deposited, ground-truth snapshots
-// of criterion buffers (syscall read operands, marked pixel tiles), and any
-// untraced static-data writes. Together trace+tape make the recorded run a
-// standalone, re-executable artifact (the record/replay methodology of
-// Wasm-R3 applied to our ISA-level traces).
+// value log), the bytes each input syscall deposited, and ground-truth
+// snapshots of criterion buffers (syscall read operands, marked pixel
+// tiles). Together trace+tape make the recorded run a standalone,
+// re-executable artifact (the record/replay methodology of Wasm-R3 applied
+// to our ISA-level traces).
 type Tape struct {
 	// Regs is the SSA register file after the run: Regs[r] is the value
 	// register r held for its whole lifetime. Index 0 is unused (RegNone).
@@ -28,20 +24,10 @@ type Tape struct {
 	// MarkBytes maps a Marker record index to the marked buffer's contents
 	// at mark time — the ground truth for the pixel criterion.
 	MarkBytes map[int][]byte
-	// Statics records untraced StaticData writes in execution order; Pos is
-	// the record index the write happened before.
-	Statics []StaticWrite
-}
-
-// StaticWrite is one untraced StaticData deposit.
-type StaticWrite struct {
-	Pos  int
-	Addr vmem.Addr
-	Data []byte
 }
 
 // Capture attaches a fresh tape to the machine and returns it: from now on
-// syscall fills, criterion ground truth, and static writes are recorded.
+// syscall fills and criterion ground truth are recorded.
 // Call it before the traced run; after the run, seal the register file with
 // SealTape (or read RegValues directly).
 func (m *Machine) Capture() *Tape {

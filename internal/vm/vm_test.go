@@ -204,7 +204,7 @@ func TestCopyFillWriteData(t *testing.T) {
 	for i := range content {
 		content[i] = byte(i)
 	}
-	m.StaticData(src, content)
+	m.Mem.WriteBytes(src, content)
 	m.Copy(dst, src, 100)
 	if got := m.Mem.ReadBytes(dst, 100); string(got) != string(content) {
 		t.Error("Copy did not reproduce contents")
@@ -226,7 +226,7 @@ func TestCopyFillWriteData(t *testing.T) {
 func TestScanVisitsAllChunks(t *testing.T) {
 	m := newTestMachine(t)
 	base := m.Heap.Alloc(30)
-	m.StaticData(base, []byte("abcdefghijklmnopqrstuvwxyz1234"))
+	m.Mem.WriteBytes(base, []byte("abcdefghijklmnopqrstuvwxyz1234"))
 	lenReg := m.Const(30)
 	var offs []int
 	var total int

@@ -21,9 +21,11 @@ go test -race ./...
 (cd e2ebench && go vet ./... && go test ./...)
 
 # Coverage ratchet on the correctness-critical packages: the slicing engine,
-# the control dependence graph, the replay/invariant oracles, and the trace
-# decoder, which parses every upload. Floors only go up — raise them when
-# coverage improves, never lower them to merge.
+# the control dependence graph, the replay/invariant oracles, the trace
+# decoder, which parses every upload, and the HTTP layer: the one handler
+# and client (service), the coordinator that serves and calls them
+# (cluster), and the CLI's client commands (cmd/webslice). Floors only go
+# up — raise them when coverage improves, never lower them to merge.
 check_cover() {
 	pkg=$1
 	floor=$2
@@ -42,6 +44,9 @@ check_cover ./internal/slicer 85
 check_cover ./internal/cdg 85
 check_cover ./internal/replay 82
 check_cover ./internal/trace 85
+check_cover ./internal/service 91
+check_cover ./internal/cluster 85
+check_cover ./cmd/webslice 28
 
 # Robustness gate: vet + race over the durability-critical service package
 # (journal, retry, quarantine) is already covered by the full -race run

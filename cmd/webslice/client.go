@@ -1,15 +1,15 @@
 // Client mode: webslice submit|status|result|scatter talk to a running
-// websliced (standalone or cluster coordinator) over its HTTP API, so the
-// batch CLI and the service share one workflow. Submission honors the
-// server's backpressure contract — a 429 is retried after its Retry-After
-// hint (or a capped exponential backoff) — and result polling backs off
-// exponentially instead of hammering the daemon, all on an injectable
-// clock so the schedules are testable without real sleeps.
+// websliced (standalone or cluster coordinator) over its HTTP API through
+// service.Client, so the batch CLI and the service share one workflow.
+// Submission honors the server's backpressure contract — a 429 is retried
+// after its Retry-After hint (or a capped exponential backoff) — and
+// result polling backs off exponentially instead of hammering the daemon,
+// all on an injectable clock so the schedules are testable without real
+// sleeps.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,17 +29,18 @@ const (
 	pollMax  = 2 * time.Second
 )
 
-// client talks to one websliced base URL. The clock seam is what the
-// backoff tests hang off; production passes service.SystemClock.
+// client runs the client commands against one websliced and prints to
+// out. The clock seam is what the backoff tests hang off; production
+// passes service.SystemClock.
 type client struct {
-	base    string
-	hc      *http.Client
+	api     *service.Client
 	clock   service.Clock
 	maxWait time.Duration // total budget for one command; 0 = no limit
+	out     io.Writer
 }
 
 func newClient(addr string, maxWait time.Duration) *client {
-	return &client{base: addr, hc: http.DefaultClient, clock: service.SystemClock, maxWait: maxWait}
+	return &client{api: service.NewClient(addr, http.DefaultClient), clock: service.SystemClock, maxWait: maxWait, out: os.Stdout}
 }
 
 // deadline materializes the -max-wait budget; ok reports whether a
@@ -67,13 +68,9 @@ func (c *client) sleepOrExpire(d time.Duration, deadline time.Time, has bool, wh
 	return nil
 }
 
-// retryAfter parses a 429's Retry-After header (delay-seconds form) into
-// a duration; 0 when absent or unparsable.
-func retryAfter(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
+// retryAfter parses a 429's Retry-After value (delay-seconds form) into a
+// duration; 0 when absent or unparsable.
+func retryAfter(v string) time.Duration {
 	secs, err := strconv.Atoi(v)
 	if err != nil || secs < 0 {
 		return 0
@@ -81,48 +78,19 @@ func retryAfter(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// submitOnce posts the job and returns (id, retry, err): retry is non-nil
-// when the server answered 429 and the request should be repeated after
-// that delay.
-func (c *client) submitOnce(post func() (*http.Response, error)) (string, *time.Duration, error) {
-	resp, err := post()
-	if err != nil {
-		return "", nil, err
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		d := retryAfter(resp)
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		return "", &d, nil
-	}
-	var out struct {
-		ID    string `json:"id"`
-		Error string `json:"error"`
-	}
-	if err := decodeJSON(resp, http.StatusAccepted, &out); err != nil {
-		return "", nil, err
-	}
-	return out.ID, nil, nil
-}
-
 // submit posts a job, honoring Retry-After on 429 responses with capped
 // exponential backoff between attempts, within the -max-wait budget.
-func (c *client) submit(post func() (*http.Response, error)) (string, error) {
+func (c *client) submit(spec service.Spec) (string, error) {
 	deadline, has := c.deadline()
 	backoff := pollBase
 	for {
-		id, retry, err := c.submitOnce(post)
-		if err != nil {
-			return "", err
-		}
-		if retry == nil {
-			return id, nil
+		id, err := c.api.Submit(spec)
+		var busy *service.APIError
+		if !errors.As(err, &busy) || busy.Code != http.StatusTooManyRequests {
+			return id, err
 		}
 		// The server's hint wins when it is longer than our own schedule.
-		d := backoff
-		if *retry > d {
-			d = *retry
-		}
+		d := max(backoff, retryAfter(busy.RetryAfter))
 		fmt.Fprintf(os.Stderr, "queue full, retrying in %v...\n", d)
 		if err := c.sleepOrExpire(d, deadline, has, "submitting (server busy)"); err != nil {
 			return "", err
@@ -137,30 +105,19 @@ func (c *client) submit(post func() (*http.Response, error)) (string, error) {
 // otherwise a named site. With wait it polls (with capped exponential
 // backoff) until the job finishes and prints the result.
 func (c *client) clientSubmit(site string, scale float64, criteria, tracePath string, wait, verify bool) error {
-	var post func() (*http.Response, error)
+	spec := service.Spec{Site: site, Scale: scale, Criteria: criteria, Verify: verify}
 	if tracePath != "" {
 		body, err := os.ReadFile(tracePath)
 		if err != nil {
 			return err
 		}
-		url := c.base + "/jobs/trace?criteria=" + criteria
-		if verify {
-			url += "&verify=1"
-		}
-		post = func() (*http.Response, error) {
-			return c.hc.Post(url, "application/octet-stream", bytes.NewReader(body))
-		}
-	} else {
-		spec, _ := json.Marshal(service.Spec{Site: site, Scale: scale, Criteria: criteria, Verify: verify})
-		post = func() (*http.Response, error) {
-			return c.hc.Post(c.base+"/jobs", "application/json", bytes.NewReader(spec))
-		}
+		spec = service.Spec{Trace: body, Criteria: criteria, Verify: verify}
 	}
-	id, err := c.submit(post)
+	id, err := c.submit(spec)
 	if err != nil {
 		return err
 	}
-	fmt.Println(id)
+	fmt.Fprintln(c.out, id)
 	if !wait {
 		return nil
 	}
@@ -176,7 +133,7 @@ func (c *client) await(id string) error {
 	deadline, has := c.deadline()
 	backoff := pollBase
 	for {
-		info, err := c.fetchStatus(id)
+		info, err := c.api.Info(id)
 		if err != nil {
 			return err
 		}
@@ -197,22 +154,22 @@ func (c *client) await(id string) error {
 
 // clientStatus prints one job's status line.
 func (c *client) clientStatus(id string) error {
-	info, err := c.fetchStatus(id)
+	info, err := c.api.Info(id)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s  %-9s site=%s criteria=%s queue=%.0fms run=%.0fms cache_hit=%t", // one line per job
+	fmt.Fprintf(c.out, "%s  %-9s site=%s criteria=%s queue=%.0fms run=%.0fms cache_hit=%t", // one line per job
 		info.ID, info.Status, orDash(siteLabel(info)), info.Criteria, info.QueueMs, info.RunMs, info.CacheHit)
 	if info.Node != "" {
-		fmt.Printf(" node=%s", info.Node)
+		fmt.Fprintf(c.out, " node=%s", info.Node)
 	}
 	if info.Reroutes > 0 {
-		fmt.Printf(" reroutes=%d", info.Reroutes)
+		fmt.Fprintf(c.out, " reroutes=%d", info.Reroutes)
 	}
 	if info.Error != "" {
-		fmt.Printf(" error=%q", info.Error)
+		fmt.Fprintf(c.out, " error=%q", info.Error)
 	}
-	fmt.Println()
+	fmt.Fprintln(c.out)
 	return nil
 }
 
@@ -225,45 +182,44 @@ func siteLabel(info service.Info) string {
 
 // clientResult fetches and pretty-prints a finished job's result.
 func (c *client) clientResult(id string) error {
-	resp, err := c.hc.Get(c.base + "/jobs/" + id + "/result")
+	res, ok, err := c.api.Result(id)
 	if err != nil {
 		return err
 	}
-	var res service.Result
-	if err := decodeJSON(resp, http.StatusOK, &res); err != nil {
-		return err
+	if !ok {
+		return fmt.Errorf("job %s is not done", id)
 	}
-	fmt.Printf("%s: %s instructions, %s criteria\n", id, report.MInstr(res.Total), res.Criteria)
-	fmt.Printf("  slice: %s (%d records)", report.Pct1(res.SlicePct), res.SliceCount)
+	fmt.Fprintf(c.out, "%s: %s instructions, %s criteria\n", id, report.MInstr(res.Total), res.Criteria)
+	fmt.Fprintf(c.out, "  slice: %s (%d records)", report.Pct1(res.SlicePct), res.SliceCount)
 	if res.CacheHit {
-		fmt.Printf("  [served from artifact store]")
+		fmt.Fprintf(c.out, "  [served from artifact store]")
 	}
 	if res.Verified {
-		fmt.Printf("  [invariants verified]")
+		fmt.Fprintf(c.out, "  [invariants verified]")
 	}
-	fmt.Println()
+	fmt.Fprintln(c.out)
 	if res.TraceKey != "" {
-		fmt.Printf("  trace key: %s\n", res.TraceKey)
+		fmt.Fprintf(c.out, "  trace key: %s\n", res.TraceKey)
 	}
 	if res.SliceDigest != "" {
-		fmt.Printf("  slice digest: %s\n", res.SliceDigest)
+		fmt.Fprintf(c.out, "  slice digest: %s\n", res.SliceDigest)
 	}
 	for _, th := range res.Threads {
 		pct := 0.0
 		if th.Total > 0 {
 			pct = 100 * float64(th.Sliced) / float64(th.Total)
 		}
-		fmt.Printf("  %-28s %8s of %s\n", th.Name, report.Pct1(pct), report.MInstr(th.Total))
+		fmt.Fprintf(c.out, "  %-28s %8s of %s\n", th.Name, report.Pct1(pct), report.MInstr(th.Total))
 	}
 	if len(res.Categories) > 0 {
 		cats := make([]string, 0, len(res.Categories))
-		for c := range res.Categories {
-			cats = append(cats, c)
+		for cat := range res.Categories {
+			cats = append(cats, cat)
 		}
 		sort.Strings(cats)
-		fmt.Println("  categories of unnecessary work:")
-		for _, c := range cats {
-			fmt.Printf("    %-16s %s\n", c, report.Pct1(100*res.Categories[c]))
+		fmt.Fprintln(c.out, "  categories of unnecessary work:")
+		for _, cat := range cats {
+			fmt.Fprintf(c.out, "    %-16s %s\n", cat, report.Pct1(100*res.Categories[cat]))
 		}
 	}
 	return nil
@@ -279,15 +235,11 @@ func (c *client) clientSpans(id string) error {
 	if id == "" {
 		return fmt.Errorf("spans: no job id (use -id <job> or `webslice spans <job>`)")
 	}
-	resp, err := c.hc.Get(c.base + "/jobs/" + id + "/trace")
+	spans, err := c.api.JobTrace(id)
 	if err != nil {
 		return err
 	}
-	var spans []obs.SpanData
-	if err := decodeJSON(resp, http.StatusOK, &spans); err != nil {
-		return err
-	}
-	obs.RenderTree(os.Stdout, spans)
+	obs.RenderTree(c.out, spans)
 	return nil
 }
 
@@ -302,34 +254,26 @@ func (c *client) clientScatter(sitesCSV string, scale float64, criteria string, 
 	for i, n := range names {
 		specs[i] = service.Spec{Site: n, Scale: scale, Criteria: criteria}
 	}
-	body, _ := json.Marshal(specs)
-	resp, err := c.hc.Post(c.base+"/batch", "application/json", bytes.NewReader(body))
+	ids, err := c.api.Batch(specs)
 	if err != nil {
 		return err
 	}
-	var out struct {
-		IDs   []string `json:"ids"`
-		Error string   `json:"error"`
+	if len(ids) != len(names) {
+		return fmt.Errorf("scatter: server acked %d of %d jobs", len(ids), len(names))
 	}
-	if err := decodeJSON(resp, http.StatusAccepted, &out); err != nil {
-		return err
-	}
-	if len(out.IDs) != len(names) {
-		return fmt.Errorf("scatter: server acked %d of %d jobs", len(out.IDs), len(names))
-	}
-	for i, id := range out.IDs {
-		fmt.Printf("%s  %s\n", id, names[i])
+	for i, id := range ids {
+		fmt.Fprintf(c.out, "%s  %s\n", id, names[i])
 	}
 	if !wait {
 		return nil
 	}
 	// Gather in site order: results print deterministically no matter
 	// which worker finished first.
-	for i, id := range out.IDs {
+	for i, id := range ids {
 		if err := c.await(id); err != nil {
 			return fmt.Errorf("site %s: %w", names[i], err)
 		}
-		fmt.Printf("== %s\n", names[i])
+		fmt.Fprintf(c.out, "== %s\n", names[i])
 		if err := c.clientResult(id); err != nil {
 			return err
 		}
@@ -354,53 +298,19 @@ func splitSites(csv string) []string {
 // clientQuarantined lists the daemon's poisoned-job list: jobs pulled from
 // rotation after panicking twice instead of crash-looping the service.
 func (c *client) clientQuarantined() error {
-	resp, err := c.hc.Get(c.base + "/jobs/quarantined")
+	jobs, err := c.api.Quarantined()
 	if err != nil {
-		return err
-	}
-	var jobs []service.Info
-	if err := decodeJSON(resp, http.StatusOK, &jobs); err != nil {
 		return err
 	}
 	if len(jobs) == 0 {
-		fmt.Println("no quarantined jobs")
+		fmt.Fprintln(c.out, "no quarantined jobs")
 		return nil
 	}
 	for _, info := range jobs {
-		fmt.Printf("%s  quarantined site=%s criteria=%s attempts=%d error=%q\n",
+		fmt.Fprintf(c.out, "%s  quarantined site=%s criteria=%s attempts=%d error=%q\n",
 			info.ID, orDash(siteLabel(info)), info.Criteria, info.Attempts, info.Error)
 	}
 	return nil
-}
-
-func (c *client) fetchStatus(id string) (service.Info, error) {
-	resp, err := c.hc.Get(c.base + "/jobs/" + id)
-	if err != nil {
-		return service.Info{}, err
-	}
-	var info service.Info
-	err = decodeJSON(resp, http.StatusOK, &info)
-	return info, err
-}
-
-// decodeJSON consumes a response, enforcing the expected status and
-// surfacing the server's {"error": ...} payload otherwise.
-func decodeJSON(resp *http.Response, want int, v any) error {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != want {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return fmt.Errorf("server: %s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return json.Unmarshal(body, v)
 }
 
 func orDash(s string) string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,7 +47,7 @@ func (c *recordClock) Sleeps() []time.Duration {
 
 func testClient(srv *httptest.Server, maxWait time.Duration) (*client, *recordClock) {
 	clock := newRecordClock()
-	return &client{base: srv.URL, hc: srv.Client(), clock: clock, maxWait: maxWait}, clock
+	return &client{api: service.NewClient(srv.URL, srv.Client()), clock: clock, maxWait: maxWait, out: io.Discard}, clock
 }
 
 // A busy server's 429s are retried, waiting out the Retry-After hint when
@@ -71,9 +72,7 @@ func TestClientSubmitHonorsRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	c, clock := testClient(srv, 0)
-	id, err := c.submit(func() (*http.Response, error) {
-		return c.hc.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{}"))
-	})
+	id, err := c.submit(service.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +110,7 @@ func TestClientSubmitExponentialBackoff(t *testing.T) {
 	defer srv.Close()
 
 	c, clock := testClient(srv, 0)
-	if _, err := c.submit(func() (*http.Response, error) {
-		return c.hc.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{}"))
-	}); err != nil {
+	if _, err := c.submit(service.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []time.Duration{
@@ -141,9 +138,7 @@ func TestClientSubmitMaxWait(t *testing.T) {
 	defer srv.Close()
 
 	c, clock := testClient(srv, 15*time.Second)
-	_, err := c.submit(func() (*http.Response, error) {
-		return c.hc.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{}"))
-	})
+	_, err := c.submit(service.Spec{})
 	if err == nil || !strings.Contains(err.Error(), "-max-wait") {
 		t.Fatalf("err = %v, want a -max-wait give-up", err)
 	}

@@ -1,0 +1,186 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"webslice/internal/service"
+)
+
+// contractWorker is a worker for the contract test: one slot that holds
+// every job until block closes, a queue of one, a 1 KiB admission limit,
+// and tracing off.
+func contractWorker(t *testing.T, block chan struct{}) *service.Manager {
+	t.Helper()
+	m := service.New(service.Config{
+		Workers:       1,
+		QueueDepth:    1,
+		MaxTraceBytes: 1 << 10,
+		Runner: func(ctx context.Context, spec service.Spec) (*service.Result, error) {
+			select {
+			case <-block:
+				return &service.Result{Criteria: spec.Criteria}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
+	})
+	t.Cleanup(m.Kill)
+	return m
+}
+
+// apiRole is one role serving the websliced API in process.
+type apiRole struct {
+	h http.Handler
+	// admitted counts the jobs the role holds, on every node.
+	admitted func() int
+	// drain begins the role's shutdown.
+	drain func()
+}
+
+// serve sends one request to h and returns the recorded answer.
+func serve(h http.Handler, method, path string, body []byte, contentLength int64) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
+	if contentLength != 0 {
+		req.ContentLength = contentLength
+	}
+	rw := httptest.NewRecorder()
+	h.ServeHTTP(rw, req)
+	return rw
+}
+
+// TestAPIContract: a worker and a coordinator serve one API, so the same
+// requests get the same status codes from both. On the coordinator every
+// submit is routed to an in-process worker, and the worker's refusal (429
+// with its Retry-After, 400, 413) is the coordinator's answer.
+func TestAPIContract(t *testing.T) {
+	roles := map[string]func(t *testing.T, block chan struct{}) apiRole{
+		"worker": func(t *testing.T, block chan struct{}) apiRole {
+			m := contractWorker(t, block)
+			return apiRole{
+				h:        service.NewHandler(m),
+				admitted: func() int { return len(m.Jobs()) },
+				drain:    m.Close,
+			}
+		},
+		"coordinator": func(t *testing.T, block chan struct{}) apiRole {
+			w := contractWorker(t, block)
+			srv := httptest.NewServer(service.NewHandler(w))
+			t.Cleanup(srv.Close)
+			local := service.New(service.Config{Workers: 1, QueueDepth: 1, Node: "http://coordinator.test"})
+			t.Cleanup(local.Kill)
+			co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{srv.URL}})
+			t.Cleanup(co.Stop)
+			return apiRole{
+				h:        NewHandler(co),
+				admitted: func() int { return len(co.Jobs()) + len(w.Jobs()) + len(local.Jobs()) },
+				drain:    local.Close,
+			}
+		},
+	}
+	for name, start := range roles {
+		t.Run(name, func(t *testing.T) {
+			block := make(chan struct{})
+			role := start(t, block)
+			unblock := sync.OnceFunc(func() { close(block) })
+			t.Cleanup(unblock)
+
+			// 202 with exactly {"id"}: one job runs (held), one waits in
+			// the queue, so the queue is full.
+			var ids []string
+			for range 2 {
+				rw := serve(role.h, http.MethodPost, "/jobs", []byte(`{"site":"maps"}`), 0)
+				var body map[string]any
+				if err := json.Unmarshal(rw.Body.Bytes(), &body); err != nil || rw.Code != http.StatusAccepted {
+					t.Fatalf("submit = %d %s, want 202", rw.Code, rw.Body)
+				}
+				id, _ := body["id"].(string)
+				if len(body) != 1 || id == "" {
+					t.Fatalf("submit body = %s, want {\"id\": ...}", rw.Body)
+				}
+				ids = append(ids, id)
+				if len(ids) == 1 {
+					waitRunning(t, role.h, id)
+				}
+			}
+
+			v2 := append([]byte("WSLT\x02"), bytes.Repeat([]byte{0}, 64)...)
+			overLimit := append([]byte("WSLT\x03"), bytes.Repeat([]byte{0}, 2<<10)...)
+			cases := []struct {
+				name, method, path string
+				body               []byte
+				contentLength      int64
+				code               int
+				errHas             string
+				retryAfter         string
+			}{
+				{"queue full", "POST", "/jobs", []byte(`{"site":"maps"}`), 0, 429, "queue full", "1"},
+				{"bad JSON", "POST", "/jobs", []byte(`{not json`), 0, 400, "bad job spec", ""},
+				{"v2 trace", "POST", "/jobs/trace", v2, 0, 400, "format version 2", ""},
+				{"admission limit", "POST", "/jobs/trace", overLimit, 0, 413, "admission limit", ""},
+				// Declares one byte over the 256 MiB body cap; refused
+				// before a byte is read.
+				{"body cap", "POST", "/jobs/trace", []byte("WSLT\x03short"), 256<<20 + 1, 413, "too large", ""},
+				{"unknown job", "GET", "/jobs/nope", nil, 0, 404, `no job "nope"`, ""},
+				{"unknown result", "GET", "/jobs/nope/result", nil, 0, 404, `no job "nope"`, ""},
+				{"unknown trace", "GET", "/jobs/nope/trace", nil, 0, 404, "no trace", ""},
+				{"result not done", "GET", "/jobs/" + ids[0] + "/result", nil, 0, 409, "not done", ""},
+				{"cancel unknown", "DELETE", "/jobs/nope", nil, 0, 409, "unknown or already finished", ""},
+				{"spans with tracing off", "GET", "/debug/spans", nil, 0, 404, "tracing disabled", ""},
+			}
+			admitted := role.admitted()
+			for _, tc := range cases {
+				rw := serve(role.h, tc.method, tc.path, tc.body, tc.contentLength)
+				var e struct {
+					Error string `json:"error"`
+				}
+				json.Unmarshal(rw.Body.Bytes(), &e)
+				if rw.Code != tc.code || !strings.Contains(e.Error, tc.errHas) {
+					t.Errorf("%s: %s %s = %d %q, want %d with an error naming %q", tc.name, tc.method, tc.path, rw.Code, e.Error, tc.code, tc.errHas)
+				}
+				if got := rw.Header().Get("Retry-After"); got != tc.retryAfter {
+					t.Errorf("%s: Retry-After %q, want %q", tc.name, got, tc.retryAfter)
+				}
+				if n := role.admitted(); n != admitted {
+					t.Errorf("%s: %d jobs admitted, want %d", tc.name, n, admitted)
+				}
+			}
+
+			if rw := serve(role.h, "GET", "/healthz", nil, 0); rw.Code != http.StatusOK {
+				t.Fatalf("healthz = %d %s, want 200", rw.Code, rw.Body)
+			}
+			unblock()
+			role.drain()
+			rw := serve(role.h, "GET", "/healthz", nil, 0)
+			var h struct {
+				Status string `json:"status"`
+			}
+			json.Unmarshal(rw.Body.Bytes(), &h)
+			if rw.Code != http.StatusServiceUnavailable || h.Status != "draining" {
+				t.Fatalf("healthz while draining = %d %s, want 503 draining", rw.Code, rw.Body)
+			}
+		})
+	}
+}
+
+// waitRunning polls GET /jobs/{id} until the job runs.
+func waitRunning(t *testing.T, h http.Handler, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		var info service.Info
+		json.Unmarshal(serve(h, "GET", "/jobs/"+id, nil, 0).Body.Bytes(), &info)
+		if info.Status == service.StatusRunning {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("job %s never ran", id)
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,9 +82,9 @@ func await(t testing.TB, c *Coordinator, id string) service.Info {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		info, err := c.Status(id)
-		if err != nil {
-			t.Fatalf("Status(%s): %v", id, err)
+		info, ok := c.Info(id)
+		if !ok {
+			t.Fatalf("Info(%s): unknown job", id)
 		}
 		if info.Status.Terminal() {
 			return info
@@ -96,9 +97,9 @@ func await(t testing.TB, c *Coordinator, id string) service.Info {
 
 func mustResult(t testing.TB, c *Coordinator, id string) *service.Result {
 	t.Helper()
-	res, done, err := c.Result(id)
-	if err != nil || !done || res == nil {
-		t.Fatalf("Result(%s) = %v, done=%t, err=%v", id, res, done, err)
+	res, done := c.Result(id)
+	if !done || res == nil {
+		t.Fatalf("Result(%s) = %v, done=%t", id, res, done)
 	}
 	return res
 }
@@ -198,9 +199,9 @@ func TestClusterSingleVsMultiNodeDigests(t *testing.T) {
 	// 3 workers, 8 golden workloads: the ring must have spread them.
 	nodes := map[string]bool{}
 	for _, id := range ids {
-		info, err := multi.co.Status(id)
-		if err != nil {
-			t.Fatal(err)
+		info, ok := multi.co.Info(id)
+		if !ok {
+			t.Fatalf("Info(%s): unknown job", id)
 		}
 		nodes[info.Node] = true
 	}
@@ -230,9 +231,9 @@ func TestClusterWorkerDeathReroutes(t *testing.T) {
 	victim := tc.workers[0]
 	owned := 0
 	for _, id := range ids {
-		info, err := tc.co.Status(id)
-		if err != nil {
-			t.Fatal(err)
+		info, ok := tc.co.Info(id)
+		if !ok {
+			t.Fatalf("Info(%s): unknown job", id)
 		}
 		if info.Node == victim.srv.URL {
 			owned++
@@ -255,7 +256,7 @@ func TestClusterWorkerDeathReroutes(t *testing.T) {
 			t.Fatalf("job %s finished without a digest", ids[i])
 		}
 	}
-	if tc.co.Ring().Has(victim.srv.URL) {
+	if slices.Contains(tc.co.Ring().Nodes(), victim.srv.URL) {
 		t.Fatal("dead worker still in the ring after gather")
 	}
 	if got := tc.co.Metrics().Counter("cluster_jobs_rerouted").Value(); got < 1 {

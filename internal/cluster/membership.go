@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -38,9 +37,9 @@ type MembershipConfig struct {
 	// FailThreshold evicts a peer after this many consecutive failures
 	// (default 3).
 	FailThreshold int
-	// Probe checks one peer; nil uses an HTTP GET of url+/healthz that
-	// fails on any non-200 (a draining worker answers 503 on purpose, so
-	// drain reads as "stop routing here").
+	// Probe checks one peer; nil uses service.Client.Health, a GET of
+	// url+/healthz that fails on any non-200 (a draining worker answers
+	// 503 on purpose, so drain reads as "stop routing here").
 	Probe func(url string) error
 	// Clock abstracts time so eviction/re-add schedules are testable
 	// without real sleeps (the same seam internal/service's retry backoff
@@ -88,7 +87,8 @@ func NewMembership(ring *Ring, cfg MembershipConfig) *Membership {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
 	if cfg.Probe == nil {
-		cfg.Probe = httpProbe
+		hc := &http.Client{Timeout: defaultProbeTimeout}
+		cfg.Probe = func(url string) error { return service.NewClient(url, hc).Health() }
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = service.SystemClock
@@ -117,19 +117,6 @@ func NewMembership(ring *Ring, cfg MembershipConfig) *Membership {
 	}
 	m.publish()
 	return m
-}
-
-func httpProbe(url string) error {
-	c := &http.Client{Timeout: defaultProbeTimeout}
-	resp, err := c.Get(url + "/healthz")
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s/healthz: HTTP %d", url, resp.StatusCode)
-	}
-	return nil
 }
 
 // Start launches the periodic probe loop; Stop ends it. Starting twice is

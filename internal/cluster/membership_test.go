@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func TestMembershipEvictionAndRejoin(t *testing.T) {
 		t.Fatal("peer evicted before the failure threshold")
 	}
 	m.ProbeAll() // third consecutive failure crosses the threshold
-	if m.Alive("http://w2") || ring.Has("http://w2") {
+	if m.Alive("http://w2") || slices.Contains(ring.Nodes(), "http://w2") {
 		t.Fatal("peer not evicted at the failure threshold")
 	}
 	mu.Lock()
@@ -127,7 +128,7 @@ func TestMembershipEvictionAndRejoin(t *testing.T) {
 	// re-admits the peer.
 	probes.set("http://w2", false)
 	m.ProbeAll()
-	if !m.Alive("http://w2") || !ring.Has("http://w2") {
+	if !m.Alive("http://w2") || !slices.Contains(ring.Nodes(), "http://w2") {
 		t.Fatal("recovered peer not re-admitted")
 	}
 	mu.Lock()
@@ -153,7 +154,7 @@ func TestMembershipReportFailureEvicts(t *testing.T) {
 		t.Fatal("evicted below threshold")
 	}
 	m.ReportFailure("http://w1")
-	if m.Alive("http://w1") || ring.Has("http://w1") {
+	if m.Alive("http://w1") || slices.Contains(ring.Nodes(), "http://w1") {
 		t.Fatal("not evicted at threshold")
 	}
 	// Unknown peers are ignored rather than tracked.

@@ -89,8 +89,9 @@ func TestClusterKeepsUnfetchedUploadForReroute(t *testing.T) {
 			t.Fatalf("job never re-ran after its owner died: %+v", info)
 		}
 		time.Sleep(5 * time.Millisecond)
-		if info, err = tc.co.Status(id); err != nil {
-			t.Fatal(err)
+		var ok bool
+		if info, ok = tc.co.Info(id); !ok {
+			t.Fatalf("Info(%s): unknown job", id)
 		}
 	}
 	res := mustResult(t, tc.co, id)

@@ -1,8 +1,11 @@
 // Package cluster turns websliced into a horizontally scalable service: a
 // consistent-hash ring assigns every job an owner node, a health-checked
 // membership evicts dead workers and re-admits recovered ones, and a
-// coordinator routes submissions to their owners over the existing HTTP
-// API while transparently proxying status and result polls.
+// coordinator routes submissions to their owners while transparently
+// proxying status and result polls. There is one HTTP API: the
+// coordinator serves the workers' handler (service.NewHandler) over
+// itself, adding only POST /batch and GET /cluster, and it calls the
+// workers with the same service.Client the webslice CLI uses.
 //
 // The unit of distribution is the job key — the SHA-256 trace digest for
 // submitted traces, a canonical rendering identity for site jobs. Because
@@ -108,14 +111,6 @@ func (r *Ring) Remove(node string) {
 	r.points = keep
 }
 
-// Has reports membership.
-func (r *Ring) Has(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.nodes[node]
-	return ok
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()
@@ -135,20 +130,11 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// Owner returns the member owning key: the first virtual node at or after
-// the key's position, wrapping around the circle. ok is false on an empty
-// ring.
-func (r *Ring) Owner(key string) (owner string, ok bool) {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return "", false
-	}
-	return owners[0], true
-}
-
 // Owners returns up to n distinct members in ring order starting from
-// key's position — the owner first, then the failover candidates a router
-// tries when the owner is unreachable.
+// key's position: the owner first (the member of the first virtual node at
+// or after the key's position, wrapping around the circle), then the
+// failover candidates a router tries when the owner is unreachable. An
+// empty ring owns nothing.
 func (r *Ring) Owners(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -35,9 +35,7 @@ func TestRingDeterministicOwnership(t *testing.T) {
 	b := ringOf("http://w3", "http://w1", "http://w2") // different join order
 	c := ringOf("http://w1", "http://w2", "http://w3") // fresh process, same view
 	for _, k := range keys {
-		oa, _ := a.Owner(k)
-		ob, _ := b.Owner(k)
-		oc, _ := c.Owner(k)
+		oa, ob, oc := a.Owners(k, 1)[0], b.Owners(k, 1)[0], c.Owners(k, 1)[0]
 		if oa != ob || oa != oc {
 			t.Fatalf("owner of %s differs across equivalent rings: %q / %q / %q", k[:12], oa, ob, oc)
 		}
@@ -53,13 +51,13 @@ func TestRingBoundedMovementOnJoinLeave(t *testing.T) {
 
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k], _ = r.Owner(k)
+		before[k] = r.Owners(k, 1)[0]
 	}
 
 	r.Add("http://w5")
 	moved := 0
 	for _, k := range keys {
-		now, _ := r.Owner(k)
+		now := r.Owners(k, 1)[0]
 		if now != before[k] {
 			moved++
 			if now != "http://w5" {
@@ -76,7 +74,7 @@ func TestRingBoundedMovementOnJoinLeave(t *testing.T) {
 
 	r.Remove("http://w5")
 	for _, k := range keys {
-		if now, _ := r.Owner(k); now != before[k] {
+		if now := r.Owners(k, 1)[0]; now != before[k] {
 			t.Fatalf("leave did not restore key %s: %q != %q", k[:12], now, before[k])
 		}
 	}
@@ -88,11 +86,11 @@ func TestRingRemoveOnlyMovesOwnedKeys(t *testing.T) {
 	r := ringOf("http://w1", "http://w2", "http://w3")
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k], _ = r.Owner(k)
+		before[k] = r.Owners(k, 1)[0]
 	}
 	r.Remove("http://w2")
 	for _, k := range keys {
-		now, _ := r.Owner(k)
+		now := r.Owners(k, 1)[0]
 		if before[k] == "http://w2" {
 			if now == "http://w2" {
 				t.Fatalf("key %s still owned by removed node", k[:12])
@@ -111,11 +109,11 @@ func TestRingDistributionSkew(t *testing.T) {
 	r := ringOf(nodes...)
 	counts := make(map[string]int)
 	for _, k := range keys {
-		o, ok := r.Owner(k)
-		if !ok {
+		owners := r.Owners(k, 1)
+		if len(owners) != 1 {
 			t.Fatal("no owner on a populated ring")
 		}
-		counts[o]++
+		counts[owners[0]]++
 	}
 	fair := float64(len(keys)) / float64(len(nodes))
 	for _, n := range nodes {
@@ -141,9 +139,8 @@ func TestRingOwnersFailoverOrder(t *testing.T) {
 			}
 			seen[o] = true
 		}
-		first, _ := r.Owner(k)
-		if owners[0] != first {
-			t.Fatalf("Owners[0] = %q, Owner = %q", owners[0], first)
+		if first := r.Owners(k, 1); owners[0] != first[0] {
+			t.Fatalf("Owners(%s, 3)[0] = %q, Owners(%s, 1) = %v", k[:12], owners[0], k[:12], first)
 		}
 	}
 	// Asking for more members than exist caps at the member count.
@@ -154,8 +151,8 @@ func TestRingOwnersFailoverOrder(t *testing.T) {
 
 func TestRingEmptyAndNoop(t *testing.T) {
 	r := NewRing(0)
-	if _, ok := r.Owner("k"); ok {
-		t.Fatal("empty ring returned an owner")
+	if owners := r.Owners("k", 1); len(owners) != 0 {
+		t.Fatalf("empty ring returned owners %v", owners)
 	}
 	r.Remove("absent") // no-op
 	r.Add("http://w1")
@@ -163,7 +160,7 @@ func TestRingEmptyAndNoop(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate Add, want 1", r.Len())
 	}
-	if o, ok := r.Owner("k"); !ok || o != "http://w1" {
-		t.Fatalf("single-node ring Owner = %q, %v", o, ok)
+	if owners := r.Owners("k", 1); len(owners) != 1 || owners[0] != "http://w1" {
+		t.Fatalf("single-node ring Owners(k, 1) = %v", owners)
 	}
 }

@@ -1,14 +1,10 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -24,9 +20,6 @@ import (
 //
 // Deprecated: call service.JobKey.
 func JobKey(spec service.Spec) string { return service.JobKey(spec) }
-
-// ErrUnknownJob is returned for ids the coordinator never issued.
-var ErrUnknownJob = errors.New("cluster: unknown job")
 
 // Config wires a Coordinator.
 type Config struct {
@@ -111,12 +104,13 @@ func (j *routedJob) releaseLocked() {
 // websliced HTTP API, and proxies status/result polls under its own job
 // ids. A worker evicted from the ring has its pending jobs re-routed to
 // the keys' new owners — safe because slicing is deterministic and
-// idempotent (a re-run of the same trace is at worst a cache miss).
+// idempotent (a re-run of the same trace is at worst a cache miss). It is
+// the service.Backend that the coordinator's handler serves.
 type Coordinator struct {
 	cfg     Config
 	ring    *Ring
 	members *Membership
-	client  *http.Client
+	peers   map[string]*service.Client // by URL; written once in New
 	clock   service.Clock
 	reg     *metrics.Registry
 	tracer  *obs.Tracer
@@ -155,6 +149,8 @@ func New(cfg Config) *Coordinator {
 		logger = obs.NopLogger()
 	}
 	ring := NewRing(cfg.Replicas)
+	hc := &http.Client{Timeout: cfg.HTTPTimeout}
+	peers := make(map[string]*service.Client)
 	var remote []string
 	for _, p := range cfg.Peers {
 		if p == cfg.Self {
@@ -162,11 +158,12 @@ func New(cfg Config) *Coordinator {
 			continue
 		}
 		remote = append(remote, p)
+		peers[p] = service.NewClient(p, hc)
 	}
 	c := &Coordinator{
 		cfg:            cfg,
 		ring:           ring,
-		client:         &http.Client{Timeout: cfg.HTTPTimeout},
+		peers:          peers,
 		clock:          cfg.Clock,
 		reg:            reg,
 		tracer:         tracer,
@@ -205,11 +202,24 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 // Members snapshots the probed peers' health states.
 func (c *Coordinator) Members() []MemberState { return c.members.Members() }
 
-// Local returns the coordinator's own manager.
-func (c *Coordinator) Local() *service.Manager { return c.cfg.Local }
-
 // Metrics returns the registry the coordinator publishes into.
 func (c *Coordinator) Metrics() *metrics.Registry { return c.reg }
+
+// Tracer returns the tracer of the routing spans (nil with tracing off).
+func (c *Coordinator) Tracer() *obs.Tracer { return c.tracer }
+
+// Quarantined lists the local manager's poisoned jobs. Quarantine is
+// node-local state: each worker serves its own list.
+func (c *Coordinator) Quarantined() []service.Info { return c.cfg.Local.Quarantined() }
+
+// Draining reports whether the local manager's shutdown has begun.
+func (c *Coordinator) Draining() bool { return c.cfg.Local.Draining() }
+
+// Health returns the coordinator's /healthz fields: its role and ring
+// size.
+func (c *Coordinator) Health() map[string]any {
+	return map[string]any{"role": "coordinator", "ring_size": c.ring.Len()}
+}
 
 // peerCounter names a per-peer counter, e.g.
 // cluster_routed_peer_http_127_0_0_1_8078.
@@ -293,22 +303,23 @@ func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
 		// "peer.submit", not "forward": the profiler's forward *pass* span
 		// already owns that name, and the two meet in one merged trace.
 		fs := s.Child("peer.submit").Set("peer", peer)
-		remoteID, err := c.forward(peer, fwd)
+		remoteID, err := c.peers[peer].Submit(fwd)
 		fs.EndErr(err)
 		if err != nil {
-			var se *statusError
-			if errors.As(err, &se) {
+			var refused *service.APIError
+			if errors.As(err, &refused) {
 				// The peer answered: this is an application error
 				// (backpressure, invalid spec, oversized trace), not a dead
-				// node. Propagate it. A 429 gets its own event carrying the
-				// peer's Retry-After and the owner hint, so backpressure is
-				// visible in the trace, not just in the client's response.
-				if se.Code() == http.StatusTooManyRequests {
+				// node. Propagate it, code and Retry-After included. A 429
+				// gets its own event carrying the peer's Retry-After and the
+				// owner hint, so backpressure is visible in the trace, not
+				// just in the client's response.
+				if refused.Code == http.StatusTooManyRequests {
 					s.Event("peer.backpressure",
 						obs.Attr{K: "peer", V: peer},
-						obs.Attr{K: "retry_after", V: se.RetryAfter()})
+						obs.Attr{K: "retry_after", V: refused.RetryAfter})
 					c.log.Warn("peer backpressure", "job", j.id, "trace", s.TraceID(),
-						"peer", peer, "retry_after", se.RetryAfter())
+						"peer", peer, "retry_after", refused.RetryAfter)
 				}
 				return err
 			}
@@ -347,84 +358,6 @@ func (c *Coordinator) routeLocal(j *routedJob, spec service.Spec, s *obs.Span) e
 	j.mu.Unlock()
 	c.cLocal.Inc()
 	return nil
-}
-
-// statusError is a non-2xx response from a peer that was alive enough to
-// answer; it carries the peer's status code and error payload through to
-// the coordinator's own client.
-type statusError struct {
-	code       int
-	msg        string
-	retryAfter string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
-// Code returns the peer's HTTP status code.
-func (e *statusError) Code() int { return e.code }
-
-// RetryAfter returns the peer's Retry-After header value ("" if none).
-func (e *statusError) RetryAfter() string { return e.retryAfter }
-
-// forward submits spec to a peer over the existing single-node API and
-// returns the remote job id. The spec's trace context travels as the W3C
-// traceparent header — never in the body — so the remote job's spans join
-// this coordinator's trace.
-func (c *Coordinator) forward(peer string, spec service.Spec) (string, error) {
-	var req *http.Request
-	var err error
-	if len(spec.Trace) > 0 {
-		q := url.Values{}
-		if spec.Criteria != "" {
-			q.Set("criteria", spec.Criteria)
-		}
-		if spec.Verify {
-			q.Set("verify", "1")
-		}
-		if spec.Origin != "" {
-			q.Set("origin", spec.Origin)
-		}
-		req, err = http.NewRequest(http.MethodPost, peer+"/jobs/trace?"+q.Encode(), bytes.NewReader(spec.Trace))
-		if err != nil {
-			return "", err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-	} else {
-		body, merr := json.Marshal(spec)
-		if merr != nil {
-			return "", merr
-		}
-		req, err = http.NewRequest(http.MethodPost, peer+"/jobs", bytes.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		req.Header.Set("Content-Type", "application/json")
-	}
-	obs.InjectContext(req.Header, spec.TraceCtx)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return "", err
-	}
-	var out struct {
-		ID    string `json:"id"`
-		Error string `json:"error"`
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		msg := fmt.Sprintf("cluster: %s: HTTP %d", peer, resp.StatusCode)
-		if json.Unmarshal(data, &out) == nil && out.Error != "" {
-			msg = out.Error
-		}
-		return "", &statusError{code: resp.StatusCode, msg: msg, retryAfter: resp.Header.Get("Retry-After")}
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		return "", fmt.Errorf("cluster: %s: decoding submit response: %w", peer, err)
-	}
-	return out.ID, nil
 }
 
 // handleEvict re-routes every non-terminal job owned by the evicted peer.
@@ -488,14 +421,14 @@ func (c *Coordinator) lookup(id string) (*routedJob, bool) {
 	return j, ok
 }
 
-// Status returns a job snapshot under the coordinator's id, with the
+// Info returns a job snapshot under the coordinator's id, with the
 // executing node as the owner hint. While the owner is unreachable the
 // last observed snapshot is served; the job itself is re-routed when the
 // membership evicts the owner.
-func (c *Coordinator) Status(id string) (service.Info, error) {
+func (c *Coordinator) Info(id string) (service.Info, bool) {
 	j, ok := c.lookup(id)
 	if !ok {
-		return service.Info{}, ErrUnknownJob
+		return service.Info{}, false
 	}
 	j.mu.Lock()
 	peer, remoteID := j.peer, j.remoteID
@@ -504,16 +437,16 @@ func (c *Coordinator) Status(id string) (service.Info, error) {
 	if peer == "" {
 		info, ok := c.cfg.Local.Info(remoteID)
 		if !ok {
-			return service.Info{}, ErrUnknownJob
+			return service.Info{}, false
 		}
-		return c.publishInfo(j, info, c.cfg.Self), nil
+		return c.publishInfo(j, info, c.cfg.Self), true
 	}
-	info, err := c.fetchInfo(peer, remoteID)
+	info, err := c.peers[peer].Info(remoteID)
 	if err != nil {
 		c.members.ReportFailure(peer)
-		return last, nil // stale-but-available; eviction will re-route
+		return last, true // stale-but-available; eviction will re-route
 	}
-	return c.publishInfo(j, info, peer), nil
+	return c.publishInfo(j, info, peer), true
 }
 
 // publishInfo rewrites a node-local snapshot into the coordinator's
@@ -534,57 +467,36 @@ func (c *Coordinator) publishInfo(j *routedJob, info service.Info, node string) 
 	return info
 }
 
-func (c *Coordinator) fetchInfo(peer, remoteID string) (service.Info, error) {
-	resp, err := c.client.Get(peer + "/jobs/" + remoteID)
-	if err != nil {
-		return service.Info{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return service.Info{}, fmt.Errorf("cluster: %s: status HTTP %d", peer, resp.StatusCode)
-	}
-	var info service.Info
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&info); err != nil {
-		return service.Info{}, err
-	}
-	return info, nil
-}
-
 // Result returns a finished job's result. The first successful fetch is
 // cached on the coordinator, so the result survives the worker dying
 // afterwards; a worker dying *before* the fetch re-routes the job and the
 // result is recomputed (deterministically, usually as a store hit on
-// re-render). ok is false while the job is not done.
-func (c *Coordinator) Result(id string) (*service.Result, bool, error) {
+// re-render). ok is false while the job is unknown or not done.
+func (c *Coordinator) Result(id string) (*service.Result, bool) {
 	j, ok := c.lookup(id)
 	if !ok {
-		return nil, false, ErrUnknownJob
+		return nil, false
 	}
 	j.mu.Lock()
 	if j.result != nil {
 		res := j.result
 		j.mu.Unlock()
-		return res, true, nil
+		return res, true
 	}
 	peer, remoteID := j.peer, j.remoteID
 	j.mu.Unlock()
 	var res *service.Result
 	if peer == "" {
 		res, ok = c.cfg.Local.Result(remoteID)
-		if !ok {
-			return nil, false, nil
-		}
 	} else {
 		var err error
-		res, err = c.fetchResult(peer, remoteID)
+		res, ok, err = c.peers[peer].Result(remoteID)
 		if err != nil {
 			c.members.ReportFailure(peer)
-			return nil, false, nil
 		}
-		if res == nil {
-			return nil, false, nil
-		}
+	}
+	if !ok {
+		return nil, false
 	}
 	j.mu.Lock()
 	j.result = res
@@ -598,30 +510,7 @@ func (c *Coordinator) Result(id string) (*service.Result, bool, error) {
 		// artifacts: the affinity scheduler did its job.
 		c.cAffinity.Inc()
 	}
-	return res, true, nil
-}
-
-// fetchResult returns (nil, nil) when the job is simply not done yet.
-func (c *Coordinator) fetchResult(peer, remoteID string) (*service.Result, error) {
-	resp, err := c.client.Get(peer + "/jobs/" + remoteID + "/result")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var res service.Result
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&res); err != nil {
-			return nil, err
-		}
-		return &res, nil
-	case http.StatusConflict: // known but not done
-		io.Copy(io.Discard, resp.Body)
-		return nil, nil
-	default:
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("cluster: %s: result HTTP %d", peer, resp.StatusCode)
-	}
+	return res, true
 }
 
 // Cancel cancels a job wherever it runs.
@@ -636,18 +525,12 @@ func (c *Coordinator) Cancel(id string) bool {
 	if peer == "" {
 		return c.cfg.Local.Cancel(remoteID)
 	}
-	req, err := http.NewRequest(http.MethodDelete, peer+"/jobs/"+remoteID, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
+	err := c.peers[peer].Cancel(remoteID)
+	var refused *service.APIError
+	if err != nil && !errors.As(err, &refused) {
 		c.members.ReportFailure(peer)
-		return false
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode == http.StatusOK
+	return err == nil
 }
 
 // Jobs snapshots every admitted job, sorted by id.
@@ -661,7 +544,7 @@ func (c *Coordinator) Jobs() []service.Info {
 	sort.Strings(ids)
 	out := make([]service.Info, 0, len(ids))
 	for _, id := range ids {
-		if info, err := c.Status(id); err == nil {
+		if info, ok := c.Info(id); ok {
 			out = append(out, info)
 		}
 	}

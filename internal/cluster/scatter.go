@@ -47,17 +47,13 @@ func (c *Coordinator) Gather(ids []string, maxWait time.Duration) ([]*service.Re
 			if settled[i] {
 				continue
 			}
-			res, done, err := c.Result(id)
-			if err != nil {
-				return results, err
-			}
-			if done {
+			if res, done := c.Result(id); done {
 				results[i], settled[i] = res, true
 				continue
 			}
-			info, err := c.Status(id)
-			if err != nil {
-				return results, err
+			info, ok := c.Info(id)
+			if !ok {
+				return results, fmt.Errorf("cluster: unknown job %s (batch index %d)", id, i)
 			}
 			if info.Status.Terminal() && info.Status != service.StatusDone {
 				if i < errIndex {

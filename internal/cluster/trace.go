@@ -1,32 +1,21 @@
 package cluster
 
-import (
-	"encoding/json"
-	"errors"
-	"io"
-	"net/http"
-
-	"webslice/internal/obs"
-)
-
-// ErrTracingDisabled is returned by JobTrace when no tracer is configured
-// on the coordinator (HTTP maps it to 404, matching the single-node API).
-var ErrTracingDisabled = errors.New("cluster: tracing disabled")
+import "webslice/internal/obs"
 
 // JobTrace assembles the one causally-linked trace of a routed job: the
 // coordinator's own spans (route, forward attempts, reroutes) merged with
 // the owning worker's (queue wait, attempts, render, store lookups, slice
-// phases), fetched over the worker's /jobs/{id}/trace endpoint. Worker
-// spans are best-effort — an unreachable owner yields the coordinator's
-// half alone rather than an error, mirroring how Status degrades to the
-// last observed snapshot.
-func (c *Coordinator) JobTrace(id string) ([]obs.SpanData, error) {
+// phases), fetched over the worker's /jobs/{id}/trace endpoint. ok is
+// false for an unknown job or with tracing off. Worker spans are
+// best-effort — an unreachable owner yields the coordinator's half alone,
+// mirroring how Info degrades to the last observed snapshot.
+func (c *Coordinator) JobTrace(id string) ([]obs.SpanData, bool) {
 	if c.tracer == nil {
-		return nil, ErrTracingDisabled
+		return nil, false
 	}
 	j, ok := c.lookup(id)
 	if !ok {
-		return nil, ErrUnknownJob
+		return nil, false
 	}
 	j.mu.Lock()
 	peer, remoteID := j.peer, j.remoteID
@@ -39,7 +28,7 @@ func (c *Coordinator) JobTrace(id string) ([]obs.SpanData, error) {
 		// tracer it contributes the job-side spans.
 		worker, _ = c.cfg.Local.JobTrace(remoteID)
 	} else {
-		worker, _ = c.fetchTrace(peer, remoteID)
+		worker, _ = c.peers[peer].JobTrace(remoteID)
 	}
 	seen := make(map[string]bool, len(spans))
 	for _, s := range spans {
@@ -51,23 +40,5 @@ func (c *Coordinator) JobTrace(id string) ([]obs.SpanData, error) {
 		}
 	}
 	obs.Sort(spans)
-	return spans, nil
-}
-
-// fetchTrace pulls a worker's recorded spans for one of its jobs.
-func (c *Coordinator) fetchTrace(peer, remoteID string) ([]obs.SpanData, error) {
-	resp, err := c.client.Get(peer + "/jobs/" + remoteID + "/trace")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, errors.New("cluster: trace fetch failed")
-	}
-	var spans []obs.SpanData
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&spans); err != nil {
-		return nil, err
-	}
-	return spans, nil
+	return spans, true
 }

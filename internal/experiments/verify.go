@@ -22,7 +22,9 @@ package experiments
 //                   slicer.Slice on property-generated sites;
 //   - invariants:   structural oracles (closure, subset, union
 //                   monotonicity) on property-generated sites;
-//   - all:          everything above.
+//   - all:          everything above; each golden site is rendered and
+//                   sliced once, and both the golden and the
+//                   cross-format checks apply to that one run.
 
 import (
 	"bytes"
@@ -263,16 +265,13 @@ func ExecuteVerify(phase string, cfg VerifyConfig) (*VerifyStats, error) {
 	stats := &VerifyStats{}
 	switch phase {
 	case "golden":
-		return stats, verifyGolden(cfg, stats)
+		return stats, verifyCorpus(cfg, stats, true, false)
 	case "crossformat":
-		return stats, verifyCrossFormat(cfg, stats)
+		return stats, verifyCorpus(cfg, stats, false, true)
 	case "replay", "differential", "invariants":
 		return stats, verifyProperty(phase, cfg, stats)
 	case "all":
-		if err := verifyGolden(cfg, stats); err != nil {
-			return stats, err
-		}
-		if err := verifyCrossFormat(cfg, stats); err != nil {
+		if err := verifyCorpus(cfg, stats, true, true); err != nil {
 			return stats, err
 		}
 		return stats, verifyProperty("all", cfg, stats)
@@ -281,18 +280,11 @@ func ExecuteVerify(phase string, cfg VerifyConfig) (*VerifyStats, error) {
 	}
 }
 
-// verifyGolden checks (or, with cfg.Update, regenerates) the golden corpus:
-// trace and slice digests must match byte-for-byte, and every corpus slice
-// must replay and satisfy the invariants.
-//
-// The trace pins guard browser.RenderVersion, which keys the service's
-// cache of finished results: a rendered trace that differs from its pin
-// while the corpus's RenderVersion still equals browser.RenderVersion is
-// an error in both modes, so a renderer change cannot be re-pinned, nor a
-// persistent store serve results of the old render, without a bump. After
-// a bump, -update re-pins every trace and records the new version; until
-// then TestGoldenCorpusDigestsPinned fails on the version mismatch.
-func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
+// verifyCorpus renders and slices every golden corpus site once
+// (runVerified) and applies the golden checks, the cross-format checks, or
+// both to that one run. Under cfg.Update the golden checks re-pin first,
+// so the cross-format checks compare against the new pins.
+func verifyCorpus(cfg VerifyConfig, stats *VerifyStats, golden, cross bool) error {
 	if cfg.GoldenPath == "" {
 		return nil
 	}
@@ -301,7 +293,7 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 		return err
 	}
 	// Lowering the version could re-address results of an older render.
-	if corpus.RenderVersion > browser.RenderVersion {
+	if golden && corpus.RenderVersion > browser.RenderVersion {
 		return fmt.Errorf("verify: golden corpus pins render version %d, newer than browser.RenderVersion %d",
 			corpus.RenderVersion, browser.RenderVersion)
 	}
@@ -312,166 +304,176 @@ func verifyGolden(cfg VerifyConfig, stats *VerifyStats) error {
 		e := &corpus.Sites[i]
 		b, err := e.Bench()
 		if err != nil {
-			return fmt.Errorf("verify: golden %s: %w", e.Label(), err)
+			return fmt.Errorf("verify: %s: %w", e.Label(), err)
 		}
 		v, err := runVerified(b)
 		if err != nil {
 			return err
 		}
-		sum := v.tr.Digest()
-		traceD := hex.EncodeToString(sum[:])
-		// Under -update, an unpinned entry (one just added) takes its
-		// first pin without a bump.
-		if pinned && e.Trace != traceD && !(cfg.Update && e.Trace == "") {
-			return fmt.Errorf("verify: golden %s: rendered trace digest %s, pinned %q, under the same browser.RenderVersion %d: a change to the renderer's output must bump browser.RenderVersion, then re-pin with `webslice verify -exp golden -update`",
-				e.Label(), traceD, e.Trace, browser.RenderVersion)
-		}
-		pixD, sysD := SliceDigest(v.pix), SliceDigest(v.sys)
-		if cfg.Update {
-			if e.Trace != traceD || e.Pixels != pixD || e.Syscalls != sysD {
+		if golden {
+			changed, err := checkGolden(e, v, pinned, cfg.Update)
+			if err != nil {
+				return err
+			}
+			if changed {
 				updated.Add(1)
 			}
-			e.Trace, e.Pixels, e.Syscalls = traceD, pixD, sysD
-		} else {
-			if e.Pixels != pixD {
-				return fmt.Errorf("verify: golden %s: pixel slice digest %s, expected %s (slice behavior changed — run `webslice verify -update` if intended)",
-					e.Label(), pixD, e.Pixels)
-			}
-			if e.Syscalls != sysD {
-				return fmt.Errorf("verify: golden %s: syscall slice digest %s, expected %s (slice behavior changed — run `webslice verify -update` if intended)",
-					e.Label(), sysD, e.Syscalls)
-			}
 		}
-		if err := v.replayAll(); err != nil {
-			return err
+		if cross {
+			return checkCrossFormat(e, v)
 		}
-		return v.invariantsAll()
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	stats.GoldenSites = len(corpus.Sites)
-	stats.Replays += 3 * len(corpus.Sites)
-	stats.Invariants += len(corpus.Sites)
-	stats.Updated = int(updated.Load())
-	if cfg.Update {
-		corpus.RenderVersion = browser.RenderVersion
-		out, err := json.MarshalIndent(corpus, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.MkdirAll(filepath.Dir(cfg.GoldenPath), 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(cfg.GoldenPath, append(out, '\n'), 0o644)
+	n := len(corpus.Sites)
+	if cross {
+		stats.CrossFormat = n
+		stats.Replays += 3 * n
+		stats.Invariants += n
 	}
-	return nil
-}
-
-// verifyCrossFormat re-runs the golden corpus through the upload path:
-// each site's trace is encoded, decoded with OpenV3 and ReadAll, and sliced
-// by two profilers over the decoded trace. The first has no store, so its
-// forward pass misses. The second finds the first one's forward pass in a
-// memory-only store. For both, every pinned digest must reproduce and the
-// Table II slice percentages must be identical to the rendered run's. The
-// first one's slices must also satisfy the replay oracle against the
-// original tape, and its Figure 5 category distribution must match the
-// rendered run's.
-func verifyCrossFormat(cfg VerifyConfig, stats *VerifyStats) error {
-	if cfg.GoldenPath == "" {
+	if !golden {
 		return nil
 	}
-	corpus, err := LoadGolden(cfg.GoldenPath)
+	stats.GoldenSites = n
+	stats.Replays += 3 * n
+	stats.Invariants += n
+	stats.Updated = int(updated.Load())
+	if !cfg.Update {
+		return nil
+	}
+	corpus.RenderVersion = browser.RenderVersion
+	out, err := json.MarshalIndent(corpus, "", "  ")
 	if err != nil {
 		return err
 	}
-	err = forEach(cfg.Workers, len(corpus.Sites), func(i int) error {
-		e := &corpus.Sites[i]
-		b, err := e.Bench()
-		if err != nil {
-			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
-		}
-		v, err := runVerified(b)
-		if err != nil {
-			return err
-		}
-		var enc bytes.Buffer
-		if err := v.tr.WriteV3Blocks(&enc, trace.DefaultBlockRecs); err != nil {
-			return fmt.Errorf("verify: crossformat %s: encode: %w", e.Label(), err)
-		}
-		br, err := trace.OpenV3(enc.Bytes())
-		if err != nil {
-			return fmt.Errorf("verify: crossformat %s: open: %w", e.Label(), err)
-		}
-		dec, err := br.ReadAll()
-		if err != nil {
-			return fmt.Errorf("verify: crossformat %s: decode: %w", e.Label(), err)
-		}
-		p := core.NewProfiler(dec)
-		p.Opts = verifyOpts
-		rs, err := sliceVerified(p)
-		if err != nil {
-			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
-		}
-		st, err := store.Open("", 0)
-		if err != nil {
-			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
-		}
-		hit := core.NewProfiler(dec)
-		hit.Opts = verifyOpts
-		key := store.KeyBytes(enc.Bytes())
-		hit.UseStore(st, key)
-		if err := st.PutDeps(key, p.Deps()); err != nil {
-			return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
-		}
-		hrs, err := sliceVerified(hit)
-		if err != nil {
-			return fmt.Errorf("verify: crossformat %s: forward-pass hit: %w", e.Label(), err)
-		}
-		for _, run := range []struct {
-			name string
-			rs   []*slicer.Result
-		}{{"forward-pass miss", rs}, {"forward-pass hit", hrs}} {
-			if d := SliceDigest(run.rs[0]); d != e.Pixels {
-				return fmt.Errorf("verify: crossformat %s: decoded pixel slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Pixels)
-			}
-			if d := SliceDigest(run.rs[1]); d != e.Syscalls {
-				return fmt.Errorf("verify: crossformat %s: decoded syscall slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Syscalls)
-			}
-			// Table II: the slice percentages must agree exactly.
-			for k, pair := range []struct{ ren, dec *slicer.Result }{{v.pix, run.rs[0]}, {v.sys, run.rs[1]}, {v.uni, run.rs[2]}} {
-				if pair.ren.Percent() != pair.dec.Percent() || pair.ren.Total != pair.dec.Total {
-					return fmt.Errorf("verify: crossformat %s: slice %d percentage after a %s diverges: rendered %.4f%% (%d recs), decoded %.4f%% (%d recs)",
-						e.Label(), k, run.name, pair.ren.Percent(), pair.ren.Total, pair.dec.Percent(), pair.dec.Total)
-				}
-			}
-		}
-		// Figure 5: the category distribution computed from the decoded
-		// trace must match the one from the rendered trace.
-		dr, dd := analysis.Categorize(v.tr, v.pix), analysis.Categorize(dec, rs[0])
-		if dr.UnnecessaryTotal != dd.UnnecessaryTotal || dr.CoveragePct != dd.CoveragePct || len(dr.Share) != len(dd.Share) {
-			return fmt.Errorf("verify: crossformat %s: category distribution diverges: rendered %+v, decoded %+v", e.Label(), dr, dd)
-		}
-		for cat, share := range dr.Share {
-			if dd.Share[cat] != share {
-				return fmt.Errorf("verify: crossformat %s: category %q share diverges: rendered %v, decoded %v", e.Label(), cat, share, dd.Share[cat])
-			}
-		}
-		// Replay-oracle verdicts: slices of the decoded trace must
-		// reproduce the criterion bytes on the original tape.
-		w := &verifiedRun{bench: v.bench, tr: v.tr, tape: v.tape, deps: p.Deps(), pix: rs[0], sys: rs[1], uni: rs[2]}
-		if err := w.replayAll(); err != nil {
-			return fmt.Errorf("verify: crossformat: %w", err)
-		}
-		return w.invariantsAll()
-	})
-	if err != nil {
+	if err := os.MkdirAll(filepath.Dir(cfg.GoldenPath), 0o755); err != nil {
 		return err
 	}
-	stats.CrossFormat = len(corpus.Sites)
-	stats.Replays += 3 * len(corpus.Sites)
-	stats.Invariants += len(corpus.Sites)
-	return nil
+	return os.WriteFile(cfg.GoldenPath, append(out, '\n'), 0o644)
+}
+
+// checkGolden checks (or, with update, re-pins) one golden corpus entry
+// against its run: trace and slice digests must match byte-for-byte, and
+// every slice must replay and satisfy the invariants. changed reports
+// that update moved a pin.
+//
+// The trace pins guard browser.RenderVersion, which keys the service's
+// cache of finished results: a rendered trace that differs from its pin
+// while the corpus's RenderVersion still equals browser.RenderVersion is
+// an error in both modes, so a renderer change cannot be re-pinned, nor a
+// persistent store serve results of the old render, without a bump. After
+// a bump, -update re-pins every trace and records the new version; until
+// then TestGoldenCorpusDigestsPinned fails on the version mismatch.
+func checkGolden(e *GoldenEntry, v *verifiedRun, pinned, update bool) (changed bool, err error) {
+	sum := v.tr.Digest()
+	traceD := hex.EncodeToString(sum[:])
+	// Under -update, an unpinned entry (one just added) takes its first
+	// pin without a bump.
+	if pinned && e.Trace != traceD && !(update && e.Trace == "") {
+		return false, fmt.Errorf("verify: golden %s: rendered trace digest %s, pinned %q, under the same browser.RenderVersion %d: a change to the renderer's output must bump browser.RenderVersion, then re-pin with `webslice verify -exp golden -update`",
+			e.Label(), traceD, e.Trace, browser.RenderVersion)
+	}
+	pixD, sysD := SliceDigest(v.pix), SliceDigest(v.sys)
+	if update {
+		changed = e.Trace != traceD || e.Pixels != pixD || e.Syscalls != sysD
+		e.Trace, e.Pixels, e.Syscalls = traceD, pixD, sysD
+	} else {
+		if e.Pixels != pixD {
+			return false, fmt.Errorf("verify: golden %s: pixel slice digest %s, expected %s (slice behavior changed — run `webslice verify -update` if intended)",
+				e.Label(), pixD, e.Pixels)
+		}
+		if e.Syscalls != sysD {
+			return false, fmt.Errorf("verify: golden %s: syscall slice digest %s, expected %s (slice behavior changed — run `webslice verify -update` if intended)",
+				e.Label(), sysD, e.Syscalls)
+		}
+	}
+	if err := v.replayAll(); err != nil {
+		return false, err
+	}
+	return changed, v.invariantsAll()
+}
+
+// checkCrossFormat runs one golden entry's rendered trace through the
+// upload path: the trace is encoded, decoded with OpenV3 and ReadAll, and
+// sliced by two profilers over the decoded trace. The first has no store,
+// so its forward pass misses. The second finds the first one's forward
+// pass in a memory-only store. For both, every pinned digest must
+// reproduce and the Table II slice percentages must be identical to the
+// rendered run's. The first one's slices must also satisfy the replay
+// oracle against the original tape, and its Figure 5 category
+// distribution must match the rendered run's.
+func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
+	var enc bytes.Buffer
+	if err := v.tr.WriteV3Blocks(&enc, trace.DefaultBlockRecs); err != nil {
+		return fmt.Errorf("verify: crossformat %s: encode: %w", e.Label(), err)
+	}
+	br, err := trace.OpenV3(enc.Bytes())
+	if err != nil {
+		return fmt.Errorf("verify: crossformat %s: open: %w", e.Label(), err)
+	}
+	dec, err := br.ReadAll()
+	if err != nil {
+		return fmt.Errorf("verify: crossformat %s: decode: %w", e.Label(), err)
+	}
+	p := core.NewProfiler(dec)
+	p.Opts = verifyOpts
+	rs, err := sliceVerified(p)
+	if err != nil {
+		return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
+	}
+	st, err := store.Open("", 0)
+	if err != nil {
+		return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
+	}
+	hit := core.NewProfiler(dec)
+	hit.Opts = verifyOpts
+	key := store.KeyBytes(enc.Bytes())
+	hit.UseStore(st, key)
+	if err := st.PutDeps(key, p.Deps()); err != nil {
+		return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
+	}
+	hrs, err := sliceVerified(hit)
+	if err != nil {
+		return fmt.Errorf("verify: crossformat %s: forward-pass hit: %w", e.Label(), err)
+	}
+	for _, run := range []struct {
+		name string
+		rs   []*slicer.Result
+	}{{"forward-pass miss", rs}, {"forward-pass hit", hrs}} {
+		if d := SliceDigest(run.rs[0]); d != e.Pixels {
+			return fmt.Errorf("verify: crossformat %s: decoded pixel slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Pixels)
+		}
+		if d := SliceDigest(run.rs[1]); d != e.Syscalls {
+			return fmt.Errorf("verify: crossformat %s: decoded syscall slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Syscalls)
+		}
+		// Table II: the slice percentages must agree exactly.
+		for k, pair := range []struct{ ren, dec *slicer.Result }{{v.pix, run.rs[0]}, {v.sys, run.rs[1]}, {v.uni, run.rs[2]}} {
+			if pair.ren.Percent() != pair.dec.Percent() || pair.ren.Total != pair.dec.Total {
+				return fmt.Errorf("verify: crossformat %s: slice %d percentage after a %s diverges: rendered %.4f%% (%d recs), decoded %.4f%% (%d recs)",
+					e.Label(), k, run.name, pair.ren.Percent(), pair.ren.Total, pair.dec.Percent(), pair.dec.Total)
+			}
+		}
+	}
+	// Figure 5: the category distribution computed from the decoded
+	// trace must match the one from the rendered trace.
+	dr, dd := analysis.Categorize(v.tr, v.pix), analysis.Categorize(dec, rs[0])
+	if dr.UnnecessaryTotal != dd.UnnecessaryTotal || dr.CoveragePct != dd.CoveragePct || len(dr.Share) != len(dd.Share) {
+		return fmt.Errorf("verify: crossformat %s: category distribution diverges: rendered %+v, decoded %+v", e.Label(), dr, dd)
+	}
+	for cat, share := range dr.Share {
+		if dd.Share[cat] != share {
+			return fmt.Errorf("verify: crossformat %s: category %q share diverges: rendered %v, decoded %v", e.Label(), cat, share, dd.Share[cat])
+		}
+	}
+	// Replay-oracle verdicts: slices of the decoded trace must
+	// reproduce the criterion bytes on the original tape.
+	w := &verifiedRun{bench: v.bench, tr: v.tr, tape: v.tape, deps: p.Deps(), pix: rs[0], sys: rs[1], uni: rs[2]}
+	if err := w.replayAll(); err != nil {
+		return fmt.Errorf("verify: crossformat: %w", err)
+	}
+	return w.invariantsAll()
 }
 
 // verifyProperty pushes PropertyCount randomized mini-sites through the

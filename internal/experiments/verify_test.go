@@ -240,3 +240,44 @@ func TestDiffCatchesABrokenOptimizedResult(t *testing.T) {
 		t.Error("differential accepted a perturbed optimized slice")
 	}
 }
+
+// TestVerifyAllUpdateCrossChecksNewPins: `verify -exp all` runs each
+// golden site once for both the golden and the cross-format checks. A
+// stale slice pin fails the sweep; under -update the golden checks re-pin
+// it, and the cross-format checks of the same run compare against the new
+// pin, so the sweep passes and writes it.
+func TestVerifyAllUpdateCrossChecksNewPins(t *testing.T) {
+	c, err := LoadGolden(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry GoldenEntry
+	for _, e := range c.Sites {
+		if e.Seed != 0 {
+			entry = e
+			break
+		}
+	}
+	pin := entry.Pixels
+	entry.Pixels = strings.Repeat("0", 64)
+	stale := filepath.Join(t.TempDir(), "corpus.json")
+	writeGoldenFor(t, stale, &GoldenCorpus{RenderVersion: browser.RenderVersion, Sites: []GoldenEntry{entry}})
+
+	if _, err := ExecuteVerify("all", VerifyConfig{GoldenPath: stale, PropertyCount: 1}); err == nil {
+		t.Fatal("verify -exp all accepted a stale pixel pin")
+	}
+	st, err := ExecuteVerify("all", VerifyConfig{GoldenPath: stale, PropertyCount: 1, Update: true})
+	if err != nil {
+		t.Fatalf("verify -exp all -update: %v", err)
+	}
+	if st.GoldenSites != 1 || st.CrossFormat != 1 || st.Updated != 1 || st.Replays != 3*3 {
+		t.Errorf("stats = %+v, want 1 golden and 1 cross-format site, 1 re-pin, 9 replays", st)
+	}
+	got, err := LoadGolden(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Sites[0].Pixels != pin {
+		t.Errorf("-update wrote pixel pin %s, want %s", got.Sites[0].Pixels, pin)
+	}
+}

@@ -142,7 +142,7 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 		t.Fatalf("nil tracer ForTrace = %v", got)
 	}
 	h := http.Header{}
-	Inject(h, nil)
+	InjectContext(h, (*Span)(nil).Context())
 	if len(h) != 0 {
 		t.Fatal("nil span injected a header")
 	}
@@ -212,7 +212,7 @@ func TestRemoteParentsAcrossTracers(t *testing.T) {
 
 	route := co.Root("route")
 	h := http.Header{}
-	Inject(h, route)
+	InjectContext(h, route.Context())
 	sc, ok := Extract(h)
 	if !ok {
 		t.Fatal("extract failed")

@@ -46,17 +46,9 @@ func isHex(s string) bool {
 	return true
 }
 
-// Inject writes the span's context into an outgoing header set. Nil-safe:
-// a nil span injects nothing.
-func Inject(h http.Header, s *Span) {
-	if s == nil {
-		return
-	}
-	h.Set(Header, Traceparent(s.Context()))
-}
-
-// InjectContext writes an explicit SpanContext (e.g. one carried on a job
-// spec) into an outgoing header set; invalid contexts inject nothing.
+// InjectContext writes a SpanContext (a span's, or one carried on a job
+// spec) into an outgoing header set; an invalid context, such as a nil
+// span's, injects nothing.
 func InjectContext(h http.Header, sc SpanContext) {
 	if !sc.Valid() {
 		return

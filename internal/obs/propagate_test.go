@@ -54,7 +54,7 @@ func TestInjectExtractHeaders(t *testing.T) {
 	tr := New(16, nil)
 	s := tr.Root("route")
 	h := http.Header{}
-	Inject(h, s)
+	InjectContext(h, s.Context())
 	sc, ok := Extract(h)
 	if !ok || sc != s.Context() {
 		t.Fatalf("extract = %+v ok=%t, want %+v", sc, ok, s.Context())

@@ -16,19 +16,19 @@ import (
 // maxTraceBody bounds an uploaded binary trace (256 MB).
 const maxTraceBody = 256 << 20
 
-// bodyPrealloc is the most ReadTraceBody allocates before any byte
+// bodyPrealloc is the most readTraceBody allocates before any byte
 // arrives: a Content-Length is only a claim, so past this the buffer
 // grows with the bytes actually received.
 const bodyPrealloc = 1 << 20
 
-// ReadTraceBody reads the body of a trace upload, at most maxTraceBody
-// bytes, for both the single-node and the coordinator's POST /jobs/trace.
-// A body that declares its Content-Length is read into one buffer of
-// exactly that size when it is at most bodyPrealloc; a larger or
-// undeclared body starts smaller and doubles as bytes arrive, never past
-// the declared size. A body that is empty, longer than maxTraceBody, or
-// not the length it declared is an error.
-func ReadTraceBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readTraceBody reads the body of a POST /jobs/trace upload, at most
+// maxTraceBody bytes. A body that declares its Content-Length is read into
+// one buffer of exactly that size when it is at most bodyPrealloc; a
+// larger or undeclared body starts smaller and doubles as bytes arrive,
+// never past the declared size. A body that is empty, longer than
+// maxTraceBody (an *http.MaxBytesError), or not the length it declared is
+// an error.
+func readTraceBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	declared := r.ContentLength // -1 when unknown (a chunked body)
 	if declared > maxTraceBody {
 		return nil, fmt.Errorf("reading trace body: %w", &http.MaxBytesError{Limit: maxTraceBody})
@@ -78,69 +78,96 @@ func ReadTraceBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf, nil
 }
 
-// NewHandler returns the websliced HTTP API over a manager:
+// Backend is what NewHandler serves: a worker's *Manager, or a cluster
+// coordinator that routes the same calls to its workers' handlers.
+type Backend interface {
+	Submit(Spec) (string, error)
+	Info(id string) (Info, bool)
+	// Result returns a finished job's result; ok is false while the job
+	// is unknown or not done.
+	Result(id string) (*Result, bool)
+	Cancel(id string) bool
+	Jobs() []Info
+	Quarantined() []Info
+	// JobTrace returns the spans of a job's trace; ok is false for an
+	// unknown job or with tracing off.
+	JobTrace(id string) ([]obs.SpanData, bool)
+	// Tracer is nil with tracing off.
+	Tracer() *obs.Tracer
+	Draining() bool
+	Metrics() *metrics.Registry
+	// Health returns the role's own /healthz fields, beside "status".
+	Health() map[string]any
+}
+
+// Health returns a worker's /healthz fields: its worker count.
+func (m *Manager) Health() map[string]any { return map[string]any{"workers": m.Workers()} }
+
+// NewHandler returns the websliced HTTP API over b. A worker serves it
+// over its manager; a coordinator serves it over its router and adds
+// POST /batch and GET /cluster (cluster.NewHandler):
 //
-//	POST   /jobs            submit a site job (JSON Spec)     -> 202 {id}
-//	POST   /jobs/trace      submit a binary trace
-//	                        (?criteria, ?verify=1)            -> 202 {id}
-//	GET    /jobs            list jobs                         -> 200 [Info]
-//	GET    /jobs/quarantined poisoned jobs (2x panicked)      -> 200 [Info]
-//	GET    /jobs/{id}        job status                       -> 200 Info
-//	GET    /jobs/{id}/result finished job result              -> 200 Result
-//	DELETE /jobs/{id}        cancel                           -> 200
-//	GET    /jobs/{id}/trace  recorded spans of the job's trace -> 200 [SpanData]
-//	GET    /healthz         liveness (503 while draining)     -> 200
-//	GET    /metrics         text exposition of the registry   -> 200
-//	GET    /debug/spans     every span in the tracer's ring (JSONL)
+//	POST   /jobs             submit a site or seed job (JSON Spec) -> 202 {id}
+//	POST   /jobs/trace       submit a binary trace
+//	                         (?criteria, ?verify=1, ?origin)       -> 202 {id}
+//	GET    /jobs             list jobs                             -> 200 [Info]
+//	GET    /jobs/quarantined poisoned jobs (2x panicked)           -> 200 [Info]
+//	GET    /jobs/{id}        job status                            -> 200 Info
+//	GET    /jobs/{id}/result finished job result                   -> 200 Result
+//	DELETE /jobs/{id}        cancel                                -> 200
+//	GET    /jobs/{id}/trace  recorded spans of the job's trace     -> 200 [SpanData]
+//	GET    /healthz          liveness (503 while draining)         -> 200
+//	GET    /metrics          text exposition of the registry       -> 200
+//	GET    /debug/spans      every span in the tracer's ring (JSONL)
 //
-// Backpressure surfaces as HTTP 429 (queue full) and shutdown as 503.
-// Submissions carrying a W3C traceparent header join the caller's trace:
-// the job's spans parent under the propagated context instead of starting
-// a fresh trace (this is how a coordinator-routed job yields one
-// causally-linked trace across nodes).
-func NewHandler(m *Manager) http.Handler {
+// Every error is a JSON {"error"} body (WriteError). Backpressure surfaces
+// as 429 with Retry-After, shutdown as 503, and an upload over the body
+// cap or the admission limit as 413. Submissions carrying a W3C
+// traceparent header join the caller's trace: the job's spans parent
+// under the propagated context instead of starting a fresh trace (this is
+// how a coordinator-routed job yields one causally-linked trace across
+// nodes).
+func NewHandler(b Backend) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+			WriteError(w, fmt.Errorf("bad job spec: %w", err))
 			return
 		}
-		spec.TraceCtx, _ = obs.Extract(r.Header)
-		submit(m, w, spec)
+		submit(b, w, r, spec)
 	})
 
 	mux.HandleFunc("POST /jobs/trace", func(w http.ResponseWriter, r *http.Request) {
-		body, err := ReadTraceBody(w, r)
+		body, err := readTraceBody(w, r)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			WriteError(w, err)
 			return
 		}
-		spec := Spec{
+		q := r.URL.Query()
+		submit(b, w, r, Spec{
 			Trace:    body,
-			Criteria: r.URL.Query().Get("criteria"),
-			Verify:   r.URL.Query().Get("verify") == "1" || r.URL.Query().Get("verify") == "true",
-			Origin:   r.URL.Query().Get("origin"),
-		}
-		spec.TraceCtx, _ = obs.Extract(r.Header)
-		submit(m, w, spec)
+			Criteria: q.Get("criteria"),
+			Verify:   q.Get("verify") == "1" || q.Get("verify") == "true",
+			Origin:   q.Get("origin"),
+		})
 	})
 
 	mux.HandleFunc("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		spans, ok := m.JobTrace(id)
+		spans, ok := b.JobTrace(id)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no trace for job %q (unknown job, or tracing disabled)", id))
+			fail(w, http.StatusNotFound, "no trace for job %q (unknown job, or tracing disabled)", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, spans)
+		WriteJSON(w, http.StatusOK, spans)
 	})
 
 	mux.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, r *http.Request) {
-		t := m.Tracer()
+		t := b.Tracer()
 		if t == nil {
-			httpError(w, http.StatusNotFound, errors.New("tracing disabled (websliced -trace-spans 0)"))
+			fail(w, http.StatusNotFound, "tracing disabled (websliced -trace-spans 0)")
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -148,91 +175,114 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		jobs := m.Jobs()
+		jobs := b.Jobs()
 		sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
-		writeJSON(w, http.StatusOK, jobs)
+		WriteJSON(w, http.StatusOK, jobs)
 	})
 
 	mux.HandleFunc("GET /jobs/quarantined", func(w http.ResponseWriter, r *http.Request) {
 		// The poisoned-job list: jobs pulled from rotation after panicking
 		// twice. The literal route wins over GET /jobs/{id} by specificity.
-		writeJSON(w, http.StatusOK, m.Quarantined())
+		WriteJSON(w, http.StatusOK, b.Quarantined())
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		info, ok := m.Info(r.PathValue("id"))
+		info, ok := b.Info(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+			fail(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	})
 
 	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		// The result first: a done job costs a coordinator one fetch from
+		// its worker, and the status only explains a miss.
 		id := r.PathValue("id")
-		info, ok := m.Info(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
+		if res, ok := b.Result(id); ok {
+			WriteJSON(w, http.StatusOK, res)
 			return
 		}
-		res, ok := m.Result(id)
+		info, ok := b.Info(id)
 		if !ok {
-			httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s, not done", id, info.Status))
+			fail(w, http.StatusNotFound, "no job %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		fail(w, http.StatusConflict, "job %s is %s, not done", id, info.Status)
 	})
 
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		if !m.Cancel(id) {
-			httpError(w, http.StatusConflict, fmt.Errorf("job %q unknown or already finished", id))
+		if !b.Cancel(id) {
+			fail(w, http.StatusConflict, "job %q unknown or already finished", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "canceling"})
+		WriteJSON(w, http.StatusOK, map[string]string{"id": id, "status": "canceling"})
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// During drain the instance still answers (running jobs finish) but
 		// reports unhealthy so load balancers stop routing new work to it.
-		if m.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining", "workers": m.Workers()})
-			return
+		body, code := b.Health(), http.StatusOK
+		body["status"] = "ok"
+		if b.Draining() {
+			body["status"], code = "draining", http.StatusServiceUnavailable
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "workers": m.Workers()})
+		WriteJSON(w, code, body)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", metrics.ContentType)
-		m.Metrics().WriteText(w)
+		b.Metrics().WriteText(w)
 	})
 
 	return mux
 }
 
-func submit(m *Manager, w http.ResponseWriter, spec Spec) {
-	id, err := m.Submit(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrTraceTooLarge):
-		httpError(w, http.StatusRequestEntityTooLarge, err)
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
+func submit(b Backend, w http.ResponseWriter, r *http.Request, spec Spec) {
+	spec.TraceCtx, _ = obs.Extract(r.Header)
+	id, err := b.Submit(spec)
+	if err != nil {
+		WriteError(w, err)
+		return
 	}
+	WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with code and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError answers err as {"error": err.Error()} with the status the
+// API gives it: an *APIError in err's chain keeps its code and
+// Retry-After (a worker's answer, passed through by a coordinator);
+// ErrQueueFull is 429 with Retry-After 1; ErrClosed is 503; ErrTraceTooLarge
+// and an upload over the body cap (*http.MaxBytesError) are 413; anything
+// else is a bad request, 400.
+func WriteError(w http.ResponseWriter, err error) {
+	code, retryAfter := http.StatusBadRequest, ""
+	var apiErr *APIError
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &apiErr):
+		code, retryAfter = apiErr.Code, apiErr.RetryAfter
+	case errors.Is(err, ErrQueueFull):
+		code, retryAfter = http.StatusTooManyRequests, "1"
+	case errors.Is(err, ErrClosed):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, ErrTraceTooLarge), errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
+	}
+	if retryAfter != "" {
+		w.Header().Set("Retry-After", retryAfter)
+	}
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// fail answers with code and a formatted error message.
+func fail(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -45,7 +45,7 @@ check_cover ./internal/cdg 85
 check_cover ./internal/replay 82
 check_cover ./internal/trace 85
 check_cover ./internal/service 91
-check_cover ./internal/cluster 85
+check_cover ./internal/cluster 92
 check_cover ./cmd/webslice 28
 
 # Robustness gate: vet + race over the durability-critical service package
@@ -68,6 +68,10 @@ go test -race -count=20 -run 'TestConcurrentGetPutEvictStress' ./internal/store
 # wait can end by cancellation, an obtain error or the obtainer's panic.
 # Race every one of those hand-offs many times (about 2 s).
 go test -race -count=50 -run 'TestTraceShare' ./internal/service
+# A stopping daemon drains its jobs while it still serves, and closes its
+# server only after the drain: the signal, the HTTP server and the workers
+# hand shutdown to each other, so one passing run can be luck.
+go test -race -count=20 -run 'TestDrainKeepsServing' ./cmd/websliced
 go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s ./internal/service
 
 # Fuzz smoke: a few seconds per target so a crashing input or a slice that

@@ -94,7 +94,9 @@ func main() {
 		probeInterval: *probeInterval,
 		probeFails:    *probeFails,
 	}
-	if err := run(*addr, *dir, *memMB<<20, *journal, *drainTimeout, cfg, cl); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, *addr, *dir, *memMB<<20, *journal, *drainTimeout, cfg, cl); err != nil {
 		fmt.Fprintln(os.Stderr, "websliced:", err)
 		os.Exit(1)
 	}
@@ -131,7 +133,8 @@ func splitPeers(s string) []string {
 	return out
 }
 
-func run(addr, dir string, memBytes int64, journalPath string, drainTimeout time.Duration, cfg service.Config, cl clusterConfig) error {
+// run serves until ctx is done, then shuts down gracefully (see below).
+func run(ctx context.Context, addr, dir string, memBytes int64, journalPath string, drainTimeout time.Duration, cfg service.Config, cl clusterConfig) error {
 	if len(cl.peers) > 0 && !cl.coordinator {
 		return errors.New("-peers requires -coordinator")
 	}
@@ -185,9 +188,6 @@ func run(addr, dir string, memBytes int64, journalPath string, drainTimeout time
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	srv := &http.Server{Addr: addr, Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errc := make(chan error, 1)
 	go func() {
 		if cl.coordinator {
@@ -207,23 +207,25 @@ func run(addr, dir string, memBytes int64, journalPath string, drainTimeout time
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: stop accepting connections, then drain accepted
-	// jobs within the budget. Jobs the drain cannot finish in time are not
-	// abandoned — they stay pending in the journal and the next boot
-	// re-runs them (without a journal they are lost, as before).
+	// Graceful shutdown: drain accepted jobs within the budget while the
+	// server still answers, so /healthz reports 503 and clients can poll
+	// the jobs that are finishing; then close the server. Jobs the drain
+	// cannot finish in time are not abandoned — they stay pending in the
+	// journal and the next boot re-runs them (without a journal they are
+	// lost).
 	logger.Info("shutting down, draining jobs", "budget", drainTimeout)
-	if co != nil {
-		co.Stop()
-	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error("http shutdown", "error", err)
+	if co != nil {
+		co.Stop()
 	}
 	if mgr.Drain(drainTimeout) {
 		logger.Info("drained, bye")
 	} else {
 		logger.Warn("drain budget expired; unfinished jobs remain in the journal")
+	}
+	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		logger.Error("http shutdown", "error", err)
 	}
 	return nil
 }

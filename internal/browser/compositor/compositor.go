@@ -122,18 +122,13 @@ func New(m *vm.Machine, s *sched.Scheduler, tid uint8, rasterThreads []uint8, vw
 	}
 }
 
-// Commit receives the main thread's layer list: writes traced layer
+// CommitDiff receives the main thread's layer list: writes traced layer
 // metadata, builds tilings, computes occlusion and priorities, and schedules
 // rasterization. onAllRastered fires (on the compositor thread) when every
-// scheduled tile has been rastered.
-func (c *Compositor) Commit(layers []*paint.Layer, onAllRastered func()) {
-	c.CommitDiff(layers, func(*paint.Layer) bool { return true }, onAllRastered)
-}
-
-// CommitDiff is Commit with damage tracking: backing-store tiles of layers
-// the damage predicate rejects are carried over from the previous commit
-// (retargeted to the new layer objects), so only changed content re-rasters
-// — Chromium's partial invalidation.
+// scheduled tile has been rastered. Backing-store tiles of layers the damage
+// predicate rejects are carried over from the previous commit (retargeted to
+// the new layer objects), so only changed content re-rasters — Chromium's
+// partial invalidation.
 func (c *Compositor) CommitDiff(layers []*paint.Layer, damaged func(*paint.Layer) bool, onAllRastered func()) {
 	m := c.M
 	// Index surviving tiles by owning DOM node (nil = root layer).

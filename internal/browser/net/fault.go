@@ -95,14 +95,6 @@ func (p *FaultPlan) Get(url string) (Fault, bool) {
 	return f, ok
 }
 
-// Len reports how many resources have planned faults.
-func (p *FaultPlan) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.byURL)
-}
-
 // RetryPolicy is the client's fault-handling configuration: bounded retries
 // with exponential backoff plus deterministic jitter, and a per-attempt
 // timeout on the scheduler's virtual clock.

@@ -52,7 +52,7 @@ func pipeline(t *testing.T, sheet string) (*vm.Machine, *compositor.Compositor, 
 	comp.Raster = rz.RasterTile
 	done := false
 	m.Switch(1)
-	comp.Commit(layers, func() { done = true })
+	comp.CommitDiff(layers, func(*paint.Layer) bool { return true }, func() { done = true })
 	s.Run()
 	if !done {
 		t.Fatal("raster batch never completed")

@@ -82,9 +82,6 @@ func (tm *Timer) Cancel() bool {
 	return true
 }
 
-// Fired reports whether the task already ran (or was cancelled).
-func (tm *Timer) Fired() bool { return tm == nil || tm.t == nil || tm.t.Run == nil }
-
 type taskHeap []*Task
 
 func (h taskHeap) Len() int { return len(h) }
@@ -276,7 +273,7 @@ func (s *Scheduler) Run() {
 			s.OnDispatch()
 		}
 		run := t.Run
-		t.Run = nil // lets Timer.Fired observe completion
+		t.Run = nil // a fired task can no longer be cancelled (Timer.Cancel)
 		m.Call(s.taskFn(t.Name), run)
 	}
 }

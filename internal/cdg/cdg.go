@@ -26,9 +26,6 @@ type Deps struct {
 // Of returns the branch PCs that pc is control-dependent on (nil if none).
 func (d *Deps) Of(pc uint32) []uint32 { return d.ByPC[pc] }
 
-// Len returns how many PCs have at least one control dependence.
-func (d *Deps) Len() int { return len(d.ByPC) }
-
 // Compute builds control dependences for every function in the forest:
 // each function's postdominator tree and FOW walk. PCs embed their FuncID,
 // so per-function results touch disjoint keys.

@@ -158,8 +158,8 @@ func TestStraightLineHasNoDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Compute(f)
-	if d.Len() != 0 {
-		t.Errorf("straight-line code has %d control-dependent PCs, want 0", d.Len())
+	if len(d.ByPC) != 0 {
+		t.Errorf("straight-line code has %d control-dependent PCs, want 0", len(d.ByPC))
 	}
 }
 

@@ -166,6 +166,9 @@ func TestAPIContract(t *testing.T) {
 			if rw.Code != http.StatusServiceUnavailable || h.Status != "draining" {
 				t.Fatalf("healthz while draining = %d %s, want 503 draining", rw.Code, rw.Body)
 			}
+			if rw := serve(role.h, http.MethodPost, "/jobs", []byte(`{"site":"maps"}`), 0); rw.Code != http.StatusServiceUnavailable {
+				t.Fatalf("submit while draining = %d %s, want 503", rw.Code, rw.Body)
+			}
 		})
 	}
 }

@@ -104,6 +104,31 @@ func mustResult(t testing.TB, c *Coordinator, id string) *service.Result {
 	return res
 }
 
+// awaitResults waits for each job in ids to finish done and returns their
+// results in the same order. A job seen done on a worker that then died
+// has no result to fetch until the coordinator re-routes it, so each wait
+// repeats until the result arrives.
+func awaitResults(t testing.TB, c *Coordinator, ids []string) []*service.Result {
+	t.Helper()
+	out := make([]*service.Result, len(ids))
+	deadline := time.Now().Add(60 * time.Second)
+	for i, id := range ids {
+		for out[i] == nil {
+			if info := await(t, c, id); info.Status != service.StatusDone {
+				t.Fatalf("job %s (batch index %d): %s (%s)", id, i, info.Status, info.Error)
+			}
+			if res, ok := c.Result(id); ok {
+				out[i] = res
+			} else if time.Now().After(deadline) {
+				t.Fatalf("job %s is done, but its result never arrived", id)
+			} else {
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+	}
+	return out
+}
+
 // The acceptance test for cache-affinity scheduling: submitting the same
 // workload twice routes both jobs to the same owner, and the second run is
 // an artifact-store hit there (forward pass skipped), counted by the
@@ -168,25 +193,16 @@ func TestClusterSingleVsMultiNodeDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleRes, err := single.co.Gather(ids, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	singleRes := awaitResults(t, single.co, ids)
 
 	multi := startCluster(t, 3, Config{})
 	ids, err = multi.co.Scatter(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiRes, err := multi.co.Gather(ids, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	multiRes := awaitResults(t, multi.co, ids)
 
 	for i, e := range corpus.Sites {
-		if singleRes[i] == nil || multiRes[i] == nil {
-			t.Fatalf("%s: missing result (single=%v multi=%v)", e.Label(), singleRes[i] != nil, multiRes[i] != nil)
-		}
 		if singleRes[i].SliceDigest != multiRes[i].SliceDigest {
 			t.Errorf("%s: single-node digest %s != 3-node digest %s",
 				e.Label(), singleRes[i].SliceDigest, multiRes[i].SliceDigest)
@@ -244,20 +260,14 @@ func TestClusterWorkerDeathReroutes(t *testing.T) {
 	}
 	victim.close()
 
-	results, err := tc.co.Gather(ids, time.Minute)
-	if err != nil {
-		t.Fatalf("gather after worker death: %v", err)
-	}
+	results := awaitResults(t, tc.co, ids)
 	for i, res := range results {
-		if res == nil {
-			t.Fatalf("job %s (seed %d) lost after worker death", ids[i], specs[i].Seed)
-		}
 		if res.SliceDigest == "" {
 			t.Fatalf("job %s finished without a digest", ids[i])
 		}
 	}
 	if slices.Contains(tc.co.Ring().Nodes(), victim.srv.URL) {
-		t.Fatal("dead worker still in the ring after gather")
+		t.Fatal("dead worker still in the ring after every job finished")
 	}
 	if got := tc.co.Metrics().Counter("cluster_jobs_rerouted").Value(); got < 1 {
 		t.Fatalf("cluster_jobs_rerouted = %d, want >= 1 (victim owned %d)", got, owned)
@@ -480,9 +490,7 @@ func benchGolden(b *testing.B, k int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tc.co.Gather(ids, time.Minute); err != nil {
-			b.Fatal(err)
-		}
+		awaitResults(b, tc.co, ids)
 	}
 }
 

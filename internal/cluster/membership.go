@@ -49,8 +49,6 @@ type MembershipConfig struct {
 	// failure threshold and leaves the ring — the router re-routes the
 	// peer's pending jobs here.
 	OnEvict func(url string)
-	// OnJoin fires when an evicted peer passes a probe and rejoins.
-	OnJoin func(url string)
 	// Metrics receives ring-size/alive gauges and eviction counters; nil
 	// creates a private registry.
 	Metrics *metrics.Registry
@@ -228,9 +226,6 @@ func (m *Membership) reportSuccess(peer string) {
 	m.ring.Add(peer)
 	m.cRejoined.Inc()
 	m.publish()
-	if m.cfg.OnJoin != nil {
-		m.cfg.OnJoin(peer)
-	}
 }
 
 // known reports whether peer is in the configured probe set (mu held).

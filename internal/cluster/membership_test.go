@@ -87,17 +87,16 @@ func (f *flakyProbe) probe(url string) error {
 }
 
 func TestMembershipEvictionAndRejoin(t *testing.T) {
-	ring := NewRing(0)
+	ring := NewRing()
 	probes := &flakyProbe{}
 	var mu sync.Mutex
-	var evicted, joined []string
+	var evicted []string
 	m := NewMembership(ring, MembershipConfig{
 		Peers:         []string{"http://w1", "http://w2"},
 		FailThreshold: 3,
 		Probe:         probes.probe,
 		Clock:         newFakeClock(),
 		OnEvict:       func(u string) { mu.Lock(); evicted = append(evicted, u); mu.Unlock() },
-		OnJoin:        func(u string) { mu.Lock(); joined = append(joined, u); mu.Unlock() },
 	})
 
 	// Optimistic admission: both peers are ring members before any probe.
@@ -131,18 +130,16 @@ func TestMembershipEvictionAndRejoin(t *testing.T) {
 	if !m.Alive("http://w2") || !slices.Contains(ring.Nodes(), "http://w2") {
 		t.Fatal("recovered peer not re-admitted")
 	}
-	mu.Lock()
-	if len(joined) != 1 || joined[0] != "http://w2" {
-		t.Fatalf("OnJoin calls = %v, want [http://w2]", joined)
+	if got := m.cRejoined.Value(); got != 1 {
+		t.Fatalf("cluster_peers_rejoined = %d, want 1", got)
 	}
-	mu.Unlock()
 }
 
 // Router-reported forward failures count toward the same threshold as
 // probes: a dead worker stops receiving jobs after FailThreshold failed
 // forwards, without waiting for the next probe round.
 func TestMembershipReportFailureEvicts(t *testing.T) {
-	ring := NewRing(0)
+	ring := NewRing()
 	m := NewMembership(ring, MembershipConfig{
 		Peers:         []string{"http://w1"},
 		FailThreshold: 2,
@@ -177,7 +174,7 @@ func TestMembershipReportFailureEvicts(t *testing.T) {
 // The probe loop runs on the injectable clock: advancing it by the probe
 // interval triggers a round; Stop halts the loop.
 func TestMembershipProbeLoopOnClock(t *testing.T) {
-	ring := NewRing(0)
+	ring := NewRing()
 	clock := newFakeClock()
 	var mu sync.Mutex
 	probed := 0

@@ -23,10 +23,10 @@ import (
 	"sync"
 )
 
-// DefaultReplicas is the virtual-node count per member. 128 points per
-// node keeps the ownership skew over random SHA-256 keys within a few
-// tens of percent of fair share (see ring_test.go's 10k-digest bound).
-const DefaultReplicas = 128
+// replicas is the virtual-node count per member. 128 points per node
+// keeps the ownership skew over random SHA-256 keys within a few tens of
+// percent of fair share (see ring_test.go's 10k-digest bound).
+const replicas = 128
 
 // point is one virtual node: a position on the 64-bit hash circle owned
 // by a member.
@@ -41,21 +41,13 @@ type point struct {
 // the same membership computes the same owner for every key. All methods
 // are safe for concurrent use.
 type Ring struct {
-	replicas int
-
 	mu     sync.RWMutex
 	nodes  map[string]struct{}
 	points []point // sorted by (hash, node)
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// member (<= 0 selects DefaultReplicas).
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, nodes: make(map[string]struct{})}
-}
+// NewRing returns an empty ring.
+func NewRing() *Ring { return &Ring{nodes: make(map[string]struct{})} }
 
 // hashPoint places virtual node i of a member on the circle.
 func hashPoint(node string, i int) uint64 {
@@ -82,7 +74,7 @@ func (r *Ring) Add(node string) {
 		return
 	}
 	r.nodes[node] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		r.points = append(r.points, point{hashPoint(node, i), node})
 	}
 	sort.Slice(r.points, func(a, b int) bool {

@@ -19,7 +19,7 @@ func randomDigests(n int) []string {
 }
 
 func ringOf(nodes ...string) *Ring {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range nodes {
 		r.Add(n)
 	}
@@ -101,7 +101,7 @@ func TestRingRemoveOnlyMovesOwnedKeys(t *testing.T) {
 	}
 }
 
-// With DefaultReplicas virtual nodes, ownership over 10k random digests
+// With 128 virtual nodes a member, ownership over 10k random digests
 // stays within a factor of two of fair share for every member.
 func TestRingDistributionSkew(t *testing.T) {
 	keys := randomDigests(10000)
@@ -150,7 +150,7 @@ func TestRingOwnersFailoverOrder(t *testing.T) {
 }
 
 func TestRingEmptyAndNoop(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if owners := r.Owners("k", 1); len(owners) != 0 {
 		t.Fatalf("empty ring returned owners %v", owners)
 	}

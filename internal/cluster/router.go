@@ -21,6 +21,10 @@ import (
 // Deprecated: call service.JobKey.
 func JobKey(spec service.Spec) string { return service.JobKey(spec) }
 
+// forwardTimeout bounds each request to a worker; trace uploads can be
+// large.
+const forwardTimeout = 60 * time.Second
+
 // Config wires a Coordinator.
 type Config struct {
 	// Self is this node's advertised base URL. A peer equal to Self is
@@ -34,24 +38,10 @@ type Config struct {
 	// coordinator then takes its fair share of the key space); if absent,
 	// the coordinator only executes fallback work.
 	Peers []string
-	// Replicas is the ring's virtual-node count (0 = DefaultReplicas).
-	Replicas int
-	// ProbeInterval / FailThreshold / Probe configure health checking
-	// (see MembershipConfig).
+	// ProbeInterval / FailThreshold configure health checking (see
+	// MembershipConfig).
 	ProbeInterval time.Duration
 	FailThreshold int
-	Probe         func(url string) error
-	// Clock abstracts time for scatter/gather polling and tests.
-	Clock service.Clock
-	// Metrics receives the routing counters; nil uses Local's registry.
-	Metrics *metrics.Registry
-	// HTTPTimeout bounds each forwarded request (default 60s — trace
-	// uploads can be large).
-	HTTPTimeout time.Duration
-	// Tracer records the coordinator's routing spans. Nil inherits the
-	// local manager's tracer, so a locally-executed job's route and worker
-	// spans land in one ring; if that is also nil, tracing is off.
-	Tracer *obs.Tracer
 	// Logger receives structured routing logs (routed, rerouted,
 	// backpressure, evictions) carrying job and trace IDs. Nil discards.
 	Logger *slog.Logger
@@ -111,10 +101,12 @@ type Coordinator struct {
 	ring    *Ring
 	members *Membership
 	peers   map[string]*service.Client // by URL; written once in New
-	clock   service.Clock
-	reg     *metrics.Registry
-	tracer  *obs.Tracer
-	log     *slog.Logger
+	// reg and tracer are the local manager's: the routing counters and
+	// spans land beside its own, so a locally executed job's route and
+	// worker spans share one ring. tracer is nil with tracing off.
+	reg    *metrics.Registry
+	tracer *obs.Tracer
+	log    *slog.Logger
 
 	mu     sync.Mutex
 	jobs   map[string]*routedJob
@@ -130,26 +122,13 @@ func New(cfg Config) *Coordinator {
 	if cfg.Local == nil {
 		panic("cluster: Config.Local is required")
 	}
-	if cfg.HTTPTimeout <= 0 {
-		cfg.HTTPTimeout = 60 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = service.SystemClock
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = cfg.Local.Metrics()
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = cfg.Local.Tracer()
-	}
+	reg := cfg.Local.Metrics()
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
-	ring := NewRing(cfg.Replicas)
-	hc := &http.Client{Timeout: cfg.HTTPTimeout}
+	ring := NewRing()
+	hc := &http.Client{Timeout: forwardTimeout}
 	peers := make(map[string]*service.Client)
 	var remote []string
 	for _, p := range cfg.Peers {
@@ -164,9 +143,8 @@ func New(cfg Config) *Coordinator {
 		cfg:            cfg,
 		ring:           ring,
 		peers:          peers,
-		clock:          cfg.Clock,
 		reg:            reg,
-		tracer:         tracer,
+		tracer:         cfg.Local.Tracer(),
 		log:            logger,
 		jobs:           make(map[string]*routedJob),
 		cRouted:        reg.Counter("cluster_jobs_routed"),
@@ -180,8 +158,6 @@ func New(cfg Config) *Coordinator {
 		Peers:         remote,
 		ProbeInterval: cfg.ProbeInterval,
 		FailThreshold: cfg.FailThreshold,
-		Probe:         cfg.Probe,
-		Clock:         cfg.Clock,
 		Metrics:       reg,
 		OnEvict:       c.handleEvict,
 	})
@@ -234,8 +210,13 @@ func (c *Coordinator) peerCounter(kind, peer string) *metrics.Counter {
 // and when no ring member accepts the job it falls back to local
 // execution, so a lone coordinator still makes progress. A 429 from the
 // owner is backpressure, not failure: it propagates to the caller rather
-// than stampeding a colder node.
+// than stampeding a colder node. Once the local manager drains, Submit
+// refuses with service.ErrClosed, as a draining worker does: the job ids
+// it would hand out end with the coordinator.
 func (c *Coordinator) Submit(spec service.Spec) (string, error) {
+	if c.cfg.Local.Draining() {
+		return "", service.ErrClosed
+	}
 	key := service.JobKey(spec)
 	c.mu.Lock()
 	c.nextID++

@@ -100,10 +100,10 @@ func TestBackpressureSpanEvent(t *testing.T) {
 	defer busy.Close()
 
 	st, _ := store.Open("", 1<<20)
-	local := service.New(service.Config{Workers: 1, Store: st})
-	defer local.Kill()
 	tr := obs.New(64, nil)
-	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{busy.URL}, Tracer: tr})
+	local := service.New(service.Config{Workers: 1, Store: st, Tracer: tr})
+	defer local.Kill()
+	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{busy.URL}})
 	defer co.Stop()
 
 	if _, err := co.Submit(service.Spec{Seed: 5}); err == nil ||

@@ -74,22 +74,6 @@ func (s *Site) Add(r *Resource) {
 	s.Resources[r.URL] = r
 }
 
-// TotalBytes sums the body sizes of all load-time JS and CSS resources —
-// the denominator of the paper's Table I.
-func (s *Site) TotalBytes(types ...ResourceType) int {
-	want := map[ResourceType]bool{}
-	for _, t := range types {
-		want[t] = true
-	}
-	n := 0
-	for _, r := range s.Resources {
-		if want[r.Type] {
-			n += len(r.Body)
-		}
-	}
-	return n
-}
-
 // ActionKind enumerates user interactions.
 type ActionKind uint8
 

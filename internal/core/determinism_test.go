@@ -146,8 +146,8 @@ func TestForwardPassServedFromStore(t *testing.T) {
 	if _, err := p1.Slice(slicer.PixelCriteria{}); err != nil {
 		t.Fatal(err)
 	}
-	if p1.Forest() == nil {
-		t.Fatal("first profiler should have computed the forward pass")
+	if got := st.Stats().Puts; got != 1 {
+		t.Fatalf("first profiler stored %d forward passes, want the 1 it computed", got)
 	}
 
 	// A second profiler over an identical trace, slicing the other
@@ -160,8 +160,8 @@ func TestForwardPassServedFromStore(t *testing.T) {
 	if st.Stats().Hits <= before {
 		t.Fatal("store hit counter did not increment")
 	}
-	if p2.Forest() != nil {
-		t.Fatal("forward pass should have been loaded from the store, not rebuilt")
+	if got := st.Stats().Puts; got != 1 {
+		t.Fatalf("%d forward passes stored; the second should have been loaded from the store, not rebuilt", got)
 	}
 	if p2.Deps() == nil {
 		t.Fatal("forward pass missing after store load")

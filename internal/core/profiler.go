@@ -35,8 +35,7 @@ type Profiler struct {
 	// T is the trace being profiled.
 	T *trace.Trace
 
-	forest *cfg.Forest
-	deps   *cdg.Deps
+	deps *cdg.Deps
 
 	// Opts are the options of every slicing run.
 	Opts slicer.Options
@@ -77,8 +76,8 @@ func (p *Profiler) UseStore(s *store.Store, key string) {
 
 // Forward runs the forward pass: per-function CFGs from the dynamic trace,
 // postdominator trees, and the control dependence graph. With a store
-// attached, a cached dependence graph is loaded instead (the CFG forest is
-// then not materialized — Forest stays nil) and a computed one is saved.
+// attached, a cached dependence graph is loaded instead (the CFGs are then
+// not built) and a computed one is saved.
 // Opts.Canceled is honored at the pass's phase boundaries (the backward
 // pass additionally polls it mid-walk; see slicer.Options.Canceled).
 func (p *Profiler) Forward() error {
@@ -109,7 +108,6 @@ func (p *Profiler) Forward() error {
 		fs.EndErr(slicer.ErrCanceled)
 		return slicer.ErrCanceled
 	}
-	p.forest = f
 	p.deps = cdg.Compute(f)
 	fs.End()
 	if p.store != nil {
@@ -140,9 +138,6 @@ func (p *Profiler) storeSpan(op string) *obs.Span {
 func (p *Profiler) canceled() bool {
 	return p.Opts.Canceled != nil && p.Opts.Canceled()
 }
-
-// Forest returns the CFGs built by the forward pass (nil before Forward).
-func (p *Profiler) Forest() *cfg.Forest { return p.forest }
 
 // Deps returns the control dependence graph (nil before Forward).
 func (p *Profiler) Deps() *cdg.Deps { return p.deps }

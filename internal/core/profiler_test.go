@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"webslice/internal/browser/debuglog"
 	"webslice/internal/isa"
 	"webslice/internal/obs"
 	"webslice/internal/slicer"
@@ -19,10 +20,7 @@ func demoMachine() *vm.Machine {
 		v := m.Const(0xFFFFFF)
 		m.StoreU32(tile, v)
 	})
-	junk := m.Func("metrics", "base/debug")
-	m.Call(junk, func() {
-		m.Bookkeep(m.Heap.Alloc(8), 3)
-	})
+	debuglog.New(m, 3).Histogram(0)
 	m.MarkPixels(vmem.Range{Addr: tile, Size: 64})
 	m.Syscall(isa.SysIoctl, isa.RegNone, isa.RegNone, []vmem.Range{{Addr: tile, Size: 64}}, nil, nil)
 	return m
@@ -34,7 +32,7 @@ func TestProfilerEndToEnd(t *testing.T) {
 	if err := p.Forward(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Forest() == nil || p.Deps() == nil {
+	if p.Deps() == nil {
 		t.Fatal("forward products missing")
 	}
 	pix, err := p.Slice(slicer.PixelCriteria{})

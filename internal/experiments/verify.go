@@ -28,7 +28,6 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -188,13 +187,6 @@ func (v *verifiedRun) invariantsAll() error {
 		return fmt.Errorf("verify: %s: %w", v.bench.Name, err)
 	}
 	return nil
-}
-
-// SliceDigest is the content digest of a slice result: hex SHA-256 over the
-// store's deterministic encoding.
-func SliceDigest(r *slicer.Result) string {
-	sum := sha256.Sum256(store.EncodeResult(r))
-	return hex.EncodeToString(sum[:])
 }
 
 // GoldenEntry pins one golden-corpus site: a named benchmark at a scale, or
@@ -375,7 +367,7 @@ func checkGolden(e *GoldenEntry, v *verifiedRun, pinned, update bool) (changed b
 		return false, fmt.Errorf("verify: golden %s: rendered trace digest %s, pinned %q, under the same browser.RenderVersion %d: a change to the renderer's output must bump browser.RenderVersion, then re-pin with `webslice verify -exp golden -update`",
 			e.Label(), traceD, e.Trace, browser.RenderVersion)
 	}
-	pixD, sysD := SliceDigest(v.pix), SliceDigest(v.sys)
+	pixD, sysD := store.SliceDigest(v.pix), store.SliceDigest(v.sys)
 	if update {
 		changed = e.Trace != traceD || e.Pixels != pixD || e.Syscalls != sysD
 		e.Trace, e.Pixels, e.Syscalls = traceD, pixD, sysD
@@ -442,10 +434,10 @@ func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
 		name string
 		rs   []*slicer.Result
 	}{{"forward-pass miss", rs}, {"forward-pass hit", hrs}} {
-		if d := SliceDigest(run.rs[0]); d != e.Pixels {
+		if d := store.SliceDigest(run.rs[0]); d != e.Pixels {
 			return fmt.Errorf("verify: crossformat %s: decoded pixel slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Pixels)
 		}
-		if d := SliceDigest(run.rs[1]); d != e.Syscalls {
+		if d := store.SliceDigest(run.rs[1]); d != e.Syscalls {
 			return fmt.Errorf("verify: crossformat %s: decoded syscall slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Syscalls)
 		}
 		// Table II: the slice percentages must agree exactly.

@@ -11,6 +11,7 @@ import (
 
 	"webslice/internal/browser"
 	"webslice/internal/sites"
+	"webslice/internal/store"
 )
 
 const goldenPath = "../../examples/golden/corpus.json"
@@ -213,7 +214,7 @@ func TestRandomSitesAreDeterministic(t *testing.T) {
 	if len(a.tr.Recs) != len(b.tr.Recs) {
 		t.Fatalf("seed 42 traced %d then %d records", len(a.tr.Recs), len(b.tr.Recs))
 	}
-	if SliceDigest(a.pix) != SliceDigest(b.pix) || SliceDigest(a.sys) != SliceDigest(b.sys) {
+	if store.SliceDigest(a.pix) != store.SliceDigest(b.pix) || store.SliceDigest(a.sys) != store.SliceDigest(b.sys) {
 		t.Error("seed 42 produced different slice digests across runs")
 	}
 }

@@ -117,7 +117,7 @@ const (
 	opEnd
 )
 
-var aluNames = [...]string{
+var aluNames = [opEnd]string{
 	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpMod: "mod",
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr",
 	OpCmpEQ: "cmpeq", OpCmpNE: "cmpne", OpCmpLT: "cmplt", OpCmpLE: "cmple",
@@ -130,9 +130,6 @@ func (o AluOp) String() string {
 	}
 	return fmt.Sprintf("aluop(%d)", uint32(o))
 }
-
-// Valid reports whether o is a defined ALU operation.
-func (o AluOp) Valid() bool { return o < opEnd }
 
 // Eval applies the ALU operation to two operand values. Division and modulo
 // by zero yield zero rather than faulting, like saturating hardware helpers.

@@ -25,9 +25,6 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative for the counter to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -87,18 +84,13 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
 }
 
-// Observe records one sample. NaN samples are dropped: a NaN would land
-// in the overflow bucket by accident of comparison order and poison the
-// sum forever.
-func (h *Histogram) Observe(v float64) {
-	h.ObserveExemplar(v, "")
-}
-
 // ObserveExemplar records one sample and, when traceID is non-empty,
 // remembers it as the bucket's exemplar — the most recent trace that
 // landed there. WriteText exposes exemplars as `# EXEMPLAR` comment
 // lines, so a latency spike in a histogram links straight to the span
-// tree that explains it (GET /jobs/{id}/trace).
+// tree that explains it (GET /jobs/{id}/trace). NaN samples are dropped:
+// a NaN would land in the overflow bucket by accident of comparison
+// order and poison the sum forever.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if math.IsNaN(v) {
 		return

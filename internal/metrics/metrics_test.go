@@ -51,10 +51,11 @@ func TestGaugeSetMax(t *testing.T) {
 
 func TestWriteTextDeterministic(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_counter").Add(2)
+	r.Counter("b_counter").Inc()
+	r.Counter("b_counter").Inc()
 	r.Gauge("a_gauge").Set(7)
 	r.Func("c_func", func() int64 { return 42 })
-	r.Histogram("lat_ms", LatencyBuckets).Observe(3)
+	r.Histogram("lat_ms", LatencyBuckets).ObserveExemplar(3, "")
 	var sb1, sb2 strings.Builder
 	if err := r.WriteText(&sb1); err != nil {
 		t.Fatal(err)
@@ -95,9 +96,9 @@ func TestWriteTextDeterministic(t *testing.T) {
 func TestWriteTextPrometheusShape(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", []float64{10, 20})
-	h.Observe(5)
-	h.Observe(15)
-	h.Observe(100) // overflow bucket
+	h.ObserveExemplar(5, "")
+	h.ObserveExemplar(15, "")
+	h.ObserveExemplar(100, "") // overflow bucket
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -144,12 +145,12 @@ func TestObserveNaNIgnored(t *testing.T) {
 		}
 		return sb.String()
 	}
-	h.Observe(math.NaN())
+	h.ObserveExemplar(math.NaN(), "")
 	if out := exposition(); !strings.Contains(out, "h_count 0\n") || !strings.Contains(out, "h_sum 0.000\n") ||
 		!strings.Contains(out, `h_bucket{le="+Inf"} 0`) {
 		t.Fatalf("NaN observation recorded:\n%s", out)
 	}
-	h.Observe(5)
+	h.ObserveExemplar(5, "")
 	if out := exposition(); !strings.Contains(out, "h_count 1\n") || !strings.Contains(out, "h_sum 5.000\n") {
 		t.Fatalf("histogram poisoned after NaN:\n%s", out)
 	}
@@ -164,7 +165,7 @@ func TestHistogramExemplars(t *testing.T) {
 	h.ObserveExemplar(5, "aaaa0000aaaa0000aaaa0000aaaa0000")
 	h.ObserveExemplar(7, "bbbb0000bbbb0000bbbb0000bbbb0000") // same bucket: latest wins
 	h.ObserveExemplar(500, "cccc0000cccc0000cccc0000cccc0000")
-	h.Observe(50) // no trace: bucket keeps no exemplar
+	h.ObserveExemplar(50, "") // no trace: bucket keeps no exemplar
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {

@@ -3,6 +3,7 @@ package refslicer
 import (
 	"testing"
 
+	"webslice/internal/browser/debuglog"
 	"webslice/internal/cdg"
 	"webslice/internal/cfg"
 	"webslice/internal/isa"
@@ -30,7 +31,6 @@ func workload() *vm.Machine {
 	tile := m.Tile.Alloc(64)
 	net := m.IOb.Alloc(32)
 	inbuf := m.IOb.Alloc(16)
-	stats := m.Heap.Alloc(16)
 
 	m.Syscall(isa.SysRecvfrom, isa.RegNone, isa.RegNone, nil,
 		[]vmem.Range{{Addr: inbuf, Size: 8}}, []byte("RESPONSE"))
@@ -43,7 +43,7 @@ func workload() *vm.Machine {
 			m.StoreU32(tile+vmem.Addr(4*(i%16)), v)
 		})
 	})
-	m.Bookkeep(stats, 12)
+	debuglog.New(m, 12).Histogram(0)
 
 	m.Switch(1)
 	b := m.Const(7)

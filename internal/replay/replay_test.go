@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"webslice/internal/browser/debuglog"
 	"webslice/internal/cdg"
 	"webslice/internal/cfg"
 	"webslice/internal/isa"
@@ -33,7 +34,6 @@ func record() (*vm.Machine, *vm.Tape) {
 	tile := m.Tile.Alloc(64)
 	net := m.IOb.Alloc(32)
 	inbuf := m.IOb.Alloc(64)
-	stats := m.Heap.Alloc(16)
 	font := m.Heap.Alloc(16)
 
 	m.Syscall(isa.SysRecvfrom, isa.RegNone, isa.RegNone, nil,
@@ -51,7 +51,7 @@ func record() (*vm.Machine, *vm.Tape) {
 		// Wide vector copy from input memory into the tile tail.
 		m.Copy(tile+32, font, 16)
 	})
-	m.Bookkeep(stats, 12)
+	debuglog.New(m, 12).Histogram(0)
 
 	m.Switch(1)
 	b := m.Const(7)

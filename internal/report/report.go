@@ -86,7 +86,6 @@ func KB(n int) string {
 // axis. Values are expected in [0, 100] (percentages).
 type Chart struct {
 	Title   string
-	YLabel  string
 	XLabel  string
 	Height  int
 	Width   int

@@ -328,7 +328,9 @@ func TestChaosBreakerDegradesNotFails(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	st := m.Store().Stats()
+	h.mu.Lock()
+	st := h.st.Stats()
+	h.mu.Unlock()
 	if st.DiskErrors == 0 {
 		t.Fatal("fault injection never fired; test proves nothing")
 	}

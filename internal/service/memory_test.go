@@ -15,6 +15,7 @@ import (
 	"webslice/internal/isa"
 	"webslice/internal/sites"
 	"webslice/internal/slicer"
+	"webslice/internal/store"
 	"webslice/internal/trace"
 	"webslice/internal/vmem"
 )
@@ -141,7 +142,7 @@ func freshDigest(t *testing.T, up []byte) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sliceDigest(res)
+	return store.SliceDigest(res)
 }
 
 // allocBytes returns how many heap bytes f allocated.

@@ -22,8 +22,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -238,9 +236,6 @@ type Config struct {
 	// Verify applies Spec.Verify to every job regardless of what the
 	// submission asked for (websliced -verify).
 	Verify bool
-	// Metrics receives the service counters; nil creates a private
-	// registry (reachable via Manager.Metrics).
-	Metrics *metrics.Registry
 	// Runner overrides the job execution pipeline (tests, other backends).
 	Runner Runner
 	// Node is this node's advertised URL in a cluster (websliced -node);
@@ -352,10 +347,7 @@ func New(cfg Config) *Manager {
 		cfg.QueueDepth = 64
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	clock := cfg.Clock
 	if clock == nil {
 		clock = realClock{}
@@ -461,9 +453,6 @@ func (m *Manager) resume(entries []JournalEntry) {
 
 // Metrics returns the registry the manager publishes into.
 func (m *Manager) Metrics() *metrics.Registry { return m.reg }
-
-// Store returns the attached artifact store (may be nil).
-func (m *Manager) Store() *store.Store { return m.cfg.Store }
 
 // Workers returns the worker-pool size.
 func (m *Manager) Workers() int { return m.cfg.Workers }
@@ -1029,7 +1018,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	out := &Result{
 		TraceKey:    sh.addr,
-		SliceDigest: sliceDigest(res),
+		SliceDigest: store.SliceDigest(res),
 		Criteria:    res.Criteria,
 		Total:       res.Total,
 		SliceCount:  res.SliceCount,
@@ -1134,18 +1123,6 @@ func (m *Manager) resultSpan(parent *obs.Span, op string) *obs.Span {
 		Set("breaker", m.cfg.Store.BreakerState().String())
 }
 
-// sliceDigest is the canonical content digest of a slice: hex SHA-256 over
-// the store's deterministic encoding with the progress-curve samples
-// stripped, so the digest depends only on what is in the slice, not on the
-// ProgressPoints sampling knob. It therefore matches the digests pinned by
-// `webslice verify -exp golden` (which slices with sampling off).
-func sliceDigest(r *slicer.Result) string {
-	c := *r
-	c.Progress = nil
-	sum := sha256.Sum256(store.EncodeResult(&c))
-	return hex.EncodeToString(sum[:])
-}
-
 // recArrays recycles the record arrays that upload decodes fill, so a
 // daemon slicing upload after upload does not allocate, zero and collect a
 // new array of 28 bytes a record for every job.
@@ -1207,9 +1184,6 @@ func (m *Manager) obtainTrace(key string, spec Spec) (*trace.Trace, string, func
 		}
 	}
 	br := browser.New(b.Site, b.Profile)
-	if b.Faults != nil {
-		br.Loader.SetFaults(b.Faults)
-	}
 	br.RunSession()
 	if len(br.Errors) > 0 {
 		return nil, "", nil, fmt.Errorf("service: rendering %s: %w", b.Name, br.Errors[0])

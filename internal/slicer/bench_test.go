@@ -7,6 +7,7 @@ package slicer
 import (
 	"testing"
 
+	"webslice/internal/browser/debuglog"
 	"webslice/internal/cdg"
 	"webslice/internal/cfg"
 	"webslice/internal/isa"
@@ -22,7 +23,7 @@ func benchWorkload(n int) *vm.Machine {
 	m.Thread(0, "main")
 	tile := m.Tile.Alloc(4096)
 	net := m.IOb.Alloc(64)
-	stats := m.Heap.Alloc(64)
+	dl := debuglog.New(m, 2)
 	render := m.Func("render", "gfx")
 	blend := m.Func("blend", "gfx")
 	for i := 0; i < n; i++ {
@@ -41,7 +42,7 @@ func benchWorkload(n int) *vm.Machine {
 					m.StoreU32(tile+vmem.Addr(4*(i%1024)), v)
 				}
 			})
-			m.Bookkeep(stats, 2)
+			dl.Histogram(uint64(i))
 		})
 		if i%64 == 0 {
 			b := m.Const(uint64(i))

@@ -7,6 +7,7 @@ package slicer
 import (
 	"testing"
 
+	"webslice/internal/browser/debuglog"
 	"webslice/internal/isa"
 	"webslice/internal/vm"
 	"webslice/internal/vmem"
@@ -23,7 +24,6 @@ func multiWorkload() *vm.Machine {
 	tile := m.Tile.Alloc(64)
 	net := m.IOb.Alloc(32)
 	inbuf := m.IOb.Alloc(16)
-	stats := m.Heap.Alloc(16)
 
 	// External input feeding the pixels.
 	m.Syscall(isa.SysRecvfrom, isa.RegNone, isa.RegNone, nil,
@@ -37,7 +37,7 @@ func multiWorkload() *vm.Machine {
 			m.StoreU32(tile+vmem.Addr(4*(i%16)), v)
 		})
 	})
-	m.Bookkeep(stats, 12) // dead bookkeeping, must stay out of both slices
+	debuglog.New(m, 12).Histogram(0) // dead bookkeeping, must stay out of both slices
 
 	// Worker thread emits a beacon: syscall slice only.
 	m.Switch(1)

@@ -185,6 +185,19 @@ func EncodeResult(r *slicer.Result) []byte {
 	return out
 }
 
+// SliceDigest is the content digest of a slice: the hex SHA-256 of its
+// EncodeResult with the progress samples stripped, so it depends only on
+// what is in the slice, not on the ProgressPoints sampling option. The
+// service reports it as Result.SliceDigest, and `webslice verify -exp
+// golden`, which slices with sampling off, pins it in
+// examples/golden/corpus.json.
+func SliceDigest(r *slicer.Result) string {
+	c := *r
+	c.Progress = nil
+	sum := sha256.Sum256(EncodeResult(&c))
+	return hex.EncodeToString(sum[:])
+}
+
 func appendThreadMap(out []byte, m map[uint8]int) []byte {
 	keys := make([]int, 0, len(m))
 	for k := range m {

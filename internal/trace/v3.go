@@ -72,7 +72,6 @@ type BlockWriter struct {
 	off       int64 // logical bytes emitted (independent of bufio buffering)
 	blockRecs int
 	pend      []Rec
-	count     int // total records added
 	index     []v3BlockIndex
 	cols      []byte // scratch: raw columnar body
 	comp      bytes.Buffer
@@ -128,14 +127,10 @@ func (b *BlockWriter) writeU32(v uint32) {
 // blockRecs records have accumulated.
 func (b *BlockWriter) Add(r Rec) {
 	b.pend = append(b.pend, r)
-	b.count++
 	if len(b.pend) == b.blockRecs {
 		b.flushBlock()
 	}
 }
-
-// NumRecs returns the number of records added so far.
-func (b *BlockWriter) NumRecs() int { return b.count }
 
 func (b *BlockWriter) flushBlock() {
 	if len(b.pend) == 0 {

@@ -74,45 +74,11 @@ func (m *Machine) StoreU32(a vmem.Addr, v isa.Reg) { m.Store(a, 4, v) }
 // StoreU64 stores eight bytes of v.
 func (m *Machine) StoreU64(a vmem.Addr, v isa.Reg) { m.Store(a, 8, v) }
 
-// Add is Op(OpAdd, ...).
-func (m *Machine) Add(a, b isa.Reg) isa.Reg { return m.Op(isa.OpAdd, a, b) }
-
 // AddImm adds an immediate.
 func (m *Machine) AddImm(a isa.Reg, imm uint64) isa.Reg { return m.OpImm(isa.OpAdd, a, imm) }
 
 // Mov copies a register.
 func (m *Machine) Mov(a isa.Reg) isa.Reg { return m.Op(isa.OpMov, a, a) }
-
-// Scan runs a traced loop over [base, base+len) where len is the value of
-// lenReg, reading chunk bytes per iteration. Each iteration carries the real
-// loop anatomy — induction-variable update, bounds compare, conditional
-// branch, chunked vector load — so scan work is control-dependent on the
-// traced length and data-dependent on the scanned bytes. It is the workhorse
-// of the tokenizers and decoders. body receives the byte offset and the
-// loaded chunk register.
-func (m *Machine) Scan(label string, base vmem.Addr, lenReg isa.Reg, chunk int, body func(off int, data isa.Reg)) {
-	if chunk < 1 || chunk > MaxAccess {
-		panic("vm: bad scan chunk")
-	}
-	n := int(m.use(lenReg))
-	idx := m.Imm(0)
-	baseReg := m.Imm(uint64(base))
-	for off := 0; ; off += chunk {
-		m.At(label)
-		cond := m.Op(isa.OpCmpLT, idx, lenReg)
-		if !m.Branch(cond) {
-			break
-		}
-		m.At(label + ":body")
-		addr := m.Op(isa.OpAdd, baseReg, idx)
-		c := min(chunk, n-off)
-		data := m.LoadVia(addr, c)
-		body(off, data)
-		m.At(label + ":next")
-		idx = m.AddImm(idx, uint64(chunk))
-	}
-	m.At(label + ":done")
-}
 
 // Loop runs body n times under a traced counted loop: induction update,
 // bounds compare, and conditional exit branch per iteration. The explicit
@@ -135,16 +101,4 @@ func (m *Machine) Loop(label string, n int, body func(i int)) {
 		idx = m.AddImm(idx, 1)
 	}
 	m.At(label + ":done")
-}
-
-// Bookkeep emits n rounds of counter-update busywork against stats memory at
-// addr (load, add one, store). It models bookkeeping loops — debug
-// histograms, metrics — whose output nothing user-visible ever reads.
-func (m *Machine) Bookkeep(addr vmem.Addr, n int) {
-	for i := 0; i < n; i++ {
-		m.At("bookkeep")
-		c := m.LoadU32(addr)
-		c2 := m.AddImm(c, 1)
-		m.StoreU32(addr, c2)
-	}
 }

@@ -405,8 +405,8 @@ func (m *Machine) Call(fn *Fn, body func()) {
 
 // Syscall emits a system call. a1 and a2 are argument registers the kernel
 // reads (use RegNone when absent); reads and writes are the user-memory
-// ranges the kernel consumes and produces. If the syscall is an input call
-// per its spec, `fill` (optional) provides the bytes the kernel deposits.
+// ranges the kernel consumes and produces. For an input call, `fill`
+// (optional) provides the bytes the kernel deposits.
 func (m *Machine) Syscall(num isa.Sys, a1, a2 isa.Reg, reads, writes []vmem.Range, fill []byte) isa.Reg {
 	if a1 != isa.RegNone {
 		m.use(a1)
@@ -453,11 +453,6 @@ func (m *Machine) Syscall(num isa.Sys, a1, a2 isa.Reg, reads, writes []vmem.Rang
 // RasterBufferProvider::PlaybackToMemory.
 func (m *Machine) MarkPixels(buf vmem.Range) {
 	m.mark(isa.MarkPixels, buf)
-}
-
-// MarkAux plants a custom criteria marker over buf.
-func (m *Machine) MarkAux(buf vmem.Range) {
-	m.mark(isa.MarkAux, buf)
 }
 
 func (m *Machine) mark(kind isa.MarkKind, buf vmem.Range) {

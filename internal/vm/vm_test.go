@@ -2,6 +2,7 @@ package vm
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"webslice/internal/isa"
@@ -223,37 +224,35 @@ func TestCopyFillWriteData(t *testing.T) {
 	}
 }
 
-func TestScanVisitsAllChunks(t *testing.T) {
+func TestLoopVisitsEveryIteration(t *testing.T) {
 	m := newTestMachine(t)
-	base := m.Heap.Alloc(30)
-	m.Mem.WriteBytes(base, []byte("abcdefghijklmnopqrstuvwxyz1234"))
-	lenReg := m.Const(30)
-	var offs []int
-	var total int
-	m.Scan("scan", base, lenReg, 8, func(off int, data isa.Reg) {
-		offs = append(offs, off)
-		total += 8
-	})
-	want := []int{0, 8, 16, 24}
-	if len(offs) != len(want) {
-		t.Fatalf("offsets = %v, want %v", offs, want)
+	var got []int
+	start := len(m.Tr.Recs)
+	m.Loop("l", 4, func(i int) { got = append(got, i) })
+	if !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("body ran for %v, want [0 1 2 3]", got)
 	}
-	for i := range want {
-		if offs[i] != want[i] {
-			t.Fatalf("offsets = %v, want %v", offs, want)
+	// One bounds branch per iteration, plus the exit branch that keeps
+	// post-loop code reachable without passing through the body.
+	branches := 0
+	for _, r := range m.Tr.Recs[start:] {
+		if r.Kind == isa.KindBranch {
+			branches++
 		}
 	}
-	// First chunk register should hold the first 8 bytes little-endian.
+	if branches != 5 {
+		t.Errorf("%d branches, want 5", branches)
+	}
 }
 
-func TestScanPCStability(t *testing.T) {
+func TestLoopPCStability(t *testing.T) {
 	m := newTestMachine(t)
-	fn := m.Func("scanner", "test")
+	fn := m.Func("looper", "test")
 	base := m.Heap.Alloc(64)
 	runPCs := func() map[uint32]bool {
 		start := len(m.Tr.Recs)
 		m.Call(fn, func() {
-			m.Scan("s", base, m.Imm(64), 8, func(off int, data isa.Reg) {})
+			m.Loop("l", 8, func(i int) { m.LoadU64(base + vmem.Addr(8*i)) })
 		})
 		pcs := map[uint32]bool{}
 		for _, r := range m.Tr.Recs[start:] {
@@ -268,7 +267,7 @@ func TestScanPCStability(t *testing.T) {
 	// Loop iterations must reuse sites: the distinct-PC count should be
 	// small (a handful of loop-body sites), not proportional to iterations.
 	if len(a) > 20 {
-		t.Errorf("scan used %d distinct PCs; loop sites are not being reused", len(a))
+		t.Errorf("loop used %d distinct PCs; loop sites are not being reused", len(a))
 	}
 	for pc := range b {
 		if !a[pc] {
@@ -303,15 +302,6 @@ func TestDuplicateThreadPanics(t *testing.T) {
 		}
 	}()
 	m.Thread(0, "b")
-}
-
-func TestBookkeepTouchesCounter(t *testing.T) {
-	m := newTestMachine(t)
-	c := m.Heap.Alloc(4)
-	m.Bookkeep(c, 5)
-	if v := m.Mem.ReadU64(c, 4); v != 5 {
-		t.Errorf("counter = %d, want 5", v)
-	}
 }
 
 // TestRecordingGrowsByDoubling: the trace and the register file double

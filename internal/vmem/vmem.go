@@ -12,7 +12,6 @@ package vmem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Addr is a virtual address. The machine has a 32-bit address space.
@@ -147,73 +146,6 @@ type Range struct {
 // End returns the first address past the range.
 func (r Range) End() Addr { return r.Addr + Addr(r.Size) }
 
-// Contains reports whether a falls inside the range.
-func (r Range) Contains(a Addr) bool { return a >= r.Addr && a < r.End() }
-
-// Overlaps reports whether two ranges share any byte.
-func (r Range) Overlaps(o Range) bool {
-	return r.Size > 0 && o.Size > 0 && r.Addr < o.End() && o.Addr < r.End()
-}
-
 func (r Range) String() string {
 	return fmt.Sprintf("[%#x,%#x)", uint32(r.Addr), uint32(r.End()))
 }
-
-// RangeSet is a normalized (sorted, disjoint, merged) set of ranges. It is
-// used for syscall effect sets and slicing-criteria descriptions; the
-// slicer's high-churn live-memory set uses a bitmap instead (package slicer).
-type RangeSet struct {
-	rs []Range
-}
-
-// Add inserts a range, merging as needed.
-func (s *RangeSet) Add(r Range) {
-	if r.Size == 0 {
-		return
-	}
-	i := sort.Search(len(s.rs), func(i int) bool { return s.rs[i].End() >= r.Addr })
-	j := i
-	lo, hi := r.Addr, r.End()
-	for j < len(s.rs) && s.rs[j].Addr <= hi {
-		if s.rs[j].Addr < lo {
-			lo = s.rs[j].Addr
-		}
-		if s.rs[j].End() > hi {
-			hi = s.rs[j].End()
-		}
-		j++
-	}
-	merged := Range{lo, uint32(hi - lo)}
-	s.rs = append(s.rs[:i], append([]Range{merged}, s.rs[j:]...)...)
-}
-
-// Contains reports whether every byte of r is in the set.
-func (s *RangeSet) Contains(r Range) bool {
-	if r.Size == 0 {
-		return true
-	}
-	for _, e := range s.rs {
-		if e.Addr <= r.Addr && r.End() <= e.End() {
-			return true
-		}
-	}
-	return false
-}
-
-// Overlaps reports whether any byte of r is in the set.
-func (s *RangeSet) Overlaps(r Range) bool {
-	i := sort.Search(len(s.rs), func(i int) bool { return s.rs[i].End() > r.Addr })
-	return i < len(s.rs) && s.rs[i].Overlaps(r)
-}
-
-// Bytes returns the total byte count covered.
-func (s *RangeSet) Bytes() uint64 {
-	var n uint64
-	for _, r := range s.rs {
-		n += uint64(r.Size)
-	}
-	return n
-}
-
-// Len returns the number of disjoint ranges.
-func (s *RangeSet) Len() int { return len(s.rs) }

@@ -22,10 +22,12 @@ go test -race ./...
 
 # Coverage ratchet on the correctness-critical packages: the slicing engine,
 # the control dependence graph, the replay/invariant oracles, the trace
-# decoder, which parses every upload, and the HTTP layer: the one handler
+# decoder, which parses every upload, the HTTP layer: the one handler
 # and client (service), the coordinator that serves and calls them
-# (cluster), and the CLI's client commands (cmd/webslice). Floors only go
-# up — raise them when coverage improves, never lower them to merge.
+# (cluster), and the CLI's client commands (cmd/webslice), and the content
+# address: the profiler that names core.AnalysisVersion (core), the store
+# the keys address (store), and the golden-pin guard (experiments). Floors
+# only go up — raise them when coverage improves, never lower them to merge.
 check_cover() {
 	pkg=$1
 	floor=$2
@@ -47,6 +49,9 @@ check_cover ./internal/trace 85
 check_cover ./internal/service 91
 check_cover ./internal/cluster 92
 check_cover ./cmd/webslice 28
+check_cover ./internal/core 80
+check_cover ./internal/store 88
+check_cover ./internal/experiments 81
 
 # Robustness gate: vet + race over the durability-critical service package
 # (journal, retry, quarantine) is already covered by the full -race run

@@ -1,8 +1,9 @@
 // Command websliced serves the slicing profiler over HTTP: clients submit
 // a named benchmark site or a binary trace, a bounded queue feeds a pool
 // of parallel workers, and a content-addressed artifact store makes a
-// repeat job (same upload bytes, or same site and scale or seed; same
-// criteria; same browser.RenderVersion) a result hit that skips the
+// repeat job (same JobKey: the same upload bytes, or the same site and
+// scale or seed under the same browser.RenderVersion; same criteria; same
+// core.AnalysisVersion) a result hit that skips the
 // render, decode and both passes. A job over a known trace with the other
 // criteria loads the forward pass from the store and runs only the
 // backward pass. Verified jobs (-verify, or a spec's "verify") never use

@@ -31,11 +31,12 @@ import (
 
 // RenderVersion names the traces this renderer produces. Bump it in any
 // change that alters a rendered trace of any site or seed — in the browser,
-// the VM, the site generators, or the trace digest itself. The service keys
-// its cache of finished site and seed results by it, so a bump orphans the
-// results of older renders instead of serving them. The golden corpus pins
-// it beside each golden site's trace digest, and `webslice verify` fails
-// when a trace changes while this constant does not.
+// the VM, the site generators, or the trace digest itself. A site or seed
+// job's JobKey names it, and every store key of the job derives from that,
+// so a bump orphans the forward passes and results of older renders instead
+// of serving them. The golden corpus pins it beside each golden site's
+// trace digest, and `webslice verify` fails when a trace changes while this
+// constant does not.
 const RenderVersion = 1
 
 // Thread IDs, matching Chromium's renderer thread roles.

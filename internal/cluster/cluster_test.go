@@ -105,26 +105,15 @@ func mustResult(t testing.TB, c *Coordinator, id string) *service.Result {
 }
 
 // awaitResults waits for each job in ids to finish done and returns their
-// results in the same order. A job seen done on a worker that then died
-// has no result to fetch until the coordinator re-routes it, so each wait
-// repeats until the result arrives.
+// results in the same order.
 func awaitResults(t testing.TB, c *Coordinator, ids []string) []*service.Result {
 	t.Helper()
 	out := make([]*service.Result, len(ids))
-	deadline := time.Now().Add(60 * time.Second)
 	for i, id := range ids {
-		for out[i] == nil {
-			if info := await(t, c, id); info.Status != service.StatusDone {
-				t.Fatalf("job %s (batch index %d): %s (%s)", id, i, info.Status, info.Error)
-			}
-			if res, ok := c.Result(id); ok {
-				out[i] = res
-			} else if time.Now().After(deadline) {
-				t.Fatalf("job %s is done, but its result never arrived", id)
-			} else {
-				time.Sleep(2 * time.Millisecond)
-			}
+		if info := await(t, c, id); info.Status != service.StatusDone {
+			t.Fatalf("job %s (batch index %d): %s (%s)", id, i, info.Status, info.Error)
 		}
+		out[i] = mustResult(t, c, id)
 	}
 	return out
 }
@@ -244,16 +233,18 @@ func TestClusterWorkerDeathReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Count the victim's jobs from the routing records, and kill it before
+	// anything asks after them: none is seen done, so every one it owns
+	// must re-route.
 	victim := tc.workers[0]
 	owned := 0
 	for _, id := range ids {
-		info, ok := tc.co.Info(id)
-		if !ok {
-			t.Fatalf("Info(%s): unknown job", id)
-		}
-		if info.Node == victim.srv.URL {
+		j, _ := tc.co.lookup(id)
+		j.mu.Lock()
+		if j.peer == victim.srv.URL {
 			owned++
 		}
+		j.mu.Unlock()
 	}
 	if owned == 0 {
 		t.Fatalf("victim %s owns no jobs; seeds need respreading", victim.srv.URL)
@@ -284,6 +275,32 @@ func TestClusterWorkerDeathReroutes(t *testing.T) {
 		if ref.SliceDigest != results[i].SliceDigest {
 			t.Fatalf("seed %d: rerouted digest %s != reference %s", spec.Seed, results[i].SliceDigest, ref.SliceDigest)
 		}
+	}
+}
+
+// TestCoordinatorDoneMeansResultHeld: a coordinator reports a job done only
+// once it holds the result, so a job that Info saw done is served by Result
+// after its owner is gone, before the membership has evicted the owner.
+func TestCoordinatorDoneMeansResultHeld(t *testing.T) {
+	tc := startCluster(t, 2, Config{})
+	id, err := tc.co.Submit(service.Spec{Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := await(t, tc.co, id)
+	if info.Status != service.StatusDone {
+		t.Fatalf("job is %s (%s), want done", info.Status, info.Error)
+	}
+	for _, w := range tc.workers {
+		if w.srv.URL == info.Node {
+			w.close()
+		}
+	}
+	if !slices.Contains(tc.co.Ring().Nodes(), info.Node) {
+		t.Fatalf("owner %s was evicted before the result was asked for", info.Node)
+	}
+	if res, ok := tc.co.Result(id); !ok || res.SliceDigest == "" {
+		t.Fatalf("a job reported done has no result once its owner is gone: %+v, %t", res, ok)
 	}
 }
 
@@ -411,11 +428,13 @@ func TestJobKey(t *testing.T) {
 	if keys["site-default-scale"] != keys["site-scale-1"] {
 		t.Fatal("scale 0 and scale 1.0 keyed differently")
 	}
-	// The ring hashes these exact bytes, and service.JobKey also keys the
-	// owners' result caches: a change here moves every site and seed job
-	// to a new, cold owner.
-	if keys["site-scale-half"] != "site\x00maps\x000.5" || keys["seed"] != "seed\x007" {
-		t.Fatalf("rendering identities changed: %q, %q", keys["site-scale-half"], keys["seed"])
+	// The ring hashes these exact addresses, and every store key of an
+	// owner derives from them: a change here moves every site and seed job
+	// to a new, cold owner. Each is the SHA-256 of the rendering identity
+	// and browser.RenderVersion, 1.
+	if keys["site-scale-half"] != store.KeyBytes([]byte("site\x00maps\x000.5\x001")) ||
+		keys["seed"] != store.KeyBytes([]byte("seed\x007\x001")) {
+		t.Fatalf("rendering identity addresses changed: %s, %s", keys["site-scale-half"], keys["seed"])
 	}
 	seen := map[string]string{}
 	for name, k := range keys {

@@ -60,45 +60,55 @@ func TestClusterReleasesSettledUploads(t *testing.T) {
 	}
 }
 
-// TestClusterKeepsUnfetchedUploadForReroute: a job seen done whose result
-// was never fetched must run again if its owner dies, so it keeps its
-// upload, and the re-route carries every byte of it.
+// TestClusterKeepsUnfetchedUploadForReroute: a job whose owner dies before
+// reporting done must run again, so it keeps its upload, and the re-route
+// carries every byte of it. The owner, the ring's only member, holds every
+// job until it is gone; the re-route then falls back to the coordinator's
+// own manager.
 func TestClusterKeepsUnfetchedUploadForReroute(t *testing.T) {
-	tc := startCluster(t, 2, Config{ProbeInterval: 20 * time.Millisecond, FailThreshold: 2})
-	tc.co.Start()
-	up := uploadBytes(t, 12)
-	id, err := tc.co.Submit(service.Spec{Trace: up})
+	owner := httptest.NewServer(service.NewHandler(holdingManager(t, "")))
+	defer owner.Close()
+	st, err := store.Open("", 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := await(t, tc.co, id)
-	if info.Status != service.StatusDone {
-		t.Fatalf("job is %s (%s), want done", info.Status, info.Error)
+	local := service.New(service.Config{Workers: 1, QueueDepth: 8, Store: st, Node: "http://coordinator.test"})
+	t.Cleanup(local.Kill)
+	co := New(Config{
+		Self:          "http://coordinator.test",
+		Local:         local,
+		Peers:         []string{owner.URL},
+		ProbeInterval: 20 * time.Millisecond,
+		FailThreshold: 2,
+	})
+	co.Start()
+	t.Cleanup(co.Stop)
+
+	up := uploadBytes(t, 12)
+	id, err := co.Submit(service.Spec{Trace: up})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(heldUpload(t, tc.co, id), up) {
-		t.Fatal("a done job whose result was never fetched dropped its upload")
-	}
-	for _, w := range tc.workers {
-		if w.srv.URL == info.Node {
-			w.close()
-		}
-	}
-	deadline := time.Now().Add(time.Minute)
-	for info.Reroutes == 0 || info.Status != service.StatusDone {
+	deadline := time.Now().Add(30 * time.Second)
+	for info, _ := co.Info(id); info.Status != service.StatusRunning; info, _ = co.Info(id) {
 		if time.Now().After(deadline) {
-			t.Fatalf("job never re-ran after its owner died: %+v", info)
+			t.Fatalf("job never started on its owner: %+v", info)
 		}
-		time.Sleep(5 * time.Millisecond)
-		var ok bool
-		if info, ok = tc.co.Info(id); !ok {
-			t.Fatalf("Info(%s): unknown job", id)
-		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	res := mustResult(t, tc.co, id)
+	if !bytes.Equal(heldUpload(t, co, id), up) {
+		t.Fatal("a job running on its owner dropped its upload")
+	}
+	owner.Close()
+	info := await(t, co, id)
+	if info.Status != service.StatusDone || info.Reroutes == 0 {
+		t.Fatalf("job never re-ran after its owner died: %+v", info)
+	}
+	res := mustResult(t, co, id)
 	if want := store.KeyBytes(up); res.TraceKey != want {
 		t.Fatalf("the re-routed job sliced a trace keyed %s, the upload's key is %s", res.TraceKey, want)
 	}
-	if n := len(heldUpload(t, tc.co, id)); n != 0 {
+	if n := len(heldUpload(t, co, id)); n != 0 {
 		t.Fatalf("after the fetch the job still holds %d upload bytes", n)
 	}
 }

@@ -7,12 +7,12 @@
 // itself, adding only POST /batch and GET /cluster, and it calls the
 // workers with the same service.Client the webslice CLI uses.
 //
-// The unit of distribution is the job key — the SHA-256 trace digest for
-// submitted traces, a canonical rendering identity for site jobs. Because
-// rendering is deterministic and the artifact store is content-addressed
-// by that same digest (internal/store), routing a repeat submission to the
-// node that ran it before turns the whole forward pass into a cache hit:
-// the ring *is* the cache-affinity scheduler.
+// The unit of distribution is the job key, service.JobKey — the SHA-256 of
+// a submitted trace's bytes, or of a site job's rendering identity and
+// renderer version. Because rendering is deterministic and every key in a
+// worker's artifact store derives from that same address (internal/store),
+// routing a repeat submission to the node that ran it before turns the
+// whole job into a cache hit: the ring *is* the cache-affinity scheduler.
 package cluster
 
 import (

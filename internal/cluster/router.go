@@ -67,19 +67,18 @@ type routedJob struct {
 	// is unreachable and a re-route is pending.
 	lastInfo service.Info
 	// result caches the fetched result so a worker dying after the fetch
-	// costs nothing; affinity counts once per job.
+	// costs nothing; affinity counts once per job. Info fetches it as soon
+	// as the owner reports done, so a job published done always has one.
 	result          *service.Result
 	terminal        bool
 	affinityCounted bool
 }
 
 // reroutableLocked reports whether the job would have to run again if its
-// owner died: no result has reached the coordinator, and the owner has
-// reported no terminal status other than done (a done result that was
-// never fetched dies with its node). Only such a job still needs its
-// upload. j.mu must be held.
+// owner died: it has no result and no terminal status. Only such a job
+// still needs its upload. j.mu must be held.
 func (j *routedJob) reroutableLocked() bool {
-	return j.result == nil && (!j.terminal || j.lastInfo.Status == service.StatusDone)
+	return j.result == nil && !j.terminal
 }
 
 // releaseLocked frees the job's upload once no re-route can need it.
@@ -225,8 +224,9 @@ func (c *Coordinator) Submit(spec service.Spec) (string, error) {
 	// The "route" span roots the job's trace (or joins the submitter's, if
 	// the request carried a traceparent header); the owner's "job" span
 	// parents under it via the forwarded header, so one trace spans the
-	// coordinator and the worker.
-	rs := c.tracer.Remote(spec.TraceCtx, "route").Set("job", id).Set("key", shortKey(key))
+	// coordinator and the worker. A JobKey is 64 hex chars, of which the
+	// first 12 identify the job as well as a git short hash does.
+	rs := c.tracer.Remote(spec.TraceCtx, "route").Set("job", id).Set("key", key[:12])
 	j := &routedJob{id: id, spec: spec, key: key, traceCtx: rs.Context()}
 	err := c.route(j, rs)
 	rs.EndErr(err)
@@ -241,17 +241,6 @@ func (c *Coordinator) Submit(spec service.Spec) (string, error) {
 	j.mu.Unlock()
 	c.log.Info("job routed", "job", id, "trace", rs.TraceID(), "peer", peer)
 	return id, nil
-}
-
-// shortKey truncates a routing key for span annotation: content hashes are
-// 64 hex chars, of which the first 12 identify the job as well as a git
-// short hash does. Site/seed keys contain NUL separators; those are kept
-// whole but made printable.
-func shortKey(key string) string {
-	if len(key) > 12 {
-		key = key[:12]
-	}
-	return strconv.Quote(key)
 }
 
 // route assigns j to the best live candidate and submits it there. Called
@@ -350,10 +339,8 @@ func (c *Coordinator) handleEvict(peer string) {
 	for _, j := range c.jobs {
 		j.mu.Lock()
 		// A job is lost with its worker unless its result already reached
-		// the coordinator. That includes jobs observed Done there: the
-		// result died with the node, so the job must run again. Jobs that
-		// terminally failed/canceled keep that outcome — re-running them
-		// would not change it.
+		// the coordinator. Jobs that terminally failed/canceled keep that
+		// outcome — re-running them would not change it.
 		if j.peer == peer && j.reroutableLocked() {
 			pending = append(pending, j)
 		}
@@ -405,7 +392,9 @@ func (c *Coordinator) lookup(id string) (*routedJob, bool) {
 // Info returns a job snapshot under the coordinator's id, with the
 // executing node as the owner hint. While the owner is unreachable the
 // last observed snapshot is served; the job itself is re-routed when the
-// membership evicts the owner.
+// membership evicts the owner. The coordinator says done only when it
+// holds the result: when the owner reports done, Info fetches the result
+// in the same call, and reports the job running if that fetch fails.
 func (c *Coordinator) Info(id string) (service.Info, bool) {
 	j, ok := c.lookup(id)
 	if !ok {
@@ -413,21 +402,28 @@ func (c *Coordinator) Info(id string) (service.Info, bool) {
 	}
 	j.mu.Lock()
 	peer, remoteID := j.peer, j.remoteID
-	last := j.lastInfo
+	last, held := j.lastInfo, j.result != nil
 	j.mu.Unlock()
+	node := peer
+	var info service.Info
 	if peer == "" {
-		info, ok := c.cfg.Local.Info(remoteID)
-		if !ok {
+		node = c.cfg.Self
+		if info, ok = c.cfg.Local.Info(remoteID); !ok {
 			return service.Info{}, false
 		}
-		return c.publishInfo(j, info, c.cfg.Self), true
+	} else {
+		var err error
+		if info, err = c.peers[peer].Info(remoteID); err != nil {
+			c.members.ReportFailure(peer)
+			return last, true // stale-but-available; eviction will re-route
+		}
 	}
-	info, err := c.peers[peer].Info(remoteID)
-	if err != nil {
-		c.members.ReportFailure(peer)
-		return last, true // stale-but-available; eviction will re-route
+	if info.Status == service.StatusDone && !held {
+		if _, ok := c.fetchResult(j, peer, remoteID); !ok {
+			info.Status = service.StatusRunning
+		}
 	}
-	return c.publishInfo(j, info, peer), true
+	return c.publishInfo(j, info, node), true
 }
 
 // publishInfo rewrites a node-local snapshot into the coordinator's
@@ -448,25 +444,30 @@ func (c *Coordinator) publishInfo(j *routedJob, info service.Info, node string) 
 	return info
 }
 
-// Result returns a finished job's result. The first successful fetch is
-// cached on the coordinator, so the result survives the worker dying
-// afterwards; a worker dying *before* the fetch re-routes the job and the
-// result is recomputed (deterministically, usually as a store hit on
-// re-render). ok is false while the job is unknown or not done.
+// Result returns a finished job's result. The first successful fetch, by
+// Info or here, is cached on the coordinator, so the result survives the
+// worker dying afterwards; a worker dying *before* the fetch re-routes the
+// job and the result is recomputed (deterministically, usually as a store
+// hit). ok is false while the job is unknown or not done.
 func (c *Coordinator) Result(id string) (*service.Result, bool) {
 	j, ok := c.lookup(id)
 	if !ok {
 		return nil, false
 	}
 	j.mu.Lock()
-	if j.result != nil {
-		res := j.result
-		j.mu.Unlock()
+	res, peer, remoteID := j.result, j.peer, j.remoteID
+	j.mu.Unlock()
+	if res != nil {
 		return res, true
 	}
-	peer, remoteID := j.peer, j.remoteID
-	j.mu.Unlock()
+	return c.fetchResult(j, peer, remoteID)
+}
+
+// fetchResult asks j's owner, peer ("" for the local manager), for the
+// result of its job remoteID and caches it on j.
+func (c *Coordinator) fetchResult(j *routedJob, peer, remoteID string) (*service.Result, bool) {
 	var res *service.Result
+	var ok bool
 	if peer == "" {
 		res, ok = c.cfg.Local.Result(remoteID)
 	} else {

@@ -1,7 +1,7 @@
 // Determinism is the invariant the artifact store depends on: rendering
-// the same site twice must produce byte-identical traces (hence identical
-// content addresses), and slicing must be a pure function of the trace.
-// These tests pin both properties down.
+// the same site twice must produce byte-identical traces (so a site job's
+// rendering identity can stand for its trace), and slicing must be a pure
+// function of the trace. These tests pin both properties down.
 package core_test
 
 import (
@@ -46,16 +46,8 @@ func TestSliceDeterminism(t *testing.T) {
 	tr1 := renderAmazon(t)
 	tr2 := renderAmazon(t)
 
-	k1, err := store.TraceKey(tr1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := store.TraceKey(tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatalf("two renders of the same site hash differently: %s vs %s", k1, k2)
+	if k1, k2 := tr1.Digest(), tr2.Digest(); k1 != k2 {
+		t.Fatalf("two renders of the same site hash differently: %x vs %x", k1, k2)
 	}
 
 	r1 := pixelSlice(t, tr1)
@@ -79,11 +71,6 @@ func TestSliceDeterminism(t *testing.T) {
 
 func TestTraceRoundTripKeepsKeyAndSlice(t *testing.T) {
 	tr := renderAmazon(t)
-	k1, err := store.TraceKey(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var buf bytes.Buffer
 	if err := tr.WriteV3(&buf); err != nil {
 		t.Fatal(err)
@@ -102,12 +89,8 @@ func TestTraceRoundTripKeepsKeyAndSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := store.TraceKey(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatalf("encode/decode changed the content address: %s vs %s", k1, k2)
+	if k1, k2 := tr.Digest(), decoded.Digest(); k1 != k2 {
+		t.Fatalf("encode/decode changed the trace digest: %x vs %x", k1, k2)
 	}
 	// The writer is deterministic: re-encoding the decoded trace reproduces
 	// the wire bytes, so a re-upload keys the same.
@@ -135,11 +118,11 @@ func TestForwardPassServedFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeProfiler := func() *core.Profiler {
-		tr := renderAmazon(t)
-		key, _ := store.TraceKey(tr)
-		p := core.NewProfiler(tr)
+		p := core.NewProfiler(renderAmazon(t))
 		p.Opts.ProgressPoints = 160
-		p.UseStore(st, key)
+		// Both profilers render one site, so they share a forward-pass key,
+		// as the service's jobs of one JobKey do.
+		p.UseStore(st, "amazon-desktop@0.05")
 		return p
 	}
 	p1 := storeProfiler()

@@ -30,6 +30,18 @@ import (
 	"webslice/internal/trace"
 )
 
+// AnalysisVersion names the answers this build's analysis gives for a
+// trace: the forward pass (cfg.Build, postdominators, the control
+// dependence graph), the backward pass (slicer.Slice) and the Figure 5
+// categorization (analysis.Categorize). Bump it in any change that alters
+// a slice or a category share of any trace. Every store key the service
+// derives names it, so a bump orphans the forward passes and results of
+// older analysis code instead of serving them. The golden corpus pins it
+// beside each golden site's slice and category digests, and `webslice
+// verify` fails when one of those moves while neither this constant nor
+// browser.RenderVersion does.
+const AnalysisVersion = 1
+
 // Profiler couples a trace with its forward-pass products and runs slices.
 type Profiler struct {
 	// T is the trace being profiled.
@@ -54,7 +66,7 @@ type Profiler struct {
 
 	// store, when set, is consulted before the forward pass, which loads a
 	// cached control dependence graph instead of computing one. key is the
-	// trace's content address in the store.
+	// forward pass's key in the store.
 	store *store.Store
 	key   string
 }
@@ -65,11 +77,11 @@ func NewProfiler(t *trace.Trace) *Profiler {
 	return &Profiler{T: t, Opts: slicer.Options{ProgressPoints: 100}}
 }
 
-// UseStore attaches a content-addressed artifact store under key, the
-// trace's content address: KeyBytes of an upload's bytes, or TraceKey of a
-// rendered trace (see store.KeyBytes and store.TraceKey). The caller has
-// already computed it, so the trace is not hashed here. From then on Forward
-// consults the store before computing and publishes what it computes.
+// UseStore attaches a content-addressed artifact store, in which key is
+// the key of this trace's forward pass. The caller derives it from what
+// names the trace (the service from a job's JobKey and AnalysisVersion),
+// so the trace is not hashed here. From then on Forward consults the store
+// before computing and publishes what it computes.
 func (p *Profiler) UseStore(s *store.Store, key string) {
 	p.store, p.key = s, key
 }

@@ -54,7 +54,8 @@ func TestParallelTableIIMatchesSequential(t *testing.T) {
 func TestForEachDeterministicError(t *testing.T) {
 	first := errors.New("unit 1 failed")
 	later := errors.New("unit 5 failed")
-	for _, workers := range []int{1, 4} {
+	// 16 workers for 8 units shrinks the pool to 8, whatever GOMAXPROCS is.
+	for _, workers := range []int{1, 4, 16} {
 		err := forEach(workers, 8, func(i int) error {
 			switch i {
 			case 1:

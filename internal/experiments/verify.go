@@ -5,9 +5,11 @@ package experiments
 // `webslice verify`. Phases:
 //
 //   - golden:       re-run the committed golden corpus (examples/golden/)
-//                   and compare trace and slice digests byte-for-byte
-//                   (a trace change demands a browser.RenderVersion bump),
-//                   then replay and invariant-check every corpus slice;
+//                   and compare trace, slice and category digests
+//                   byte-for-byte (a trace change demands a
+//                   browser.RenderVersion bump, a slice or category change
+//                   a bump of it or of core.AnalysisVersion), then replay
+//                   and invariant-check every corpus slice;
 //   - crossformat:  re-run the golden corpus the way the service runs an
 //                   upload: encode each trace, decode the bytes, slice the
 //                   decoded trace (once after a forward-pass miss, once
@@ -28,9 +30,12 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -191,7 +196,7 @@ func (v *verifiedRun) invariantsAll() error {
 
 // GoldenEntry pins one golden-corpus site: a named benchmark at a scale, or
 // a property seed, with its rendered trace's digest and the expected slice
-// digests.
+// and category digests.
 type GoldenEntry struct {
 	Name  string  `json:"name,omitempty"`
 	Scale float64 `json:"scale,omitempty"`
@@ -201,6 +206,8 @@ type GoldenEntry struct {
 	Trace    string `json:"trace"`
 	Pixels   string `json:"pixels"`
 	Syscalls string `json:"syscalls"`
+	// Categories is the categoryDigest of the pixel and syscall slices.
+	Categories string `json:"categories"`
 }
 
 // GoldenCorpus is the committed golden-corpus file format
@@ -209,8 +216,11 @@ type GoldenCorpus struct {
 	Comment string `json:"comment,omitempty"`
 	// RenderVersion is the browser.RenderVersion the trace pins were
 	// rendered under.
-	RenderVersion int           `json:"render_version"`
-	Sites         []GoldenEntry `json:"sites"`
+	RenderVersion int `json:"render_version"`
+	// AnalysisVersion is the core.AnalysisVersion the slice and category
+	// pins were computed under.
+	AnalysisVersion int           `json:"analysis_version"`
+	Sites           []GoldenEntry `json:"sites"`
 }
 
 // Bench materializes the entry's benchmark.
@@ -284,13 +294,14 @@ func verifyCorpus(cfg VerifyConfig, stats *VerifyStats, golden, cross bool) erro
 	if err != nil {
 		return err
 	}
-	// Lowering the version could re-address results of an older render.
-	if golden && corpus.RenderVersion > browser.RenderVersion {
-		return fmt.Errorf("verify: golden corpus pins render version %d, newer than browser.RenderVersion %d",
-			corpus.RenderVersion, browser.RenderVersion)
+	// Lowering a version could re-address answers of older code.
+	if golden && (corpus.RenderVersion > browser.RenderVersion || corpus.AnalysisVersion > core.AnalysisVersion) {
+		return fmt.Errorf("verify: golden corpus pins render version %d and analysis version %d, newer than browser.RenderVersion %d or core.AnalysisVersion %d",
+			corpus.RenderVersion, corpus.AnalysisVersion, browser.RenderVersion, core.AnalysisVersion)
 	}
-	// Trace pins bind only under the version they were rendered with.
-	pinned := corpus.RenderVersion == browser.RenderVersion
+	// A pin may move only under a bump of a version that guards it.
+	renderBumped := corpus.RenderVersion != browser.RenderVersion
+	analysisBumped := corpus.AnalysisVersion != core.AnalysisVersion
 	var updated atomic.Int64
 	err = forEach(cfg.Workers, len(corpus.Sites), func(i int) error {
 		e := &corpus.Sites[i]
@@ -303,7 +314,7 @@ func verifyCorpus(cfg VerifyConfig, stats *VerifyStats, golden, cross bool) erro
 			return err
 		}
 		if golden {
-			changed, err := checkGolden(e, v, pinned, cfg.Update)
+			changed, err := checkGolden(e, v, renderBumped, analysisBumped, cfg.Update)
 			if err != nil {
 				return err
 			}
@@ -335,7 +346,7 @@ func verifyCorpus(cfg VerifyConfig, stats *VerifyStats, golden, cross bool) erro
 	if !cfg.Update {
 		return nil
 	}
-	corpus.RenderVersion = browser.RenderVersion
+	corpus.RenderVersion, corpus.AnalysisVersion = browser.RenderVersion, core.AnalysisVersion
 	out, err := json.MarshalIndent(corpus, "", "  ")
 	if err != nil {
 		return err
@@ -347,38 +358,44 @@ func verifyCorpus(cfg VerifyConfig, stats *VerifyStats, golden, cross bool) erro
 }
 
 // checkGolden checks (or, with update, re-pins) one golden corpus entry
-// against its run: trace and slice digests must match byte-for-byte, and
-// every slice must replay and satisfy the invariants. changed reports
-// that update moved a pin.
+// against its run: trace, slice and category digests must match
+// byte-for-byte, and every slice must replay and satisfy the invariants.
+// changed reports that update moved a pin.
 //
-// The trace pins guard browser.RenderVersion, which keys the service's
-// cache of finished results: a rendered trace that differs from its pin
-// while the corpus's RenderVersion still equals browser.RenderVersion is
-// an error in both modes, so a renderer change cannot be re-pinned, nor a
-// persistent store serve results of the old render, without a bump. After
-// a bump, -update re-pins every trace and records the new version; until
-// then TestGoldenCorpusDigestsPinned fails on the version mismatch.
-func checkGolden(e *GoldenEntry, v *verifiedRun, pinned, update bool) (changed bool, err error) {
+// Each pin guards a version that the service's store keys name: a trace
+// pin browser.RenderVersion, and a slice or category pin
+// core.AnalysisVersion. A slice or category pin may also move after a
+// RenderVersion bump, which changes the trace it derives from. Both modes
+// refuse a pin that moved while no version guarding it was bumped, naming
+// the version to bump, so a change to the code behind the pin can neither
+// be re-pinned nor have a persistent store serve the old code's answers.
+// Under update, a pin taken after such a bump, or never taken (an entry
+// just added), is set. Until -update records the new versions,
+// TestGoldenCorpusDigestsPinned fails on the version mismatch.
+func checkGolden(e *GoldenEntry, v *verifiedRun, renderBumped, analysisBumped, update bool) (changed bool, err error) {
 	sum := v.tr.Digest()
-	traceD := hex.EncodeToString(sum[:])
-	// Under -update, an unpinned entry (one just added) takes its first
-	// pin without a bump.
-	if pinned && e.Trace != traceD && !(update && e.Trace == "") {
-		return false, fmt.Errorf("verify: golden %s: rendered trace digest %s, pinned %q, under the same browser.RenderVersion %d: a change to the renderer's output must bump browser.RenderVersion, then re-pin with `webslice verify -exp golden -update`",
-			e.Label(), traceD, e.Trace, browser.RenderVersion)
-	}
-	pixD, sysD := store.SliceDigest(v.pix), store.SliceDigest(v.sys)
-	if update {
-		changed = e.Trace != traceD || e.Pixels != pixD || e.Syscalls != sysD
-		e.Trace, e.Pixels, e.Syscalls = traceD, pixD, sysD
-	} else {
-		if e.Pixels != pixD {
-			return false, fmt.Errorf("verify: golden %s: pixel slice digest %s, expected %s (slice behavior changed — run `webslice verify -update` if intended)",
-				e.Label(), pixD, e.Pixels)
-		}
-		if e.Syscalls != sysD {
-			return false, fmt.Errorf("verify: golden %s: syscall slice digest %s, expected %s (slice behavior changed — run `webslice verify -update` if intended)",
-				e.Label(), sysD, e.Syscalls)
+	for _, p := range []struct {
+		what    string
+		pin     *string
+		got     string
+		bumped  bool   // a version guarding the pin moved since it was taken
+		version string // the version a move demands a bump of
+	}{
+		{"rendered trace digest", &e.Trace, hex.EncodeToString(sum[:]), renderBumped, "browser.RenderVersion"},
+		{"pixel slice digest", &e.Pixels, store.SliceDigest(v.pix), renderBumped || analysisBumped, "core.AnalysisVersion"},
+		{"syscall slice digest", &e.Syscalls, store.SliceDigest(v.sys), renderBumped || analysisBumped, "core.AnalysisVersion"},
+		{"category digest", &e.Categories, categoryDigest(v.tr, v.pix, v.sys), renderBumped || analysisBumped, "core.AnalysisVersion"},
+	} {
+		switch {
+		case *p.pin == p.got:
+		case update && (p.bumped || *p.pin == ""):
+			*p.pin, changed = p.got, true
+		case p.bumped || *p.pin == "":
+			return false, fmt.Errorf("verify: golden %s: %s %s, pinned %q: re-pin with `webslice verify -exp golden -update`",
+				e.Label(), p.what, p.got, *p.pin)
+		default:
+			return false, fmt.Errorf("verify: golden %s: %s %s, pinned %q, under the same browser.RenderVersion %d and core.AnalysisVersion %d: a change to this output must bump %s, then re-pin with `webslice verify -exp golden -update`",
+				e.Label(), p.what, p.got, *p.pin, browser.RenderVersion, core.AnalysisVersion, p.version)
 		}
 	}
 	if err := v.replayAll(); err != nil {
@@ -387,15 +404,33 @@ func checkGolden(e *GoldenEntry, v *verifiedRun, pinned, update bool) (changed b
 	return changed, v.invariantsAll()
 }
 
+// categoryDigest is the hex SHA-256 of the Figure 5 category distribution
+// (analysis.Categorize) of each slice in turn: every category's share, the
+// coverage and the unnecessary count, as exact bits. It covers what the
+// service reports as Result.Categories.
+func categoryDigest(t *trace.Trace, rs ...*slicer.Result) string {
+	var b []byte
+	for _, r := range rs {
+		d := analysis.Categorize(t, r)
+		for _, c := range analysis.Categories {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Share[c]))
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.CoveragePct))
+		b = binary.LittleEndian.AppendUint64(b, uint64(d.UnnecessaryTotal))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // checkCrossFormat runs one golden entry's rendered trace through the
 // upload path: the trace is encoded, decoded with OpenV3 and ReadAll, and
 // sliced by two profilers over the decoded trace. The first has no store,
 // so its forward pass misses. The second finds the first one's forward
 // pass in a memory-only store. For both, every pinned digest must
-// reproduce and the Table II slice percentages must be identical to the
-// rendered run's. The first one's slices must also satisfy the replay
-// oracle against the original tape, and its Figure 5 category
-// distribution must match the rendered run's.
+// reproduce, the Figure 5 category digest included, and the Table II
+// slice percentages must be identical to the rendered run's. The first
+// one's slices must also satisfy the replay oracle against the original
+// tape.
 func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
 	var enc bytes.Buffer
 	if err := v.tr.WriteV3Blocks(&enc, trace.DefaultBlockRecs); err != nil {
@@ -440,23 +475,15 @@ func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
 		if d := store.SliceDigest(run.rs[1]); d != e.Syscalls {
 			return fmt.Errorf("verify: crossformat %s: decoded syscall slice digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Syscalls)
 		}
+		if d := categoryDigest(dec, run.rs[0], run.rs[1]); d != e.Categories {
+			return fmt.Errorf("verify: crossformat %s: decoded category digest %s after a %s, pinned digest %s", e.Label(), d, run.name, e.Categories)
+		}
 		// Table II: the slice percentages must agree exactly.
 		for k, pair := range []struct{ ren, dec *slicer.Result }{{v.pix, run.rs[0]}, {v.sys, run.rs[1]}, {v.uni, run.rs[2]}} {
 			if pair.ren.Percent() != pair.dec.Percent() || pair.ren.Total != pair.dec.Total {
 				return fmt.Errorf("verify: crossformat %s: slice %d percentage after a %s diverges: rendered %.4f%% (%d recs), decoded %.4f%% (%d recs)",
 					e.Label(), k, run.name, pair.ren.Percent(), pair.ren.Total, pair.dec.Percent(), pair.dec.Total)
 			}
-		}
-	}
-	// Figure 5: the category distribution computed from the decoded
-	// trace must match the one from the rendered trace.
-	dr, dd := analysis.Categorize(v.tr, v.pix), analysis.Categorize(dec, rs[0])
-	if dr.UnnecessaryTotal != dd.UnnecessaryTotal || dr.CoveragePct != dd.CoveragePct || len(dr.Share) != len(dd.Share) {
-		return fmt.Errorf("verify: crossformat %s: category distribution diverges: rendered %+v, decoded %+v", e.Label(), dr, dd)
-	}
-	for cat, share := range dr.Share {
-		if dd.Share[cat] != share {
-			return fmt.Errorf("verify: crossformat %s: category %q share diverges: rendered %v, decoded %v", e.Label(), cat, share, dd.Share[cat])
 		}
 	}
 	// Replay-oracle verdicts: slices of the decoded trace must

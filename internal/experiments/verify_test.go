@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"webslice/internal/browser"
+	"webslice/internal/core"
 	"webslice/internal/sites"
 	"webslice/internal/store"
 )
@@ -54,9 +55,10 @@ func TestGoldenCorpusCrossFormat(t *testing.T) {
 
 // TestGoldenCorpusDigestsPinned guards the corpus file itself: every entry
 // must carry non-empty digests (an empty digest would make the golden phase
-// vacuously "pass" after a careless regeneration), including a trace pin,
-// and the pins must be for the current browser.RenderVersion (a bump
-// without a re-pin leaves the trace pins unchecked).
+// vacuously "pass" after a careless regeneration), including a trace pin
+// and a category pin, and the pins must be for the current
+// browser.RenderVersion and core.AnalysisVersion (a bump without a re-pin
+// would let the pins it guards move unchecked).
 func TestGoldenCorpusDigestsPinned(t *testing.T) {
 	c, err := LoadGolden(goldenPath)
 	if err != nil {
@@ -66,9 +68,13 @@ func TestGoldenCorpusDigestsPinned(t *testing.T) {
 		t.Errorf("golden corpus pins render_version %d, browser.RenderVersion is %d: re-pin with `webslice verify -exp golden -update`",
 			c.RenderVersion, browser.RenderVersion)
 	}
+	if c.AnalysisVersion != core.AnalysisVersion {
+		t.Errorf("golden corpus pins analysis_version %d, core.AnalysisVersion is %d: re-pin with `webslice verify -exp golden -update`",
+			c.AnalysisVersion, core.AnalysisVersion)
+	}
 	for _, e := range c.Sites {
-		if len(e.Pixels) != 64 || len(e.Syscalls) != 64 {
-			t.Errorf("golden %s: digests not pinned (pixels %q, syscalls %q)", e.Label(), e.Pixels, e.Syscalls)
+		if len(e.Pixels) != 64 || len(e.Syscalls) != 64 || len(e.Categories) != 64 {
+			t.Errorf("golden %s: digests not pinned (pixels %q, syscalls %q, categories %q)", e.Label(), e.Pixels, e.Syscalls, e.Categories)
 		}
 		if b, err := hex.DecodeString(e.Trace); err != nil || len(b) != 32 {
 			t.Errorf("golden %s: trace digest not pinned (%q)", e.Label(), e.Trace)
@@ -76,28 +82,30 @@ func TestGoldenCorpusDigestsPinned(t *testing.T) {
 	}
 }
 
-// TestVerifyDetectsDigestDrift corrupts one digest in a copy of the corpus
-// and demands the golden phase fails naming the site.
-func TestVerifyDetectsDigestDrift(t *testing.T) {
+// seedEntry returns the corpus's first property-seed entry, its cheapest.
+func seedEntry(t *testing.T) GoldenEntry {
+	t.Helper()
 	c, err := LoadGolden(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep only the cheapest entry (a property seed) and break its digest.
-	var entry *GoldenEntry
-	for i := range c.Sites {
-		if c.Sites[i].Seed != 0 {
-			entry = &c.Sites[i]
-			break
+	for _, e := range c.Sites {
+		if e.Seed != 0 {
+			return e
 		}
 	}
-	if entry == nil {
-		t.Fatal("no seed entry in corpus")
-	}
+	t.Fatal("no seed entry in corpus")
+	return GoldenEntry{}
+}
+
+// TestVerifyDetectsDigestDrift corrupts one digest in a copy of the corpus
+// and demands the golden phase fails naming the site.
+func TestVerifyDetectsDigestDrift(t *testing.T) {
+	entry := seedEntry(t)
 	entry.Pixels = strings.Repeat("0", 64)
 	bad := filepath.Join(t.TempDir(), "corpus.json")
-	writeGoldenFor(t, bad, &GoldenCorpus{Sites: []GoldenEntry{*entry}})
-	_, err = ExecuteVerify("golden", VerifyConfig{GoldenPath: bad})
+	writeGoldenFor(t, bad, &GoldenCorpus{Sites: []GoldenEntry{entry}})
+	_, err := ExecuteVerify("golden", VerifyConfig{GoldenPath: bad})
 	if err == nil {
 		t.Fatal("golden phase accepted a corrupted digest")
 	}
@@ -112,24 +120,11 @@ func TestVerifyDetectsDigestDrift(t *testing.T) {
 // leaves the file alone. With the corpus one version behind (a bump),
 // -update re-pins the trace and records the current version.
 func TestVerifyDetectsTraceDriftWithoutBump(t *testing.T) {
-	c, err := LoadGolden(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entry GoldenEntry
-	for _, e := range c.Sites {
-		if e.Seed != 0 {
-			entry = e
-			break
-		}
-	}
-	if entry.Seed == 0 {
-		t.Fatal("no seed entry in corpus")
-	}
+	entry := seedEntry(t)
 	pin := entry.Trace
 	entry.Trace = strings.Repeat("0", 64)
 	bad := filepath.Join(t.TempDir(), "corpus.json")
-	writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion, Sites: []GoldenEntry{entry}})
+	writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion, AnalysisVersion: core.AnalysisVersion, Sites: []GoldenEntry{entry}})
 	before, err := os.ReadFile(bad)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +144,7 @@ func TestVerifyDetectsTraceDriftWithoutBump(t *testing.T) {
 		t.Fatalf("refused -update rewrote the corpus:\n%s", after)
 	}
 
-	writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion - 1, Sites: []GoldenEntry{entry}})
+	writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion - 1, AnalysisVersion: core.AnalysisVersion, Sites: []GoldenEntry{entry}})
 	if _, err := ExecuteVerify("golden", VerifyConfig{GoldenPath: bad, Update: true}); err != nil {
 		t.Fatalf("-update after a bump: %v", err)
 	}
@@ -160,6 +155,58 @@ func TestVerifyDetectsTraceDriftWithoutBump(t *testing.T) {
 	if got.RenderVersion != browser.RenderVersion || got.Sites[0].Trace != pin {
 		t.Errorf("-update after a bump wrote render_version %d, trace %s; want %d, %s",
 			got.RenderVersion, got.Sites[0].Trace, browser.RenderVersion, pin)
+	}
+}
+
+// TestVerifyDetectsSliceDriftWithoutBump: a slice or category digest that
+// differs from its pin while neither version moved fails the golden phase,
+// naming the site and core.AnalysisVersion, and -update refuses to re-pin
+// it and leaves the file alone. With the corpus one analysis version
+// behind (a bump), -update re-pins it and records the current version.
+func TestVerifyDetectsSliceDriftWithoutBump(t *testing.T) {
+	for _, pin := range []struct {
+		name  string
+		field func(*GoldenEntry) *string
+	}{
+		{"pixels", func(e *GoldenEntry) *string { return &e.Pixels }},
+		{"categories", func(e *GoldenEntry) *string { return &e.Categories }},
+	} {
+		entry := seedEntry(t)
+		want := *pin.field(&entry)
+		*pin.field(&entry) = strings.Repeat("0", 64)
+		bad := filepath.Join(t.TempDir(), "corpus.json")
+		writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion, AnalysisVersion: core.AnalysisVersion, Sites: []GoldenEntry{entry}})
+		before, err := os.ReadFile(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		_, err = ExecuteVerify("golden", VerifyConfig{GoldenPath: bad})
+		if err == nil {
+			t.Fatalf("golden phase accepted a changed %s pin without an AnalysisVersion bump", pin.name)
+		}
+		if !strings.Contains(err.Error(), entry.Label()) || !strings.Contains(err.Error(), "must bump core.AnalysisVersion") {
+			t.Errorf("%s: error does not name the site and AnalysisVersion: %v", pin.name, err)
+		}
+		if _, err := ExecuteVerify("golden", VerifyConfig{GoldenPath: bad, Update: true}); err == nil {
+			t.Fatalf("-update re-pinned a changed %s pin without an AnalysisVersion bump", pin.name)
+		}
+		if after, _ := os.ReadFile(bad); !bytes.Equal(after, before) {
+			t.Fatalf("refused -update rewrote the corpus:\n%s", after)
+		}
+
+		writeGoldenFor(t, bad, &GoldenCorpus{RenderVersion: browser.RenderVersion, AnalysisVersion: core.AnalysisVersion - 1, Sites: []GoldenEntry{entry}})
+		if _, err := ExecuteVerify("golden", VerifyConfig{GoldenPath: bad, Update: true}); err != nil {
+			t.Fatalf("%s: -update after a bump: %v", pin.name, err)
+		}
+		got, err := LoadGolden(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.AnalysisVersion != core.AnalysisVersion || *pin.field(&got.Sites[0]) != want {
+			t.Errorf("-update after a bump wrote analysis_version %d, %s %s; want %d, %s",
+				got.AnalysisVersion, pin.name, *pin.field(&got.Sites[0]), core.AnalysisVersion, want)
+		}
 	}
 }
 
@@ -244,25 +291,15 @@ func TestDiffCatchesABrokenOptimizedResult(t *testing.T) {
 
 // TestVerifyAllUpdateCrossChecksNewPins: `verify -exp all` runs each
 // golden site once for both the golden and the cross-format checks. A
-// stale slice pin fails the sweep; under -update the golden checks re-pin
-// it, and the cross-format checks of the same run compare against the new
-// pin, so the sweep passes and writes it.
+// stale slice pin fails the sweep; after an AnalysisVersion bump, under
+// -update the golden checks re-pin it, and the cross-format checks of the
+// same run compare against the new pin, so the sweep passes and writes it.
 func TestVerifyAllUpdateCrossChecksNewPins(t *testing.T) {
-	c, err := LoadGolden(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entry GoldenEntry
-	for _, e := range c.Sites {
-		if e.Seed != 0 {
-			entry = e
-			break
-		}
-	}
+	entry := seedEntry(t)
 	pin := entry.Pixels
 	entry.Pixels = strings.Repeat("0", 64)
 	stale := filepath.Join(t.TempDir(), "corpus.json")
-	writeGoldenFor(t, stale, &GoldenCorpus{RenderVersion: browser.RenderVersion, Sites: []GoldenEntry{entry}})
+	writeGoldenFor(t, stale, &GoldenCorpus{RenderVersion: browser.RenderVersion, AnalysisVersion: core.AnalysisVersion - 1, Sites: []GoldenEntry{entry}})
 
 	if _, err := ExecuteVerify("all", VerifyConfig{GoldenPath: stale, PropertyCount: 1}); err == nil {
 		t.Fatal("verify -exp all accepted a stale pixel pin")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"webslice/internal/browser"
+	"webslice/internal/core"
 	"webslice/internal/experiments"
 	"webslice/internal/obs"
 	"webslice/internal/sites"
@@ -23,9 +24,9 @@ import (
 // all compute; other criteria and a verified repeat of a known trace load
 // its forward pass from the store and run only the backward pass. A
 // manager restarted on the same store directory still hits. Jobs on golden
-// corpus workloads return the pinned slice digests, hit or miss; a site or
-// seed job's trace key is the pinned trace digest, an upload's is the
-// SHA-256 of its bytes.
+// corpus workloads return the pinned slice digests, hit or miss; every
+// job's trace key is its JobKey, and an upload's is the SHA-256 of its
+// bytes.
 func TestResultCache(t *testing.T) {
 	corpus, err := experiments.LoadGolden("../../examples/golden/corpus.json")
 	if err != nil {
@@ -90,7 +91,8 @@ func TestResultCache(t *testing.T) {
 			open()
 		}
 		if step.corrupt {
-			if err := st.Put(store.KindResult, resultKey(JobKey(step.spec), slicer.PixelCriteria{}), []byte("not a result")); err != nil {
+			_, rkey := storeKeys(JobKey(step.spec), slicer.PixelCriteria{}, core.AnalysisVersion)
+			if err := st.Put(store.KindResult, rkey, []byte("not a result")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,6 +117,9 @@ func TestResultCache(t *testing.T) {
 			}
 		}
 		isUpload := len(step.spec.Trace) > 0
+		if res.TraceKey != JobKey(step.spec) {
+			t.Errorf("%s: trace key %s, want its JobKey %s", step.name, res.TraceKey, JobKey(step.spec))
+		}
 		if isUpload && res.TraceKey != store.KeyBytes(step.spec.Trace) {
 			t.Errorf("%s: trace key %s, want the SHA-256 of the upload", step.name, res.TraceKey)
 		}
@@ -127,9 +132,8 @@ func TestResultCache(t *testing.T) {
 			if res.Criteria == "syscalls" {
 				want = e.Syscalls
 			}
-			if res.SliceDigest != want || !isUpload && res.TraceKey != e.Trace {
-				t.Errorf("%s: slice %s, trace key %s; golden %s pins %s, %s",
-					step.name, res.SliceDigest, res.TraceKey, e.Label(), want, e.Trace)
+			if res.SliceDigest != want {
+				t.Errorf("%s: slice %s; golden %s pins %s", step.name, res.SliceDigest, e.Label(), want)
 			}
 		}
 

@@ -102,6 +102,8 @@ type ThreadStat struct {
 
 // Result is what a finished job reports.
 type Result struct {
+	// TraceKey is the job's JobKey, the content address of the trace it
+	// sliced: an upload's SHA-256, or a site or seed job's identity address.
 	TraceKey string `json:"trace_key,omitempty"`
 	// SliceDigest is the hex SHA-256 of the slice's canonical store
 	// encoding with progress samples stripped, so it is comparable across
@@ -226,12 +228,13 @@ type Config struct {
 	// (default 64). A full queue rejects with ErrQueueFull.
 	QueueDepth int
 	// Store, when set, caches the finished Result of every unverified job
-	// under its JobKey, criteria and browser.RenderVersion, so a repeat job
+	// under its JobKey, criteria and core.AnalysisVersion, so a repeat job
 	// is one lookup: no render, decode or slicing. It also caches each
-	// trace's forward pass under the trace's content address, so a job over
-	// a known trace with other criteria (or verified) loads the forward pass
-	// instead of computing it. Such a job still renders or decodes its trace
-	// unless a job of its JobKey is in flight, whose trace it then shares.
+	// trace's forward pass under its JobKey and core.AnalysisVersion, so a
+	// job over a known trace with other criteria (or verified) loads the
+	// forward pass instead of computing it. Such a job still renders or
+	// decodes its trace unless a job of its JobKey is in flight, whose trace
+	// it then shares.
 	Store *store.Store
 	// Verify applies Spec.Verify to every job regardless of what the
 	// submission asked for (websliced -verify).
@@ -383,7 +386,7 @@ func New(cfg Config) *Manager {
 		hQueueWait:   reg.Histogram("queue_wait_ms", metrics.LatencyBuckets),
 		hRun:         reg.Histogram("slice_ms", metrics.LatencyBuckets),
 	}
-	m.shares = newTraceShares(m.obtainTrace)
+	m.shares = newTraceShares(obtainTrace)
 	if cfg.Runner == nil {
 		m.cfg.Runner = m.run
 	}
@@ -945,7 +948,7 @@ func (m *Manager) drop(j *job) {
 }
 
 // jobOpts are the slicing options of every job run executes. The result
-// cache's key is built from this same value (resultKey), so the options a
+// cache's key is built from this same value (storeKeys), so the options a
 // result was sliced under and the key it is stored under cannot drift.
 var jobOpts = slicer.Options{ProgressPoints: 160, MainThread: browser.MainThread}
 
@@ -967,10 +970,12 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	// rkey is the job's result-cache key, "" when there is no lookup.
 	// Verified jobs bypass the result cache, so the invariant oracles always
 	// check a freshly computed slice.
-	rkey := ""
-	if m.cfg.Store != nil && !verify {
-		rkey = resultKey(jk, crit)
-		if res, ok := m.cachedResult(s, rkey); ok {
+	depsKey, rkey := "", ""
+	if m.cfg.Store != nil {
+		depsKey, rkey = storeKeys(jk, crit, core.AnalysisVersion)
+		if verify {
+			rkey = ""
+		} else if res, ok := m.cachedResult(s, rkey); ok {
 			return res, nil
 		}
 	}
@@ -992,7 +997,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	p.Opts = jobOpts
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
 	if m.cfg.Store != nil {
-		p.UseStore(m.cfg.Store, sh.addr)
+		p.UseStore(m.cfg.Store, depsKey)
 	}
 	p.VerifyInvariants = verify
 	ss := s.Child("slice").Set("criteria", spec.Criteria)
@@ -1017,7 +1022,7 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, ErrCanceled
 	}
 	out := &Result{
-		TraceKey:    sh.addr,
+		TraceKey:    jk,
 		SliceDigest: store.SliceDigest(res),
 		Criteria:    res.Criteria,
 		Total:       res.Total,
@@ -1046,37 +1051,45 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	return out, nil
 }
 
-// JobKey names the trace a job slices, independent of its criteria. An
-// upload's key is store.KeyBytes of its bytes, the hex SHA-256 that is also
-// the trace's address in the store. A site or seed job's key is its
-// rendering identity: "site\x00<name>\x00<scale>", with scale 0 read as 1,
-// or "seed\x00<N>". Rendering is deterministic, so under one
-// browser.RenderVersion an identity denotes one trace on every node. The
+// JobKey is the one content address of the trace a job slices, independent
+// of its criteria: a hex SHA-256. An upload's is store.KeyBytes of its
+// bytes, what sha256sum prints for the file. A site or seed job's is the
+// SHA-256 of its rendering identity and browser.RenderVersion, where the
+// identity is "site\x00<name>\x00<scale>", with scale 0 read as 1, or
+// "seed\x00<N>". Rendering is deterministic, so under one RenderVersion an
+// identity denotes one trace on every node, and no render is hashed. The
 // cluster routes every job by its JobKey, so both criteria of one trace
-// share an owner and its forward pass, and the owner's result cache is
-// keyed by it (see resultKey).
+// share an owner and its forward pass; both store keys of a job derive
+// from it (storeKeys); and it is the job's Result.TraceKey.
 func JobKey(spec Spec) string {
 	if len(spec.Trace) > 0 {
 		return store.KeyBytes(spec.Trace)
 	}
+	var id string
 	if spec.Site == "" && spec.Seed != 0 {
-		return "seed\x00" + strconv.FormatUint(spec.Seed, 10)
+		id = "seed\x00" + strconv.FormatUint(spec.Seed, 10)
+	} else {
+		scale := spec.Scale
+		if scale == 0 {
+			scale = 1.0
+		}
+		id = "site\x00" + spec.Site + "\x00" + strconv.FormatFloat(scale, 'g', -1, 64)
 	}
-	scale := spec.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	return "site\x00" + spec.Site + "\x00" + strconv.FormatFloat(scale, 'g', -1, 64)
+	return store.KeyBytes([]byte(id + "\x00" + strconv.Itoa(browser.RenderVersion)))
 }
 
-// resultKey addresses a job's finished result: the hex SHA-256 of its
-// JobKey, the renderer's version, and the slice variant it computes under
-// jobOpts. A RenderVersion bump orphans every older entry, and the store's
-// LRU evicts them.
-func resultKey(jobKey string, crit slicer.Criteria) string {
-	id := jobKey + "\x00" + strconv.Itoa(browser.RenderVersion) +
-		"\x00" + store.SliceVariant(crit.Name(), jobOpts)
-	return store.KeyBytes([]byte(id))
+// storeKeys derives a job's two store keys from its JobKey: the forward
+// pass of its trace, which both criteria share, and its finished result
+// under crit, which names the slice variant jobOpts computes. Each is the
+// hex SHA-256 of the JobKey, the artifact and analysis, the version of the
+// code that computed it; run passes core.AnalysisVersion. A bump of either
+// version moves every key once, so older blobs are orphaned, never
+// misread, and the store's LRU evicts them.
+func storeKeys(jobKey string, crit slicer.Criteria, analysis int) (deps, result string) {
+	key := func(artifact string) string {
+		return store.KeyBytes([]byte(jobKey + "\x00" + artifact + "\x00" + strconv.Itoa(analysis)))
+	}
+	return key(store.KindDeps), key(store.SliceVariant(crit.Name(), jobOpts))
 }
 
 // cachedResult looks a finished result up in the store and marks it a
@@ -1147,31 +1160,25 @@ func putRecs(recs []trace.Rec) {
 }
 
 // obtainTrace decodes an upload or renders a site: the obtain step of the
-// trace shared by the jobs whose JobKey is key. With a store attached it
-// also returns the trace's content address: an upload's is its JobKey, so
-// its bytes are hashed once per job; a render's is its digest. For an
-// upload, free hands the record array back to recArrays: the pooled one
-// the decode filled, or the new one it had to allocate.
-func (m *Manager) obtainTrace(key string, spec Spec) (*trace.Trace, string, func(), error) {
+// trace shared by the jobs of one JobKey. For an upload, free hands the
+// record array back to recArrays: the pooled one the decode filled, or the
+// new one it had to allocate.
+func obtainTrace(spec Spec) (*trace.Trace, func(), error) {
 	if len(spec.Trace) > 0 {
 		// A submission is decoded once, here; both passes walk the records.
 		br, err := trace.OpenV3(spec.Trace)
 		if err != nil {
-			return nil, "", nil, fmt.Errorf("service: decoding submitted trace: %w", err)
+			return nil, nil, fmt.Errorf("service: decoding submitted trace: %w", err)
 		}
 		recs := getRecs()
 		t, err := br.ReadAllInto(recs)
 		if err != nil {
-			return nil, "", nil, fmt.Errorf("service: decoding submitted trace: %w", err)
+			return nil, nil, fmt.Errorf("service: decoding submitted trace: %w", err)
 		}
 		if cap(t.Recs) > cap(recs) {
 			recs = t.Recs
 		}
-		addr := ""
-		if m.cfg.Store != nil {
-			addr = key
-		}
-		return t, addr, func() { putRecs(recs) }, nil
+		return t, func() { putRecs(recs) }, nil
 	}
 	var b sites.Benchmark
 	if spec.Site == "" && spec.Seed != 0 {
@@ -1180,17 +1187,13 @@ func (m *Manager) obtainTrace(key string, spec Spec) (*trace.Trace, string, func
 		var err error
 		b, err = sites.ByName(spec.Site, sites.Options{Scale: spec.Scale})
 		if err != nil {
-			return nil, "", nil, err
+			return nil, nil, err
 		}
 	}
 	br := browser.New(b.Site, b.Profile)
 	br.RunSession()
 	if len(br.Errors) > 0 {
-		return nil, "", nil, fmt.Errorf("service: rendering %s: %w", b.Name, br.Errors[0])
+		return nil, nil, fmt.Errorf("service: rendering %s: %w", b.Name, br.Errors[0])
 	}
-	addr := ""
-	if m.cfg.Store != nil {
-		addr, _ = store.TraceKey(br.M.Tr)
-	}
-	return br.M.Tr, addr, nil, nil
+	return br.M.Tr, nil, nil
 }

@@ -9,10 +9,9 @@ import (
 	"webslice/internal/trace"
 )
 
-// obtainFunc renders or decodes the trace of the jobs whose JobKey is key
-// and returns it with its content address in the store ("" when there is
-// none). free, when non-nil, runs once no job holds the trace any more.
-type obtainFunc func(key string, spec Spec) (t *trace.Trace, addr string, free func(), err error)
+// obtainFunc renders or decodes the trace of a job's spec. free, when
+// non-nil, runs once no job holds the trace any more.
+type obtainFunc func(spec Spec) (t *trace.Trace, free func(), err error)
 
 // traceShares hands every job of one JobKey in flight together one trace.
 // The first job of a key obtains it; a job of that key that starts while a
@@ -33,7 +32,6 @@ type traceShare struct {
 	// fields below it are written before, and only read after.
 	ready chan struct{}
 	t     *trace.Trace
-	addr  string
 	free  func()
 	err   error // the obtain step's error, which every holder gets
 	// abandoned means the obtain step panicked: its waiters acquire afresh
@@ -120,7 +118,7 @@ func (s *traceShares) fill(sh *traceShare, sp *obs.Span, key string, spec Spec) 
 		}
 		close(sh.ready)
 	}()
-	sh.t, sh.addr, sh.free, sh.err = s.obtain(key, spec)
+	sh.t, sh.free, sh.err = s.obtain(spec)
 	returned = true
 }
 

@@ -47,10 +47,11 @@ type acquired struct {
 }
 
 // acquireAsync runs acquire on its own goroutine and delivers the outcome.
+// The spec it acquires with names key as its site.
 func acquireAsync(ctx context.Context, s *traceShares, parent *obs.Span, key string) <-chan acquired {
 	out := make(chan acquired, 1)
 	go func() {
-		sh, err := s.acquire(ctx, parent, "render", key, Spec{})
+		sh, err := s.acquire(ctx, parent, "render", key, Spec{Site: key})
 		out <- acquired{sh, err}
 	}()
 	return out
@@ -72,10 +73,10 @@ func TestTraceShareObtainsOncePerKey(t *testing.T) {
 	const n = 8
 	gate := make(chan struct{})
 	var calls, frees atomic.Int32
-	s := newTraceShares(func(key string, spec Spec) (*trace.Trace, string, func(), error) {
+	s := newTraceShares(func(spec Spec) (*trace.Trace, func(), error) {
 		calls.Add(1)
 		<-gate
-		return trace.New(), "addr-" + key, func() { frees.Add(1) }, nil
+		return trace.New(), func() { frees.Add(1) }, nil
 	})
 	tracer := obs.New(64, nil)
 	root := tracer.Root("test")
@@ -91,8 +92,8 @@ func TestTraceShareObtainsOncePerKey(t *testing.T) {
 		if a.err != nil {
 			t.Fatal(a.err)
 		}
-		if len(shares) > 0 && a.sh != shares[0] || a.sh.addr != "addr-k" {
-			t.Fatalf("holders got different shares, or address %q", a.sh.addr)
+		if len(shares) > 0 && a.sh != shares[0] {
+			t.Fatal("holders got different shares")
 		}
 		shares = append(shares, a.sh)
 	}
@@ -126,10 +127,10 @@ func TestTraceShareObtainsOncePerKey(t *testing.T) {
 func TestTraceShareKeysAreIndependent(t *testing.T) {
 	started := make(chan string, 2)
 	gate := make(chan struct{})
-	s := newTraceShares(func(key string, spec Spec) (*trace.Trace, string, func(), error) {
-		started <- key
+	s := newTraceShares(func(spec Spec) (*trace.Trace, func(), error) {
+		started <- spec.Site
 		<-gate
-		return trace.New(), key, nil, nil
+		return trace.New(), nil, nil
 	})
 	a := acquireAsync(context.Background(), s, nil, "a")
 	b := acquireAsync(context.Background(), s, nil, "b")
@@ -143,7 +144,7 @@ func TestTraceShareKeysAreIndependent(t *testing.T) {
 	if ga.err != nil || gb.err != nil {
 		t.Fatal(ga.err, gb.err)
 	}
-	if ga.sh == gb.sh || ga.sh.t == gb.sh.t || ga.sh.addr != "a" || gb.sh.addr != "b" {
+	if ga.sh == gb.sh || ga.sh.t == gb.sh.t {
 		t.Fatal("two keys share a trace")
 	}
 	s.release("a", ga.sh)
@@ -159,9 +160,9 @@ func TestTraceShareKeysAreIndependent(t *testing.T) {
 func TestTraceShareWaiterCanceled(t *testing.T) {
 	gate := make(chan struct{})
 	var frees atomic.Int32
-	s := newTraceShares(func(key string, spec Spec) (*trace.Trace, string, func(), error) {
+	s := newTraceShares(func(spec Spec) (*trace.Trace, func(), error) {
 		<-gate
-		return trace.New(), "", func() { frees.Add(1) }, nil
+		return trace.New(), func() { frees.Add(1) }, nil
 	})
 	obtainer := acquireAsync(context.Background(), s, nil, "k")
 	mustAwait(t, s, "k", 1)
@@ -196,10 +197,10 @@ func TestTraceShareErrorReachesEveryWaiter(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int32
 	bad := &trace.DecodeError{Section: "block 0", Msg: "checksum mismatch"}
-	s := newTraceShares(func(key string, spec Spec) (*trace.Trace, string, func(), error) {
+	s := newTraceShares(func(spec Spec) (*trace.Trace, func(), error) {
 		calls.Add(1)
 		<-gate
-		return nil, "", nil, fmt.Errorf("service: decoding submitted trace: %w", bad)
+		return nil, nil, fmt.Errorf("service: decoding submitted trace: %w", bad)
 	})
 	tracer := obs.New(64, nil)
 	root := tracer.Root("test")
@@ -236,12 +237,12 @@ func TestTraceShareErrorReachesEveryWaiter(t *testing.T) {
 func TestTraceSharePanicStaysWithItsJob(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	s := newTraceShares(func(key string, spec Spec) (*trace.Trace, string, func(), error) {
+	s := newTraceShares(func(spec Spec) (*trace.Trace, func(), error) {
 		if calls.Add(1) == 1 {
 			<-gate
 			panic("poisoned render")
 		}
-		return trace.New(), "", nil, nil
+		return trace.New(), nil, nil
 	})
 	panicked := make(chan any, 1)
 	go func() {
@@ -274,9 +275,9 @@ func TestTraceSharePanicStaysWithItsJob(t *testing.T) {
 // the trace, so a later job of the key obtains it afresh.
 func TestTraceShareRetainsNothing(t *testing.T) {
 	var calls, frees atomic.Int32
-	s := newTraceShares(func(key string, spec Spec) (*trace.Trace, string, func(), error) {
+	s := newTraceShares(func(spec Spec) (*trace.Trace, func(), error) {
 		calls.Add(1)
-		return trace.New(), "", func() { frees.Add(1) }, nil
+		return trace.New(), func() { frees.Add(1) }, nil
 	})
 	ctx := context.Background()
 	first, err := s.acquire(ctx, nil, "render", "k", Spec{})
@@ -307,12 +308,12 @@ func TestTraceShareRetainsNothing(t *testing.T) {
 // scheduled. then, if non-nil, runs after that wait.
 func gateObtain(m *Manager, n int, then func(spec Spec)) {
 	obtain := m.shares.obtain
-	m.shares.obtain = func(key string, spec Spec) (*trace.Trace, string, func(), error) {
-		awaitHolders(m.shares, key, n)
+	m.shares.obtain = func(spec Spec) (*trace.Trace, func(), error) {
+		awaitHolders(m.shares, JobKey(spec), n)
 		if then != nil {
 			then(spec)
 		}
-		return obtain(key, spec)
+		return obtain(spec)
 	}
 }
 
@@ -392,7 +393,8 @@ func checkTwins(t *testing.T, pixels Spec, obtain, wantKey string, e experiments
 // flight together render once and run one forward pass.
 func TestTwinSiteJobsShareOneRender(t *testing.T) {
 	e := goldenEntry(t, "amazon-desktop", 0.05, 0)
-	checkTwins(t, Spec{Site: e.Name, Scale: e.Scale}, "render", e.Trace, e)
+	spec := Spec{Site: e.Name, Scale: e.Scale}
+	checkTwins(t, spec, "render", JobKey(spec), e)
 }
 
 // TestTwinUploadsShareOneDecode: one upload submitted with both criteria at

@@ -18,19 +18,22 @@ import (
 	"webslice/internal/trace"
 )
 
-// Artifact kinds: a trace's forward pass (its control dependence graph),
-// keyed by the trace's content address, and a job's finished service
-// result, encoded and keyed by the service.
+// Artifact kinds: a trace's forward pass (its control dependence graph)
+// and a job's finished service result. The service derives both keys from
+// the job's trace address and encodes the result.
 const (
 	KindDeps   = "cdg"
 	KindResult = "result"
 )
 
-// TraceKey returns the content address of a trace held in memory (a site
-// or seed job's render): the hex of trace.Digest, the SHA-256 of its
-// uncompressed v3 columns and footer. Nothing is compressed or re-encoded,
-// and a trace decoded from any v3 encoding gets the same key as the one
-// that was encoded. The error is always nil.
+// TraceKey returns the hex of trace.Digest, the SHA-256 of a trace's
+// uncompressed v3 columns and footer. The error is always nil. Nothing in
+// the service hashes a render: a site or seed job is addressed by its
+// rendering identity (service.JobKey). It remains here for e2ebench's
+// layer timer.
+//
+// Deprecated: address a trace by service.JobKey; to pin a render's
+// contents, call trace.Trace.Digest.
 func TraceKey(t *trace.Trace) (string, error) {
 	sum := t.Digest()
 	return hex.EncodeToString(sum[:]), nil

@@ -1,10 +1,11 @@
 // Package store is the content-addressed artifact store behind the slicing
-// service. It holds two kinds of artifact. A forward pass (control
-// dependence graph) is keyed by the content address of the trace it derives
-// from, so every backward pass over an identical trace skips it (the paper
-// stores its forward pass "in stable storage" for exactly this reuse; see
-// DESIGN.md). A finished job result is keyed by the service (see
-// KindResult), so a repeat job is a lookup instead of a recomputation.
+// service. It holds two kinds of artifact, each under a key the service
+// derives from the job's trace address and the analysis version. A forward
+// pass (control dependence graph) is keyed by the trace it derives from, so
+// every backward pass over an identical trace skips it (the paper stores its
+// forward pass "in stable storage" for exactly this reuse; see DESIGN.md). A
+// finished job result is keyed by its trace and criteria (see KindResult),
+// so a repeat job is a lookup instead of a recomputation.
 //
 // Blobs live in a byte-bounded in-memory LRU layer over optional disk
 // persistence. Blobs are compressed at rest: the envelope deflates the

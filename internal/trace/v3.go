@@ -44,10 +44,10 @@ import (
 // streaming BlockWriter needs no up-front knowledge of them; they are only
 // complete once the last record has been observed.
 //
-// Content addresses (store.TraceKey, store.TraceKeyV3) never re-encode a
-// trace: an uploaded trace is addressed by the SHA-256 of its bytes, and a
-// trace rendered in memory by Digest, the SHA-256 of its uncompressed
-// columns and footer.
+// Content addresses never re-encode a trace: an uploaded trace is addressed
+// by the SHA-256 of its bytes, and a trace rendered in memory is pinned in
+// the golden corpus by Digest, the SHA-256 of its uncompressed columns and
+// footer.
 
 const (
 	v3Version = 3
@@ -213,10 +213,10 @@ func (t *Trace) WriteV3Blocks(w io.Writer, blockRecs int) error {
 
 // Digest returns the SHA-256 of the trace's uncompressed v3 content: the
 // record count, the column stream of every DefaultBlockRecs-record block,
-// then the footer tables. It is the content address of a trace that was
-// rendered rather than uploaded, and costs a fraction of an encode because
-// nothing is compressed. Digest depends only on the trace's contents, so a
-// decoded trace digests like the one that was encoded.
+// then the footer tables. The golden corpus pins it for every rendered
+// trace, and it costs a fraction of an encode because nothing is
+// compressed. Digest depends only on the trace's contents, so a decoded
+// trace digests like the one that was encoded.
 func (t *Trace) Digest() [sha256.Size]byte {
 	h := sha256.New()
 	buf := binary.AppendUvarint(nil, uint64(len(t.Recs)))

@@ -49,12 +49,12 @@ check_cover ./internal/trace 85
 check_cover ./internal/service 91
 check_cover ./internal/cluster 92
 check_cover ./cmd/webslice 28
-check_cover ./internal/core 80
+check_cover ./internal/core 81
 check_cover ./internal/store 88
 check_cover ./internal/experiments 81
 
 # Robustness gate: vet + race over the durability-critical service package
-# (journal, retry, quarantine) is already covered by the full -race run
+# (journal, quarantine) is already covered by the full -race run
 # above; on top of that, a short deterministic chaos smoke — seeded
 # kill/restart/IO-fault/panic schedules must lose no acknowledged job —
 # and a fuzz smoke of the journal's replay path.

@@ -39,8 +39,9 @@ func contractWorker(t *testing.T, block chan struct{}) *service.Manager {
 // apiRole is one role serving the websliced API in process.
 type apiRole struct {
 	h http.Handler
-	// admitted counts the jobs the role holds, on every node.
-	admitted func() int
+	// admitted counts the jobs the role's nodes admitted, from their
+	// counters.
+	admitted func() int64
 	// drain begins the role's shutdown.
 	drain func()
 }
@@ -66,7 +67,7 @@ func TestAPIContract(t *testing.T) {
 			m := contractWorker(t, block)
 			return apiRole{
 				h:        service.NewHandler(m),
-				admitted: func() int { return len(m.Jobs()) },
+				admitted: m.Metrics().Counter("jobs_submitted").Value,
 				drain:    m.Close,
 			}
 		},
@@ -79,9 +80,13 @@ func TestAPIContract(t *testing.T) {
 			co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{srv.URL}})
 			t.Cleanup(co.Stop)
 			return apiRole{
-				h:        NewHandler(co),
-				admitted: func() int { return len(co.Jobs()) + len(w.Jobs()) + len(local.Jobs()) },
-				drain:    local.Close,
+				h: NewHandler(co),
+				admitted: func() int64 {
+					reg := co.Metrics()
+					return reg.Counter("cluster_jobs_routed").Value() + reg.Counter("cluster_jobs_local").Value() +
+						w.Metrics().Counter("jobs_submitted").Value()
+				},
+				drain: local.Close,
 			}
 		},
 	}
@@ -133,6 +138,8 @@ func TestAPIContract(t *testing.T) {
 				{"unknown trace", "GET", "/jobs/nope/trace", nil, 0, 404, "no trace", ""},
 				{"result not done", "GET", "/jobs/" + ids[0] + "/result", nil, 0, 409, "not done", ""},
 				{"cancel unknown", "DELETE", "/jobs/nope", nil, 0, 409, "unknown or already finished", ""},
+				// No route lists jobs: /jobs only takes a submission.
+				{"job list", "GET", "/jobs", nil, 0, 405, "", ""},
 				{"spans with tracing off", "GET", "/debug/spans", nil, 0, 404, "tracing disabled", ""},
 			}
 			admitted := role.admitted()

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"webslice/internal/service"
 )
@@ -20,7 +19,6 @@ func holdingManager(t *testing.T, node string) *service.Manager {
 		Workers:    1,
 		QueueDepth: 8,
 		Node:       node,
-		Retry:      service.RetryPolicy{BackoffBase: time.Nanosecond, BackoffMax: time.Nanosecond},
 		Runner: func(ctx context.Context, spec service.Spec) (*service.Result, error) {
 			if spec.Seed == 13 {
 				panic("poisoned job")
@@ -70,15 +68,15 @@ func TestCoordinatorBatchAndCancel(t *testing.T) {
 	// Item 1 is refused, so item 0, admitted and running, is canceled.
 	_, err := c.Batch([]service.Spec{{Site: "maps"}, {Site: "no-such-site"}})
 	wantAPIError(t, "batch with a bad item", err, http.StatusBadRequest, "batch item 1")
-	jobs := co.Jobs()
-	if len(jobs) != 1 {
-		t.Fatalf("%d jobs admitted by the refused batch, want 1", len(jobs))
+	if n := co.Metrics().Counter("cluster_jobs_routed").Value(); n != 1 {
+		t.Fatalf("%d jobs admitted by the refused batch, want 1", n)
 	}
-	if info := await(t, co, jobs[0].ID); info.Status != service.StatusCanceled {
+	// Item 0 took the coordinator's first id, and the worker's.
+	if info := await(t, co, "c000001"); info.Status != service.StatusCanceled {
 		t.Fatalf("admitted item of a refused batch is %s, want canceled", info.Status)
 	}
-	if got := w.Jobs(); len(got) != 1 || got[0].Status != service.StatusCanceled {
-		t.Fatalf("worker jobs after the refused batch = %+v, want one canceled", got)
+	if info, ok := w.Info("j000001"); !ok || info.Status != service.StatusCanceled || w.Metrics().Counter("jobs_submitted").Value() != 1 {
+		t.Fatalf("worker job after the refused batch = %+v, want the one job it admitted, canceled", info)
 	}
 
 	_, err = c.Batch(nil)

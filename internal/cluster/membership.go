@@ -42,7 +42,7 @@ type MembershipConfig struct {
 	// 503 on purpose, so drain reads as "stop routing here").
 	Probe func(url string) error
 	// Clock abstracts time so eviction/re-add schedules are testable
-	// without real sleeps (the same seam internal/service's retry backoff
+	// without real sleeps (the same seam the webslice client's poll loop
 	// uses).
 	Clock service.Clock
 	// OnEvict fires (from the probe goroutine) when a peer crosses the

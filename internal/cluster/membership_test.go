@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced service.Clock (the same pattern as
-// internal/service's robustness tests): Sleep blocks on a waiter that
-// Advance releases, so probe schedules run without real time passing.
+// fakeClock is a manually advanced service.Clock: Sleep blocks on a waiter
+// that Advance releases, so probe schedules run without real time passing.
 type fakeClock struct {
 	mu      sync.Mutex
 	now     time.Time

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -513,22 +512,4 @@ func (c *Coordinator) Cancel(id string) bool {
 		c.members.ReportFailure(peer)
 	}
 	return err == nil
-}
-
-// Jobs snapshots every admitted job, sorted by id.
-func (c *Coordinator) Jobs() []service.Info {
-	c.mu.Lock()
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	c.mu.Unlock()
-	sort.Strings(ids)
-	out := make([]service.Info, 0, len(ids))
-	for _, id := range ids {
-		if info, ok := c.Info(id); ok {
-			out = append(out, info)
-		}
-	}
-	return out
 }

@@ -124,11 +124,8 @@ func (p *Profiler) Forward() error {
 	fs.End()
 	if p.store != nil {
 		ps := p.storeSpan("store.put")
-		err := p.store.PutDeps(p.key, p.deps)
-		ps.EndErr(err)
-		if err != nil {
-			return fmt.Errorf("core: caching forward pass: %w", err)
-		}
+		p.store.PutDeps(p.key, p.deps)
+		ps.End()
 	}
 	return nil
 }

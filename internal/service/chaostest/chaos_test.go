@@ -2,7 +2,6 @@ package chaostest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -52,9 +51,8 @@ func tagOf(spec service.Spec) int {
 	return int(math.Round(spec.Scale*1000)) - 1
 }
 
-// runner is the chaos workload: the poison tag always panics, tags
-// divisible by 3 fail transiently on their first execution (exercising
-// retry), and everything touches the fault-injected artifact store.
+// runner is the chaos workload: the poison tag always panics, and
+// everything touches the fault-injected artifact store.
 func (h *harness) runner(ctx context.Context, spec service.Spec) (*service.Result, error) {
 	tag := tagOf(spec)
 	n := h.execs[tag].Add(1)
@@ -73,9 +71,6 @@ func (h *harness) runner(ctx context.Context, spec service.Spec) (*service.Resul
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-time.After(time.Duration(tag%3) * time.Millisecond):
-	}
-	if n == 1 && tag%3 == 0 {
-		return nil, errors.New("transient chaos failure")
 	}
 	return &service.Result{Criteria: spec.Criteria, Total: tag + 1, SliceCount: 1}, nil
 }
@@ -107,7 +102,6 @@ func (h *harness) boot(seed uint64, permille, workers int) (*service.Manager, []
 		Resume:  pending,
 		Store:   st,
 		Runner:  h.runner,
-		Retry:   service.RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
 	})
 	return m, resumed
 }

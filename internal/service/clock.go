@@ -2,8 +2,9 @@ package service
 
 import "time"
 
-// Clock abstracts time for the manager so retry/backoff schedules are
-// testable without real sleeps (see the fake clock in the service tests).
+// Clock abstracts time so the cluster's health-probe schedule and the
+// webslice client's poll and backoff loops are testable without real
+// sleeps (see the fake clocks in their tests).
 type Clock interface {
 	Now() time.Time
 	// Sleep blocks for d or until stop closes, whichever comes first.
@@ -11,8 +12,7 @@ type Clock interface {
 }
 
 // SystemClock is the production Clock, shared by everything that wants
-// injectable time (the manager's retry backoff, the cluster's health
-// probes, the client's poll loop).
+// injectable time (the cluster's health probes, the client's poll loop).
 var SystemClock Clock = realClock{}
 
 // realClock is the production Clock.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 
 	"webslice/internal/metrics"
 	"webslice/internal/obs"
@@ -87,7 +86,6 @@ type Backend interface {
 	// is unknown or not done.
 	Result(id string) (*Result, bool)
 	Cancel(id string) bool
-	Jobs() []Info
 	Quarantined() []Info
 	// JobTrace returns the spans of a job's trace; ok is false for an
 	// unknown job or with tracing off.
@@ -110,7 +108,6 @@ func (m *Manager) Health() map[string]any { return map[string]any{"workers": m.W
 //	POST   /jobs             submit a site or seed job (JSON Spec) -> 202 {id}
 //	POST   /jobs/trace       submit a binary trace
 //	                         (?criteria, ?verify=1, ?origin)       -> 202 {id}
-//	GET    /jobs             list jobs                             -> 200 [Info]
 //	GET    /jobs/quarantined poisoned jobs (2x panicked)           -> 200 [Info]
 //	GET    /jobs/{id}        job status                            -> 200 Info
 //	GET    /jobs/{id}/result finished job result                   -> 200 Result
@@ -172,12 +169,6 @@ func NewHandler(b Backend) *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		obs.WriteJSONL(w, t.Snapshot())
-	})
-
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		jobs := b.Jobs()
-		sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
-		WriteJSON(w, http.StatusOK, jobs)
 	})
 
 	mux.HandleFunc("GET /jobs/quarantined", func(w http.ResponseWriter, r *http.Request) {

@@ -10,76 +10,13 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webslice/internal/isa"
+	"webslice/internal/trace"
 )
-
-// fakeClock is a manually advanced Clock: Sleep blocks on a waiter that
-// Advance releases, so backoff schedules are asserted without real sleeps.
-type fakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	sleeps  []time.Duration
-	waiters []fakeWaiter
-}
-
-type fakeWaiter struct {
-	deadline time.Time
-	ch       chan struct{}
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1700000000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Sleep(d time.Duration, stop <-chan struct{}) {
-	c.mu.Lock()
-	c.sleeps = append(c.sleeps, d)
-	if d <= 0 {
-		c.mu.Unlock()
-		return
-	}
-	w := fakeWaiter{deadline: c.now.Add(d), ch: make(chan struct{})}
-	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-	select {
-	case <-w.ch:
-	case <-stop:
-	}
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	keep := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w.deadline.After(c.now) {
-			keep = append(keep, w)
-		} else {
-			close(w.ch)
-		}
-	}
-	c.waiters = keep
-}
-
-func (c *fakeClock) sleepers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
-
-func (c *fakeClock) Sleeps() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.sleeps...)
-}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -93,61 +30,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-// TestRetryBackoffScheduleFakeClock pins the retry schedule — capped
-// exponential backoff, exact delays — without a single real sleep.
-func TestRetryBackoffScheduleFakeClock(t *testing.T) {
-	clk := newFakeClock()
-	var attempts atomic.Int64
+// TestErrorFailsJobOnFirstAttempt: an error is final. The runner is called
+// once, and the job fails with its error after one attempt, with nothing
+// counted as retried: the pipeline is a pure function of the job's trace,
+// so a second attempt could only repeat the error.
+func TestErrorFailsJobOnFirstAttempt(t *testing.T) {
+	var calls atomic.Int64
 	m := New(Config{
 		Workers: 1,
-		Clock:   clk,
-		Retry:   RetryPolicy{MaxAttempts: 4, BackoffBase: 100 * time.Millisecond, BackoffMax: 250 * time.Millisecond},
 		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
-			if attempts.Add(1) < 4 {
-				return nil, errors.New("transient backend wobble")
-			}
-			return &Result{}, nil
-		},
-	})
-	id, err := m.Submit(Spec{Site: "maps"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		waitFor(t, "worker to enter backoff sleep", func() bool { return clk.sleepers() == 1 })
-		clk.Advance(250 * time.Millisecond)
-	}
-	waitStatus(t, m, id, StatusDone)
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 250 * time.Millisecond}
-	got := clk.Sleeps()
-	if len(got) != len(want) {
-		t.Fatalf("backoff sleeps = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("backoff sleep %d = %v, want %v (schedule %v)", i, got[i], want[i], got)
-		}
-	}
-	if n := m.Metrics().Counter("jobs_retried").Value(); n != 3 {
-		t.Fatalf("jobs_retried = %d, want 3", n)
-	}
-	if info, _ := m.Info(id); info.Attempts != 4 {
-		t.Fatalf("attempts = %d, want 4", info.Attempts)
-	}
-	m.Close()
-}
-
-// TestRetriesExhaustedFailsJob: a persistently failing job burns its
-// attempts and lands on failed, not in an infinite retry loop.
-func TestRetriesExhaustedFailsJob(t *testing.T) {
-	clk := newFakeClock()
-	var attempts atomic.Int64
-	m := New(Config{
-		Workers: 1,
-		Clock:   clk,
-		Retry:   RetryPolicy{MaxAttempts: 3, BackoffBase: time.Second, BackoffMax: time.Second},
-		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
-			attempts.Add(1)
+			calls.Add(1)
 			return nil, errors.New("hard failure")
 		},
 	})
@@ -155,18 +47,58 @@ func TestRetriesExhaustedFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		waitFor(t, "backoff sleep", func() bool { return clk.sleepers() == 1 })
-		clk.Advance(time.Second)
-	}
-	waitFor(t, "job terminal", func() bool { info, _ := m.Info(id); return info.Status.Terminal() })
-	if info, _ := m.Info(id); info.Status != StatusFailed || !strings.Contains(info.Error, "hard failure") {
-		t.Fatalf("job = %s (%q), want failed", info.Status, info.Error)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("runner ran %d times, want 3", attempts.Load())
-	}
+	waitStatus(t, m, id, StatusFailed)
 	m.Close()
+	if info, _ := m.Info(id); !strings.Contains(info.Error, "hard failure") || info.Attempts != 1 {
+		t.Fatalf("job = %s (%q) after %d attempts, want failed with the runner's error after 1", info.Status, info.Error, info.Attempts)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("runner ran %d times, want 1", n)
+	}
+	if n := m.Metrics().Counter("jobs_retried").Value(); n != 0 {
+		t.Fatalf("jobs_retried = %d, want 0", n)
+	}
+}
+
+// unbalancedUpload encodes a two-record trace that decodes cleanly but that
+// the forward pass refuses: its second record runs in another function
+// without a call.
+func unbalancedUpload(t *testing.T) []byte {
+	t.Helper()
+	tr := trace.New()
+	tr.Threads = []trace.ThreadInfo{{ID: 0, Name: "main"}}
+	for _, name := range []string{"caller", "stranger"} {
+		fn, err := tr.AddFunc(name, "v8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Recs = append(tr.Recs, trace.Rec{PC: trace.MakePC(fn, 0), Kind: isa.KindNop})
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestUnbalancedUploadFailsOnce: through the default runner, an upload that
+// passes admission and decodes, but whose records switch function without
+// a call, fails on its first attempt naming the forward pass's refusal. A
+// retry would decode the same bytes and be refused again.
+func TestUnbalancedUploadFailsOnce(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer m.Close()
+	id, err := m.Submit(Spec{Trace: unbalancedUpload(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, id, StatusFailed)
+	if info, _ := m.Info(id); !strings.Contains(info.Error, "unbalanced call/return") || info.Attempts != 1 {
+		t.Fatalf("unbalanced upload = %s (%q) after %d attempts, want failed naming the unbalanced call/return after 1", info.Status, info.Error, info.Attempts)
+	}
+	if n := m.Metrics().Counter("jobs_retried").Value(); n != 0 {
+		t.Fatalf("jobs_retried = %d, want 0", n)
+	}
 }
 
 // TestPanicIsolationAndQuarantine: a panicking runner neither kills the
@@ -176,7 +108,6 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	var calls atomic.Int64
 	m := New(Config{
 		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 10, BackoffBase: time.Nanosecond, BackoffMax: time.Nanosecond},
 		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
 			calls.Add(1)
 			if spec.Site == "bing" {

@@ -12,12 +12,15 @@
 // can observe it, so a crash (kill -9, power loss) loses no acknowledged
 // job and never re-executes a job a client saw finish. Workers isolate
 // job failures: a panicking runner is converted to ErrJobPanicked instead
-// of taking the process down, transient errors are retried with capped
-// exponential backoff, and a job that panics twice is quarantined on a
-// poisoned-job list rather than crash-looping. Per-job wall-clock
-// deadlines and a trace-size admission limit bound resource use; the
-// artifact store degrades to compute-without-cache behind a circuit
-// breaker when its disk misbehaves (see internal/store).
+// of taking the process down. An error fails its job on the first attempt:
+// the pipeline is a pure function of the job's trace, so a second attempt
+// could only repeat it (or spend its deadline again). A panic is a bug,
+// not an input the pipeline refuses, so it gets one more attempt, at once,
+// and a job that panics twice is quarantined on a poisoned-job list rather
+// than crash-looping. Per-job wall-clock deadlines and a trace-size
+// admission limit bound resource use; the artifact store degrades to
+// compute-without-cache behind a circuit breaker when its disk misbehaves
+// (see internal/store).
 package service
 
 import (
@@ -163,7 +166,7 @@ var (
 	// the panic is confined to the job instead of crashing the daemon.
 	ErrJobPanicked = errors.New("service: job panicked")
 	// ErrJobTimeout is the terminal error of a job that exceeded the
-	// per-job wall-clock deadline (Config.JobTimeout). Not retried.
+	// per-job wall-clock deadline (Config.JobTimeout).
 	ErrJobTimeout = errors.New("service: job deadline exceeded")
 	// ErrTraceTooLarge rejects a submitted trace over the admission limit
 	// (Config.MaxTraceBytes), or one whose index declares more than
@@ -171,54 +174,15 @@ var (
 	ErrTraceTooLarge = errors.New("service: trace exceeds admission limit")
 )
 
-// quarantineAfter is how many panics a single job survives before it is
-// quarantined instead of retried.
+// quarantineAfter is how many panics quarantine a job; each panic before
+// that gets another attempt.
 const quarantineAfter = 2
 
 // Runner executes one job. The context carries the per-job deadline and is
 // canceled on job cancellation and manager shutdown; runners should poll
 // ctx.Err() between phases. The default runner renders/decodes and slices;
-// tests and alternative backends may substitute their own.
+// tests substitute their own.
 type Runner func(ctx context.Context, spec Spec) (*Result, error)
-
-// RetryPolicy shapes worker-level retries of failed jobs. A panicking job
-// counts toward quarantine instead; a job that timed out or whose upload
-// does not decode fails on its first attempt.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per job (default 3).
-	// 1 disables retries.
-	MaxAttempts int
-	// BackoffBase is the delay before the first retry; each further retry
-	// doubles it (default 100ms).
-	BackoffBase time.Duration
-	// BackoffMax caps the doubled delay (default 2s).
-	BackoffMax time.Duration
-}
-
-func (r RetryPolicy) withDefaults() RetryPolicy {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BackoffBase <= 0 {
-		r.BackoffBase = 100 * time.Millisecond
-	}
-	if r.BackoffMax <= 0 {
-		r.BackoffMax = 2 * time.Second
-	}
-	return r
-}
-
-// backoff returns the capped exponential delay before retry number n (1-based).
-func (r RetryPolicy) backoff(n int) time.Duration {
-	d := r.BackoffBase
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= r.BackoffMax {
-			return r.BackoffMax
-		}
-	}
-	return min(d, r.BackoffMax)
-}
 
 // Config sizes the manager.
 type Config struct {
@@ -239,7 +203,7 @@ type Config struct {
 	// Verify applies Spec.Verify to every job regardless of what the
 	// submission asked for (websliced -verify).
 	Verify bool
-	// Runner overrides the job execution pipeline (tests, other backends).
+	// Runner replaces the job execution pipeline; tests set it.
 	Runner Runner
 	// Node is this node's advertised URL in a cluster (websliced -node);
 	// it is surfaced as the owner hint in every job Info. Empty for a
@@ -253,23 +217,19 @@ type Config struct {
 	// Resume is the journal's replayed still-pending work, re-enqueued
 	// ahead of new submissions.
 	Resume []JournalEntry
-	// Retry shapes retries of failed jobs (see RetryPolicy defaults).
-	Retry RetryPolicy
 	// JobTimeout is the per-job wall-clock deadline; 0 disables it.
 	JobTimeout time.Duration
 	// MaxTraceBytes rejects submitted traces larger than this with
 	// ErrTraceTooLarge; 0 disables the admission limit.
 	MaxTraceBytes int64
-	// Clock abstracts time for tests; nil uses the real clock.
-	Clock Clock
 	// Tracer, when set, records a hierarchical span tree per job (queue
 	// wait, attempts, render, store lookups, forward and backward pass — see
 	// internal/obs). Nil disables tracing; every span call site is
 	// nil-safe, so the disabled path costs one pointer test per phase.
 	Tracer *obs.Tracer
 	// Logger receives structured lifecycle logs (submitted, started,
-	// retried, quarantined, finished) carrying job and trace IDs. Nil
-	// discards them.
+	// retried after a panic, quarantined, finished) carrying job and trace
+	// IDs. Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -288,10 +248,8 @@ type job struct {
 	cancel  bool
 	stopRun context.CancelFunc // cancels the in-flight attempt's context
 
-	// attempts is guarded by mu (Info reads it); panics is touched only by
-	// the owning worker.
+	// attempts is guarded by mu (Info reads it).
 	attempts int
-	panics   int
 
 	// span is the job's root trace span (nil with tracing off). Written
 	// once before the job escapes Submit/resume, ended in finish/drop;
@@ -309,7 +267,6 @@ func (j *job) canceled() bool {
 type Manager struct {
 	cfg    Config
 	reg    *metrics.Registry
-	clock  Clock
 	tracer *obs.Tracer
 	log    *slog.Logger
 	queue  chan *job
@@ -349,12 +306,7 @@ func New(cfg Config) *Manager {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
 	reg := metrics.NewRegistry()
-	clock := cfg.Clock
-	if clock == nil {
-		clock = realClock{}
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.NopLogger()
@@ -363,7 +315,6 @@ func New(cfg Config) *Manager {
 	m := &Manager{
 		cfg:    cfg,
 		reg:    reg,
-		clock:  clock,
 		tracer: cfg.Tracer,
 		log:    logger,
 		// The queue must absorb every resumed job on top of QueueDepth so
@@ -429,7 +380,7 @@ func maxJournalID(cfg Config) int {
 func (m *Manager) resume(entries []JournalEntry) {
 	for _, e := range entries {
 		spec := e.Spec
-		j := &job{id: e.ID, spec: spec, enqueued: m.clock.Now()}
+		j := &job{id: e.ID, spec: spec, enqueued: time.Now()}
 		m.startJobSpan(j)
 		j.span.Set("resumed", "true")
 		if err := m.validate(&j.spec); err != nil {
@@ -500,7 +451,7 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	}
 	// Queue wait starts here, not before the journal's fsync, which the
 	// journal.submit span already reports.
-	j.enqueued = m.clock.Now()
+	j.enqueued = time.Now()
 	m.queue <- j
 	m.jobs[j.id] = j
 	m.mSubmitted.Inc()
@@ -606,7 +557,7 @@ func (m *Manager) Info(id string) (Info, bool) {
 		info.QueueMs = float64(j.started.Sub(j.enqueued)) / float64(time.Millisecond)
 		end := j.finished
 		if end.IsZero() {
-			end = m.clock.Now()
+			end = time.Now()
 		}
 		info.RunMs = float64(end.Sub(j.started)) / float64(time.Millisecond)
 	}
@@ -650,23 +601,6 @@ func (m *Manager) Cancel(id string) bool {
 		j.stopRun()
 	}
 	return true
-}
-
-// Jobs lists snapshots of every known job (unspecified order).
-func (m *Manager) Jobs() []Info {
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	out := make([]Info, 0, len(ids))
-	for _, id := range ids {
-		if info, ok := m.Info(id); ok {
-			out = append(out, info)
-		}
-	}
-	return out
 }
 
 // Quarantined lists the poisoned jobs — those that panicked
@@ -765,7 +699,7 @@ func (m *Manager) worker() {
 			m.drop(j)
 			continue
 		}
-		now := m.clock.Now()
+		now := time.Now()
 		j.mu.Lock()
 		if j.cancel {
 			j.mu.Unlock()
@@ -785,12 +719,12 @@ func (m *Manager) worker() {
 	}
 }
 
-// execute runs a job to a terminal state: attempts with panic isolation,
-// retries with capped exponential backoff, quarantine for repeat
-// panickers, and no terminal at all when shutdown abandons the job (the
-// journal then re-runs it next boot).
+// execute runs a job to a terminal state. An error is final: the job's
+// trace and its criteria determine what run returns, so another attempt
+// could only repeat the error. Only a panic gets another attempt, at once,
+// and the quarantineAfter-th panic quarantines the job. A job that shutdown
+// abandons gets no terminal at all (the journal then re-runs it next boot).
 func (m *Manager) execute(j *job) {
-	var de *trace.DecodeError
 	for {
 		j.mu.Lock()
 		j.attempts++
@@ -807,35 +741,20 @@ func (m *Manager) execute(j *job) {
 		case j.canceled():
 			m.finish(j, StatusCanceled, nil, ErrCanceled)
 			return
-		case errors.Is(err, ErrJobTimeout), errors.As(err, &de):
-			// Neither a deadline nor a corrupt upload goes away on retry.
+		case !errors.Is(err, ErrJobPanicked):
 			m.finish(j, StatusFailed, nil, err)
 			return
-		case errors.Is(err, ErrJobPanicked):
-			j.panics++
-			if j.panics >= quarantineAfter {
-				m.finish(j, StatusQuarantined, nil, err)
-				return
-			}
-		default:
-			if attempts >= m.cfg.Retry.MaxAttempts {
-				m.finish(j, StatusFailed, nil, err)
-				return
-			}
+		case attempts >= quarantineAfter:
+			// Every attempt so far panicked, so attempts counts the panics.
+			m.finish(j, StatusQuarantined, nil, err)
+			return
 		}
-		backoff := m.cfg.Retry.backoff(attempts)
 		j.span.Event("retry",
 			obs.Attr{K: "attempt", V: strconv.Itoa(attempts)},
-			obs.Attr{K: "backoff_ms", V: strconv.FormatInt(backoff.Milliseconds(), 10)},
 			obs.Attr{K: "error", V: err.Error()})
 		m.mRetried.Inc()
 		m.log.Warn("job retrying", "job", j.id, "trace", j.span.TraceID(),
-			"attempt", attempts, "backoff", backoff, "error", err)
-		m.clock.Sleep(backoff, m.baseCtx.Done())
-		if m.killed.Load() {
-			m.drop(j)
-			return
-		}
+			"attempt", attempts, "error", err)
 	}
 }
 
@@ -902,7 +821,7 @@ func (m *Manager) finish(j *job, st Status, res *Result, err error) {
 		m.quarantine = append(m.quarantine, j.id)
 		m.mu.Unlock()
 	}
-	end := m.clock.Now()
+	end := time.Now()
 	j.mu.Lock()
 	j.finished = end
 	j.status = st
@@ -938,7 +857,7 @@ func (m *Manager) drop(j *job) {
 	if abandoned {
 		j.status = StatusCanceled
 		j.err = "abandoned by shutdown (still pending in journal)"
-		j.finished = m.clock.Now()
+		j.finished = time.Now()
 	}
 	j.mu.Unlock()
 	if abandoned {
@@ -1115,11 +1034,11 @@ func (m *Manager) putResult(s *obs.Span, key string, res *Result) error {
 	ps := m.resultSpan(s, "store.put")
 	b, err := json.Marshal(res)
 	if err == nil {
-		err = m.cfg.Store.Put(store.KindResult, key, b)
+		m.cfg.Store.Put(store.KindResult, key, b)
 	}
 	ps.EndErr(err)
 	if err != nil {
-		return fmt.Errorf("service: caching result: %w", err)
+		return fmt.Errorf("service: encoding result: %w", err)
 	}
 	return nil
 }

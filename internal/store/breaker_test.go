@@ -51,9 +51,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	s.ConfigureBreaker(3, time.Second)
 
 	// Healthy disk: a put lands on disk and a cold read works.
-	if err := s.Put("cdg", "k0", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "k0", []byte("payload"))
 	if st := s.Stats(); st.BreakerState != int64(BreakerClosed) || st.DiskErrors != 0 {
 		t.Fatalf("stats after healthy put = %+v", st)
 	}
@@ -61,9 +59,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	// Disk starts erroring: three failing operations trip the breaker.
 	fsys.failing.Store(true)
 	for i := 0; i < 3; i++ {
-		if err := s.Put("cdg", fmt.Sprintf("fail%d", i), []byte("x")); err != nil {
-			t.Fatalf("Put during disk failure must shed, not error: %v", err)
-		}
+		s.Put("cdg", fmt.Sprintf("fail%d", i), []byte("x"))
 	}
 	if st := s.Stats(); st.BreakerState != int64(BreakerOpen) || st.BreakerTrips != 1 || st.DiskErrors != 3 {
 		t.Fatalf("stats after trip = %+v, want open/1 trip/3 errors", st)
@@ -71,9 +67,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 
 	// Open breaker: disk is not touched at all, memory still serves.
 	opsBefore := fsys.ops.Load()
-	if err := s.Put("cdg", "shed", []byte("mem-only")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "shed", []byte("mem-only"))
 	if got, ok, err := s.Get("cdg", "shed"); !ok || err != nil || string(got) != "mem-only" {
 		t.Fatalf("memory layer broken while breaker open: %q %v %v", got, ok, err)
 	}
@@ -90,9 +84,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	// Cooldown elapses but the disk is still bad: the half-open probe fails
 	// and the breaker re-opens.
 	now = now.Add(2 * time.Second)
-	if err := s.Put("cdg", "probe1", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "probe1", []byte("x"))
 	if st := s.Stats(); st.BreakerState != int64(BreakerOpen) || st.BreakerTrips != 2 {
 		t.Fatalf("stats after failed probe = %+v, want re-opened/2 trips", st)
 	}
@@ -101,9 +93,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	// breaker closes; disk persistence resumes.
 	fsys.failing.Store(false)
 	now = now.Add(2 * time.Second)
-	if err := s.Put("cdg", "probe2", []byte("back")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "probe2", []byte("back"))
 	if st := s.Stats(); st.BreakerState != int64(BreakerClosed) {
 		t.Fatalf("stats after successful probe = %+v, want closed", st)
 	}
@@ -143,16 +133,12 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 func TestDiskGetDoesNotClobberFresherPut(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
-	if err := s.Put("cdg", "k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "k", []byte("v1"))
 	// Simulate the interleaving deterministically: the disk reader has
 	// already fetched v1's blob and is about to promote it when the Put of
 	// v2 lands.
 	v1 := []byte("v1")
-	if err := s.Put("cdg", "k", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "k", []byte("v2"))
 	s.memPromote(name("cdg", "k"), v1) // the late promotion must lose
 	got, ok, err := s.Get("cdg", "k")
 	if !ok || err != nil || string(got) != "v2" {
@@ -186,10 +172,7 @@ func TestConcurrentGetPutEvictStress(t *testing.T) {
 				k := keys[(g+i)%len(keys)]
 				switch i % 2 {
 				case 0:
-					if err := s.Put("slice", k, payload(k, i)); err != nil {
-						t.Error(err)
-						return
-					}
+					s.Put("slice", k, payload(k, i))
 				case 1:
 					if data, ok, err := s.Get("slice", k); err != nil {
 						t.Errorf("Get %s: %v", k, err)
@@ -214,10 +197,7 @@ func TestConcurrentGetPutEvictStress(t *testing.T) {
 				return
 			default:
 			}
-			if err := s.PutDeps("poison", &cdg.Deps{ByPC: map[uint32][]uint32{1: {2}}}); err != nil {
-				t.Error(err)
-				return
-			}
+			s.PutDeps("poison", &cdg.Deps{ByPC: map[uint32][]uint32{1: {2}}})
 			s.Put(KindDeps, "poison", junk)
 			s.GetDeps("poison")
 		}

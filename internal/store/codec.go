@@ -232,8 +232,8 @@ func appendFuncMap(out []byte, m map[trace.FuncID]int) []byte {
 // --- typed store helpers ---
 
 // PutDeps stores a control dependence graph under the trace key.
-func (s *Store) PutDeps(traceKey string, d *cdg.Deps) error {
-	return s.Put(KindDeps, traceKey, EncodeDeps(d))
+func (s *Store) PutDeps(traceKey string, d *cdg.Deps) {
+	s.Put(KindDeps, traceKey, EncodeDeps(d))
 }
 
 // GetDeps fetches the control dependence graph cached for a trace.

@@ -28,9 +28,7 @@ func TestBlobCompressedAtRest(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
 	payload := bytes.Repeat([]byte("unnecessary computation "), 4096) // ~96KB, highly compressible
-	if err := s.Put("cdg", "big", payload); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "big", payload)
 	fi, err := os.Stat(filepath.Join(dir, "cdg-big.wsab"))
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +64,7 @@ func TestEvictionUsesCompressedSizes(t *testing.T) {
 	s, _ := Open(dir, 3<<10)
 	zeros := make([]byte, 32<<10) // logical 32KB >> budget; seals tiny
 	rand1 := incompressible(2 << 10)
-	if err := s.Put("slice", "zeros", zeros); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("slice", "zeros", zeros)
 	if st := s.Stats(); st.Evicted != 0 {
 		t.Fatalf("putting a 32KB-logical/tiny-sealed artifact evicted %d entries under a 3KB budget", st.Evicted)
 	}
@@ -76,9 +72,7 @@ func TestEvictionUsesCompressedSizes(t *testing.T) {
 	if sealedZeros >= 1<<10 {
 		t.Fatalf("sealed size of zeros is %d bytes — gauge appears to track logical size", sealedZeros)
 	}
-	if err := s.Put("slice", "rand1", rand1); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("slice", "rand1", rand1)
 	// Under logical accounting (32KB + 2KB > 3KB) zeros would have been
 	// evicted here. Under at-rest accounting both fit.
 	if st := s.Stats(); st.Evicted != 0 {
@@ -95,9 +89,7 @@ func TestEvictionUsesCompressedSizes(t *testing.T) {
 	// above made zeros most-recent, so eviction (from the LRU back) must
 	// drop rand1 — and afterwards the gauge must equal the surviving
 	// sealed sizes exactly.
-	if err := s.Put("slice", "rand2", incompressible(2<<10)); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("slice", "rand2", incompressible(2<<10))
 	if st := s.Stats(); st.Evicted == 0 {
 		t.Fatalf("stats = %+v, want an eviction after overflowing the budget", st)
 	}

@@ -159,10 +159,10 @@ func (s *Store) path(name string) string { return filepath.Join(s.dir, name+".ws
 // Put stores an artifact under (kind, key), overwriting any previous
 // version, in both the LRU layer and (if configured) on disk. The disk
 // write is atomic: a temp file in the same directory renamed into place.
-// A disk I/O failure does not fail the Put: the artifact degrades to
-// memory-only and the error feeds the disk circuit breaker, which sheds
-// further disk writes once the disk is demonstrably erroring.
-func (s *Store) Put(kind, key string, data []byte) error {
+// Put cannot fail: a disk I/O failure degrades the artifact to memory-only
+// and feeds the disk circuit breaker, which sheds further disk writes once
+// the disk is demonstrably erroring.
+func (s *Store) Put(kind, key string, data []byte) {
 	n := name(kind, key)
 	// Seal once — the same compressed blob goes to disk and into the LRU,
 	// so the memory layer holds exactly the at-rest bytes (and, since seal
@@ -173,7 +173,6 @@ func (s *Store) Put(kind, key string, data []byte) error {
 	}
 	s.memInsert(n, blob)
 	s.puts.Add(1)
-	return nil
 }
 
 // diskWrite performs the atomic temp-file-and-rename protocol.

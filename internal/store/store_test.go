@@ -19,9 +19,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("forward-pass artifact")
-	if err := s.Put("cdg", "abc123", data); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "abc123", data)
 	got, ok, err := s.Get("cdg", "abc123")
 	if err != nil || !ok {
 		t.Fatalf("Get = %v, %v, %v", got, ok, err)
@@ -41,9 +39,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestDiskPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
-	if err := s1.Put("slice", "k1", []byte("result bytes")); err != nil {
-		t.Fatal(err)
-	}
+	s1.Put("slice", "k1", []byte("result bytes"))
 	// A second store over the same directory — cold memory layer — must
 	// serve the artifact from disk.
 	s2, _ := Open(dir, 0)
@@ -66,9 +62,7 @@ func TestDiskPersistenceAcrossReopen(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
-	if err := s.Put("cdg", "victim", bytes.Repeat([]byte{0xAA}, 256)); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "victim", bytes.Repeat([]byte{0xAA}, 256))
 	// Flip one payload bit on disk, then read through a cold store.
 	path := filepath.Join(dir, "cdg-victim.wsab")
 	blob, err := os.ReadFile(path)
@@ -101,9 +95,7 @@ func TestCorruptPayloadEvictionDecrementsMemBytes(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
 	junk := bytes.Repeat([]byte{0xFF}, 512) // valid envelope, undecodable payload
-	if err := s.Put(KindDeps, "poisoned", junk); err != nil {
-		t.Fatal(err)
-	}
+	s.Put(KindDeps, "poisoned", junk)
 	if want := int64(len(seal(junk))); s.MemBytes() != want {
 		t.Fatalf("MemBytes = %d after put, want the sealed size %d", s.MemBytes(), want)
 	}
@@ -131,9 +123,7 @@ func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
 	for i := 0; i < 10; i++ {
-		if err := s.Put("cdg", "k", bytes.Repeat([]byte{byte(i)}, 128)); err != nil {
-			t.Fatal(err)
-		}
+		s.Put("cdg", "k", bytes.Repeat([]byte{byte(i)}, 128))
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -155,12 +145,8 @@ func TestLRUEvictionFallsBackToDisk(t *testing.T) {
 	// Incompressible payloads, so each seals to ~its logical size and two
 	// of them genuinely overflow the budget at rest.
 	big := incompressible(700)
-	if err := s.Put("slice", "old", big); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("slice", "new", big); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("slice", "old", big)
+	s.Put("slice", "new", big)
 	if st := s.Stats(); st.Evicted == 0 {
 		t.Fatalf("stats = %+v, want evictions under a 1KB budget", st)
 	}
@@ -182,9 +168,7 @@ func TestMemoryOnlyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("cdg", "k", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put("cdg", "k", []byte("x"))
 	if got, ok, _ := s.Get("cdg", "k"); !ok || string(got) != "x" {
 		t.Fatalf("memory-only Get = %q, %v", got, ok)
 	}
@@ -196,9 +180,7 @@ func TestNameSanitization(t *testing.T) {
 	// Criteria-derived kinds contain characters that must not escape the
 	// store directory or break file names.
 	kind := "slice-union(pixels+syscalls)[<42]"
-	if err := s.Put(kind, "k/../../evil", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	s.Put(kind, "k/../../evil", []byte("x"))
 	if _, ok, err := s.Get(kind, "k/../../evil"); !ok || err != nil {
 		t.Fatalf("sanitized Get = %v, %v", ok, err)
 	}

@@ -64,9 +64,10 @@ go test -race -count=1 -run 'TestChaos' ./internal/service/chaostest
 # the order reversed it failed about 1 to 3 runs in 100, so 300 runs
 # (about 5 s) catch that regression with high probability.
 go test -race -count=300 -run 'TestPanicIsolationAndQuarantine$' ./internal/service
-# The store's flate writer and reader are pooled across Puts and Gets, so a
-# pooled compressor is handed from one goroutine to the next; race the
-# pools under concurrent Put, Get and eviction.
+# A Get that read a blob from disk promotes it into the LRU only if no Put
+# stored a fresher one meanwhile, and every insert evicts from the back
+# under one lock; race that promote-versus-put order, eviction and the
+# corrupt-blob drop under concurrent Put and Get.
 go test -race -count=20 -run 'TestConcurrentGetPutEvictStress' ./internal/store
 # The jobs of one JobKey in flight share one trace through a refcounted map
 # that workers hand to each other: one obtains while the rest wait, and a

@@ -243,23 +243,27 @@ func (c *client) clientSpans(id string) error {
 	return nil
 }
 
-// clientScatter fans a comma-separated site list through a coordinator's
-// /batch endpoint and (with wait) gathers the results in site order.
+// clientScatter submits one job per site of a comma-separated list to a
+// coordinator (or a worker), each through submit, so a full queue is
+// waited out as for one job. Admission is all or nothing: once a site is
+// refused, the jobs admitted before it are canceled (one that already
+// finished stays done) and the error names the site. With wait it then
+// gathers the results in site order.
 func (c *client) clientScatter(sitesCSV string, scale float64, criteria string, wait bool) error {
 	names := splitSites(sitesCSV)
 	if len(names) == 0 {
 		return fmt.Errorf("scatter: no sites (use -sites a,b,c)")
 	}
-	specs := make([]service.Spec, len(names))
-	for i, n := range names {
-		specs[i] = service.Spec{Site: n, Scale: scale, Criteria: criteria}
-	}
-	ids, err := c.api.Batch(specs)
-	if err != nil {
-		return err
-	}
-	if len(ids) != len(names) {
-		return fmt.Errorf("scatter: server acked %d of %d jobs", len(ids), len(names))
+	ids := make([]string, 0, len(names))
+	for _, name := range names {
+		id, err := c.submit(service.Spec{Site: name, Scale: scale, Criteria: criteria})
+		if err != nil {
+			for _, prev := range ids {
+				c.api.Cancel(prev)
+			}
+			return fmt.Errorf("scatter: site %s refused: %w", name, err)
+		}
+		ids = append(ids, id)
 	}
 	for i, id := range ids {
 		fmt.Fprintf(c.out, "%s  %s\n", id, names[i])

@@ -83,7 +83,7 @@ func digests(out string) []string {
 // TestClientEndToEnd drives the client commands against a real worker and
 // a real coordinator over two workers: submit -wait of a site and of an
 // upload, then status, result, spans and quarantined, and scatter -wait on
-// the coordinator. Every slice digest printed must be its golden pin.
+// both. Every slice digest printed must be its golden pin.
 func TestClientEndToEnd(t *testing.T) {
 	corpus, err := experiments.LoadGolden("../../examples/golden/corpus.json")
 	if err != nil {
@@ -144,19 +144,21 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 
 	t.Run("scatter", func(t *testing.T) {
-		var out strings.Builder
-		c := &client{api: service.NewClient(coSrv.URL, http.DefaultClient), clock: service.SystemClock, out: &out}
-		names := []string{"amazon-mobile", "maps"}
-		if err := c.clientScatter(strings.Join(names, ","), site.Scale, "pixels", true); err != nil {
-			t.Fatal(err)
-		}
-		ds := digests(out.String())
-		if len(ds) != len(names) {
-			t.Fatalf("scatter -wait printed digests %v, want %d", ds, len(names))
-		}
-		for i, name := range names {
-			if e := golden(t, corpus, name); ds[i] != e.Pixels {
-				t.Errorf("scatter -wait %s printed digest %s, want the pin %s", name, ds[i], e.Pixels)
+		for _, url := range []string{worker.URL, coSrv.URL} {
+			var out strings.Builder
+			c := &client{api: service.NewClient(url, http.DefaultClient), clock: service.SystemClock, out: &out}
+			names := []string{"amazon-mobile", "maps"}
+			if err := c.clientScatter(strings.Join(names, ","), site.Scale, "pixels", true); err != nil {
+				t.Fatalf("scatter -wait on %s: %v", url, err)
+			}
+			ds := digests(out.String())
+			if len(ds) != len(names) {
+				t.Fatalf("scatter -wait on %s printed digests %v, want %d", url, ds, len(names))
+			}
+			for i, name := range names {
+				if e := golden(t, corpus, name); ds[i] != e.Pixels {
+					t.Errorf("scatter -wait %s on %s printed digest %s, want the pin %s", name, url, ds[i], e.Pixels)
+				}
 			}
 		}
 	})

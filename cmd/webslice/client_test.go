@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"webslice/internal/cluster"
 	"webslice/internal/service"
 )
 
@@ -194,6 +197,71 @@ func TestClientAwaitFailedJob(t *testing.T) {
 	err := c.await("j1")
 	if err == nil || !strings.Contains(err.Error(), "bad trace") {
 		t.Fatalf("err = %v, want the job's failure", err)
+	}
+}
+
+// TestClientScatterAllOrNothing: scatter admits its sites all or none, on
+// a worker and through a coordinator alike. A site that is refused fails
+// the command with an error naming it, and the job admitted before it is
+// canceled where it runs. Each worker runs every job until canceled.
+func TestClientScatterAllOrNothing(t *testing.T) {
+	worker := func(t *testing.T) (*service.Manager, *httptest.Server) {
+		m := service.New(service.Config{Workers: 1, QueueDepth: 8,
+			Runner: func(ctx context.Context, spec service.Spec) (*service.Result, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}})
+		srv := httptest.NewServer(service.NewHandler(m))
+		t.Cleanup(func() { srv.Close(); m.Kill() })
+		return m, srv
+	}
+	direct, directSrv := worker(t)
+	routed, routedSrv := worker(t)
+	local := service.New(service.Config{Workers: 1, Node: "http://coordinator.test"})
+	co := cluster.New(cluster.Config{Self: "http://coordinator.test", Local: local, Peers: []string{routedSrv.URL}})
+	coSrv := httptest.NewServer(cluster.NewHandler(co))
+	t.Cleanup(func() { coSrv.Close(); co.Stop(); local.Kill() })
+
+	for _, tc := range []struct {
+		name     string
+		url, id  string // the scatter's target, and the id it gives the first job
+		executor *service.Manager
+	}{
+		{"worker", directSrv.URL, "j000001", direct},
+		{"coordinator", coSrv.URL, "c000001", routed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			c := &client{api: service.NewClient(tc.url, http.DefaultClient), clock: service.SystemClock, out: &out}
+			err := c.clientScatter("maps,no-such-site,bing", 0.05, "pixels", false)
+			var refused *service.APIError
+			if !errors.As(err, &refused) || refused.Code != http.StatusBadRequest || !strings.Contains(err.Error(), "site no-such-site refused") {
+				t.Fatalf("scatter with an unknown site = %v, want a 400 naming the site", err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("a refused scatter printed %q, want no ids", out.String())
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				info, err := c.api.Info(tc.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Status.Terminal() {
+					if info.Status != service.StatusCanceled {
+						t.Fatalf("the site admitted before the refused one is %s, want canceled", info.Status)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the site admitted before the refused one is still %s", info.Status)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := tc.executor.Metrics().Counter("jobs_submitted").Value(); n != 1 {
+				t.Fatalf("the executing worker admitted %d jobs, want the 1 before the refused site", n)
+			}
+		})
 	}
 }
 

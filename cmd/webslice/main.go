@@ -39,7 +39,7 @@ func main() {
 	criteria := fs.String("criteria", "pixels", "slicing criteria: pixels|syscalls (submit command)")
 	wait := fs.Bool("wait", false, "submit/scatter: poll until the job finishes and print its result")
 	maxWait := fs.Duration("max-wait", 0, "client commands: give up after this total wait (0 = no limit)")
-	scatterSites := fs.String("sites", "", "scatter: comma-separated site names to fan across the cluster")
+	scatterSites := fs.String("sites", "", "scatter: comma-separated site names to submit, all or none")
 	jobVerify := fs.Bool("verify", false, "submit: ask the service to run the slice oracles on the job")
 	count := fs.Int("count", 50, "verify: number of property-generated sites")
 	seed := fs.Uint64("seed", 1, "verify: first property-site seed (site k uses seed+k)")
@@ -170,8 +170,9 @@ commands:
              corpus path, -update to regenerate digests)
   submit     send a job to a running websliced (-site or -i trace, -criteria,
              -wait to block for the result, -verify for server-side oracles)
-  scatter    fan a batch of sites across a websliced cluster coordinator
-             (-sites a,b,c; -wait gathers results in site order)
+  scatter    submit a list of sites to a websliced, all or none; a cluster
+             coordinator spreads them over its workers (-sites a,b,c;
+             -wait gathers results in site order)
   status     print a websliced job's status (-id)
   result     print a finished websliced job's result (-id)
   quarantined  list websliced's poisoned jobs (quarantined after panicking)

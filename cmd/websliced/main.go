@@ -18,11 +18,10 @@
 // every job an owner keyed by its upload's digest or its rendering
 // identity, submissions are routed to the owner, and status/result polls
 // are proxied transparently. There is one HTTP API: a coordinator serves
-// the workers' handler (service.NewHandler) plus POST /batch and GET
-// /cluster, and calls the workers with service.Client, the client the
-// webslice CLI uses. Dead workers are probed out of the ring and their
-// pending jobs re-routed; the coordinator's own manager executes whatever
-// the ring cannot place. See README "Cluster mode" and `webslice
+// the workers' handler (service.NewHandler) plus GET /cluster, and calls
+// the workers with service.Client, the client the webslice CLI uses. Dead
+// workers are probed out of the ring and their pending jobs re-routed;
+// the coordinator's own manager executes whatever the ring cannot place. See README "Cluster mode" and `webslice
 // submit|status|result|scatter` for the client side.
 //
 // With -trace-spans N, every job records a causally-linked span tree —

@@ -139,7 +139,7 @@ func TestAPIContract(t *testing.T) {
 				{"result not done", "GET", "/jobs/" + ids[0] + "/result", nil, 0, 409, "not done", ""},
 				{"cancel unknown", "DELETE", "/jobs/nope", nil, 0, 409, "unknown or already finished", ""},
 				// No route lists jobs: /jobs only takes a submission.
-				{"job list", "GET", "/jobs", nil, 0, 405, "", ""},
+				{"job list", "GET", "/jobs", nil, 0, 405, "Method Not Allowed", ""},
 				{"spans with tracing off", "GET", "/debug/spans", nil, 0, 404, "tracing disabled", ""},
 			}
 			admitted := role.admitted()
@@ -193,4 +193,75 @@ func waitRunning(t *testing.T, h http.Handler, id string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never ran", id)
+}
+
+// panicOnSubmit is a worker's backend whose submit route hits a bug.
+type panicOnSubmit struct{ *service.Manager }
+
+func (panicOnSubmit) Submit(service.Spec) (string, error) { panic("submit bug") }
+
+// TestCoordinatorErrorsAreJSON: a coordinator answers a request no route
+// matches with a JSON 404 or 405, as a worker does. A worker whose submit
+// route panics answers a JSON 500, which the coordinator passes on as a
+// refusal: the worker is not counted unreachable, and the job does not
+// fall back to the coordinator's own manager. A panic in one of the
+// coordinator's own routes is a JSON 500 too, counted in http_panics.
+func TestCoordinatorErrorsAreJSON(t *testing.T) {
+	w := service.New(service.Config{Workers: 1})
+	t.Cleanup(w.Kill)
+	wsrv := httptest.NewServer(service.NewHandler(panicOnSubmit{w}))
+	t.Cleanup(wsrv.Close)
+	local := service.New(service.Config{Workers: 1, Node: "http://coordinator.test"})
+	t.Cleanup(local.Kill)
+	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{wsrv.URL}})
+	t.Cleanup(co.Stop)
+	h := NewHandler(co)
+	h.(interface {
+		HandleFunc(string, func(http.ResponseWriter, *http.Request))
+	}).HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("route bug") })
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		errHas       string
+	}{
+		{"GET", "/nope", http.StatusNotFound, "Not Found"},
+		{"PUT", "/jobs/x", http.StatusMethodNotAllowed, "Method Not Allowed"},
+		{"POST", "/batch", http.StatusNotFound, "Not Found"},
+		{"POST", "/jobs", http.StatusInternalServerError, "submit bug"},
+		{"GET", "/boom", http.StatusInternalServerError, "route bug"},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(`{"site":"maps"}`))
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || err != nil || !strings.Contains(e.Error, tc.errHas) {
+			t.Errorf("%s %s = %d, error %q (%v), want %d JSON naming %q", tc.method, tc.path, resp.StatusCode, e.Error, err, tc.code, tc.errHas)
+		}
+	}
+	reg := co.Metrics()
+	for name, want := range map[string]int64{
+		"cluster_forward_failed":  0,
+		"cluster_local_fallbacks": 0,
+		"cluster_jobs_local":      0,
+		"http_panics":             1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("coordinator %s = %d, want %d", name, got, want)
+		}
+	}
+	if got := w.Metrics().Counter("http_panics").Value(); got != 1 {
+		t.Errorf("worker http_panics = %d, want 1", got)
+	}
+	if m := co.Members(); len(m) != 1 || m[0].Fails != 0 || co.Ring().Len() != 1 {
+		t.Errorf("members %+v, ring size %d: want the worker in the ring with no failure", m, co.Ring().Len())
+	}
 }

@@ -104,6 +104,20 @@ func mustResult(t testing.TB, c *Coordinator, id string) *service.Result {
 	return res
 }
 
+// submitAll submits every spec to c in order and returns their ids.
+func submitAll(t testing.TB, c *Coordinator, specs []service.Spec) []string {
+	t.Helper()
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		id, err := c.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids[i] = id
+	}
+	return ids
+}
+
 // awaitResults waits for each job in ids to finish done and returns their
 // results in the same order.
 func awaitResults(t testing.TB, c *Coordinator, ids []string) []*service.Result {
@@ -111,7 +125,7 @@ func awaitResults(t testing.TB, c *Coordinator, ids []string) []*service.Result 
 	out := make([]*service.Result, len(ids))
 	for i, id := range ids {
 		if info := await(t, c, id); info.Status != service.StatusDone {
-			t.Fatalf("job %s (batch index %d): %s (%s)", id, i, info.Status, info.Error)
+			t.Fatalf("job %s (index %d): %s (%s)", id, i, info.Status, info.Error)
 		}
 		out[i] = mustResult(t, c, id)
 	}
@@ -178,17 +192,10 @@ func TestClusterSingleVsMultiNodeDigests(t *testing.T) {
 
 	// Single node: the coordinator's own manager, no peers.
 	single := startCluster(t, 0, Config{})
-	ids, err := single.co.Scatter(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleRes := awaitResults(t, single.co, ids)
+	singleRes := awaitResults(t, single.co, submitAll(t, single.co, specs))
 
 	multi := startCluster(t, 3, Config{})
-	ids, err = multi.co.Scatter(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := submitAll(t, multi.co, specs)
 	multiRes := awaitResults(t, multi.co, ids)
 
 	for i, e := range corpus.Sites {
@@ -228,10 +235,7 @@ func TestClusterWorkerDeathReroutes(t *testing.T) {
 	for i := range specs {
 		specs[i] = service.Spec{Seed: uint64(9000 + i), Criteria: "pixels"}
 	}
-	ids, err := tc.co.Scatter(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := submitAll(t, tc.co, specs)
 
 	// Count the victim's jobs from the routing records, and kill it before
 	// anything asks after them: none is seen done, so every one it owns
@@ -505,11 +509,7 @@ func benchGolden(b *testing.B, k int) {
 	tc := startCluster(b, k, Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ids, err := tc.co.Scatter(specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		awaitResults(b, tc.co, ids)
+		awaitResults(b, tc.co, submitAll(b, tc.co, specs))
 	}
 }
 

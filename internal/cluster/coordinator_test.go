@@ -50,12 +50,11 @@ func wantAPIError(t *testing.T, what string, err error, code int, has string) {
 	}
 }
 
-// TestCoordinatorBatchAndCancel drives POST /batch and DELETE /jobs/{id}
-// of a coordinator over one worker: a refused batch
-// item cancels the items admitted before it, and a cancel reaches the
-// worker that runs the job, is refused for a finished or unknown job, and
-// counts an unreachable worker as a failure.
-func TestCoordinatorBatchAndCancel(t *testing.T) {
+// TestCoordinatorCancel drives DELETE /jobs/{id} of a coordinator over
+// one worker: a cancel reaches the worker that runs the job, is refused
+// for a finished or unknown job, and counts an unreachable worker as a
+// failure.
+func TestCoordinatorCancel(t *testing.T) {
 	w := holdingManager(t, "")
 	wsrv := httptest.NewServer(service.NewHandler(w))
 	t.Cleanup(wsrv.Close)
@@ -65,35 +64,16 @@ func TestCoordinatorBatchAndCancel(t *testing.T) {
 	t.Cleanup(co.Stop)
 	c := serveCoordinator(t, co)
 
-	// Item 1 is refused, so item 0, admitted and running, is canceled.
-	_, err := c.Batch([]service.Spec{{Site: "maps"}, {Site: "no-such-site"}})
-	wantAPIError(t, "batch with a bad item", err, http.StatusBadRequest, "batch item 1")
-	if n := co.Metrics().Counter("cluster_jobs_routed").Value(); n != 1 {
-		t.Fatalf("%d jobs admitted by the refused batch, want 1", n)
-	}
-	// Item 0 took the coordinator's first id, and the worker's.
-	if info := await(t, co, "c000001"); info.Status != service.StatusCanceled {
-		t.Fatalf("admitted item of a refused batch is %s, want canceled", info.Status)
-	}
-	if info, ok := w.Info("j000001"); !ok || info.Status != service.StatusCanceled || w.Metrics().Counter("jobs_submitted").Value() != 1 {
-		t.Fatalf("worker job after the refused batch = %+v, want the one job it admitted, canceled", info)
-	}
-
-	_, err = c.Batch(nil)
-	wantAPIError(t, "empty batch", err, http.StatusBadRequest, "empty batch")
-	rw := serve(NewHandler(co), http.MethodPost, "/batch", []byte(`[{`), 0)
-	if rw.Code != http.StatusBadRequest || !strings.Contains(rw.Body.String(), "bad batch") {
-		t.Fatalf("POST /batch with bad JSON = %d %s, want 400 bad batch", rw.Code, rw.Body)
-	}
-
-	ids, err := c.Batch([]service.Spec{{Site: "maps"}, {Site: "maps", Criteria: "syscalls"}})
-	if err != nil || len(ids) != 2 {
-		t.Fatalf("batch = %v, %v; want 2 ids", ids, err)
-	}
-	for _, id := range ids {
+	var ids []string
+	for _, spec := range []service.Spec{{Site: "maps"}, {Site: "maps", Criteria: "syscalls"}} {
+		id, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if info, err := c.Info(id); err != nil || info.Node != wsrv.URL {
 			t.Fatalf("job %s = %+v, %v; want it on the worker", id, info, err)
 		}
+		ids = append(ids, id)
 	}
 
 	if err := c.Cancel(ids[0]); err != nil {

@@ -4,7 +4,7 @@
 // coordinator routes submissions to their owners while transparently
 // proxying status and result polls. There is one HTTP API: the
 // coordinator serves the workers' handler (service.NewHandler) over
-// itself, adding only POST /batch and GET /cluster, and it calls the
+// itself, adding only GET /cluster, and it calls the
 // workers with the same service.Client the webslice CLI uses.
 //
 // The unit of distribution is the job key, service.JobKey — the SHA-256 of

@@ -81,24 +81,6 @@ func (c *Client) Submit(spec Spec) (string, error) {
 	return out.ID, err
 }
 
-// Batch posts specs to a coordinator's POST /batch and returns their ids
-// in order.
-func (c *Client) Batch(specs []Spec) ([]string, error) {
-	body, err := json.Marshal(specs)
-	if err != nil {
-		return nil, err
-	}
-	req, err := c.request(http.MethodPost, "/batch", "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		IDs []string `json:"ids"`
-	}
-	err = c.do(req, http.StatusAccepted, &out)
-	return out.IDs, err
-}
-
 // Cancel cancels a job. A job that is unknown or already finished is an
 // *APIError with code 409.
 func (c *Client) Cancel(id string) error {

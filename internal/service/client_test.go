@@ -91,9 +91,6 @@ func TestClientRoundTrip(t *testing.T) {
 	if _, err := c.Info("nope"); !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound || apiErr.Message != `no job "nope"` {
 		t.Fatalf("Info of an unknown job = %v, want the server's 404", err)
 	}
-	if _, err := c.Batch([]Spec{{Site: "maps"}}); !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound {
-		t.Fatalf("Batch on a worker = %v, want a 404 (POST /batch is the coordinator's)", err)
-	}
 	if n := conns.Load(); n != 1 {
 		t.Errorf("the client opened %d connections, want 1: an answer not read to EOF drops its connection", n)
 	}
@@ -141,9 +138,9 @@ func TestClientErrors(t *testing.T) {
 	}
 
 	rw := httptest.NewRecorder()
-	WriteError(rw, fmt.Errorf("cluster: batch item 0: %w", &APIError{Code: http.StatusTooManyRequests, Message: "queue full", RetryAfter: "7"}))
+	WriteError(rw, fmt.Errorf("peer refused: %w", &APIError{Code: http.StatusTooManyRequests, Message: "queue full", RetryAfter: "7"}))
 	if rw.Code != http.StatusTooManyRequests || rw.Header().Get("Retry-After") != "7" ||
-		rw.Body.String() != "{\"error\":\"cluster: batch item 0: queue full\"}\n" {
+		rw.Body.String() != "{\"error\":\"peer refused: queue full\"}\n" {
 		t.Fatalf("WriteError of a wrapped 429 = %d, Retry-After %q, %s", rw.Code, rw.Header().Get("Retry-After"), rw.Body)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 
 	"webslice/internal/metrics"
 	"webslice/internal/obs"
@@ -103,7 +105,7 @@ func (m *Manager) Health() map[string]any { return map[string]any{"workers": m.W
 
 // NewHandler returns the websliced HTTP API over b. A worker serves it
 // over its manager; a coordinator serves it over its router and adds
-// POST /batch and GET /cluster (cluster.NewHandler):
+// GET /cluster (cluster.NewHandler):
 //
 //	POST   /jobs             submit a site or seed job (JSON Spec) -> 202 {id}
 //	POST   /jobs/trace       submit a binary trace
@@ -119,13 +121,17 @@ func (m *Manager) Health() map[string]any { return map[string]any{"workers": m.W
 //
 // Every error is a JSON {"error"} body (WriteError). Backpressure surfaces
 // as 429 with Retry-After, shutdown as 503, and an upload over the body
-// cap or the admission limit as 413. Submissions carrying a W3C
-// traceparent header join the caller's trace: the job's spans parent
-// under the propagated context instead of starting a fresh trace (this is
-// how a coordinator-routed job yields one causally-linked trace across
-// nodes).
-func NewHandler(b Backend) *http.ServeMux {
+// cap or the admission limit as 413. A request no route matches gets a
+// 404, or a 405 with Allow when the path has routes for other methods. A
+// route that panics answers 500 and counts in http_panics, so a
+// coordinator reads a worker's panic as a refusal, not as a dead peer.
+// Submissions carrying a W3C traceparent header join the caller's trace:
+// the job's spans parent under the propagated context instead of starting
+// a fresh trace (this is how a coordinator-routed job yields one
+// causally-linked trace across nodes).
+func NewHandler(b Backend) *Handler {
 	mux := http.NewServeMux()
+	h := &Handler{mux: mux, panics: b.Metrics().Counter("http_panics")}
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
@@ -227,8 +233,50 @@ func NewHandler(b Backend) *http.ServeMux {
 		b.Metrics().WriteText(w)
 	})
 
-	return mux
+	return h
 }
+
+// Handler serves the websliced HTTP API. It answers every error as JSON:
+// a route's own, ServeMux's 404 or 405 for a request no route matches,
+// and a 500 for a route that panics.
+type Handler struct {
+	mux    *http.ServeMux
+	panics *metrics.Counter
+}
+
+// HandleFunc adds a route, in http.ServeMux's pattern syntax.
+func (h *Handler) HandleFunc(pattern string, f func(http.ResponseWriter, *http.Request)) {
+	h.mux.HandleFunc(pattern, f)
+}
+
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	defer func() {
+		if v := recover(); v != nil {
+			h.panics.Inc()
+			log.Printf("service: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			fail(w, http.StatusInternalServerError, "internal error serving %s %s: %v", r.Method, r.URL.Path, v)
+		}
+	}()
+	if _, pattern := h.mux.Handler(r); pattern == "" {
+		// No route matches: keep the code and headers (Allow on a 405) of
+		// ServeMux's own answer, and replace its plain-text body.
+		a := &muxAnswer{ResponseWriter: w}
+		h.mux.ServeHTTP(a, r)
+		fail(w, a.code, "%s %s: %s", r.Method, r.URL.Path, http.StatusText(a.code))
+		return
+	}
+	h.mux.ServeHTTP(w, r)
+}
+
+// muxAnswer takes the status of an answer ServeMux makes itself and drops
+// its body. Its headers go to the wrapped writer.
+type muxAnswer struct {
+	http.ResponseWriter
+	code int
+}
+
+func (a *muxAnswer) WriteHeader(code int)        { a.code = code }
+func (a *muxAnswer) Write(p []byte) (int, error) { return len(p), nil }
 
 func submit(b Backend, w http.ResponseWriter, r *http.Request, spec Spec) {
 	spec.TraceCtx, _ = obs.Extract(r.Header)

@@ -473,3 +473,54 @@ func TestHTTPQuarantineAndAdmission(t *testing.T) {
 		t.Fatalf("oversized trace = %d, want 413", resp.StatusCode)
 	}
 }
+
+// panicOnSubmit is a worker's backend whose submit route hits a bug.
+type panicOnSubmit struct{ *Manager }
+
+func (panicOnSubmit) Submit(Spec) (string, error) { panic("submit bug") }
+
+// TestHTTPEveryErrorIsJSON: a request no route matches gets a JSON
+// {"error"}: a 404, or a 405 that keeps ServeMux's Allow header. A route
+// that panics answers a JSON 500 and counts in http_panics, and the server
+// keeps serving.
+func TestHTTPEveryErrorIsJSON(t *testing.T) {
+	m := New(Config{Workers: 1})
+	t.Cleanup(m.Kill)
+	srv := httptest.NewServer(NewHandler(panicOnSubmit{m}))
+	t.Cleanup(srv.Close)
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		errHas       string
+		allow        string
+	}{
+		{"GET", "/nope", http.StatusNotFound, "GET /nope: Not Found", ""},
+		{"PUT", "/jobs/x", http.StatusMethodNotAllowed, "PUT /jobs/x: Method Not Allowed", "DELETE"},
+		{"GET", "/jobs", http.StatusMethodNotAllowed, "Method Not Allowed", "POST"},
+		{"POST", "/jobs", http.StatusInternalServerError, "submit bug", ""},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(`{"site":"maps"}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || resp.Header.Get("Content-Type") != "application/json" ||
+			json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, tc.errHas) {
+			t.Errorf("%s %s = %d %q %s, want %d JSON naming %q", tc.method, tc.path, resp.StatusCode, resp.Header.Get("Content-Type"), body, tc.code, tc.errHas)
+		}
+		if allow := resp.Header.Get("Allow"); !strings.Contains(allow, tc.allow) || (tc.allow == "") != (allow == "") {
+			t.Errorf("%s %s: Allow %q, want one naming %q", tc.method, tc.path, allow, tc.allow)
+		}
+	}
+	if n := m.Metrics().Counter("http_panics").Value(); n != 1 {
+		t.Fatalf("http_panics = %d, want 1", n)
+	}
+	if resp, err := http.Get(srv.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a panic = %v, %v", resp, err)
+	}
+}

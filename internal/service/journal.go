@@ -18,12 +18,12 @@
 //	  'T' terminal {"id": "j000001", "status": "done"}
 //	  'M' meta     {"max_id": 41}   (written by compaction so job IDs stay unique)
 //
-// Version 1 wrote each submission as an 'S' record, {"id": ..., "spec":
-// {..., "trace": base64}}, the trace as base64 inside the JSON. Replay
-// still reads version 1 files and 'S' records, and compaction rewrites
-// every pending job as a 'U' record under a version 2 header. A binary
-// that knows only version 1 refuses a version 2 file as corrupt rather than
-// salvaging it down to its first 'U' record.
+// Version 1 (before the 'U' record) wrote each submission as an 'S'
+// record, its trace in base64 inside the JSON. Replay refuses a version 1
+// file with ErrJournalCorrupt rather than dropping the jobs it holds: to
+// upgrade a daemon that wrote one, drain it, then remove the file, which
+// then holds no pending job. A binary that knows only version 1 refuses a
+// version 2 file the same way.
 //
 // Records are framed independently so a torn tail — the bytes a crash cut
 // mid-append — is detected by the length/CRC check and discarded, while
@@ -46,13 +46,12 @@ import (
 	"sync"
 )
 
-// journalMagic is the header every journal is written with. Replay also
-// accepts version 1 (see the file format above).
+// journalMagic is the header every journal is written with, and the only
+// one replay accepts.
 var journalMagic = [5]byte{'W', 'S', 'J', 'L', 2}
 
 const (
 	recUpload   = 'U'
-	recSubmit   = 'S' // version 1's submit record, read but never written
 	recTerminal = 'T'
 	recMeta     = 'M'
 
@@ -64,11 +63,10 @@ const (
 	maxSubmitMeta = 1 << 20
 
 	// maxJournalPayload rejects absurd frame lengths during replay before
-	// any allocation. The largest payload either submit record carries is
-	// a version 1 'S' record of a maxTraceBody upload, whose JSON holds the
-	// trace in base64, 4 bytes for every 3. LogSubmit refuses to write a
-	// record longer than this, so replay accepts every frame it wrote.
-	maxJournalPayload = (maxTraceBody+2)/3*4 + maxSubmitMeta
+	// any allocation. The largest payload is the submit record of a
+	// maxTraceBody upload. LogSubmit refuses to write a record longer than
+	// this, so replay accepts every frame it wrote.
+	maxJournalPayload = maxTraceBody + maxSubmitMeta
 
 	// compactEvery bounds journal growth: after this many terminal records
 	// the file is rewritten to hold only still-pending submissions.
@@ -86,16 +84,14 @@ type JournalEntry struct {
 	Spec Spec
 }
 
-// journalSpec is Spec's durable wire form. A 'U' record leaves Trace out
-// of the JSON and carries the bytes raw after it; a version 1 'S' record
-// holds them here (encoding/json renders []byte as base64).
+// journalSpec is Spec's durable wire form, less the upload: a 'U' record
+// carries the upload's bytes raw after the JSON.
 type journalSpec struct {
 	Site     string  `json:"site,omitempty"`
 	Seed     uint64  `json:"seed,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 	Criteria string  `json:"criteria,omitempty"`
 	Verify   bool    `json:"verify,omitempty"`
-	Trace    []byte  `json:"trace,omitempty"`
 	Origin   string  `json:"origin,omitempty"`
 }
 
@@ -157,8 +153,8 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 	for _, id := range j.order {
 		spec, err := j.pending[id].spec()
 		if err == nil {
-			// Re-encode as a 'U' record over the entry's own bytes, so the
-			// file's buffer is not kept alive and compaction writes 'U'.
+			// Re-encode the record over the entry's own bytes, so the
+			// file's buffer is not kept alive.
 			j.pending[id], err = submitPayload(id, spec)
 		}
 		if err != nil {
@@ -188,7 +184,7 @@ func (j *Journal) replay(data []byte) error {
 	if len(data) < len(journalMagic) || [4]byte(data[:4]) != [4]byte(journalMagic[:4]) {
 		return fmt.Errorf("%w: bad header", ErrJournalCorrupt)
 	}
-	if v := data[4]; v != 1 && v != journalMagic[4] {
+	if v := data[4]; v != journalMagic[4] {
 		return fmt.Errorf("%w: unsupported version %d", ErrJournalCorrupt, v)
 	}
 	pos := len(journalMagic)
@@ -211,16 +207,13 @@ func (j *Journal) apply(payload []byte) bool {
 		return false
 	}
 	switch payload[0] {
-	case recUpload, recSubmit:
-		p := pendingSubmit{head: payload}
-		if payload[0] == recUpload {
-			n, k := binary.Uvarint(payload[1:])
-			if k <= 0 || n > uint64(len(payload)-1-k) {
-				return false
-			}
-			end := 1 + k + int(n)
-			p = pendingSubmit{head: payload[:end], trace: payload[end:]}
+	case recUpload:
+		n, k := binary.Uvarint(payload[1:])
+		if k <= 0 || n > uint64(len(payload)-1-k) {
+			return false
 		}
+		end := 1 + k + int(n)
+		p := pendingSubmit{head: payload[:end], trace: payload[end:]}
 		var rec submitRecord
 		if err := json.Unmarshal(p.meta(), &rec); err != nil || rec.ID == "" {
 			return false
@@ -288,12 +281,8 @@ func writeFrame(w io.Writer, head, body []byte) error {
 	return err
 }
 
-// meta returns the record's JSON: after the tag, and for a 'U' record
-// after the length too.
+// meta returns the record's JSON, after the tag and its length.
 func (p pendingSubmit) meta() []byte {
-	if p.head[0] != recUpload {
-		return p.head[1:]
-	}
 	_, k := binary.Uvarint(p.head[1:])
 	return p.head[1+k:]
 }
@@ -306,14 +295,12 @@ func (p pendingSubmit) spec() (Spec, error) {
 		return Spec{}, err
 	}
 	s := rec.Spec
-	if p.head[0] == recUpload {
-		s.Trace = nil
-		if len(p.trace) > 0 {
-			s.Trace = bytes.Clone(p.trace)
-		}
+	spec := Spec{Site: s.Site, Seed: s.Seed, Scale: s.Scale, Criteria: s.Criteria,
+		Verify: s.Verify, Origin: s.Origin}
+	if len(p.trace) > 0 {
+		spec.Trace = bytes.Clone(p.trace)
 	}
-	return Spec{Site: s.Site, Seed: s.Seed, Scale: s.Scale, Criteria: s.Criteria,
-		Verify: s.Verify, Trace: s.Trace, Origin: s.Origin}, nil
+	return spec, nil
 }
 
 // submitPayload builds the 'U' record of a submission. The record shares

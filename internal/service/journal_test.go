@@ -2,8 +2,8 @@ package service
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,14 +178,10 @@ func buildCorruptionSeed(t testing.TB) ([]byte, map[string]bool) {
 	j.LogSubmit("j2", Spec{Site: "news", Criteria: "syscalls"})
 	j.LogTerminal("j1", StatusDone)
 	j.LogSubmit("j3", Spec{Site: "shop", Criteria: "pixels"})
-	// Both submit record kinds carry an upload: j1's 'U' record above, and
-	// j4's version 1 'S' record, which replay still reads.
-	j.mu.Lock()
-	if err := writeFrame(j.f, legacySubmit(t, "j4", Spec{Criteria: "pixels", Trace: []byte("tr4")}), nil); err != nil {
-		t.Fatal(err)
-	}
+	j.LogSubmit("j4", Spec{Criteria: "pixels", Trace: []byte("tr4")})
 	// Close without compacting so the byte string retains the full history
 	// (mixed submit + terminal records), which is the interesting shape.
+	j.mu.Lock()
 	j.f.Close()
 	j.f = nil
 	j.disabled = true
@@ -197,36 +193,25 @@ func buildCorruptionSeed(t testing.TB) ([]byte, map[string]bool) {
 	return data, map[string]bool{"j2": true, "j3": true, "j4": true}
 }
 
-// legacySubmit returns the 'S' submit payload version 1 wrote: the whole
-// spec as JSON, its trace in base64.
-func legacySubmit(t testing.TB, id string, spec Spec) []byte {
-	t.Helper()
-	b, err := json.Marshal(submitRecord{ID: id, Spec: journalSpec{
-		Site:     spec.Site,
-		Seed:     spec.Seed,
-		Scale:    spec.Scale,
-		Criteria: spec.Criteria,
-		Verify:   spec.Verify,
-		Trace:    spec.Trace,
-		Origin:   spec.Origin,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append([]byte{recSubmit}, b...)
-}
-
 // version1Journal hand-builds the journal a version 1 binary leaves after
 // compaction and two submissions: an upload still pending, in an 'S'
-// record, and a site job that finished.
+// record that holds the whole spec as JSON with the trace in base64, and
+// a site job that finished.
 func version1Journal(t testing.TB, upload []byte) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	b.WriteString("WSJL\x01")
+	submit := func(id string, spec map[string]any) []byte {
+		rec, err := json.Marshal(map[string]any{"id": id, "spec": spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte{'S'}, rec...)
+	}
 	for _, payload := range [][]byte{
 		append([]byte{recMeta}, `{"max_id":0}`...),
-		legacySubmit(t, "j000001", Spec{Criteria: "syscalls", Verify: true, Trace: upload, Origin: "http://coord:8080"}),
-		legacySubmit(t, "j000002", Spec{Site: "maps", Scale: 0.5, Criteria: "pixels"}),
+		submit("j000001", map[string]any{"criteria": "syscalls", "verify": true, "trace": upload, "origin": "http://coord:8080"}),
+		submit("j000002", map[string]any{"site": "maps", "scale": 0.5, "criteria": "pixels"}),
 		append([]byte{recTerminal}, `{"id":"j000002","status":"done"}`...),
 	} {
 		if err := writeFrame(&b, payload, nil); err != nil {
@@ -236,54 +221,27 @@ func version1Journal(t testing.TB, upload []byte) []byte {
 	return b.Bytes()
 }
 
-// TestJournalReplaysVersion1: a journal written by a version 1 binary, with
-// an upload pending in a base64 'S' record, replays to the same Spec and
-// bytes. Compaction on open rewrites it as version 2, and that file
-// replays the same job again.
-func TestJournalReplaysVersion1(t *testing.T) {
-	upload := make([]byte, 10_000)
-	for i := range upload {
-		upload[i] = byte(i * 7)
-	}
-	want := Spec{Criteria: "syscalls", Verify: true, Trace: upload, Origin: "http://coord:8080"}
+// TestJournalRefusesVersion1: a journal a version 1 binary wrote, with an
+// upload pending, fails OpenJournal with ErrJournalCorrupt. The file is
+// left as it was, never compacted down to the jobs this build can read.
+func TestJournalRefusesVersion1(t *testing.T) {
+	data := version1Journal(t, []byte("WSLT upload bytes"))
 	path := journalPath(t)
-	if err := os.WriteFile(path, version1Journal(t, upload), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for open := 1; open <= 2; open++ {
-		j, entries, err := OpenJournal(path)
-		if err != nil {
-			t.Fatalf("open %d: %v", open, err)
-		}
-		if len(entries) != 1 || entries[0].ID != "j000001" {
-			t.Fatalf("open %d: pending = %+v, want j000001 alone", open, entries)
-		}
-		got := entries[0].Spec
-		if got.Criteria != want.Criteria || got.Verify != want.Verify || got.Origin != want.Origin ||
-			got.Site != "" || !bytes.Equal(got.Trace, want.Trace) {
-			t.Fatalf("open %d: spec = %+v (%d trace bytes), want %+v", open, got, len(got.Trace), want)
-		}
-		if j.MaxID() != 2 || j.Salvaged() != 0 {
-			t.Fatalf("open %d: MaxID %d, salvaged %d; want 2 and 0", open, j.MaxID(), j.Salvaged())
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if data[4] != journalMagic[4] || bytes.Contains(data, []byte(`"trace":`)) {
-			t.Fatalf("open %d: compaction left a version %d file, or a base64 record", open, data[4])
-		}
+	j, entries, err := OpenJournal(path)
+	if !errors.Is(err, ErrJournalCorrupt) || j != nil || entries != nil {
+		t.Fatalf("OpenJournal of a version 1 journal = %d entries, %v; want ErrJournalCorrupt", len(entries), err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the refused journal changed on disk (%v)", err)
 	}
 }
 
 // TestJournalPayloadBoundFitsLargestUpload: replay refuses a frame longer
 // than maxJournalPayload, and everything after it, so the bound must admit
-// the longest submit record of a maxTraceBody upload in either kind: the
-// 'U' record LogSubmit writes, and the base64 'S' record a version 1
-// journal may still hold.
+// the longest submit record of a maxTraceBody upload.
 func TestJournalPayloadBoundFitsLargestUpload(t *testing.T) {
 	const id = "j999999999"
 	spec := Spec{Criteria: "syscalls", Verify: true, Origin: "http://" + strings.Repeat("coordinator", 200) + ":8080"}
@@ -291,15 +249,8 @@ func TestJournalPayloadBoundFitsLargestUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Trace = make([]byte, 3) // 4 base64 characters in the 'S' record
-	sizes := map[byte]int{
-		recUpload: len(rec.head) + maxTraceBody,
-		recSubmit: len(legacySubmit(t, id, spec)) - 4 + base64.StdEncoding.EncodedLen(maxTraceBody),
-	}
-	for kind, n := range sizes {
-		if n > maxJournalPayload {
-			t.Errorf("a %d-byte upload makes a %d-byte %q record; replay accepts at most %d", maxTraceBody, n, kind, maxJournalPayload)
-		}
+	if n := len(rec.head) + maxTraceBody; n > maxJournalPayload {
+		t.Errorf("a %d-byte upload makes a %d-byte submit record; replay accepts at most %d", maxTraceBody, n, maxJournalPayload)
 	}
 }
 

@@ -8,14 +8,15 @@
 // so a repeat job is a lookup instead of a recomputation.
 //
 // Blobs live in a byte-bounded in-memory LRU layer over optional disk
-// persistence. Blobs are compressed at rest: the envelope deflates the
-// payload on Put and both layers hold the sealed (compressed) bytes, so
-// the LRU byte gauge measures exactly what an eviction frees and what a
-// disk blob occupies. Gets inflate on the way out — artifacts are read
-// once per analysis, so the cache trades a little decode CPU for holding
-// 2x+ more artifacts in the same budget. Disk blobs carry the trace
-// format's CRC32 integrity trailer, are written atomically (temp file +
-// rename), and a corrupt blob is reported and deleted rather than decoded
+// persistence. A blob is its payload in a small envelope: a magic, a
+// version byte, the payload bytes as given, and the trace format's CRC32
+// integrity trailer. Both layers hold that same blob, so the LRU byte gauge
+// measures exactly what an eviction frees and what a disk blob occupies:
+// the payload plus 13 bytes. Nothing is compressed: a stored forward pass
+// must be much cheaper to read back than to recompute, and deflating it
+// cost about two thirds of a Put (DESIGN.md, "The store keeps what it is
+// given"). Disk blobs are written atomically (temp file + rename), and a
+// blob that fails its checks is reported and deleted rather than decoded
 // into garbage.
 //
 // The store is a cache, and it degrades like one: a circuit breaker (see
@@ -27,14 +28,11 @@
 package store
 
 import (
-	"bytes"
-	"compress/flate"
 	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -42,24 +40,20 @@ import (
 	"sync/atomic"
 )
 
-// Blob envelope: magic, one version byte, body, then a trailer ("WSCK" +
-// little-endian CRC32 of everything before it). The body is
-// uvarint(logical length) followed by the deflate stream of the payload.
-// Version 2 is the only version; the uncompressed version 1 is refused like
-// any other unknown version.
+// Blob envelope: magic, one version byte, the payload, then a trailer
+// ("WSCK" + little-endian CRC32 of everything before it). Version 3 is the
+// only version. Version 2 (a length and a deflated payload) and version 1
+// are refused like any other unknown version, so a blob an older build left
+// on disk reads as a corrupt miss and is recomputed.
 var (
 	blobMagic    = [4]byte{'W', 'S', 'A', 'B'}
 	trailerMagic = [4]byte{'W', 'S', 'C', 'K'}
 )
 
 const (
-	blobVersion = 2 // compressed body
+	blobVersion = 3
 	headerSize  = 5 // magic + version
 	trailerSize = 8 // trailer magic + CRC32
-
-	// maxLogicalBytes caps the declared decompressed size of a blob, so a
-	// damaged or hostile length field can't become an allocation bomb.
-	maxLogicalBytes = 1 << 30
 )
 
 // ErrCorrupt reports a blob whose checksum or framing failed verification.
@@ -97,8 +91,9 @@ type Store struct {
 	hits, misses, memHits, diskHits, puts, evicted, corrupt atomic.Int64
 }
 
-// memEntry holds one sealed (compressed) blob; the LRU byte gauge sums
-// len(data) over entries, i.e. at-rest sizes, never logical sizes.
+// memEntry holds one sealed blob, the bytes a disk blob holds too; the LRU
+// byte gauge sums len(data) over entries, so each counts its payload plus
+// the 13-byte envelope.
 type memEntry struct {
 	name string
 	data []byte
@@ -164,9 +159,9 @@ func (s *Store) path(name string) string { return filepath.Join(s.dir, name+".ws
 // the disk is demonstrably erroring.
 func (s *Store) Put(kind, key string, data []byte) {
 	n := name(kind, key)
-	// Seal once — the same compressed blob goes to disk and into the LRU,
-	// so the memory layer holds exactly the at-rest bytes (and, since seal
-	// copies, later caller mutations can't alias in).
+	// Seal once — the same blob goes to disk and into the LRU, so the
+	// memory layer holds exactly the at-rest bytes (and, since seal copies,
+	// later caller mutations can't alias in).
 	blob := seal(data)
 	if s.dir != "" && s.br.allow() {
 		s.br.record(s.diskWrite(n, blob) == nil)
@@ -197,8 +192,15 @@ func (s *Store) diskWrite(n string, blob []byte) error {
 }
 
 // Get fetches the artifact stored under (kind, key). The second return is
-// false on a miss. A corrupt disk blob yields (nil, false, ErrCorrupt-
-// wrapped error) and the damaged file is removed.
+// false on a miss. A corrupt disk blob, or one in an envelope version this
+// build does not write, yields (nil, false, ErrCorrupt-wrapped error): the
+// file is removed and counted in Stats.Corrupt, so the artifact is
+// recomputed, never misread.
+//
+// The bytes returned are a read-only view of the stored blob, not a copy.
+// The caller must not modify them: the memory layer keeps serving the same
+// blob, and a blob written into fails its checksum on the next Get, which
+// then drops it as corrupt.
 func (s *Store) Get(kind, key string) ([]byte, bool, error) {
 	n := name(kind, key)
 	s.mu.Lock()
@@ -208,8 +210,9 @@ func (s *Store) Get(kind, key string) ([]byte, bool, error) {
 		s.mu.Unlock()
 		data, err := unseal(blob)
 		if err != nil {
-			// Only reachable if the process's own memory was scribbled on;
-			// treat it like any other corrupt artifact.
+			// Only reachable if the process's own memory was scribbled on,
+			// such as a caller writing into a view Get returned; treat it
+			// like any other corrupt artifact.
 			s.dropCorrupt(kind, key)
 			return nil, false, fmt.Errorf("store: get %s: %w", n, err)
 		}
@@ -240,8 +243,8 @@ func (s *Store) Get(kind, key string) ([]byte, bool, error) {
 		s.fsys.Remove(s.path(n))
 		return nil, false, fmt.Errorf("store: get %s: %w", n, err)
 	}
-	// Promote the sealed bytes, not the inflated payload — the memory layer
-	// always accounts at-rest sizes.
+	// Promote the whole blob, envelope included: the memory layer always
+	// accounts at-rest sizes.
 	s.memPromote(n, blob)
 	s.diskHits.Add(1)
 	s.hits.Add(1)
@@ -266,10 +269,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// MemBytes returns the bytes currently held by the LRU layer. Entries are
-// stored sealed, so this is compressed (at-rest) size — the same quantity
-// the maxMem budget bounds and an eviction frees — not the logical payload
-// size callers see from Get.
+// MemBytes returns the bytes currently held by the LRU layer: each entry's
+// payload plus its 13-byte envelope, the size it has on disk too. That is
+// the quantity the maxMem budget bounds and an eviction frees.
 func (s *Store) MemBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -342,46 +344,19 @@ func (s *Store) dropCorrupt(kind, key string) {
 	}
 }
 
-// sealer is seal's pooled compressor: flate.NewWriter allocates 806,784
-// bytes (go1.24), and an upload miss seals two blobs. The writer writes
-// through out, which seal sets for one call and clears after it, so a
-// sealer waiting in the pool holds no blob.
-type sealer struct {
-	zw  *flate.Writer
-	out *bytes.Buffer
-}
-
-func (s *sealer) Write(p []byte) (int, error) { return s.out.Write(p) }
-
-var sealers = sync.Pool{New: func() any {
-	s := new(sealer)
-	s.zw, _ = flate.NewWriter(s, flate.DefaultCompression)
-	return s
-}}
-
-// seal wraps payload in the blob envelope: header, logical length,
-// deflated payload, CRC trailer.
+// seal wraps payload in the blob envelope: header, payload, CRC trailer.
+// The blob is a new array, so it never aliases payload.
 func seal(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(headerSize + binary.MaxVarintLen64 + len(payload)/2 + trailerSize)
-	buf.Write(blobMagic[:])
-	buf.WriteByte(blobVersion)
-	var lenBuf [binary.MaxVarintLen64]byte
-	buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(payload)))])
-	// Reset makes a pooled writer emit exactly what a new one would.
-	s := sealers.Get().(*sealer)
-	s.out = &buf
-	s.zw.Reset(s)
-	s.zw.Write(payload) // Buffer writes cannot fail
-	s.zw.Close()
-	s.out = nil
-	sealers.Put(s)
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	out := append(buf.Bytes(), trailerMagic[:]...)
-	return binary.LittleEndian.AppendUint32(out, crc)
+	blob := make([]byte, 0, headerSize+len(payload)+trailerSize)
+	blob = append(blob, blobMagic[:]...)
+	blob = append(blob, blobVersion)
+	blob = append(blob, payload...)
+	crc := crc32.ChecksumIEEE(blob)
+	blob = append(blob, trailerMagic[:]...)
+	return binary.LittleEndian.AppendUint32(blob, crc)
 }
 
-// unseal verifies the envelope and returns the (inflated) payload.
+// unseal verifies the envelope and returns the payload, a view of blob.
 func unseal(blob []byte) ([]byte, error) {
 	if len(blob) < headerSize+trailerSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCorrupt, len(blob))
@@ -401,45 +376,5 @@ func unseal(blob []byte) ([]byte, error) {
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (file says %08x, contents hash to %08x)", ErrCorrupt, want, got)
 	}
-	rest := body[headerSize:]
-	logical, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: truncated logical length", ErrCorrupt)
-	}
-	if logical > maxLogicalBytes {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds the %d cap", ErrCorrupt, logical, int64(maxLogicalBytes))
-	}
-	u := unsealers.Get().(*unsealer)
-	defer u.release()
-	u.src.Reset(rest[k:])
-	if err := u.zr.(flate.Resetter).Reset(&u.src, nil); err != nil {
-		return nil, fmt.Errorf("%w: payload inflate: %v", ErrCorrupt, err)
-	}
-	out := make([]byte, logical)
-	if _, err := io.ReadFull(u.zr, out); err != nil {
-		return nil, fmt.Errorf("%w: payload inflate: %v", ErrCorrupt, err)
-	}
-	var extra [1]byte
-	if n, _ := u.zr.Read(extra[:]); n != 0 {
-		return nil, fmt.Errorf("%w: payload longer than its declared %d bytes", ErrCorrupt, logical)
-	}
-	return out, nil
-}
-
-// unsealer is unseal's pooled decompressor, reading the blob through src.
-type unsealer struct {
-	src bytes.Reader
-	zr  io.ReadCloser
-}
-
-var unsealers = sync.Pool{New: func() any {
-	u := new(unsealer)
-	u.zr = flate.NewReader(&u.src)
-	return u
-}}
-
-// release returns u to the pool without its reference to the blob.
-func (u *unsealer) release() {
-	u.src.Reset(nil)
-	unsealers.Put(u)
+	return body[headerSize:], nil
 }

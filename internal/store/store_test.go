@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +15,20 @@ import (
 	"webslice/internal/slicer"
 	"webslice/internal/trace"
 )
+
+// incompressible returns n bytes of xorshift noise: distinct bytes that no
+// general-purpose compressor shrinks.
+func incompressible(n int) []byte {
+	out := make([]byte, n)
+	x := uint32(0x9E3779B9)
+	for i := range out {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		out[i] = byte(x)
+	}
+	return out
+}
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
@@ -142,8 +159,8 @@ func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 func TestLRUEvictionFallsBackToDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 1024) // tiny memory budget
-	// Incompressible payloads, so each seals to ~its logical size and two
-	// of them genuinely overflow the budget at rest.
+	// Each blob is its 700 bytes plus the envelope, so two of them overflow
+	// the budget at rest.
 	big := incompressible(700)
 	s.Put("slice", "old", big)
 	s.Put("slice", "new", big)
@@ -160,6 +177,115 @@ func TestLRUEvictionFallsBackToDisk(t *testing.T) {
 	}
 	if st := s.Stats(); st.DiskHits == 0 {
 		t.Fatalf("stats = %+v, want a disk hit for the evicted artifact", st)
+	}
+}
+
+// TestBlobAtRestIsPayloadPlusEnvelope: a blob is kept as given, on disk and
+// in the LRU layer alike. Its file and its MemBytes are the payload plus
+// the 13-byte envelope, even for a payload a compressor would shrink 30
+// times, and a cold store that promotes it from disk accounts the same.
+func TestBlobAtRestIsPayloadPlusEnvelope(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir, 0)
+	payload := bytes.Repeat([]byte("unnecessary computation "), 4096)
+	s.Put("cdg", "big", payload)
+	want := int64(len(payload) + 13)
+	blob, err := os.ReadFile(filepath.Join(dir, "cdg-big.wsab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(blob)) != want || s.MemBytes() != want {
+		t.Fatalf("a %d-byte payload is %d bytes on disk and %d in MemBytes, want %d in both",
+			len(payload), len(blob), s.MemBytes(), want)
+	}
+	if string(blob[:4]) != "WSAB" || blob[4] != 3 || !bytes.Equal(blob[5:5+len(payload)], payload) || string(blob[len(blob)-8:len(blob)-4]) != "WSCK" {
+		t.Fatalf("disk blob is not magic, version 3, the payload and the trailer: % x ...", blob[:8])
+	}
+	cold, _ := Open(dir, 0)
+	got, ok, err := cold.Get("cdg", "big")
+	if err != nil || !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("cold Get: ok=%v err=%v equal=%v", ok, err, bytes.Equal(got, payload))
+	}
+	if cold.MemBytes() != want {
+		t.Fatalf("promotion put %d bytes in the LRU, want %d", cold.MemBytes(), want)
+	}
+}
+
+// version2Blob hand-builds the compressed envelope earlier builds wrote:
+// magic, version 2, the payload's length as a uvarint, its deflate stream,
+// and a valid trailer.
+func version2Blob(payload []byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("WSAB\x02")
+	buf.Write(binary.AppendUvarint(nil, uint64(len(payload))))
+	zw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
+	zw.Write(payload)
+	zw.Close()
+	out := append(buf.Bytes(), "WSCK"...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(buf.Bytes()))
+}
+
+// TestUnsealRefusesMalformedBlobs: every envelope this build did not write
+// whole is an ErrCorrupt, including a valid blob of the compressed
+// version 2 and one of version 1.
+func TestUnsealRefusesMalformedBlobs(t *testing.T) {
+	payload := []byte("forward-pass artifact")
+	good := seal(payload)
+	if got, err := unseal(good); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("unseal(seal(p)) = %q, %v", got, err)
+	}
+	// resealed returns good with its version byte set to v and a trailer
+	// that matches, so only the version check can object.
+	resealed := func(v byte) []byte {
+		body := append([]byte(nil), good[:len(good)-8]...)
+		body[4] = v
+		out := append(body, "WSCK"...)
+		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	}
+	edit := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"short", good[:12]},
+		{"bad magic", edit(func(b []byte) { b[0] = 'X' })},
+		{"version 1", resealed(1)},
+		{"version 2", version2Blob(payload)},
+		{"no trailer", good[:len(good)-8]},
+		{"payload bit flip", edit(func(b []byte) { b[7] ^= 0x10 })},
+	} {
+		if got, err := unseal(tc.blob); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: unseal = %q, %v; want ErrCorrupt", tc.name, got, err)
+		}
+	}
+}
+
+// TestVersion2BlobIsACorruptMiss: a compressed blob an earlier build left
+// on disk is never inflated or misread. Get reports it as an ErrCorrupt
+// miss, removes the file and counts it (the service's store_corrupt), and
+// the next Get is a clean miss, so the artifact is recomputed.
+func TestVersion2BlobIsACorruptMiss(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "result-old.wsab")
+	if err := os.WriteFile(path, version2Blob([]byte(`{"criteria":"pixels"}`)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := Open(dir, 0)
+	if got, ok, err := s.Get(KindResult, "old"); ok || got != nil || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of a version 2 blob = %q, %v, %v; want an ErrCorrupt miss", got, ok, err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Hits != 0 || s.MemBytes() != 0 {
+		t.Fatalf("stats = %+v, MemBytes %d; want 1 corrupt, no hit, nothing cached", st, s.MemBytes())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("version 2 blob still on disk (stat err = %v)", err)
+	}
+	if _, ok, err := s.Get(KindResult, "old"); ok || err != nil {
+		t.Fatalf("Get after removal = %v, %v; want a clean miss", ok, err)
 	}
 }
 

@@ -82,7 +82,6 @@ func handBuiltV3(blockRecs uint64, payloads ...[]byte) []byte {
 	out = append(out, v3TagFooter, byte(len(foot)))
 	out = append(out, foot...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(foot))
-	indexOff := len(out)
 	idx := binary.AppendUvarint(nil, uint64(footOff))
 	idx = binary.AppendUvarint(idx, uint64(len(offs)))
 	prev := 0
@@ -91,6 +90,13 @@ func handBuiltV3(blockRecs uint64, payloads ...[]byte) []byte {
 		idx = binary.AppendUvarint(idx, blockRecs)
 		prev = off
 	}
+	return appendIndexAndTail(out, idx)
+}
+
+// appendIndexAndTail appends the index idx, its checksum and a valid tail
+// pointing at it.
+func appendIndexAndTail(out, idx []byte) []byte {
+	indexOff := len(out)
 	out = append(out, idx...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(idx))
 	var tail [v3TailSize]byte
@@ -98,6 +104,55 @@ func handBuiltV3(blockRecs uint64, payloads ...[]byte) []byte {
 	binary.LittleEndian.PutUint32(tail[8:12], crc32.ChecksumIEEE(tail[:8]))
 	copy(tail[12:], v3TailMagic[:])
 	return append(out, tail[:]...)
+}
+
+// blockLengthNearFooterV3 hand-builds a v3 file whose one block declares a
+// 2^40-byte payload in a length field that ends one byte before the
+// footer, so fewer bytes than a block checksum lie between them. The
+// header, index and tail are valid, so OpenV3 reaches the block guard.
+func blockLengthNearFooterV3() []byte {
+	out := append([]byte(nil), magic[:]...)
+	out = binary.AppendUvarint(out, v3Version)
+	out = binary.AppendUvarint(out, 64)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	blocksStart := len(out)
+	out = append(out, v3TagBlock)
+	out = binary.AppendUvarint(out, 1<<40)
+	footOff := len(out) + 1
+	out = append(out, 0, v3TagFooter, 0, 0, 0, 0, 0)
+	idx := binary.AppendUvarint(nil, uint64(footOff))
+	idx = binary.AppendUvarint(idx, 1)
+	idx = binary.AppendUvarint(idx, uint64(blocksStart))
+	idx = binary.AppendUvarint(idx, 64)
+	return appendIndexAndTail(out, idx)
+}
+
+// footerLengthNearIndexV3 is a 125-byte input the fuzzer found: its
+// footer's length field ends three bytes before the index, so fewer bytes
+// than a footer checksum lie between them, and it declares a length past
+// the end of the input.
+const footerLengthNearIndexV3 = "WSLT\x03\x80\x80@5\x18*#\x01\x000000\x01\x000000\x01\x000000\x01\x000000\x01\x000000\x01\x000000\x01\x000000\x01\x000000\x02\xe6\xff\xff\xff\xff\xff0000<\b\f\x80\x80@\x06\x80\x80@\x06\x80\x80@\x06\x80\x80@\x06\x80\x80@\x06\x80\x80@\x06\x80\x80@\x06\x80\x80@\xa9i\xf8xG\x00\x00\x00\x00\x00\x00\x00\x9d\x14zFWS3K"
+
+// TestV3LengthFieldNearNextSectionErrors: a block or footer length field
+// that ends less than a checksum's width before the next section leaves a
+// negative number of bytes for the payload. OpenV3 must refuse the length
+// with a *DecodeError naming the section, not wrap the negative room into
+// a huge bound and slice past the input.
+func TestV3LengthFieldNearNextSectionErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name, section string
+		data          []byte
+	}{
+		{"block", "v3 block", blockLengthNearFooterV3()},
+		{"footer", "v3 footer", []byte(footerLengthNearIndexV3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var de *DecodeError
+			if _, err := OpenV3(tc.data); !errors.As(err, &de) || de.Section != tc.section || !strings.Contains(de.Msg, "exceeds") {
+				t.Fatalf("OpenV3 = %v, want a *DecodeError in %q for a length that exceeds its room", err, tc.section)
+			}
+		})
+	}
 }
 
 // allocBytes returns how many heap bytes f allocated.

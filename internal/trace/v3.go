@@ -507,8 +507,11 @@ func OpenV3(data []byte) (*BlockReader, error) {
 		if err != nil {
 			return nil, err
 		}
-		if bodyLen > uint64(footOff-d.pos-4) {
-			return nil, d.errf("block %d payload length %d exceeds the %d bytes before the footer", i, bodyLen, footOff-d.pos-4)
+		// room is negative when the length field ends less than a
+		// checksum's width before the footer: check its sign before the
+		// uint64 conversion, which would wrap it past any length.
+		if room := footOff - d.pos - 4; room < 0 || bodyLen > uint64(room) {
+			return nil, d.errf("block %d payload length %d exceeds the %d bytes before the footer", i, bodyLen, room)
 		}
 		body := data[d.pos : d.pos+int(bodyLen)]
 		d.pos += int(bodyLen)
@@ -536,8 +539,8 @@ func OpenV3(data []byte) (*BlockReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if footLen > uint64(indexOff-d.pos-4) {
-		return nil, d.errf("footer length %d exceeds the %d bytes before the index", footLen, indexOff-d.pos-4)
+	if room := indexOff - d.pos - 4; room < 0 || footLen > uint64(room) {
+		return nil, d.errf("footer length %d exceeds the %d bytes before the index", footLen, room)
 	}
 	foot := data[d.pos : d.pos+int(footLen)]
 	if d.pos+int(footLen)+4 != indexOff {

@@ -108,6 +108,8 @@ func FuzzV3DecodeNeverPanics(f *testing.F) {
 	f.Add(small.Bytes())
 	f.Add(hugeIndexV3())
 	f.Add(deflateBombV3())
+	f.Add(blockLengthNearFooterV3())
+	f.Add([]byte(footerLengthNearIndexV3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			br         *BlockReader

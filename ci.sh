@@ -83,6 +83,9 @@ go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s ./internal/ser
 # Fuzz smoke: a few seconds per target so a crashing input or a slice that
 # fails to replay is caught in CI, not only by long offline fuzzing runs.
 go test -run '^$' -fuzz FuzzSliceNeverPanics -fuzztime 5s ./internal/slicer
+# Any method, path and body against the HTTP API: no route panics, and
+# every answer that is not a 2xx is JSON with an error field.
+go test -run '^$' -fuzz FuzzHandlerNeverPanics -fuzztime 5s ./internal/service
 go test -run '^$' -fuzz FuzzReplayAgreesWithSlice -fuzztime 5s ./internal/replay
 go test -run '^$' -fuzz FuzzV3RoundTrip -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s ./internal/trace

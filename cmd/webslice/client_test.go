@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -224,15 +225,16 @@ func TestClientScatterAllOrNothing(t *testing.T) {
 
 	for _, tc := range []struct {
 		name     string
-		url, id  string // the scatter's target, and the id it gives the first job
+		url      string // the scatter's target
 		executor *service.Manager
 	}{
-		{"worker", directSrv.URL, "j000001", direct},
-		{"coordinator", coSrv.URL, "c000001", routed},
+		{"worker", directSrv.URL, direct},
+		{"coordinator", coSrv.URL, routed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder
-			c := &client{api: service.NewClient(tc.url, http.DefaultClient), clock: service.SystemClock, out: &out}
+			acks := &submitAcks{}
+			c := &client{api: service.NewClient(tc.url, &http.Client{Transport: acks}), clock: service.SystemClock, out: &out}
 			err := c.clientScatter("maps,no-such-site,bing", 0.05, "pixels", false)
 			var refused *service.APIError
 			if !errors.As(err, &refused) || refused.Code != http.StatusBadRequest || !strings.Contains(err.Error(), "site no-such-site refused") {
@@ -241,9 +243,12 @@ func TestClientScatterAllOrNothing(t *testing.T) {
 			if out.Len() != 0 {
 				t.Errorf("a refused scatter printed %q, want no ids", out.String())
 			}
+			if len(acks.ids) != 1 {
+				t.Fatalf("scatter was answered with ids %v, want one for the site before the refused one", acks.ids)
+			}
 			deadline := time.Now().Add(10 * time.Second)
 			for {
-				info, err := c.api.Info(tc.id)
+				info, err := c.api.Info(acks.ids[0])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,6 +268,31 @@ func TestClientScatterAllOrNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// submitAcks is an http.RoundTripper that records the id of every job a
+// submit answer admits.
+type submitAcks struct{ ids []string }
+
+func (a *submitAcks) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var ack struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &ack); err != nil {
+		return nil, err
+	}
+	a.ids = append(a.ids, ack.ID)
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
 }
 
 func TestSplitSites(t *testing.T) {

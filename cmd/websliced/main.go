@@ -163,9 +163,9 @@ func run(ctx context.Context, addr, dir string, memBytes int64, journalPath stri
 	mgr := service.New(cfg)
 	cfg.Resume = nil // queued; the log closure below keeps cfg alive
 
-	// The service API at /, plus net/http/pprof under /debug/pprof/ so a
-	// live daemon can be profiled (CPU, heap, goroutines) without a restart.
-	mux := http.NewServeMux()
+	// The service API, plus net/http/pprof under /debug/pprof/ so a live
+	// daemon can be profiled (CPU, heap, goroutines) without a restart.
+	var api *service.Handler
 	var co *cluster.Coordinator
 	if cl.coordinator {
 		co = cluster.New(cluster.Config{
@@ -177,17 +177,17 @@ func run(ctx context.Context, addr, dir string, memBytes int64, journalPath stri
 			Logger:        cfg.Logger, // tracer is inherited from the local manager
 		})
 		co.Start()
-		mux.Handle("/", cluster.NewHandler(co))
+		api = cluster.NewHandler(co)
 	} else {
-		mux.Handle("/", service.NewHandler(mgr))
+		api = service.NewHandler(mgr)
 	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	api.HandleFunc("/debug/pprof/", pprof.Index)
+	api.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	api.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	api.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	api.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := &http.Server{Addr: addr, Handler: api}
 	errc := make(chan error, 1)
 	go func() {
 		if cl.coordinator {

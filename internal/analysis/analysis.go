@@ -10,6 +10,7 @@ import (
 
 	"webslice/internal/browser"
 	"webslice/internal/browser/ns"
+	"webslice/internal/browser/sched"
 	"webslice/internal/slicer"
 	"webslice/internal/trace"
 )
@@ -197,8 +198,7 @@ type CPUPoint struct {
 // session (Figure 2): busy cycles of that thread per window divided by the
 // window length, on the virtual clock.
 func CPUTimeline(t *trace.Trace, tid uint8, windowMs uint64) []CPUPoint {
-	const cyclesPerMs = 1000
-	window := windowMs * cyclesPerMs
+	window := windowMs * sched.CyclesPerMs
 	if window == 0 || t.Len() == 0 {
 		return nil
 	}
@@ -222,28 +222,61 @@ func CPUTimeline(t *trace.Trace, tid uint8, windowMs uint64) []CPUPoint {
 	return out
 }
 
-// CurvePoint is one Figure 4 sample: x is millions of instructions processed
-// by the backward pass (x=0 is the end of the trace), with the cumulative
-// slice percentage for all threads and for the main thread.
+// CurvePoint is one Figure 4 sample: after the backward pass has walked
+// Processed records back from the end of the trace, Sliced of them are in
+// the slice; the Main* fields restrict both counts to the main thread.
 type CurvePoint struct {
-	XMInstr float64
-	AllPct  float64
-	MainPct float64
+	Processed, Sliced         int
+	MainProcessed, MainSliced int
 }
 
-// BackwardCurve converts a slice result's progress samples into the
-// Figure 4 series.
-func BackwardCurve(res *slicer.Result) []CurvePoint {
-	out := make([]CurvePoint, 0, len(res.Progress))
-	for _, p := range res.Progress {
-		cp := CurvePoint{XMInstr: float64(p.Processed) / 1e6}
-		if p.Processed > 0 {
-			cp.AllPct = 100 * float64(p.Sliced) / float64(p.Processed)
+// XMInstr is the sample's x: millions of instructions walked from the trace
+// end.
+func (p CurvePoint) XMInstr() float64 { return float64(p.Processed) / 1e6 }
+
+// AllPct is the slice percentage over every thread's walked records.
+func (p CurvePoint) AllPct() float64 { return percent(p.Sliced, p.Processed) }
+
+// MainPct is the slice percentage over the main thread's walked records.
+func (p CurvePoint) MainPct() float64 { return percent(p.MainSliced, p.MainProcessed) }
+
+func percent(part, whole int) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return 100 * float64(part) / float64(whole)
+}
+
+// BackwardCurve computes the Figure 4 series of res, a finished slice of t,
+// walking backward from the end of the trace and counting browser.MainThread
+// apart. It samples every max(1, n/points) records of the n in the trace,
+// plus once at the beginning if that is not a sample already. The backward
+// pass sets a record's InSlice bit only while it steps that record, so the
+// bits of the last k records count exactly what the pass had sliced after k
+// steps.
+func BackwardCurve(t *trace.Trace, res *slicer.Result, points int) []CurvePoint {
+	n := len(t.Recs)
+	every := max(1, n/max(1, points))
+	out := make([]CurvePoint, 0, n/every+1)
+	var p CurvePoint
+	for i := n - 1; i >= 0; i-- {
+		in := res.InSlice.Get(i)
+		p.Processed++
+		if in {
+			p.Sliced++
 		}
-		if p.MainProcessed > 0 {
-			cp.MainPct = 100 * float64(p.MainSliced) / float64(p.MainProcessed)
+		if t.Recs[i].TID == browser.MainThread {
+			p.MainProcessed++
+			if in {
+				p.MainSliced++
+			}
 		}
-		out = append(out, cp)
+		if p.Processed%every == 0 {
+			out = append(out, p)
+		}
+	}
+	if n == 0 || n%every != 0 {
+		out = append(out, p)
 	}
 	return out
 }

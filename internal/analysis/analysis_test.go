@@ -1,12 +1,16 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
+	"webslice/internal/browser"
 	"webslice/internal/browser/ns"
 	"webslice/internal/core"
 	"webslice/internal/isa"
+	"webslice/internal/sites"
 	"webslice/internal/slicer"
+	"webslice/internal/trace"
 	"webslice/internal/vm"
 	"webslice/internal/vmem"
 )
@@ -140,22 +144,82 @@ func TestCPUTimeline(t *testing.T) {
 	}
 }
 
+// TestBackwardCurve: on a hand-built trace of two threads whose in-slice
+// records are known, every sample counts the records walked back from the
+// trace end, the final partial step included.
 func TestBackwardCurve(t *testing.T) {
-	res := &slicer.Result{
-		Progress: []slicer.ProgressPoint{
-			{Processed: 1000, Sliced: 500, MainProcessed: 400, MainSliced: 100},
-			{Processed: 2000, Sliced: 800, MainProcessed: 900, MainSliced: 450},
-		},
+	tids := []uint8{0, 1, 0, 0, 1, 1, 0, 1, 0, 0}
+	tr := &trace.Trace{}
+	for _, tid := range tids {
+		tr.Recs = append(tr.Recs, trace.Rec{Kind: isa.KindNop, TID: tid})
 	}
-	curve := BackwardCurve(res)
-	if len(curve) != 2 {
-		t.Fatalf("len = %d", len(curve))
+	res := &slicer.Result{InSlice: slicer.NewBitset(len(tids))}
+	for _, i := range []int{1, 2, 5, 8, 9} {
+		res.InSlice.Set(i)
 	}
-	if curve[0].AllPct != 50 || curve[1].AllPct != 40 {
-		t.Errorf("all pct wrong: %+v", curve)
+	// Every 10/3 = 3 records, then the beginning of the trace.
+	want := []CurvePoint{
+		{Processed: 3, Sliced: 2, MainProcessed: 2, MainSliced: 2},
+		{Processed: 6, Sliced: 3, MainProcessed: 3, MainSliced: 2},
+		{Processed: 9, Sliced: 5, MainProcessed: 5, MainSliced: 3},
+		{Processed: 10, Sliced: 5, MainProcessed: 6, MainSliced: 3},
 	}
-	if curve[1].MainPct != 50 {
-		t.Errorf("main pct wrong: %+v", curve)
+	curve := BackwardCurve(tr, res, 3)
+	if !reflect.DeepEqual(curve, want) {
+		t.Fatalf("BackwardCurve = %+v, want %+v", curve, want)
+	}
+	if p := curve[2]; p.AllPct() != 100*5.0/9 || p.MainPct() != 60 || p.XMInstr() != 9e-6 {
+		t.Errorf("sample %+v: AllPct %v, MainPct %v, XMInstr %v", p, p.AllPct(), p.MainPct(), p.XMInstr())
+	}
+	// More points than records: one sample a record, none repeated.
+	if dense := BackwardCurve(tr, res, 160); len(dense) != len(tids) || dense[len(dense)-1] != want[3] {
+		t.Errorf("160 points over %d records = %+v", len(tids), dense)
+	}
+	// An empty trace still has its one sample, at x = 0.
+	empty := BackwardCurve(&trace.Trace{}, &slicer.Result{}, 160)
+	if len(empty) != 1 || empty[0] != (CurvePoint{}) || empty[0].AllPct() != 0 || empty[0].MainPct() != 0 {
+		t.Errorf("empty trace = %+v, want one zero sample", empty)
+	}
+}
+
+// TestBackwardCurveMatchesSlice: over real slices of a few property sites,
+// under both criteria, the curve only grows and its last sample is the
+// whole slice: the result's Total and SliceCount, and the main thread's
+// ByThread and SliceByThread.
+func TestBackwardCurveMatchesSlice(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		b := sites.Random(seed)
+		br := browser.New(b.Site, b.Profile)
+		br.RunSession()
+		if len(br.Errors) > 0 {
+			t.Fatalf("%s: %v", b.Name, br.Errors[0])
+		}
+		p := core.NewProfiler(br.M.Tr)
+		for _, c := range []slicer.Criteria{slicer.PixelCriteria{}, slicer.SyscallCriteria{}} {
+			res, err := p.Slice(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			curve := BackwardCurve(br.M.Tr, res, 160)
+			var last CurvePoint
+			for k, cp := range curve {
+				if cp.Processed <= last.Processed || cp.Sliced < last.Sliced ||
+					cp.MainProcessed < last.MainProcessed || cp.MainSliced < last.MainSliced {
+					t.Fatalf("%s %s: sample %d %+v after %+v is not monotone", b.Name, c.Name(), k, cp, last)
+				}
+				if cp.Sliced > cp.Processed || cp.MainSliced > cp.MainProcessed || cp.MainProcessed > cp.Processed {
+					t.Fatalf("%s %s: sample %d %+v counts more than it walked", b.Name, c.Name(), k, cp)
+				}
+				last = cp
+			}
+			whole := CurvePoint{
+				Processed: res.Total, Sliced: res.SliceCount,
+				MainProcessed: res.ByThread[browser.MainThread], MainSliced: res.SliceByThread[browser.MainThread],
+			}
+			if last != whole {
+				t.Errorf("%s %s: last sample %+v, whole slice %+v", b.Name, c.Name(), last, whole)
+			}
+		}
 	}
 }
 
@@ -168,5 +232,3 @@ func TestByteUsagePercent(t *testing.T) {
 		t.Error("empty usage should be 0%")
 	}
 }
-
-var _ = isa.KindNop

@@ -216,9 +216,7 @@ func TestCoordinatorErrorsAreJSON(t *testing.T) {
 	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{wsrv.URL}})
 	t.Cleanup(co.Stop)
 	h := NewHandler(co)
-	h.(interface {
-		HandleFunc(string, func(http.ResponseWriter, *http.Request))
-	}).HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("route bug") })
+	h.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("route bug") })
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 

@@ -95,6 +95,49 @@ func TestCoordinatorCancel(t *testing.T) {
 	}
 }
 
+// TestCoordinatorIDsUniqueAcrossBoots: a coordinator counts its ids from 1
+// on every boot and keeps its jobs only in memory. Two coordinators route
+// jobs to one worker in turn, the first stopped before the second starts,
+// as across a restart. The second issues none of the first's ids, and it
+// answers a poll of each with a 404, never with another job.
+func TestCoordinatorIDsUniqueAcrossBoots(t *testing.T) {
+	w := holdingManager(t, "")
+	wsrv := httptest.NewServer(service.NewHandler(w))
+	t.Cleanup(wsrv.Close)
+	boot := func() *Coordinator {
+		local := service.New(service.Config{Workers: 1, Node: "http://coordinator.test"})
+		t.Cleanup(local.Kill)
+		co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{wsrv.URL}})
+		t.Cleanup(co.Stop)
+		return co
+	}
+	co := boot()
+	first := serveCoordinator(t, co)
+	issued := make(map[string]bool)
+	for _, spec := range []service.Spec{{Site: "amazon-mobile"}, {Site: "maps"}} {
+		id, err := first.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued[id] = true
+	}
+	co.Stop()
+	second := serveCoordinator(t, boot())
+	for _, spec := range []service.Spec{{Site: "maps", Criteria: "syscalls"}, {Site: "bing"}} {
+		id, err := second.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if issued[id] {
+			t.Fatalf("the second coordinator issued %s again, to %s %s", id, spec.Site, spec.Criteria)
+		}
+	}
+	for id := range issued {
+		_, err := second.Info(id)
+		wantAPIError(t, "poll of "+id+" after the restart", err, http.StatusNotFound, "no job")
+	}
+}
+
 // TestCoordinatorLocalJobs: with no worker in its ring the coordinator runs
 // jobs on its own manager; a cancel reaches it, and GET /jobs/quarantined
 // lists the manager's poisoned job under the manager's id.

@@ -15,7 +15,7 @@ import (
 //
 // A worker's refusal of a routed job (a 429 with its Retry-After, a 400, a
 // 413, or a 500 from a panic) is the coordinator's answer too.
-func NewHandler(c *Coordinator) http.Handler {
+func NewHandler(c *Coordinator) *service.Handler {
 	h := service.NewHandler(c)
 	h.HandleFunc("GET /cluster", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, map[string]any{

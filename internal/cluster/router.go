@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -106,8 +107,14 @@ type Coordinator struct {
 	tracer *obs.Tracer
 	log    *slog.Logger
 
-	mu     sync.Mutex
-	jobs   map[string]*routedJob
+	mu   sync.Mutex
+	jobs map[string]*routedJob
+	// boot, 8 random hex digits, tags every id this coordinator issues.
+	// nextID counts from 0 on every boot, and the coordinator keeps its
+	// jobs only in memory, so without the tag a restarted coordinator would
+	// issue its predecessor's ids again, and a client polling one would
+	// read another job.
+	boot   string
 	nextID int
 
 	cRouted, cLocal, cForwardFailed  *metrics.Counter
@@ -145,6 +152,7 @@ func New(cfg Config) *Coordinator {
 		tracer:         cfg.Local.Tracer(),
 		log:            logger,
 		jobs:           make(map[string]*routedJob),
+		boot:           fmt.Sprintf("%08x", rand.Uint32()),
 		cRouted:        reg.Counter("cluster_jobs_routed"),
 		cLocal:         reg.Counter("cluster_jobs_local"),
 		cForwardFailed: reg.Counter("cluster_forward_failed"),
@@ -203,7 +211,8 @@ func (c *Coordinator) peerCounter(kind, peer string) *metrics.Counter {
 
 // Submit admits a job: the ring picks the owner for the job's key, the
 // spec is forwarded to it (or run on the local manager when the owner is
-// Self), and a coordinator-scoped id is returned. Unreachable candidates
+// Self), and a coordinator-scoped id is returned, "c<boot>-<n>", which no
+// other boot of a coordinator issues. Unreachable candidates
 // are skipped — their failures feed the membership's eviction counter —
 // and when no ring member accepts the job it falls back to local
 // execution, so a lone coordinator still makes progress. A 429 from the
@@ -218,7 +227,7 @@ func (c *Coordinator) Submit(spec service.Spec) (string, error) {
 	key := service.JobKey(spec)
 	c.mu.Lock()
 	c.nextID++
-	id := fmt.Sprintf("c%06d", c.nextID)
+	id := fmt.Sprintf("c%s-%06d", c.boot, c.nextID)
 	c.mu.Unlock()
 	// The "route" span roots the job's trace (or joins the submitter's, if
 	// the request carried a traceparent header); the owner's "job" span

@@ -34,7 +34,6 @@ func renderAmazon(t *testing.T) *trace.Trace {
 func pixelSlice(t *testing.T, tr *trace.Trace) *slicer.Result {
 	t.Helper()
 	p := core.NewProfiler(tr)
-	p.Opts.ProgressPoints = 160
 	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,6 @@ func TestForwardPassServedFromStore(t *testing.T) {
 	}
 	storeProfiler := func() *core.Profiler {
 		p := core.NewProfiler(renderAmazon(t))
-		p.Opts.ProgressPoints = 160
 		// Both profilers render one site, so they share a forward-pass key,
 		// as the service's jobs of one JobKey do.
 		p.UseStore(st, "amazon-desktop@0.05")

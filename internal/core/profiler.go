@@ -74,7 +74,7 @@ type Profiler struct {
 // NewProfiler wraps a trace. Run Forward before slicing (Slice does it on
 // demand if you forget).
 func NewProfiler(t *trace.Trace) *Profiler {
-	return &Profiler{T: t, Opts: slicer.Options{ProgressPoints: 100}}
+	return &Profiler{T: t}
 }
 
 // UseStore attaches a content-addressed artifact store, in which key is

@@ -65,7 +65,6 @@ func Execute(b sites.Benchmark) (*Run, error) {
 	}
 	renderDone := time.Now()
 	p := core.NewProfiler(br.M.Tr)
-	p.Opts.ProgressPoints = 160
 	if err := p.Forward(); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 	}
@@ -281,21 +280,23 @@ func Figure2(scale float64) (*report.Chart, error) {
 	}, nil
 }
 
+// figure4Points is how many samples each Figure 4 curve takes over the
+// backward pass.
+const figure4Points = 160
+
 // Figure4 renders the backward-pass slicing-percentage curves for one run:
 // all threads and main thread, x advancing from the end of the trace to its
-// beginning, as in the paper's subplots.
+// beginning, as in the paper's subplots. The curves are computed from the
+// finished pixel slice.
 func Figure4(r *Run) *report.Chart {
-	curve := analysis.BackwardCurve(r.Pixel)
+	curve := analysis.BackwardCurve(r.Trace, r.Pixel, figure4Points)
 	all := make([]float64, len(curve))
 	main := make([]float64, len(curve))
 	for i, p := range curve {
-		all[i] = p.AllPct
-		main[i] = p.MainPct
+		all[i] = p.AllPct()
+		main[i] = p.MainPct()
 	}
-	var endX float64
-	if len(curve) > 0 {
-		endX = curve[len(curve)-1].XMInstr
-	}
+	endX := curve[len(curve)-1].XMInstr()
 	return &report.Chart{
 		Title:   fmt.Sprintf("Figure 4: slicing %% over the backward pass — %s", r.Bench.Name),
 		Height:  12,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -78,6 +79,43 @@ func TestExecuteAndTableII(t *testing.T) {
 				browse.Bench.Name, 100*jsShare(browse), r.Bench.Name, 100*jsShare(r))
 		}
 	}
+	// Figure 4: the all-threads curve stays comparatively flat while the
+	// main-thread curve swings much more, over the series Figure4 plots. A
+	// main-thread series that counted every thread would be the all-threads
+	// one, and the comparison must reject it.
+	for _, r := range runs {
+		curve := analysis.BackwardCurve(r.Trace, r.Pixel, figure4Points)
+		if all, main := curveSpread(curve); main <= all {
+			t.Errorf("%s: main-thread curve's standard deviation %.2f is not above all threads' %.2f",
+				r.Bench.Name, main, all)
+		}
+		broken := append([]analysis.CurvePoint(nil), curve...)
+		for i := range broken {
+			broken[i].MainProcessed, broken[i].MainSliced = broken[i].Processed, broken[i].Sliced
+		}
+		if all, main := curveSpread(broken); main > all {
+			t.Errorf("%s: a main-thread series counting every thread passes (%.2f > %.2f)", r.Bench.Name, main, all)
+		}
+	}
+}
+
+// curveSpread returns the population standard deviations of a Figure 4
+// curve's all-threads and main-thread percentages.
+func curveSpread(curve []analysis.CurvePoint) (all, main float64) {
+	return stdDev(curve, analysis.CurvePoint.AllPct), stdDev(curve, analysis.CurvePoint.MainPct)
+}
+
+func stdDev(curve []analysis.CurvePoint, pct func(analysis.CurvePoint) float64) float64 {
+	var sum float64
+	for _, p := range curve {
+		sum += pct(p)
+	}
+	mean := sum / float64(len(curve))
+	var sq float64
+	for _, p := range curve {
+		sq += (pct(p) - mean) * (pct(p) - mean)
+	}
+	return math.Sqrt(sq / float64(len(curve)))
 }
 
 func TestTableIExperiment(t *testing.T) {

@@ -86,10 +86,6 @@ type VerifyStats struct {
 	CrossFormat int
 }
 
-// verifyOpts are the slicing options every verify phase uses. No progress
-// sampling: golden digests must not depend on a sampling knob.
-var verifyOpts = slicer.Options{MainThread: browser.MainThread}
-
 // sliceVerified takes the pixel, syscall, and union slices of p's trace, in
 // that order, one backward walk each.
 func sliceVerified(p *core.Profiler) ([]*slicer.Result, error) {
@@ -130,7 +126,6 @@ func runVerified(b sites.Benchmark) (*verifiedRun, error) {
 		return nil, fmt.Errorf("verify: %s: %v", b.Name, br.Errors[0])
 	}
 	p := core.NewProfiler(br.M.Tr)
-	p.Opts = verifyOpts
 	if err := p.Forward(); err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", b.Name, err)
 	}
@@ -445,7 +440,6 @@ func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
 		return fmt.Errorf("verify: crossformat %s: decode: %w", e.Label(), err)
 	}
 	p := core.NewProfiler(dec)
-	p.Opts = verifyOpts
 	rs, err := sliceVerified(p)
 	if err != nil {
 		return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
@@ -455,7 +449,6 @@ func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
 		return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 	}
 	hit := core.NewProfiler(dec)
-	hit.Opts = verifyOpts
 	key := store.KeyBytes(enc.Bytes())
 	hit.UseStore(st, key)
 	st.PutDeps(key, p.Deps())

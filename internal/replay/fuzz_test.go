@@ -47,7 +47,7 @@ func FuzzReplayAgreesWithSlice(f *testing.F) {
 		}
 		rs := make([]*slicer.Result, len(checks))
 		for k, ck := range checks {
-			res, err := slicer.Slice(tr, deps, ck.c, slicer.Options{MainThread: browser.MainThread})
+			res, err := slicer.Slice(tr, deps, ck.c, slicer.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: slice: %v", seed, err)
 			}

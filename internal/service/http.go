@@ -122,7 +122,9 @@ func (m *Manager) Health() map[string]any { return map[string]any{"workers": m.W
 // Every error is a JSON {"error"} body (WriteError). Backpressure surfaces
 // as 429 with Retry-After, shutdown as 503, and an upload over the body
 // cap or the admission limit as 413. A request no route matches gets a
-// 404, or a 405 with Allow when the path has routes for other methods. A
+// 404, or a 405 with Allow when the path has routes for other methods, and
+// one whose path is not clean, or names a subtree route without its
+// trailing slash, a 301 with Location, its body JSON too. A
 // route that panics answers 500 and counts in http_panics, so a
 // coordinator reads a worker's panic as a refusal, not as a dead peer.
 // Submissions carrying a W3C traceparent header join the caller's trace:
@@ -130,10 +132,9 @@ func (m *Manager) Health() map[string]any { return map[string]any{"workers": m.W
 // a fresh trace (this is how a coordinator-routed job yields one
 // causally-linked trace across nodes).
 func NewHandler(b Backend) *Handler {
-	mux := http.NewServeMux()
-	h := &Handler{mux: mux, panics: b.Metrics().Counter("http_panics")}
+	h := &Handler{mux: http.NewServeMux(), panics: b.Metrics().Counter("http_panics")}
 
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
 			WriteError(w, fmt.Errorf("bad job spec: %w", err))
@@ -142,7 +143,7 @@ func NewHandler(b Backend) *Handler {
 		submit(b, w, r, spec)
 	})
 
-	mux.HandleFunc("POST /jobs/trace", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("POST /jobs/trace", func(w http.ResponseWriter, r *http.Request) {
 		body, err := readTraceBody(w, r)
 		if err != nil {
 			WriteError(w, err)
@@ -157,7 +158,7 @@ func NewHandler(b Backend) *Handler {
 		})
 	})
 
-	mux.HandleFunc("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		spans, ok := b.JobTrace(id)
 		if !ok {
@@ -167,7 +168,7 @@ func NewHandler(b Backend) *Handler {
 		WriteJSON(w, http.StatusOK, spans)
 	})
 
-	mux.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, r *http.Request) {
 		t := b.Tracer()
 		if t == nil {
 			fail(w, http.StatusNotFound, "tracing disabled (websliced -trace-spans 0)")
@@ -177,13 +178,13 @@ func NewHandler(b Backend) *Handler {
 		obs.WriteJSONL(w, t.Snapshot())
 	})
 
-	mux.HandleFunc("GET /jobs/quarantined", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("GET /jobs/quarantined", func(w http.ResponseWriter, r *http.Request) {
 		// The poisoned-job list: jobs pulled from rotation after panicking
 		// twice. The literal route wins over GET /jobs/{id} by specificity.
 		WriteJSON(w, http.StatusOK, b.Quarantined())
 	})
 
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, ok := b.Info(r.PathValue("id"))
 		if !ok {
 			fail(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
@@ -192,7 +193,7 @@ func NewHandler(b Backend) *Handler {
 		WriteJSON(w, http.StatusOK, info)
 	})
 
-	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		// The result first: a done job costs a coordinator one fetch from
 		// its worker, and the status only explains a miss.
 		id := r.PathValue("id")
@@ -208,7 +209,7 @@ func NewHandler(b Backend) *Handler {
 		fail(w, http.StatusConflict, "job %s is %s, not done", id, info.Status)
 	})
 
-	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if !b.Cancel(id) {
 			fail(w, http.StatusConflict, "job %q unknown or already finished", id)
@@ -217,7 +218,7 @@ func NewHandler(b Backend) *Handler {
 		WriteJSON(w, http.StatusOK, map[string]string{"id": id, "status": "canceling"})
 	})
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// During drain the instance still answers (running jobs finish) but
 		// reports unhealthy so load balancers stop routing new work to it.
 		body, code := b.Health(), http.StatusOK
@@ -228,7 +229,7 @@ func NewHandler(b Backend) *Handler {
 		WriteJSON(w, code, body)
 	})
 
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	h.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", metrics.ContentType)
 		b.Metrics().WriteText(w)
 	})
@@ -237,8 +238,9 @@ func NewHandler(b Backend) *Handler {
 }
 
 // Handler serves the websliced HTTP API. It answers every error as JSON:
-// a route's own, ServeMux's 404 or 405 for a request no route matches,
-// and a 500 for a route that panics.
+// a route's own, ServeMux's 404 or 405 for a request no route matches and
+// its 301 for a path that is not clean or lacks a subtree's slash, and a
+// 500 for a route that panics.
 type Handler struct {
 	mux    *http.ServeMux
 	panics *metrics.Counter
@@ -246,7 +248,11 @@ type Handler struct {
 
 // HandleFunc adds a route, in http.ServeMux's pattern syntax.
 func (h *Handler) HandleFunc(pattern string, f func(http.ResponseWriter, *http.Request)) {
-	h.mux.HandleFunc(pattern, f)
+	h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		a := w.(*muxAnswer)
+		a.routed = true
+		f(a.ResponseWriter, r)
+	})
 }
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -257,22 +263,24 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			fail(w, http.StatusInternalServerError, "internal error serving %s %s: %v", r.Method, r.URL.Path, v)
 		}
 	}()
-	if _, pattern := h.mux.Handler(r); pattern == "" {
-		// No route matches: keep the code and headers (Allow on a 405) of
-		// ServeMux's own answer, and replace its plain-text body.
-		a := &muxAnswer{ResponseWriter: w}
-		h.mux.ServeHTTP(a, r)
+	// An answer ServeMux makes itself (a 404 or a 405 with Allow for a
+	// request no route matches, a 301 with Location to a path's clean or
+	// slash-ended form) keeps its code and headers and gets a JSON body.
+	a := &muxAnswer{ResponseWriter: w}
+	h.mux.ServeHTTP(a, r)
+	if !a.routed {
 		fail(w, a.code, "%s %s: %s", r.Method, r.URL.Path, http.StatusText(a.code))
-		return
 	}
-	h.mux.ServeHTTP(w, r)
 }
 
-// muxAnswer takes the status of an answer ServeMux makes itself and drops
-// its body. Its headers go to the wrapped writer.
+// muxAnswer stands between ServeMux and the client. A route marks it
+// routed and answers through the wrapped writer. Of an answer ServeMux
+// makes itself it keeps the status; the headers go to the wrapped writer,
+// and the body nowhere.
 type muxAnswer struct {
 	http.ResponseWriter
-	code int
+	routed bool
+	code   int
 }
 
 func (a *muxAnswer) WriteHeader(code int)        { a.code = code }

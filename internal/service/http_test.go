@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"webslice/internal/obs"
 )
 
 // testServer wires a manager with a fast stub runner behind the HTTP API.
@@ -523,4 +527,80 @@ func TestHTTPEveryErrorIsJSON(t *testing.T) {
 	if resp, err := http.Get(srv.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after a panic = %v, %v", resp, err)
 	}
+}
+
+// FuzzHandlerNeverPanics sends one request of any method, path and body to
+// NewHandler over a Manager with a stub runner, no store and no journal,
+// which has admitted one job (j000001) for the job routes to find. The
+// handler also gets a subtree route at /debug/pprof/, as websliced adds
+// net/http/pprof's, stubbed to answer 200 with a body. The
+// request is parsed from its wire form as a server would, and one that does
+// not parse is skipped: net/http refuses it before any handler runs. No
+// route may panic, so http_panics stays 0, and every answer that is not a
+// 2xx is JSON with an "error" field. Each input gets its own Manager,
+// killed when the input is done: the job table keeps every admitted job,
+// and this way it holds at most that input's two.
+func FuzzHandlerNeverPanics(f *testing.F) {
+	for _, seed := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{"POST", "/jobs", []byte(`{"site":"maps","scale":0.05}`)},
+		{"POST", "/jobs", []byte(`{"seed":7,"criteria":"syscalls"}`)},
+		{"POST", "/jobs", []byte(`{"site":"maps","scale":64}`)},
+		{"POST", "/jobs", []byte(`{"site":`)},
+		{"POST", "/jobs/trace?criteria=pixels&verify=1", noiseUpload(f, 16)},
+		{"POST", "/jobs/trace?criteria=syscalls", declaredRecsUpload(9)},
+		{"POST", "/jobs/trace", []byte("WSLT\x02")},
+		{"GET", "/jobs/j000001", nil},
+		{"GET", "/jobs/j000001/result", nil},
+		{"GET", "/jobs/j000001/trace", nil},
+		{"DELETE", "/jobs/j000001", nil},
+		{"DELETE", "/jobs/j999999", nil},
+		{"GET", "/jobs/quarantined", nil},
+		{"GET", "/healthz", nil},
+		{"GET", "/metrics", nil},
+		{"GET", "/debug/spans", nil},
+		{"PUT", "/jobs/x", []byte("x")},
+		{"GET", "/jobs", nil},
+		{"GET", "/nope", nil},
+		{"GET", "/jobs/../healthz", nil},
+		{"GET", "*", nil},
+		{"GET", "/debug/pprof/", nil},
+		{"GET", "/debug/pprof", nil},
+		{"POST", "/debug/pprof/../jobs", []byte(`{"site":"maps"}`)},
+	} {
+		f.Add(seed.method, seed.path, seed.body)
+	}
+	runner := func(ctx context.Context, spec Spec) (*Result, error) {
+		return &Result{Criteria: spec.Criteria, Total: 100, SliceCount: 42, SlicePct: 42}, nil
+	}
+	f.Fuzz(func(t *testing.T, method, path string, body []byte) {
+		wire := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: webslice.test\r\nContent-Length: %d\r\n\r\n", method, path, len(body))
+		req, err := http.ReadRequest(bufio.NewReader(io.MultiReader(strings.NewReader(wire), bytes.NewReader(body))))
+		if err != nil {
+			return
+		}
+		m := New(Config{Workers: 1, QueueDepth: 4, Runner: runner, Tracer: obs.New(64, nil)})
+		defer m.Kill()
+		if _, err := m.Submit(Spec{Site: "maps", Scale: 0.05}); err != nil {
+			t.Fatal(err)
+		}
+		h := NewHandler(m)
+		h.HandleFunc("/debug/pprof/", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "profiles") })
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if n := m.Metrics().Counter("http_panics").Value(); n != 0 {
+			t.Fatalf("%s %q: a route panicked (http_panics %d): %s", method, path, n, w.Body)
+		}
+		if w.Code >= 200 && w.Code < 300 {
+			return
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" || json.Unmarshal(w.Body.Bytes(), &e) != nil || e.Error == "" {
+			t.Fatalf("%s %q = %d %q %q, want a JSON error", method, path, w.Code, ct, w.Body)
+		}
+	})
 }

@@ -124,3 +124,18 @@ func TestStoreKeysNameAnalysisVersion(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreKeysNameCriteria: the two criteria of one job share its forward
+// pass's key and have result keys of their own, so a pixels result is never
+// served to a syscalls job of the same trace.
+func TestStoreKeysNameCriteria(t *testing.T) {
+	jk := JobKey(Spec{Site: "amazon-desktop", Scale: 0.04})
+	pixDeps, pixRes := storeKeys(jk, slicer.PixelCriteria{}, core.AnalysisVersion)
+	sysDeps, sysRes := storeKeys(jk, slicer.SyscallCriteria{}, core.AnalysisVersion)
+	if pixDeps != sysDeps {
+		t.Errorf("forward-pass keys differ by criteria: %s, %s", pixDeps, sysDeps)
+	}
+	if pixRes == sysRes || pixRes == pixDeps || sysRes == pixDeps {
+		t.Errorf("result keys collide: pixels %s, syscalls %s, forward pass %s", pixRes, sysRes, pixDeps)
+	}
+}

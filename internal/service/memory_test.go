@@ -137,7 +137,6 @@ func freshDigest(t *testing.T, up []byte) string {
 		t.Fatal(err)
 	}
 	p := core.NewProfiler(tr)
-	p.Opts = jobOpts
 	res, err := p.Slice(slicer.PixelCriteria{})
 	if err != nil {
 		t.Fatal(err)

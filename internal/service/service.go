@@ -108,12 +108,11 @@ type Result struct {
 	// TraceKey is the job's JobKey, the content address of the trace it
 	// sliced: an upload's SHA-256, or a site or seed job's identity address.
 	TraceKey string `json:"trace_key,omitempty"`
-	// SliceDigest is the hex SHA-256 of the slice's canonical store
-	// encoding with progress samples stripped, so it is comparable across
-	// progress-sampling configurations — and equal to the digests
-	// `webslice verify -exp golden` pins in examples/golden/corpus.json.
-	// The cluster harness uses it to prove single-node and multi-node runs
-	// produce byte-identical slices.
+	// SliceDigest is store.SliceDigest of the slice: the hex SHA-256 of its
+	// canonical encoding, equal to the digests `webslice verify -exp
+	// golden` pins in examples/golden/corpus.json. The cluster harness uses
+	// it to prove single-node and multi-node runs produce byte-identical
+	// slices.
 	SliceDigest string  `json:"slice_digest,omitempty"`
 	Criteria    string  `json:"criteria"`
 	Total       int     `json:"total_instructions"`
@@ -866,11 +865,6 @@ func (m *Manager) drop(j *job) {
 	}
 }
 
-// jobOpts are the slicing options of every job run executes. The result
-// cache's key is built from this same value (storeKeys), so the options a
-// result was sliced under and the key it is stored under cannot drift.
-var jobOpts = slicer.Options{ProgressPoints: 160, MainThread: browser.MainThread}
-
 // run is the default pipeline: obtain the trace (decode or render), attach
 // the store, slice, and package the statistics. An unverified job first
 // looks its whole result up by JobKey, and a hit skips all of that. The jobs
@@ -913,7 +907,6 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	t := sh.t
 	p := core.NewProfiler(t)
-	p.Opts = jobOpts
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
 	if m.cfg.Store != nil {
 		p.UseStore(m.cfg.Store, depsKey)
@@ -999,16 +992,17 @@ func JobKey(spec Spec) string {
 
 // storeKeys derives a job's two store keys from its JobKey: the forward
 // pass of its trace, which both criteria share, and its finished result
-// under crit, which names the slice variant jobOpts computes. Each is the
-// hex SHA-256 of the JobKey, the artifact and analysis, the version of the
-// code that computed it; run passes core.AnalysisVersion. A bump of either
-// version moves every key once, so older blobs are orphaned, never
-// misread, and the store's LRU evicts them.
+// under crit. Each is the hex SHA-256 of the JobKey, the artifact and
+// analysis, the version of the code that computed it; run passes
+// core.AnalysisVersion. A job slices with no options, so the result's
+// artifact names only its criterion. A bump of either version moves every
+// key once, so older blobs are orphaned, never misread, and the store's LRU
+// evicts them.
 func storeKeys(jobKey string, crit slicer.Criteria, analysis int) (deps, result string) {
 	key := func(artifact string) string {
 		return store.KeyBytes([]byte(jobKey + "\x00" + artifact + "\x00" + strconv.Itoa(analysis)))
 	}
-	return key(store.KindDeps), key(store.SliceVariant(crit.Name(), jobOpts))
+	return key(store.KindDeps), key("slice-" + crit.Name())
 }
 
 // cachedResult looks a finished result up in the store and marks it a

@@ -84,7 +84,7 @@ func FuzzSliceNeverPanics(f *testing.F) {
 			return
 		}
 		var deps *cdg.Deps
-		opts := Options{MainThread: sel >> 4}
+		var opts Options
 		if forest, err := cfg.Build(tr); err == nil {
 			deps = cdg.Compute(forest)
 		} else {

@@ -129,18 +129,17 @@ type Options struct {
 	// NoControlDeps disables the pending-branch mechanism (data-dependence-
 	// only slicing) for the ablation study.
 	NoControlDeps bool
-	// ProgressPoints is how many samples of the backward-progress curve to
-	// record (paper Figure 4). 0 disables sampling.
-	ProgressPoints int
-	// MainThread identifies the thread whose separate progress curve Figure
-	// 4 plots (Chromium's CrRendererMain analog).
-	MainThread uint8
 	// Canceled, when non-nil, is polled every few thousand records of the
 	// backward walk; returning true aborts the pass with ErrCanceled. The
 	// slicing service uses it to enforce per-job deadlines and cancellation
 	// mid-pass instead of only at phase boundaries. It does not change the
-	// result and is deliberately excluded from store variant fingerprints.
+	// result.
 	Canceled func() bool
+	// Deprecated: has no effect; the walk samples no progress curve, and
+	// analysis.BackwardCurve computes Figure 4's main-thread series from
+	// the finished slice. Kept only because e2ebench/workloads.go, which
+	// changes only together with BENCHMARK.json, sets it.
+	MainThread uint8
 	// Deprecated: has no effect; the backward pass is one sequential walk.
 	// Kept only because e2ebench/workloads.go, which changes only together
 	// with BENCHMARK.json, sets it.
@@ -161,18 +160,20 @@ type Result struct {
 	// ByFunc and SliceByFunc count records per function.
 	ByFunc      map[trace.FuncID]int
 	SliceByFunc map[trace.FuncID]int
-	// Progress samples the backward pass from its start (the end of the
-	// trace) to its finish (the beginning), for all threads and for the
-	// main thread (paper Figure 4).
-	Progress []ProgressPoint
 	// PendingLeft counts branch PCs still pending when the pass finished
 	// (nonzero only for truncated traces).
 	PendingLeft int
+	// Deprecated: always nil; the walk samples no progress curve, and
+	// analysis.BackwardCurve computes Figure 4 from InSlice. Kept only
+	// because e2ebench/workloads.go, which changes only together with
+	// BENCHMARK.json, clears it.
+	Progress []ProgressPoint
 }
 
-// ProgressPoint is one sample of the backward pass: after Processed records
-// (counted from the end of the trace), Sliced of them were in the slice;
-// the Main* fields restrict both counts to the main thread.
+// ProgressPoint was one sample of the backward pass's progress curve.
+//
+// Deprecated: nothing produces it; it remains as the element type of the
+// deprecated Result.Progress.
 type ProgressPoint struct {
 	Processed, Sliced         int
 	MainProcessed, MainSliced int
@@ -311,19 +312,11 @@ type sliceState struct {
 	sliceByThread [256]int
 	byFunc        []int
 	sliceByFunc   []int
-
-	sampleEvery                                  int
-	processed, sliced, mainProcessed, mainSliced int
-
-	// curMarked reports whether the record being stepped joined the slice;
-	// records only ever join during their own step, so the progress tail can
-	// test this flag instead of re-reading the bitset twice per record.
-	curMarked bool
 }
 
 func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) *sliceState {
 	n := len(t.Recs)
-	s := &sliceState{
+	return &sliceState{
 		t:    t,
 		deps: deps,
 		crit: c,
@@ -338,13 +331,6 @@ func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) *sl
 		byFunc:      make([]int, len(t.Funcs)),
 		sliceByFunc: make([]int, len(t.Funcs)),
 	}
-	if opts.ProgressPoints > 0 {
-		s.sampleEvery = n / opts.ProgressPoints
-		if s.sampleEvery == 0 {
-			s.sampleEvery = 1
-		}
-	}
-	return s
 }
 
 func (s *sliceState) thread(tid uint8) *threadState {
@@ -371,7 +357,6 @@ func (s *sliceState) step(i int, r *trace.Rec) {
 	th := s.thread(r.TID)
 	s.byThread[r.TID]++
 	bumpFunc(&s.byFunc, r.Func())
-	s.curMarked = false
 
 	// Criteria: reaching this program point may make variables live.
 	if mem, anchor := s.crit.At(i, r, s.t); len(mem) > 0 || anchor {
@@ -456,32 +441,18 @@ func (s *sliceState) step(i int, r *trace.Rec) {
 		// Criteria handled above; markers are pseudo-instructions and
 		// never join the slice themselves.
 	}
-
-	s.processed++
-	if s.curMarked {
-		s.sliced++
-	}
-	if r.TID == s.opts.MainThread {
-		s.mainProcessed++
-		if s.curMarked {
-			s.mainSliced++
-		}
-	}
-	if s.sampleEvery > 0 && s.processed%s.sampleEvery == 0 {
-		s.res.Progress = append(s.res.Progress, ProgressPoint{s.processed, s.sliced, s.mainProcessed, s.mainSliced})
-	}
 }
 
 // markSlice adds record i to the slice, credits its thread/function tallies,
 // flags its frame as contributing, and schedules its control-dependence
-// branches on the pending list.
+// branches on the pending list. Only step calls it, with the index it is
+// stepping, so a record joins the slice only during its own step.
 func (s *sliceState) markSlice(i int, r *trace.Rec, th *threadState) {
 	if s.res.InSlice.Get(i) {
 		return
 	}
 	s.res.InSlice.Set(i)
 	s.res.SliceCount++
-	s.curMarked = true
 	s.sliceByThread[r.TID]++
 	bumpFunc(&s.sliceByFunc, r.Func())
 	fr := th.frames.at(th.depth)
@@ -501,8 +472,8 @@ func (s *sliceState) setReg(r isa.Reg) {
 }
 
 // finish converts the dense tallies into the Result's maps (nonzero entries
-// only, matching what per-record map increments would have produced),
-// flushes the progress tail, and totals the pending-branch residue.
+// only, matching what per-record map increments would have produced) and
+// totals the pending-branch residue.
 func (s *sliceState) finish() *Result {
 	res := s.res
 	res.ByThread = make(map[uint8]int)
@@ -526,9 +497,6 @@ func (s *sliceState) finish() *Result {
 		if c > 0 {
 			res.SliceByFunc[trace.FuncID(fn)] = c
 		}
-	}
-	if s.sampleEvery > 0 && (len(res.Progress) == 0 || res.Progress[len(res.Progress)-1].Processed != s.processed) {
-		res.Progress = append(res.Progress, ProgressPoint{s.processed, s.sliced, s.mainProcessed, s.mainSliced})
 	}
 	for _, th := range s.threads {
 		if th != nil {

@@ -374,43 +374,6 @@ func TestUnionCriteria(t *testing.T) {
 	}
 }
 
-// TestProgressSeries: progress sampling is monotonic and consistent with the
-// final counts.
-func TestProgressSeries(t *testing.T) {
-	m := vm.New()
-	m.Thread(0, "main")
-	tile := m.Tile.Alloc(64)
-	for i := 0; i < 50; i++ {
-		v := m.Const(uint64(i))
-		if i%2 == 0 {
-			m.StoreU32(tile+vmem.Addr(4*(i%16)), v)
-		} else {
-			m.StoreU32(m.Heap.Alloc(8), v)
-		}
-	}
-	m.MarkPixels(vmem.Range{Addr: tile, Size: 64})
-	res := pixelSlice(t, m, Options{ProgressPoints: 10})
-	if len(res.Progress) == 0 {
-		t.Fatal("no progress samples")
-	}
-	last := ProgressPoint{}
-	for _, p := range res.Progress {
-		if p.Processed < last.Processed || p.Sliced < last.Sliced {
-			t.Error("progress must be monotonic")
-		}
-		if p.Sliced > p.Processed || p.MainSliced > p.MainProcessed {
-			t.Error("sliced cannot exceed processed")
-		}
-		last = p
-	}
-	if last.Processed != res.Total {
-		t.Errorf("final processed %d != total %d", last.Processed, res.Total)
-	}
-	if last.Sliced != res.SliceCount {
-		t.Errorf("final sliced %d != count %d", last.Sliced, res.SliceCount)
-	}
-}
-
 // TestSliceClosure verifies, forward, that the slice is closed under data
 // dependences: every register source of an in-slice record is defined by an
 // in-slice record, and the last writer of every byte read by an in-slice

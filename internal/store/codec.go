@@ -55,17 +55,6 @@ func KeyBytes(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// SliceVariant fingerprints a slice computation: criteria name plus every
-// option that changes the result. Two calls agree iff the slice bytes
-// would agree. The service's result keys include it.
-func SliceVariant(criteria string, opts slicer.Options) string {
-	v := fmt.Sprintf("slice-%s-pp%d-mt%d", criteria, opts.ProgressPoints, opts.MainThread)
-	if opts.NoControlDeps {
-		v += "-nocdg"
-	}
-	return v
-}
-
 // --- cdg.Deps codec ---
 
 // EncodeDeps serializes a control dependence graph: entry count, then per
@@ -159,8 +148,10 @@ func DecodeDeps(b []byte) (*cdg.Deps, error) {
 
 // EncodeResult serializes a slice result with every statistic the service
 // reports: the bitset, per-thread and per-function counts (sorted by key),
-// the progress curve, and the pending-branch residue. Nothing decodes it:
-// it is the canonical form slice digests and byte-identity checks compare.
+// and the pending-branch residue. Nothing decodes it: it is the canonical
+// form slice digests and byte-identity checks compare. It ends with a 0, the
+// length of the progress curve the backward pass once sampled, so that the
+// digests pinned before the curve was dropped stay valid.
 func EncodeResult(r *slicer.Result) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(r.Criteria)))
 	out = append(out, r.Criteria...)
@@ -177,27 +168,14 @@ func EncodeResult(r *slicer.Result) []byte {
 	out = appendThreadMap(out, r.SliceByThread)
 	out = appendFuncMap(out, r.ByFunc)
 	out = appendFuncMap(out, r.SliceByFunc)
-
-	out = binary.AppendUvarint(out, uint64(len(r.Progress)))
-	for _, p := range r.Progress {
-		out = binary.AppendUvarint(out, uint64(p.Processed))
-		out = binary.AppendUvarint(out, uint64(p.Sliced))
-		out = binary.AppendUvarint(out, uint64(p.MainProcessed))
-		out = binary.AppendUvarint(out, uint64(p.MainSliced))
-	}
-	return out
+	return append(out, 0)
 }
 
 // SliceDigest is the content digest of a slice: the hex SHA-256 of its
-// EncodeResult with the progress samples stripped, so it depends only on
-// what is in the slice, not on the ProgressPoints sampling option. The
-// service reports it as Result.SliceDigest, and `webslice verify -exp
-// golden`, which slices with sampling off, pins it in
-// examples/golden/corpus.json.
+// EncodeResult. The service reports it as Result.SliceDigest, and `webslice
+// verify -exp golden` pins it in examples/golden/corpus.json.
 func SliceDigest(r *slicer.Result) string {
-	c := *r
-	c.Progress = nil
-	sum := sha256.Sum256(EncodeResult(&c))
+	sum := sha256.Sum256(EncodeResult(r))
 	return hex.EncodeToString(sum[:])
 }
 

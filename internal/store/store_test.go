@@ -366,22 +366,8 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		SliceByThread: map[uint8]int{0: 50, 3: 7},
 		ByFunc:        map[trace.FuncID]int{1: 60, 9: 70},
 		SliceByFunc:   map[trace.FuncID]int{1: 20, 9: 37},
-		Progress: []slicer.ProgressPoint{
-			{Processed: 65, Sliced: 30, MainProcessed: 50, MainSliced: 25},
-			{Processed: 130, Sliced: 57, MainProcessed: 100, MainSliced: 50},
-		},
 	}
 	if !bytes.Equal(EncodeResult(in), EncodeResult(in)) {
 		t.Fatal("EncodeResult is not deterministic")
-	}
-}
-
-func TestSliceVariantFingerprintsOptions(t *testing.T) {
-	a := SliceVariant("pixels", slicer.Options{ProgressPoints: 160})
-	b := SliceVariant("pixels", slicer.Options{ProgressPoints: 100})
-	c := SliceVariant("pixels", slicer.Options{ProgressPoints: 160, NoControlDeps: true})
-	d := SliceVariant("syscalls", slicer.Options{ProgressPoints: 160})
-	if a == b || a == c || a == d || b == c {
-		t.Fatalf("variants collide: %q %q %q %q", a, b, c, d)
 	}
 }

@@ -276,7 +276,8 @@ func BenchmarkDecodeV3(b *testing.B) {
 }
 
 // BenchmarkAblationControlDeps compares full slicing against
-// data-dependence-only slicing (CDG disabled).
+// data-dependence-only slicing: the slice over an empty control dependence
+// graph.
 func BenchmarkAblationControlDeps(b *testing.B) {
 	bench := sites.AmazonDesktop(sites.Options{Scale: benchScale()})
 	br := browser.New(bench.Site, bench.Profile)
@@ -292,7 +293,7 @@ func BenchmarkAblationControlDeps(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dataOnly, err := slicer.Slice(br.M.Tr, nil, slicer.PixelCriteria{}, slicer.Options{NoControlDeps: true})
+		dataOnly, err := slicer.Slice(br.M.Tr, &cdg.Deps{}, slicer.PixelCriteria{}, slicer.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -74,6 +74,10 @@ go test -race -count=20 -run 'TestConcurrentGetPutEvictStress' ./internal/store
 # wait can end by cancellation, an obtain error or the obtainer's panic.
 # Race every one of those hand-offs many times (about 2 s).
 go test -race -count=50 -run 'TestTraceShare' ./internal/service
+# The share also holds the trace's forward pass: the first holder loads or
+# computes it under the share's lock, and its twin takes it from there, with
+# or without a store. Race that hand-off through whole jobs.
+go test -race -count=10 -run 'TestTwin' ./internal/service
 # A stopping daemon drains its jobs while it still serves, and closes its
 # server only after the drain: the signal, the HTTP server and the workers
 # hand shutdown to each other, so one passing run can be luck.

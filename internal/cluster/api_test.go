@@ -3,11 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,8 +62,10 @@ func serve(h http.Handler, method, path string, body []byte, contentLength int64
 
 // TestAPIContract: a worker and a coordinator serve one API, so the same
 // requests get the same status codes from both. On the coordinator every
-// submit is routed to an in-process worker, and the worker's refusal (429
-// with its Retry-After, 400, 413) is the coordinator's answer.
+// submit is routed to an in-process worker. A spec or upload that no worker
+// would admit (400, 413) is refused by the coordinator's own manager, which
+// has the worker's admission limit as websliced gives every node the same;
+// the worker's backpressure (429 with its Retry-After) is passed on.
 func TestAPIContract(t *testing.T) {
 	roles := map[string]func(t *testing.T, block chan struct{}) apiRole{
 		"worker": func(t *testing.T, block chan struct{}) apiRole {
@@ -75,7 +80,7 @@ func TestAPIContract(t *testing.T) {
 			w := contractWorker(t, block)
 			srv := httptest.NewServer(service.NewHandler(w))
 			t.Cleanup(srv.Close)
-			local := service.New(service.Config{Workers: 1, QueueDepth: 1, Node: "http://coordinator.test"})
+			local := service.New(service.Config{Workers: 1, QueueDepth: 1, MaxTraceBytes: 1 << 10, Node: "http://coordinator.test"})
 			t.Cleanup(local.Kill)
 			co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{srv.URL}})
 			t.Cleanup(co.Stop)
@@ -177,6 +182,87 @@ func TestAPIContract(t *testing.T) {
 				t.Fatalf("submit while draining = %d %s, want 503", rw.Code, rw.Body)
 			}
 		})
+	}
+}
+
+// declaredRecsUpload builds a v3 upload of a few hundred bytes whose index
+// declares blocks empty blocks of 2^20 records each.
+func declaredRecsUpload(blocks int) []byte {
+	const blockRecs = 1 << 20
+	section := func(out, body []byte) []byte {
+		return binary.LittleEndian.AppendUint32(append(out, body...), crc32.ChecksumIEEE(body))
+	}
+	out := section(nil, binary.AppendUvarint(binary.AppendUvarint([]byte("WSLT"), 3), blockRecs))
+	var idx []byte
+	prev := 0
+	for range blocks {
+		idx = binary.AppendUvarint(binary.AppendUvarint(idx, uint64(len(out)-prev)), blockRecs)
+		prev = len(out)
+		out = section(append(out, 0x01, 0), nil) // block tag, empty payload
+	}
+	footOff := len(out)
+	// No functions, threads, syscalls, markers or clock points.
+	out = section(append(out, 0x02, 5), make([]byte, 5))
+	indexOff := len(out)
+	out = section(out, append(binary.AppendUvarint(binary.AppendUvarint(nil, uint64(footOff)), uint64(blocks)), idx...))
+	out = section(out, binary.LittleEndian.AppendUint64(nil, uint64(indexOff)))
+	return append(out, "WS3K"...)
+}
+
+// TestCoordinatorAdmitsLikeAWorker: a coordinator runs its own manager's
+// admission check before it routes, so a spec or upload that no worker
+// would admit is refused at the coordinator with a 400 or 413, and no
+// worker sees its submit.
+func TestCoordinatorAdmitsLikeAWorker(t *testing.T) {
+	w := service.New(service.Config{
+		Workers: 1,
+		Runner: func(context.Context, service.Spec) (*service.Result, error) {
+			return &service.Result{}, nil
+		},
+	})
+	t.Cleanup(w.Kill)
+	var submits atomic.Int32
+	wh := service.NewHandler(w)
+	wsrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			submits.Add(1)
+		}
+		wh.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(wsrv.Close)
+	local := service.New(service.Config{Workers: 1, Node: "http://coordinator.test"})
+	t.Cleanup(local.Kill)
+	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{wsrv.URL}})
+	t.Cleanup(co.Stop)
+	h := NewHandler(co)
+
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		code       int
+		errHas     string
+	}{
+		{"v2 trace", "/jobs/trace", append([]byte("WSLT\x02"), bytes.Repeat([]byte{0}, 64)...), 400, "format version 2"},
+		{"garbage", "/jobs/trace", []byte("garbage, not a trace"), 400, "not a WSLT trace"},
+		{"declared records", "/jobs/trace", declaredRecsUpload(9), 413, "records (limit"},
+		{"unknown site", "/jobs", []byte(`{"site":"nope"}`), 400, `unknown site "nope"`},
+		{"scale", "/jobs", []byte(`{"site":"maps","scale":64}`), 400, "invalid scale"},
+	} {
+		rw := serve(h, http.MethodPost, tc.path, tc.body, 0)
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.Unmarshal(rw.Body.Bytes(), &e)
+		if rw.Code != tc.code || !strings.Contains(e.Error, tc.errHas) {
+			t.Errorf("%s: %d %q, want %d with an error naming %q", tc.name, rw.Code, e.Error, tc.code, tc.errHas)
+		}
+	}
+	if n := submits.Load(); n != 0 {
+		t.Errorf("the worker saw %d submits the coordinator should have refused", n)
+	}
+	// A spec the check admits is routed to the worker.
+	if rw := serve(h, http.MethodPost, "/jobs", []byte(`{"site":"maps"}`), 0); rw.Code != http.StatusAccepted || submits.Load() != 1 {
+		t.Errorf("valid submit = %d %s with %d worker submits, want 202 and 1", rw.Code, rw.Body, submits.Load())
 	}
 }
 

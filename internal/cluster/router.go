@@ -217,10 +217,16 @@ func (c *Coordinator) peerCounter(kind, peer string) *metrics.Counter {
 // and when no ring member accepts the job it falls back to local
 // execution, so a lone coordinator still makes progress. A 429 from the
 // owner is backpressure, not failure: it propagates to the caller rather
-// than stampeding a colder node. Once the local manager drains, Submit
-// refuses with service.ErrClosed, as a draining worker does: the job ids
-// it would hand out end with the coordinator.
+// than stampeding a colder node. The local manager's admission check
+// (service.Manager.Validate) runs first, so a spec or upload that no worker
+// would admit is refused here, with the answer a worker gives, and reaches
+// no worker. Once the local manager drains, Submit refuses with
+// service.ErrClosed, as a draining worker does: the job ids it would hand
+// out end with the coordinator.
 func (c *Coordinator) Submit(spec service.Spec) (string, error) {
+	if err := c.cfg.Local.Validate(&spec); err != nil {
+		return "", err
+	}
 	if c.cfg.Local.Draining() {
 		return "", service.ErrClosed
 	}

@@ -10,6 +10,7 @@ import (
 
 	"webslice/internal/browser"
 	"webslice/internal/core"
+	"webslice/internal/obs"
 	"webslice/internal/sites"
 	"webslice/internal/slicer"
 	"webslice/internal/store"
@@ -108,43 +109,37 @@ func TestTraceRoundTripKeepsKeyAndSlice(t *testing.T) {
 	}
 }
 
-// TestForwardPassServedFromStore: a profiler whose trace's forward pass is
-// already in the store loads it instead of rebuilding it, as the service's
-// other-criteria repeat of a trace does.
-func TestForwardPassServedFromStore(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
+// TestForwardPassHandedOver: a profiler given a trace's forward pass, as the
+// service hands one over from a trace's share or from its store, uses it as
+// given. It records no forward span, and it slices as a profiler that
+// computed the pass does.
+func TestForwardPassHandedOver(t *testing.T) {
+	tr := renderAmazon(t)
+	computed := core.NewProfiler(tr)
+	want, err := computed.Slice(slicer.SyscallCriteria{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeProfiler := func() *core.Profiler {
-		p := core.NewProfiler(renderAmazon(t))
-		// Both profilers render one site, so they share a forward-pass key,
-		// as the service's jobs of one JobKey do.
-		p.UseStore(st, "amazon-desktop@0.05")
-		return p
-	}
-	p1 := storeProfiler()
-	if _, err := p1.Slice(slicer.PixelCriteria{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Stats().Puts; got != 1 {
-		t.Fatalf("first profiler stored %d forward passes, want the 1 it computed", got)
-	}
 
-	// A second profiler over an identical trace, slicing the other
-	// criteria, loads the forward pass from the store.
-	p2 := storeProfiler()
-	before := st.Stats().Hits
-	if _, err := p2.Slice(slicer.SyscallCriteria{}); err != nil {
+	tracer := obs.New(64, nil)
+	root := tracer.Root("test")
+	given := core.NewProfiler(tr)
+	given.Deps = computed.Deps
+	given.Obs = root
+	got, err := given.Slice(slicer.SyscallCriteria{})
+	root.End()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats().Hits <= before {
-		t.Fatal("store hit counter did not increment")
+	for _, s := range tracer.Snapshot() {
+		if s.Name == "forward" {
+			t.Fatal("a profiler given its forward pass ran one")
+		}
 	}
-	if got := st.Stats().Puts; got != 1 {
-		t.Fatalf("%d forward passes stored; the second should have been loaded from the store, not rebuilt", got)
+	if given.Deps != computed.Deps {
+		t.Fatal("the profiler replaced the forward pass it was given")
 	}
-	if p2.Deps() == nil {
-		t.Fatal("forward pass missing after store load")
+	if !bytes.Equal(store.EncodeResult(got), store.EncodeResult(want)) {
+		t.Fatal("slicing over a given forward pass differs from slicing over a computed one")
 	}
 }

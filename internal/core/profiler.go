@@ -10,23 +10,21 @@
 //	res, err := p.Slice(slicer.PixelCriteria{})
 //
 // One forward pass serves every backward pass over the same trace, as the
-// paper notes: the profiler keeps it across calls, each Slice is one reverse
-// walk for one criterion, and an attached artifact store (see UseStore)
-// persists the forward pass. The backward pass always runs; a caller that
-// wants to skip it caches its own answer (the service keeps a job's finished
-// result).
+// paper notes: the profiler keeps it across calls (Profiler.Deps), and each
+// Slice is one reverse walk for one criterion. The profiler computes and its
+// callers cache: a caller that kept a trace's forward pass hands it over in
+// Deps, and one that wants to skip the backward pass keeps its own answer.
+// The service keeps both, the forward pass and the finished result.
 package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"webslice/internal/cdg"
 	"webslice/internal/cfg"
 	"webslice/internal/obs"
 	"webslice/internal/replay"
 	"webslice/internal/slicer"
-	"webslice/internal/store"
 	"webslice/internal/trace"
 )
 
@@ -47,7 +45,10 @@ type Profiler struct {
 	// T is the trace being profiled.
 	T *trace.Trace
 
-	deps *cdg.Deps
+	// Deps is the forward pass's product, T's control dependence graph.
+	// Forward computes it when it is nil; a caller that kept the graph of
+	// the same trace sets it first, and the profiler uses it as given.
+	Deps *cdg.Deps
 
 	// Opts are the options of every slicing run.
 	Opts slicer.Options
@@ -58,17 +59,10 @@ type Profiler struct {
 	VerifyInvariants bool
 
 	// Obs, when non-nil, is the parent span the profiler records its work
-	// under: the forward pass, the backward pass (slice.scan), every
-	// forward-pass store lookup/publish (with hit/miss and the disk
-	// breaker's state), and invariant verification each become child spans.
-	// Nil disables tracing at zero cost — every obs.Span method is nil-safe.
+	// under: the forward pass, the backward pass (slice.scan) and invariant
+	// verification each become child spans. Nil disables tracing at zero
+	// cost — every obs.Span method is nil-safe.
 	Obs *obs.Span
-
-	// store, when set, is consulted before the forward pass, which loads a
-	// cached control dependence graph instead of computing one. key is the
-	// forward pass's key in the store.
-	store *store.Store
-	key   string
 }
 
 // NewProfiler wraps a trace. Run Forward before slicing (Slice does it on
@@ -77,38 +71,17 @@ func NewProfiler(t *trace.Trace) *Profiler {
 	return &Profiler{T: t}
 }
 
-// UseStore attaches a content-addressed artifact store, in which key is
-// the key of this trace's forward pass. The caller derives it from what
-// names the trace (the service from a job's JobKey and AnalysisVersion),
-// so the trace is not hashed here. From then on Forward consults the store
-// before computing and publishes what it computes.
-func (p *Profiler) UseStore(s *store.Store, key string) {
-	p.store, p.key = s, key
-}
-
-// Forward runs the forward pass: per-function CFGs from the dynamic trace,
-// postdominator trees, and the control dependence graph. With a store
-// attached, a cached dependence graph is loaded instead (the CFGs are then
-// not built) and a computed one is saved.
+// Forward runs the forward pass, unless Deps is already set: per-function
+// CFGs from the dynamic trace, postdominator trees, and the control
+// dependence graph, which it stores in Deps.
 // Opts.Canceled is honored at the pass's phase boundaries (the backward
 // pass additionally polls it mid-walk; see slicer.Options.Canceled).
 func (p *Profiler) Forward() error {
-	if p.deps != nil {
+	if p.Deps != nil {
 		return nil
 	}
 	if p.canceled() {
 		return slicer.ErrCanceled
-	}
-	if p.store != nil {
-		// A decode/corruption error is a cache miss, not a failure.
-		gs := p.storeSpan("store.get")
-		d, ok, _ := p.store.GetDeps(p.key)
-		gs.Set("hit", strconv.FormatBool(ok))
-		gs.End()
-		if ok {
-			p.deps = d
-			return nil
-		}
 	}
 	fs := p.Obs.Child("forward")
 	f, err := cfg.Build(p.T)
@@ -120,27 +93,9 @@ func (p *Profiler) Forward() error {
 		fs.EndErr(slicer.ErrCanceled)
 		return slicer.ErrCanceled
 	}
-	p.deps = cdg.Compute(f)
+	p.Deps = cdg.Compute(f)
 	fs.End()
-	if p.store != nil {
-		ps := p.storeSpan("store.put")
-		p.store.PutDeps(p.key, p.deps)
-		ps.End()
-	}
 	return nil
-}
-
-// storeSpan starts a child span for one forward-pass store operation,
-// annotated kind=deps and with the disk breaker's current state (closed /
-// half-open / open), so degraded-store jobs are visible in traces.
-// Nil-safe: with tracing off it returns nil.
-func (p *Profiler) storeSpan(op string) *obs.Span {
-	if p.Obs == nil {
-		return nil
-	}
-	return p.Obs.Child(op).
-		Set("kind", "deps").
-		Set("breaker", p.store.BreakerState().String())
 }
 
 // canceled polls the default options' cancellation hook.
@@ -148,28 +103,22 @@ func (p *Profiler) canceled() bool {
 	return p.Opts.Canceled != nil && p.Opts.Canceled()
 }
 
-// Deps returns the control dependence graph (nil before Forward).
-func (p *Profiler) Deps() *cdg.Deps { return p.deps }
-
 // Slice runs the backward pass for one criterion with p.Opts: one reverse
-// walk of the trace. The forward pass runs on demand (from the store, if one
-// is attached and holds it). Under VerifyInvariants the result passes the
-// invariant oracles first.
+// walk of the trace. The forward pass runs first if Deps is not set. Under
+// VerifyInvariants the result passes the invariant oracles first.
 func (p *Profiler) Slice(c slicer.Criteria) (*slicer.Result, error) {
-	if !p.Opts.NoControlDeps {
-		if err := p.Forward(); err != nil {
-			return nil, err
-		}
+	if err := p.Forward(); err != nil {
+		return nil, err
 	}
 	sp := p.Obs.Child("slice.scan")
-	r, err := slicer.Slice(p.T, p.deps, c, p.Opts)
+	r, err := slicer.Slice(p.T, p.Deps, c, p.Opts)
 	sp.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
 	if p.VerifyInvariants {
 		vs := p.Obs.Child("verify")
-		err := replay.CheckInvariants(p.T, p.deps, r)
+		err := replay.CheckInvariants(p.T, p.Deps, r)
 		vs.EndErr(err)
 		if err != nil {
 			return nil, fmt.Errorf("core: slice %q failed verification: %w", r.Criteria, err)

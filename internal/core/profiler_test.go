@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"webslice/internal/browser/debuglog"
 	"webslice/internal/isa"
 	"webslice/internal/obs"
 	"webslice/internal/slicer"
+	"webslice/internal/trace"
 	"webslice/internal/vm"
 	"webslice/internal/vmem"
 )
@@ -32,7 +35,7 @@ func TestProfilerEndToEnd(t *testing.T) {
 	if err := p.Forward(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Deps() == nil {
+	if p.Deps == nil {
 		t.Fatal("forward products missing")
 	}
 	pix, err := p.Slice(slicer.PixelCriteria{})
@@ -90,4 +93,34 @@ func TestSliceVerifiesInvariants(t *testing.T) {
 		}
 	}
 	t.Fatal("Slice with VerifyInvariants recorded no verify span")
+}
+
+// TestSliceErrors: a forward pass that cannot build the trace's CFG fails
+// the slice, and so does a Canceled hook that fires at either of the pass's
+// polls, before the CFG is built or before the control dependence graph
+// is; neither leaves a forward pass behind. A nil criterion is the
+// backward pass's error.
+func TestSliceErrors(t *testing.T) {
+	tr := trace.New()
+	f, _ := tr.AddFunc("f", "blink")
+	g, _ := tr.AddFunc("g", "blink")
+	tr.Recs = []trace.Rec{
+		{PC: trace.MakePC(f, 0), Kind: isa.KindConst, Dst: 1},
+		{PC: trace.MakePC(g, 0), Kind: isa.KindConst, Dst: 2}, // no call between them
+	}
+	p := NewProfiler(tr)
+	if _, err := p.Slice(slicer.PixelCriteria{}); err == nil || !strings.Contains(err.Error(), "core: forward pass") || p.Deps != nil {
+		t.Errorf("unbalanced trace: err = %v, want a forward-pass error and no forward pass", err)
+	}
+	for fireAt := 1; fireAt <= 2; fireAt++ {
+		p := NewProfiler(demoMachine().Tr)
+		polls := 0
+		p.Opts.Canceled = func() bool { polls++; return polls == fireAt }
+		if _, err := p.Slice(slicer.PixelCriteria{}); !errors.Is(err, slicer.ErrCanceled) || p.Deps != nil {
+			t.Errorf("hook firing at poll %d: err = %v; want ErrCanceled and no forward pass", fireAt, err)
+		}
+	}
+	if _, err := NewProfiler(demoMachine().Tr).Slice(nil); err == nil {
+		t.Error("a nil criterion sliced without error")
+	}
 }

@@ -134,7 +134,7 @@ func runVerified(b sites.Benchmark) (*verifiedRun, error) {
 		return nil, fmt.Errorf("verify: %s: %w", b.Name, err)
 	}
 	return &verifiedRun{
-		bench: b, tr: br.M.Tr, tape: tape, deps: p.Deps(),
+		bench: b, tr: br.M.Tr, tape: tape, deps: p.Deps,
 		pix: rs[0], sys: rs[1], uni: rs[2],
 	}, nil
 }
@@ -419,9 +419,10 @@ func categoryDigest(t *trace.Trace, rs ...*slicer.Result) string {
 
 // checkCrossFormat runs one golden entry's rendered trace through the
 // upload path: the trace is encoded, decoded with OpenV3 and ReadAll, and
-// sliced by two profilers over the decoded trace. The first has no store,
-// so its forward pass misses. The second finds the first one's forward
-// pass in a memory-only store. For both, every pinned digest must
+// sliced by two profilers over the decoded trace. The first computes its
+// forward pass. The second is handed the first one's, after a round trip
+// through a memory-only store (PutDeps, then GetDeps), as the service's
+// other-criteria repeat of an upload is. For both, every pinned digest must
 // reproduce, the Figure 5 category digest included, and the Table II
 // slice percentages must be identical to the rendered run's. The first
 // one's slices must also satisfy the replay oracle against the original
@@ -448,10 +449,13 @@ func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
 	if err != nil {
 		return fmt.Errorf("verify: crossformat %s: %w", e.Label(), err)
 	}
-	hit := core.NewProfiler(dec)
 	key := store.KeyBytes(enc.Bytes())
-	hit.UseStore(st, key)
-	st.PutDeps(key, p.Deps())
+	st.PutDeps(key, p.Deps)
+	hit := core.NewProfiler(dec)
+	var ok bool
+	if hit.Deps, ok, err = st.GetDeps(key); !ok {
+		return fmt.Errorf("verify: crossformat %s: forward pass not loaded back from the store (%v)", e.Label(), err)
+	}
 	hrs, err := sliceVerified(hit)
 	if err != nil {
 		return fmt.Errorf("verify: crossformat %s: forward-pass hit: %w", e.Label(), err)
@@ -479,7 +483,7 @@ func checkCrossFormat(e *GoldenEntry, v *verifiedRun) error {
 	}
 	// Replay-oracle verdicts: slices of the decoded trace must
 	// reproduce the criterion bytes on the original tape.
-	w := &verifiedRun{bench: v.bench, tr: v.tr, tape: v.tape, deps: p.Deps(), pix: rs[0], sys: rs[1], uni: rs[2]}
+	w := &verifiedRun{bench: v.bench, tr: v.tr, tape: v.tape, deps: p.Deps, pix: rs[0], sys: rs[1], uni: rs[2]}
 	if err := w.replayAll(); err != nil {
 		return fmt.Errorf("verify: crossformat: %w", err)
 	}

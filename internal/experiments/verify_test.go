@@ -114,6 +114,20 @@ func TestVerifyDetectsDigestDrift(t *testing.T) {
 	}
 }
 
+// TestCrossFormatDetectsDigestDrift: the cross-format phase slices the
+// decoded upload and fails, naming the site, when a slice digest differs
+// from its pin.
+func TestCrossFormatDetectsDigestDrift(t *testing.T) {
+	entry := seedEntry(t)
+	entry.Pixels = strings.Repeat("0", 64)
+	bad := filepath.Join(t.TempDir(), "corpus.json")
+	writeGoldenFor(t, bad, &GoldenCorpus{Sites: []GoldenEntry{entry}})
+	_, err := ExecuteVerify("crossformat", VerifyConfig{GoldenPath: bad})
+	if err == nil || !strings.Contains(err.Error(), "crossformat "+entry.Label()) || !strings.Contains(err.Error(), "decoded pixel slice digest") {
+		t.Fatalf("cross-format phase with a drifted pixel pin: err = %v, want one naming the site and the decoded pixel digest", err)
+	}
+}
+
 // TestVerifyDetectsTraceDriftWithoutBump: a rendered trace that differs
 // from its pin under an unchanged RenderVersion fails the golden phase,
 // naming the site and the version, and -update refuses to re-pin it and

@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the slicing service:
 // hierarchical spans with W3C-traceparent-style context propagation, so a
 // coordinator-routed job yields one causally-linked trace spanning the
-// router, the owner's queue, the worker, the profiler's store lookups,
-// and its forward and backward passes — a per-request "Table II" for the
+// router, the owner's queue, the worker, its store lookups, and the
+// profiler's forward and backward passes — a per-request "Table II" for the
 // service itself.
 //
 // The design goals mirror the paper's instrumentation discipline: cheap

@@ -73,7 +73,12 @@ func TestNaiveAgreesWithOptimized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("refslicer %s noCDG=%v: %v", c.Name(), noCDG, err)
 			}
-			got, err := slicer.Slice(m.Tr, deps, c, slicer.Options{NoControlDeps: noCDG})
+			// The slicer's data-only slice is its slice over an empty graph.
+			sdeps := deps
+			if noCDG {
+				sdeps = &cdg.Deps{}
+			}
+			got, err := slicer.Slice(m.Tr, sdeps, c, slicer.Options{})
 			if err != nil {
 				t.Fatalf("slicer %s noCDG=%v: %v", c.Name(), noCDG, err)
 			}

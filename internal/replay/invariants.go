@@ -25,14 +25,15 @@ import (
 //   - call closure: every in-slice record inside a call has its enclosing
 //     Call record in the slice (interprocedural control dependence).
 //
-// deps may be nil only for a slice computed with NoControlDeps; the closure
-// checks are skipped then.
+// deps is the graph the slice was computed over. For a data-only slice
+// that is the empty graph, &cdg.Deps{}, under which no record has a
+// controlling branch and the call closure still holds.
 func CheckInvariants(t *trace.Trace, deps *cdg.Deps, res *slicer.Result) error {
+	if deps == nil {
+		return fmt.Errorf("invariant: nil control dependences (an empty cdg.Deps checks the data-only slice)")
+	}
 	if err := checkSubset(t, res); err != nil {
 		return err
-	}
-	if deps == nil {
-		return nil
 	}
 	return checkClosure(t, deps, res)
 }

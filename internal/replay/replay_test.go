@@ -199,3 +199,37 @@ func TestInvariantsCatchPerturbations(t *testing.T) {
 		t.Error("monotonicity check accepted a union missing a component record")
 	}
 }
+
+// TestInvariantsOverEmptyGraph: a data-only slice, the slice over an empty
+// control dependence graph, is checked under that graph. It passes, the call
+// closure still catches a dropped call record, and a nil graph is an error
+// rather than a skipped check.
+func TestInvariantsOverEmptyGraph(t *testing.T) {
+	m, _ := record()
+	empty := &cdg.Deps{}
+	res, err := slicer.Slice(m.Tr, empty, slicer.SyscallCriteria{}, slicer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckInvariants(m.Tr, empty, res); err != nil {
+		t.Fatalf("data-only slice under the empty graph: %v", err)
+	}
+	if err := CheckInvariants(m.Tr, nil, res); err == nil || !strings.Contains(err.Error(), "empty cdg.Deps") {
+		t.Errorf("nil graph: err = %v, want one naming the empty cdg.Deps", err)
+	}
+	victim := -1
+	for i := range m.Tr.Recs {
+		if m.Tr.Recs[i].Kind == isa.KindCall && res.InSlice.Get(i) {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no in-slice call found")
+	}
+	res.InSlice[victim>>6] &^= 1 << (uint(victim) & 63)
+	res.SliceCount--
+	if err := CheckInvariants(m.Tr, empty, res); err == nil || !strings.Contains(err.Error(), "enclosing call") {
+		t.Errorf("call closure under the empty graph: err = %v, want an enclosing-call violation", err)
+	}
+}

@@ -382,7 +382,7 @@ func (m *Manager) resume(entries []JournalEntry) {
 		j := &job{id: e.ID, spec: spec, enqueued: time.Now()}
 		m.startJobSpan(j)
 		j.span.Set("resumed", "true")
-		if err := m.validate(&j.spec); err != nil {
+		if err := m.Validate(&j.spec); err != nil {
 			j.status = StatusFailed
 			j.err = err.Error()
 			j.finished = j.enqueued
@@ -415,7 +415,7 @@ func (m *Manager) Workers() int { return m.cfg.Workers }
 // acknowledged submission survives any crash. A full queue fails fast
 // with ErrQueueFull; after Close it fails with ErrClosed.
 func (m *Manager) Submit(spec Spec) (string, error) {
-	if err := m.validate(&spec); err != nil {
+	if err := m.Validate(&spec); err != nil {
 		return "", err
 	}
 	m.mu.Lock()
@@ -479,7 +479,15 @@ const maxScale = 2
 // 7,782,104 records.
 const maxUploadRecs = 1 << 23
 
-func (m *Manager) validate(spec *Spec) error {
+// Validate is the admission check of both roles: Submit runs it, and a
+// coordinator runs its own manager's before it routes a job, so that what
+// no worker would admit is refused at the edge with the worker's answer. It
+// refuses an upload over Config.MaxTraceBytes or declaring more than
+// maxUploadRecs records (ErrTraceTooLarge), an upload that is not a v3
+// trace whose index and footer parse, unknown criteria or site, and a scale
+// outside (0, maxScale]. It fills in the defaults: pixels criteria and, for
+// a site, scale 1. Nothing is rendered or decoded.
+func (m *Manager) Validate(spec *Spec) error {
 	if m.cfg.MaxTraceBytes > 0 && int64(len(spec.Trace)) > m.cfg.MaxTraceBytes {
 		return fmt.Errorf("%w: %d bytes (limit %d)", ErrTraceTooLarge, len(spec.Trace), m.cfg.MaxTraceBytes)
 	}
@@ -865,11 +873,11 @@ func (m *Manager) drop(j *job) {
 	}
 }
 
-// run is the default pipeline: obtain the trace (decode or render), attach
-// the store, slice, and package the statistics. An unverified job first
+// run is the default pipeline: obtain the trace (decode or render), find its
+// forward pass, slice, and package the statistics. An unverified job first
 // looks its whole result up by JobKey, and a hit skips all of that. The jobs
-// of one JobKey in flight together share one trace (traceShares) and one
-// forward pass. The context's deadline/cancellation is polled at phase
+// of one JobKey in flight together share one trace and one forward pass
+// (traceShares). The context's deadline/cancellation is polled at phase
 // boundaries and, through slicer.Options.Canceled, inside the backward walk
 // itself.
 func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
@@ -908,17 +916,10 @@ func (m *Manager) run(ctx context.Context, spec Spec) (*Result, error) {
 	t := sh.t
 	p := core.NewProfiler(t)
 	p.Opts.Canceled = func() bool { return ctx.Err() != nil }
-	if m.cfg.Store != nil {
-		p.UseStore(m.cfg.Store, depsKey)
-	}
 	p.VerifyInvariants = verify
 	ss := s.Child("slice").Set("criteria", spec.Criteria)
-	p.Obs = ss // forward-pass store lookups, both passes, and verification parent here
-	// One holder of the trace at a time runs the forward pass (see
-	// traceShare.fwd).
-	sh.fwd.Lock()
-	err = p.Forward()
-	sh.fwd.Unlock()
+	p.Obs = ss // forward-pass store operations, both passes, and verification parent here
+	err = m.forward(sh, p, depsKey)
 	var res *slicer.Result
 	if err == nil {
 		res, err = p.Slice(crit)
@@ -1005,12 +1006,53 @@ func storeKeys(jobKey string, crit slicer.Criteria, analysis int) (deps, result 
 	return key(store.KindDeps), key("slice-" + crit.Name())
 }
 
+// depsSpanKind is the kind attribute of a forward pass's store spans. It is
+// not the store's kind string, store.KindDeps: span readers (e2ebench's
+// store rows among them) select these spans by "deps".
+const depsSpanKind = "deps"
+
+// forward hands p the forward pass of the trace in sh, holding sh.fwd: the
+// pass a holder of sh loaded or computed before, else the store's under
+// key, else one p computes, which is then stored. A holder that takes it
+// from sh records its wait as a forward span with shared=true, as a waiting
+// holder's obtain span is. A failed or canceled pass leaves sh without one.
+func (m *Manager) forward(sh *traceShare, p *core.Profiler, key string) error {
+	waitStart := time.Now()
+	sh.fwd.Lock()
+	defer sh.fwd.Unlock()
+	if sh.deps != nil {
+		p.Obs.ChildAt("forward", waitStart, time.Now(), obs.Attr{K: "shared", V: "true"})
+		p.Deps = sh.deps
+		return nil
+	}
+	if m.cfg.Store != nil {
+		// A decode or corruption error is a miss, not a failure.
+		gs := m.storeSpan(p.Obs, "store.get", depsSpanKind)
+		d, ok, _ := m.cfg.Store.GetDeps(key)
+		gs.Set("hit", strconv.FormatBool(ok))
+		gs.End()
+		p.Deps = d
+	}
+	if p.Deps == nil {
+		if err := p.Forward(); err != nil {
+			return err
+		}
+		if m.cfg.Store != nil {
+			ps := m.storeSpan(p.Obs, "store.put", depsSpanKind)
+			m.cfg.Store.PutDeps(key, p.Deps)
+			ps.End()
+		}
+	}
+	sh.deps = p.Deps
+	return nil
+}
+
 // cachedResult looks a finished result up in the store and marks it a
 // cache hit. A failed Get (a corrupt blob, which the store evicts, or a
 // failing disk) and a blob that does not decode are misses, not job
 // failures; the recomputed result then overwrites the entry.
 func (m *Manager) cachedResult(s *obs.Span, key string) (*Result, bool) {
-	gs := m.resultSpan(s, "store.get")
+	gs := m.storeSpan(s, "store.get", store.KindResult)
 	b, ok, _ := m.cfg.Store.Get(store.KindResult, key)
 	var res Result
 	ok = ok && json.Unmarshal(b, &res) == nil
@@ -1025,7 +1067,7 @@ func (m *Manager) cachedResult(s *obs.Span, key string) (*Result, bool) {
 
 // putResult stores a finished result for later repeats of its job.
 func (m *Manager) putResult(s *obs.Span, key string, res *Result) error {
-	ps := m.resultSpan(s, "store.put")
+	ps := m.storeSpan(s, "store.put", store.KindResult)
 	b, err := json.Marshal(res)
 	if err == nil {
 		m.cfg.Store.Put(store.KindResult, key, b)
@@ -1037,15 +1079,16 @@ func (m *Manager) putResult(s *obs.Span, key string, res *Result) error {
 	return nil
 }
 
-// resultSpan starts a child span for one result-cache operation, annotated
-// like the profiler's store spans with the artifact kind and the disk
-// breaker's state. Nil-safe: with tracing off it returns nil.
-func (m *Manager) resultSpan(parent *obs.Span, op string) *obs.Span {
+// storeSpan starts a child span for one store operation on either artifact,
+// annotated with its kind and the disk breaker's state (closed, half-open or
+// open), so degraded-store jobs are visible in traces. Nil-safe: with
+// tracing off it returns nil and reads no breaker state.
+func (m *Manager) storeSpan(parent *obs.Span, op, kind string) *obs.Span {
 	if parent == nil {
 		return nil
 	}
 	return parent.Child(op).
-		Set("kind", store.KindResult).
+		Set("kind", kind).
 		Set("breaker", m.cfg.Store.BreakerState().String())
 }
 

@@ -109,7 +109,7 @@ func TestValidateDoesNotBuildTheSite(t *testing.T) {
 	for _, name := range sites.Names() {
 		allocs := testing.AllocsPerRun(20, func() {
 			spec := Spec{Site: name, Scale: 0.5}
-			if err := m.validate(&spec); err != nil {
+			if err := m.Validate(&spec); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"webslice/internal/cdg"
 	"webslice/internal/obs"
 	"webslice/internal/trace"
 )
@@ -13,12 +14,12 @@ import (
 // non-nil, runs once no job holds the trace any more.
 type obtainFunc func(spec Spec) (t *trace.Trace, free func(), err error)
 
-// traceShares hands every job of one JobKey in flight together one trace.
-// The first job of a key obtains it; a job of that key that starts while a
-// holder is still running waits for the same trace instead of rendering or
-// decoding its own; the last holder to release it deletes the key and frees
-// it. So no trace outlives its jobs, and the traces a daemon holds are the
-// distinct ones in flight, not one per job.
+// traceShares hands every job of one JobKey in flight together one trace
+// and its forward pass. The first job of a key obtains the trace; a job of
+// that key that starts while a holder is still running waits for the same
+// trace instead of rendering or decoding its own; the last holder to release
+// it deletes the key and frees it. So no trace outlives its jobs, and the
+// traces a daemon holds are the distinct ones in flight, not one per job.
 type traceShares struct {
 	obtain obtainFunc // the manager's obtainTrace; tests substitute a fake
 
@@ -38,10 +39,13 @@ type traceShare struct {
 	// rather than inherit another job's panic.
 	abandoned bool
 
-	// fwd is held around each holder's forward pass. With a store attached
-	// the first holder computes it and puts it there, and the others'
-	// lookups then hit.
-	fwd sync.Mutex
+	// fwd guards deps, the forward pass of t. The first holder to take fwd
+	// loads the pass from the store or computes it and keeps it here, and
+	// every later holder takes it from here, with or without a store. A
+	// failed or canceled pass leaves deps nil, and the next holder tries
+	// again.
+	fwd  sync.Mutex
+	deps *cdg.Deps
 
 	holders int // guarded by traceShares.mu
 }

@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"webslice/internal/core"
 	"webslice/internal/experiments"
 	"webslice/internal/obs"
 	"webslice/internal/sites"
+	"webslice/internal/slicer"
 	"webslice/internal/store"
 	"webslice/internal/trace"
 )
@@ -334,15 +336,12 @@ func goldenEntry(t *testing.T, site string, scale float64, seed uint64) experime
 }
 
 // checkTwins runs both criteria of one trace together on a manager with a
-// store, a tracer and 2 workers. Both must match their golden digests, with
-// one obtain step between them (one unshared span named obtain, and one
-// shared), one forward pass, and one forward-pass store hit; and no trace
-// may be left once both are done.
-func checkTwins(t *testing.T, pixels Spec, obtain, wantKey string, e experiments.GoldenEntry) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+// tracer, 2 workers and st as its store (nil for none). Both must match
+// their golden digests, with one obtain step between them (one unshared
+// span named obtain, and one shared) and one forward pass (one unshared
+// forward span, and one shared). With a store, the forward pass is looked
+// up once, a miss, and put once. No trace may be left once both are done.
+func checkTwins(t *testing.T, st *store.Store, pixels Spec, obtain, wantKey string, e experiments.GoldenEntry) {
 	m := New(Config{Workers: 2, Store: st, Tracer: obs.New(1024, nil)})
 	defer m.Close()
 	gateObtain(m, 2, nil)
@@ -359,7 +358,17 @@ func checkTwins(t *testing.T, pixels Spec, obtain, wantKey string, e experiments
 		}
 		want[id] = j.digest
 	}
-	unshared, shared, forwards, depsHits := 0, 0, 0, 0
+	type spanCount struct{ unshared, shared int }
+	var obtains, forwards spanCount
+	count := func(c *spanCount, s obs.SpanData) {
+		if attr(s, "shared") == "true" {
+			c.shared++
+		} else {
+			c.unshared++
+		}
+	}
+	depsGets := map[string]int{} // hit attribute -> deps lookups
+	depsPuts := 0
 	for id, digest := range want {
 		waitStatus(t, m, id, StatusDone)
 		res, _ := m.Result(id)
@@ -369,24 +378,43 @@ func checkTwins(t *testing.T, pixels Spec, obtain, wantKey string, e experiments
 		spans, _ := m.JobTrace(id)
 		for _, s := range spans {
 			switch {
-			case s.Name == obtain && attr(s, "shared") == "true":
-				shared++
 			case s.Name == obtain:
-				unshared++
+				count(&obtains, s)
 			case s.Name == "forward":
-				forwards++
-			case s.Name == "store.get" && attr(s, "kind") == "deps" && attr(s, "hit") == "true":
-				depsHits++
+				count(&forwards, s)
+			case s.Name == "store.get" && attr(s, "kind") == "deps":
+				depsGets[attr(s, "hit")]++
+			case s.Name == "store.put" && attr(s, "kind") == "deps":
+				depsPuts++
 			}
 		}
 	}
-	if unshared != 1 || shared != 1 || forwards != 1 || depsHits != 1 {
-		t.Errorf("two jobs of one trace in flight: %d unshared and %d shared %s spans, %d forward spans, %d deps hits; want 1 of each",
-			unshared, shared, obtain, forwards, depsHits)
+	one := spanCount{unshared: 1, shared: 1}
+	if obtains != one || forwards != one {
+		t.Errorf("two jobs of one trace in flight: %+v %s spans and %+v forward spans; want one unshared and one shared of each",
+			obtains, obtain, forwards)
+	}
+	lookups := 0
+	if st != nil {
+		lookups = 1
+	}
+	if depsGets["false"] != lookups || depsGets["true"] != 0 || depsPuts != lookups {
+		t.Errorf("forward-pass store spans: %d misses, %d hits, %d puts; want %d, 0, %d",
+			depsGets["false"], depsGets["true"], depsPuts, lookups, lookups)
 	}
 	if holders(m.shares, JobKey(pixels)) != 0 || len(m.shares.m) != 0 {
 		t.Error("a trace outlived its jobs")
 	}
+}
+
+// openStore opens a store over a directory the test removes.
+func openStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestTwinSiteJobsShareOneRender: a site's pixels and syscalls jobs in
@@ -394,7 +422,7 @@ func checkTwins(t *testing.T, pixels Spec, obtain, wantKey string, e experiments
 func TestTwinSiteJobsShareOneRender(t *testing.T) {
 	e := goldenEntry(t, "amazon-desktop", 0.05, 0)
 	spec := Spec{Site: e.Name, Scale: e.Scale}
-	checkTwins(t, spec, "render", JobKey(spec), e)
+	checkTwins(t, openStore(t), spec, "render", JobKey(spec), e)
 }
 
 // TestTwinUploadsShareOneDecode: one upload submitted with both criteria at
@@ -402,7 +430,37 @@ func TestTwinSiteJobsShareOneRender(t *testing.T) {
 func TestTwinUploadsShareOneDecode(t *testing.T) {
 	e := goldenEntry(t, "", 0, 1003)
 	up := encodeV3(t, sites.Random(e.Seed))
-	checkTwins(t, Spec{Trace: up}, "trace.open", store.KeyBytes(up), e)
+	checkTwins(t, openStore(t), Spec{Trace: up}, "trace.open", store.KeyBytes(up), e)
+}
+
+// TestTwinsWithoutStoreShareOneForwardPass: on a manager without a store,
+// a site's pixels and syscalls jobs in flight together still run one
+// forward pass, which the trace's share holds for the second.
+func TestTwinsWithoutStoreShareOneForwardPass(t *testing.T) {
+	e := goldenEntry(t, "amazon-desktop", 0.05, 0)
+	spec := Spec{Site: e.Name, Scale: e.Scale}
+	checkTwins(t, nil, spec, "render", JobKey(spec), e)
+}
+
+// TestTwinForwardPassFailureLeavesShareEmpty: a holder whose forward pass
+// is canceled leaves the share without one, so the next holder computes
+// it, and the holder after that takes it from the share.
+func TestTwinForwardPassFailureLeavesShareEmpty(t *testing.T) {
+	m := &Manager{} // no store
+	sh := &traceShare{t: trace.New()}
+	canceled := core.NewProfiler(sh.t)
+	canceled.Opts.Canceled = func() bool { return true }
+	if err := m.forward(sh, canceled, ""); !errors.Is(err, slicer.ErrCanceled) || sh.deps != nil {
+		t.Fatalf("canceled forward pass: err %v, share holds %v; want ErrCanceled and none", err, sh.deps)
+	}
+	next := core.NewProfiler(sh.t)
+	if err := m.forward(sh, next, ""); err != nil || next.Deps == nil || sh.deps != next.Deps {
+		t.Fatalf("next holder: err %v; want it to compute the pass and leave it in the share", err)
+	}
+	last := core.NewProfiler(sh.t)
+	if err := m.forward(sh, last, ""); err != nil || last.Deps != sh.deps {
+		t.Fatalf("last holder: err %v; want the share's forward pass", err)
+	}
 }
 
 // TestCanceledObtainerLeavesTwinDone: canceling the job that is rendering a
@@ -410,11 +468,7 @@ func TestTwinUploadsShareOneDecode(t *testing.T) {
 // still finishes with the pinned digest.
 func TestCanceledObtainerLeavesTwinDone(t *testing.T) {
 	e := goldenEntry(t, "amazon-desktop", 0.05, 0)
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(Config{Workers: 2, Store: st})
+	m := New(Config{Workers: 2, Store: openStore(t)})
 	defer m.Close()
 	obtaining := make(chan string, 1)
 	resume := make(chan struct{})

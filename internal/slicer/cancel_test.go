@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"webslice/internal/cdg"
 	"webslice/internal/isa"
 	"webslice/internal/trace"
 	"webslice/internal/vm"
@@ -53,8 +54,8 @@ func TestCanceledHookAbortsWalk(t *testing.T) {
 	// longer than cancelStride it fires at index cancelStride and must not
 	// be asked again at index 0.
 	polls := 0
-	opts = Options{NoControlDeps: true, Canceled: func() bool { polls++; return true }}
-	if _, err := Slice(constTrace(t, cancelStride+232), nil, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
+	opts = Options{Canceled: func() bool { polls++; return true }}
+	if _, err := Slice(constTrace(t, cancelStride+232), &cdg.Deps{}, PixelCriteria{}, opts); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("long walk with firing Canceled hook: err = %v, want ErrCanceled", err)
 	}
 	if polls != 1 {

@@ -1,8 +1,9 @@
 package slicer
 
 // FuzzSliceNeverPanics feeds arbitrary decoded traces through the full
-// backward pass (pixels and a selected criterion, one walk each, with and
-// without control dependences).
+// backward pass (pixels and a selected criterion, one walk each), over the
+// trace's control dependence graph, or over an empty one (the data-only
+// slice) when the trace's CFG does not build.
 // The slicer must return a result or be rejected upstream — never panic.
 // Inputs that would merely allocate absurdly (gigabyte memory ranges) are
 // skipped: those are resource limits for the service layer, not slicer
@@ -83,12 +84,9 @@ func FuzzSliceNeverPanics(f *testing.F) {
 		if !sliceable(tr) {
 			return
 		}
-		var deps *cdg.Deps
-		var opts Options
+		deps := &cdg.Deps{}
 		if forest, err := cfg.Build(tr); err == nil {
 			deps = cdg.Compute(forest)
-		} else {
-			opts.NoControlDeps = true
 		}
 		var c Criteria
 		switch sel % 3 {
@@ -100,7 +98,7 @@ func FuzzSliceNeverPanics(f *testing.F) {
 			c = Union{PixelCriteria{}, SyscallCriteria{}}
 		}
 		for _, crit := range []Criteria{PixelCriteria{}, c} {
-			if res, err := Slice(tr, deps, crit, opts); err == nil && res.SliceCount > res.Total {
+			if res, err := Slice(tr, deps, crit, Options{}); err == nil && res.SliceCount > res.Total {
 				t.Fatalf("%s slice of %d records from a trace of %d", crit.Name(), res.SliceCount, res.Total)
 			}
 		}

@@ -124,11 +124,10 @@ func (w Window) At(i int, r *trace.Rec, t *trace.Trace) ([]vmem.Range, bool) {
 	return w.Inner.At(i, r, t)
 }
 
-// Options tune a slicing run.
+// Options tune a slicing run. No option changes the slice: the data-only
+// slice of the ablation study is the slice over an empty control
+// dependence graph, &cdg.Deps{}.
 type Options struct {
-	// NoControlDeps disables the pending-branch mechanism (data-dependence-
-	// only slicing) for the ablation study.
-	NoControlDeps bool
 	// Canceled, when non-nil, is polled every few thousand records of the
 	// backward walk; returning true aborts the pass with ErrCanceled. The
 	// slicing service uses it to enforce per-job deadlines and cancellation
@@ -301,7 +300,6 @@ type sliceState struct {
 	t    *trace.Trace
 	deps *cdg.Deps
 	crit Criteria
-	opts Options
 
 	res     *Result
 	live    *wordSet
@@ -314,13 +312,12 @@ type sliceState struct {
 	sliceByFunc   []int
 }
 
-func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) *sliceState {
+func newSliceState(t *trace.Trace, deps *cdg.Deps, c Criteria) *sliceState {
 	n := len(t.Recs)
 	return &sliceState{
 		t:    t,
 		deps: deps,
 		crit: c,
-		opts: opts,
 		res: &Result{
 			Criteria: c.Name(),
 			Total:    n,
@@ -394,11 +391,9 @@ func (s *sliceState) step(i int, r *trace.Rec) {
 			s.setReg(r.Src2) // address register
 		}
 	case isa.KindBranch:
-		if !s.opts.NoControlDeps {
-			if th.frames.at(th.depth).takePending(r.PC) {
-				s.markSlice(i, r, th)
-				s.setReg(r.Src1) // condition
-			}
+		if th.frames.at(th.depth).takePending(r.PC) {
+			s.markSlice(i, r, th)
+			s.setReg(r.Src1) // condition
 		}
 	case isa.KindRet:
 		// Walking backward, a return means we are entering the callee's
@@ -457,9 +452,6 @@ func (s *sliceState) markSlice(i int, r *trace.Rec, th *threadState) {
 	bumpFunc(&s.sliceByFunc, r.Func())
 	fr := th.frames.at(th.depth)
 	fr.contrib = true
-	if s.opts.NoControlDeps || s.deps == nil {
-		return
-	}
 	for _, bpc := range s.deps.Of(r.PC) {
 		fr.addPending(bpc)
 	}
@@ -508,18 +500,18 @@ func (s *sliceState) finish() *Result {
 
 // Slice runs the backward pass for criterion c over t: one reverse walk of
 // the trace with one live-register set, live-memory set, and pending-branch
-// state, using the control dependences of the forward pass (deps may be nil
-// only when opts.NoControlDeps is set). One stored forward pass serves many
-// backward passes.
+// state, using the control dependences of the forward pass. Over an empty
+// graph, &cdg.Deps{}, no branch joins the slice: that is the data-only
+// slice. One forward pass serves many backward passes.
 func Slice(t *trace.Trace, deps *cdg.Deps, c Criteria, opts Options) (*Result, error) {
 	if c == nil {
 		return nil, fmt.Errorf("slicer: nil criteria")
 	}
-	if deps == nil && !opts.NoControlDeps {
-		return nil, fmt.Errorf("slicer: control dependences required (or set NoControlDeps)")
+	if deps == nil {
+		return nil, fmt.Errorf("slicer: nil control dependences (an empty cdg.Deps gives the data-only slice)")
 	}
 	recs := t.Recs
-	s := newSliceState(t, deps, c, opts)
+	s := newSliceState(t, deps, c)
 	defer func() {
 		putRegSet(s.regs)
 		putWordSet(s.live)

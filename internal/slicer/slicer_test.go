@@ -2,6 +2,7 @@ package slicer
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -144,13 +145,14 @@ func TestControlDependence(t *testing.T) {
 		t.Error("branch condition producer should be in slice")
 	}
 
-	// Ablation: with control dependences disabled the branch drops out.
-	res2, err := Slice(m.Tr, nil, PixelCriteria{}, Options{NoControlDeps: true})
+	// Ablation: over an empty control dependence graph, the data-only
+	// slice, the branch drops out.
+	res2, err := Slice(m.Tr, &cdg.Deps{}, PixelCriteria{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.InSlice.Get(branchIdx) {
-		t.Error("NoControlDeps should exclude the branch")
+		t.Error("the data-only slice should exclude the branch")
 	}
 	if res2.SliceCount > res.SliceCount {
 		t.Error("data-only slice cannot be larger than the full slice")
@@ -520,10 +522,11 @@ func TestSliceErrors(t *testing.T) {
 	if _, err := Slice(tr, nil, nil, Options{}); err == nil {
 		t.Error("nil criteria should error")
 	}
-	if _, err := Slice(tr, nil, PixelCriteria{}, Options{}); err == nil {
-		t.Error("nil deps without NoControlDeps should error")
+	// Nil deps is an error whose message names the data-only form.
+	if _, err := Slice(tr, nil, PixelCriteria{}, Options{}); err == nil || !strings.Contains(err.Error(), "empty cdg.Deps gives the data-only slice") {
+		t.Errorf("nil deps: err = %v, want one naming the empty cdg.Deps", err)
 	}
-	if _, err := Slice(tr, nil, PixelCriteria{}, Options{NoControlDeps: true}); err != nil {
+	if _, err := Slice(tr, &cdg.Deps{}, PixelCriteria{}, Options{}); err != nil {
 		t.Errorf("empty trace should slice fine: %v", err)
 	}
 }
@@ -573,7 +576,7 @@ func TestStreamRegisterBombBounded(t *testing.T) {
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	res, err := Slice(tr, nil, SyscallCriteria{}, Options{NoControlDeps: true})
+	res, err := Slice(tr, &cdg.Deps{}, SyscallCriteria{}, Options{})
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)

@@ -295,8 +295,8 @@ func TestReadCorruptCountsErrorDescriptively(t *testing.T) {
 func TestReadRejectsOutOfRangeSideTables(t *testing.T) {
 	// A footer whose syscall table points past the (empty) record stream.
 	var buf bytes.Buffer
-	bw := NewBlockWriter(&buf, 0)
-	if err := bw.Finish(nil, nil, map[int]*SysEffect{9: {Num: 1}}, nil, nil); err != nil {
+	empty := &Trace{Sys: map[int]*SysEffect{9: {Num: 1}}}
+	if err := empty.WriteV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	_, err := readV3(buf.Bytes())

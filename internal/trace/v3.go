@@ -19,9 +19,9 @@ import (
 
 // Trace format version 3: a block-based, column-oriented encoding. The
 // record stream is split into fixed-size blocks that compress and decode
-// independently, so a writer never holds more than one block, and a reader
-// can check the index and footer, and the record count they declare,
-// without inflating a block.
+// independently, so a writer need not buffer more than one block, and a
+// reader can check the index and footer, and the record count they
+// declare, without inflating a block.
 //
 // Layout:
 //
@@ -40,8 +40,8 @@ import (
 // 16-byte tail lets a reader locate the index — and from it every block —
 // without scanning the file.
 //
-// The symbol and side tables live in the *footer* rather than the header so a
-// streaming BlockWriter needs no up-front knowledge of them; they are only
+// The symbol and side tables live in the *footer* rather than the header, so
+// a writer can emit each block before the tables are complete: they are only
 // complete once the last record has been observed.
 //
 // Content addresses never re-encode a trace: an uploaded trace is addressed
@@ -63,152 +63,74 @@ const (
 
 var v3TailMagic = [4]byte{'W', 'S', '3', 'K'}
 
-// BlockWriter streams a trace out in format v3 one record at a time. Records
-// are buffered until a block fills, then compressed and flushed; Finish
-// writes the footer tables, the block index, and the tail. The writer never
-// holds more than one block of records in memory.
-type BlockWriter struct {
-	bw        *bufio.Writer
-	off       int64 // logical bytes emitted (independent of bufio buffering)
-	blockRecs int
-	pend      []Rec
-	index     []v3BlockIndex
-	cols      []byte // scratch: raw columnar body
-	comp      bytes.Buffer
-	fw        *flate.Writer
-	finished  bool
-	err       error
-}
-
-type v3BlockIndex struct {
-	off   int64
-	count int
-}
-
-// NewBlockWriter starts a v3 stream on w. blockRecs ≤ 0 selects
-// DefaultBlockRecs; other values are rounded up to a multiple of 64.
-func NewBlockWriter(w io.Writer, blockRecs int) *BlockWriter {
-	if blockRecs <= 0 {
-		blockRecs = DefaultBlockRecs
-	}
-	blockRecs = (blockRecs + 63) &^ 63
-	if blockRecs > maxBlockRecs {
-		blockRecs = maxBlockRecs
-	}
-	fw, _ := flate.NewWriter(io.Discard, flate.DefaultCompression)
-	b := &BlockWriter{
-		bw:        bufio.NewWriterSize(w, 1<<20),
-		blockRecs: blockRecs,
-		pend:      make([]Rec, 0, blockRecs),
-		fw:        fw,
-	}
-	hdr := append([]byte{}, magic[:]...)
-	hdr = binary.AppendUvarint(hdr, v3Version)
-	hdr = binary.AppendUvarint(hdr, uint64(blockRecs))
-	b.writeBytes(hdr)
-	b.writeU32(crc32.ChecksumIEEE(hdr))
-	return b
-}
-
-func (b *BlockWriter) writeBytes(p []byte) {
-	if b.err == nil {
-		_, b.err = b.bw.Write(p)
-	}
-	b.off += int64(len(p))
-}
-
-func (b *BlockWriter) writeU32(v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	b.writeBytes(buf[:])
-}
-
-// Add appends one record to the stream, flushing a compressed block whenever
-// blockRecs records have accumulated.
-func (b *BlockWriter) Add(r Rec) {
-	b.pend = append(b.pend, r)
-	if len(b.pend) == b.blockRecs {
-		b.flushBlock()
-	}
-}
-
-func (b *BlockWriter) flushBlock() {
-	if len(b.pend) == 0 {
-		return
-	}
-	b.cols = appendColumns(b.cols[:0], b.pend)
-	b.comp.Reset()
-	b.fw.Reset(&b.comp)
-	if _, err := b.fw.Write(b.cols); err != nil && b.err == nil {
-		b.err = err
-	}
-	if err := b.fw.Close(); err != nil && b.err == nil {
-		b.err = err
-	}
-	b.index = append(b.index, v3BlockIndex{off: b.off, count: len(b.pend)})
-	b.writeBytes([]byte{v3TagBlock})
-	var lenBuf [binary.MaxVarintLen64]byte
-	b.writeBytes(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(b.comp.Len()))])
-	payload := b.comp.Bytes()
-	b.writeBytes(payload)
-	b.writeU32(crc32.ChecksumIEEE(payload))
-	b.pend = b.pend[:0]
-}
-
-// Finish flushes the final partial block and writes the footer (symbol,
-// thread, syscall, marker, and clock tables), the block index, and the tail.
-// The writer must not be used afterwards.
-func (b *BlockWriter) Finish(funcs []FuncInfo, threads []ThreadInfo, sys map[int]*SysEffect, marks map[int]*Mark, clock []ClockPoint) error {
-	if b.finished {
-		return b.err
-	}
-	b.finished = true
-	b.flushBlock()
-
-	footOff := b.off
-	foot := appendFooter(nil, funcs, threads, sys, marks, clock)
-	b.writeBytes([]byte{v3TagFooter})
-	var lenBuf [binary.MaxVarintLen64]byte
-	b.writeBytes(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(foot)))])
-	b.writeBytes(foot)
-	b.writeU32(crc32.ChecksumIEEE(foot))
-
-	indexOff := b.off
-	idx := binary.AppendUvarint(nil, uint64(footOff))
-	idx = binary.AppendUvarint(idx, uint64(len(b.index)))
-	prev := int64(0)
-	for _, e := range b.index {
-		idx = binary.AppendUvarint(idx, uint64(e.off-prev))
-		idx = binary.AppendUvarint(idx, uint64(e.count))
-		prev = e.off
-	}
-	b.writeBytes(idx)
-	b.writeU32(crc32.ChecksumIEEE(idx))
-
-	var tail [v3TailSize]byte
-	binary.LittleEndian.PutUint64(tail[:8], uint64(indexOff))
-	binary.LittleEndian.PutUint32(tail[8:12], crc32.ChecksumIEEE(tail[:8]))
-	copy(tail[12:], v3TailMagic[:])
-	b.writeBytes(tail[:])
-
-	if err := b.bw.Flush(); err != nil && b.err == nil {
-		b.err = err
-	}
-	return b.err
-}
-
 // WriteV3 serializes the trace in block-compressed format v3 with the
 // default block size.
 func (t *Trace) WriteV3(w io.Writer) error { return t.WriteV3Blocks(w, DefaultBlockRecs) }
 
 // WriteV3Blocks serializes the trace in format v3 with an explicit
-// records-per-block (rounded up to a multiple of 64).
+// records-per-block: blockRecs ≤ 0 selects DefaultBlockRecs, and other
+// values are rounded up to a multiple of 64, at most maxBlockRecs. Each
+// block is encoded straight from its span of t.Recs.
 func (t *Trace) WriteV3Blocks(w io.Writer, blockRecs int) error {
-	bw := NewBlockWriter(w, blockRecs)
-	for i := range t.Recs {
-		bw.Add(t.Recs[i])
+	if blockRecs <= 0 {
+		blockRecs = DefaultBlockRecs
 	}
-	return bw.Finish(t.Funcs, t.Threads, t.Sys, t.Marks, t.Clock)
+	blockRecs = min((blockRecs+63)&^63, maxBlockRecs)
+	// A bufio.Writer keeps its first error and Flush returns it, so no write
+	// below is checked. off counts the bytes written: the block offsets in
+	// the index and the index offset in the tail.
+	bw := bufio.NewWriterSize(w, 1<<20)
+	off := 0
+	// section writes body followed by its CRC32, and before it, unless tag
+	// is 0, the tag and the body's length.
+	section := func(tag byte, body []byte) {
+		if tag != 0 {
+			var pre [1 + binary.MaxVarintLen64]byte
+			pre[0] = tag
+			n := 1 + binary.PutUvarint(pre[1:], uint64(len(body)))
+			bw.Write(pre[:n])
+			off += n
+		}
+		var sum [4]byte
+		binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body))
+		bw.Write(body)
+		bw.Write(sum[:])
+		off += len(body) + len(sum)
+	}
+	hdr := binary.AppendUvarint(append([]byte(nil), magic[:]...), v3Version)
+	section(0, binary.AppendUvarint(hdr, uint64(blockRecs)))
+
+	var cols []byte
+	var comp bytes.Buffer
+	fw, _ := flate.NewWriter(&comp, flate.DefaultCompression)
+	var entries []byte // the index's (offset delta, record count) pairs
+	prev, blocks := 0, 0
+	for lo := 0; lo < len(t.Recs); lo += blockRecs {
+		recs := t.Recs[lo:min(lo+blockRecs, len(t.Recs))]
+		cols = appendColumns(cols[:0], recs)
+		comp.Reset()
+		fw.Reset(&comp)
+		fw.Write(cols) // deflating into a bytes.Buffer cannot fail
+		fw.Close()
+		entries = binary.AppendUvarint(entries, uint64(off-prev))
+		entries = binary.AppendUvarint(entries, uint64(len(recs)))
+		prev = off
+		blocks++
+		section(v3TagBlock, comp.Bytes())
+	}
+
+	footOff := off
+	section(v3TagFooter, appendFooter(cols[:0], t.Funcs, t.Threads, t.Sys, t.Marks, t.Clock))
+	indexOff := off
+	idx := binary.AppendUvarint(nil, uint64(footOff))
+	idx = binary.AppendUvarint(idx, uint64(blocks))
+	section(0, append(idx, entries...))
+	var tail [v3TailSize]byte
+	binary.LittleEndian.PutUint64(tail[:8], uint64(indexOff))
+	binary.LittleEndian.PutUint32(tail[8:12], crc32.ChecksumIEEE(tail[:8]))
+	copy(tail[12:], v3TailMagic[:])
+	bw.Write(tail[:])
+	return bw.Flush()
 }
 
 // Digest returns the SHA-256 of the trace's uncompressed v3 content: the

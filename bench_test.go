@@ -260,18 +260,55 @@ func BenchmarkEncodeV3(b *testing.B) {
 	b.ReportMetric(float64(len(v3))/float64(len(tr.Recs)), "B/rec")
 }
 
+// propertyUploads returns the v3 encodings of sites.Random seeds 3, 4 and
+// 6, whose sizes are a typical upload-cold upload's: 96-105K records in
+// 364-388 KB. They render at their own size, whatever WEBSLICE_SCALE is.
+func propertyUploads(b *testing.B) [][]byte {
+	b.Helper()
+	var out [][]byte
+	for _, seed := range []uint64{3, 4, 6} {
+		s := sites.Random(seed)
+		br := browser.New(s.Site, s.Profile)
+		br.RunSession()
+		if len(br.Errors) > 0 {
+			b.Fatal(br.Errors[0])
+		}
+		var v3 bytes.Buffer
+		if err := br.M.Tr.WriteV3(&v3); err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, v3.Bytes())
+	}
+	return out
+}
+
+// BenchmarkDecodeV3 decodes amazon-desktop, and the property uploads
+// upload-cold sends, reporting the time per trace.
 func BenchmarkDecodeV3(b *testing.B) {
-	_, v3 := codecTrace(b)
-	b.SetBytes(int64(len(v3)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br, err := trace.OpenV3(v3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := br.ReadAll(); err != nil {
-			b.Fatal(err)
-		}
+	_, amazon := codecTrace(b)
+	for _, c := range []struct {
+		name   string
+		traces [][]byte
+	}{{"amazon-desktop", [][]byte{amazon}}, {"property-sites", propertyUploads(b)}} {
+		b.Run(c.name, func(b *testing.B) {
+			size := 0
+			for _, v3 := range c.traces {
+				size += len(v3)
+			}
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				for _, v3 := range c.traces {
+					br, err := trace.OpenV3(v3)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := br.ReadAll(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(c.traces)), "ms/trace")
+		})
 	}
 }
 

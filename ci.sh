@@ -82,24 +82,29 @@ go test -race -count=10 -run 'TestTwin' ./internal/service
 # server only after the drain: the signal, the HTTP server and the workers
 # hand shutdown to each other, so one passing run can be luck.
 go test -race -count=20 -run 'TestDrainKeepsServing' ./cmd/websliced
-go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s ./internal/service
+go test -run '^$' -fuzz FuzzJournalReplayNeverPanics -fuzztime 5s -fuzzminimizetime 100x ./internal/service
 
 # Fuzz smoke: a few seconds per target so a crashing input or a slice that
 # fails to replay is caught in CI, not only by long offline fuzzing runs.
-go test -run '^$' -fuzz FuzzSliceNeverPanics -fuzztime 5s ./internal/slicer
+# Each new input is minimized for at most 100 runs: at the default 60 s a
+# worker spends the rest of a 5 s smoke minimizing one input.
+go test -run '^$' -fuzz FuzzSliceNeverPanics -fuzztime 5s -fuzzminimizetime 100x ./internal/slicer
 # Any method, path and body against the HTTP API: no route panics, and
 # every answer that is not a 2xx is JSON with an error field.
-go test -run '^$' -fuzz FuzzHandlerNeverPanics -fuzztime 5s ./internal/service
-go test -run '^$' -fuzz FuzzReplayAgreesWithSlice -fuzztime 5s ./internal/replay
-go test -run '^$' -fuzz FuzzV3RoundTrip -fuzztime 5s ./internal/trace
-go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s ./internal/trace
-go test -run '^$' -fuzz FuzzBuildMatchesReference -fuzztime 5s ./internal/cfg
+go test -run '^$' -fuzz FuzzHandlerNeverPanics -fuzztime 5s -fuzzminimizetime 100x ./internal/service
+go test -run '^$' -fuzz FuzzReplayAgreesWithSlice -fuzztime 5s -fuzzminimizetime 100x ./internal/replay
+go test -run '^$' -fuzz FuzzV3RoundTrip -fuzztime 5s -fuzzminimizetime 100x ./internal/trace
+go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s -fuzzminimizetime 100x ./internal/trace
+# The inflater against compress/flate, which writes every v3 block: for any
+# bytes and limit, both fail or both return the same bytes.
+go test -run '^$' -fuzz FuzzInflateMatchesFlate -fuzztime 5s -fuzzminimizetime 100x ./internal/trace
+go test -run '^$' -fuzz FuzzBuildMatchesReference -fuzztime 5s -fuzzminimizetime 100x ./internal/cfg
 
 # ReadAll splits a trace's blocks over up to GOMAXPROCS workers. Pin
 # GOMAXPROCS to 16 so that path, and its memory budget, are raced and
 # fuzzed with many workers even on a host with one or two cores.
 GOMAXPROCS=16 go test -race -count=1 ./internal/trace
-GOMAXPROCS=16 go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s -parallel 2 ./internal/trace
+GOMAXPROCS=16 go test -run '^$' -fuzz FuzzV3DecodeNeverPanics -fuzztime 5s -fuzzminimizetime 100x -parallel 2 ./internal/trace
 
 # Observability smoke: a job through the HTTP API must produce one
 # causally-linked span tree (correct names and parent links), with its

@@ -1011,19 +1011,33 @@ func storeKeys(jobKey string, crit slicer.Criteria, analysis int) (deps, result 
 // store rows among them) select these spans by "deps".
 const depsSpanKind = "deps"
 
-// forward hands p the forward pass of the trace in sh, holding sh.fwd: the
-// pass a holder of sh loaded or computed before, else the store's under
-// key, else one p computes, which is then stored. A holder that takes it
-// from sh records its wait as a forward span with shared=true, as a waiting
-// holder's obtain span is. A failed or canceled pass leaves sh without one.
+// forward hands p the forward pass of the trace in sh: the pass a holder
+// of sh loaded or computed before, else the store's under key, else one p
+// computes. It holds sh.fwd until the pass is in sh, and stores a pass it
+// computed only after releasing it, so a twin takes the pass without
+// waiting for the put. A holder that takes it from sh records its wait as
+// a forward span with shared=true, as a waiting holder's obtain span is. A
+// failed or canceled pass leaves sh without one.
 func (m *Manager) forward(sh *traceShare, p *core.Profiler, key string) error {
+	computed, err := m.forwardLocked(sh, p, key)
+	if err == nil && computed && m.cfg.Store != nil {
+		ps := m.storeSpan(p.Obs, "store.put", depsSpanKind)
+		m.cfg.Store.PutDeps(key, p.Deps)
+		ps.End()
+	}
+	return err
+}
+
+// forwardLocked is forward's part under sh.fwd. It reports whether p
+// computed the pass.
+func (m *Manager) forwardLocked(sh *traceShare, p *core.Profiler, key string) (computed bool, err error) {
 	waitStart := time.Now()
 	sh.fwd.Lock()
 	defer sh.fwd.Unlock()
 	if sh.deps != nil {
 		p.Obs.ChildAt("forward", waitStart, time.Now(), obs.Attr{K: "shared", V: "true"})
 		p.Deps = sh.deps
-		return nil
+		return false, nil
 	}
 	if m.cfg.Store != nil {
 		// A decode or corruption error is a miss, not a failure.
@@ -1035,16 +1049,12 @@ func (m *Manager) forward(sh *traceShare, p *core.Profiler, key string) error {
 	}
 	if p.Deps == nil {
 		if err := p.Forward(); err != nil {
-			return err
+			return false, err
 		}
-		if m.cfg.Store != nil {
-			ps := m.storeSpan(p.Obs, "store.put", depsSpanKind)
-			m.cfg.Store.PutDeps(key, p.Deps)
-			ps.End()
-		}
+		computed = true
 	}
 	sh.deps = p.Deps
-	return nil
+	return computed, nil
 }
 
 // cachedResult looks a finished result up in the store and marks it a

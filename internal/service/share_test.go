@@ -463,6 +463,57 @@ func TestTwinForwardPassFailureLeavesShareEmpty(t *testing.T) {
 	}
 }
 
+// blockingFS is a filesystem whose CreateTemp, the first step of a store
+// put's disk write, signals entered and then waits until release closes.
+type blockingFS struct {
+	store.OSFS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *blockingFS) CreateTemp(dir, pattern string) (store.File, error) {
+	f.entered <- struct{}{}
+	<-f.release
+	return f.OSFS.CreateTemp(dir, pattern)
+}
+
+// TestTwinForwardDoesNotWaitForThePut: the holder that computes a forward
+// pass leaves it in the share before it stores it, so its twin takes the
+// pass while the first holder's disk write is still blocked.
+func TestTwinForwardDoesNotWaitForThePut(t *testing.T) {
+	fsys := &blockingFS{entered: make(chan struct{}), release: make(chan struct{})}
+	st, err := store.OpenFS(t.TempDir(), 0, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Manager{cfg: Config{Store: st}}
+	sh := &traceShare{t: trace.New()}
+	first := core.NewProfiler(sh.t)
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- m.forward(sh, first, "k") }()
+	<-fsys.entered // the first holder's put is blocked
+	defer func() {
+		close(fsys.release)
+		if err := <-firstDone; err != nil {
+			t.Errorf("first holder: %v", err)
+		}
+		if _, ok, _ := st.GetDeps("k"); !ok {
+			t.Error("the first holder did not store the forward pass")
+		}
+	}()
+	twin := core.NewProfiler(sh.t)
+	twinDone := make(chan error, 1)
+	go func() { twinDone <- m.forward(sh, twin, "k") }()
+	select {
+	case err := <-twinDone:
+		if err != nil || twin.Deps == nil || twin.Deps != first.Deps {
+			t.Fatalf("twin: err %v; want the first holder's forward pass", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the twin's forward waited 5 s for the first holder's store put")
+	}
+}
+
 // TestCanceledObtainerLeavesTwinDone: canceling the job that is rendering a
 // shared trace ends that job canceled; its twin, waiting for the trace,
 // still finishes with the pinned digest.

@@ -77,15 +77,6 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, d.errf("bad or truncated varint")
-	}
-	d.pos += n
-	return v, nil
-}
-
 // count reads an element count and rejects values that cannot fit in the
 // remaining bytes at minBytes per element — a corrupt count then fails here
 // instead of driving an unbounded allocation.

@@ -6,7 +6,6 @@ import (
 	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"io"
 	"runtime"
@@ -157,7 +156,7 @@ func (t *Trace) Digest() [sha256.Size]byte {
 // 3 bytes for the count (n ≤ maxBlockRecs), then per record at worst a
 // 2-byte kind run, a 2-byte thread run, six 5-byte varints (PC, Dst, Src1,
 // Src2, Addr, Aux) and a 4-byte size run. Longer runs only take fewer
-// bytes per record. DecodeBlock caps a block's inflated payload here.
+// bytes per record. decodeBlock caps a block's inflated payload here.
 func maxColumnBytes(n int) int { return 3 + 38*n }
 
 // appendColumns transposes one block of records into the v3 column layout.
@@ -494,71 +493,6 @@ func (br *BlockReader) Bytes() []byte { return br.data }
 // NumRecs returns the total record count the index declares.
 func (br *BlockReader) NumRecs() int { return br.n }
 
-// inflater is a flate reader plus scratch output buffer, reused across the
-// blocks one ReadAll worker decodes so each block does not allocate a
-// decompressor.
-type inflater struct {
-	fr  io.ReadCloser
-	src bytes.Reader
-	buf []byte
-}
-
-func newInflater() *inflater { return &inflater{fr: flate.NewReader(bytes.NewReader(nil))} }
-
-// inflaters recycles ReadAll's inflaters across decodes: a flate reader
-// alone allocates about 40 KB, and its scratch buffer grows to a block's
-// inflated size.
-var inflaters = sync.Pool{New: func() any { return newInflater() }}
-
-func getInflater() *inflater { return inflaters.Get().(*inflater) }
-
-// putInflater returns in to the pool. It first drops in's reference to the
-// compressed input, so a pooled inflater keeps no trace alive.
-func putInflater(in *inflater) {
-	in.src.Reset(nil)
-	inflaters.Put(in)
-}
-
-// inflate decompresses comp, which may inflate to at most limit bytes. The
-// scratch buffer never grows past limit, and a stream that goes on beyond
-// it fails, so a few compressed bytes cannot make the reader allocate more
-// than the block's record count can legally need.
-func (in *inflater) inflate(comp []byte, limit int) ([]byte, error) {
-	in.src.Reset(comp)
-	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return nil, err
-	}
-	out := in.buf[:0]
-	for {
-		end := min(cap(out), limit)
-		if len(out) == end && end < limit {
-			grown := make([]byte, len(out), min(max(2*cap(out), 4096), limit))
-			copy(grown, out)
-			out, end = grown, cap(grown)
-		}
-		var n int
-		var err error
-		if len(out) < end {
-			n, err = in.fr.Read(out[len(out):end])
-			out = out[:len(out)+n]
-		} else {
-			// At the limit: the stream must end without another byte.
-			var probe [1]byte
-			if n, err = in.fr.Read(probe[:]); n > 0 {
-				err = errors.New("inflates past " + itoa(limit) + " bytes, the most its record count encodes to")
-			}
-		}
-		if err == io.EOF {
-			in.buf = out
-			return out, nil
-		}
-		if err != nil {
-			in.buf = out
-			return nil, err
-		}
-	}
-}
-
 // decodeBlock verifies and decompresses block i into dst, reusing dst's
 // backing array when it has capacity. The returned slice holds exactly the
 // block's records. A payload that inflates past maxColumnBytes of the
@@ -576,15 +510,18 @@ func (br *BlockReader) decodeBlock(i int, in *inflater, dst []Rec) ([]Rec, error
 	return decodeColumns(raw, m.count, dst)
 }
 
-// decodeColumns parses one block's decompressed column payload into records.
+// decodeColumns parses one block's decompressed column payload into
+// records. Every column is read with a local cursor p and the inlined
+// uvarint below. A malformed payload fails with a DecodeError at the
+// offset of the field that does not parse, or just past a count, run or
+// size that is out of range.
 func decodeColumns(raw []byte, want int, dst []Rec) ([]Rec, error) {
-	d := &decoder{buf: raw, section: "v3 block columns"}
-	n64, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	n64, p, ok := uvarint(raw, 0)
+	if !ok {
+		return nil, columnsErr(0, "bad or truncated uvarint")
 	}
 	if n64 != uint64(want) {
-		return nil, d.errf("block holds %d records, index says %d", n64, want)
+		return nil, columnsErr(p, "block holds %d records, index says %d", n64, want)
 	}
 	n := int(n64)
 	if cap(dst) < n {
@@ -592,126 +529,162 @@ func decodeColumns(raw []byte, want int, dst []Rec) ([]Rec, error) {
 	} else {
 		dst = dst[:n]
 	}
-	// Kinds (RLE).
+	// Kinds and thread IDs: a byte and a run length per run.
 	for i := 0; i < n; {
-		kb, err := d.byte()
-		if err != nil {
-			return nil, err
+		if p >= len(raw) {
+			return nil, columnsErr(p, "truncated: need 1 byte, have 0")
 		}
-		run, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		k := isa.Kind(raw[p])
+		run, q, ok := uvarint(raw, p+1)
+		if !ok {
+			return nil, columnsErr(p+1, "bad or truncated uvarint")
 		}
-		if run == 0 || run > uint64(n-i) {
-			return nil, d.errf("kind run of %d at record %d overruns the block", run, i)
+		if p = q; run == 0 || run > uint64(n-i) {
+			return nil, columnsErr(p, "kind run of %d at record %d overruns the block", run, i)
 		}
-		for j := 0; j < int(run); j++ {
-			dst[i+j].Kind = isa.Kind(kb)
+		for j := range dst[i : i+int(run)] {
+			dst[i+j].Kind = k
 		}
 		i += int(run)
 	}
-	// Thread IDs (RLE).
 	for i := 0; i < n; {
-		tid, err := d.byte()
-		if err != nil {
-			return nil, err
+		if p >= len(raw) {
+			return nil, columnsErr(p, "truncated: need 1 byte, have 0")
 		}
-		run, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		tid := raw[p]
+		run, q, ok := uvarint(raw, p+1)
+		if !ok {
+			return nil, columnsErr(p+1, "bad or truncated uvarint")
 		}
-		if run == 0 || run > uint64(n-i) {
-			return nil, d.errf("thread run of %d at record %d overruns the block", run, i)
+		if p = q; run == 0 || run > uint64(n-i) {
+			return nil, columnsErr(p, "thread run of %d at record %d overruns the block", run, i)
 		}
-		for j := 0; j < int(run); j++ {
+		for j := range dst[i : i+int(run)] {
 			dst[i+j].TID = tid
 		}
 		i += int(run)
 	}
-	// PCs (per-thread delta).
+	// PCs: per-thread zigzag deltas.
 	var lastPC [256]uint32
-	for i := 0; i < n; i++ {
-		delta, err := d.varint()
-		if err != nil {
-			return nil, err
+	for i := range dst {
+		v, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated varint")
 		}
+		p = q
 		r := &dst[i]
-		r.PC = uint32(int64(lastPC[r.TID]) + delta)
+		r.PC = lastPC[r.TID] + unzigzag(v)
 		lastPC[r.TID] = r.PC
 	}
-	// Registers and aux.
-	for i := 0; i < n; i++ {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
+	// Registers.
+	for i := range dst {
+		v, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated uvarint")
 		}
-		dst[i].Dst = isa.Reg(uint32(v))
+		p = q
+		dst[i].Dst = isa.Reg(v)
 	}
-	for i := 0; i < n; i++ {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
+	for i := range dst {
+		v, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated uvarint")
 		}
-		dst[i].Src1 = isa.Reg(uint32(v))
+		p = q
+		dst[i].Src1 = isa.Reg(v)
 	}
-	for i := 0; i < n; i++ {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
+	for i := range dst {
+		v, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated uvarint")
 		}
-		dst[i].Src2 = isa.Reg(uint32(v))
+		p = q
+		dst[i].Src2 = isa.Reg(v)
 	}
-	// Addresses (per-thread delta).
+	// Addresses: per-thread zigzag deltas.
 	var lastAddr [256]uint32
-	for i := 0; i < n; i++ {
-		delta, err := d.varint()
-		if err != nil {
-			return nil, err
+	for i := range dst {
+		v, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated varint")
 		}
+		p = q
 		r := &dst[i]
-		a := uint32(int64(lastAddr[r.TID]) + delta)
+		a := lastAddr[r.TID] + unzigzag(v)
 		r.Addr = vmem.Addr(a)
 		lastAddr[r.TID] = a
 	}
-	for i := 0; i < n; i++ {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
+	for i := range dst {
+		v, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated uvarint")
 		}
+		p = q
 		dst[i].Aux = uint32(v)
 	}
-	// Sizes (RLE).
+	// Sizes: a size and a run length per run.
 	for i := 0; i < n; {
-		sz, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		sz, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated uvarint")
 		}
-		if sz > 0xFFFF {
-			return nil, d.errf("record %d access size %d overflows", i, sz)
+		if p = q; sz > 0xFFFF {
+			return nil, columnsErr(p, "record %d access size %d overflows", i, sz)
 		}
-		run, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		run, q, ok := uvarint(raw, p)
+		if !ok {
+			return nil, columnsErr(p, "bad or truncated uvarint")
 		}
-		if run == 0 || run > uint64(n-i) {
-			return nil, d.errf("size run of %d at record %d overruns the block", run, i)
+		if p = q; run == 0 || run > uint64(n-i) {
+			return nil, columnsErr(p, "size run of %d at record %d overruns the block", run, i)
 		}
-		for j := 0; j < int(run); j++ {
+		for j := range dst[i : i+int(run)] {
 			dst[i+j].Size = uint16(sz)
 		}
 		i += int(run)
 	}
-	if d.remaining() != 0 {
-		return nil, d.errf("%d trailing bytes after the size column", d.remaining())
+	if p != len(raw) {
+		return nil, columnsErr(p, "%d trailing bytes after the size column", len(raw)-p)
 	}
 	return dst, nil
 }
 
+// uvarint is binary.Uvarint(b[p:]) read at cursor p: the value and the
+// cursor just past it, or false where binary.Uvarint fails, when b ends
+// inside the varint or its value overflows 64 bits. It is small enough to
+// be inlined into each column's loop.
+func uvarint(b []byte, p int) (uint64, int, bool) {
+	var v uint64
+	for s := uint(0); p < len(b); s += 7 {
+		c := b[p]
+		p++
+		if c < 0x80 {
+			return v | uint64(c)<<s, p, s < 63 || c < 2
+		}
+		if s == 63 {
+			break
+		}
+		v |= uint64(c&0x7f) << s
+	}
+	return 0, p, false
+}
+
+// unzigzag returns the low 32 bits of the signed value whose zigzag
+// encoding is v, as binary.Varint decodes it: adding it to a uint32
+// applies the delta modulo 2^32.
+func unzigzag(v uint64) uint32 { return uint32(v>>1) ^ -uint32(v&1) }
+
+// columnsErr is the DecodeError of a block's column payload at offset p.
+func columnsErr(p int, format string, args ...any) error {
+	d := decoder{pos: p, section: "v3 block columns"}
+	return d.errf(format, args...)
+}
+
 // workerInputBytes is how much input each ReadAll worker past the first
-// needs. A worker's inflater allocates about 40 KB whatever the block
-// size, so one worker per 4 KiB keeps the extra inflaters near 10 bytes
-// per input byte at any GOMAXPROCS, and a small trace decodes on the
-// calling goroutine alone.
+// needs. A worker's inflater allocates 14,336 bytes, its decode tables,
+// whatever the block size, so one worker per 4 KiB keeps the extra
+// inflaters near 3.5 bytes per input byte at any GOMAXPROCS, and a small
+// trace decodes on the calling goroutine alone.
 const workerInputBytes = 4 << 10
 
 // decodeWorkers is how many goroutines share the decode of blocks blocks

@@ -212,7 +212,7 @@ func TestV3DecodeBlockReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := newInflater()
+	in := new(inflater)
 	dst := make([]Rec, 0, 64)
 	base := &dst[:1][0]
 	for i, lo := 0, 0; i < len(br.blocks); i++ {

@@ -78,6 +78,11 @@ go test -race -count=50 -run 'TestTraceShare' ./internal/service
 # computes it under the share's lock, and its twin takes it from there, with
 # or without a store. Race that hand-off through whole jobs.
 go test -race -count=10 -run 'TestTwin' ./internal/service
+# A worker that answers 404 for a job routed to it has lost the job, and the
+# poll that hears it re-routes the job. Concurrent polls can each start that
+# re-route, as can an eviction: race eight polls, so each loss moves the job
+# once.
+go test -race -count=20 -run 'TestCoordinatorReroutesLostJobOnce' ./internal/cluster
 # A stopping daemon drains its jobs while it still serves, and closes its
 # server only after the drain: the signal, the HTTP server and the workers
 # hand shutdown to each other, so one passing run can be luck.

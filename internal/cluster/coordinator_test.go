@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"webslice/internal/service"
@@ -135,6 +137,77 @@ func TestCoordinatorIDsUniqueAcrossBoots(t *testing.T) {
 	for id := range issued {
 		_, err := second.Info(id)
 		wantAPIError(t, "poll of "+id+" after the restart", err, http.StatusNotFound, "no job")
+	}
+}
+
+// swapHandler serves the worker it holds, so a test can restart the worker
+// behind one URL.
+type swapHandler struct {
+	h atomic.Pointer[service.Handler]
+}
+
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.Load().ServeHTTP(w, r) }
+
+func (s *swapHandler) serve(m *service.Manager) { s.h.Store(service.NewHandler(m)) }
+
+// TestCoordinatorReroutesLostJobOnce: a worker restarted without a journal
+// has lost the job the coordinator routed to it, and serves another
+// client's job. Eight concurrent polls of the routed job each answer for
+// that job and no other. They re-route it once, to the restarted worker,
+// whose health is never in doubt: it answered every poll. The job then
+// finishes there with its own result.
+func TestCoordinatorReroutesLostJobOnce(t *testing.T) {
+	sw := new(swapHandler)
+	sw.serve(holdingManager(t, ""))
+	wsrv := httptest.NewServer(sw)
+	t.Cleanup(wsrv.Close)
+	local := service.New(service.Config{Workers: 1, Node: "http://coordinator.test"})
+	t.Cleanup(local.Kill)
+	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{wsrv.URL}})
+	t.Cleanup(co.Stop)
+	id, err := co.Submit(service.Spec{Site: "maps"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := service.New(service.Config{Workers: 1, Runner: func(ctx context.Context, spec service.Spec) (*service.Result, error) {
+		return &service.Result{Criteria: spec.Criteria, SliceDigest: spec.Site}, nil
+	}})
+	t.Cleanup(restarted.Kill)
+	sw.serve(restarted)
+	if _, err := restarted.Submit(service.Spec{Site: "bing", Criteria: "syscalls"}); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	infos := make([]service.Info, 8)
+	for i := range infos {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			infos[i], _ = co.Info(id)
+		}()
+	}
+	wg.Wait()
+	for _, info := range infos {
+		if info.Site != "maps" || info.Criteria != "pixels" {
+			t.Fatalf("a poll of the maps pixels job answered %+v", info)
+		}
+	}
+	reg := co.Metrics()
+	if n := reg.Counter("cluster_jobs_rerouted").Value(); n != 1 {
+		t.Errorf("cluster_jobs_rerouted = %d, want 1", n)
+	}
+	if n := restarted.Metrics().Counter("jobs_submitted").Value(); n != 2 {
+		t.Errorf("the restarted worker admitted %d jobs, want the other client's and the re-routed one", n)
+	}
+	if n := reg.Counter("cluster_peers_evicted").Value(); n != 0 || !co.Members()[0].Alive {
+		t.Errorf("%d evictions, members %+v; want the restarted worker alive", n, co.Members())
+	}
+	info := await(t, co, id)
+	if res := mustResult(t, co, id); info.Status != service.StatusDone || info.Node != wsrv.URL ||
+		info.Site != "maps" || res.SliceDigest != "maps" || res.Criteria != "pixels" {
+		t.Fatalf("the re-routed job finished as %+v with %+v, want maps pixels done on %s", info, res, wsrv.URL)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -59,6 +58,9 @@ type routedJob struct {
 	// belongs to. Written once in Submit, before the job is visible.
 	traceCtx obs.SpanContext
 
+	// move lets one re-route of the job run at a time (see reroute).
+	move sync.Mutex
+
 	mu       sync.Mutex
 	peer     string // "" = local manager
 	remoteID string
@@ -106,16 +108,10 @@ type Coordinator struct {
 	reg    *metrics.Registry
 	tracer *obs.Tracer
 	log    *slog.Logger
+	ids    *service.IDs
 
 	mu   sync.Mutex
 	jobs map[string]*routedJob
-	// boot, 8 random hex digits, tags every id this coordinator issues.
-	// nextID counts from 0 on every boot, and the coordinator keeps its
-	// jobs only in memory, so without the tag a restarted coordinator would
-	// issue its predecessor's ids again, and a client polling one would
-	// read another job.
-	boot   string
-	nextID int
 
 	cRouted, cLocal, cForwardFailed  *metrics.Counter
 	cRerouted, cAffinity, cFallbacks *metrics.Counter
@@ -151,8 +147,8 @@ func New(cfg Config) *Coordinator {
 		reg:            reg,
 		tracer:         cfg.Local.Tracer(),
 		log:            logger,
+		ids:            service.NewIDs('c'),
 		jobs:           make(map[string]*routedJob),
-		boot:           fmt.Sprintf("%08x", rand.Uint32()),
 		cRouted:        reg.Counter("cluster_jobs_routed"),
 		cLocal:         reg.Counter("cluster_jobs_local"),
 		cForwardFailed: reg.Counter("cluster_forward_failed"),
@@ -211,7 +207,7 @@ func (c *Coordinator) peerCounter(kind, peer string) *metrics.Counter {
 
 // Submit admits a job: the ring picks the owner for the job's key, the
 // spec is forwarded to it (or run on the local manager when the owner is
-// Self), and a coordinator-scoped id is returned, "c<boot>-<n>", which no
+// Self), and a coordinator-scoped id is returned, from service.IDs, which no
 // other boot of a coordinator issues. Unreachable candidates
 // are skipped — their failures feed the membership's eviction counter —
 // and when no ring member accepts the job it falls back to local
@@ -231,10 +227,7 @@ func (c *Coordinator) Submit(spec service.Spec) (string, error) {
 		return "", service.ErrClosed
 	}
 	key := service.JobKey(spec)
-	c.mu.Lock()
-	c.nextID++
-	id := fmt.Sprintf("c%s-%06d", c.boot, c.nextID)
-	c.mu.Unlock()
+	id := c.ids.Next()
 	// The "route" span roots the job's trace (or joins the submitter's, if
 	// the request carried a traceparent header); the owner's "job" span
 	// parents under it via the forwarded header, so one trace spans the
@@ -348,50 +341,82 @@ func (c *Coordinator) routeLocal(j *routedJob, spec service.Spec, s *obs.Span) e
 // Acked jobs survive a worker death the same way they survive a worker
 // panic: by being run again somewhere else.
 func (c *Coordinator) handleEvict(peer string) {
+	type lost struct {
+		j        *routedJob
+		remoteID string
+	}
 	c.mu.Lock()
-	var pending []*routedJob
+	var pending []lost
 	for _, j := range c.jobs {
 		j.mu.Lock()
 		// A job is lost with its worker unless its result already reached
 		// the coordinator. Jobs that terminally failed/canceled keep that
 		// outcome — re-running them would not change it.
 		if j.peer == peer && j.reroutableLocked() {
-			pending = append(pending, j)
+			pending = append(pending, lost{j, j.remoteID})
 		}
 		j.mu.Unlock()
 	}
 	c.mu.Unlock()
-	for _, j := range pending {
+	for _, l := range pending {
+		c.reroute(l.j, peer, l.remoteID)
+	}
+}
+
+// reroute moves j, lost by peer, where it ran as remoteID, to the best
+// live candidate: peer was evicted, or answered that it no longer knows
+// the job. Each loss moves the job once: the move runs only while the job
+// is still reroutable and still on peer under remoteID. One move of a job
+// runs at a time, and a second returns at once, leaving the job to the
+// first. The first may be this goroutine's own: route can evict a peer it
+// fails to reach, and handleEvict then calls back here.
+func (c *Coordinator) reroute(j *routedJob, peer, remoteID string) {
+	if !j.move.TryLock() {
+		return
+	}
+	defer j.move.Unlock()
+	j.mu.Lock()
+	if !j.reroutableLocked() || j.peer != peer || j.remoteID != remoteID {
+		j.mu.Unlock() // its result arrived, or it moved, since the loss
+		return
+	}
+	j.reroutes++
+	reroutes := j.reroutes
+	j.mu.Unlock()
+	c.cRerouted.Inc()
+	c.peerCounter("rerouted_from", peer).Inc()
+	// The reroute span joins the job's existing trace (parented on the
+	// original route span), so a job that survives a worker death shows
+	// the whole odyssey in one tree.
+	rs := c.tracer.Remote(j.traceCtx, "reroute").
+		Set("job", j.id).Set("from", peer).Set("n", strconv.Itoa(reroutes))
+	c.log.Warn("job rerouted", "job", j.id, "trace", rs.TraceID(), "from", peer, "reroutes", reroutes)
+	err := c.route(j, rs)
+	rs.EndErr(err)
+	if err != nil {
+		// Every candidate (including local) refused — typically local
+		// backpressure. Surface it as a failed job rather than losing it
+		// silently.
 		j.mu.Lock()
-		if !j.reroutableLocked() {
-			j.mu.Unlock() // its result arrived after the scan above
-			continue
-		}
-		j.reroutes++
-		reroutes := j.reroutes
-		j.terminal = false
+		j.lastInfo = service.Info{ID: j.id, Status: service.StatusFailed, Site: j.spec.Site,
+			Criteria: j.spec.Criteria, Error: fmt.Sprintf("re-route after %s lost the job: %v", peer, err)}
+		j.terminal = true
+		j.releaseLocked()
 		j.mu.Unlock()
-		c.cRerouted.Inc()
-		c.peerCounter("rerouted_from", peer).Inc()
-		// The reroute span joins the job's existing trace (parented on the
-		// original route span), so a job that survives a worker death shows
-		// the whole odyssey in one tree.
-		rs := c.tracer.Remote(j.traceCtx, "reroute").
-			Set("job", j.id).Set("from", peer).Set("n", strconv.Itoa(reroutes))
-		c.log.Warn("job rerouted", "job", j.id, "trace", rs.TraceID(), "from", peer, "reroutes", reroutes)
-		err := c.route(j, rs)
-		rs.EndErr(err)
-		if err != nil {
-			// Every candidate (including local) refused — typically local
-			// backpressure. Surface it as a failed job rather than losing it
-			// silently.
-			j.mu.Lock()
-			j.lastInfo = service.Info{ID: j.id, Status: service.StatusFailed, Site: j.spec.Site,
-				Criteria: j.spec.Criteria, Error: fmt.Sprintf("re-route after %s died: %v", peer, err)}
-			j.terminal = true
-			j.releaseLocked()
-			j.mu.Unlock()
-		}
+	}
+}
+
+// peerError sorts an error from peer about j's job there, remoteID. An
+// answer (an *service.APIError) says nothing against the peer's health,
+// and a 404 means the peer lost the job, as a restarted worker without a
+// journal has: the job moves on. Any other error counts against the peer.
+func (c *Coordinator) peerError(j *routedJob, peer, remoteID string, err error) {
+	var answer *service.APIError
+	switch {
+	case !errors.As(err, &answer):
+		c.members.ReportFailure(peer)
+	case answer.Code == http.StatusNotFound:
+		c.reroute(j, peer, remoteID)
 	}
 }
 
@@ -406,17 +431,17 @@ func (c *Coordinator) lookup(id string) (*routedJob, bool) {
 // Info returns a job snapshot under the coordinator's id, with the
 // executing node as the owner hint. While the owner is unreachable the
 // last observed snapshot is served; the job itself is re-routed when the
-// membership evicts the owner. The coordinator says done only when it
-// holds the result: when the owner reports done, Info fetches the result
-// in the same call, and reports the job running if that fetch fails.
+// membership evicts the owner, or at once when the owner answers that it
+// does not know the job. The coordinator says done only when it holds the
+// result: when the owner reports done, Info fetches the result in the
+// same call, and reports the job running if that fetch fails.
 func (c *Coordinator) Info(id string) (service.Info, bool) {
 	j, ok := c.lookup(id)
 	if !ok {
 		return service.Info{}, false
 	}
 	j.mu.Lock()
-	peer, remoteID := j.peer, j.remoteID
-	last, held := j.lastInfo, j.result != nil
+	peer, remoteID, held := j.peer, j.remoteID, j.result != nil
 	j.mu.Unlock()
 	node := peer
 	var info service.Info
@@ -428,8 +453,10 @@ func (c *Coordinator) Info(id string) (service.Info, bool) {
 	} else {
 		var err error
 		if info, err = c.peers[peer].Info(remoteID); err != nil {
-			c.members.ReportFailure(peer)
-			return last, true // stale-but-available; eviction will re-route
+			c.peerError(j, peer, remoteID, err)
+			j.mu.Lock()
+			defer j.mu.Unlock()
+			return j.lastInfo, true // stale, or queued on the job's new owner
 		}
 	}
 	if info.Status == service.StatusDone && !held {
@@ -488,7 +515,7 @@ func (c *Coordinator) fetchResult(j *routedJob, peer, remoteID string) (*service
 		var err error
 		res, ok, err = c.peers[peer].Result(remoteID)
 		if err != nil {
-			c.members.ReportFailure(peer)
+			c.peerError(j, peer, remoteID, err)
 		}
 	}
 	if !ok {
@@ -522,9 +549,8 @@ func (c *Coordinator) Cancel(id string) bool {
 		return c.cfg.Local.Cancel(remoteID)
 	}
 	err := c.peers[peer].Cancel(remoteID)
-	var refused *service.APIError
-	if err != nil && !errors.As(err, &refused) {
-		c.members.ReportFailure(peer)
+	if err != nil {
+		c.peerError(j, peer, remoteID, err)
 	}
 	return err == nil
 }

@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -261,7 +265,8 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 // TestHTTPRefusesV2Trace: a trace in the retired flat v2 format gets a 400
 // naming its version, and is never enqueued, journaled, or run.
 func TestHTTPRefusesV2Trace(t *testing.T) {
-	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "jobs.wal"))
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +298,52 @@ func TestHTTPRefusesV2Trace(t *testing.T) {
 	if n := m.Metrics().Counter("jobs_submitted").Value(); n != 0 {
 		t.Errorf("jobs_submitted = %d, want 0", n)
 	}
-	if j.MaxID() != 0 {
-		t.Errorf("journal recorded job id %d, want none", j.MaxID())
+	// Opening compacted the fresh journal to its header, and any record
+	// since, a terminal one too, would follow it.
+	if data, err := os.ReadFile(path); err != nil || len(data) != len(journalMagic) {
+		t.Errorf("journal holds %d bytes (%v), want only its %d-byte header", len(data), err, len(journalMagic))
 	}
 	select {
 	case <-ran:
 		t.Fatal("the refused submission reached the runner")
 	default:
+	}
+}
+
+// TestHTTPIDsUniqueAcrossBoots: a manager without a journal keeps no job
+// across a restart. Two of them serve in turn, as one daemon before and
+// after a restart: each id is j, the boot's tag and a counter, the second
+// issues none of the first's ids, and it answers a poll of each with a
+// 404, never with another job.
+func TestHTTPIDsUniqueAcrossBoots(t *testing.T) {
+	idForm := regexp.MustCompile(`^j[0-9a-f]{16}-00000[12]$`)
+	boot := func() (*Client, []string) {
+		srv, _ := testServer(t, Config{Workers: 1})
+		c := NewClient(srv.URL, srv.Client())
+		var ids []string
+		for _, site := range []string{"maps", "bing"} {
+			id, err := c.Submit(Spec{Site: site})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !idForm.MatchString(id) {
+				t.Fatalf("job id %q, want j<16 hex digits>-<n>", id)
+			}
+			ids = append(ids, id)
+		}
+		return c, ids
+	}
+	_, before := boot()
+	after, issued := boot()
+	for _, id := range before {
+		if slices.Contains(issued, id) {
+			t.Fatalf("the restarted manager issued %s again", id)
+		}
+		_, err := after.Info(id)
+		var e *APIError
+		if !errors.As(err, &e) || e.Code != http.StatusNotFound {
+			t.Fatalf("poll of %s after the restart: %v, want a 404", id, err)
+		}
 	}
 }
 
@@ -531,7 +575,8 @@ func TestHTTPEveryErrorIsJSON(t *testing.T) {
 
 // FuzzHandlerNeverPanics sends one request of any method, path and body to
 // NewHandler over a Manager with a stub runner, no store and no journal,
-// which has admitted one job (j000001) for the job routes to find. The
+// which has admitted one job for the job routes to find: its id replaces
+// every {id} in the path. The
 // handler also gets a subtree route at /debug/pprof/, as websliced adds
 // net/http/pprof's, stubbed to answer 200 with a body. The
 // request is parsed from its wire form as a server would, and one that does
@@ -552,10 +597,10 @@ func FuzzHandlerNeverPanics(f *testing.F) {
 		{"POST", "/jobs/trace?criteria=pixels&verify=1", noiseUpload(f, 16)},
 		{"POST", "/jobs/trace?criteria=syscalls", declaredRecsUpload(9)},
 		{"POST", "/jobs/trace", []byte("WSLT\x02")},
-		{"GET", "/jobs/j000001", nil},
-		{"GET", "/jobs/j000001/result", nil},
-		{"GET", "/jobs/j000001/trace", nil},
-		{"DELETE", "/jobs/j000001", nil},
+		{"GET", "/jobs/{id}", nil},
+		{"GET", "/jobs/{id}/result", nil},
+		{"GET", "/jobs/{id}/trace", nil},
+		{"DELETE", "/jobs/{id}", nil},
 		{"DELETE", "/jobs/j999999", nil},
 		{"GET", "/jobs/quarantined", nil},
 		{"GET", "/healthz", nil},
@@ -576,15 +621,17 @@ func FuzzHandlerNeverPanics(f *testing.F) {
 		return &Result{Criteria: spec.Criteria, Total: 100, SliceCount: 42, SlicePct: 42}, nil
 	}
 	f.Fuzz(func(t *testing.T, method, path string, body []byte) {
+		m := New(Config{Workers: 1, QueueDepth: 4, Runner: runner, Tracer: obs.New(64, nil)})
+		defer m.Kill()
+		id, err := m.Submit(Spec{Site: "maps", Scale: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path = strings.ReplaceAll(path, "{id}", id)
 		wire := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: webslice.test\r\nContent-Length: %d\r\n\r\n", method, path, len(body))
 		req, err := http.ReadRequest(bufio.NewReader(io.MultiReader(strings.NewReader(wire), bytes.NewReader(body))))
 		if err != nil {
 			return
-		}
-		m := New(Config{Workers: 1, QueueDepth: 4, Runner: runner, Tracer: obs.New(64, nil)})
-		defer m.Kill()
-		if _, err := m.Submit(Spec{Site: "maps", Scale: 0.05}); err != nil {
-			t.Fatal(err)
 		}
 		h := NewHandler(m)
 		h.HandleFunc("/debug/pprof/", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "profiles") })

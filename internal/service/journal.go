@@ -14,9 +14,12 @@
 //	record:  uint32 payload length (LE) | payload | uint32 CRC32-IEEE of payload (LE)
 //	payload: one tag byte, then the record
 //	  'U' submit   uvarint(len(meta)) | meta | the upload's raw bytes (none for a site job)
-//	               meta: {"id": "j000001", "spec": {site/seed/scale/criteria/verify/origin}}
-//	  'T' terminal {"id": "j000001", "status": "done"}
-//	  'M' meta     {"max_id": 41}   (written by compaction so job IDs stay unique)
+//	               meta: {"id": "j5c1e0f3a9b2d4c67-000001", "spec": <Spec's JSON>}
+//	  'T' terminal {"id": "j5c1e0f3a9b2d4c67-000001", "status": "done"}
+//	  'M' meta     {"max_id": 41}: an older build's largest job number, first
+//	               in every journal it compacted. Replay skips the record, so
+//	               those journals still replay; nothing writes it, since a job
+//	               id carries its boot's random tag (IDs).
 //
 // Version 1 (before the 'U' record) wrote each submission as an 'S'
 // record, its trace in base64 inside the JSON. Replay refuses a version 1
@@ -53,7 +56,7 @@ var journalMagic = [5]byte{'W', 'S', 'J', 'L', 2}
 const (
 	recUpload   = 'U'
 	recTerminal = 'T'
-	recMeta     = 'M'
+	recMeta     = 'M' // written by older builds only
 
 	// journalFrameOverhead is the length prefix plus the CRC suffix.
 	journalFrameOverhead = 8
@@ -84,29 +87,16 @@ type JournalEntry struct {
 	Spec Spec
 }
 
-// journalSpec is Spec's durable wire form, less the upload: a 'U' record
-// carries the upload's bytes raw after the JSON.
-type journalSpec struct {
-	Site     string  `json:"site,omitempty"`
-	Seed     uint64  `json:"seed,omitempty"`
-	Scale    float64 `json:"scale,omitempty"`
-	Criteria string  `json:"criteria,omitempty"`
-	Verify   bool    `json:"verify,omitempty"`
-	Origin   string  `json:"origin,omitempty"`
-}
-
+// submitRecord is the JSON of a 'U' record. Spec's JSON leaves out the
+// upload, which the record carries raw after the JSON.
 type submitRecord struct {
-	ID   string      `json:"id"`
-	Spec journalSpec `json:"spec"`
+	ID   string `json:"id"`
+	Spec Spec   `json:"spec"`
 }
 
 type terminalRecord struct {
 	ID     string `json:"id"`
 	Status Status `json:"status"`
-}
-
-type metaRecord struct {
-	MaxID int `json:"max_id"`
 }
 
 // pendingSubmit is a pending job's submit record, kept for compaction: its
@@ -127,7 +117,6 @@ type Journal struct {
 
 	pending   map[string]pendingSubmit // id -> submit record (for compaction)
 	order     []string                 // submission order of pending ids
-	maxID     int                      // highest numeric job id ever journaled
 	terminals int                      // terminal records since last compaction
 	salvaged  int                      // records dropped by the last replay (corrupt tail)
 }
@@ -163,9 +152,8 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 		}
 		entries = append(entries, JournalEntry{ID: id, Spec: spec})
 	}
-	// Compact on open: the rewritten file holds only the pending records
-	// (plus the max-id meta record), so completed history never accumulates
-	// across restarts.
+	// Compact on open: the rewritten file holds only the pending records,
+	// so completed history never accumulates across restarts.
 	if err := j.compactLocked(); err != nil {
 		return nil, nil, err
 	}
@@ -177,7 +165,7 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 	return j, entries, nil
 }
 
-// replay parses data, populating pending/order/maxID. Any framing, CRC, or
+// replay parses data, populating pending and order. Any framing, CRC, or
 // payload violation truncates the replay at the last intact record — the
 // corrupt or torn remainder is counted in salvaged and never trusted.
 func (j *Journal) replay(data []byte) error {
@@ -222,21 +210,13 @@ func (j *Journal) apply(payload []byte) bool {
 			j.pending[rec.ID] = p
 			j.order = append(j.order, rec.ID)
 		}
-		j.noteID(rec.ID)
 	case recTerminal:
 		var rec terminalRecord
 		if err := json.Unmarshal(payload[1:], &rec); err != nil || rec.ID == "" {
 			return false
 		}
 		j.dropPending(rec.ID)
-	case recMeta:
-		var rec metaRecord
-		if err := json.Unmarshal(payload[1:], &rec); err != nil {
-			return false
-		}
-		if rec.MaxID > j.maxID {
-			j.maxID = rec.MaxID
-		}
+	case recMeta: // skipped: see the file format
 	default:
 		return false
 	}
@@ -294,27 +274,17 @@ func (p pendingSubmit) spec() (Spec, error) {
 	if err := json.Unmarshal(p.meta(), &rec); err != nil {
 		return Spec{}, err
 	}
-	s := rec.Spec
-	spec := Spec{Site: s.Site, Seed: s.Seed, Scale: s.Scale, Criteria: s.Criteria,
-		Verify: s.Verify, Origin: s.Origin}
 	if len(p.trace) > 0 {
-		spec.Trace = bytes.Clone(p.trace)
+		rec.Spec.Trace = bytes.Clone(p.trace)
 	}
-	return spec, nil
+	return rec.Spec, nil
 }
 
 // submitPayload builds the 'U' record of a submission. The record shares
 // spec.Trace rather than copying it. A record longer than replay accepts
 // is refused, so an acknowledged job is never one replay would drop.
 func submitPayload(id string, spec Spec) (pendingSubmit, error) {
-	meta, err := json.Marshal(submitRecord{ID: id, Spec: journalSpec{
-		Site:     spec.Site,
-		Seed:     spec.Seed,
-		Scale:    spec.Scale,
-		Criteria: spec.Criteria,
-		Verify:   spec.Verify,
-		Origin:   spec.Origin,
-	}})
+	meta, err := json.Marshal(submitRecord{ID: id, Spec: spec})
 	if err != nil {
 		return pendingSubmit{}, err
 	}
@@ -326,15 +296,6 @@ func submitPayload(id string, spec Spec) (pendingSubmit, error) {
 		return pendingSubmit{}, fmt.Errorf("submit record of %d bytes exceeds the journal's %d-byte bound", n, maxJournalPayload)
 	}
 	return pendingSubmit{head: head, trace: spec.Trace}, nil
-}
-
-// noteID tracks the largest numeric job id ever seen so a restarted
-// manager never reissues an id a client may still be polling.
-func (j *Journal) noteID(id string) {
-	var n int
-	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > j.maxID {
-		j.maxID = n
-	}
 }
 
 func (j *Journal) dropPending(id string) {
@@ -366,7 +327,6 @@ func (j *Journal) LogSubmit(id string, spec Spec) error {
 		j.pending[id] = rec
 		j.order = append(j.order, id)
 	}
-	j.noteID(id)
 	return nil
 }
 
@@ -407,17 +367,15 @@ func (j *Journal) appendLocked(head, body []byte) error {
 	return nil
 }
 
-// compactLocked rewrites the journal to the meta record plus the pending
-// submits, atomically (temp file + rename + fsync).
+// compactLocked rewrites the journal to the pending submits, atomically
+// (temp file + rename + fsync).
 func (j *Journal) compactLocked() error {
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), ".journal-*")
 	if err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
 	}
 	w := bufio.NewWriter(tmp)
-	w.Write(journalMagic[:])
-	meta, _ := json.Marshal(metaRecord{MaxID: j.maxID})
-	werr := writeFrame(w, append([]byte{recMeta}, meta...), nil)
+	_, werr := w.Write(journalMagic[:])
 	for _, id := range j.order {
 		if werr == nil {
 			p := j.pending[id]
@@ -452,13 +410,6 @@ func (j *Journal) compactLocked() error {
 		j.f = f
 	}
 	return nil
-}
-
-// MaxID returns the highest numeric job id the journal has ever recorded.
-func (j *Journal) MaxID() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.maxID
 }
 
 // Salvaged reports how many bytes the last replay discarded as a corrupt

@@ -2,12 +2,16 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"webslice/internal/obs"
 )
 
 func journalPath(t testing.TB) string {
@@ -41,8 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: j1 and j3 are pending in submission order, j2 is gone, and the
-	// max id survives.
+	// Reopen: j1 and j3 are pending in submission order, and j2 is gone.
 	j2, entries, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -58,15 +61,11 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("spec for %s = %+v, want %+v", e.ID, e.Spec, want)
 		}
 	}
-	if j2.MaxID() != 3 {
-		t.Fatalf("MaxID = %d, want 3", j2.MaxID())
-	}
 	if j2.Salvaged() != 0 {
 		t.Fatalf("clean journal salvaged %d bytes", j2.Salvaged())
 	}
 
-	// Finish the rest; the next open sees an empty journal but still
-	// remembers the id high-water mark via the meta record.
+	// Finish the rest; the next open sees an empty journal.
 	for _, id := range []string{"j1", "j3"} {
 		if err := j2.LogTerminal(id, StatusFailed); err != nil {
 			t.Fatal(err)
@@ -82,10 +81,97 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("drained journal still has %d pending", len(entries))
 	}
-	if j3.MaxID() != 3 {
-		t.Fatalf("MaxID after drain = %d, want 3 (meta record lost)", j3.MaxID())
-	}
 	j3.Close()
+}
+
+// TestJournalSubmitRecordBytes: a 'U' record's JSON is Spec's own, and
+// with every field set it is byte for byte the record every version 2
+// journal on disk holds, so those journals replay and new records read the
+// same. The upload and the propagated span stay out of the JSON.
+func TestJournalSubmitRecordBytes(t *testing.T) {
+	spec := Spec{Site: "maps", Seed: 9, Scale: 0.5, Criteria: "syscalls", Verify: true,
+		Trace: []byte("upload"), Origin: "http://co:1", TraceCtx: obs.SpanContext{Trace: "t1", Span: "s1"}}
+	rec, err := submitPayload("j1", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const meta = `{"id":"j1","spec":{"site":"maps","seed":9,"scale":0.5,"criteria":"syscalls","verify":true,"origin":"http://co:1"}}`
+	want := append(binary.AppendUvarint([]byte{recUpload}, uint64(len(meta))), meta...)
+	if !bytes.Equal(rec.head, want) || !bytes.Equal(rec.trace, spec.Trace) {
+		t.Fatalf("submit record = %q + %q, want %q + %q", rec.head, rec.trace, want, spec.Trace)
+	}
+}
+
+// olderBuildJournal hand-builds a journal as a build that numbered its jobs
+// j000001, j000002, ... left it: headed by the 'M' record of the largest
+// number when it last compacted, then two site jobs and an upload submitted
+// since, and the terminal record of the first site job. It returns the file
+// and the 'U' frames of the two jobs still pending.
+func olderBuildJournal(t testing.TB, upload []byte) (data []byte, pending [][]byte) {
+	t.Helper()
+	var b bytes.Buffer
+	b.Write(journalMagic[:])
+	frame := func(payload []byte) []byte {
+		start := b.Len()
+		if err := writeFrame(&b, payload, nil); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(b.Bytes()[start:])
+	}
+	submit := func(meta string, upload []byte) []byte {
+		head := binary.AppendUvarint([]byte{recUpload}, uint64(len(meta)))
+		return frame(append(append(head, meta...), upload...))
+	}
+	frame([]byte(`M{"max_id":40}`))
+	submit(`{"id":"j000041","spec":{"site":"maps","scale":0.5}}`, nil)
+	site := submit(`{"id":"j000042","spec":{"seed":9,"criteria":"syscalls"}}`, nil)
+	up := submit(`{"id":"j000043","spec":{"verify":true,"origin":"http://co:1"}}`, upload)
+	frame([]byte(`T{"id":"j000041","status":"done"}`))
+	return b.Bytes(), [][]byte{site, up}
+}
+
+// TestJournalReplaysOlderBuildsJournal: a journal of numbered jobs headed
+// by an 'M' record replays every pending job under its old id. Compaction
+// writes each pending record back byte for byte, and no 'M' record. A
+// manager resumes the jobs, and the id it issues is none of theirs.
+func TestJournalReplaysOlderBuildsJournal(t *testing.T) {
+	upload := noiseUpload(t, 16)
+	data, pending := olderBuildJournal(t, upload)
+	path := journalPath(t)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, entries, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].ID != "j000042" || entries[1].ID != "j000043" ||
+		entries[0].Spec.Seed != 9 || entries[0].Spec.Criteria != "syscalls" ||
+		!bytes.Equal(entries[1].Spec.Trace, upload) || entries[1].Spec.Origin != "http://co:1" || !entries[1].Spec.Verify {
+		t.Fatalf("replayed %+v, want j000042 (seed 9) and j000043 (the upload)", entries)
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Join(append([][]byte{journalMagic[:]}, pending...), nil); !bytes.Equal(compacted, want) {
+		t.Fatalf("compacted journal holds %d bytes, want %d: the header and the pending 'U' frames as written, without an 'M' record", len(compacted), len(want))
+	}
+
+	m := New(Config{Workers: 1, Journal: j, Resume: entries, Runner: func(ctx context.Context, spec Spec) (*Result, error) {
+		return &Result{Criteria: spec.Criteria}, nil
+	}})
+	defer m.Close()
+	for _, e := range entries {
+		waitStatus(t, m, e.ID, StatusDone)
+	}
+	id, err := m.Submit(Spec{Site: "maps"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id == "j000041" || id == "j000042" || id == "j000043" {
+		t.Fatalf("the manager issued %s, an id the journal already named", id)
+	}
 }
 
 func TestJournalDuplicateSubmitIgnored(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -279,10 +280,10 @@ type Manager struct {
 	// journaling terminals, so the journal keeps them pending for the next
 	// boot (simulated crash, or drain deadline expiry).
 	killed atomic.Bool
+	ids    *IDs
 
 	mu         sync.Mutex
 	jobs       map[string]*job
-	nextID     int
 	closed     bool
 	quarantine []string // ids of quarantined jobs, oldest first
 
@@ -321,6 +322,7 @@ func New(cfg Config) *Manager {
 		queue:        make(chan *job, cfg.QueueDepth+len(cfg.Resume)),
 		baseCtx:      ctx,
 		baseCancel:   cancel,
+		ids:          NewIDs('j'),
 		jobs:         make(map[string]*job),
 		mSubmitted:   reg.Counter("jobs_submitted"),
 		mDone:        reg.Counter("jobs_done"),
@@ -354,9 +356,6 @@ func New(cfg Config) *Manager {
 		reg.Func("store_breaker_trips", func() int64 { return cfg.Store.Stats().BreakerTrips })
 		reg.Func("store_breaker_shed", func() int64 { return cfg.Store.Stats().BreakerShed })
 	}
-	if mx := maxJournalID(cfg); mx > m.nextID {
-		m.nextID = mx
-	}
 	m.resume(cfg.Resume)
 	m.cfg.Resume = nil // queued; keeping them would keep their uploads alive
 	for i := 0; i < cfg.Workers; i++ {
@@ -366,12 +365,22 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-func maxJournalID(cfg Config) int {
-	if cfg.Journal == nil {
-		return 0
-	}
-	return cfg.Journal.MaxID()
+// IDs issues the job ids of one boot of a node: a role letter, 16 hex
+// digits drawn at random when the node boots, a dash and a counter, as in
+// j5c1e0f3a9b2d4c67-000001. A Manager's ids begin with j, a coordinator's
+// with c. Two boots draw the same tag with odds of 2^-64, and a job keeps
+// its id across a journal replay, so an id names one job: a node that no
+// longer knows a job answers its id with a 404, never with another job.
+type IDs struct {
+	boot string
+	n    atomic.Int64
 }
+
+// NewIDs draws the boot tag of a node whose ids begin with role.
+func NewIDs(role byte) *IDs { return &IDs{boot: fmt.Sprintf("%c%016x-", role, rand.Uint64())} }
+
+// Next returns a new id.
+func (ids *IDs) Next() string { return fmt.Sprintf("%s%06d", ids.boot, ids.n.Add(1)) }
 
 // resume re-enqueues replayed journal entries. Entries that no longer
 // validate (a site removed, say) are journaled terminal instead of
@@ -430,9 +439,8 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		m.mRejected.Inc()
 		return "", ErrQueueFull
 	}
-	m.nextID++
 	j := &job{
-		id:     fmt.Sprintf("j%06d", m.nextID),
+		id:     m.ids.Next(),
 		spec:   spec,
 		status: StatusQueued,
 	}

@@ -81,8 +81,9 @@ go test -race -count=10 -run 'TestTwin' ./internal/service
 # A worker that answers 404 for a job routed to it has lost the job, and the
 # poll that hears it re-routes the job. Concurrent polls can each start that
 # re-route, as can an eviction: race eight polls, so each loss moves the job
-# once.
-go test -race -count=20 -run 'TestCoordinatorReroutesLostJobOnce' ./internal/cluster
+# once. A cancel of a lost job races a poll that may move it: either way the
+# job ends canceled.
+go test -race -count=20 -run 'TestCoordinatorReroutesLostJobOnce|TestCoordinatorCancelsLostJob' ./internal/cluster
 # A stopping daemon drains its jobs while it still serves, and closes its
 # server only after the drain: the signal, the HTTP server and the workers
 # hand shutdown to each other, so one passing run can be luck.

@@ -182,12 +182,9 @@ func siteLabel(info service.Info) string {
 
 // clientResult fetches and pretty-prints a finished job's result.
 func (c *client) clientResult(id string) error {
-	res, ok, err := c.api.Result(id)
+	res, err := c.api.Result(id)
 	if err != nil {
 		return err
-	}
-	if !ok {
-		return fmt.Errorf("job %s is not done", id)
 	}
 	fmt.Fprintf(c.out, "%s: %s instructions, %s criteria\n", id, report.MInstr(res.Total), res.Criteria)
 	fmt.Fprintf(c.out, "  slice: %s (%d records)", report.Pct1(res.SlicePct), res.SliceCount)

@@ -83,10 +83,6 @@ func main() {
 		err = doSlice(*scale, *site)
 	case "categorize":
 		err = doCategorize(*scale, *site, *topN)
-	case "unused":
-		err = reproTableI(*scale, *workers, nil)
-	case "cpu":
-		err = reproFigure2(*scale, nil)
 	case "calibrate":
 		err = calibrate(*scale)
 	case "submit":
@@ -162,8 +158,6 @@ commands:
   trace      render a site and write its binary instruction trace (-site, -o)
   slice      render a site and print pixel/syscall slice statistics (-site)
   categorize render+slice a site and list the most-wasteful functions (-site)
-  unused     Table I only (unused JS/CSS bytes)
-  cpu        Figure 2 only (main-thread CPU utilization)
   calibrate  print per-thread statistics for tuning workload knobs
   verify     run the slice-validation oracles (-exp golden|crossformat|replay|
              differential|invariants|all; -count/-seed property sites, -golden

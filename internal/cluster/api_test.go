@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
@@ -18,8 +19,8 @@ import (
 )
 
 // contractWorker is a worker for the contract test: one slot that holds
-// every job until block closes, a queue of one, a 1 KiB admission limit,
-// and tracing off.
+// every site job until block closes and finishes a seed job at once, a
+// queue of one, a 1 KiB admission limit, and tracing off.
 func contractWorker(t *testing.T, block chan struct{}) *service.Manager {
 	t.Helper()
 	m := service.New(service.Config{
@@ -27,6 +28,9 @@ func contractWorker(t *testing.T, block chan struct{}) *service.Manager {
 		QueueDepth:    1,
 		MaxTraceBytes: 1 << 10,
 		Runner: func(ctx context.Context, spec service.Spec) (*service.Result, error) {
+			if spec.Seed != 0 {
+				return &service.Result{Criteria: spec.Criteria}, nil
+			}
 			select {
 			case <-block:
 				return &service.Result{Criteria: spec.Criteria}, nil
@@ -102,11 +106,15 @@ func TestAPIContract(t *testing.T) {
 			unblock := sync.OnceFunc(func() { close(block) })
 			t.Cleanup(unblock)
 
-			// 202 with exactly {"id"}: one job runs (held), one waits in
-			// the queue, so the queue is full.
+			// 202 with exactly {"id"}: a seed job finishes, then one site
+			// job runs (held) and one waits in the queue, so the queue is
+			// full.
 			var ids []string
-			for range 2 {
-				rw := serve(role.h, http.MethodPost, "/jobs", []byte(`{"site":"maps"}`), 0)
+			for _, job := range []struct {
+				spec string
+				st   service.Status
+			}{{`{"seed":1}`, service.StatusDone}, {`{"site":"maps"}`, service.StatusRunning}, {`{"site":"maps"}`, service.StatusQueued}} {
+				rw := serve(role.h, http.MethodPost, "/jobs", []byte(job.spec), 0)
 				var body map[string]any
 				if err := json.Unmarshal(rw.Body.Bytes(), &body); err != nil || rw.Code != http.StatusAccepted {
 					t.Fatalf("submit = %d %s, want 202", rw.Code, rw.Body)
@@ -116,9 +124,7 @@ func TestAPIContract(t *testing.T) {
 					t.Fatalf("submit body = %s, want {\"id\": ...}", rw.Body)
 				}
 				ids = append(ids, id)
-				if len(ids) == 1 {
-					waitRunning(t, role.h, id)
-				}
+				waitStatus(t, role.h, id, job.st)
 			}
 
 			v2 := append([]byte("WSLT\x02"), bytes.Repeat([]byte{0}, 64)...)
@@ -140,9 +146,10 @@ func TestAPIContract(t *testing.T) {
 				{"body cap", "POST", "/jobs/trace", []byte("WSLT\x03short"), 256<<20 + 1, 413, "too large", ""},
 				{"unknown job", "GET", "/jobs/nope", nil, 0, 404, `no job "nope"`, ""},
 				{"unknown result", "GET", "/jobs/nope/result", nil, 0, 404, `no job "nope"`, ""},
-				{"unknown trace", "GET", "/jobs/nope/trace", nil, 0, 404, "no trace", ""},
-				{"result not done", "GET", "/jobs/" + ids[0] + "/result", nil, 0, 409, "not done", ""},
-				{"cancel unknown", "DELETE", "/jobs/nope", nil, 0, 409, "unknown or already finished", ""},
+				{"unknown trace", "GET", "/jobs/nope/trace", nil, 0, 404, `no job "nope"`, ""},
+				{"result not done", "GET", "/jobs/" + ids[1] + "/result", nil, 0, 409, "not done", ""},
+				{"cancel unknown", "DELETE", "/jobs/nope", nil, 0, 404, `no job "nope"`, ""},
+				{"cancel finished", "DELETE", "/jobs/" + ids[0], nil, 0, 409, "already finished", ""},
 				// No route lists jobs: /jobs only takes a submission.
 				{"job list", "GET", "/jobs", nil, 0, 405, "Method Not Allowed", ""},
 				{"spans with tracing off", "GET", "/debug/spans", nil, 0, 404, "tracing disabled", ""},
@@ -266,19 +273,19 @@ func TestCoordinatorAdmitsLikeAWorker(t *testing.T) {
 	}
 }
 
-// waitRunning polls GET /jobs/{id} until the job runs.
-func waitRunning(t *testing.T, h http.Handler, id string) {
+// waitStatus polls GET /jobs/{id} until the job has status st.
+func waitStatus(t *testing.T, h http.Handler, id string, st service.Status) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		var info service.Info
 		json.Unmarshal(serve(h, "GET", "/jobs/"+id, nil, 0).Body.Bytes(), &info)
-		if info.Status == service.StatusRunning {
+		if info.Status == st {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("job %s never ran", id)
+	t.Fatalf("job %s never became %s", id, st)
 }
 
 // panicOnSubmit is a worker's backend whose submit route hits a bug.
@@ -347,5 +354,67 @@ func TestCoordinatorErrorsAreJSON(t *testing.T) {
 	}
 	if m := co.Members(); len(m) != 1 || m[0].Fails != 0 || co.Ring().Len() != 1 {
 		t.Errorf("members %+v, ring size %d: want the worker in the ring with no failure", m, co.Ring().Len())
+	}
+}
+
+// TestJobsAnswerAlike: a Manager, a Coordinator over it, and a Client of
+// each over HTTP refuse the same calls with the same errors. Any call on
+// an unknown id is service.ErrUnknownJob; the result of a job still held,
+// and a cancel of a finished one, are service.ErrJobState. Each role is a
+// subtest named after it.
+func TestJobsAnswerAlike(t *testing.T) {
+	w := service.New(service.Config{
+		Workers:    4,
+		QueueDepth: 8,
+		Runner: func(ctx context.Context, spec service.Spec) (*service.Result, error) {
+			if spec.Seed != 0 {
+				return &service.Result{Criteria: spec.Criteria}, nil
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	t.Cleanup(w.Kill)
+	wsrv := httptest.NewServer(service.NewHandler(w))
+	t.Cleanup(wsrv.Close)
+	local := service.New(service.Config{Workers: 1, Node: "http://coordinator.test"})
+	t.Cleanup(local.Kill)
+	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{wsrv.URL}})
+	t.Cleanup(co.Stop)
+
+	for name, jobs := range map[string]service.Jobs{
+		"manager":            w,
+		"manager client":     service.NewClient(wsrv.URL, wsrv.Client()),
+		"coordinator":        co,
+		"coordinator client": serveCoordinator(t, co),
+	} {
+		t.Run(name, func(t *testing.T) {
+			finished, err := jobs.Submit(service.Spec{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := await(t, jobs, finished); info.Status != service.StatusDone {
+				t.Fatalf("seed job %s is %s, want done", finished, info.Status)
+			}
+			held, err := jobs.Submit(service.Spec{Site: "maps"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, call := range []struct {
+				name      string
+				err, want error
+			}{
+				{"Info of an unknown id", errOf(jobs.Info("nope")), service.ErrUnknownJob},
+				{"Result of an unknown id", errOf(jobs.Result("nope")), service.ErrUnknownJob},
+				{"Cancel of an unknown id", jobs.Cancel("nope"), service.ErrUnknownJob},
+				{"JobTrace of an unknown id", errOf(jobs.JobTrace("nope")), service.ErrUnknownJob},
+				{"Result of a held job", errOf(jobs.Result(held)), service.ErrJobState},
+				{"Cancel of a finished job", jobs.Cancel(finished), service.ErrJobState},
+			} {
+				if !errors.Is(call.err, call.want) {
+					t.Errorf("%s = %v, want %v", call.name, call.err, call.want)
+				}
+			}
+		})
 	}
 }

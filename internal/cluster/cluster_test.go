@@ -77,14 +77,14 @@ func startCluster(t testing.TB, k int, cfg Config) *testCluster {
 	return tc
 }
 
-// await polls a coordinator job on real time until it is terminal.
-func await(t testing.TB, c *Coordinator, id string) service.Info {
+// await polls a job on real time until it is terminal.
+func await(t testing.TB, jobs service.Jobs, id string) service.Info {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		info, ok := c.Info(id)
-		if !ok {
-			t.Fatalf("Info(%s): unknown job", id)
+		info, err := jobs.Info(id)
+		if err != nil {
+			t.Fatalf("Info(%s): %v", id, err)
 		}
 		if info.Status.Terminal() {
 			return info
@@ -97,9 +97,9 @@ func await(t testing.TB, c *Coordinator, id string) service.Info {
 
 func mustResult(t testing.TB, c *Coordinator, id string) *service.Result {
 	t.Helper()
-	res, done := c.Result(id)
-	if !done || res == nil {
-		t.Fatalf("Result(%s) = %v, done=%t", id, res, done)
+	res, err := c.Result(id)
+	if err != nil || res == nil {
+		t.Fatalf("Result(%s) = %v, %v", id, res, err)
 	}
 	return res
 }
@@ -211,9 +211,9 @@ func TestClusterSingleVsMultiNodeDigests(t *testing.T) {
 	// 3 workers, 8 golden workloads: the ring must have spread them.
 	nodes := map[string]bool{}
 	for _, id := range ids {
-		info, ok := multi.co.Info(id)
-		if !ok {
-			t.Fatalf("Info(%s): unknown job", id)
+		info, err := multi.co.Info(id)
+		if err != nil {
+			t.Fatalf("Info(%s): %v", id, err)
 		}
 		nodes[info.Node] = true
 	}
@@ -303,8 +303,8 @@ func TestCoordinatorDoneMeansResultHeld(t *testing.T) {
 	if !slices.Contains(tc.co.Ring().Nodes(), info.Node) {
 		t.Fatalf("owner %s was evicted before the result was asked for", info.Node)
 	}
-	if res, ok := tc.co.Result(id); !ok || res.SliceDigest == "" {
-		t.Fatalf("a job reported done has no result once its owner is gone: %+v, %t", res, ok)
+	if res, err := tc.co.Result(id); err != nil || res.SliceDigest == "" {
+		t.Fatalf("a job reported done has no result once its owner is gone: %+v, %v", res, err)
 	}
 }
 

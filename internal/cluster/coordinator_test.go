@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"webslice/internal/service"
 )
@@ -42,6 +44,9 @@ func serveCoordinator(t *testing.T, co *Coordinator) *service.Client {
 	return service.NewClient(srv.URL, srv.Client())
 }
 
+// errOf is the error of a call's two results.
+func errOf[T any](_ T, err error) error { return err }
+
 // wantAPIError fails unless err is an API answer with code whose message
 // names has.
 func wantAPIError(t *testing.T, what string, err error, code int, has string) {
@@ -54,8 +59,8 @@ func wantAPIError(t *testing.T, what string, err error, code int, has string) {
 
 // TestCoordinatorCancel drives DELETE /jobs/{id} of a coordinator over
 // one worker: a cancel reaches the worker that runs the job, is refused
-// for a finished or unknown job, and counts an unreachable worker as a
-// failure.
+// with a 409 for a finished job and a 404 for an unknown one, and answers
+// a 502 for a job whose worker is unreachable, counted as one failure.
 func TestCoordinatorCancel(t *testing.T) {
 	w := holdingManager(t, "")
 	wsrv := httptest.NewServer(service.NewHandler(w))
@@ -85,15 +90,51 @@ func TestCoordinatorCancel(t *testing.T) {
 		t.Fatalf("canceled job is %s", info.Status)
 	}
 	wantAPIError(t, "cancel a canceled job", c.Cancel(ids[0]), http.StatusConflict, "already finished")
-	wantAPIError(t, "cancel an unknown job", c.Cancel("c999999"), http.StatusConflict, "unknown")
+	wantAPIError(t, "cancel an unknown job", c.Cancel("c999999"), http.StatusNotFound, `no job "c999999"`)
 	if got := co.Members()[0].Fails; got != 0 {
 		t.Fatalf("a refused cancel counted %d failures against the worker", got)
 	}
 
 	wsrv.Close()
-	wantAPIError(t, "cancel on a dead worker", c.Cancel(ids[1]), http.StatusConflict, "unknown or already finished")
+	wantAPIError(t, "cancel on a dead worker", c.Cancel(ids[1]), http.StatusBadGateway, "no answer")
 	if got := co.Members()[0].Fails; got != 1 {
 		t.Fatalf("unreachable worker has %d failures, want 1", got)
+	}
+}
+
+// TestCoordinatorGarbledSubmitAnswer: a worker that accepts a submit with
+// a body that is not JSON has given no answer the coordinator can use. The
+// coordinator counts it against the worker and runs the job on its own
+// manager, rather than answering its client with a 400.
+func TestCoordinatorGarbledSubmitAnswer(t *testing.T) {
+	wsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, "<html>accepted</html>")
+	}))
+	t.Cleanup(wsrv.Close)
+	co := New(Config{Self: "http://coordinator.test", Local: holdingManager(t, "http://coordinator.test"), Peers: []string{wsrv.URL}})
+	t.Cleanup(co.Stop)
+	c := serveCoordinator(t, co)
+
+	id, err := c.Submit(service.Spec{Site: "maps"})
+	if err != nil {
+		t.Fatalf("submit past a garbled 202: %v, want it placed", err)
+	}
+	if info, err := c.Info(id); err != nil || info.Node != "http://coordinator.test" {
+		t.Fatalf("job %s = %+v, %v; want it on the coordinator's own manager", id, info, err)
+	}
+	reg := co.Metrics()
+	for name, want := range map[string]int64{
+		"cluster_forward_failed":  1,
+		"cluster_local_fallbacks": 1,
+		"cluster_jobs_local":      1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := co.Members()[0].Fails; got != 1 {
+		t.Errorf("the garbling worker has %d failures, want 1", got)
 	}
 }
 
@@ -150,13 +191,10 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.Lo
 
 func (s *swapHandler) serve(m *service.Manager) { s.h.Store(service.NewHandler(m)) }
 
-// TestCoordinatorReroutesLostJobOnce: a worker restarted without a journal
-// has lost the job the coordinator routed to it, and serves another
-// client's job. Eight concurrent polls of the routed job each answer for
-// that job and no other. They re-route it once, to the restarted worker,
-// whose health is never in doubt: it answered every poll. The job then
-// finishes there with its own result.
-func TestCoordinatorReroutesLostJobOnce(t *testing.T) {
+// swappedWorker starts a coordinator whose one worker, behind a handler
+// the test swaps to restart it, holds every job until it is canceled.
+func swappedWorker(t *testing.T) (*Coordinator, *swapHandler, string) {
+	t.Helper()
 	sw := new(swapHandler)
 	sw.serve(holdingManager(t, ""))
 	wsrv := httptest.NewServer(sw)
@@ -165,6 +203,17 @@ func TestCoordinatorReroutesLostJobOnce(t *testing.T) {
 	t.Cleanup(local.Kill)
 	co := New(Config{Self: "http://coordinator.test", Local: local, Peers: []string{wsrv.URL}})
 	t.Cleanup(co.Stop)
+	return co, sw, wsrv.URL
+}
+
+// TestCoordinatorReroutesLostJobOnce: a worker restarted without a journal
+// has lost the job the coordinator routed to it, and serves another
+// client's job. Eight concurrent polls of the routed job each answer for
+// that job and no other. They re-route it once, to the restarted worker,
+// whose health is never in doubt: it answered every poll. The job then
+// finishes there with its own result.
+func TestCoordinatorReroutesLostJobOnce(t *testing.T) {
+	co, sw, url := swappedWorker(t)
 	id, err := co.Submit(service.Spec{Site: "maps"})
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +254,92 @@ func TestCoordinatorReroutesLostJobOnce(t *testing.T) {
 		t.Errorf("%d evictions, members %+v; want the restarted worker alive", n, co.Members())
 	}
 	info := await(t, co, id)
-	if res := mustResult(t, co, id); info.Status != service.StatusDone || info.Node != wsrv.URL ||
+	if res := mustResult(t, co, id); info.Status != service.StatusDone || info.Node != url ||
 		info.Site != "maps" || res.SliceDigest != "maps" || res.Criteria != "pixels" {
-		t.Fatalf("the re-routed job finished as %+v with %+v, want maps pixels done on %s", info, res, wsrv.URL)
+		t.Fatalf("the re-routed job finished as %+v with %+v, want maps pixels done on %s", info, res, url)
+	}
+}
+
+// TestCoordinatorMovingPollCountsReroute: the poll that re-routes a lost
+// job answers with the move counted, as the polls after it do.
+func TestCoordinatorMovingPollCountsReroute(t *testing.T) {
+	co, sw, url := swappedWorker(t)
+	id, err := co.Submit(service.Spec{Site: "maps"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.serve(holdingManager(t, ""))
+	for _, poll := range []string{"the poll that moved the job", "the next poll"} {
+		info, err := co.Info(id)
+		if err != nil || info.Reroutes != 1 || info.Node != url || info.Site != "maps" {
+			t.Fatalf("%s = %+v, %v; want maps on %s with reroutes 1", poll, info, err, url)
+		}
+	}
+	if n := co.Metrics().Counter("cluster_jobs_rerouted").Value(); n != 1 {
+		t.Errorf("cluster_jobs_rerouted = %d, want 1", n)
+	}
+}
+
+// TestCoordinatorCancelsLostJob: a worker restarted without a journal has
+// lost two jobs the coordinator routed to it. A cancel of the first finds
+// nothing to stop there, so the coordinator cancels the job itself: the
+// cancel answers 200, every later poll reads canceled, no poll re-routes
+// the job, and the restarted worker admits nothing. A cancel of the second
+// races a poll that may move the job first: either way the cancel answers
+// 200, the job ends canceled, and so does every copy of it that the
+// restarted worker admitted.
+func TestCoordinatorCancelsLostJob(t *testing.T) {
+	co, sw, _ := swappedWorker(t)
+	c := serveCoordinator(t, co)
+	var ids []string
+	for _, crit := range []string{"pixels", "syscalls"} {
+		id, err := c.Submit(service.Spec{Site: "maps", Criteria: crit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	restarted := holdingManager(t, "")
+	sw.serve(restarted)
+
+	if err := c.Cancel(ids[0]); err != nil {
+		t.Fatalf("cancel of a lost job: %v", err)
+	}
+	for range 3 {
+		if info, err := c.Info(ids[0]); err != nil || info.Status != service.StatusCanceled {
+			t.Fatalf("a poll after the cancel = %+v, %v; want canceled", info, err)
+		}
+	}
+	wantAPIError(t, "result of the canceled job", errOf(c.Result(ids[0])), http.StatusConflict, "canceled, not done")
+	if n := restarted.Metrics().Counter("jobs_submitted").Value(); n != 0 {
+		t.Errorf("the restarted worker admitted %d jobs, want none", n)
+	}
+	if n := co.Metrics().Counter("cluster_jobs_rerouted").Value(); n != 0 {
+		t.Errorf("cluster_jobs_rerouted = %d, want 0", n)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		co.Info(ids[1])
+	}()
+	err := c.Cancel(ids[1])
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("cancel of a lost job raced by a poll: %v", err)
+	}
+	if info := await(t, co, ids[1]); info.Status != service.StatusCanceled {
+		t.Fatalf("the job is %s, want canceled", info.Status)
+	}
+	reg := restarted.Metrics()
+	deadline := time.Now().Add(30 * time.Second)
+	for reg.Counter("jobs_canceled").Value() != reg.Counter("jobs_submitted").Value() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the restarted worker admitted %d copies and canceled %d",
+				reg.Counter("jobs_submitted").Value(), reg.Counter("jobs_canceled").Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

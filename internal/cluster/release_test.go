@@ -18,9 +18,9 @@ import (
 // heldUpload returns the upload bytes the coordinator still holds for job id.
 func heldUpload(t *testing.T, c *Coordinator, id string) []byte {
 	t.Helper()
-	j, ok := c.lookup(id)
-	if !ok {
-		t.Fatalf("no job %s", id)
+	j, err := c.lookup(id)
+	if err != nil {
+		t.Fatal(err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -27,7 +27,7 @@ const forwardTimeout = 60 * time.Second
 // Config wires a Coordinator.
 type Config struct {
 	// Self is this node's advertised base URL. A peer equal to Self is
-	// served by the local manager instead of being forwarded over HTTP.
+	// the local manager, called in process instead of over HTTP.
 	Self string
 	// Local is the coordinator's own manager: the executor for jobs the
 	// ring assigns to Self, and the fallback when every remote candidate
@@ -61,26 +61,28 @@ type routedJob struct {
 	// move lets one re-route of the job run at a time (see reroute).
 	move sync.Mutex
 
-	mu       sync.Mutex
-	peer     string // "" = local manager
-	remoteID string
-	reroutes int
-	// lastInfo is the freshest observed snapshot, served while the owner
-	// is unreachable and a re-route is pending.
+	mu sync.Mutex
+	// peer is the URL of the node that owns the job, cfg.Self for the
+	// local manager, and peerID the job's id there.
+	peer, peerID string
+	reroutes     int
+	// lastInfo is the freshest snapshot: the owner's last answer, or the
+	// coordinator's own (setInfoLocked) after a route, a failed re-route
+	// or a cancel of a lost job. It is served while the owner is
+	// unreachable or has lost the job.
 	lastInfo service.Info
 	// result caches the fetched result so a worker dying after the fetch
-	// costs nothing; affinity counts once per job. Info fetches it as soon
-	// as the owner reports done, so a job published done always has one.
-	result          *service.Result
-	terminal        bool
-	affinityCounted bool
+	// costs nothing. Info fetches it as soon as the owner reports done, so
+	// a job published done always has one. A result, or a terminal
+	// lastInfo, settles the job: it never runs again.
+	result *service.Result
 }
 
 // reroutableLocked reports whether the job would have to run again if its
-// owner died: it has no result and no terminal status. Only such a job
+// owner lost it: it has no result and no terminal status. Only such a job
 // still needs its upload. j.mu must be held.
 func (j *routedJob) reroutableLocked() bool {
-	return j.result == nil && !j.terminal
+	return j.result == nil && !j.lastInfo.Status.Terminal()
 }
 
 // releaseLocked frees the job's upload once no re-route can need it.
@@ -91,17 +93,29 @@ func (j *routedJob) releaseLocked() {
 	}
 }
 
-// Coordinator admits jobs, routes each to its ring owner over the
-// websliced HTTP API, and proxies status/result polls under its own job
-// ids. A worker evicted from the ring has its pending jobs re-routed to
-// the keys' new owners — safe because slicing is deterministic and
-// idempotent (a re-run of the same trace is at worst a cache miss). It is
-// the service.Backend that the coordinator's handler serves.
+// setInfoLocked records the coordinator's own snapshot of j: status st on
+// its owner, with msg as its error. j.mu must be held.
+func (j *routedJob) setInfoLocked(st service.Status, msg string) {
+	j.lastInfo = service.Info{ID: j.id, Status: st, Site: j.spec.Site, Seed: j.spec.Seed,
+		Criteria: j.spec.Criteria, Error: msg, Node: j.peer, Reroutes: j.reroutes}
+	j.releaseLocked()
+}
+
+// Coordinator admits jobs, routes each to its ring owner, and proxies
+// status/result polls under its own job ids. Every owner, the local
+// manager included, answers the same service.Jobs calls. A worker evicted
+// from the ring has its pending jobs re-routed to the keys' new owners —
+// safe because slicing is deterministic and idempotent (a re-run of the
+// same trace is at worst a cache miss). It is the service.Backend that the
+// coordinator's handler serves.
 type Coordinator struct {
 	cfg     Config
 	ring    *Ring
 	members *Membership
-	peers   map[string]*service.Client // by URL; written once in New
+	// owners answers the job calls of every node a job can run on, by URL:
+	// the local manager under cfg.Self, a client of each peer. Written
+	// once in New.
+	owners map[string]service.Jobs
 	// reg and tracer are the local manager's: the routing counters and
 	// spans land beside its own, so a locally executed job's route and
 	// worker spans share one ring. tracer is nil with tracing off.
@@ -130,7 +144,7 @@ func New(cfg Config) *Coordinator {
 	}
 	ring := NewRing()
 	hc := &http.Client{Timeout: forwardTimeout}
-	peers := make(map[string]*service.Client)
+	owners := map[string]service.Jobs{cfg.Self: cfg.Local}
 	var remote []string
 	for _, p := range cfg.Peers {
 		if p == cfg.Self {
@@ -138,12 +152,12 @@ func New(cfg Config) *Coordinator {
 			continue
 		}
 		remote = append(remote, p)
-		peers[p] = service.NewClient(p, hc)
+		owners[p] = service.NewClient(p, hc)
 	}
 	c := &Coordinator{
 		cfg:            cfg,
 		ring:           ring,
-		peers:          peers,
+		owners:         owners,
 		reg:            reg,
 		tracer:         cfg.Local.Tracer(),
 		log:            logger,
@@ -206,8 +220,8 @@ func (c *Coordinator) peerCounter(kind, peer string) *metrics.Counter {
 }
 
 // Submit admits a job: the ring picks the owner for the job's key, the
-// spec is forwarded to it (or run on the local manager when the owner is
-// Self), and a coordinator-scoped id is returned, from service.IDs, which no
+// spec is submitted there (to the local manager when the owner is Self),
+// and a coordinator-scoped id is returned, from service.IDs, which no
 // other boot of a coordinator issues. Unreachable candidates
 // are skipped — their failures feed the membership's eviction counter —
 // and when no ring member accepts the job it falls back to local
@@ -240,25 +254,23 @@ func (c *Coordinator) Submit(spec service.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	c.log.Info("job routed", "job", id, "trace", rs.TraceID(), "peer", j.peer) // j is not visible yet
 	c.mu.Lock()
 	c.jobs[id] = j
 	c.mu.Unlock()
-	j.mu.Lock()
-	peer := j.peer
-	j.mu.Unlock()
-	c.log.Info("job routed", "job", id, "trace", rs.TraceID(), "peer", peer)
 	return id, nil
 }
 
 // route assigns j to the best live candidate and submits it there. Called
 // for initial submission and again (with j.reroutes incremented) when an
-// owner dies. s is the span the routing decision is recorded under (the
-// root "route" span, or a "reroute" span after an eviction): each skipped
-// or refusing candidate becomes an event on it, so the trace shows *why*
-// the job landed where it did.
+// owner loses it. The candidates are the ring's owners of j's key in
+// order, then the local manager as the fallback. s is the span the routing
+// decision is recorded under (the root "route" span, or a "reroute" span
+// after a loss): each skipped or refusing candidate becomes an event on
+// it, so the trace shows *why* the job landed where it did.
 func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
 	j.mu.Lock()
-	spec, reroutable := j.spec, j.reroutableLocked()
+	fwd, reroutable := j.spec, j.reroutableLocked()
 	j.mu.Unlock()
 	if !reroutable {
 		// The result, or a failure, arrived while an eviction was setting
@@ -266,40 +278,26 @@ func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
 		s.Event("route.settled")
 		return nil
 	}
-	fwd := spec
 	fwd.Origin = c.cfg.Self
 	fwd.TraceCtx = s.Context()
-	for _, peer := range c.ring.Owners(j.key, c.ring.Len()) {
-		if peer == c.cfg.Self {
-			return c.routeLocal(j, spec, s)
-		}
-		if !c.members.Alive(peer) {
+	ring := c.ring.Owners(j.key, c.ring.Len())
+	var err error
+	for i, peer := range append(ring, c.cfg.Self) {
+		if i == len(ring) {
+			// No ring member took it: run it here.
+			c.cFallbacks.Inc()
+			s.Event("local.fallback")
+		} else if peer != c.cfg.Self && !c.members.Alive(peer) {
 			s.Event("peer.dead", obs.Attr{K: "peer", V: peer})
 			continue
 		}
 		// "peer.submit", not "forward": the profiler's forward *pass* span
 		// already owns that name, and the two meet in one merged trace.
 		fs := s.Child("peer.submit").Set("peer", peer)
-		remoteID, err := c.peers[peer].Submit(fwd)
+		var peerID string
+		peerID, err = c.owners[peer].Submit(fwd)
 		fs.EndErr(err)
-		if err != nil {
-			var refused *service.APIError
-			if errors.As(err, &refused) {
-				// The peer answered: this is an application error
-				// (backpressure, invalid spec, oversized trace), not a dead
-				// node. Propagate it, code and Retry-After included. A 429
-				// gets its own event carrying the peer's Retry-After and the
-				// owner hint, so backpressure is visible in the trace, not
-				// just in the client's response.
-				if refused.Code == http.StatusTooManyRequests {
-					s.Event("peer.backpressure",
-						obs.Attr{K: "peer", V: peer},
-						obs.Attr{K: "retry_after", V: refused.RetryAfter})
-					c.log.Warn("peer backpressure", "job", j.id, "trace", s.TraceID(),
-						"peer", peer, "retry_after", refused.RetryAfter)
-				}
-				return err
-			}
+		if errors.Is(err, service.ErrUnreachable) {
 			s.Event("peer.unreachable",
 				obs.Attr{K: "peer", V: peer},
 				obs.Attr{K: "error", V: err.Error()})
@@ -308,33 +306,46 @@ func (c *Coordinator) route(j *routedJob, s *obs.Span) error {
 			c.members.ReportFailure(peer)
 			continue
 		}
+		if err != nil {
+			// The owner answered: this is an application error
+			// (backpressure, invalid spec, oversized trace), not a dead
+			// node. Propagate it, code and Retry-After included. A 429
+			// gets its own event carrying the peer's Retry-After and the
+			// owner hint, so backpressure is visible in the trace, not
+			// just in the client's response.
+			var refused *service.APIError
+			if errors.As(err, &refused) && refused.Code == http.StatusTooManyRequests {
+				s.Event("peer.backpressure",
+					obs.Attr{K: "peer", V: peer},
+					obs.Attr{K: "retry_after", V: refused.RetryAfter})
+				c.log.Warn("peer backpressure", "job", j.id, "trace", s.TraceID(),
+					"peer", peer, "retry_after", refused.RetryAfter)
+			}
+			return err
+		}
+		if peer == c.cfg.Self {
+			c.cLocal.Inc()
+		} else {
+			c.cRouted.Inc()
+			c.peerCounter("routed", peer).Inc()
+		}
 		j.mu.Lock()
-		j.peer, j.remoteID = peer, remoteID
-		j.lastInfo = service.Info{ID: j.id, Status: service.StatusQueued, Site: spec.Site, Criteria: spec.Criteria, Node: peer}
+		placed := j.reroutableLocked()
+		if placed {
+			j.peer, j.peerID = peer, peerID
+			j.setInfoLocked(service.StatusQueued, "")
+		}
 		j.mu.Unlock()
-		c.cRouted.Inc()
-		c.peerCounter("routed", peer).Inc()
+		if !placed {
+			// Settled while it moved, by a cancel of the lost job: the
+			// new owner's copy is not wanted. A copy this cancel misses
+			// runs once, and nothing reads its result.
+			s.Event("route.settled")
+			c.owners[peer].Cancel(peerID)
+		}
 		return nil
 	}
-	// No remote candidate took it: run it here.
-	c.cFallbacks.Inc()
-	s.Event("local.fallback")
-	return c.routeLocal(j, spec, s)
-}
-
-// routeLocal submits spec, j's spec as route read it, to the local manager.
-func (c *Coordinator) routeLocal(j *routedJob, spec service.Spec, s *obs.Span) error {
-	spec.TraceCtx = s.Context()
-	localID, err := c.cfg.Local.Submit(spec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.peer, j.remoteID = "", localID
-	j.lastInfo = service.Info{ID: j.id, Status: service.StatusQueued, Site: spec.Site, Criteria: spec.Criteria, Node: c.cfg.Self}
-	j.mu.Unlock()
-	c.cLocal.Inc()
-	return nil
+	return err // not reached: the local manager, the last candidate, always answers
 }
 
 // handleEvict re-routes every non-terminal job owned by the evicted peer.
@@ -342,8 +353,8 @@ func (c *Coordinator) routeLocal(j *routedJob, spec service.Spec, s *obs.Span) e
 // panic: by being run again somewhere else.
 func (c *Coordinator) handleEvict(peer string) {
 	type lost struct {
-		j        *routedJob
-		remoteID string
+		j      *routedJob
+		peerID string
 	}
 	c.mu.Lock()
 	var pending []lost
@@ -353,30 +364,30 @@ func (c *Coordinator) handleEvict(peer string) {
 		// the coordinator. Jobs that terminally failed/canceled keep that
 		// outcome — re-running them would not change it.
 		if j.peer == peer && j.reroutableLocked() {
-			pending = append(pending, lost{j, j.remoteID})
+			pending = append(pending, lost{j, j.peerID})
 		}
 		j.mu.Unlock()
 	}
 	c.mu.Unlock()
 	for _, l := range pending {
-		c.reroute(l.j, peer, l.remoteID)
+		c.reroute(l.j, peer, l.peerID)
 	}
 }
 
-// reroute moves j, lost by peer, where it ran as remoteID, to the best
-// live candidate: peer was evicted, or answered that it no longer knows
-// the job. Each loss moves the job once: the move runs only while the job
-// is still reroutable and still on peer under remoteID. One move of a job
-// runs at a time, and a second returns at once, leaving the job to the
-// first. The first may be this goroutine's own: route can evict a peer it
-// fails to reach, and handleEvict then calls back here.
-func (c *Coordinator) reroute(j *routedJob, peer, remoteID string) {
+// reroute moves j, lost by peer, where it ran as peerID, to the best live
+// candidate: peer was evicted, or answered that it no longer knows the
+// job. Each loss moves the job once: the move runs only while the job is
+// still reroutable and still on peer under peerID. One move of a job runs
+// at a time, and a second returns at once, leaving the job to the first.
+// The first may be this goroutine's own: route can evict a peer it fails
+// to reach, and handleEvict then calls back here.
+func (c *Coordinator) reroute(j *routedJob, peer, peerID string) {
 	if !j.move.TryLock() {
 		return
 	}
 	defer j.move.Unlock()
 	j.mu.Lock()
-	if !j.reroutableLocked() || j.peer != peer || j.remoteID != remoteID {
+	if !j.reroutableLocked() || j.peer != peer || j.peerID != peerID {
 		j.mu.Unlock() // its result arrived, or it moved, since the loss
 		return
 	}
@@ -398,34 +409,34 @@ func (c *Coordinator) reroute(j *routedJob, peer, remoteID string) {
 		// backpressure. Surface it as a failed job rather than losing it
 		// silently.
 		j.mu.Lock()
-		j.lastInfo = service.Info{ID: j.id, Status: service.StatusFailed, Site: j.spec.Site,
-			Criteria: j.spec.Criteria, Error: fmt.Sprintf("re-route after %s lost the job: %v", peer, err)}
-		j.terminal = true
-		j.releaseLocked()
+		if j.reroutableLocked() {
+			j.setInfoLocked(service.StatusFailed, fmt.Sprintf("re-route after %s lost the job: %v", peer, err))
+		}
 		j.mu.Unlock()
 	}
 }
 
-// peerError sorts an error from peer about j's job there, remoteID. An
-// answer (an *service.APIError) says nothing against the peer's health,
-// and a 404 means the peer lost the job, as a restarted worker without a
-// journal has: the job moves on. Any other error counts against the peer.
-func (c *Coordinator) peerError(j *routedJob, peer, remoteID string, err error) {
-	var answer *service.APIError
+// peerError sorts an error from peer about j's job there, peerID. Only a
+// failure to get an answer counts against the peer's health; an answer
+// that the peer does not know the job means it lost the job, as a
+// restarted worker without a journal has, and the job moves on.
+func (c *Coordinator) peerError(j *routedJob, peer, peerID string, err error) {
 	switch {
-	case !errors.As(err, &answer):
+	case errors.Is(err, service.ErrUnreachable):
 		c.members.ReportFailure(peer)
-	case answer.Code == http.StatusNotFound:
-		c.reroute(j, peer, remoteID)
+	case errors.Is(err, service.ErrUnknownJob):
+		c.reroute(j, peer, peerID)
 	}
 }
 
 // lookup finds a routed job.
-func (c *Coordinator) lookup(id string) (*routedJob, bool) {
+func (c *Coordinator) lookup(id string) (*routedJob, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
+	if j, ok := c.jobs[id]; ok {
+		return j, nil
+	}
+	return nil, fmt.Errorf("%w %q", service.ErrUnknownJob, id)
 }
 
 // Info returns a job snapshot under the coordinator's id, with the
@@ -435,122 +446,126 @@ func (c *Coordinator) lookup(id string) (*routedJob, bool) {
 // does not know the job. The coordinator says done only when it holds the
 // result: when the owner reports done, Info fetches the result in the
 // same call, and reports the job running if that fetch fails.
-func (c *Coordinator) Info(id string) (service.Info, bool) {
-	j, ok := c.lookup(id)
-	if !ok {
-		return service.Info{}, false
+func (c *Coordinator) Info(id string) (service.Info, error) {
+	j, err := c.lookup(id)
+	if err != nil {
+		return service.Info{}, err
 	}
 	j.mu.Lock()
-	peer, remoteID, held := j.peer, j.remoteID, j.result != nil
+	peer, peerID, held := j.peer, j.peerID, j.result != nil
 	j.mu.Unlock()
-	node := peer
-	var info service.Info
-	if peer == "" {
-		node = c.cfg.Self
-		if info, ok = c.cfg.Local.Info(remoteID); !ok {
-			return service.Info{}, false
-		}
-	} else {
-		var err error
-		if info, err = c.peers[peer].Info(remoteID); err != nil {
-			c.peerError(j, peer, remoteID, err)
-			j.mu.Lock()
-			defer j.mu.Unlock()
-			return j.lastInfo, true // stale, or queued on the job's new owner
-		}
+	info, err := c.owners[peer].Info(peerID)
+	if err != nil {
+		c.peerError(j, peer, peerID, err)
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.lastInfo, nil // stale, or queued on the job's new owner
 	}
 	if info.Status == service.StatusDone && !held {
-		if _, ok := c.fetchResult(j, peer, remoteID); !ok {
+		if _, err := c.fetchResult(j, peer, peerID); err != nil {
 			info.Status = service.StatusRunning
 		}
 	}
-	return c.publishInfo(j, info, node), true
+	return c.publishInfo(j, info, peer), nil
 }
 
-// publishInfo rewrites a node-local snapshot into the coordinator's
-// namespace and records it as the job's freshest view.
-func (c *Coordinator) publishInfo(j *routedJob, info service.Info, node string) service.Info {
+// publishInfo rewrites a snapshot from j's owner, peer, into the
+// coordinator's namespace and records it as the job's freshest view. A
+// settled job's terminal snapshot stays: no later answer unsettles it.
+func (c *Coordinator) publishInfo(j *routedJob, info service.Info, peer string) service.Info {
 	info.ID = j.id
 	if info.Node == "" {
-		info.Node = node
+		info.Node = peer
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	info.Reroutes = j.reroutes
-	j.lastInfo = info
-	if info.Status.Terminal() {
-		j.terminal = true
+	if j.reroutableLocked() || info.Status.Terminal() {
+		j.lastInfo = info
 		j.releaseLocked()
 	}
-	j.mu.Unlock()
-	return info
+	return j.lastInfo
 }
 
 // Result returns a finished job's result. The first successful fetch, by
 // Info or here, is cached on the coordinator, so the result survives the
 // worker dying afterwards; a worker dying *before* the fetch re-routes the
 // job and the result is recomputed (deterministically, usually as a store
-// hit). ok is false while the job is unknown or not done.
-func (c *Coordinator) Result(id string) (*service.Result, bool) {
-	j, ok := c.lookup(id)
-	if !ok {
-		return nil, false
+// hit).
+func (c *Coordinator) Result(id string) (*service.Result, error) {
+	j, err := c.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	j.mu.Lock()
-	res, peer, remoteID := j.result, j.peer, j.remoteID
+	res, peer, peerID := j.result, j.peer, j.peerID
 	j.mu.Unlock()
 	if res != nil {
-		return res, true
+		return res, nil
 	}
-	return c.fetchResult(j, peer, remoteID)
+	return c.fetchResult(j, peer, peerID)
 }
 
-// fetchResult asks j's owner, peer ("" for the local manager), for the
-// result of its job remoteID and caches it on j.
-func (c *Coordinator) fetchResult(j *routedJob, peer, remoteID string) (*service.Result, bool) {
-	var res *service.Result
-	var ok bool
-	if peer == "" {
-		res, ok = c.cfg.Local.Result(remoteID)
-	} else {
-		var err error
-		res, ok, err = c.peers[peer].Result(remoteID)
-		if err != nil {
-			c.peerError(j, peer, remoteID, err)
-		}
-	}
-	if !ok {
-		return nil, false
+// fetchResult asks j's owner, peer, for the result of its job peerID and
+// caches it on j. Without it, the job is not done as far as the
+// coordinator knows, whatever the owner answered.
+func (c *Coordinator) fetchResult(j *routedJob, peer, peerID string) (*service.Result, error) {
+	res, err := c.owners[peer].Result(peerID)
+	if err != nil {
+		c.peerError(j, peer, peerID, err)
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return nil, fmt.Errorf("%w: job %s is %s, not done", service.ErrJobState, j.id, j.lastInfo.Status)
 	}
 	j.mu.Lock()
-	j.result = res
-	j.terminal = true
-	j.releaseLocked()
-	count := res.CacheHit && !j.affinityCounted
-	j.affinityCounted = true
+	first := j.result == nil
+	if first {
+		j.result = res
+		j.releaseLocked()
+	}
+	res = j.result
 	j.mu.Unlock()
-	if count {
+	if first && res.CacheHit {
 		// The ring sent this key to a node that already held its
 		// artifacts: the affinity scheduler did its job.
 		c.cAffinity.Inc()
 	}
-	return res, true
+	return res, nil
 }
 
-// Cancel cancels a job wherever it runs.
-func (c *Coordinator) Cancel(id string) bool {
-	j, ok := c.lookup(id)
-	if !ok {
-		return false
-	}
-	j.mu.Lock()
-	peer, remoteID := j.peer, j.remoteID
-	j.mu.Unlock()
-	if peer == "" {
-		return c.cfg.Local.Cancel(remoteID)
-	}
-	err := c.peers[peer].Cancel(remoteID)
+// Cancel cancels a job wherever it runs. An owner that no longer knows the
+// job, as a worker restarted without a journal, has nothing to stop: the
+// coordinator cancels the job itself, so no later poll re-routes it. If a
+// poll moved the job meanwhile, the cancel goes to its new owner.
+func (c *Coordinator) Cancel(id string) error {
+	j, err := c.lookup(id)
 	if err != nil {
-		c.peerError(j, peer, remoteID, err)
+		return err
 	}
-	return err == nil
+	for {
+		j.mu.Lock()
+		peer, peerID, settled := j.peer, j.peerID, !j.reroutableLocked()
+		j.mu.Unlock()
+		if !settled {
+			err = c.owners[peer].Cancel(peerID)
+		}
+		switch {
+		case settled || errors.Is(err, service.ErrJobState):
+			return fmt.Errorf("%w: job %s already finished", service.ErrJobState, id)
+		case errors.Is(err, service.ErrUnreachable):
+			c.members.ReportFailure(peer)
+			return err
+		case !errors.Is(err, service.ErrUnknownJob):
+			return err
+		}
+		j.mu.Lock()
+		lost := j.peer == peer && j.peerID == peerID && j.reroutableLocked()
+		if lost {
+			j.setInfoLocked(service.StatusCanceled, service.ErrCanceled.Error())
+		}
+		j.mu.Unlock()
+		if lost {
+			return nil
+		}
+	}
 }

@@ -31,9 +31,9 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Fatalf("job ran on the coordinator; want a ring worker")
 	}
 
-	spans, ok := tc.co.JobTrace(id)
-	if !ok {
-		t.Fatalf("JobTrace(%s): no trace", id)
+	spans, err := tc.co.JobTrace(id)
+	if err != nil {
+		t.Fatalf("JobTrace(%s): %v", id, err)
 	}
 	byName := map[string]obs.SpanData{}
 	for _, s := range spans {

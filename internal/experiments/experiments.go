@@ -96,14 +96,6 @@ func forEach(workers, n int, fn func(int) error) error {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	next.Store(-1)

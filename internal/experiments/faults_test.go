@@ -8,47 +8,52 @@ import (
 	"webslice/internal/sites"
 )
 
-// TestFaultyLoadDegradesGracefully is the experiment's core guarantee: a load
-// that loses its stylesheet and an image permanently still completes,
-// composites, and produces a non-empty pixel slice, with the failures
-// surfaced in Degraded rather than Errors.
+// TestFaultyLoadDegradesGracefully is the experiment's core guarantee, on
+// every site `repro -exp faults` runs: a load that loses its stylesheet
+// and an image permanently still completes, composites, and produces a
+// non-empty pixel slice, with the failures surfaced in Degraded rather
+// than Errors. The table has a clean and a faulty row per site.
 func TestFaultyLoadDegradesGracefully(t *testing.T) {
-	b := sites.FaultyVariant(sites.AmazonDesktop(sites.Options{Scale: 0.05}), 7)
-	if b.Faults == nil {
+	if sites.FaultyVariant(sites.AmazonDesktop(sites.Options{Scale: 0.05}), 7).Faults == nil {
 		t.Fatal("FaultyVariant attached no fault plan")
 	}
-	r, err := Execute(b)
+	pairs, err := ExecuteFaultsWith(Config{Scale: 0.05, Workers: 2}, 7)
 	if err != nil {
 		t.Fatalf("faulty load must complete, got: %v", err)
 	}
-	if len(r.Browser.Errors) != 0 {
-		t.Fatalf("degradation must not surface as errors: %v", r.Browser.Errors)
-	}
-	var sawSheet, sawImage bool
-	for _, d := range r.Browser.Degraded {
-		if strings.HasPrefix(d, "stylesheet ") {
-			sawSheet = true
+	for _, p := range pairs {
+		r, w := p.Faulty, p.FaultyWaste
+		if len(r.Browser.Errors) != 0 {
+			t.Fatalf("%s: degradation must not surface as errors: %v", p.Name, r.Browser.Errors)
 		}
-		if strings.HasPrefix(d, "image ") {
-			sawImage = true
+		var sawSheet, sawImage bool
+		for _, d := range r.Browser.Degraded {
+			if strings.HasPrefix(d, "stylesheet ") {
+				sawSheet = true
+			}
+			if strings.HasPrefix(d, "image ") {
+				sawImage = true
+			}
+		}
+		if !sawSheet || !sawImage {
+			t.Errorf("%s: expected a degraded stylesheet and image, got: %v", p.Name, r.Browser.Degraded)
+		}
+		if r.Pixel.Total == 0 || r.Pixel.Percent() <= 0 {
+			t.Fatalf("%s: faulty load must still produce a non-empty pixel slice, got %.1f%% of %d",
+				p.Name, r.Pixel.Percent(), r.Pixel.Total)
+		}
+		if w.ErrorPathInstr == 0 {
+			t.Errorf("%s: a faulty run must emit net/error instructions", p.Name)
+		}
+		if w.OutOfSlice == 0 {
+			t.Errorf("%s: retry/timeout work should fall outside the pixel slice", p.Name)
+		}
+		if l := r.Browser.Loader; l.Retries == 0 || l.Failures == 0 {
+			t.Errorf("%s: loader stats missing: retries=%d failures=%d", p.Name, l.Retries, l.Failures)
 		}
 	}
-	if !sawSheet || !sawImage {
-		t.Errorf("expected a degraded stylesheet and image, got: %v", r.Browser.Degraded)
-	}
-	if r.Pixel.Total == 0 || r.Pixel.Percent() <= 0 {
-		t.Fatalf("faulty load must still produce a non-empty pixel slice, got %.1f%% of %d",
-			r.Pixel.Percent(), r.Pixel.Total)
-	}
-	w := analysis.FaultWaste(r.Trace, r.Pixel)
-	if w.ErrorPathInstr == 0 {
-		t.Error("a faulty run must emit net/error instructions")
-	}
-	if w.OutOfSlice == 0 {
-		t.Error("retry/timeout work should fall outside the pixel slice")
-	}
-	if l := r.Browser.Loader; l.Retries == 0 || l.Failures == 0 {
-		t.Errorf("loader stats missing: retries=%d failures=%d", l.Retries, l.Failures)
+	if rows := len(FaultsTable(pairs, 7).Rows); len(pairs) != 2 || rows != 2*len(pairs) {
+		t.Errorf("%d pairs and %d table rows, want 2 and 4", len(pairs), rows)
 	}
 }
 

@@ -71,17 +71,29 @@ func TestForEachDeterministicError(t *testing.T) {
 	}
 }
 
+// TestForEachVisitsEveryUnitOnce: every index runs once, with any number
+// of workers, and an error at index 1 stops none of the later ones.
 func TestForEachVisitsEveryUnitOnce(t *testing.T) {
-	var counts [100]atomic.Int32
-	if err := forEach(7, len(counts), func(i int) error {
-		counts[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if n := counts[i].Load(); n != 1 {
-			t.Errorf("unit %d ran %d times", i, n)
+	failed := errors.New("unit 1 failed")
+	for _, tc := range []struct {
+		workers, n int
+		errAt      int // -1: no unit fails
+	}{{7, 100, -1}, {1, 8, 1}} {
+		counts := make([]atomic.Int32, tc.n)
+		err := forEach(tc.workers, tc.n, func(i int) error {
+			counts[i].Add(1)
+			if i == tc.errAt {
+				return failed
+			}
+			return nil
+		})
+		if want := tc.errAt >= 0; errors.Is(err, failed) != want {
+			t.Errorf("workers=%d: error %v, want the failure: %t", tc.workers, err, want)
+		}
+		for i := range counts {
+			if n := counts[i].Load(); n != 1 {
+				t.Errorf("workers=%d: unit %d ran %d times", tc.workers, i, n)
+			}
 		}
 	}
 }

@@ -117,7 +117,7 @@ func (h *harness) observe(m *service.Manager, dur time.Duration) {
 			if _, seen := h.doneExecs[tag]; seen {
 				continue
 			}
-			if info, ok := m.Info(id); ok && info.Status == service.StatusDone {
+			if info, err := m.Info(id); err == nil && info.Status == service.StatusDone {
 				h.doneExecs[tag] = h.execs[tag].Load()
 			}
 		}
@@ -166,9 +166,9 @@ func TestChaosKillRestartLosesNothing(t *testing.T) {
 		deadline := time.Now().Add(60 * time.Second)
 		for _, id := range ids {
 			for {
-				info, ok := m.Info(id)
-				if !ok {
-					t.Fatalf("job %s vanished in final incarnation", id)
+				info, err := m.Info(id)
+				if err != nil {
+					t.Fatalf("job %s vanished in final incarnation: %v", id, err)
 				}
 				if info.Status.Terminal() {
 					break

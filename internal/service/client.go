@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,9 +28,17 @@ type APIError struct {
 
 func (e *APIError) Error() string { return e.Message }
 
+// Is reports a 404 answer as ErrUnknownJob and a 409 as ErrJobState, so
+// a Client's refusals match a Manager's.
+func (e *APIError) Is(target error) bool {
+	return target == ErrUnknownJob && e.Code == http.StatusNotFound ||
+		target == ErrJobState && e.Code == http.StatusConflict
+}
+
 // Client speaks the websliced HTTP API (NewHandler) to one base URL, a
 // worker's or a coordinator's. It reads every answer to EOF before closing
-// it, so keep-alive connections are reused.
+// it, so keep-alive connections are reused. A failure to get an answer,
+// or one that does not decode, wraps ErrUnreachable.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -49,8 +56,7 @@ func NewClient(base string, hc *http.Client) *Client {
 // traceparent header, never in the body, so the job's spans join the
 // caller's trace.
 func (c *Client) Submit(spec Spec) (string, error) {
-	var req *http.Request
-	var err error
+	path, contentType, body := "/jobs", "application/json", []byte(nil)
 	if len(spec.Trace) > 0 {
 		q := url.Values{}
 		if spec.Criteria != "" {
@@ -62,33 +68,23 @@ func (c *Client) Submit(spec Spec) (string, error) {
 		if spec.Origin != "" {
 			q.Set("origin", spec.Origin)
 		}
-		req, err = c.request(http.MethodPost, "/jobs/trace?"+q.Encode(), "application/octet-stream", spec.Trace)
+		path, contentType, body = "/jobs/trace?"+q.Encode(), "application/octet-stream", spec.Trace
 	} else {
-		body, merr := json.Marshal(spec)
-		if merr != nil {
-			return "", merr
+		var err error
+		if body, err = json.Marshal(spec); err != nil {
+			return "", err
 		}
-		req, err = c.request(http.MethodPost, "/jobs", "application/json", body)
 	}
-	if err != nil {
-		return "", err
-	}
-	obs.InjectContext(req.Header, spec.TraceCtx)
 	var out struct {
 		ID string `json:"id"`
 	}
-	err = c.do(req, http.StatusAccepted, &out)
+	err := c.do(http.MethodPost, path, contentType, body, spec.TraceCtx, http.StatusAccepted, &out)
 	return out.ID, err
 }
 
-// Cancel cancels a job. A job that is unknown or already finished is an
-// *APIError with code 409.
+// Cancel cancels a job.
 func (c *Client) Cancel(id string) error {
-	req, err := c.request(http.MethodDelete, "/jobs/"+id, "", nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, http.StatusOK, nil)
+	return c.do(http.MethodDelete, "/jobs/"+id, "", nil, obs.SpanContext{}, http.StatusOK, nil)
 }
 
 // Info fetches a job's status.
@@ -98,19 +94,13 @@ func (c *Client) Info(id string) (Info, error) {
 	return info, err
 }
 
-// Result fetches a finished job's result. ok is false, with a nil error,
-// while the job is known but not done.
-func (c *Client) Result(id string) (res *Result, ok bool, err error) {
-	res = new(Result)
-	err = c.get("/jobs/"+id+"/result", res)
-	var e *APIError
-	if errors.As(err, &e) && e.Code == http.StatusConflict {
-		return nil, false, nil
+// Result fetches a finished job's result.
+func (c *Client) Result(id string) (*Result, error) {
+	res := new(Result)
+	if err := c.get("/jobs/"+id+"/result", res); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
+	return res, nil
 }
 
 // JobTrace fetches the recorded spans of a job's trace.
@@ -132,51 +122,47 @@ func (c *Client) Quarantined() ([]Info, error) {
 func (c *Client) Health() error { return c.get("/healthz", nil) }
 
 func (c *Client) get(path string, out any) error {
-	req, err := c.request(http.MethodGet, path, "", nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, http.StatusOK, out)
+	return c.do(http.MethodGet, path, "", nil, obs.SpanContext{}, http.StatusOK, out)
 }
 
-func (c *Client) request(method, path, contentType string, body []byte) (*http.Request, error) {
+// do sends one request, with tc as its traceparent, and reads the whole
+// answer. A status other than want is an *APIError carrying the server's
+// {"error"} message; otherwise the body is decoded into out, unless out is
+// nil. No answer, or a body that does not decode, wraps ErrUnreachable.
+func (c *Client) do(method, path, contentType string, body []byte, tc obs.SpanContext, want int, out any) error {
 	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("%w: %w", ErrUnreachable, err)
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	return req, nil
-}
-
-// do sends req and reads the whole answer. A status other than want is an
-// *APIError carrying the server's {"error"} message; otherwise the body is
-// decoded into out, unless out is nil.
-func (c *Client) do(req *http.Request, want int, out any) error {
+	obs.InjectContext(req.Header, tc)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrUnreachable, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
+	answer, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrUnreachable, err)
 	}
 	if resp.StatusCode != want {
 		e := &APIError{Code: resp.StatusCode, RetryAfter: resp.Header.Get("Retry-After")}
 		var msg struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(body, &msg) == nil && msg.Error != "" {
+		if json.Unmarshal(answer, &msg) == nil && msg.Error != "" {
 			e.Message = msg.Error
 		} else {
 			e.Message = fmt.Sprintf("%s %s: HTTP %d", req.Method, req.URL.Redacted(), resp.StatusCode)
 		}
 		return e
 	}
-	if out == nil {
-		return nil
+	if out != nil {
+		if err := json.Unmarshal(answer, out); err != nil {
+			return fmt.Errorf("%w: %s %s: HTTP %d body: %w", ErrUnreachable, req.Method, req.URL.Redacted(), resp.StatusCode, err)
+		}
 	}
-	return json.Unmarshal(body, out)
+	return nil
 }

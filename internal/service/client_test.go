@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,8 +62,8 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil || info.ID != id || info.Status != StatusRunning || info.Criteria != "syscalls" {
 		t.Fatalf("Info = %+v, %v; want %s running", info, err, id)
 	}
-	if res, ok, err := c.Result(id); res != nil || ok || err != nil {
-		t.Fatalf("Result of a running job = %v, %t, %v; want not done", res, ok, err)
+	if res, err := c.Result(id); res != nil || !errors.Is(err, ErrJobState) {
+		t.Fatalf("Result of a running job = %v, %v; want ErrJobState", res, err)
 	}
 	upID, err := c.Submit(Spec{Trace: []byte("WSLT\x03"), Criteria: "pixels", Verify: true, Origin: "http://co&x=1"})
 	if err == nil || upID != "" {
@@ -74,9 +76,9 @@ func TestClientRoundTrip(t *testing.T) {
 
 	close(release)
 	waitStatus(t, m, id, StatusDone)
-	res, ok, err := c.Result(id)
-	if err != nil || !ok || res.SliceCount != 42 {
-		t.Fatalf("Result = %+v, %t, %v; want the stub's 42", res, ok, err)
+	res, err := c.Result(id)
+	if err != nil || res.SliceCount != 42 {
+		t.Fatalf("Result = %+v, %v; want the stub's 42", res, err)
 	}
 	spans, err := c.JobTrace(id)
 	if err != nil || len(spans) == 0 || spans[0].Trace != caller.TraceID() {
@@ -85,11 +87,12 @@ func TestClientRoundTrip(t *testing.T) {
 	if q, err := c.Quarantined(); err != nil || len(q) != 0 {
 		t.Fatalf("Quarantined = %v, %v; want none", q, err)
 	}
-	if err := c.Cancel(id); !errors.As(err, &apiErr) || apiErr.Code != http.StatusConflict {
-		t.Fatalf("Cancel of a finished job = %v, want a 409", err)
+	if err := c.Cancel(id); !errors.As(err, &apiErr) || apiErr.Code != http.StatusConflict || !errors.Is(err, ErrJobState) {
+		t.Fatalf("Cancel of a finished job = %v, want a 409 that is ErrJobState", err)
 	}
-	if _, err := c.Info("nope"); !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound || apiErr.Message != `no job "nope"` {
-		t.Fatalf("Info of an unknown job = %v, want the server's 404", err)
+	if _, err := c.Info("nope"); !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound || apiErr.Message != `no job "nope"` ||
+		!errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Info of an unknown job = %v, want the server's 404, which is ErrUnknownJob", err)
 	}
 	if n := conns.Load(); n != 1 {
 		t.Errorf("the client opened %d connections, want 1: an answer not read to EOF drops its connection", n)
@@ -116,10 +119,11 @@ func TestClientRoundTrip(t *testing.T) {
 }
 
 // TestClientErrors: an answer that is not the API's JSON error still
-// becomes an *APIError naming the request and the code; a dead server or a
-// malformed base URL is an error of another type, which a coordinator
-// counts against the peer; and WriteError passes a wrapped *APIError's
-// code and Retry-After through, as a coordinator answers a worker's 429.
+// becomes an *APIError naming the request and the code; a dead server, a
+// malformed base URL and a 202 whose body is not JSON are ErrUnreachable,
+// which a coordinator counts against the peer and WriteError answers 502;
+// and WriteError passes a wrapped *APIError's code and Retry-After
+// through, as a coordinator answers a worker's 429.
 func TestClientErrors(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "upstream gone", http.StatusBadGateway)
@@ -130,14 +134,28 @@ func TestClientErrors(t *testing.T) {
 		t.Fatalf("a non-JSON 502 = %v, want an *APIError naming the request and the code", err)
 	}
 	srv.Close()
-	if _, err := NewClient(srv.URL, http.DefaultClient).Submit(Spec{Site: "maps"}); err == nil || errors.As(err, &apiErr) {
-		t.Fatalf("a dead server = %v, want a transport error", err)
+	if _, err := NewClient(srv.URL, http.DefaultClient).Submit(Spec{Site: "maps"}); !errors.Is(err, ErrUnreachable) || errors.As(err, &apiErr) {
+		t.Fatalf("a dead server = %v, want a transport error that is ErrUnreachable", err)
 	}
-	if err := NewClient("http://[::1", http.DefaultClient).Health(); err == nil || errors.As(err, &apiErr) {
-		t.Fatalf("a malformed base URL = %v, want a request error", err)
+	if err := NewClient("http://[::1", http.DefaultClient).Health(); !errors.Is(err, ErrUnreachable) || errors.As(err, &apiErr) {
+		t.Fatalf("a malformed base URL = %v, want a request error that is ErrUnreachable", err)
+	}
+	garbled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, "<html>accepted</html>")
+	}))
+	defer garbled.Close()
+	_, err = NewClient(garbled.URL, garbled.Client()).Submit(Spec{Site: "maps"})
+	if !errors.Is(err, ErrUnreachable) || errors.As(err, &apiErr) || !strings.Contains(err.Error(), "POST "+garbled.URL+"/jobs: HTTP 202 body") {
+		t.Fatalf("a 202 whose body is not JSON = %v, want ErrUnreachable naming the request", err)
+	}
+	rw := httptest.NewRecorder()
+	WriteError(rw, err)
+	if rw.Code != http.StatusBadGateway {
+		t.Fatalf("WriteError of an undecodable answer = %d, want 502", rw.Code)
 	}
 
-	rw := httptest.NewRecorder()
+	rw = httptest.NewRecorder()
 	WriteError(rw, fmt.Errorf("peer refused: %w", &APIError{Code: http.StatusTooManyRequests, Message: "queue full", RetryAfter: "7"}))
 	if rw.Code != http.StatusTooManyRequests || rw.Header().Get("Retry-After") != "7" ||
 		rw.Body.String() != "{\"error\":\"peer refused: queue full\"}\n" {

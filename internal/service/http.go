@@ -79,19 +79,12 @@ func readTraceBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf, nil
 }
 
-// Backend is what NewHandler serves: a worker's *Manager, or a cluster
-// coordinator that routes the same calls to its workers' handlers.
+// Backend is what NewHandler serves: the job API of a worker's *Manager,
+// or of a cluster coordinator that routes it to its workers, and the
+// role's own state.
 type Backend interface {
-	Submit(Spec) (string, error)
-	Info(id string) (Info, bool)
-	// Result returns a finished job's result; ok is false while the job
-	// is unknown or not done.
-	Result(id string) (*Result, bool)
-	Cancel(id string) bool
+	Jobs
 	Quarantined() []Info
-	// JobTrace returns the spans of a job's trace; ok is false for an
-	// unknown job or with tracing off.
-	JobTrace(id string) ([]obs.SpanData, bool)
 	// Tracer is nil with tracing off.
 	Tracer() *obs.Tracer
 	Draining() bool
@@ -119,12 +112,15 @@ func (m *Manager) Health() map[string]any { return map[string]any{"workers": m.W
 //	GET    /metrics          text exposition of the registry       -> 200
 //	GET    /debug/spans      every span in the tracer's ring (JSONL)
 //
-// Every error is a JSON {"error"} body (WriteError). Backpressure surfaces
-// as 429 with Retry-After, shutdown as 503, and an upload over the body
-// cap or the admission limit as 413. A request no route matches gets a
-// 404, or a 405 with Allow when the path has routes for other methods, and
-// one whose path is not clean, or names a subtree route without its
-// trailing slash, a 301 with Location, its body JSON too. A
+// Every error is a JSON {"error"} body (WriteError). Each job route makes
+// one call of b's Jobs and answers its refusal: 404 for an unknown job,
+// 409 for a result not done or a cancel of a finished job, and, on a
+// coordinator, 502 when the job's owner gives no answer. Backpressure
+// surfaces as 429 with Retry-After, shutdown as 503, and an upload over
+// the body cap or the admission limit as 413. A request no route matches
+// gets a 404, or a 405 with Allow when the path has routes for other
+// methods, and one whose path is not clean, or names a subtree route
+// without its trailing slash, a 301 with Location, its body JSON too. A
 // route that panics answers 500 and counts in http_panics, so a
 // coordinator reads a worker's panic as a refusal, not as a dead peer.
 // Submissions carrying a W3C traceparent header join the caller's trace:
@@ -159,13 +155,8 @@ func NewHandler(b Backend) *Handler {
 	})
 
 	h.HandleFunc("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		spans, ok := b.JobTrace(id)
-		if !ok {
-			fail(w, http.StatusNotFound, "no trace for job %q (unknown job, or tracing disabled)", id)
-			return
-		}
-		WriteJSON(w, http.StatusOK, spans)
+		spans, err := b.JobTrace(r.PathValue("id"))
+		answer(w, spans, err)
 	})
 
 	h.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, r *http.Request) {
@@ -185,37 +176,18 @@ func NewHandler(b Backend) *Handler {
 	})
 
 	h.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		info, ok := b.Info(r.PathValue("id"))
-		if !ok {
-			fail(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-			return
-		}
-		WriteJSON(w, http.StatusOK, info)
+		info, err := b.Info(r.PathValue("id"))
+		answer(w, info, err)
 	})
 
 	h.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		// The result first: a done job costs a coordinator one fetch from
-		// its worker, and the status only explains a miss.
-		id := r.PathValue("id")
-		if res, ok := b.Result(id); ok {
-			WriteJSON(w, http.StatusOK, res)
-			return
-		}
-		info, ok := b.Info(id)
-		if !ok {
-			fail(w, http.StatusNotFound, "no job %q", id)
-			return
-		}
-		fail(w, http.StatusConflict, "job %s is %s, not done", id, info.Status)
+		res, err := b.Result(r.PathValue("id"))
+		answer(w, res, err)
 	})
 
 	h.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		if !b.Cancel(id) {
-			fail(w, http.StatusConflict, "job %q unknown or already finished", id)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]string{"id": id, "status": "canceling"})
+		answer(w, map[string]string{"id": id, "status": "canceling"}, b.Cancel(id))
 	})
 
 	h.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -296,6 +268,15 @@ func submit(b Backend, w http.ResponseWriter, r *http.Request, spec Spec) {
 	WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
 }
 
+// answer writes a job call's answer: v with 200, or its error.
+func answer(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, v)
+}
+
 // WriteJSON answers with code and v as the JSON body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -306,6 +287,7 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // WriteError answers err as {"error": err.Error()} with the status the
 // API gives it: an *APIError in err's chain keeps its code and
 // Retry-After (a worker's answer, passed through by a coordinator);
+// ErrUnknownJob is 404, ErrJobState 409 and ErrUnreachable 502;
 // ErrQueueFull is 429 with Retry-After 1; ErrClosed is 503; ErrTraceTooLarge
 // and an upload over the body cap (*http.MaxBytesError) are 413; anything
 // else is a bad request, 400.
@@ -316,6 +298,12 @@ func WriteError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &apiErr):
 		code, retryAfter = apiErr.Code, apiErr.RetryAfter
+	case errors.Is(err, ErrUnknownJob):
+		code = http.StatusNotFound
+	case errors.Is(err, ErrJobState):
+		code = http.StatusConflict
+	case errors.Is(err, ErrUnreachable):
+		code = http.StatusBadGateway
 	case errors.Is(err, ErrQueueFull):
 		code, retryAfter = http.StatusTooManyRequests, "1"
 	case errors.Is(err, ErrClosed):

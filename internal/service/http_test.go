@@ -202,8 +202,8 @@ func TestHTTPCancel(t *testing.T) {
 	req, _ = http.NewRequest(http.MethodDelete, srv.URL+"/jobs/nope", nil)
 	r, _ = http.DefaultClient.Do(req)
 	r.Body.Close()
-	if r.StatusCode != http.StatusConflict {
-		t.Fatalf("cancel unknown = %d, want 409", r.StatusCode)
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("cancel unknown = %d, want 404", r.StatusCode)
 	}
 }
 

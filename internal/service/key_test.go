@@ -22,9 +22,9 @@ func runDone(t *testing.T, m *Manager, spec Spec) *Result {
 		t.Fatal(err)
 	}
 	waitStatus(t, m, id, StatusDone)
-	res, ok := m.Result(id)
-	if !ok {
-		t.Fatalf("job %s is done without a result", id)
+	res, err := m.Result(id)
+	if err != nil {
+		t.Fatalf("job %s is done without a result: %v", id, err)
 	}
 	return res
 }

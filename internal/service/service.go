@@ -174,6 +174,36 @@ var (
 	ErrTraceTooLarge = errors.New("service: trace exceeds admission limit")
 )
 
+// Jobs is the job API that every role answers alike: a worker's *Manager,
+// a cluster's *cluster.Coordinator, and a *Client of either over HTTP.
+// WriteError answers each of its errors with one code.
+type Jobs interface {
+	Submit(Spec) (string, error)
+	Info(id string) (Info, error)
+	Result(id string) (*Result, error)
+	Cancel(id string) error
+	JobTrace(id string) ([]obs.SpanData, error)
+}
+
+// The refusals of the job API's calls.
+var (
+	// ErrUnknownJob: no job has the id (HTTP 404). JobTrace answers it
+	// with tracing off too (ErrTracingOff).
+	ErrUnknownJob = errors.New("no job")
+	// ErrJobState: the job's state does not allow the call (HTTP 409): its
+	// result is asked for before it is done, or it is canceled after it
+	// finished.
+	ErrJobState = errors.New("wrong job state")
+	// ErrUnreachable: a Client got no readable answer from its server (HTTP 502).
+	ErrUnreachable = errors.New("no answer")
+	// ErrTracingOff is JobTrace's answer with tracing off: no job has a
+	// trace.
+	ErrTracingOff = fmt.Errorf("%w trace: tracing disabled", ErrUnknownJob)
+)
+
+// unknownJob is the refusal of a call on id, which no job has.
+func unknownJob(id string) error { return fmt.Errorf("%w %q", ErrUnknownJob, id) }
+
 // quarantineAfter is how many panics quarantine a job; each panic before
 // that gets another attempt.
 const quarantineAfter = 2
@@ -544,13 +574,21 @@ func (m *Manager) Validate(spec *Spec) error {
 	return sites.CheckName(spec.Site)
 }
 
-// Info returns a snapshot of the job.
-func (m *Manager) Info(id string) (Info, bool) {
+// lookup finds a job.
+func (m *Manager) lookup(id string) (*job, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return Info{}, false
+	defer m.mu.Unlock()
+	if j, ok := m.jobs[id]; ok {
+		return j, nil
+	}
+	return nil, unknownJob(id)
+}
+
+// Info returns a snapshot of the job.
+func (m *Manager) Info(id string) (Info, error) {
+	j, err := m.lookup(id)
+	if err != nil {
+		return Info{}, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -576,46 +614,40 @@ func (m *Manager) Info(id string) (Info, bool) {
 		}
 		info.RunMs = float64(end.Sub(j.started)) / float64(time.Millisecond)
 	}
-	return info, true
+	return info, nil
 }
 
-// Result returns a finished job's result (ok is false if the job is
-// unknown or not done).
-func (m *Manager) Result(id string) (*Result, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, false
+// Result returns a finished job's result.
+func (m *Manager) Result(id string) (*Result, error) {
+	j, err := m.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status != StatusDone {
-		return nil, false
+		return nil, fmt.Errorf("%w: job %s is %s, not done", ErrJobState, id, j.status)
 	}
-	return j.result, true
+	return j.result, nil
 }
 
 // Cancel marks a job canceled. A queued job never runs; a running job's
-// context is canceled so it stops at its next poll. Returns false for
-// unknown or already-terminal jobs.
-func (m *Manager) Cancel(id string) bool {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return false
+// context is canceled so it stops at its next poll.
+func (m *Manager) Cancel(id string) error {
+	j, err := m.lookup(id)
+	if err != nil {
+		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() {
-		return false
+		return fmt.Errorf("%w: job %s is %s, already finished", ErrJobState, id, j.status)
 	}
 	j.cancel = true
 	if j.stopRun != nil {
 		j.stopRun()
 	}
-	return true
+	return nil
 }
 
 // Quarantined lists the poisoned jobs — those that panicked
@@ -626,7 +658,7 @@ func (m *Manager) Quarantined() []Info {
 	m.mu.Unlock()
 	out := make([]Info, 0, len(ids))
 	for _, id := range ids {
-		if info, ok := m.Info(id); ok {
+		if info, err := m.Info(id); err == nil {
 			out = append(out, info)
 		}
 	}

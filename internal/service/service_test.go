@@ -20,9 +20,9 @@ func waitStatus(t *testing.T, m *Manager, id string, s Status) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		info, ok := m.Info(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
+		info, err := m.Info(id)
+		if err != nil {
+			t.Fatalf("job %s disappeared: %v", id, err)
 		}
 		if info.Status == s {
 			return
@@ -216,8 +216,8 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Cancel(idB) {
-		t.Fatal("Cancel of a queued job returned false")
+	if err := m.Cancel(idB); err != nil {
+		t.Fatalf("Cancel of a queued job: %v", err)
 	}
 	close(block)
 	m.Close()
@@ -227,8 +227,8 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	if ranB.Load() {
 		t.Fatal("canceled job still ran")
 	}
-	if m.Cancel(idB) {
-		t.Fatal("Cancel of a terminal job returned true")
+	if err := m.Cancel(idB); !errors.Is(err, ErrJobState) {
+		t.Fatalf("Cancel of a terminal job = %v, want ErrJobState", err)
 	}
 }
 
@@ -260,9 +260,9 @@ func TestConcurrentSiteJobsWithCache(t *testing.T) {
 	for i, id := range ids {
 		deadline := time.Now().Add(120 * time.Second)
 		for {
-			info, ok := m.Info(id)
-			if !ok {
-				t.Fatalf("job %s disappeared", id)
+			info, err := m.Info(id)
+			if err != nil {
+				t.Fatalf("job %s disappeared: %v", id, err)
 			}
 			if info.Status == StatusDone {
 				break
@@ -275,9 +275,9 @@ func TestConcurrentSiteJobsWithCache(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		res, ok := m.Result(id)
-		if !ok {
-			t.Fatalf("no result for done job %s", id)
+		res, err := m.Result(id)
+		if err != nil {
+			t.Fatalf("no result for done job %s: %v", id, err)
 		}
 		results[i] = res
 	}
@@ -396,9 +396,9 @@ func TestVerifiedJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitStatus(t, m, id, StatusDone)
-		res, ok := m.Result(id)
-		if !ok {
-			t.Fatalf("round %d: no result", round)
+		res, err := m.Result(id)
+		if err != nil {
+			t.Fatalf("round %d: no result: %v", round, err)
 		}
 		if !res.Verified {
 			t.Errorf("round %d: result not marked verified", round)

@@ -539,8 +539,8 @@ func TestCanceledObtainerLeavesTwinDone(t *testing.T) {
 		ids[c] = id
 	}
 	crit := <-obtaining // its twin holds the share and waits
-	if !m.Cancel(ids[crit]) {
-		t.Fatalf("Cancel of the obtaining job %s returned false", ids[crit])
+	if err := m.Cancel(ids[crit]); err != nil {
+		t.Fatalf("Cancel of the obtaining job %s: %v", ids[crit], err)
 	}
 	close(resume)
 	waitStatus(t, m, ids[crit], StatusCanceled)

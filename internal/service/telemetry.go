@@ -11,19 +11,17 @@ import (
 func (m *Manager) Tracer() *obs.Tracer { return m.tracer }
 
 // JobTrace returns the recorded spans of one job's trace, oldest first.
-// ok is false when the job is unknown or tracing is disabled. Spans
-// evicted from the tracer's bounded ring are simply absent.
-func (m *Manager) JobTrace(id string) ([]obs.SpanData, bool) {
+// With tracing off it answers ErrTracingOff. Spans evicted from the
+// tracer's bounded ring are simply absent.
+func (m *Manager) JobTrace(id string) ([]obs.SpanData, error) {
+	j, err := m.lookup(id)
+	if err != nil {
+		return nil, err
+	}
 	if m.tracer == nil {
-		return nil, false
+		return nil, ErrTracingOff
 	}
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return m.tracer.ForTrace(j.span.TraceID()), true
+	return m.tracer.ForTrace(j.span.TraceID()), nil
 }
 
 // startJobSpan opens the job's root span — or, when the submission carried

@@ -31,9 +31,9 @@ func benchmarkJob(b *testing.B, tracer *obs.Tracer) {
 			b.Fatal(err)
 		}
 		for {
-			info, ok := m.Info(id)
-			if !ok {
-				b.Fatalf("job %s disappeared", id)
+			info, err := m.Info(id)
+			if err != nil {
+				b.Fatalf("job %s disappeared: %v", id, err)
 			}
 			if info.Status.Terminal() {
 				if info.Status != StatusDone {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"math"
 	"net/http"
@@ -329,9 +330,9 @@ func TestSubmitJoinsPropagatedTrace(t *testing.T) {
 	resp.Body.Close()
 	waitStatus(t, m, acc.ID, StatusDone)
 
-	spans, ok := m.JobTrace(acc.ID)
-	if !ok || len(spans) == 0 {
-		t.Fatalf("JobTrace = %v, %t", spans, ok)
+	spans, err := m.JobTrace(acc.ID)
+	if err != nil || len(spans) == 0 {
+		t.Fatalf("JobTrace = %v, %v", spans, err)
 	}
 	for _, s := range spans {
 		if s.Trace != "4bf92f3577b34da6a3ce929d0e0e4736" {
@@ -357,8 +358,8 @@ func TestTracingDisabledEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, m, id, StatusDone)
-	if _, ok := m.JobTrace(id); ok {
-		t.Fatal("JobTrace succeeded with tracing disabled")
+	if _, err := m.JobTrace(id); !errors.Is(err, ErrTracingOff) {
+		t.Fatalf("JobTrace with tracing disabled = %v, want ErrTracingOff", err)
 	}
 	for _, path := range []string{"/jobs/" + id + "/trace", "/debug/spans"} {
 		resp, err := http.Get(srv.URL + path)
